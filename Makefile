@@ -1,6 +1,6 @@
 # Convenience targets; scripts/ci.sh is the canonical verify flow.
 
-.PHONY: verify test race smoke bench bench-kernels bench-sweep bench-fault bench-wal bench-des bench-des-flagship bench-trustzoo bench-serve bench-fleet
+.PHONY: verify test race smoke bench-e2e bench bench-kernels bench-sweep bench-fault bench-wal bench-des bench-des-flagship bench-trustzoo bench-serve bench-fleet
 
 # verify runs the tier-1 flow: build, vet, full tests, race tests for
 # the concurrent packages (exp's experiment engine, sim's cell runners,
@@ -22,6 +22,17 @@ smoke:
 		/tmp/gridtrust-smoke-sweep -mode $$mode -reps 2 -tasks 20 -seed 1 > /dev/null || exit 1; \
 	done
 	rm -f /tmp/gridtrust-smoke-sweep
+
+# bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/README.md):
+# every workload once untraced for the gated end-to-end metrics, then once
+# traced for the per-layer metrics.  The window is BENCHMARK.json's
+# run_seconds; for another seed call bench/run.sh directly.
+bench-e2e:
+	for trace in 0 1; do \
+		for w in serve_durable serve_mixed fleet3 sim_paper sim_trust; do \
+			bash bench/run.sh --workload $$w --seed 1 --seconds 20 --trace $$trace || exit 1; \
+		done; \
+	done
 
 # bench regenerates the paper-table and kernel benchmarks recorded in
 # BENCH_sched.json (see EXPERIMENTS.md for methodology).

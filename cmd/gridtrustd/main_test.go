@@ -29,31 +29,48 @@ func TestMain(m *testing.M) {
 type daemonOutput struct {
 	mu    sync.Mutex
 	lines []string
+	eof   chan struct{} // closed when the daemon's stdout reaches EOF
 }
 
+// String returns the daemon's output.  After the daemon has exited it is
+// complete: the reader reaches EOF as soon as the last line is consumed,
+// and String waits for that.  While the daemon still runs (failure
+// messages only) it gives up after two seconds and returns what there is.
 func (o *daemonOutput) String() string {
+	select {
+	case <-o.eof:
+	case <-time.After(2 * time.Second):
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return strings.Join(o.lines, "\n")
 }
 
 // spawnDaemon re-executes the test binary as gridtrustd and waits for the
-// listening line to learn the bound address.
+// listening line to learn the bound address.  The test owns the stdout
+// pipe: cmd.StdoutPipe's read end is closed by cmd.Wait, which loses the
+// shutdown narrative whenever Wait wins the race against the reader.
 func spawnDaemon(t *testing.T, args ...string) (*exec.Cmd, string, *daemonOutput) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "GRIDTRUSTD_RUN_MAIN=1")
 	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
+	stdout, child, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
+	cmd.Stdout = child
+	err = cmd.Start()
+	child.Close()
+	if err != nil {
+		stdout.Close()
 		t.Fatal(err)
 	}
-	out := &daemonOutput{}
+	out := &daemonOutput{eof: make(chan struct{})}
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(out.eof)
+		defer stdout.Close()
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()

@@ -515,7 +515,9 @@ func (t *TRMS) Close() {
 }
 
 // Drain blocks until every transaction reported so far has been processed
-// by the agents.  Concurrent ReportOutcome calls extend the wait.
+// by the agents, trust-table write included (an agent counts a
+// transaction only after its update hook returns).  Concurrent
+// ReportOutcome calls extend the wait.
 func (t *TRMS) Drain() {
 	for {
 		t.mu.Lock()

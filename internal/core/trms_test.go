@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"gridtrust/internal/grid"
 	"gridtrust/internal/sched"
@@ -225,6 +226,49 @@ func TestFigure1Architecture(t *testing.T) {
 	processed, committed, rejected := trms.AgentStats()
 	if processed == 0 || committed == 0 || rejected != 0 {
 		t.Fatalf("agent stats %d/%d/%d", processed, committed, rejected)
+	}
+}
+
+// TestDrainWaitsForTableWrite holds the table's read lock (ForEach runs
+// its callback under it) so the agent's table write cannot complete, and
+// checks that Drain does not return until it has: a Submit after Drain
+// must never read the pre-update level.
+func TestDrainWaitsForTableWrite(t *testing.T) {
+	trms := newTRMS(t, Config{
+		Topology: twoDomainTopology(t),
+		Trust:    trust.Config{Alpha: 1, Beta: 0, Smoothing: 1},
+	})
+	task := Task{
+		Client: 0,
+		ToA:    grid.MustToA(grid.ActCompute),
+		RTL:    grid.LevelE,
+		EEC:    []float64{100, 100},
+	}
+	p, err := trms.Submit(task, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	first := true
+	trms.Table().ForEach(func(grid.DomainID, grid.DomainID, grid.Activity, grid.TrustLevel) {
+		if !first {
+			return
+		}
+		first = false
+		if err := trms.ReportOutcome(p, task.ToA, 6, 1); err != nil {
+			t.Error(err)
+			return
+		}
+		go func() { trms.Drain(); close(drained) }()
+		select {
+		case <-drained:
+			t.Error("Drain returned while the trust-table write was still blocked")
+		case <-time.After(50 * time.Millisecond):
+		}
+	})
+	<-drained
+	if tl, _ := trms.Table().Get(0, p.RD, grid.ActCompute); tl != grid.LevelE {
+		t.Fatalf("table entry = %v after Drain, want E", tl)
 	}
 }
 

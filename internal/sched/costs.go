@@ -16,6 +16,27 @@ type Costs interface {
 	TrustCost(r, m int) (int, error)
 }
 
+// RowCosts is an optional extension of Costs for instances whose trust
+// cost depends on the machine only through a small index — in the paper a
+// machine inherits the trust level of its resource domain, so a row of M
+// machines holds only #RDs distinct trust costs.  The batch kernels read
+// whole rows through it instead of calling EEC and TrustCost per cell.
+type RowCosts interface {
+	Costs
+	// MachineIndex returns the machine → index map, one entry per machine
+	// and the same for every request.
+	MachineIndex() []int32
+	// CostRows returns request r's EEC row (one entry per machine) and
+	// its distinct trust costs, so that EEC(r, m) == eec[m] and
+	// TrustCost(r, m) == tcs[MachineIndex()[m]].
+	//
+	// The slices of both methods are read-only and valid until the
+	// instance changes.  The kernels check their shape once per batch —
+	// every index non-negative and inside every tcs — and fail with an
+	// error, as the per-cell path does when TrustCost fails.
+	CostRows(r int) (eec []float64, tcs []int)
+}
+
 // MatrixCosts is a concrete Costs backed by dense matrices.
 type MatrixCosts struct {
 	Exec [][]float64 // [request][machine]

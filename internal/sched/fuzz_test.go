@@ -175,39 +175,44 @@ func FuzzKernelEquivalence(f *testing.F) {
 			k++
 		}
 		reqs := reqRange(tasks)
-		for _, p := range []Policy{
-			MustTrustAware(DefaultTCWeight),
-			MustTrustUnaware(DefaultFlatOverheadPct),
-		} {
-			refMin, err := referenceMinMaxMin(c, p, reqs, avail, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			optMin, err := (MinMin{}).AssignBatch(c, p, reqs, avail)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffSchedules(t, "Min-min", optMin, refMin)
+		// The same instance folded into machine groups takes the row
+		// path of kernelState.fill; both must match the references
+		// under every decision form.
+		groups := int(at(k)%4) + 1
+		rc := grouped(c, groups, func(m int) int { return int(at(k + 1 + m)) })
+		for _, p := range rowPolicies() {
+			assertRowFillIdentical(t, rc, p, reqs, avail)
+			for _, inst := range []Costs{c, rc} {
+				refMin, err := referenceMinMaxMin(inst, p, reqs, avail, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				optMin, err := (MinMin{}).AssignBatch(inst, p, reqs, avail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffSchedules(t, "Min-min", optMin, refMin)
 
-			refMax, err := referenceMinMaxMin(c, p, reqs, avail, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			optMax, err := (MaxMin{}).AssignBatch(c, p, reqs, avail)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffSchedules(t, "Max-min", optMax, refMax)
+				refMax, err := referenceMinMaxMin(inst, p, reqs, avail, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				optMax, err := (MaxMin{}).AssignBatch(inst, p, reqs, avail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffSchedules(t, "Max-min", optMax, refMax)
 
-			refSuf, err := referenceSufferage(c, p, reqs, avail)
-			if err != nil {
-				t.Fatal(err)
+				refSuf, err := referenceSufferage(inst, p, reqs, avail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				optSuf, err := (Sufferage{}).AssignBatch(inst, p, reqs, avail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffSchedules(t, "Sufferage", optSuf, refSuf)
 			}
-			optSuf, err := (Sufferage{}).AssignBatch(c, p, reqs, avail)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffSchedules(t, "Sufferage", optSuf, refSuf)
 		}
 	})
 }

@@ -46,8 +46,9 @@ type BatchInto interface {
 // pooled; every slice is length-managed by grow and fully (re)initialised
 // by the kernel that checks the state out, so stale contents are harmless.
 type kernelState struct {
-	table []float64 // decision ECCs, len T*M, row stride M
-	avail []float64 // working copy of the availability vector
+	table  []float64 // decision ECCs, len T*M, row stride M
+	avail  []float64 // working copy of the availability vector
+	factor []float64 // per-index ESC factors of the row being filled
 
 	remaining []int // task positions not yet committed
 
@@ -87,12 +88,38 @@ func grow[T any](s []T, n int) []T {
 }
 
 // fill populates the flat decision-ECC table and the availability working
-// copy for a T-task, M-machine batch.
+// copy for a T-task, M-machine batch.  When the instance provides rows
+// and the policy's decision ESC has a closed form, each row is evaluated
+// inline; the expressions are, operation for operation, the ones
+// decisionECC computes through the policy's func value (see ESCForm), so
+// both paths fill bit-identical tables.
 func (ks *kernelState) fill(c Costs, p Policy, reqs []int, avail []float64) error {
 	nt, nm := len(reqs), len(avail)
 	ks.table = grow(ks.table, nt*nm)
 	ks.avail = grow(ks.avail, nm)
 	copy(ks.avail, avail)
+	form, w := p.DecisionForm()
+	if rc, ok := c.(RowCosts); ok && form != ESCOpaque {
+		idx := rc.MachineIndex()
+		if len(idx) != nm {
+			return fmt.Errorf("sched: machine index has %d entries for %d machines", len(idx), nm)
+		}
+		top := int32(-1) // largest index any machine maps to
+		for m, s := range idx {
+			if s < 0 {
+				return fmt.Errorf("sched: machine %d maps to trust-cost index %d", m, s)
+			}
+			top = max(top, s)
+		}
+		for i, r := range reqs {
+			eec, tcs := rc.CostRows(r)
+			if len(eec) != nm || len(tcs) <= int(top) {
+				return fmt.Errorf("sched: request %d has cost rows of %d/%d entries for %d machines over %d indices", r, len(eec), len(tcs), nm, top+1)
+			}
+			ks.fillRow(ks.table[i*nm:(i+1)*nm], form, w, eec, tcs, idx)
+		}
+		return nil
+	}
 	for i, r := range reqs {
 		row := ks.table[i*nm : (i+1)*nm]
 		for m := range row {
@@ -105,6 +132,30 @@ func (ks *kernelState) fill(c Costs, p Policy, reqs []int, avail []float64) erro
 		}
 	}
 	return nil
+}
+
+// fillRow evaluates one request's decision ECCs from its cost rows.  The
+// per-index factor float64(tc)*w is hoisted out of the machine loop; the
+// per-cell expression keeps decisionECC's parenthesization.
+func (ks *kernelState) fillRow(row []float64, form ESCForm, w float64, eec []float64, tcs []int, idx []int32) {
+	row, idx = row[:len(eec)], idx[:len(eec)]
+	switch form {
+	case ESCLinear:
+		ks.factor = grow(ks.factor, len(tcs))
+		f := ks.factor
+		for s, tc := range tcs {
+			f[s] = float64(tc) * w
+		}
+		for m, e := range eec {
+			row[m] = e + e*f[idx[m]]/100
+		}
+	case ESCFlat:
+		for m, e := range eec {
+			row[m] = e + e*w/100
+		}
+	default: // ESCZero: eec + 0 is the identity because EEC >= 0
+		copy(row, eec)
+	}
 }
 
 // recomputePair rescans task position i's row against the current

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,81 @@ func equivPolicies() []Policy {
 		MustTrustAware(DefaultTCWeight),
 		MustTrustUnaware(DefaultFlatOverheadPct),
 		MustTrustBlind(DefaultTCWeight),
+	}
+}
+
+// rowPolicies adds the two decision forms no shipped policy has to
+// equivPolicies, so the row path of kernelState.fill is compared under
+// every ESCForm: linear (aware), zero (unaware, blind), flat, and an
+// opaque policy that must keep the per-cell path.
+func rowPolicies() []Policy {
+	flat := func(eec float64, _ int) float64 { return eec * DefaultFlatOverheadPct / 100 }
+	opaque := func(eec float64, tc int) float64 { return eec * float64(tc*tc) / 40 }
+	return append(equivPolicies(),
+		Policy{
+			Name: "flat-aware", DecisionESC: flat, ChargedESC: flat,
+			decForm: ESCFlat, decWeight: DefaultFlatOverheadPct,
+			chForm: ESCFlat, chWeight: DefaultFlatOverheadPct,
+		},
+		Policy{Name: "opaque", DecisionESC: opaque, ChargedESC: opaque},
+	)
+}
+
+// rowInstance is a RowCosts fixture: machines fall into groups and the
+// trust cost depends on the machine only through its group, the shape
+// internal/sim's RD-indexed table has.
+type rowInstance struct {
+	exec [][]float64 // [request][machine]
+	tcs  [][]int     // [request][group]
+	idx  []int32     // machine -> group
+}
+
+func (c *rowInstance) NumRequests() int     { return len(c.exec) }
+func (c *rowInstance) NumMachines() int     { return len(c.idx) }
+func (c *rowInstance) EEC(r, m int) float64 { return c.exec[r][m] }
+func (c *rowInstance) TrustCost(r, m int) (int, error) {
+	return c.tcs[r][c.idx[m]], nil
+}
+func (c *rowInstance) MachineIndex() []int32 { return c.idx }
+func (c *rowInstance) CostRows(r int) ([]float64, []int) {
+	return c.exec[r], c.tcs[r]
+}
+
+// cellsOnly hides the row methods, forcing the per-cell path.
+type cellsOnly struct{ Costs }
+
+// grouped folds a dense instance into a rowInstance over the given
+// number of groups: machine m joins group pick(m), and a request's cost
+// on a group is its dense cost on the machine of that index.
+func grouped(c *MatrixCosts, groups int, pick func(m int) int) *rowInstance {
+	rc := &rowInstance{exec: c.Exec, idx: make([]int32, c.NumMachines())}
+	if groups > c.NumMachines() {
+		groups = c.NumMachines()
+	}
+	for m := range rc.idx {
+		rc.idx[m] = int32(pick(m) % groups)
+	}
+	for _, row := range c.TC {
+		rc.tcs = append(rc.tcs, row[:groups])
+	}
+	return rc
+}
+
+// assertRowFillIdentical fills the decision table through the row path
+// and through the per-cell path and requires bit-identical entries.
+func assertRowFillIdentical(t *testing.T, rc *rowInstance, p Policy, reqs []int, avail []float64) {
+	t.Helper()
+	var rows, cells kernelState
+	if err := rows.fill(rc, p, reqs, avail); err != nil {
+		t.Fatal(err)
+	}
+	if err := cells.fill(cellsOnly{rc}, p, reqs, avail); err != nil {
+		t.Fatal(err)
+	}
+	for k := range cells.table {
+		if math.Float64bits(rows.table[k]) != math.Float64bits(cells.table[k]) {
+			t.Fatalf("%s: decision ECC %d is %v by rows, %v by cells", p.Name, k, rows.table[k], cells.table[k])
+		}
 	}
 }
 
@@ -84,6 +160,49 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 		}
 		for _, p := range equivPolicies() {
 			checkEquivalence(t, c, p, reqRange(tasks), avail)
+		}
+	}
+}
+
+// TestKernelEquivalenceRows drives row-providing instances through every
+// kernel: the row path must fill the table the per-cell path fills, bit
+// for bit, and the schedules must match the references', under every
+// decision form.
+func TestKernelEquivalenceRows(t *testing.T) {
+	src := rng.New(20261001)
+	for trial := 0; trial < 120; trial++ {
+		tasks := 1 + src.Intn(40)
+		machines := 1 + src.Intn(14)
+		rc := grouped(randomInstance(src, tasks, machines), 1+src.Intn(4), func(int) int { return src.Intn(4) })
+		avail := make([]float64, machines)
+		for m := range avail {
+			avail[m] = src.Float64() * 200
+		}
+		reqs := reqRange(tasks)
+		src.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+		reqs = reqs[:1+src.Intn(tasks)]
+		for _, p := range rowPolicies() {
+			assertRowFillIdentical(t, rc, p, reqs, avail)
+			checkEquivalence(t, rc, p, reqs, avail)
+		}
+	}
+}
+
+// TestMalformedRowsAreErrors hands the kernels row instances whose shape
+// is wrong in each way the row path indexes by: they must fail with an
+// error, like a failing TrustCost on the per-cell path, never panic.
+func TestMalformedRowsAreErrors(t *testing.T) {
+	exec := [][]float64{{1, 2, 3}, {4, 5, 6}}
+	for name, rc := range map[string]*rowInstance{
+		"index past the trust costs": {exec: exec, tcs: [][]int{{1, 2}, {3, 4}}, idx: []int32{0, 2, 1}},
+		"negative index":             {exec: exec, tcs: [][]int{{1, 2}, {3, 4}}, idx: []int32{0, -1, 1}},
+		"one short trust-cost row":   {exec: exec, tcs: [][]int{{1, 2}, {3}}, idx: []int32{0, 1, 1}},
+		"short EEC row":              {exec: [][]float64{{1, 2, 3}, {4, 5}}, tcs: [][]int{{1}, {2}}, idx: []int32{0, 0, 0}},
+	} {
+		for _, h := range []Batch{MinMin{}, MaxMin{}, Sufferage{}} {
+			if _, err := h.AssignBatch(rc, MustTrustAware(DefaultTCWeight), reqRange(2), make([]float64, 3)); err == nil {
+				t.Errorf("%s: %s scheduled a malformed instance", name, h.Name())
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"gridtrust/internal/grid"
@@ -14,105 +15,94 @@ import (
 	"gridtrust/internal/workload"
 )
 
-// workloadCosts adapts a workload.Workload to sched.Costs, precomputing
-// the trust cost for every (request, machine) pair.  TCs depend only on
-// the request's CD/RTL/ToA and the machine's RD, both fixed at workload
-// generation, so precomputation is exact — and because requests sharing a
-// (CD, RTL, ToA) profile share an identical TC row, rows are deduplicated
-// by profile: a 1M-request stream carries at most
-// |CDs| × |RTLs| × |ToA sets| distinct rows, which is what makes the
-// 5000-machine × 1M-task flagship run fit in memory.
+// workloadCosts adapts a workload.Workload to sched.Costs.
+//
+// Trust is kept between domains: a trust cost is a function of the
+// request's profile (CD, RTL, ToA) and the machine's resource domain,
+// never of the machine itself.  The adapter stores exactly that function
+// — one row of #RDs costs per distinct profile, plus the machine → RD
+// slot map — and never expands it over machines, so its memory is
+// O(profiles × RDs + machines) and building it costs one table lookup
+// per (profile, RD).  A 1M-request stream carries at most
+// |CDs| × |RTLs| × |ordered ToAs| profiles (4 × 6 × 205 = 4920 in the
+// paper's configuration).
 type workloadCosts struct {
-	w     *workload.Workload
-	tc    [][]int // distinct TC rows, one per request profile
-	rowOf []int32 // request index -> row index into tc
+	w *workload.Workload
 
-	// tableVersion is the trust-table version the TC rows were computed
-	// from; the scratch-level cache revalidates against it.
-	tableVersion uint64
-}
+	// Resource-domain slots: the RDs that own a machine, numbered densely
+	// in order of first appearance in w.MachineRD.
+	rdOf    []int32         // machine -> slot
+	slotRD  []grid.DomainID // slot -> resource domain
+	slotAt  []int32         // slot -> its first machine
+	slotLen []int32         // slot -> number of machines
 
-// tcProfile keys the deduplication: everything a request contributes to
-// its trust costs.  The activity set is encoded as a bitmask (OTL is the
-// min over activities, so order is irrelevant).
-type tcProfile struct {
-	cd   grid.DomainID
-	rtl  grid.TrustLevel
-	acts uint64
-}
-
-// toaMask encodes a ToA's activity set as a bitmask; ok is false when an
-// activity index does not fit (the caller then skips deduplication for
-// that request).
-func toaMask(toa grid.ToA) (mask uint64, ok bool) {
-	for _, a := range toa.Activities {
-		if a < 0 || int(a) >= 64 {
-			return 0, false
-		}
-		mask |= 1 << uint(a)
-	}
-	return mask, true
+	// Request profiles: requests with the same (CD, RTL, ordered ToA)
+	// share a row.  The table ignores activity order (OTL is a min over
+	// activities) but a trust model's context is the ToA's rendering,
+	// which keeps it, so one key serves the table and modelView alike.
+	tc      []int   // TC per (profile, slot), row stride len(slotRD)
+	rowOf   []int32 // request -> profile
+	rowReq  []int32 // profile -> its first request
+	rowSize []int32 // profile -> number of requests
 }
 
 // newWorkloadCosts builds the adapter, surfacing any trust-table gaps as
-// errors up front rather than mid-simulation.
+// errors up front rather than mid-simulation.  Only resource domains that
+// own a machine are priced, so a gap for an unused RD is not an error.
 func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 	if w == nil {
 		return nil, fmt.Errorf("sim: nil workload")
 	}
 	nm := w.Spec.Machines
-	c := &workloadCosts{w: w, rowOf: make([]int32, len(w.Requests))}
-	if w.Table != nil {
-		c.tableVersion = w.Table.Version()
+	if len(w.MachineRD) != nm {
+		return nil, fmt.Errorf("sim: workload maps %d machines to resource domains, spec has %d", len(w.MachineRD), nm)
 	}
-	seen := make(map[tcProfile]int32)
+	c := &workloadCosts{w: w, rdOf: make([]int32, nm), rowOf: make([]int32, len(w.Requests))}
+	slotOf := make(map[grid.DomainID]int32)
+	for m, rd := range w.MachineRD {
+		s, ok := slotOf[rd]
+		if !ok {
+			s = int32(len(c.slotRD))
+			slotOf[rd] = s
+			c.slotRD = append(c.slotRD, rd)
+			c.slotAt = append(c.slotAt, int32(m))
+			c.slotLen = append(c.slotLen, 0)
+		}
+		c.rdOf[m] = s
+		c.slotLen[s]++
+	}
+	// Few requests mostly carry distinct profiles, many requests repeat a
+	// bounded set: size for the former, capped.
+	hint := min(len(w.Requests), 1024)
+	seen := make(map[string]int32, hint)
+	c.tc = make([]int, 0, hint*len(c.slotRD))
+	c.rowReq = make([]int32, 0, hint)
+	c.rowSize = make([]int32, 0, hint)
+	var key []byte
 	for i := range w.Requests {
 		r := w.Requests[i]
-		mask, maskOK := toaMask(r.ToA)
-		p := tcProfile{cd: r.CD, rtl: r.ClientRTL, acts: mask}
-		if maskOK {
-			if j, dup := seen[p]; dup {
-				c.rowOf[i] = j
-				continue
-			}
+		key = binary.AppendVarint(key[:0], int64(r.CD))
+		key = binary.AppendVarint(key, int64(r.ClientRTL))
+		for _, a := range r.ToA.Activities {
+			key = binary.AppendVarint(key, int64(a))
 		}
-		row := make([]int, nm)
-		for m := 0; m < nm; m++ {
-			v, err := w.TrustCost(r, m)
-			if err != nil {
-				return nil, fmt.Errorf("sim: trust cost for request %d on machine %d: %w", i, m, err)
+		j, dup := seen[string(key)]
+		if !dup {
+			for s, rd := range c.slotRD {
+				v, err := w.TrustCostRD(r, rd)
+				if err != nil {
+					return nil, fmt.Errorf("sim: trust cost for request %d on machine %d: %w", i, c.slotAt[s], err)
+				}
+				c.tc = append(c.tc, v)
 			}
-			row[m] = v
+			j = int32(len(c.rowReq))
+			seen[string(key)] = j
+			c.rowReq = append(c.rowReq, int32(i))
+			c.rowSize = append(c.rowSize, 0)
 		}
-		j := int32(len(c.tc))
-		c.tc = append(c.tc, row)
 		c.rowOf[i] = j
-		if maskOK {
-			seen[p] = j
-		}
+		c.rowSize[j]++
 	}
-	return c, nil
-}
-
-// cachedWorkloadCosts returns the scratch's memoized adapter when it was
-// built for this exact workload (same pointer, same trust-table version),
-// rebuilding otherwise.  RunPair and the exp replication pool reuse one
-// scratch across many runs of the same workload, so in the steady state
-// the TC precomputation is paid once per workload instead of once per
-// run.  The reference kernel deliberately keeps the seed's
-// rebuild-per-run behavior: it is the correctness baseline, and the
-// equivalence tests must exercise the cold-build path too.
-func cachedWorkloadCosts(scr *runScratch, w *workload.Workload) (*workloadCosts, error) {
-	if c := scr.costs; c != nil && c.w == w {
-		if w.Table == nil || c.tableVersion == w.Table.Version() {
-			return c, nil
-		}
-	}
-	c, err := newWorkloadCosts(w)
-	if err != nil {
-		return nil, err
-	}
-	scr.costs = c
 	return c, nil
 }
 
@@ -134,18 +124,52 @@ func (c *workloadCosts) eecRow(r int) []float64 {
 	return c.w.EEC.RowView(c.w.Requests[r].TaskIndex)
 }
 
-// tcRow returns request r's trust-cost row (shared across requests with
-// the same profile; read-only).
+// tcRow returns request r's trust costs per resource-domain slot (shared
+// across requests with the same profile; read-only).  Machine m's cost is
+// tcRow(r)[rdOf[m]].
 func (c *workloadCosts) tcRow(r int) []int {
-	return c.tc[c.rowOf[r]]
+	j, slots := int(c.rowOf[r]), len(c.slotRD)
+	return c.tc[j*slots : (j+1)*slots]
+}
+
+// checkIndex rejects an (r, m) outside the instance.
+func (c *workloadCosts) checkIndex(r, m int) error {
+	if r < 0 || r >= len(c.rowOf) || m < 0 || m >= len(c.rdOf) {
+		return fmt.Errorf("sim: trust cost index (%d,%d) out of range", r, m)
+	}
+	return nil
 }
 
 // TrustCost returns the precomputed TC.
 func (c *workloadCosts) TrustCost(r, m int) (int, error) {
-	if r < 0 || r >= len(c.rowOf) || m < 0 || m >= c.w.Spec.Machines {
-		return 0, fmt.Errorf("sim: trust cost index (%d,%d) out of range", r, m)
+	if err := c.checkIndex(r, m); err != nil {
+		return 0, err
 	}
-	return c.tc[c.rowOf[r]][m], nil
+	return c.tcRow(r)[c.rdOf[m]], nil
 }
 
-var _ sched.Costs = (*workloadCosts)(nil)
+// pairGap is |a−b| counted once for every (request, machine) pair it
+// stands for: n requests share the profile, slotLen[s] machines the slot.
+// A trust-table error is the mean of these small integers over all pairs,
+// so its sum is exact in any order.
+func (c *workloadCosts) pairGap(a, b int, n int32, s int) int64 {
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	return int64(d) * int64(n) * int64(c.slotLen[s])
+}
+
+// meanGap divides a pairGap sum by the number of (request, machine) pairs.
+func (c *workloadCosts) meanGap(sum int64) float64 {
+	return float64(sum) / float64(c.NumRequests()*c.NumMachines())
+}
+
+// MachineIndex and CostRows implement sched.RowCosts.
+func (c *workloadCosts) MachineIndex() []int32 { return c.rdOf }
+
+func (c *workloadCosts) CostRows(r int) ([]float64, []int) {
+	return c.eecRow(r), c.tcRow(r)
+}
+
+var _ sched.RowCosts = (*workloadCosts)(nil)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"gridtrust/internal/des"
 	"gridtrust/internal/fault"
@@ -43,27 +42,14 @@ type faultTask struct {
 	ecc float64
 }
 
-// faultCosts overlays the adversaries' claimed trust costs on the true
-// instance: the scheduler decides on this view, the simulator charges the
-// truth.
-type faultCosts struct {
-	*workloadCosts
-	dec [][]int
-}
-
-// TrustCost returns the claimed (decision-view) trust cost.
-func (c *faultCosts) TrustCost(r, m int) (int, error) {
-	if r < 0 || r >= len(c.dec) || m < 0 || m >= c.w.Spec.Machines {
-		return 0, fmt.Errorf("sim: trust cost index (%d,%d) out of range", r, m)
-	}
-	return c.dec[r][m], nil
-}
-
 // newFaultCosts builds the decision view for the plan's adversarial
-// resource domains and measures the resulting trust-table error (mean
-// absolute claimed−true TC over all pairs).  Returns (nil, 0) when no
-// domain whitewashes: decision and truth coincide.
-func newFaultCosts(truth *workloadCosts, plan fault.Plan) (*faultCosts, float64, error) {
+// resource domains — the scheduler decides on this view, the simulator
+// charges the truth — and measures the resulting trust-table error (mean
+// absolute claimed−true TC over all (request, machine) pairs).  Adversaries
+// are resource domains, so the view is the truth with the claimed cost
+// substituted per (profile, RD slot).  Returns (truth, 0) when no domain
+// whitewashes: decision and truth coincide.
+func newFaultCosts(truth *workloadCosts, plan fault.Plan) (*workloadCosts, float64, error) {
 	w := truth.w
 	adv := plan.AdversarialRDs(w.NumRDs)
 	any := false
@@ -71,39 +57,30 @@ func newFaultCosts(truth *workloadCosts, plan fault.Plan) (*faultCosts, float64,
 		any = any || a
 	}
 	if !any {
-		return nil, 0, nil
+		return truth, 0, nil
 	}
-	// The decision view is materialised per request (not per profile):
-	// whitewashing perturbs rows machine-wise, and fault runs are small
-	// enough that the expansion is cheap.
-	dec := make([][]int, truth.NumRequests())
-	for r := range dec {
-		dec[r] = append([]int(nil), truth.tcRow(r)...)
-	}
-	var errSum float64
-	for m := 0; m < w.Spec.Machines; m++ {
-		rd := w.MachineRD[m]
+	dec := *truth
+	dec.tc = append([]int(nil), truth.tc...)
+	var gap int64
+	for s, rd := range truth.slotRD {
+		if rd < 0 || int(rd) >= len(adv) {
+			return nil, 0, fmt.Errorf("sim: machine %d is in resource domain %d, outside the %d domains the fault plan draws adversaries over",
+				truth.slotAt[s], rd, len(adv))
+		}
 		if !adv[rd] {
 			continue
 		}
-		for r := range w.Requests {
-			req := w.Requests[r]
-			v, err := grid.TrustCostWith(w.Spec.ETSRule, req.ClientRTL, w.ResourceRTL[rd], grid.MaxOfferable)
+		for j, r := range truth.rowReq {
+			v, err := grid.TrustCostWith(w.Spec.ETSRule, w.Requests[r].ClientRTL, w.ResourceRTL[rd], grid.MaxOfferable)
 			if err != nil {
-				return nil, 0, fmt.Errorf("sim: claimed trust cost for request %d on machine %d: %w", r, m, err)
+				return nil, 0, fmt.Errorf("sim: claimed trust cost for request %d on machine %d: %w", r, truth.slotAt[s], err)
 			}
-			dec[r][m] = v
+			k := j*len(truth.slotRD) + s
+			dec.tc[k] = v
+			gap += truth.pairGap(v, truth.tc[k], truth.rowSize[j], s)
 		}
 	}
-	n := 0
-	for r := range dec {
-		tcs := truth.tcRow(r)
-		for m := range dec[r] {
-			errSum += math.Abs(float64(dec[r][m] - tcs[m]))
-			n++
-		}
-	}
-	return &faultCosts{workloadCosts: truth, dec: dec}, errSum / float64(n), nil
+	return &dec, truth.meanGap(gap), nil
 }
 
 // faultState carries the mutable state of one fault-aware run.
@@ -149,7 +126,7 @@ func runFaultTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *
 		return nil, fmt.Errorf("sim: workload shape %dx%d does not match scenario %dx%d",
 			truth.NumRequests(), truth.NumMachines(), sc.Tasks, sc.Machines)
 	}
-	fc, tableErr, err := newFaultCosts(truth, sc.Fault)
+	claimed, tableErr, err := newFaultCosts(truth, sc.Fault)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +134,7 @@ func runFaultTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *
 	st := &faultState{
 		sc:       sc,
 		truth:    truth,
-		dec:      truth,
+		dec:      claimed,
 		policy:   policy,
 		trace:    tr,
 		up:       make([]bool, nm),
@@ -175,11 +152,8 @@ func runFaultTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *
 			TrustTableError: tableErr,
 		},
 	}
-	if fc != nil {
-		st.dec = fc
-	}
 	if sc.dynamicTrust() {
-		if st.view, err = newModelView(sc, truth, st.dec); err != nil {
+		if st.view, err = newModelView(sc, truth, claimed); err != nil {
 			return nil, err
 		}
 		st.dec = st.view

@@ -45,7 +45,7 @@ func runFaultTracedFlat(sc Scenario, w *workload.Workload, policy sched.Policy, 
 	if sc.Tasks > 1<<31-1 || sc.Machines > 1<<31-1 {
 		return nil, fmt.Errorf("sim: instance exceeds the typed event payload range")
 	}
-	fc, tableErr, err := newFaultCosts(truth, sc.Fault)
+	claimed, tableErr, err := newFaultCosts(truth, sc.Fault)
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func runFaultTracedFlat(sc Scenario, w *workload.Workload, policy sched.Policy, 
 	st := &faultState{
 		sc:       sc,
 		truth:    truth,
-		dec:      truth,
+		dec:      claimed,
 		policy:   policy,
 		trace:    tr,
 		up:       make([]bool, nm),
@@ -70,11 +70,8 @@ func runFaultTracedFlat(sc Scenario, w *workload.Workload, policy sched.Policy, 
 			TrustTableError: tableErr,
 		},
 	}
-	if fc != nil {
-		st.dec = fc
-	}
 	if sc.dynamicTrust() {
-		if st.view, err = newModelView(sc, truth, st.dec); err != nil {
+		if st.view, err = newModelView(sc, truth, claimed); err != nil {
 			return nil, err
 		}
 		st.dec = st.view

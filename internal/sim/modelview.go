@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"gridtrust/internal/grid"
 	"gridtrust/internal/sched"
@@ -15,7 +14,7 @@ import (
 // the model's uninformed prior, observes every task completion (the CD of
 // the finished request judges the machine's RD by the true offered trust
 // level) and re-derives the decision-view TC from the model's evolving
-// score on every scheduler query.  Because all client domains feed the
+// score after every completion.  Because all client domains feed the
 // same model, each CD's direct experience doubles as every other CD's
 // recommendation — the Figure 1 recommender network arises from the
 // workload itself.
@@ -34,14 +33,27 @@ import (
 // remain bit-identical across kernels, workers and shard counts.  All
 // model calls pass now=0: the view installs no decay function, making
 // scores time-independent.
+//
+// The model scores (CD, RD, context) and the context is the request's
+// ToA, so a decision TC is a function of the request's profile — the one
+// workloadCosts keys its rows on — and the machine's RD slot.  Model.Trust
+// only reads, and only noteFinish's Observe changes what it returns, so
+// between two completions the view asks the model once per (profile,
+// slot) and serves every other lookup from dec.
 type modelView struct {
 	truth   *workloadCosts
-	claimed sched.Costs // truth, or the whitewashed overlay when active
+	claimed *workloadCosts // truth, or the whitewashed overlay when active
 	model   trust.Model
 
 	cds  []trust.EntityID // client-domain entity names, "cd:<i>"
-	rds  []trust.EntityID // resource-domain entity names, "rd:<i>"
-	ctxs []trust.Context  // per request: its composed ToA as context
+	rds  []trust.EntityID // per RD slot: resource-domain entity name, "rd:<i>"
+	ctxs []trust.Context  // per profile: its composed ToA as a context
+
+	// dec caches decision TCs per (profile, slot); an entry is valid
+	// while its stamp equals epoch, which noteFinish advances.
+	dec   []int
+	stamp []uint64
+	epoch uint64
 }
 
 // viewModelConfig is the trust configuration every scenario-level model
@@ -59,7 +71,7 @@ func viewModelConfig() trust.Config {
 
 // newModelView builds the view for the scenario's trust model over the
 // true costs and the (possibly whitewashed) claimed costs.
-func newModelView(sc Scenario, truth *workloadCosts, claimed sched.Costs) (*modelView, error) {
+func newModelView(sc Scenario, truth, claimed *workloadCosts) (*modelView, error) {
 	model, err := trust.NewModel(sc.TrustModel, viewModelConfig())
 	if err != nil {
 		return nil, err
@@ -70,17 +82,20 @@ func newModelView(sc Scenario, truth *workloadCosts, claimed sched.Costs) (*mode
 		claimed: claimed,
 		model:   model,
 		cds:     make([]trust.EntityID, w.NumCDs),
-		rds:     make([]trust.EntityID, w.NumRDs),
-		ctxs:    make([]trust.Context, len(w.Requests)),
+		rds:     make([]trust.EntityID, len(truth.slotRD)),
+		ctxs:    make([]trust.Context, len(truth.rowReq)),
+		dec:     make([]int, len(truth.tc)),
+		stamp:   make([]uint64, len(truth.tc)),
+		epoch:   1,
 	}
 	for i := range v.cds {
 		v.cds[i] = trust.EntityID(fmt.Sprintf("cd:%d", i))
 	}
-	for i := range v.rds {
-		v.rds[i] = trust.EntityID(fmt.Sprintf("rd:%d", i))
+	for s, rd := range truth.slotRD {
+		v.rds[s] = trust.EntityID(fmt.Sprintf("rd:%d", rd))
 	}
-	for i := range w.Requests {
-		v.ctxs[i] = trust.Context(w.Requests[i].ToA.String())
+	for j, r := range truth.rowReq {
+		v.ctxs[j] = trust.Context(w.Requests[r].ToA.String())
 	}
 	return v, nil
 }
@@ -95,16 +110,15 @@ func (v *modelView) NumMachines() int { return v.truth.NumMachines() }
 // machine speed.
 func (v *modelView) EEC(r, m int) float64 { return v.truth.EEC(r, m) }
 
-// modelTC derives the trust cost the model currently implies for request
-// r on machine m: the model's score for (CD, RD) in the request's ToA
+// modelTC derives the trust cost the model currently implies for profile
+// j on RD slot s: the model's score for (CD, RD) in the profile's ToA
 // context is quantised to a trust level (non-offerable levels cap at the
 // maximum offerable, mirroring core's table updates) and priced through
 // the scenario's ETS rule.
-func (v *modelView) modelTC(r, m int) (int, error) {
+func (v *modelView) modelTC(j int32, s int) (int, error) {
 	w := v.truth.w
-	req := w.Requests[r]
-	rd := w.MachineRD[m]
-	score, err := v.model.Trust(v.cds[req.CD], v.rds[rd], v.ctxs[r], 0)
+	req := &w.Requests[v.truth.rowReq[j]]
+	score, err := v.model.Trust(v.cds[req.CD], v.rds[s], v.ctxs[j], 0)
 	if err != nil {
 		return 0, err
 	}
@@ -112,24 +126,34 @@ func (v *modelView) modelTC(r, m int) (int, error) {
 	if !lvl.Offerable() {
 		lvl = grid.MaxOfferable
 	}
-	return grid.TrustCostWith(w.Spec.ETSRule, req.ClientRTL, w.ResourceRTL[rd], lvl)
+	return grid.TrustCostWith(w.Spec.ETSRule, req.ClientRTL, w.ResourceRTL[v.truth.slotRD[s]], lvl)
 }
 
-// TrustCost returns the decision-view trust cost: the conservative
-// maximum of the claimed table cost and the model-derived cost.
+// decisionTC returns the decision-view trust cost of profile j on RD slot
+// s: the conservative maximum of the claimed table cost and the
+// model-derived cost.
+func (v *modelView) decisionTC(j int32, s int) (int, error) {
+	k := int(j)*len(v.rds) + s
+	if v.stamp[k] == v.epoch {
+		return v.dec[k], nil
+	}
+	tc, err := v.modelTC(j, s)
+	if err != nil {
+		return 0, err
+	}
+	if ctc := v.claimed.tc[k]; ctc > tc {
+		tc = ctc
+	}
+	v.dec[k], v.stamp[k] = tc, v.epoch
+	return tc, nil
+}
+
+// TrustCost returns the decision-view trust cost of request r on machine m.
 func (v *modelView) TrustCost(r, m int) (int, error) {
-	ctc, err := v.claimed.TrustCost(r, m)
-	if err != nil {
+	if err := v.truth.checkIndex(r, m); err != nil {
 		return 0, err
 	}
-	mtc, err := v.modelTC(r, m)
-	if err != nil {
-		return 0, err
-	}
-	if mtc > ctc {
-		return mtc, nil
-	}
-	return ctc, nil
+	return v.decisionTC(v.truth.rowOf[r], int(v.truth.rdOf[m]))
 }
 
 // noteFinish feeds one completed task back into the model: the request's
@@ -139,12 +163,13 @@ func (v *modelView) TrustCost(r, m int) (int, error) {
 func (v *modelView) noteFinish(r, m int) error {
 	w := v.truth.w
 	req := w.Requests[r]
-	rd := w.MachineRD[m]
-	otl, err := w.Table.OTL(req.CD, rd, req.ToA)
+	s := v.truth.rdOf[m]
+	otl, err := w.Table.OTL(req.CD, v.truth.slotRD[s], req.ToA)
 	if err != nil {
 		return err
 	}
-	_, err = v.model.Observe(v.cds[req.CD], v.rds[rd], v.ctxs[r], float64(otl), 0)
+	v.epoch++
+	_, err = v.model.Observe(v.cds[req.CD], v.rds[s], v.ctxs[v.truth.rowOf[r]], float64(otl), 0)
 	return err
 }
 
@@ -153,20 +178,16 @@ func (v *modelView) noteFinish(r, m int) error {
 // every (request, machine) pair — the RunResult.TrustTableError a
 // model-driven run reports.
 func (v *modelView) tableError() (float64, error) {
-	var sum float64
-	n := 0
-	for r := 0; r < v.NumRequests(); r++ {
-		tcs := v.truth.tcRow(r)
-		for m := range tcs {
-			dtc, err := v.TrustCost(r, m)
-			if err != nil {
-				return 0, err
-			}
-			sum += math.Abs(float64(dtc - tcs[m]))
-			n++
+	var gap int64
+	for k, ttc := range v.truth.tc {
+		j, s := k/len(v.rds), k%len(v.rds)
+		dtc, err := v.decisionTC(int32(j), s)
+		if err != nil {
+			return 0, err
 		}
+		gap += v.truth.pairGap(dtc, ttc, v.truth.rowSize[j], s)
 	}
-	return sum / float64(n), nil
+	return v.truth.meanGap(gap), nil
 }
 
 var _ sched.Costs = (*modelView)(nil)

@@ -76,12 +76,12 @@ type runScratch struct {
 
 	// q is the flat event queue reused across runs on the fast path
 	// (Reset keeps its buffers); shardM/shardV hold per-worker results
-	// of sharded decision scans; costs memoizes the TC precomputation
-	// per workload (see cachedWorkloadCosts).
+	// of sharded decision scans; tcw holds the per-RD-slot ESC factors
+	// of the request being scanned.
 	q      *des.Queue
 	shardM []int
 	shardV []float64
-	costs  *workloadCosts
+	tcw    []float64
 }
 
 // prepare sizes the buffers for nm machines and zeroes the accumulators.

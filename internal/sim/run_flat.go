@@ -23,12 +23,12 @@ import (
 //   - events are typed (kind + request id), not closures: zero
 //     allocations steady-state in the queue;
 //   - the MCT/MET/OLB decision scans are fused: they walk the EEC row,
-//     the (profile-deduplicated) TC row and the free-time vector
-//     directly, computing the policy's closed-form ESC inline instead of
-//     calling through sched.Costs and the policy func values.  Each
-//     fused expression reproduces the reference float operations exactly
-//     (see ESCForm), so scores, completion times and every derived
-//     metric are bit-identical;
+//     the machine → RD-slot map and the free-time vector directly,
+//     computing the policy's closed-form ESC inline from the request's
+//     per-slot trust costs instead of calling through sched.Costs and
+//     the policy func values.  Each fused expression reproduces the
+//     reference float operations exactly (see ESCForm), so scores,
+//     completion times and every derived metric are bit-identical;
 //   - with SetIntraWorkers(n > 1), wide machine scans are sharded into n
 //     contiguous ranges.  Every range is scanned with the same strict-<
 //     first-minimum rule and the shard results are merged in shard order
@@ -101,13 +101,18 @@ func (f fusedESC) ecc(eec float64, tc int) float64 {
 // that distinguish them cannot arise.  Each ESC expression keeps the
 // reference parenthesization — in particular availability + (eec + esc),
 // never (availability + eec) + esc — so every sum rounds identically.
-func fusedScanRange(scan fusedScan, dec fusedESC, eec []float64, tcs []int, ft []float64, now float64, lo, hi int) (int, float64) {
+//
+// Under ESCLinear the trust cost enters through tcw, the request's
+// per-slot product float64(tc)*weight (the innermost factor of the
+// reference expression, hoisted out of the machine loop), indexed by the
+// machine's RD slot; the other forms ignore tcw and rdOf.
+func fusedScanRange(scan fusedScan, dec fusedESC, eec, tcw []float64, rdOf []int32, ft []float64, now float64, lo, hi int) (int, float64) {
 	best := -1
 	bestVal := math.Inf(1)
 	if lo >= hi {
 		return best, bestVal
 	}
-	eec, tcs, ft = eec[lo:hi:hi], tcs[lo:hi:hi], ft[lo:hi:hi]
+	eec, rdOf, ft = eec[lo:hi:hi], rdOf[lo:hi:hi], ft[lo:hi:hi]
 	switch scan {
 	case fusedMCT:
 		switch dec.form {
@@ -117,7 +122,7 @@ func fusedScanRange(scan fusedScan, dec fusedESC, eec []float64, tcs []int, ft [
 				if a < now {
 					a = now
 				}
-				if done := a + (e + e*(float64(tcs[i])*dec.w)/100); done < bestVal {
+				if done := a + (e + e*tcw[rdOf[i]]/100); done < bestVal {
 					bestVal, best = done, i
 				}
 			}
@@ -153,7 +158,7 @@ func fusedScanRange(scan fusedScan, dec fusedESC, eec []float64, tcs []int, ft [
 				if sched.IsMasked(a) {
 					continue
 				}
-				if ecc := e + e*(float64(tcs[i])*dec.w)/100; ecc < bestVal {
+				if ecc := e + e*tcw[rdOf[i]]/100; ecc < bestVal {
 					bestVal, best = ecc, i
 				}
 			}
@@ -205,14 +210,23 @@ func fusedScanRange(scan fusedScan, dec fusedESC, eec []float64, tcs []int, ft [
 // across st.intraW workers when the machine set is wide enough.
 func (st *runState) fusedPick(scan fusedScan, dec fusedESC, r int, now float64) int {
 	eec := st.costs.eecRow(r)
-	tcs := st.costs.tcRow(r)
+	rdOf := st.costs.rdOf
+	var tcw []float64
+	if dec.form == sched.ESCLinear {
+		tcs := st.costs.tcRow(r)
+		st.scr.tcw = growFloats(st.scr.tcw, len(tcs))
+		tcw = st.scr.tcw
+		for s, tc := range tcs {
+			tcw[s] = float64(tc) * dec.w
+		}
+	}
 	ft := st.scr.freeTime
 	nm := len(ft)
 	w := st.intraW
 	if w > 1 && nm >= w*st.shardMin {
-		return st.fusedPickSharded(scan, dec, eec, tcs, ft, now, w)
+		return st.fusedPickSharded(scan, dec, eec, tcw, rdOf, ft, now, w)
 	}
-	m, _ := fusedScanRange(scan, dec, eec, tcs, ft, now, 0, nm)
+	m, _ := fusedScanRange(scan, dec, eec, tcw, rdOf, ft, now, 0, nm)
 	return m
 }
 
@@ -220,7 +234,7 @@ func (st *runState) fusedPick(scan fusedScan, dec fusedESC, r int, now float64) 
 // in shard order.  Shard k covers [k·nm/w, (k+1)·nm/w); the strict-<
 // merge keeps the earliest shard on ties, so the composite selection is
 // exactly the serial scan's first minimum.
-func (st *runState) fusedPickSharded(scan fusedScan, dec fusedESC, eec []float64, tcs []int, ft []float64, now float64, w int) int {
+func (st *runState) fusedPickSharded(scan fusedScan, dec fusedESC, eec, tcw []float64, rdOf []int32, ft []float64, now float64, w int) int {
 	nm := len(ft)
 	if len(st.scr.shardM) < w {
 		st.scr.shardM = make([]int, w)
@@ -233,10 +247,10 @@ func (st *runState) fusedPickSharded(scan fusedScan, dec fusedESC, eec []float64
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			bestM[k], bestV[k] = fusedScanRange(scan, dec, eec, tcs, ft, now, k*nm/w, (k+1)*nm/w)
+			bestM[k], bestV[k] = fusedScanRange(scan, dec, eec, tcw, rdOf, ft, now, k*nm/w, (k+1)*nm/w)
 		}(k)
 	}
-	bestM[0], bestV[0] = fusedScanRange(scan, dec, eec, tcs, ft, now, 0, nm/w)
+	bestM[0], bestV[0] = fusedScanRange(scan, dec, eec, tcw, rdOf, ft, now, 0, nm/w)
 	wg.Wait()
 	best := -1
 	bestVal := math.Inf(1)
@@ -255,14 +269,14 @@ func (st *runState) commitFused(ch fusedESC, opaque bool, r, m int, now, arrival
 		return st.commit(r, m, now, arrival)
 	}
 	eec := st.costs.eecRow(r)[m]
-	tc := st.costs.tcRow(r)[m]
+	tc := st.costs.tcRow(r)[st.costs.rdOf[m]]
 	st.commitCosted(r, m, now, arrival, ch.ecc(eec, tc), tc)
 	return nil
 }
 
 // runTracedFlat is runTraced's fault-free body on the flat queue.
 func runTracedFlat(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace.Trace, scr *runScratch) (*RunResult, error) {
-	costs, err := cachedWorkloadCosts(scr, w)
+	costs, err := newWorkloadCosts(w)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,8 @@ import (
 // repeated) through both kernels at a wide 1024-machine instance, the
 // scale where the fused scans and the typed queue pay off.  The scratch
 // is reused across iterations exactly as RunPair/Compare reuse it, so
-// the numbers reflect the steady state a sweep sees.
+// the numbers reflect the steady state a sweep sees; the trust-cost table
+// is rebuilt by every run, as it is there.
 func BenchmarkSimRun(b *testing.B) {
 	cases := []struct {
 		name      string
@@ -59,10 +60,13 @@ func BenchmarkSimRun(b *testing.B) {
 
 // flagshipWorkload hand-builds a workload far beyond what the Spec
 // generator can materialise: the EEC matrix holds only `profiles`
-// distinct task rows (requests cycle through them via TaskIndex), the
-// ToA sets are shared slices, and the trust-cost rows deduplicate down
-// to |CDs| x |RTLs| x |ToA sets| profiles inside newWorkloadCosts — so a
-// 5000-machine x 1M-request instance fits comfortably in memory.
+// distinct task rows (requests cycle through them via TaskIndex) and the
+// ToA sets are shared slices, so a 5000-machine x 1M-request instance
+// fits comfortably in memory.  The trust costs take next to none of it:
+// newWorkloadCosts keeps one cost per (request profile, resource domain),
+// |CDs| x |RTLs| x |ordered ToAs| x |RDs| integers, whatever the machine
+// count.  Its RD ids start at numCDs, not 0, which the adapter's dense
+// RD slots absorb.
 func flagshipWorkload(machines, requests, profiles int) (*workload.Workload, error) {
 	const numCDs, numRDs = 4, 4
 	src := rng.New(42)

@@ -54,26 +54,27 @@ func NewAgent(name string, e Model, in <-chan Transaction, onUpdate UpdateFunc) 
 // Run processes transactions until the input channel closes.  It never
 // panics on bad transactions; malformed outcomes are counted as errors and
 // retrievable via Stats.
+//
+// A transaction is counted only after its update hook has returned:
+// core.TRMS.Drain waits on the processed count, and its callers read the
+// trust table the hook writes.
 func (a *Agent) Run() {
 	for tx := range a.In {
 		changed, err := a.Engine.Observe(tx.From, tx.To, tx.Ctx, tx.Outcome, tx.Now)
-		a.mu.Lock()
-		a.processed++
-		if err != nil {
-			a.errs = append(a.errs, err)
-			a.mu.Unlock()
-			continue
-		}
-		if changed {
-			a.committed++
-		}
-		a.mu.Unlock()
-		if changed && a.OnUpdate != nil {
+		if err == nil && changed && a.OnUpdate != nil {
 			score, terr := a.Engine.Trust(tx.From, tx.To, tx.Ctx, tx.Now)
 			if terr == nil {
 				a.OnUpdate(tx.From, tx.To, tx.Ctx, score)
 			}
 		}
+		a.mu.Lock()
+		a.processed++
+		if err != nil {
+			a.errs = append(a.errs, err)
+		} else if changed {
+			a.committed++
+		}
+		a.mu.Unlock()
 	}
 }
 

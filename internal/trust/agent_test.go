@@ -82,6 +82,38 @@ func TestAgentRecordsBadTransactions(t *testing.T) {
 	}
 }
 
+// TestAgentCountsAfterUpdateHook pins the order core.TRMS.Drain relies on:
+// a transaction is not counted as processed while its update hook is
+// still running, so "processed == reported" implies the hook's table
+// write has happened.
+func TestAgentCountsAfterUpdateHook(t *testing.T) {
+	e := newTestEngine(t, Config{Alpha: 1, Beta: 0, Smoothing: 1, InitialScore: 1})
+	in := make(chan Transaction, 1)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	a, err := NewAgent("a", e, in, func(EntityID, EntityID, Context, float64) {
+		close(entered)
+		<-release
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { a.Run(); close(done) }()
+	in <- Transaction{From: "x", To: "y", Ctx: "c", Outcome: 5, Now: 1}
+	close(in)
+
+	<-entered
+	if processed, committed, _ := a.Stats(); processed != 0 || committed != 0 {
+		t.Errorf("stats advanced to %d/%d while the update hook was still running", processed, committed)
+	}
+	close(release)
+	<-done
+	if processed, committed, rejected := a.Stats(); processed != 1 || committed != 1 || rejected != 0 {
+		t.Fatalf("stats = %d/%d/%d after the hook returned, want 1/1/0", processed, committed, rejected)
+	}
+}
+
 func TestAgentConstructorValidation(t *testing.T) {
 	e := newTestEngine(t, defaultCfg())
 	if _, err := NewAgent("a", nil, make(chan Transaction), nil); err == nil {

@@ -23,6 +23,11 @@ import (
 //     reproducible order — the Engine's incoming adjacency is presorted
 //     by recommender EntityID string exactly for this, and rival models
 //     reuse it via claimsAbout.  No map iteration may influence a result.
+//   - Queries only read: Trust, Direct and Recommendation leave every
+//     later result unchanged, so between two mutating calls (Observe,
+//     SetDirect, SetRecommenderFactor, DeclareAlliance, Import) a caller
+//     may keep an answer instead of asking again — internal/sim's model
+//     view does.
 //   - Snapshot round-trip: Export must capture every score-relevant
 //     datum; Import(Export()) into a fresh instance of the same model
 //     must reproduce identical Trust values.  Snapshots are stamped with

@@ -219,19 +219,26 @@ func NewWorkload(src *rng.Source, s Spec) (*Workload, error) {
 	return w, nil
 }
 
-// TrustCost returns the paper's TC for request r on machine m: the ETS of
-// the effective RTL (max of client and resource) against the OTL offered
-// by the machine's RD for the request's composed ToA.
-func (w *Workload) TrustCost(r Request, machine int) (int, error) {
-	if machine < 0 || machine >= len(w.MachineRD) {
-		return 0, fmt.Errorf("workload: machine %d out of range", machine)
-	}
-	rd := w.MachineRD[machine]
+// TrustCostRD returns the paper's TC for request r on any machine of
+// resource domain rd: the ETS of the effective RTL (max of client and
+// resource) against the OTL the RD offers for the request's composed ToA.
+// Trust is kept between domains (Section 3.1), so this is the pricing
+// entry point; a machine inherits its RD's cost.
+func (w *Workload) TrustCostRD(r Request, rd grid.DomainID) (int, error) {
 	otl, err := w.Table.OTL(r.CD, rd, r.ToA)
 	if err != nil {
 		return 0, err
 	}
 	return grid.TrustCostWith(w.Spec.ETSRule, r.ClientRTL, w.ResourceRTL[rd], otl)
+}
+
+// TrustCost returns the paper's TC for request r on machine m, which is
+// the TC of the machine's resource domain.
+func (w *Workload) TrustCost(r Request, machine int) (int, error) {
+	if machine < 0 || machine >= len(w.MachineRD) {
+		return 0, fmt.Errorf("workload: machine %d out of range", machine)
+	}
+	return w.TrustCostRD(r, w.MachineRD[machine])
 }
 
 // TCDistribution summarises the trust costs of a workload over all

@@ -173,7 +173,14 @@ func TestWorkloadTrustCost(t *testing.T) {
 			if tc != want {
 				t.Fatalf("TC mismatch: got %d want %d", tc, want)
 			}
+			// A machine is priced as its resource domain.
+			if byRD, err := w.TrustCostRD(r, rd); err != nil || byRD != tc {
+				t.Fatalf("TrustCostRD(req %d, RD %d) = %d, %v; machine %d prices %d", r.ID, rd, byRD, err, m, tc)
+			}
 		}
+	}
+	if _, err := w.TrustCostRD(w.Requests[0], grid.DomainID(w.NumRDs)); err == nil {
+		t.Error("priced a resource domain with no trust-table rows")
 	}
 	if _, err := w.TrustCost(w.Requests[0], -1); err == nil {
 		t.Error("accepted negative machine index")

@@ -35,6 +35,9 @@ go vet ./...
 echo "==> go test ./..."
 go test ./...
 
+echo "==> bench module tests (its own module: held-out-seed goldens, estimator tests)"
+(cd bench && go test .)
+
 echo "==> go test -race (concurrent packages)"
 go test -race ./internal/exp/... ./internal/fault/... ./internal/sched/... ./internal/sim/... ./internal/trust/... ./internal/wal/... ./internal/rmswire/... ./internal/metrics/... ./internal/load/... ./internal/trustwire/... ./internal/fleet/... ./internal/chaos/...
 
