@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"gridtrust/internal/grid"
 	"gridtrust/internal/sched"
@@ -10,9 +9,9 @@ import (
 
 // SubmitBatch maps a meta-request of tasks atomically with a batch-mode
 // heuristic (Min-min, Sufferage, ...), mirroring the paper's batch TRM
-// algorithms at the TRMS level: all tasks see the same trust-table
-// snapshot and the same starting availability, and the whole batch commits
-// or none of it does.
+// algorithms at the TRMS level: all tasks are priced against the same
+// trust table and the same starting availability, and the whole batch
+// commits or none of it does.
 func (t *TRMS) SubmitBatch(tasks []Task, h sched.Batch, now float64) ([]*Placement, error) {
 	if h == nil {
 		return nil, fmt.Errorf("core: nil batch heuristic")
@@ -20,64 +19,31 @@ func (t *TRMS) SubmitBatch(tasks []Task, h sched.Batch, now float64) ([]*Placeme
 	if len(tasks) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
-	machines := t.cfg.Topology.Machines()
-	nm := len(machines)
 
-	// Resolve per-task trust costs against one table snapshot.
-	snap := t.table.Snapshot()
-	eec := make([][]float64, len(tasks))
-	tcs := make([][]int, len(tasks))
-	otls := make([][]grid.TrustLevel, len(tasks))
-	cds := make([]grid.DomainID, len(tasks))
+	// Tasks are checked and priced in order, so the error reported is the
+	// first task's that has one: price everything ahead of the first
+	// invalid task before reporting it.
+	cds := make([]grid.DomainID, 0, len(tasks))
+	var invalid error
 	for i, task := range tasks {
-		if len(task.EEC) != nm {
-			return nil, fmt.Errorf("core: batch task %d has %d EEC entries for %d machines",
-				i, len(task.EEC), nm)
-		}
-		if len(task.ToA.Activities) == 0 {
-			return nil, fmt.Errorf("core: batch task %d has an empty ToA", i)
-		}
-		if !task.RTL.Valid() {
-			return nil, fmt.Errorf("core: batch task %d RTL %v invalid", i, task.RTL)
-		}
-		cd, err := t.cfg.Topology.ClientCD(task.Client)
+		cd, err := t.validateBatchTask(i, task)
 		if err != nil {
-			return nil, fmt.Errorf("core: batch task %d: %w", i, err)
+			invalid = err
+			break
 		}
-		cds[i] = cd.ID
-		eec[i] = make([]float64, nm)
-		tcs[i] = make([]int, nm)
-		otls[i] = make([]grid.TrustLevel, nm)
-		eligible := false
-		for m, machine := range machines {
-			rd, err := t.cfg.Topology.MachineRD(machine.ID)
-			if err != nil {
-				return nil, err
-			}
-			if !rd.Supports(task.ToA) {
-				eec[i][m] = math.Inf(1)
-				tcs[i][m] = -1
-				continue
-			}
-			otl, err := snap.OTL(cd.ID, rd.ID, task.ToA)
-			if err != nil {
-				return nil, err
-			}
-			tc, err := grid.TrustCostWith(t.cfg.ETSRule, task.RTL, rd.RTL, otl)
-			if err != nil {
-				return nil, err
-			}
-			eec[i][m] = task.EEC[m]
-			tcs[i][m] = tc
-			otls[i][m] = otl
-			eligible = true
-		}
-		if !eligible {
-			return nil, fmt.Errorf("core: batch task %d: no resource domain supports ToA %v", i, task.ToA)
-		}
+		cds = append(cds, cd)
+	}
+	costs, i, err := t.price(tasks[:len(cds)], cds)
+	if err == errNoSupportingRD {
+		err = fmt.Errorf("core: batch task %d: no resource domain supports ToA %v", i, tasks[i].ToA)
+	}
+	if err == nil {
+		err = invalid
+	}
+	if err != nil {
+		return nil, err
 	}
 
-	costs := &batchCosts{eec: eec, tc: tcs}
 	reqs := make([]int, len(tasks))
 	for i := range reqs {
 		reqs[i] = i
@@ -92,7 +58,6 @@ func (t *TRMS) SubmitBatch(tasks []Task, h sched.Batch, now float64) ([]*Placeme
 	// Reuse the TRMS schedule buffer across batch events when the
 	// heuristic supports allocation-free mapping.
 	var as []sched.Assignment
-	var err error
 	if bi, ok := h.(sched.BatchInto); ok {
 		as, err = bi.AssignBatchInto(costs, t.policy, reqs, avail, t.asgBuf[:0])
 		t.asgBuf = as[:0]
@@ -107,53 +72,34 @@ func (t *TRMS) SubmitBatch(tasks []Task, h sched.Batch, now float64) ([]*Placeme
 	}
 	// Validate before committing anything.
 	for _, a := range as {
-		if tcs[a.Req][a.Machine] < 0 {
+		if !costs.eligible(a.Req, a.Machine) {
 			return nil, fmt.Errorf("core: heuristic placed batch task %d on ineligible machine %d",
 				a.Req, a.Machine)
 		}
 	}
 	placements := make([]*Placement, len(tasks))
 	for _, a := range as {
-		i, m := a.Req, a.Machine
-		machine := machines[m]
-		rd, err := t.cfg.Topology.MachineRD(machine.ID)
-		if err != nil {
-			return nil, err
-		}
-		e := eec[i][m]
-		esc := t.policy.ChargedESC(e, tcs[i][m])
-		start := math.Max(t.freeTime[m], now)
-		finish := start + e + esc
-		t.freeTime[m] = finish
-		t.placed++
-		placements[i] = &Placement{
-			Machine: machine,
-			RD:      rd.ID,
-			CD:      cds[i],
-			OTL:     otls[i][m],
-			TC:      tcs[i][m],
-			EEC:     e,
-			ESC:     esc,
-			ECC:     e + esc,
-			Start:   start,
-			Finish:  finish,
-		}
+		placements[a.Req] = t.commit(costs, a.Req, a.Machine, now)
 	}
 	return placements, nil
 }
 
-// batchCosts is the multi-task instance SubmitBatch hands the heuristic.
-type batchCosts struct {
-	eec [][]float64
-	tc  [][]int
-}
-
-func (c *batchCosts) NumRequests() int     { return len(c.eec) }
-func (c *batchCosts) NumMachines() int     { return len(c.eec[0]) }
-func (c *batchCosts) EEC(r, m int) float64 { return c.eec[r][m] }
-func (c *batchCosts) TrustCost(r, m int) (int, error) {
-	if c.tc[r][m] < 0 {
-		return 0, nil
+// validateBatchTask checks batch task i's shape and resolves its client
+// domain.
+func (t *TRMS) validateBatchTask(i int, task Task) (grid.DomainID, error) {
+	if nm := len(t.slot); len(task.EEC) != nm {
+		return 0, fmt.Errorf("core: batch task %d has %d EEC entries for %d machines",
+			i, len(task.EEC), nm)
 	}
-	return c.tc[r][m], nil
+	if len(task.ToA.Activities) == 0 {
+		return 0, fmt.Errorf("core: batch task %d has an empty ToA", i)
+	}
+	if !task.RTL.Valid() {
+		return 0, fmt.Errorf("core: batch task %d RTL %v invalid", i, task.RTL)
+	}
+	cd, err := t.cfg.Topology.ClientCD(task.Client)
+	if err != nil {
+		return 0, fmt.Errorf("core: batch task %d: %w", i, err)
+	}
+	return cd.ID, nil
 }

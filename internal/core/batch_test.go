@@ -157,3 +157,73 @@ func TestSubmitBatchThenImmediateShareAvailability(t *testing.T) {
 		t.Fatalf("immediate submit ignored batch backlog: start %g", p.Start)
 	}
 }
+
+// capRD is a fuser standing in for a fleet's claims overlay: peers report
+// that one resource domain deserves no more than a given level.
+type capRD struct {
+	rd  grid.DomainID
+	cap grid.TrustLevel
+}
+
+func (c capRD) FuseOTL(_, rd grid.DomainID, _ grid.ToA, local grid.TrustLevel) grid.TrustLevel {
+	if rd == c.rd && c.cap < local {
+		return c.cap
+	}
+	return local
+}
+
+// TestSubmitBatchAppliesFuser: a batch is priced through the same fuser as
+// an immediate submit, so a fleet shard's batch placements honour peer
+// claims.
+func TestSubmitBatchAppliesFuser(t *testing.T) {
+	trms := newTRMS(t, Config{Topology: twoDomainTopology(t)})
+	trms.SetOTLFuser(capRD{rd: 1, cap: grid.LevelA})
+	tasks := batchTasks(4, 100, 100)
+	for i := range tasks {
+		tasks[i].RTL = grid.LevelC
+	}
+	ps, err := trms.SubmitBatch(tasks, sched.MinMin{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table offers C on both RDs; the fuser caps RD 1 at A, so RD 1
+	// carries TC 2 and anything placed there reports the fused level.
+	onRD1 := 0
+	for i, p := range ps {
+		switch p.RD {
+		case 0:
+			if p.OTL != grid.LevelC || p.TC != 0 {
+				t.Errorf("task %d on RD 0: OTL %v TC %d, want C/0", i, p.OTL, p.TC)
+			}
+		case 1:
+			onRD1++
+			if p.OTL != grid.LevelA || p.TC != 2 {
+				t.Errorf("task %d on RD 1: OTL %v TC %d, want the fused A/2", i, p.OTL, p.TC)
+			}
+		}
+	}
+	if onRD1 == 0 {
+		t.Fatal("no batch task reached the capped RD; the test proves nothing")
+	}
+}
+
+// TestSubmitBatchSetsMachineIdx: the journal replays a placement by its
+// MachineIdx, so a batch placement must carry it like any other.
+func TestSubmitBatchSetsMachineIdx(t *testing.T) {
+	top := twoDomainTopology(t)
+	trms := newTRMS(t, Config{Topology: top})
+	ps, err := trms.SubmitBatch(batchTasks(4, 10, 12), sched.MinMin{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for i, p := range ps {
+		if top.Machines()[p.MachineIdx] != p.Machine {
+			t.Errorf("task %d: MachineIdx %d is not machine %d", i, p.MachineIdx, p.Machine.ID)
+		}
+		seen[p.MachineIdx] = true
+	}
+	if len(seen) != 2 {
+		t.Fatalf("batch used machine indexes %v, want both", seen)
+	}
+}

@@ -109,10 +109,20 @@ type TRMS struct {
 	table *grid.TrustTable
 	model trust.Model
 
-	// fuser, when non-nil, adjusts per-machine OTLs on the submit path.
+	// Pricing geometry, fixed at New.  Trust is kept between domains, so
+	// a decision prices one cell per resource domain that owns a machine
+	// (priced, in first-machine order) and machine m reads cell slot[m].
+	priced []*grid.ResourceDomain
+	slot   []int
+
+	// fuser, when non-nil, adjusts per-domain OTLs on the submit path.
 	// Installed once before the TRMS takes traffic (SetOTLFuser); nil
 	// keeps the submit path byte-for-byte identical to a fuser-free TRMS.
 	fuser OTLFuser
+
+	// names translates between the topology's domains and activities and
+	// the trust engine's entity and context names; read-only after New.
+	names entityNames
 
 	txCh   chan trust.Transaction
 	agents []*trust.Agent
@@ -179,10 +189,12 @@ func New(cfg Config) (*TRMS, error) {
 		policy:   policy,
 		table:    grid.NewTrustTable(),
 		model:    model,
+		names:    newEntityNames(cfg.Topology),
 		txCh:     make(chan trust.Transaction, 128),
 		freeTime: make([]float64, len(cfg.Topology.Machines())),
 		availBuf: make([]float64, len(cfg.Topology.Machines())),
 	}
+	t.priced, t.slot = pricedDomains(cfg.Topology)
 
 	// Seed the table: every CD trusts every RD at the initial level for
 	// each activity the RD supports.
@@ -229,19 +241,66 @@ func activityContext(a grid.Activity) trust.Context {
 	return trust.Context(a.String())
 }
 
+// entityNames holds the names the report path would otherwise format per
+// transaction, and their exact inverses for the agents' table hook.
+type entityNames struct {
+	cd, rd     map[grid.DomainID]trust.EntityID
+	cdOf, rdOf map[trust.EntityID]grid.DomainID
+	actOf      map[trust.Context]grid.Activity // built-in activities
+}
+
+func newEntityNames(top *grid.Topology) entityNames {
+	n := entityNames{
+		cd:    map[grid.DomainID]trust.EntityID{},
+		rd:    map[grid.DomainID]trust.EntityID{},
+		cdOf:  map[trust.EntityID]grid.DomainID{},
+		rdOf:  map[trust.EntityID]grid.DomainID{},
+		actOf: map[trust.Context]grid.Activity{},
+	}
+	for _, cd := range top.ClientDomains() {
+		n.cd[cd.ID] = cdEntity(cd.ID)
+		n.cdOf[n.cd[cd.ID]] = cd.ID
+	}
+	for _, rd := range top.ResourceDomains() {
+		n.rd[rd.ID] = rdEntity(rd.ID)
+		n.rdOf[n.rd[rd.ID]] = rd.ID
+	}
+	for a := grid.Activity(0); a < grid.NumBuiltinActivities; a++ {
+		n.actOf[activityContext(a)] = a
+	}
+	return n
+}
+
+// pair names a report's two parties for the trust engine.  A domain
+// outside the topology is still reported (the engine may track it) under
+// the name it would have been given.
+func (n *entityNames) pair(cd, rd grid.DomainID) (from, to trust.EntityID) {
+	from, ok := n.cd[cd]
+	if !ok {
+		from = cdEntity(cd)
+	}
+	to, ok = n.rd[rd]
+	if !ok {
+		to = rdEntity(rd)
+	}
+	return from, to
+}
+
 // applyTrustUpdate is the agents' table hook: quantise the fresh Γ score
 // onto the discrete scale and update the table if the level changed.
-// Entities that are not a cd→rd pair (or contexts that are not activities)
-// are ignored; the engine may track them but the table cannot.
+// Entities that are not a cd→rd pair of the topology (or contexts that are
+// not built-in activities) are ignored; the engine may track them but the
+// table cannot.
 func (t *TRMS) applyTrustUpdate(x, y trust.EntityID, c trust.Context, score float64) {
-	var cd, rd grid.DomainID
-	if _, err := fmt.Sscanf(string(x), "cd:%d", &cd); err != nil {
+	cd, ok := t.names.cdOf[x]
+	if !ok {
 		return
 	}
-	if _, err := fmt.Sscanf(string(y), "rd:%d", &rd); err != nil {
+	rd, ok := t.names.rdOf[y]
+	if !ok {
 		return
 	}
-	act, ok := activityByName(string(c))
+	act, ok := t.names.actOf[c]
 	if !ok {
 		return
 	}
@@ -253,16 +312,6 @@ func (t *TRMS) applyTrustUpdate(x, y trust.EntityID, c trust.Context, score floa
 		return // "if the new trust values ... are different ... update"
 	}
 	_ = t.table.Set(cd, rd, act, level)
-}
-
-// activityByName inverts grid.Activity.String for the built-in vocabulary.
-func activityByName(name string) (grid.Activity, bool) {
-	for a := grid.Activity(0); a < grid.NumBuiltinActivities; a++ {
-		if a.String() == name {
-			return a, true
-		}
-	}
-	return 0, false
 }
 
 // SetOTLFuser installs an OTL fusion hook (e.g. a fleet claims overlay).
@@ -343,10 +392,8 @@ func (t *TRMS) RecoverPlacement(m int, finish float64) error {
 // table: ESC = EEC × (TC × weight)/100 with TC = ETS(max(task RTL, RD
 // RTL), OTL) per Section 4.1.
 func (t *TRMS) Submit(task Task, now float64) (*Placement, error) {
-	machines := t.cfg.Topology.Machines()
-	if len(task.EEC) != len(machines) {
-		return nil, fmt.Errorf("core: task has %d EEC entries for %d machines",
-			len(task.EEC), len(machines))
+	if nm := len(t.slot); len(task.EEC) != nm {
+		return nil, fmt.Errorf("core: task has %d EEC entries for %d machines", len(task.EEC), nm)
 	}
 	if len(task.ToA.Activities) == 0 {
 		return nil, fmt.Errorf("core: task has an empty ToA")
@@ -358,80 +405,27 @@ func (t *TRMS) Submit(task Task, now float64) (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Build the 1×M scheduling instance against a consistent table
-	// snapshot.
-	snap := t.table.Snapshot()
-	tcs := make([]int, len(machines))
-	otls := make([]grid.TrustLevel, len(machines))
-	eligible := false
-	for m, machine := range machines {
-		rd, err := t.cfg.Topology.MachineRD(machine.ID)
-		if err != nil {
-			return nil, err
-		}
-		if !rd.Supports(task.ToA) {
-			tcs[m] = -1 // ineligible marker
-			continue
-		}
-		otl, err := snap.OTL(cd.ID, rd.ID, task.ToA)
-		if err != nil {
-			return nil, err
-		}
-		if t.fuser != nil {
-			otl = t.fuser.FuseOTL(cd.ID, rd.ID, task.ToA, otl)
-		}
-		tc, err := grid.TrustCostWith(t.cfg.ETSRule, task.RTL, rd.RTL, otl)
-		if err != nil {
-			return nil, err
-		}
-		tcs[m], otls[m] = tc, otl
-		eligible = true
+	costs, _, err := t.price([]Task{task}, []grid.DomainID{cd.ID})
+	if err == errNoSupportingRD {
+		err = fmt.Errorf("core: no resource domain supports ToA %v", task.ToA)
 	}
-	if !eligible {
-		return nil, fmt.Errorf("core: no resource domain supports ToA %v", task.ToA)
+	if err != nil {
+		return nil, err
 	}
-
-	costs := &submitCosts{eec: task.EEC, tc: tcs}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return nil, fmt.Errorf("core: TRMS is closed")
 	}
-	avail := t.currentAvail(now)
-	asg, err := t.cfg.Heuristic.AssignOne(costs, t.policy, 0, avail)
+	asg, err := t.cfg.Heuristic.AssignOne(costs, t.policy, 0, t.currentAvail(now))
 	if err != nil {
 		return nil, err
 	}
-	m := asg.Machine
-	if tcs[m] < 0 {
-		return nil, fmt.Errorf("core: heuristic chose ineligible machine %d", m)
+	if !costs.eligible(0, asg.Machine) {
+		return nil, fmt.Errorf("core: heuristic chose ineligible machine %d", asg.Machine)
 	}
-	machine := machines[m]
-	rd, err := t.cfg.Topology.MachineRD(machine.ID)
-	if err != nil {
-		return nil, err
-	}
-	eec := task.EEC[m]
-	esc := t.policy.ChargedESC(eec, tcs[m])
-	start := avail[m]
-	finish := start + eec + esc
-	t.freeTime[m] = finish
-	t.placed++
-	return &Placement{
-		Machine:    machine,
-		MachineIdx: m,
-		RD:         rd.ID,
-		CD:         cd.ID,
-		OTL:        otls[m],
-		TC:         tcs[m],
-		EEC:        eec,
-		ESC:        esc,
-		ECC:        eec + esc,
-		Start:      start,
-		Finish:     finish,
-	}, nil
+	return t.commit(costs, 0, asg.Machine, now), nil
 }
 
 // currentAvail fills the reusable availability buffer from the machine
@@ -442,29 +436,6 @@ func (t *TRMS) currentAvail(now float64) []float64 {
 		t.availBuf[m] = math.Max(ft, now)
 	}
 	return t.availBuf
-}
-
-// submitCosts is the single-task scheduling instance Submit hands to the
-// heuristic.  Ineligible machines (tc == -1) carry an infinite EEC so no
-// sane heuristic selects them.
-type submitCosts struct {
-	eec []float64
-	tc  []int
-}
-
-func (c *submitCosts) NumRequests() int { return 1 }
-func (c *submitCosts) NumMachines() int { return len(c.eec) }
-func (c *submitCosts) EEC(_, m int) float64 {
-	if c.tc[m] < 0 {
-		return math.Inf(1)
-	}
-	return c.eec[m]
-}
-func (c *submitCosts) TrustCost(_, m int) (int, error) {
-	if c.tc[m] < 0 {
-		return 0, nil
-	}
-	return c.tc[m], nil
 }
 
 // ReportOutcome feeds the observed behaviour of a completed placement back
@@ -484,18 +455,11 @@ func (t *TRMS) ReportOutcome(p *Placement, toa grid.ToA, outcome, now float64) e
 		t.mu.Unlock()
 		return fmt.Errorf("core: TRMS is closed")
 	}
+	t.reported += len(toa.Activities)
 	t.mu.Unlock()
+	from, to := t.names.pair(p.CD, p.RD)
 	for _, act := range toa.Activities {
-		t.mu.Lock()
-		t.reported++
-		t.mu.Unlock()
-		t.txCh <- trust.Transaction{
-			From:    cdEntity(p.CD),
-			To:      rdEntity(p.RD),
-			Ctx:     activityContext(act),
-			Outcome: outcome,
-			Now:     now,
-		}
+		t.txCh <- trust.Transaction{From: from, To: to, Ctx: activityContext(act), Outcome: outcome, Now: now}
 	}
 	return nil
 }

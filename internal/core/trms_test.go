@@ -477,3 +477,40 @@ func TestRestoreAgentStats(t *testing.T) {
 		t.Fatal("accepted committed+rejected > processed")
 	}
 }
+
+// TestTrustUpdateMatchesNamesExactly: the agents' table hook maps entity
+// and context names back through exact-match tables built from the
+// topology, so a near-miss name (trailing garbage, a domain the topology
+// does not have, an activity outside the vocabulary) moves nothing, and
+// the names ReportOutcome sends do.
+func TestTrustUpdateMatchesNamesExactly(t *testing.T) {
+	trms := newTRMS(t, Config{Topology: twoDomainTopology(t)})
+	before := trms.Table().Version()
+	for _, c := range []struct {
+		x, y trust.EntityID
+		ctx  trust.Context
+	}{
+		{"cd:0x", "rd:1", "compute"},
+		{"cd:0", "rd:1 ", "compute"},
+		{"cd:7", "rd:1", "compute"},
+		{"cd:0", "rd:7", "compute"},
+		{"rd:0", "cd:1", "compute"},
+		{"cd:0", "rd:1", "compute+storage"},
+		{"cd:0", "rd:1", "activity(9)"},
+	} {
+		trms.applyTrustUpdate(c.x, c.y, c.ctx, 1)
+		if v := trms.Table().Version(); v != before {
+			t.Fatalf("update (%q, %q, %q) wrote the table", c.x, c.y, c.ctx)
+		}
+	}
+	from, to := trms.names.pair(0, 1)
+	trms.applyTrustUpdate(from, to, activityContext(grid.ActStorage), 1)
+	if tl, _ := trms.Table().Get(0, 1, grid.ActStorage); tl != grid.LevelA {
+		t.Fatalf("entry (0,1,storage) = %v after a score-1 update, want A", tl)
+	}
+	// Outside the vocabulary a report still reaches the engine, under the
+	// name it always had.
+	if from, to = trms.names.pair(7, 8); from != "cd:7" || to != "rd:8" {
+		t.Fatalf("unknown domains named %q -> %q", from, to)
+	}
+}

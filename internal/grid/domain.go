@@ -103,15 +103,26 @@ type Topology struct {
 	clients  []*Client
 	rds      []*ResourceDomain
 	cds      []*ClientDomain
+
+	// Lookup indexes, resolved once by NewTopology: the shape is static
+	// and the daemon asks on every decision.
+	machineSlot []int             // machine index -> index of its RD in rds
+	machineIdx  map[MachineID]int // machine id -> machine index
+	clientCD    map[ClientID]*ClientDomain
 }
 
 // NewTopology assembles a topology from grid domains, validating that IDs
 // are unique and machines/clients reference their owning domains.
 func NewTopology(domains ...*GridDomain) (*Topology, error) {
-	t := &Topology{Domains: domains}
+	t := &Topology{
+		Domains:    domains,
+		machineIdx: map[MachineID]int{},
+		clientCD:   map[ClientID]*ClientDomain{},
+	}
 	seenGD := map[DomainID]bool{}
-	seenMachine := map[MachineID]bool{}
-	seenClient := map[ClientID]bool{}
+	// A domain id resolves to the first RD (resp. CD) that carries it.
+	rdSlot := map[DomainID]int{}
+	cdByID := map[DomainID]*ClientDomain{}
 	for _, gd := range domains {
 		if gd == nil {
 			return nil, fmt.Errorf("grid: nil GridDomain")
@@ -121,36 +132,43 @@ func NewTopology(domains ...*GridDomain) (*Topology, error) {
 		}
 		seenGD[gd.ID] = true
 		if gd.RD != nil {
+			if _, ok := rdSlot[gd.RD.ID]; !ok {
+				rdSlot[gd.RD.ID] = len(t.rds)
+			}
 			t.rds = append(t.rds, gd.RD)
 			for _, m := range gd.RD.Machines {
 				if m == nil {
 					return nil, fmt.Errorf("grid: nil Machine in RD %d", gd.RD.ID)
 				}
-				if seenMachine[m.ID] {
+				if _, dup := t.machineIdx[m.ID]; dup {
 					return nil, fmt.Errorf("grid: duplicate Machine ID %d", m.ID)
 				}
 				if m.RD != gd.RD.ID {
 					return nil, fmt.Errorf("grid: machine %d claims RD %d but belongs to RD %d",
 						m.ID, m.RD, gd.RD.ID)
 				}
-				seenMachine[m.ID] = true
+				t.machineIdx[m.ID] = len(t.machines)
 				t.machines = append(t.machines, m)
+				t.machineSlot = append(t.machineSlot, rdSlot[m.RD])
 			}
 		}
 		if gd.CD != nil {
+			if _, ok := cdByID[gd.CD.ID]; !ok {
+				cdByID[gd.CD.ID] = gd.CD
+			}
 			t.cds = append(t.cds, gd.CD)
 			for _, c := range gd.CD.Clients {
 				if c == nil {
 					return nil, fmt.Errorf("grid: nil Client in CD %d", gd.CD.ID)
 				}
-				if seenClient[c.ID] {
+				if _, dup := t.clientCD[c.ID]; dup {
 					return nil, fmt.Errorf("grid: duplicate Client ID %d", c.ID)
 				}
 				if c.CD != gd.CD.ID {
 					return nil, fmt.Errorf("grid: client %d claims CD %d but belongs to CD %d",
 						c.ID, c.CD, gd.CD.ID)
 				}
-				seenClient[c.ID] = true
+				t.clientCD[c.ID] = cdByID[c.CD]
 				t.clients = append(t.clients, c)
 			}
 		}
@@ -173,32 +191,28 @@ func (t *Topology) ResourceDomains() []*ResourceDomain { return t.rds }
 // ClientDomains returns all CDs in topology order.
 func (t *Topology) ClientDomains() []*ClientDomain { return t.cds }
 
-// MachineRD returns the resource domain owning machine id.
+// MachineSlots maps each machine, in topology order, to the index of its
+// owning resource domain in ResourceDomains.  Trust is kept between
+// domains, so a scheduler prices one cell per RD and reads machine m's
+// cost through MachineSlots()[m].  The slice is shared; do not modify it.
+func (t *Topology) MachineSlots() []int { return t.machineSlot }
+
+// MachineRD returns the resource domain owning machine id, as resolved
+// when the topology was built.
 func (t *Topology) MachineRD(id MachineID) (*ResourceDomain, error) {
-	for _, m := range t.machines {
-		if m.ID == id {
-			for _, rd := range t.rds {
-				if rd.ID == m.RD {
-					return rd, nil
-				}
-			}
-			return nil, fmt.Errorf("grid: machine %d references unknown RD %d", id, m.RD)
-		}
+	m, ok := t.machineIdx[id]
+	if !ok {
+		return nil, fmt.Errorf("grid: unknown machine %d", id)
 	}
-	return nil, fmt.Errorf("grid: unknown machine %d", id)
+	return t.rds[t.machineSlot[m]], nil
 }
 
-// ClientCD returns the client domain owning client id.
+// ClientCD returns the client domain owning client id, as resolved when
+// the topology was built.
 func (t *Topology) ClientCD(id ClientID) (*ClientDomain, error) {
-	for _, c := range t.clients {
-		if c.ID == id {
-			for _, cd := range t.cds {
-				if cd.ID == c.CD {
-					return cd, nil
-				}
-			}
-			return nil, fmt.Errorf("grid: client %d references unknown CD %d", id, c.CD)
-		}
+	cd, ok := t.clientCD[id]
+	if !ok {
+		return nil, fmt.Errorf("grid: unknown client %d", id)
 	}
-	return nil, fmt.Errorf("grid: unknown client %d", id)
+	return cd, nil
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -172,6 +173,72 @@ func TestTopologyLookups(t *testing.T) {
 	}
 	if _, err := top.ClientCD(ClientID(999)); err == nil {
 		t.Error("ClientCD found an unknown client")
+	}
+}
+
+// TestTopologyIndexes checks the lookups NewTopology resolves up front
+// against the topology they index: every machine and client, ids that do
+// not exist, and domain ids that two domains share (the first one wins, as
+// the scan it replaced found it).
+func TestTopologyIndexes(t *testing.T) {
+	a, b, c := makeGD(0, 2, 2), makeGD(1, 0, 1), makeGD(2, 3, 1)
+	// GD 3 reuses domain id 0 for its RD and CD.
+	d := makeGD(3, 1, 1)
+	d.RD.ID, d.RD.Machines[0].RD = 0, 0
+	d.CD.ID, d.CD.Clients[0].CD = 0, 0
+	top, err := NewTopology(a, b, c, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rds, slots := top.ResourceDomains(), top.MachineSlots()
+	if len(slots) != len(top.Machines()) {
+		t.Fatalf("%d slots for %d machines", len(slots), len(top.Machines()))
+	}
+	for m, machine := range top.Machines() {
+		rd, err := top.MachineRD(machine.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.ID != machine.RD || rds[slots[m]] != rd {
+			t.Errorf("machine %d (RD %d): MachineRD %d, slot %d", machine.ID, machine.RD, rd.ID, slots[m])
+		}
+	}
+	for _, client := range top.Clients() {
+		cd, err := top.ClientCD(client.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cd.ID != client.CD {
+			t.Errorf("client %d (CD %d): ClientCD %d", client.ID, client.CD, cd.ID)
+		}
+	}
+	if rd, _ := top.MachineRD(d.RD.Machines[0].ID); rd != a.RD {
+		t.Error("a shared RD id did not resolve to the first RD that carries it")
+	}
+	if cd, _ := top.ClientCD(d.CD.Clients[0].ID); cd != a.CD {
+		t.Error("a shared CD id did not resolve to the first CD that carries it")
+	}
+	if got := slots[len(slots)-1]; got != 0 {
+		t.Errorf("machine under the shared RD id has slot %d, want 0", got)
+	}
+
+	for _, id := range []MachineID{-1, 999} {
+		if _, err := top.MachineRD(id); err == nil || err.Error() != fmt.Sprintf("grid: unknown machine %d", id) {
+			t.Errorf("MachineRD(%d) error = %v", id, err)
+		}
+	}
+	for _, id := range []ClientID{-1, 999} {
+		if _, err := top.ClientCD(id); err == nil || err.Error() != fmt.Sprintf("grid: unknown client %d", id) {
+			t.Errorf("ClientCD(%d) error = %v", id, err)
+		}
+	}
+
+	// A machine naming an RD that does not exist never gets an index
+	// entry: the topology is refused, so every slot is a real RD.
+	stray := makeGD(4, 1, 0)
+	stray.RD.Machines[0].RD = 77
+	if _, err := NewTopology(a, stray); err == nil {
+		t.Error("accepted a machine naming an unknown RD")
 	}
 }
 

@@ -16,7 +16,11 @@ import (
 // Figure 1 update entries while the scheduler reads them.  Updates are rare
 // relative to reads — "trust is a slow varying attribute, therefore, the
 // update overhead associated with the trust level table is not significant"
-// — so a single RWMutex suffices and keeps read paths cheap.
+// — so one RWMutex guards the map, and a read is cheap only if it holds
+// that lock for the cells it needs and copies nothing.  The scheduler's
+// read is OTLRows: one read lock per decision, a cell per resource domain.
+// Whole-table reads (Snapshot, Entries, ForEach) cost time and garbage in
+// proportion to the table and belong to replication and persistence.
 type TrustTable struct {
 	mu      sync.RWMutex
 	entries map[tableKey]TrustLevel
@@ -80,20 +84,66 @@ func (t *TrustTable) Len() int {
 // A_r)" (Section 3.1).  It returns an error if any activity has no entry,
 // which means the pairing is simply not offered.
 func (t *TrustTable) OTL(cd, rd DomainID, toa ToA) (TrustLevel, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return offeredLevel(t.entries, cd, rd, toa)
+}
+
+// offeredLevel is the OTL rule over a bare entry map; callers hold
+// whatever lock guards it.
+func offeredLevel(entries map[tableKey]TrustLevel, cd, rd DomainID, toa ToA) (TrustLevel, error) {
 	if len(toa.Activities) == 0 {
 		return LevelNone, fmt.Errorf("grid: OTL of an empty ToA")
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	otl := MaxOfferable + 1 // sentinel above any offerable level
 	for _, a := range toa.Activities {
-		tl, ok := t.entries[tableKey{cd, rd, a}]
+		tl, ok := entries[tableKey{cd, rd, a}]
 		if !ok {
 			return LevelNone, fmt.Errorf("grid: no trust entry for CD %d / RD %d / %v", cd, rd, a)
 		}
 		otl = minLevel(otl, tl)
 	}
 	return otl, nil
+}
+
+// OTLRow is one row of a scheduling decision's view of the table: what
+// one client domain is offered for one ToA across a list of resource
+// domains.  The caller sets CD and ToA and sizes OTL to the list; OTLRows
+// fills the rest.
+type OTLRow struct {
+	CD  DomainID
+	ToA ToA
+
+	// OTL[i] receives the offered trust level on the i-th resource domain,
+	// or LevelNone where that domain does not support the ToA.
+	OTL []TrustLevel
+	// N counts the cells filled.  A row stops at its first table gap: N is
+	// then the index of the resource domain that supports the ToA but has
+	// no entry, and Err is the error OTL reports for that pairing.
+	N   int
+	Err error
+}
+
+// OTLRows fills every row against rds under a single read lock: nothing
+// is copied, and all the rows of one decision — a lone submit or a whole
+// batch — are priced against the same table.
+func (t *TrustTable) OTLRows(rds []*ResourceDomain, rows []OTLRow) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for r := range rows {
+		row := &rows[r]
+		row.N, row.Err = 0, nil
+		for i, rd := range rds {
+			otl := LevelNone
+			if rd.Supports(row.ToA) {
+				if otl, row.Err = offeredLevel(t.entries, row.CD, rd.ID, row.ToA); row.Err != nil {
+					break
+				}
+			}
+			row.OTL[i] = otl
+			row.N++
+		}
+	}
 }
 
 // ForEach invokes fn for every entry under the read lock.  fn must not
@@ -159,9 +209,12 @@ func (t *TrustTable) Restore(entries []TableEntry, version uint64) error {
 }
 
 // Snapshot returns a read-only copy of the table, the "replicated at
-// different domains for reading purposes" mechanism of Section 3.1.  The
-// replica is immutable and does not track later updates; compare Version
-// with the live table to detect staleness.
+// different domains for reading purposes" mechanism of Section 3.1: what
+// trustwire ships to replicas and what an export freezes.  The copy costs
+// time and garbage in proportion to the table, so it is not a scheduler's
+// read path (that is OTLRows).  The replica is immutable and does not
+// track later updates; compare Version with the live table to detect
+// staleness.
 func (t *TrustTable) Snapshot() *TableReplica {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -190,16 +243,5 @@ func (r *TableReplica) Version() uint64 { return r.version }
 // OTL computes the offered trust level from the replica, mirroring
 // TrustTable.OTL.
 func (r *TableReplica) OTL(cd, rd DomainID, toa ToA) (TrustLevel, error) {
-	if len(toa.Activities) == 0 {
-		return LevelNone, fmt.Errorf("grid: OTL of an empty ToA")
-	}
-	otl := MaxOfferable + 1
-	for _, a := range toa.Activities {
-		tl, ok := r.entries[tableKey{cd, rd, a}]
-		if !ok {
-			return LevelNone, fmt.Errorf("grid: no trust entry for CD %d / RD %d / %v", cd, rd, a)
-		}
-		otl = minLevel(otl, tl)
-	}
-	return otl, nil
+	return offeredLevel(r.entries, cd, rd, toa)
 }

@@ -326,3 +326,167 @@ func TestRestoreValidatesAndReplaces(t *testing.T) {
 		t.Fatalf("Restore version = %d, want 7", tt.Version())
 	}
 }
+
+// rowRDs builds resource domains 0..n-1, each supporting acts.
+func rowRDs(n int, acts ...Activity) []*ResourceDomain {
+	rds := make([]*ResourceDomain, n)
+	for i := range rds {
+		rds[i] = &ResourceDomain{ID: DomainID(i), Supported: map[Activity]TrustLevel{}}
+		for _, a := range acts {
+			rds[i].Supported[a] = LevelC
+		}
+	}
+	return rds
+}
+
+func TestOTLRowsMatchesOTL(t *testing.T) {
+	tt := NewTrustTable()
+	rds := rowRDs(4, ActCompute, ActStorage)
+	delete(rds[2].Supported, ActStorage) // RD 2 cannot host the composed ToA
+	for cd := DomainID(0); cd < 2; cd++ {
+		for _, rd := range rds {
+			for a := range rd.Supported {
+				lvl := LevelA + TrustLevel((int(cd)+2*int(rd.ID)+int(a))%5)
+				if err := tt.Set(cd, rd.ID, a, lvl); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	rows := []OTLRow{
+		{CD: 0, ToA: MustToA(ActCompute), OTL: make([]TrustLevel, len(rds))},
+		{CD: 1, ToA: MustToA(ActStorage, ActCompute), OTL: make([]TrustLevel, len(rds))},
+	}
+	tt.OTLRows(rds, rows)
+	for r, row := range rows {
+		if row.Err != nil || row.N != len(rds) {
+			t.Fatalf("row %d: N=%d Err=%v, want a full row", r, row.N, row.Err)
+		}
+		for i, rd := range rds {
+			want := LevelNone
+			if rd.Supports(row.ToA) {
+				var err error
+				if want, err = tt.OTL(row.CD, rd.ID, row.ToA); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if row.OTL[i] != want {
+				t.Errorf("row %d RD %d: OTL %v, want %v", r, rd.ID, row.OTL[i], want)
+			}
+		}
+	}
+	if rows[1].OTL[2] != LevelNone {
+		t.Errorf("unsupported RD priced at %v, want none", rows[1].OTL[2])
+	}
+}
+
+// TestOTLRowsGap: a row stops at the first resource domain that supports
+// the ToA but has no entry, with the error OTL gives for that pairing; the
+// other rows of the read are unaffected, and a reused row is reset.
+func TestOTLRowsGap(t *testing.T) {
+	tt := NewTrustTable()
+	rds := rowRDs(3, ActCompute, ActPrint)
+	for _, rd := range rds {
+		_ = tt.Set(0, rd.ID, ActCompute, LevelD)
+		if rd.ID != 1 {
+			_ = tt.Set(0, rd.ID, ActPrint, LevelB)
+		}
+	}
+	toa := MustToA(ActCompute, ActPrint)
+	rows := []OTLRow{
+		{CD: 0, ToA: toa, OTL: make([]TrustLevel, 3)},
+		{CD: 0, ToA: MustToA(ActCompute), OTL: make([]TrustLevel, 3)},
+	}
+	tt.OTLRows(rds, rows)
+	_, want := tt.OTL(0, 1, toa)
+	if want == nil {
+		t.Fatal("OTL found the missing entry")
+	}
+	if rows[0].N != 1 || rows[0].Err == nil || rows[0].Err.Error() != want.Error() {
+		t.Fatalf("gap row: N=%d Err=%v, want N=1 and %q", rows[0].N, rows[0].Err, want)
+	}
+	if rows[0].OTL[0] != LevelB {
+		t.Errorf("cell ahead of the gap = %v, want B", rows[0].OTL[0])
+	}
+	if rows[1].N != 3 || rows[1].Err != nil {
+		t.Fatalf("row behind a gap row: N=%d Err=%v, want a full row", rows[1].N, rows[1].Err)
+	}
+	// A gap on an RD that is not asked about is nobody's error.
+	tt.OTLRows([]*ResourceDomain{rds[0], rds[2]}, rows[:1])
+	if rows[0].N != 2 || rows[0].Err != nil {
+		t.Fatalf("reused row: N=%d Err=%v, want the gap forgotten", rows[0].N, rows[0].Err)
+	}
+}
+
+func TestOTLRowsEmptyToA(t *testing.T) {
+	tt := NewTrustTable()
+	rows := []OTLRow{{CD: 0, OTL: make([]TrustLevel, 1)}}
+	tt.OTLRows(rowRDs(1, ActCompute), rows)
+	_, want := tt.OTL(0, 0, ToA{})
+	if rows[0].N != 0 || rows[0].Err == nil || rows[0].Err.Error() != want.Error() {
+		t.Fatalf("empty ToA: N=%d Err=%v, want %q", rows[0].N, rows[0].Err, want)
+	}
+	// No resource domains, no cells, no error.
+	tt.OTLRows(nil, rows)
+	if rows[0].N != 0 || rows[0].Err != nil {
+		t.Fatalf("empty RD list: N=%d Err=%v", rows[0].N, rows[0].Err)
+	}
+}
+
+// TestOTLRowsConcurrentWithWrites: every cell of one read, across all its
+// rows, comes from one table version.  The writer swaps the whole table
+// between two uniform ones (Restore is atomic), so a read that saw two
+// versions shows two levels.  Run under -race.
+func TestOTLRowsConcurrentWithWrites(t *testing.T) {
+	tt := NewTrustTable()
+	rds := rowRDs(8, ActCompute)
+	uniform := func(lvl TrustLevel) []TableEntry {
+		es := make([]TableEntry, len(rds))
+		for i, rd := range rds {
+			es[i] = TableEntry{CD: 0, RD: rd.ID, Activity: ActCompute, Level: lvl}
+		}
+		return es
+	}
+	low, high := uniform(LevelA), uniform(LevelE)
+	if err := tt.Restore(low, 1); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for v := uint64(2); ; v++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			es := low
+			if v%2 == 0 {
+				es = high
+			}
+			if err := tt.Restore(es, v); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	rows := []OTLRow{
+		{CD: 0, ToA: MustToA(ActCompute), OTL: make([]TrustLevel, len(rds))},
+		{CD: 0, ToA: MustToA(ActCompute), OTL: make([]TrustLevel, len(rds))},
+	}
+	for i := 0; i < 2000; i++ {
+		tt.OTLRows(rds, rows)
+		first := rows[0].OTL[0]
+		for _, row := range rows {
+			for _, otl := range row.OTL {
+				if otl != first {
+					t.Fatalf("read %d saw two table versions: %v and %v", i, rows[0].OTL, rows[1].OTL)
+				}
+			}
+		}
+	}
+	close(stop)
+	writer.Wait()
+}

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verify flow.  Beyond the seed contract (build + test), it vets
 # the whole module, race-tests the packages with real concurrency or
-# shared scratch (the experiment engine's global pool, internal/sim's
+# shared scratch (the trust table the agents write while the TRMS prices
+# against it, the experiment engine's global pool, internal/sim's
 # cell runners, internal/sched's pooled kernel state, the WAL's group
 # commit, the daemon's journal), runs the seeded chaos soak (wire
 # faults, a partition, a mid-storm crash-restart; books must balance),
@@ -39,7 +40,7 @@ echo "==> bench module tests (its own module: held-out-seed goldens, estimator t
 (cd bench && go test .)
 
 echo "==> go test -race (concurrent packages)"
-go test -race ./internal/exp/... ./internal/fault/... ./internal/sched/... ./internal/sim/... ./internal/trust/... ./internal/wal/... ./internal/rmswire/... ./internal/metrics/... ./internal/load/... ./internal/trustwire/... ./internal/fleet/... ./internal/chaos/...
+go test -race ./internal/core/... ./internal/grid/... ./internal/exp/... ./internal/fault/... ./internal/sched/... ./internal/sim/... ./internal/trust/... ./internal/wal/... ./internal/rmswire/... ./internal/metrics/... ./internal/load/... ./internal/trustwire/... ./internal/fleet/... ./internal/chaos/...
 
 echo "==> chaos soak smoke (seeded fault schedule, race detector, bounded)"
 # The soak runs a 3-shard journaled fleet under a scripted schedule of
