@@ -58,9 +58,10 @@ bench-fault:
 bench-wal:
 	go test ./internal/wal -run '^$$' -bench 'Append|Recover' -benchmem
 
-# bench-des measures the flat DES kernel against the closure-based
-# reference (queue microbenchmarks plus end-to-end replications at 1024
-# machines), recorded in BENCH_des.json.
+# bench-des measures the flat DES kernel: queue microbenchmarks beside the
+# closure-based test oracle, plus end-to-end replications at 1024
+# machines on the one run path.  BENCH_des.json's reference_* columns for
+# SimRun are historical.
 bench-des:
 	go test ./internal/des -run '^$$' -bench 'ScheduleDrain|SteadyState|CancelHeavy' -benchmem
 	go test ./internal/sim -run '^$$' -bench 'SimRun' -benchmem

@@ -103,19 +103,10 @@ func main() {
 		verbose = flag.Bool("v", false, "print per-cell progress and timing to stderr")
 		trustM  = flag.String("trust-model", "", "trust model driving the scheduler's decision view in scenario sweeps (default: the paper's static table; see -list)")
 		ckDir   = flag.String("checkpoint", "", "checkpoint directory: journal completed cells and, on re-run, skip them (\"\" disables)")
-		kernel  = flag.String("des", "fast", "DES kernel: fast (flat typed queue) or reference (closure queue); outputs are byte-identical")
-		intra   = flag.Int("intra", 1, "intra-replication scan workers on the fast kernel (results identical for any value)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	k, err := sim.KernelByName(*kernel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
-	}
-	sim.SetKernel(k)
-	sim.SetIntraWorkers(*intra)
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)

@@ -47,7 +47,6 @@ func main() {
 		config  = flag.String("config", "", "JSON scenario file to run instead of the paper tables")
 		gantt   = flag.String("gantt", "", "render one run's execution timeline for a heuristic (mct, minmin or sufferage)")
 		verbose = flag.Bool("v", false, "print per-table timing and significance")
-		kernel  = flag.String("des", "fast", "DES kernel: fast (flat typed queue) or reference (closure queue); outputs are byte-identical")
 		trustM  = flag.String("trust-model", "", "trust policy for the aware runs: "+strings.Join(trust.ModelNames(), ", ")+" (default: the paper engine)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -56,11 +55,6 @@ func main() {
 	if !trust.KnownModel(*trustM) {
 		fatalf("unknown trust model %q (registered: %s)", *trustM, strings.Join(trust.ModelNames(), ", "))
 	}
-	k, err := sim.KernelByName(*kernel)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	sim.SetKernel(k)
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		fatalf("%v", err)

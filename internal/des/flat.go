@@ -1,3 +1,12 @@
+// Package des is a deterministic discrete-event simulation kernel: an
+// event queue keyed by (time, sequence) and a run loop.  The paper's
+// evaluation runs on exactly such a simulator: "the resource allocation
+// process was simulated using a discrete event simulator with the
+// requests arrivals modeled using a Poisson random process" (Section 5.3).
+//
+// Determinism contract: events with equal timestamps fire in scheduling
+// order (FIFO tie-break via a monotone sequence number), so a simulation
+// driven by a seeded rng.Source is bit-reproducible.
 package des
 
 import (
@@ -5,25 +14,23 @@ import (
 	"math"
 )
 
-// Queue is the flat event queue: the allocation-free counterpart of
-// Simulator.  Where the reference kernel schedules one heap-allocated
-// event plus one closure per occurrence, Queue stores events as plain
-// values in a 4-ary heap and dispatches them through a fixed table of
-// typed handlers, so a steady-state run schedules, fires and cancels
-// events without touching the heap allocator at all.
+// Queue is the event queue.  It stores events as plain values in a 4-ary
+// heap and dispatches them through a fixed table of typed handlers, so a
+// steady-state run schedules, fires and cancels events without touching
+// the heap allocator at all.  It is not safe for concurrent use; a
+// simulation is a single logical thread (parallelism in this project
+// happens across simulations, in internal/exp).
 //
-// The two kernels implement the same contract — (time, sequence) order,
-// equal-timestamp FIFO, lazy cancellation, Stop/Run/RunUntil/Step — and
-// flat_equiv_test.go plus FuzzQueueEquivalence prove the fire orders
-// identical on arbitrary schedule/cancel/now interleavings.  Simulator
-// stays as the executable reference; Queue is what the simulator's hot
-// paths run on.
+// Its oracle is the closure-per-event binary-heap Simulator in
+// reference_test.go.  Both implement the same contract — (time, sequence)
+// order, equal-timestamp FIFO, lazy cancellation, Stop/Run/RunUntil/Step
+// — and flat_equiv_test.go plus FuzzQueueEquivalence prove the fire
+// orders identical on arbitrary schedule/cancel/now interleavings.
 //
 // Design notes:
 //   - The heap is a slice of 32-byte entry values.  A 4-ary layout
-//     halves the tree height of the reference binary heap, and keeps
-//     parent and children on one or two cache lines instead of chasing
-//     *event pointers.
+//     halves the tree height of a binary heap, and keeps parent and
+//     children on one or two cache lines instead of chasing pointers.
 //   - Events carry a kind plus two int32 arguments instead of a
 //     closure.  Handlers are registered once per run; the per-event
 //     cost of varying state is two integers, not a captured
@@ -32,7 +39,7 @@ import (
 //     entry points at a slot in a side array; slots carry a generation
 //     counter and are recycled through a free list.  A FlatID is
 //     (slot, generation): cancelling a fired or stale ID compares
-//     generations and returns false, exactly like the reference.
+//     generations and returns false.
 type Queue struct {
 	now     float64
 	seq     uint64
@@ -112,7 +119,8 @@ func (q *Queue) Pending() int { return len(q.heap) - q.dead }
 func (q *Queue) Executed() uint64 { return q.executed }
 
 // ScheduleAt schedules an event of the given kind at absolute time at.
-// Scheduling in the past is an error, matching the reference kernel.
+// Scheduling in the past (before Now) is an error: the paper's model is
+// causal.
 func (q *Queue) ScheduleAt(at float64, kind, a, b int32) (FlatID, error) {
 	if kind < 0 || int(kind) >= len(q.handlers) || q.handlers[kind] == nil {
 		return FlatID{}, fmt.Errorf("des: unregistered event kind %d", kind)
@@ -174,7 +182,9 @@ func (q *Queue) Run() uint64 {
 }
 
 // RunUntil executes events with time <= deadline, advancing the clock
-// to each event's timestamp; semantics mirror Simulator.RunUntil.
+// to each event's timestamp.  On return the clock rests at the last
+// executed event (or min(deadline, next event time) if the deadline cut
+// the run short with events remaining).
 func (q *Queue) RunUntil(deadline float64) uint64 {
 	q.stopped = false
 	var ran uint64

@@ -1,14 +1,9 @@
-// Package des is a deterministic discrete-event simulation kernel: a
-// binary-heap event queue keyed by (time, sequence) and a simulator loop.
-// The paper's evaluation runs on exactly such a simulator: "the resource
-// allocation process was simulated using a discrete event simulator with
-// the requests arrivals modeled using a Poisson random process"
-// (Section 5.3).
-//
-// Determinism contract: events with equal timestamps fire in scheduling
-// order (FIFO tie-break via a monotone sequence number), so a simulation
-// driven by a seeded rng.Source is bit-reproducible.
 package des
+
+// The closure-per-event binary-heap kernel: Queue's oracle.
+// flat_equiv_test.go and FuzzQueueEquivalence drive both with the same
+// schedule/cancel/now interleavings and require identical fire orders;
+// des_test.go and oracle_test.go pin this kernel's own contract.
 
 import (
 	"container/heap"
@@ -62,9 +57,7 @@ func (q *eventQueue) Pop() any {
 	return ev
 }
 
-// Simulator owns the virtual clock and the event queue.  It is not safe
-// for concurrent use; a simulation is a single logical thread (parallelism
-// in this project happens *across* simulations, in internal/sim).
+// Simulator owns the virtual clock and the event queue.
 type Simulator struct {
 	now     float64
 	seq     uint64

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 )
 
@@ -80,12 +81,12 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 		_ = c.conn.SetDeadline(time.Now().Add(c.Timeout))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := writeFrame(c.conn, req); err != nil {
+	if err := frame.Write(c.conn, req); err != nil {
 		c.broken = true
 		return Response{}, err
 	}
 	var resp Response
-	if err := readFrame(c.r, &resp); err != nil {
+	if err := frame.Read(c.r, &resp); err != nil {
 		c.broken = true
 		return Response{}, err
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 )
 
@@ -221,17 +222,17 @@ func TestConnClosingSavesAnAttempt(t *testing.T) {
 				defer conn.Close()
 				r := bufio.NewReader(conn)
 				var req Request
-				if err := readFrame(r, &req); err != nil {
+				if err := frame.Read(r, &req); err != nil {
 					return
 				}
 				if i < sheds {
-					_ = writeFrame(conn, Response{
+					_ = frame.Write(conn, Response{
 						Status: StatusOverloaded, Error: "conn shed",
 						RetryAfterMS: 1, ConnClosing: true,
 					})
 					return // close: the frame said so
 				}
-				_ = writeFrame(conn, Response{Status: StatusOK, Stats: &StatsInfo{}})
+				_ = frame.Write(conn, Response{Status: StatusOK, Stats: &StatsInfo{}})
 			}(conn, i)
 		}
 	}()

@@ -12,25 +12,23 @@
 package rmswire
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/metrics"
 )
 
 // MaxFrameBytes bounds one JSON frame.
-const MaxFrameBytes = 1 << 20
+const MaxFrameBytes = frame.MaxBytes
 
 // ErrFrameTooLarge reports a frame exceeding MaxFrameBytes.  The reader
 // fails as soon as the limit is crossed — it never buffers an unbounded
 // line waiting for a newline that may not come — and the server answers
 // with an error frame instead of silently dropping the connection.
-var ErrFrameTooLarge = errors.New("rmswire: frame exceeds MaxFrameBytes")
+var ErrFrameTooLarge = frame.ErrTooLarge
 
 // Operation names.
 const (
@@ -354,62 +352,6 @@ func (e *OverloadedError) Error() string {
 
 // Is lets errors.Is(err, ErrOverloaded) match without unwrapping.
 func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
-
-// writeFrame marshals v as one newline-terminated frame.
-func writeFrame(w io.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("rmswire: marshal: %w", err)
-	}
-	if len(data) > MaxFrameBytes {
-		return fmt.Errorf("rmswire: frame of %d bytes exceeds limit", len(data))
-	}
-	data = append(data, '\n')
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("rmswire: write: %w", err)
-	}
-	return nil
-}
-
-// readFrame reads one newline-terminated frame into v, enforcing
-// MaxFrameBytes while the line accumulates.
-func readFrame(r *bufio.Reader, v any) error {
-	line, err := readLineBounded(r)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(line, v); err != nil {
-		return fmt.Errorf("rmswire: unmarshal: %w", err)
-	}
-	return nil
-}
-
-// readLineBounded accumulates one newline-terminated line from r,
-// returning ErrFrameTooLarge the moment the accumulated bytes exceed
-// MaxFrameBytes — bounded memory no matter how much a peer streams
-// without a newline.
-func readLineBounded(r *bufio.Reader) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		line = append(line, chunk...)
-		payload := len(line)
-		if err == nil {
-			payload-- // the trailing newline is framing, not payload
-		}
-		if payload > MaxFrameBytes {
-			return nil, fmt.Errorf("%w: got %d bytes", ErrFrameTooLarge, payload)
-		}
-		switch {
-		case err == nil:
-			return line, nil
-		case errors.Is(err, bufio.ErrBufferFull):
-			continue
-		default:
-			return nil, err
-		}
-	}
-}
 
 // activitiesToToA validates and converts wire activity ids.
 func activitiesToToA(ids []int) (grid.ToA, error) {

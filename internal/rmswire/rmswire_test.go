@@ -3,8 +3,6 @@ package rmswire
 import (
 	"bufio"
 	"bytes"
-	"errors"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -12,6 +10,7 @@ import (
 	"time"
 
 	"gridtrust/internal/core"
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/trust"
 )
@@ -240,47 +239,11 @@ func TestMalformedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp Response
-	if err := readFrame(bufio.NewReader(conn), &resp); err != nil {
+	if err := frame.Read(bufio.NewReader(conn), &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != StatusError {
 		t.Fatalf("response %+v", resp)
-	}
-}
-
-func TestReadLineBoundedLimits(t *testing.T) {
-	read := func(payload []byte, terminated bool) ([]byte, error) {
-		buf := payload
-		if terminated {
-			buf = append(append([]byte(nil), payload...), '\n')
-		}
-		return readLineBounded(bufio.NewReaderSize(bytes.NewReader(buf), 64))
-	}
-
-	// A maximal legal frame (exactly MaxFrameBytes of payload) must pass:
-	// writeFrame emits payloads up to that size.
-	line, err := read(bytes.Repeat([]byte{'x'}, MaxFrameBytes), true)
-	if err != nil {
-		t.Fatalf("maximal frame rejected: %v", err)
-	}
-	if len(line) != MaxFrameBytes+1 {
-		t.Fatalf("maximal frame truncated to %d bytes", len(line))
-	}
-
-	// One byte over the limit fails with the typed error.
-	if _, err := read(bytes.Repeat([]byte{'x'}, MaxFrameBytes+1), true); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized frame: got %v, want ErrFrameTooLarge", err)
-	}
-
-	// An unterminated flood fails as soon as the limit is crossed — the
-	// reader must not wait for a newline that never comes.
-	if _, err := read(bytes.Repeat([]byte{'x'}, MaxFrameBytes+100), false); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("unterminated flood: got %v, want ErrFrameTooLarge", err)
-	}
-
-	// A short unterminated line is a plain EOF, not a framing error.
-	if _, err := read([]byte("short"), false); !errors.Is(err, io.EOF) {
-		t.Fatalf("short unterminated line: got %v, want EOF", err)
 	}
 }
 
@@ -298,7 +261,7 @@ func TestOversizeFrameAnsweredWithError(t *testing.T) {
 		_, _ = conn.Write([]byte{'\n'})
 	}()
 	var resp Response
-	if err := readFrame(bufio.NewReader(conn), &resp); err != nil {
+	if err := frame.Read(bufio.NewReader(conn), &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != StatusError || !strings.Contains(resp.Error, "MaxFrameBytes") {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gridtrust/internal/core"
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/metrics"
 	"gridtrust/internal/wal"
@@ -266,7 +267,7 @@ func (s *Server) rejectConn(conn net.Conn, reason string) {
 	}
 	resp := s.overloaded(reason)
 	resp.ConnClosing = true
-	_ = writeFrame(conn, resp)
+	_ = frame.Write(conn, resp)
 	_ = conn.Close()
 }
 
@@ -436,10 +437,10 @@ func (s *Server) handle(conn net.Conn) {
 	for {
 		var req Request
 		deadline(conn.SetReadDeadline)
-		if err := readFrame(r, &req); err != nil {
+		if err := frame.Read(r, &req); err != nil {
 			if !errors.Is(err, io.EOF) && !s.closed.Load() {
 				deadline(conn.SetWriteDeadline)
-				_ = writeFrame(conn, Response{Status: StatusError, Error: err.Error()})
+				_ = frame.Write(conn, Response{Status: StatusError, Error: err.Error()})
 			}
 			return
 		}
@@ -453,7 +454,7 @@ func (s *Server) handle(conn net.Conn) {
 			resp.ConnClosing = true
 		}
 		deadline(conn.SetWriteDeadline)
-		if err := writeFrame(conn, resp); err != nil {
+		if err := frame.Write(conn, resp); err != nil {
 			return
 		}
 		if closing {

@@ -8,7 +8,7 @@ import (
 
 // This file holds the optimized batch-mapping kernels behind MinMin,
 // MaxMin, Sufferage and Duplex.  The naive implementations they replace
-// live in reference.go; the two are kept assignment-for-assignment
+// live in reference_test.go; the two are kept assignment-for-assignment
 // identical (see kernel_equiv_test.go and FuzzKernelEquivalence).
 //
 // The classic formulation of the batch heuristics rescans all remaining

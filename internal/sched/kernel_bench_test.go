@@ -114,7 +114,7 @@ func BenchmarkKernelDuplex(b *testing.B) {
 	})
 }
 
-func BenchmarkKernelReferenceMinMin(b *testing.B) {
+func BenchmarkReferenceKernelMinMin(b *testing.B) {
 	benchKernelGrids(b, func(b *testing.B, c Costs, p Policy, reqs []int, avail []float64) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -125,7 +125,7 @@ func BenchmarkKernelReferenceMinMin(b *testing.B) {
 	})
 }
 
-func BenchmarkKernelReferenceMaxMin(b *testing.B) {
+func BenchmarkReferenceKernelMaxMin(b *testing.B) {
 	benchKernelGrids(b, func(b *testing.B, c Costs, p Policy, reqs []int, avail []float64) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -136,7 +136,7 @@ func BenchmarkKernelReferenceMaxMin(b *testing.B) {
 	})
 }
 
-func BenchmarkKernelReferenceSufferage(b *testing.B) {
+func BenchmarkReferenceKernelSufferage(b *testing.B) {
 	benchKernelGrids(b, func(b *testing.B, c Costs, p Policy, reqs []int, avail []float64) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"gridtrust/internal/des"
 	"gridtrust/internal/fault"
@@ -14,12 +15,13 @@ import (
 
 // Fault-aware simulation
 //
-// The fast path (run.go) collapses a task's Start and Finish into its
-// commit: once a machine's queue position is known the timeline is fully
-// determined, so no further events are needed.  Under churn that shortcut
-// breaks — a crash between start and finish loses the in-flight task — so
-// this path keeps per-machine FIFO queues and schedules Start/Finish as
-// real, cancellable DES events.
+// The fault-free path (run.go) collapses a task's Start and Finish into
+// its commit: once a machine's queue position is known the timeline is
+// fully determined, so no further events are needed.  Under churn that
+// shortcut breaks — a crash between start and finish loses the in-flight
+// task — so this path keeps per-machine FIFO queues and schedules
+// Start/Finish as real, cancellable DES events.  Event payloads carry the
+// request id (arrivals) or the machine index (finish/crash/repair).
 //
 // Semantics:
 //   - A crash loses only the in-flight task; it re-enters the scheduler
@@ -93,6 +95,9 @@ type faultState struct {
 	churn  *fault.Churn
 	trace  *trace.Trace
 
+	q                        *des.Queue
+	kFinish, kCrash, kRepair int32
+
 	imm   sched.Immediate
 	batch sched.Batch
 
@@ -100,7 +105,7 @@ type faultState struct {
 	queue    [][]faultTask // committed, waiting for the machine
 	running  []faultTask   // running[m].req == -1 when idle
 	runStart []float64
-	finishEv []des.EventID
+	finishEv []des.FlatID
 	avail    []float64
 	busy     []float64
 
@@ -126,6 +131,9 @@ func runFaultTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *
 		return nil, fmt.Errorf("sim: workload shape %dx%d does not match scenario %dx%d",
 			truth.NumRequests(), truth.NumMachines(), sc.Tasks, sc.Machines)
 	}
+	if sc.Tasks > math.MaxInt32 || sc.Machines > math.MaxInt32 {
+		return nil, fmt.Errorf("sim: instance exceeds the typed event payload range")
+	}
 	claimed, tableErr, err := newFaultCosts(truth, sc.Fault)
 	if err != nil {
 		return nil, err
@@ -137,11 +145,12 @@ func runFaultTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *
 		dec:      claimed,
 		policy:   policy,
 		trace:    tr,
+		q:        des.NewQueue(),
 		up:       make([]bool, nm),
 		queue:    make([][]faultTask, nm),
 		running:  make([]faultTask, nm),
 		runStart: make([]float64, nm),
-		finishEv: make([]des.EventID, nm),
+		finishEv: make([]des.FlatID, nm),
 		avail:    make([]float64, nm),
 		busy:     make([]float64, nm),
 		requeues: make([]int, sc.Tasks),
@@ -163,21 +172,25 @@ func runFaultTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *
 		st.running[m].req = -1
 	}
 
-	sim := des.New()
+	st.kFinish = st.q.RegisterKind(func(_ *des.Queue, a, _ int32) { st.onFinish(int(a)) })
+	st.kCrash = st.q.RegisterKind(func(_ *des.Queue, a, _ int32) { st.onCrash(int(a)) })
+	st.kRepair = st.q.RegisterKind(func(_ *des.Queue, a, _ int32) { st.onRepair(int(a)) })
+
 	switch sc.Mode {
 	case Immediate:
 		if st.imm, err = sched.ImmediateByName(sc.Heuristic); err != nil {
 			return nil, err
 		}
+		kArr := st.q.RegisterKind(func(q *des.Queue, a, _ int32) {
+			if st.err != nil {
+				return
+			}
+			st.record(trace.Event{Time: q.Now(), Kind: trace.Arrival, Request: int(a), Machine: -1})
+			st.placeOrDefer(int(a))
+		})
 		for i := range w.Requests {
-			req := w.Requests[i]
-			if _, err := sim.ScheduleAt(req.ArrivalAt, func(s *des.Simulator) {
-				if st.err != nil {
-					return
-				}
-				st.record(trace.Event{Time: s.Now(), Kind: trace.Arrival, Request: req.ID, Machine: -1})
-				st.placeOrDefer(s, req.ID)
-			}); err != nil {
+			req := &w.Requests[i]
+			if _, err := st.q.ScheduleAt(req.ArrivalAt, kArr, int32(req.ID), 0); err != nil {
 				return nil, err
 			}
 		}
@@ -185,31 +198,36 @@ func runFaultTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *
 		if st.batch, err = sched.BatchByName(sc.Heuristic); err != nil {
 			return nil, err
 		}
-		for i := range w.Requests {
-			req := w.Requests[i]
-			if _, err := sim.ScheduleAt(req.ArrivalAt, func(s *des.Simulator) {
-				if st.err != nil {
-					return
-				}
-				st.record(trace.Event{Time: s.Now(), Kind: trace.Arrival, Request: req.ID, Machine: -1})
-				st.pending = append(st.pending, req.ID)
-			}); err != nil {
-				return nil, err
+		kArr := st.q.RegisterKind(func(q *des.Queue, a, _ int32) {
+			if st.err != nil {
+				return
 			}
-		}
-		if _, err := sim.Periodic(sc.BatchInterval, func(s *des.Simulator) bool {
+			st.record(trace.Event{Time: q.Now(), Kind: trace.Arrival, Request: int(a), Machine: -1})
+			st.pending = append(st.pending, int(a))
+		})
+		var kTick int32
+		kTick = st.q.RegisterKind(func(q *des.Queue, _, _ int32) {
 			if st.err != nil || st.completed >= sc.Tasks {
-				return false
+				return
 			}
 			if len(st.pending) > 0 && st.anyUp() {
 				st.record(trace.Event{
-					Time: s.Now(), Kind: trace.BatchTick,
+					Time: q.Now(), Kind: trace.BatchTick,
 					Request: -1, Machine: -1, Cost: float64(len(st.pending)),
 				})
-				st.assignBatch(s)
+				st.assignBatch()
 			}
-			return st.completed < sc.Tasks && st.err == nil
-		}); err != nil {
+			if st.completed < sc.Tasks && st.err == nil {
+				_, _ = q.ScheduleAfter(sc.BatchInterval, kTick, 0, 0)
+			}
+		})
+		for i := range w.Requests {
+			req := &w.Requests[i]
+			if _, err := st.q.ScheduleAt(req.ArrivalAt, kArr, int32(req.ID), 0); err != nil {
+				return nil, err
+			}
+		}
+		if _, err := st.q.ScheduleAfter(sc.BatchInterval, kTick, 0, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -219,11 +237,11 @@ func runFaultTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *
 			return nil, err
 		}
 		for m := 0; m < nm; m++ {
-			st.scheduleCrash(sim, m, st.churn.UpTime(m))
+			st.scheduleCrash(m, st.churn.UpTime(m))
 		}
 	}
 
-	sim.Run()
+	st.q.Run()
 	if st.err != nil {
 		return nil, st.err
 	}
@@ -242,11 +260,11 @@ func (st *faultState) record(e trace.Event) {
 
 // fail records the first error and stops the simulation: the crash/repair
 // renewal chains would otherwise keep the event queue alive forever.
-func (st *faultState) fail(s *des.Simulator, err error) {
+func (st *faultState) fail(err error) {
 	if st.err == nil {
 		st.err = err
 	}
-	s.Stop()
+	st.q.Stop()
 }
 
 // anyUp reports whether at least one machine is up.
@@ -284,34 +302,34 @@ func (st *faultState) availability(now float64) []float64 {
 
 // placeOrDefer maps one request immediately, or parks it when every
 // machine is down (repair drains the deferred list).
-func (st *faultState) placeOrDefer(s *des.Simulator, r int) {
+func (st *faultState) placeOrDefer(r int) {
 	if !st.anyUp() {
 		st.deferred = append(st.deferred, r)
 		return
 	}
-	a, err := st.imm.AssignOne(st.dec, st.policy, r, st.availability(s.Now()))
+	a, err := st.imm.AssignOne(st.dec, st.policy, r, st.availability(st.q.Now()))
 	if err != nil {
-		st.fail(s, err)
+		st.fail(err)
 		return
 	}
-	st.commit(s, r, a.Machine)
+	st.commit(r, a.Machine)
 }
 
 // assignBatch maps the pending meta-request over the masked availability.
-func (st *faultState) assignBatch(s *des.Simulator) {
+func (st *faultState) assignBatch() {
 	reqs := st.pending
 	st.pending = st.pending[:0]
-	as, err := st.batch.AssignBatch(st.dec, st.policy, reqs, st.availability(s.Now()))
+	as, err := st.batch.AssignBatch(st.dec, st.policy, reqs, st.availability(st.q.Now()))
 	if err != nil {
-		st.fail(s, err)
+		st.fail(err)
 		return
 	}
 	if len(as) != len(reqs) {
-		st.fail(s, fmt.Errorf("sim: batch heuristic mapped %d of %d requests", len(as), len(reqs)))
+		st.fail(fmt.Errorf("sim: batch heuristic mapped %d of %d requests", len(as), len(reqs)))
 		return
 	}
 	for _, a := range as {
-		st.commit(s, a.Req, a.Machine)
+		st.commit(a.Req, a.Machine)
 		if st.err != nil {
 			return
 		}
@@ -321,57 +339,57 @@ func (st *faultState) assignBatch(s *des.Simulator) {
 // commit appends request r to machine m's queue and starts it if the
 // machine is idle.  The masking contract is enforced here for every
 // heuristic, deterministic or not.
-func (st *faultState) commit(s *des.Simulator, r, m int) {
+func (st *faultState) commit(r, m int) {
 	if !st.up[m] {
-		st.fail(s, fmt.Errorf("sim: heuristic %q mapped request %d to down machine %d", st.sc.Heuristic, r, m))
+		st.fail(fmt.Errorf("sim: heuristic %q mapped request %d to down machine %d", st.sc.Heuristic, r, m))
 		return
 	}
 	ecc, err := sched.ChargedECC(st.truth, st.policy, r, m)
 	if err != nil {
-		st.fail(s, err)
+		st.fail(err)
 		return
 	}
 	tc, err := st.truth.TrustCost(r, m)
 	if err != nil {
-		st.fail(s, err)
+		st.fail(err)
 		return
 	}
-	now := s.Now()
+	now := st.q.Now()
 	st.record(trace.Event{Time: now, Kind: trace.Scheduled, Request: r, Machine: m, Cost: ecc})
 	st.tcSum += float64(tc)
 	st.commits++
 	st.result.Assigned++
 	st.queue[m] = append(st.queue[m], faultTask{req: r, ecc: ecc})
-	st.startNext(s, m)
+	st.startNext(m)
 }
 
 // startNext starts machine m's queue head when m is up and idle.
-func (st *faultState) startNext(s *des.Simulator, m int) {
+func (st *faultState) startNext(m int) {
 	if !st.up[m] || st.running[m].req != -1 || len(st.queue[m]) == 0 {
 		return
 	}
 	t := st.queue[m][0]
 	copy(st.queue[m], st.queue[m][1:])
 	st.queue[m] = st.queue[m][:len(st.queue[m])-1]
-	now := s.Now()
+	now := st.q.Now()
 	st.running[m] = t
 	st.runStart[m] = now
 	st.record(trace.Event{Time: now, Kind: trace.Start, Request: t.req, Machine: m, Cost: t.ecc})
-	ev, err := s.ScheduleAt(now+t.ecc, func(s *des.Simulator) { st.onFinish(s, m) })
+	ev, err := st.q.ScheduleAt(now+t.ecc, st.kFinish, int32(m), 0)
 	if err != nil {
-		st.fail(s, err)
+		st.fail(err)
 		return
 	}
 	st.finishEv[m] = ev
 }
 
 // onFinish completes machine m's running task.
-func (st *faultState) onFinish(s *des.Simulator, m int) {
+func (st *faultState) onFinish(m int) {
 	if st.err != nil {
 		return
 	}
 	t := st.running[m]
-	now := s.Now()
+	now := st.q.Now()
 	st.record(trace.Event{Time: now, Kind: trace.Finish, Request: t.req, Machine: m, Cost: t.ecc})
 	st.busy[m] += t.ecc
 	req := st.truth.w.Requests[t.req]
@@ -384,68 +402,68 @@ func (st *faultState) onFinish(s *des.Simulator, m int) {
 	}
 	if st.view != nil {
 		if err := st.view.noteFinish(t.req, m); err != nil {
-			st.fail(s, err)
+			st.fail(err)
 			return
 		}
 	}
 	st.running[m].req = -1
 	st.completed++
 	if st.completed == st.sc.Tasks {
-		s.Stop()
+		st.q.Stop()
 		return
 	}
-	st.startNext(s, m)
+	st.startNext(m)
 }
 
 // scheduleCrash arms machine m's next crash after the given up-time.
-func (st *faultState) scheduleCrash(s *des.Simulator, m int, up float64) {
-	if _, err := s.ScheduleAt(s.Now()+up, func(s *des.Simulator) { st.onCrash(s, m) }); err != nil {
-		st.fail(s, err)
+func (st *faultState) scheduleCrash(m int, up float64) {
+	if _, err := st.q.ScheduleAt(st.q.Now()+up, st.kCrash, int32(m), 0); err != nil {
+		st.fail(err)
 	}
 }
 
 // onCrash takes machine m down: the in-flight task (if any) is lost, its
 // partial work wasted, and the request requeued; queued tasks wait out the
 // repair.
-func (st *faultState) onCrash(s *des.Simulator, m int) {
+func (st *faultState) onCrash(m int) {
 	if st.err != nil {
 		return
 	}
-	now := s.Now()
+	now := st.q.Now()
 	st.up[m] = false
 	st.result.Failures++
 	down := st.churn.DownTime(m)
 	lost := st.running[m]
 	st.record(trace.Event{Time: now, Kind: trace.Failure, Request: lost.req, Machine: m, Cost: down})
 	if lost.req != -1 {
-		s.Cancel(st.finishEv[m])
+		st.q.Cancel(st.finishEv[m])
 		partial := now - st.runStart[m]
 		st.busy[m] += partial
 		st.result.WastedWork += partial
 		st.running[m].req = -1
-		st.requeue(s, lost.req, m)
+		st.requeue(lost.req, m)
 	}
 	if st.err != nil {
 		return
 	}
-	if _, err := s.ScheduleAt(now+down, func(s *des.Simulator) { st.onRepair(s, m) }); err != nil {
-		st.fail(s, err)
+	if _, err := st.q.ScheduleAt(now+down, st.kRepair, int32(m), 0); err != nil {
+		st.fail(err)
 	}
 }
 
 // requeue re-enters a crash-lost request into the scheduler.  The request
 // is immutable, so it carries its original RTL by construction.
-func (st *faultState) requeue(s *des.Simulator, r, m int) {
+func (st *faultState) requeue(r, m int) {
 	st.requeues[r]++
 	if st.requeues[r] > st.sc.Fault.RequeueCap() {
-		st.fail(s, fmt.Errorf("sim: request %d requeued more than %d times; the fault plan starves the workload",
+		st.fail(fmt.Errorf("sim: request %d requeued more than %d times; the fault plan starves the workload",
 			r, st.sc.Fault.RequeueCap()))
 		return
 	}
 	st.result.Requeues++
-	st.record(trace.Event{Time: s.Now(), Kind: trace.Requeue, Request: r, Machine: m})
+	st.record(trace.Event{Time: st.q.Now(), Kind: trace.Requeue, Request: r, Machine: m})
 	if st.sc.Mode == Immediate {
-		st.placeOrDefer(s, r)
+		st.placeOrDefer(r)
 	} else {
 		st.pending = append(st.pending, r)
 	}
@@ -453,18 +471,18 @@ func (st *faultState) requeue(s *des.Simulator, r, m int) {
 
 // onRepair brings machine m back up, arms its next crash, resumes its
 // queue and drains any arrivals deferred while the whole grid was down.
-func (st *faultState) onRepair(s *des.Simulator, m int) {
+func (st *faultState) onRepair(m int) {
 	if st.err != nil {
 		return
 	}
 	st.up[m] = true
-	st.scheduleCrash(s, m, st.churn.UpTime(m))
-	st.startNext(s, m)
+	st.scheduleCrash(m, st.churn.UpTime(m))
+	st.startNext(m)
 	if len(st.deferred) > 0 {
 		defd := st.deferred
 		st.deferred = nil
 		for _, r := range defd {
-			st.placeOrDefer(s, r)
+			st.placeOrDefer(r)
 			if st.err != nil {
 				return
 			}

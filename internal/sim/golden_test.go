@@ -4,17 +4,23 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"os"
+	"sort"
 	"testing"
 
 	"gridtrust/internal/fault"
 	"gridtrust/internal/sched"
+	"gridtrust/internal/trace"
 	"gridtrust/internal/workload"
 )
 
-const goldenDigestFile = "testdata/golden_digests.json"
+const (
+	goldenDigestFile = "testdata/golden_digests.json"
+	goldenTraceFile  = "testdata/golden_traces.json"
+)
 
 // goldenConfig is one cell of the digest grid; every cell runs on three
 // seeds and folds them into one digest.
@@ -24,6 +30,7 @@ type goldenConfig struct {
 	model     string // "" = the workload's static trust table
 	adversary float64
 	churn     bool
+	slack     float64 // Scenario.DeadlineSlack; 0 = no deadlines
 }
 
 func (c goldenConfig) name() string {
@@ -37,7 +44,11 @@ func (c goldenConfig) name() string {
 	if c.churn {
 		churn = "churn"
 	}
-	return fmt.Sprintf("%s/%s/%s/adv%g/%s", c.heuristic, policy, model, c.adversary, churn)
+	name := fmt.Sprintf("%s/%s/%s/adv%g/%s", c.heuristic, policy, model, c.adversary, churn)
+	if c.slack != 0 {
+		name += fmt.Sprintf("/slack%g", c.slack)
+	}
+	return name
 }
 
 func goldenGrid() []goldenConfig {
@@ -47,13 +58,23 @@ func goldenGrid() []goldenConfig {
 			for _, model := range []string{"", "purge", "frtrust", "bawa"} {
 				for _, adv := range []float64{0, 0.5} {
 					for _, churn := range []bool{false, true} {
-						grid = append(grid, goldenConfig{h, aware, model, adv, churn})
+						grid = append(grid, goldenConfig{heuristic: h, aware: aware, model: model, adversary: adv, churn: churn})
 					}
 				}
 			}
 		}
 	}
 	return grid
+}
+
+// goldenTraceOnly are the two run shapes the grid lacks: a metaheuristic
+// with no fused scan (sa) and deadlines.  They are pinned in the trace
+// file alone, so the result file stays as recorded.
+func goldenTraceOnly() []goldenConfig {
+	return []goldenConfig{
+		{heuristic: "sa", aware: true},
+		{heuristic: "mct", aware: true, slack: 2},
+	}
 }
 
 // goldenSeeds are the workload seeds each cell runs; the fault plan is
@@ -72,6 +93,7 @@ func (c goldenConfig) scenario(seed uint64) Scenario {
 	sc.ArrivalRate = 0.04 * 7 / 5
 	sc.NumCDs, sc.NumRDs = 3, 3
 	sc.TrustModel = c.model
+	sc.DeadlineSlack = c.slack
 	sc.Fault = fault.Plan{AdversaryFraction: c.adversary, Seed: seed}
 	if c.churn {
 		sc.Fault.MTBF, sc.Fault.MTTR = 1000, 100
@@ -79,16 +101,46 @@ func (c goldenConfig) scenario(seed uint64) Scenario {
 	return sc
 }
 
-// digest runs the cell on every seed and hashes the bits of the result
-// floats the paper's tables and the fault studies report.
-func (c goldenConfig) digest(t *testing.T) string {
-	t.Helper()
-	h := fnv.New64a()
+// putUint64s writes vs to the hash, little-endian.
+func putUint64s(h hash.Hash, vs ...uint64) {
 	var buf [8]byte
-	put := func(v uint64) {
+	for _, v := range vs {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
+}
+
+func putFloats(h hash.Hash, fs ...float64) {
+	for _, f := range fs {
+		putUint64s(h, math.Float64bits(f))
+	}
+}
+
+// hashResult writes every field of res.
+func hashResult(h hash.Hash, res *RunResult) {
+	h.Write([]byte(res.Policy))
+	putFloats(h, res.AvgCompletionTime, res.Makespan, res.MeanUtilization, res.MeanTrustCost,
+		res.P50Completion, res.P95Completion, res.DeadlineMissRate, res.WastedWork, res.TrustTableError)
+	putUint64s(h, uint64(res.Assigned), uint64(res.DeadlineMisses), uint64(res.Failures), uint64(res.Requeues))
+	putFloats(h, res.Completions.Values()...)
+	putFloats(h, res.BusyTime...)
+}
+
+// hashEvents writes every field of every event, in emission order: fire
+// order, timestamps and costs of the whole run.
+func hashEvents(h hash.Hash, events []trace.Event) {
+	for _, e := range events {
+		putUint64s(h, math.Float64bits(e.Time), uint64(e.Kind), uint64(e.Request), uint64(e.Machine), math.Float64bits(e.Cost))
+	}
+}
+
+// digests runs the cell on every seed and returns two hashes: one of the
+// result floats the paper's tables and the fault studies report, one of
+// the whole RunResult and the whole trace.
+func (c goldenConfig) digests(t *testing.T) (result, events string) {
+	t.Helper()
+	hr, he := fnv.New64a(), fnv.New64a()
+	var tr trace.Trace
 	for _, seed := range goldenSeeds {
 		sc := c.scenario(seed)
 		w := mustWorkload(t, sc, seed)
@@ -100,50 +152,60 @@ func (c goldenConfig) digest(t *testing.T) string {
 		if c.aware {
 			policy = aware
 		}
-		res, err := Run(sc, w, policy)
+		tr.Reset()
+		res, err := RunTraced(sc, w, policy, &tr)
 		if err != nil {
 			t.Fatalf("%s seed %d: %v", c.name(), seed, err)
 		}
-		for _, f := range []float64{
-			res.Makespan, res.AvgCompletionTime, res.MeanUtilization,
-			res.MeanTrustCost, res.TrustTableError, res.P95Completion, res.WastedWork,
-		} {
-			put(math.Float64bits(f))
-		}
-		put(uint64(res.Assigned))
-		put(uint64(res.Requeues))
+		putFloats(hr, res.Makespan, res.AvgCompletionTime, res.MeanUtilization,
+			res.MeanTrustCost, res.TrustTableError, res.P95Completion, res.WastedWork)
+		putUint64s(hr, uint64(res.Assigned), uint64(res.Requeues))
+		hashResult(he, res)
+		hashEvents(he, tr.Events())
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return fmt.Sprintf("%016x", hr.Sum64()), fmt.Sprintf("%016x", he.Sum64())
 }
 
 // TestGoldenDigests pins the simulator's behaviour bit for bit over
 // heuristic × policy × trust model × adversary fraction × churn: every
-// decision view (precomputed table, whitewashed overlay, live model), on
-// the fast and the reference kernel.  A refactor that claims to preserve
-// behaviour must leave testdata/golden_digests.json untouched.
+// decision view (precomputed table, whitewashed overlay, live model), by
+// result and by trace.  A refactor that claims to preserve behaviour must
+// leave the files under testdata/ untouched.
 //
-// The file was recorded at commit 4e1832c (PR 16), before trust costs were
-// factored per resource domain, by running this test there; copying this
-// test and the file into a checkout of that commit and running
-// `go test ./internal/sim -run TestGoldenDigests` confirms it.  After an
-// intended change of behaviour, delete the file and run the test once: it
-// records the current digests and fails, so a missing file never passes.
+// golden_digests.json was recorded at commit 4e1832c (PR 16), before trust
+// costs were factored per resource domain.  golden_traces.json and the two
+// golden_equiv files of equiv_test.go were recorded at commit 6ab2e3a
+// (PR 18), the last with a second, closure-kernel copy of the run loops:
+// both kernels produced the same files there, which is what let that copy
+// be deleted.  To confirm, copy this file, equiv_test.go and
+// testdata/ into a checkout of 6ab2e3a, delete its older copy of the
+// equivalence tests, and run
+// `go test ./internal/sim -run 'TestGoldenDigests|TestKernelEquivalence'`:
+// once as is for the default kernel, once from a wrapper test that selects
+// the reference kernel first.
+//
+// After an intended change of behaviour, delete the affected file and run
+// the test once: it records the current digests and fails, so a missing
+// file never passes.
 func TestGoldenDigests(t *testing.T) {
-	grid := goldenGrid()
-	data, err := os.ReadFile(goldenDigestFile)
+	results, traces := map[string]string{}, map[string]string{}
+	for _, c := range goldenGrid() {
+		results[c.name()], traces[c.name()] = c.digests(t)
+	}
+	for _, c := range goldenTraceOnly() {
+		_, traces[c.name()] = c.digests(t)
+	}
+	checkGolden(t, goldenDigestFile, results)
+	checkGolden(t, goldenTraceFile, traces)
+}
+
+// pinned returns the digests recorded in file, or nil when the file does
+// not exist; the caller then passes what it computed to record.
+func pinned(t *testing.T, file string) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(file)
 	if os.IsNotExist(err) {
-		got := map[string]string{}
-		for _, c := range grid {
-			got[c.name()] = c.digest(t)
-		}
-		data, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenDigestFile, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Fatalf("%s was missing: recorded %d digests from the current behaviour; review and commit it", goldenDigestFile, len(got))
+		return nil
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -152,16 +214,41 @@ func TestGoldenDigests(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(grid) {
-		t.Errorf("golden file pins %d cells, the grid has %d", len(want), len(grid))
+	return want
+}
+
+// record writes got to file and fails the test.
+func record(t *testing.T, file string, got map[string]string) {
+	t.Helper()
+	data, err := json.MarshalIndent(got, "", " ")
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer SetKernel(KernelFast)
-	for _, k := range []Kernel{KernelFast, KernelReference} {
-		SetKernel(k)
-		for _, c := range grid {
-			if got := c.digest(t); got != want[c.name()] {
-				t.Errorf("%s on the %s kernel: digest %s, pinned %s", c.name(), k, got, want[c.name()])
-			}
+	if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Errorf("%s was missing: recorded %d digests from the current behaviour; review and commit it", file, len(got))
+}
+
+// checkGolden compares got with the digests pinned in file, cell by cell.
+func checkGolden(t *testing.T, file string, got map[string]string) {
+	t.Helper()
+	want := pinned(t, file)
+	if want == nil {
+		record(t, file, got)
+		return
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s pins %d cells, the test runs %d", file, len(want), len(got))
+	}
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if got[name] != want[name] {
+			t.Errorf("%s: %s: digest %s, pinned %s", file, name, got[name], want[name])
 		}
 	}
 }

@@ -26,13 +26,12 @@ import (
 // cost all it wants — once the model has seen it misbehave, the model's
 // estimate dominates.
 //
-// Determinism: the view is called from the fault kernels, which make
-// identical scheduling and completion calls in identical order on both
-// the reference and flat queues; the model contract (see trust.Model)
-// guarantees bit-identical floats for identical call sequences, so runs
-// remain bit-identical across kernels, workers and shard counts.  All
-// model calls pass now=0: the view installs no decay function, making
-// scores time-independent.
+// Determinism: the view is called from the fault run loop, whose
+// scheduling and completion calls are a function of the seed alone; the
+// model contract (see trust.Model) guarantees bit-identical floats for
+// identical call sequences, so runs remain bit-identical under any worker
+// count.  All model calls pass now=0: the view installs no decay
+// function, making scores time-independent.
 //
 // The model scores (CD, RD, context) and the context is the request's
 // ToA, so a decision TC is a function of the request's profile — the one

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"gridtrust/internal/grid"
@@ -13,8 +12,8 @@ import (
 // End-to-end simulator benchmarks, recorded in BENCH_des.json.
 //
 // BenchmarkSimRun drives complete replications (workload fixed, runs
-// repeated) through both kernels at a wide 1024-machine instance, the
-// scale where the fused scans and the typed queue pay off.  The scratch
+// repeated) at a wide 1024-machine instance, the scale where the fused
+// scans and the typed queue pay off.  The scratch
 // is reused across iterations exactly as RunPair/Compare reuse it, so
 // the numbers reflect the steady state a sweep sees; the trust-cost table
 // is rebuilt by every run, as it is there.
@@ -41,20 +40,16 @@ func BenchmarkSimRun(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, k := range []Kernel{KernelReference, KernelFast} {
-			b.Run(fmt.Sprintf("%s/%s", tc.name, k), func(b *testing.B) {
-				SetKernel(k)
-				defer SetKernel(KernelFast)
-				scr := &runScratch{}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := runTraced(sc, w, aware, nil, scr); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(tc.name, func(b *testing.B) {
+			scr := &runScratch{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := runTraced(sc, w, aware, nil, scr); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -155,7 +150,6 @@ func BenchmarkSimFlagship(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	SetKernel(KernelFast)
 	scr := &runScratch{}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -9,9 +9,9 @@ import (
 	"gridtrust/internal/trustwire"
 )
 
-// TestReplicatedTableEndToEnd is the examples/replicatedtable flow as a
-// real test: a central authoritative table served over TCP, two remote
-// replicas cold-syncing, a central revision, and poll-loop convergence.
+// TestReplicatedTableEndToEnd replicates a table end to end: a central
+// authoritative table served over TCP, two remote replicas cold-syncing,
+// a central revision, and poll-loop convergence.
 // It is the integration contract the fleet's trust gossip builds on.
 func TestReplicatedTableEndToEnd(t *testing.T) {
 	table := grid.NewTrustTable()

@@ -16,18 +16,17 @@
 package trustwire
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 )
 
 // MaxFrameBytes bounds a single JSON frame; a table of 4 CDs × 4 RDs × 5
 // activities is ~80 entries, far below this.  The bound exists so a
-// corrupt or malicious peer cannot make a replica allocate unboundedly.
-const MaxFrameBytes = 1 << 20
+// corrupt or malicious peer cannot make a server or a replica allocate
+// unboundedly.
+const MaxFrameBytes = frame.MaxBytes
 
 // Request is a replica's poll: the highest table version it has applied.
 type Request struct {
@@ -70,37 +69,6 @@ const (
 
 // OpSync is the only v1 operation.
 const OpSync = "sync"
-
-// writeFrame marshals v and writes it as one newline-terminated frame.
-func writeFrame(w io.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("trustwire: marshal: %w", err)
-	}
-	if len(data) > MaxFrameBytes {
-		return fmt.Errorf("trustwire: frame of %d bytes exceeds limit", len(data))
-	}
-	data = append(data, '\n')
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("trustwire: write: %w", err)
-	}
-	return nil
-}
-
-// readFrame reads one newline-terminated frame into v.
-func readFrame(r *bufio.Reader, v any) error {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return err // io.EOF propagates untouched for clean shutdown
-	}
-	if len(line) > MaxFrameBytes {
-		return fmt.Errorf("trustwire: frame of %d bytes exceeds limit", len(line))
-	}
-	if err := json.Unmarshal(line, v); err != nil {
-		return fmt.Errorf("trustwire: unmarshal: %w", err)
-	}
-	return nil
-}
 
 // entriesFromTable flattens a table snapshot for the wire.
 func entriesFromTable(rep *grid.TableReplica, cds, rds, activities int) []Entry {

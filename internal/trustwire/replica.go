@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"gridtrust/internal/frame"
 )
 
 // Replica maintains a local read-only copy of a remote trust table by
@@ -137,12 +139,12 @@ func (c *Replica) Sync() (bool, error) {
 			return false, err
 		}
 	}
-	if err := writeFrame(c.conn, Request{Op: OpSync, HaveVersion: c.version}); err != nil {
+	if err := frame.Write(c.conn, Request{Op: OpSync, HaveVersion: c.version}); err != nil {
 		c.dropConnLocked()
 		return false, err
 	}
 	var resp Response
-	if err := readFrame(c.r, &resp); err != nil {
+	if err := frame.Read(c.r, &resp); err != nil {
 		c.dropConnLocked()
 		return false, err
 	}

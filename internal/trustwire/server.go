@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 )
 
@@ -152,15 +153,15 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	for {
 		var req Request
-		if err := readFrame(r, &req); err != nil {
+		if err := frame.Read(r, &req); err != nil {
 			if !errors.Is(err, io.EOF) && !s.closed.Load() {
 				// Malformed frame: answer once, then drop the peer.
-				_ = writeFrame(conn, Response{Status: StatusError, Error: err.Error()})
+				_ = frame.Write(conn, Response{Status: StatusError, Error: err.Error()})
 			}
 			return
 		}
 		resp := s.respond(req)
-		if err := writeFrame(conn, resp); err != nil {
+		if err := frame.Write(conn, resp); err != nil {
 			return
 		}
 	}

@@ -2,12 +2,16 @@ package trustwire
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 )
 
@@ -240,11 +244,11 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, Request{Op: "explode"}); err != nil {
+	if err := frame.Write(conn, Request{Op: "explode"}); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response
-	if err := readFrame(bufio.NewReader(conn), &resp); err != nil {
+	if err := frame.Read(bufio.NewReader(conn), &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != StatusError || !strings.Contains(resp.Error, "explode") {
@@ -263,12 +267,47 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp Response
-	if err := readFrame(bufio.NewReader(conn), &resp); err != nil {
+	if err := frame.Read(bufio.NewReader(conn), &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != StatusError {
 		t.Fatalf("malformed frame got %+v", resp)
 	}
+}
+
+// TestServerBoundsUnterminatedFrame streams past MaxFrameBytes without ever
+// sending a newline: the server must answer once and drop the peer, not
+// keep buffering in wait for the end of the line.
+func TestServerBoundsUnterminatedFrame(t *testing.T) {
+	_, _, addr := newServedTable(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Exactly seventeen of the server's 64 KiB reads.  The limit is
+	// crossed on the last one, so the server closes with nothing unread
+	// and its reply is not lost to a connection reset.
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		_, _ = conn.Write(bytes.Repeat([]byte{'z'}, MaxFrameBytes+64<<10))
+	}()
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	var resp Response
+	if err := frame.Read(r, &resp); err != nil {
+		t.Fatalf("no error frame: %v", err)
+	}
+	if resp.Status != StatusError || !strings.Contains(resp.Error, "MaxFrameBytes") {
+		t.Fatalf("response %+v", resp)
+	}
+	if _, err := r.ReadByte(); !errors.Is(err, io.EOF) {
+		t.Fatalf("connection left open after the error frame: %v", err)
+	}
+	<-sent
 }
 
 func TestApplyEntriesValidation(t *testing.T) {

@@ -27,6 +27,12 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo "==> no process-global setters (package-level func Set… in non-test code under internal/)"
+if grep -rnE '^func Set[A-Z]' --include='*.go' internal | grep -v '_test\.go:'; then
+    echo "ci: configuration is passed as values, not set on the process" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -78,25 +84,18 @@ for mode in heuristics tcweight heterogeneity batch machines etsrule rate evolvi
 done
 /tmp/gridtrust-ci-sweep -mode machines -reps 2 -tasks 20 -seed 1 -format json > /dev/null
 
-echo "==> DES kernel byte-identity smoke (fast vs reference sweep output)"
+echo "==> sweep byte-identity smoke (default trust model named explicitly; 1 vs 4 workers)"
 kd=$(mktemp -d)
-for mode in heuristics fault; do
-    /tmp/gridtrust-ci-sweep -mode "$mode" -reps 2 -tasks 20 -seed 1 -des fast > "$kd/$mode-fast.txt"
-    /tmp/gridtrust-ci-sweep -mode "$mode" -reps 2 -tasks 20 -seed 1 -des reference > "$kd/$mode-ref.txt"
-    cmp "$kd/$mode-fast.txt" "$kd/$mode-ref.txt"
-done
-# Intra-replication sharding must not change a byte either.
-/tmp/gridtrust-ci-sweep -mode heuristics -reps 2 -tasks 20 -seed 1 -des fast -intra 4 > "$kd/heuristics-intra.txt"
-cmp "$kd/heuristics-fast.txt" "$kd/heuristics-intra.txt"
 # The default trust model is the paper engine: selecting it explicitly
 # must not change a byte of any sweep output.
 for mode in heuristics fault; do
+    /tmp/gridtrust-ci-sweep -mode "$mode" -reps 2 -tasks 20 -seed 1 > "$kd/$mode.txt"
     /tmp/gridtrust-ci-sweep -mode "$mode" -reps 2 -tasks 20 -seed 1 -trust-model paper > "$kd/$mode-model.txt"
-    cmp "$kd/$mode-fast.txt" "$kd/$mode-model.txt"
+    cmp "$kd/$mode.txt" "$kd/$mode-model.txt"
 done
-# Rival models are bit-deterministic under any worker/shard count.
+# Rival models are bit-deterministic under any worker count.
 /tmp/gridtrust-ci-sweep -mode fault -reps 2 -tasks 20 -seed 1 -trust-model purge -workers 1 > "$kd/fault-purge-w1.txt"
-/tmp/gridtrust-ci-sweep -mode fault -reps 2 -tasks 20 -seed 1 -trust-model purge -workers 4 -intra 4 > "$kd/fault-purge-w4.txt"
+/tmp/gridtrust-ci-sweep -mode fault -reps 2 -tasks 20 -seed 1 -trust-model purge -workers 4 > "$kd/fault-purge-w4.txt"
 cmp "$kd/fault-purge-w1.txt" "$kd/fault-purge-w4.txt"
 rm -rf "$kd"
 
