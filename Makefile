@@ -15,10 +15,11 @@ race:
 	go test -race ./internal/core/... ./internal/grid/... ./internal/exp/... ./internal/fault/... ./internal/sched/... ./internal/sim/... ./internal/trust/... ./internal/wal/... ./internal/rmswire/... ./internal/metrics/... ./internal/load/... ./internal/trustwire/... ./internal/fleet/... ./internal/chaos/...
 
 # smoke runs every sweep mode once through the experiment engine on a
-# tiny grid (mirrors the smoke stage of scripts/ci.sh).
+# tiny grid (mirrors the smoke stage of scripts/ci.sh); the modes are the
+# first column of `sweep -list`, up to the blank line that ends it.
 smoke:
 	go build -o /tmp/gridtrust-smoke-sweep ./cmd/sweep
-	for mode in heuristics tcweight heterogeneity batch machines etsrule rate evolving deadline staging fault trustzoo; do \
+	for mode in $$(/tmp/gridtrust-smoke-sweep -list | sed '/^$$/q' | awk '{print $$1}'); do \
 		/tmp/gridtrust-smoke-sweep -mode $$mode -reps 2 -tasks 20 -seed 1 > /dev/null || exit 1; \
 	done
 	rm -f /tmp/gridtrust-smoke-sweep

@@ -1,18 +1,8 @@
 // Command sweep runs the ablation studies DESIGN.md calls out, exploring
 // the design space around the paper's fixed choices:
 //
-//	sweep -mode heuristics     # all nine heuristics, aware vs unaware
 //	sweep -mode tcweight       # sensitivity to the "arbitrary" TC weight 15
-//	sweep -mode heterogeneity  # LoLo/LoHi/HiLo/HiHi × consistency classes
-//	sweep -mode batch          # batch-interval sensitivity (batch heuristics)
-//	sweep -mode machines       # machine-count scaling
-//	sweep -mode etsrule        # literal Table 1 F-row vs linear variant
-//	sweep -mode rate           # arrival-rate (load) sensitivity
-//	sweep -mode evolving       # evolving trust: incident-rate sensitivity
-//	sweep -mode deadline       # QoS extension: deadline miss rates
-//	sweep -mode staging        # data staging: rcp-when-trusted vs scp-always
-//	sweep -mode fault          # machine churn × adversary injection
-//	sweep -list                # enumerate the registered modes
+//	sweep -list                # every registered mode, one line each
 //
 // Every mode prints one row per configuration with the trust-aware
 // improvement over the trust-unaware baseline on identical workloads.
@@ -47,7 +37,6 @@ import (
 	"gridtrust/internal/prof"
 	"gridtrust/internal/report"
 	"gridtrust/internal/sim"
-	"gridtrust/internal/stats"
 	"gridtrust/internal/trust"
 	"gridtrust/internal/workload"
 )
@@ -109,8 +98,7 @@ func main() {
 	flag.Parse()
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	if *list {
 		for _, m := range modes {
@@ -123,16 +111,17 @@ func main() {
 		return
 	}
 	if !trust.KnownModel(*trustM) {
-		fmt.Fprintf(os.Stderr, "sweep: unknown trust model %q (see -list)\n", *trustM)
-		os.Exit(1)
+		fatalf("unknown trust model %q (see -list)", *trustM)
+	}
+	if err := report.CheckFormat(*format); err != nil {
+		fatalf("%v", err)
 	}
 	cfg := config{mode: *mode, seed: *seed, reps: *reps, workers: *workers, format: *format,
 		tasks: *tasks, chart: *chart, verbose: *verbose, trustModel: *trustM}
 	if *ckDir != "" {
 		ck, err := exp.OpenCheckpoint(*ckDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: checkpoint: %v\n", err)
-			os.Exit(1)
+			fatalf("checkpoint: %v", err)
 		}
 		cfg.ck = ck
 	}
@@ -169,6 +158,11 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "sweep: "+format+"\n", args...)
+	os.Exit(1)
 }
 
 // gridOptions builds the engine options shared by every mode, wiring the
@@ -214,45 +208,24 @@ func (cfg config) stampTrustModel(cells []sim.CompareCell) []sim.CompareCell {
 }
 
 // compareSweep runs the cells as one grid and renders one standard metric
-// row per cell (plus an optional chart series point).
-func compareSweep(ctx context.Context, cfg config, tb *report.Table, series *report.Series, cells []sim.CompareCell) error {
+// row per cell under a column headed label (plus an optional chart series
+// point).
+func compareSweep(ctx context.Context, cfg config, title, label string, series *report.Series, cells []sim.CompareCell) error {
 	cmps, err := sim.CompareGrid(ctx, cfg.stampTrustModel(cells), cfg.gridOptions())
 	if err != nil {
 		return err
 	}
-	for i, cmp := range cmps {
-		addRow(tb, cells[i].Name, cmp)
-		if series != nil {
+	if series != nil {
+		for i, cmp := range cmps {
 			series.AddPoint(cells[i].Name, cmp.ImprovementPercent())
 		}
 	}
-	return emitWithChart(cfg, tb, series)
+	return emit(cfg, sim.ComparisonTable(title, label, cells, cmps), series)
 }
 
-// addRow appends the standard metric row for a comparison.
-func addRow(tb *report.Table, label string, cmp *sim.Comparison) {
-	tb.AddRow(label,
-		report.Fraction(cmp.Unaware.Utilization.Mean(), 1),
-		report.Seconds(cmp.Unaware.AvgCompletion.Mean()),
-		report.Seconds(cmp.Aware.AvgCompletion.Mean()),
-		report.Percent(cmp.ImprovementPercent(), 2),
-		fmt.Sprintf("%v", cmp.CompletionPairs.Significant()),
-	)
-}
-
-func newSweepTable(title string, label string) *report.Table {
-	tb := report.NewTable(title,
-		label, "util (unaware)", "avg completion (unaware)", "avg completion (aware)", "improvement", "significant")
-	return tb
-}
-
-func emit(cfg config, tb *report.Table) error {
-	return emitWithChart(cfg, tb, nil)
-}
-
-// emitWithChart prints the table and, when -chart is set and a series was
+// emit prints the table and, when -chart is set and a series was
 // collected, an improvement bar chart underneath.
-func emitWithChart(cfg config, tb *report.Table, series *report.Series) error {
+func emit(cfg config, tb *report.Table, series *report.Series) error {
 	out, err := tb.Render(cfg.format)
 	if err != nil {
 		return err
@@ -271,7 +244,7 @@ func emitWithChart(cfg config, tb *report.Table, series *report.Series) error {
 }
 
 func sweepHeuristics(ctx context.Context, cfg config) error {
-	tb := newSweepTable(fmt.Sprintf("Heuristic sweep (inconsistent LoLo, %d tasks)", cfg.tasks), "heuristic")
+	title := fmt.Sprintf("Heuristic sweep (inconsistent LoLo, %d tasks)", cfg.tasks)
 	immediate := []string{"olb", "met", "mct", "kpb", "sa"}
 	batch := []string{"minmin", "maxmin", "sufferage", "duplex", "ga", "sanneal", "gsa"}
 	var cells []sim.CompareCell
@@ -287,13 +260,11 @@ func sweepHeuristics(ctx context.Context, cfg config) error {
 		sc.Name = h
 		cells = append(cells, sim.CompareCell{Name: h + " (batch)", Scenario: sc})
 	}
-	return compareSweep(ctx, cfg, tb, nil, cells)
+	return compareSweep(ctx, cfg, title, "heuristic", nil, cells)
 }
 
 func sweepTCWeight(ctx context.Context, cfg config) error {
-	tb := newSweepTable(
-		fmt.Sprintf("TC-weight sweep (MCT, inconsistent LoLo, %d tasks; the paper fixes 15)", cfg.tasks),
-		"TC weight")
+	title := fmt.Sprintf("TC-weight sweep (MCT, inconsistent LoLo, %d tasks; the paper fixes 15)", cfg.tasks)
 	series := &report.Series{Name: "trust-aware improvement (%) by TC weight"}
 	var cells []sim.CompareCell
 	for _, w := range []float64{0, 5, 10, 15, 20, 25, 30, 50} {
@@ -301,38 +272,28 @@ func sweepTCWeight(ctx context.Context, cfg config) error {
 		sc.TCWeight = w
 		cells = append(cells, sim.CompareCell{Name: fmt.Sprintf("%g", w), Scenario: sc})
 	}
-	return compareSweep(ctx, cfg, tb, series, cells)
+	return compareSweep(ctx, cfg, title, "TC weight", series, cells)
 }
 
 func sweepHeterogeneity(ctx context.Context, cfg config) error {
-	tb := newSweepTable(
-		fmt.Sprintf("Heterogeneity sweep (MCT, %d tasks)", cfg.tasks), "class")
-	classes := []struct {
-		name string
-		het  workload.Heterogeneity
-	}{
-		{"LoLo", workload.LoLo}, {"LoHi", workload.LoHi},
-		{"HiLo", workload.HiLo}, {"HiHi", workload.HiHi},
-	}
+	title := fmt.Sprintf("Heterogeneity sweep (MCT, %d tasks)", cfg.tasks)
 	var cells []sim.CompareCell
-	for _, cl := range classes {
+	for _, het := range []workload.Heterogeneity{workload.LoLo, workload.LoHi, workload.HiLo, workload.HiHi} {
 		for _, cons := range []workload.Consistency{workload.Inconsistent, workload.Consistent, workload.SemiConsistent} {
 			sc := sim.PaperScenario("mct", cfg.tasks, cons)
-			sc.Heterogeneity = cl.het
+			sc.Heterogeneity = het
 			// Heavier classes need proportionally slower arrivals to
 			// stay in the near-saturation regime.
-			scale := (cl.het.TaskRange * cl.het.MachineRange) / (workload.LoLo.TaskRange * workload.LoLo.MachineRange)
+			scale := (het.TaskRange * het.MachineRange) / (workload.LoLo.TaskRange * workload.LoLo.MachineRange)
 			sc.ArrivalRate = sc.ArrivalRate / scale
-			cells = append(cells, sim.CompareCell{Name: fmt.Sprintf("%s/%s", cl.name, cons), Scenario: sc})
+			cells = append(cells, sim.CompareCell{Name: fmt.Sprintf("%s/%s", het, cons), Scenario: sc})
 		}
 	}
-	return compareSweep(ctx, cfg, tb, nil, cells)
+	return compareSweep(ctx, cfg, title, "class", nil, cells)
 }
 
 func sweepBatchInterval(ctx context.Context, cfg config) error {
-	tb := newSweepTable(
-		fmt.Sprintf("Batch-interval sweep (Min-min & Sufferage, inconsistent LoLo, %d tasks)", cfg.tasks),
-		"heuristic/interval")
+	title := fmt.Sprintf("Batch-interval sweep (Min-min & Sufferage, inconsistent LoLo, %d tasks)", cfg.tasks)
 	var cells []sim.CompareCell
 	for _, h := range []string{"minmin", "sufferage"} {
 		for _, bi := range []float64{12.5, 25, 50, 100, 200, 400} {
@@ -341,13 +302,11 @@ func sweepBatchInterval(ctx context.Context, cfg config) error {
 			cells = append(cells, sim.CompareCell{Name: fmt.Sprintf("%s/%g s", h, bi), Scenario: sc})
 		}
 	}
-	return compareSweep(ctx, cfg, tb, nil, cells)
+	return compareSweep(ctx, cfg, title, "heuristic/interval", nil, cells)
 }
 
 func sweepMachines(ctx context.Context, cfg config) error {
-	tb := newSweepTable(
-		fmt.Sprintf("Machine-count sweep (MCT, inconsistent LoLo, %d tasks; the paper fixes 5)", cfg.tasks),
-		"machines")
+	title := fmt.Sprintf("Machine-count sweep (MCT, inconsistent LoLo, %d tasks; the paper fixes 5)", cfg.tasks)
 	var cells []sim.CompareCell
 	for _, m := range []int{2, 5, 10, 20, 40} {
 		sc := sim.PaperScenario("mct", cfg.tasks, workload.Inconsistent)
@@ -356,13 +315,11 @@ func sweepMachines(ctx context.Context, cfg config) error {
 		sc.ArrivalRate = sc.ArrivalRate * float64(m) / 5
 		cells = append(cells, sim.CompareCell{Name: fmt.Sprintf("%d", m), Scenario: sc})
 	}
-	return compareSweep(ctx, cfg, tb, nil, cells)
+	return compareSweep(ctx, cfg, title, "machines", nil, cells)
 }
 
 func sweepETSRule(ctx context.Context, cfg config) error {
-	tb := newSweepTable(
-		fmt.Sprintf("ETS-rule sweep (all paper heuristics, inconsistent LoLo, %d tasks)", cfg.tasks),
-		"heuristic/rule")
+	title := fmt.Sprintf("ETS-rule sweep (all paper heuristics, inconsistent LoLo, %d tasks)", cfg.tasks)
 	var cells []sim.CompareCell
 	for _, h := range []string{"mct", "minmin", "sufferage"} {
 		for _, rule := range []grid.ETSRule{grid.ETSTable1, grid.ETSLinear} {
@@ -371,13 +328,11 @@ func sweepETSRule(ctx context.Context, cfg config) error {
 			cells = append(cells, sim.CompareCell{Name: fmt.Sprintf("%s/%s", h, rule), Scenario: sc})
 		}
 	}
-	return compareSweep(ctx, cfg, tb, nil, cells)
+	return compareSweep(ctx, cfg, title, "heuristic/rule", nil, cells)
 }
 
 func sweepRate(ctx context.Context, cfg config) error {
-	tb := newSweepTable(
-		fmt.Sprintf("Arrival-rate sweep (MCT, inconsistent LoLo, %d tasks)", cfg.tasks),
-		"rate (req/s)")
+	title := fmt.Sprintf("Arrival-rate sweep (MCT, inconsistent LoLo, %d tasks)", cfg.tasks)
 	series := &report.Series{Name: "trust-aware improvement (%) by arrival rate"}
 	var cells []sim.CompareCell
 	for _, r := range []float64{0.01, 0.02, 0.03, 0.04, 0.06, 0.1, 0.2} {
@@ -385,7 +340,7 @@ func sweepRate(ctx context.Context, cfg config) error {
 		sc.ArrivalRate = r
 		cells = append(cells, sim.CompareCell{Name: fmt.Sprintf("%g", r), Scenario: sc})
 	}
-	return compareSweep(ctx, cfg, tb, series, cells)
+	return compareSweep(ctx, cfg, title, "rate (req/s)", series, cells)
 }
 
 // sweepEvolving varies the misbehaving domain's incident rate in the
@@ -414,18 +369,13 @@ func sweepEvolving(ctx context.Context, cfg config) error {
 	for i, res := range results {
 		tb.AddRow(
 			cells[i].Name,
-			sharePlusMinus(res.EarlyShare),
-			sharePlusMinus(res.LateShare),
+			sim.SharePlusMinus(res.EarlyShare),
+			sim.SharePlusMinus(res.LateShare),
 			fmt.Sprintf("%.1f/%.1f", res.FinalTrustReliable.Mean(), res.FinalTrustUnreliable.Mean()),
 			fmt.Sprintf("%.1f/%.1f", res.IncidentsReliable.Mean(), res.IncidentsUnreliable.Mean()),
 		)
 	}
-	return emit(cfg, tb)
-}
-
-// sharePlusMinus formats a fraction aggregate as "mean% ± ci%".
-func sharePlusMinus(r stats.Running) string {
-	return fmt.Sprintf("%.1f%% ± %.1f%%", r.Mean()*100, r.CI95()*100)
+	return emit(cfg, tb, nil)
 }
 
 // sweepDeadline attaches deadlines of varying slack and reports the miss
@@ -454,7 +404,7 @@ func sweepDeadline(ctx context.Context, cfg config) error {
 			report.Percent(cmp.ImprovementPercent(), 2),
 		)
 	}
-	return emit(cfg, tb)
+	return emit(cfg, tb, nil)
 }
 
 // sweepStaging varies the per-request input size and reports the gain of
@@ -483,7 +433,7 @@ func sweepStaging(ctx context.Context, cfg config) error {
 			report.Fraction(res.PlainShare.Mean(), 1),
 		)
 	}
-	return emit(cfg, tb)
+	return emit(cfg, tb, nil)
 }
 
 // sweepFault renders two tables.  The first sweeps machine churn (MTBF)
@@ -513,27 +463,18 @@ func sweepFault(ctx context.Context, cfg config) error {
 			report.Percent(cmp.ImprovementPercent(), 2),
 		)
 	}
-	if err := emit(cfg, tb); err != nil {
+	if err := emit(cfg, tb, nil); err != nil {
 		return err
 	}
 
-	tb2 := report.NewTable(
-		fmt.Sprintf("Recommender-collusion study (mean ± CI95 over %d reps)", cfg.reps),
-		"liar fraction/variant", "trust error", "degradation", "bad share", "liar R")
 	scells := sim.FaultStudyCells([]float64{0.25, 0.5, 0.75})
 	results, err := sim.FaultStudyGrid(ctx, scells, cfg.gridOptions())
 	if err != nil {
 		return err
 	}
-	for i, res := range results {
-		tb2.AddRow(scells[i].Name,
-			fmt.Sprintf("%.2f ± %.2f", res.TrustError.Mean(), res.TrustError.CI95()),
-			fmt.Sprintf("%.1f%% ± %.1f%%", res.DegradationPct.Mean(), res.DegradationPct.CI95()),
-			sharePlusMinus(res.BadShare),
-			fmt.Sprintf("%.2f", res.MeanLiarR.Mean()),
-		)
-	}
-	return emit(cfg, tb2)
+	return emit(cfg, sim.CollusionTable(
+		fmt.Sprintf("Recommender-collusion study (mean ± CI95 over %d reps)", cfg.reps), scells, results,
+		"liar fraction/variant", "trust error", "degradation", "bad share", "liar R"), nil)
 }
 
 // sweepTrustzoo renders two tables.  The first is the head-to-head zoo:
@@ -546,22 +487,14 @@ func sweepFault(ctx context.Context, cfg config) error {
 // to the fault-free baseline.
 func sweepTrustzoo(ctx context.Context, cfg config) error {
 	models := trust.ModelNames()
-	tb := report.NewTable(
-		fmt.Sprintf("Trust-model zoo (mean ± CI95 over %d reps)", cfg.reps),
-		"scenario/model", "trust error", "degradation", "bad share")
 	cells := sim.ZooCells(models, fault.ZooScenarios())
 	results, err := sim.ZooGrid(ctx, cells, cfg.gridOptions())
 	if err != nil {
 		return err
 	}
-	for i, res := range results {
-		tb.AddRow(cells[i].Name,
-			fmt.Sprintf("%.2f ± %.2f", res.TrustError.Mean(), res.TrustError.CI95()),
-			fmt.Sprintf("%.1f%% ± %.1f%%", res.DegradationPct.Mean(), res.DegradationPct.CI95()),
-			sharePlusMinus(res.BadShare),
-		)
-	}
-	if err := emit(cfg, tb); err != nil {
+	if err := emit(cfg, sim.ZooTable(
+		fmt.Sprintf("Trust-model zoo (mean ± CI95 over %d reps)", cfg.reps), cells, results,
+		"scenario/model", "trust error", "degradation", "bad share"), nil); err != nil {
 		return err
 	}
 
@@ -598,5 +531,5 @@ func sweepTrustzoo(ctx context.Context, cfg config) error {
 			report.Percent(cmp.ImprovementPercent(), 2),
 		)
 	}
-	return emit(cfg, tb2)
+	return emit(cfg, tb2, nil)
 }

@@ -1,7 +1,7 @@
-// Command trustsim reproduces the simulation tables of the paper
-// (Tables 4-9): paired trust-aware vs trust-unaware runs of the MCT,
-// Min-min and Sufferage heuristics on consistent and inconsistent LoLo
-// workloads.
+// Command trustsim reproduces the paper's evaluation.  Without a
+// subcommand it runs the simulation tables (Tables 4-9): paired trust-aware
+// vs trust-unaware runs of the MCT, Min-min and Sufferage heuristics on
+// consistent and inconsistent LoLo workloads.
 //
 // Usage:
 //
@@ -9,6 +9,16 @@
 //	trustsim -table 4              # one table
 //	trustsim -table 8 -reps 100 -seed 7 -format markdown
 //	trustsim -tasks 50,100,200     # extra task-count rows
+//
+//	trustsim ets [-rule linear]    # Table 1 under either reading of the F row
+//	trustsim transfer [-net 1000] [-sandbox] [-sizes 1,64,2048]
+//	                               # Tables 2-3 and the Section 5.1 sandboxing overheads
+//	trustsim workload gen -seed 7 -tasks 50 -consistency inconsistent -out w.json
+//	trustsim workload describe -in w.json
+//	trustsim workload run -in w.json -heuristic mct -policy aware -gantt
+//	                               # pin, inspect and replay one workload instance
+//	trustsim report -reps 100 > report.md
+//	                               # every experiment as one markdown document
 //
 // Output is deterministic for a fixed -seed regardless of -workers.
 package main
@@ -36,58 +46,83 @@ import (
 	"gridtrust/internal/workload"
 )
 
-func main() {
-	var (
-		table   = flag.String("table", "all", "table to reproduce: 4..9 or \"all\"")
-		seed    = flag.Uint64("seed", 2002, "master random seed")
-		reps    = flag.Int("reps", 40, "paired replications per cell")
-		workers = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		format  = flag.String("format", "ascii", "output format: ascii, markdown, csv or json")
-		tasks   = flag.String("tasks", "50,100", "comma-separated task counts per table")
-		config  = flag.String("config", "", "JSON scenario file to run instead of the paper tables")
-		gantt   = flag.String("gantt", "", "render one run's execution timeline for a heuristic (mct, minmin or sufferage)")
-		verbose = flag.Bool("v", false, "print per-table timing and significance")
-		trustM  = flag.String("trust-model", "", "trust policy for the aware runs: "+strings.Join(trust.ModelNames(), ", ")+" (default: the paper engine)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
-	if !trust.KnownModel(*trustM) {
-		fatalf("unknown trust model %q (registered: %s)", *trustM, strings.Join(trust.ModelNames(), ", "))
-	}
-	stopProf, err := prof.Start(*cpuProf, *memProf)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer stopProf()
+// subcommands are the former etstable, secbench, workloadtool and reportgen
+// binaries, with their flags unchanged.
+var subcommands = map[string]func(ctx context.Context, args []string) error{
+	"ets":      cmdETS,
+	"transfer": cmdTransfer,
+	"workload": cmdWorkload,
+	"report":   cmdReport,
+}
 
+func main() {
 	// SIGINT/SIGTERM cancel the experiment grid cleanly: in-flight
 	// replications finish and the pool drains before exit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *gantt != "" {
-		if err := runGantt(*gantt, *seed); err != nil {
-			fatalf("%v", err)
+	cmd, args := cmdTables, os.Args[1:]
+	if len(args) > 0 {
+		if sub, ok := subcommands[args[0]]; ok {
+			cmd, args = sub, args[1:]
 		}
-		return
 	}
-
-	if *config != "" {
-		if err := runConfig(ctx, *config, *seed, *reps, *workers, *format, *trustM); err != nil {
-			fatalf("%v", err)
-		}
-		return
+	if err := cmd(ctx, args); err != nil {
+		fmt.Fprintf(os.Stderr, "trustsim: %v\n", err)
+		os.Exit(1)
 	}
+}
 
-	taskCounts, err := parseInts(*tasks)
+// cmdTables is trustsim without a subcommand: Tables 4-9, a scenario file,
+// or one run's timeline.
+func cmdTables(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("trustsim", flag.ExitOnError)
+	var (
+		table   = fs.String("table", "all", "table to reproduce: 4..9 or \"all\"")
+		seed    = fs.Uint64("seed", 2002, "master random seed")
+		reps    = fs.Int("reps", 40, "paired replications per cell")
+		workers = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		format  = fs.String("format", "ascii", "output format: ascii, markdown, csv or json")
+		tasks   = fs.String("tasks", "50,100", "comma-separated task counts per table")
+		config  = fs.String("config", "", "JSON scenario file to run instead of the paper tables")
+		gantt   = fs.String("gantt", "", "render one run's execution timeline for a heuristic (mct, minmin or sufferage)")
+		verbose = fs.Bool("v", false, "print per-table timing and significance")
+		trustM  = fs.String("trust-model", "", "trust policy for the aware runs: "+strings.Join(trust.ModelNames(), ", ")+" (default: the paper engine)")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write a heap profile to this file on exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if !trust.KnownModel(*trustM) {
+		return fmt.Errorf("unknown trust model %q (registered: %s)", *trustM, strings.Join(trust.ModelNames(), ", "))
+	}
+	if err := report.CheckFormat(*format); err != nil {
+		return err
+	}
+	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fatalf("bad -tasks: %v", err)
+		return err
+	}
+	defer stopProf()
+
+	if *gantt != "" {
+		return runGantt(*gantt, *seed)
+	}
+	if *config != "" {
+		return runConfig(ctx, *config, *seed, *reps, *workers, *format, *trustM)
 	}
 
+	taskCounts, err := parseList(*tasks, "positive integer", func(s string) (int, bool) {
+		v, err := strconv.Atoi(s)
+		return v, err == nil && v > 0
+	})
+	if err != nil {
+		return fmt.Errorf("bad -tasks: %v", err)
+	}
 	ids, err := selectTables(*table)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
 	opts := gridtrust.SimOptions{
@@ -105,14 +140,12 @@ func main() {
 	start := time.Now()
 	results, err := gridtrust.RunSimTables(ctx, ids, opts)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	for _, res := range results {
-		out, err := res.Render().Render(*format)
-		if err != nil {
-			fatalf("render: %v", err)
+		if err := printTable(res.Render(), *format); err != nil {
+			return err
 		}
-		fmt.Print(out)
 		if *verbose {
 			for _, c := range res.Cells {
 				fmt.Printf("  [%d tasks] improvement %.2f%% (paired diff CI95 ±%.2f, significant=%v)\n",
@@ -124,6 +157,7 @@ func main() {
 	if *verbose {
 		fmt.Printf("(%d tables, %d reps, %s)\n", len(results), *reps, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
 // runConfig runs every scenario of a JSON config file as one comparison
@@ -133,8 +167,6 @@ func runConfig(ctx context.Context, path string, seed uint64, reps, workers int,
 	if err != nil {
 		return err
 	}
-	tb := report.NewTable(fmt.Sprintf("Scenarios from %s (%d reps, seed %d)", path, reps, seed),
-		"scenario", "util (unaware)", "avg completion (unaware)", "avg completion (aware)", "improvement", "significant")
 	cells := make([]sim.CompareCell, len(scenarios))
 	for i, sc := range scenarios {
 		if trustModel != "" {
@@ -146,21 +178,8 @@ func runConfig(ctx context.Context, path string, seed uint64, reps, workers int,
 	if err != nil {
 		return err
 	}
-	for i, cmp := range cmps {
-		tb.AddRow(cells[i].Name,
-			report.Fraction(cmp.Unaware.Utilization.Mean(), 1),
-			report.Seconds(cmp.Unaware.AvgCompletion.Mean()),
-			report.Seconds(cmp.Aware.AvgCompletion.Mean()),
-			report.Percent(cmp.ImprovementPercent(), 2),
-			fmt.Sprintf("%v", cmp.CompletionPairs.Significant()),
-		)
-	}
-	out, err := tb.Render(format)
-	if err != nil {
-		return err
-	}
-	fmt.Print(out)
-	return nil
+	return printTable(sim.ComparisonTable(
+		fmt.Sprintf("Scenarios from %s (%d reps, seed %d)", path, reps, seed), "scenario", cells, cmps), format)
 }
 
 // runGantt executes one small paper scenario under both policies and
@@ -205,17 +224,18 @@ func selectTables(s string) ([]gridtrust.TableID, error) {
 	return []gridtrust.TableID{gridtrust.TableID(n)}, nil
 }
 
-// parseInts parses a comma-separated list of positive ints.
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseList parses a comma-separated list; conv converts one element and
+// reports whether it is acceptable, kind names what was wanted.
+func parseList[T any](s, kind string, conv func(string) (T, bool)) ([]T, error) {
+	var out []T
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("%q is not a positive integer", part)
+		v, ok := conv(part)
+		if !ok {
+			return nil, fmt.Errorf("%q is not a %s", part, kind)
 		}
 		out = append(out, v)
 	}
@@ -225,7 +245,12 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "trustsim: "+format+"\n", args...)
-	os.Exit(1)
+// printTable renders the table to stdout in the named format.
+func printTable(tb *report.Table, format string) error {
+	out, err := tb.Render(format)
+	if err != nil {
+		return err
+	}
+	fmt.Print(out)
+	return nil
 }

@@ -1,16 +1,7 @@
-// Command workloadtool generates, inspects and replays the exact workload
-// instances behind the simulation results, using the JSON persistence of
-// internal/workload.  A surprising number in a paper table can be pinned
-// to a file, shared, and replayed bit-exactly.
-//
-// Usage:
-//
-//	workloadtool gen -seed 7 -tasks 50 -consistency inconsistent -out w.json
-//	workloadtool describe -in w.json
-//	workloadtool run -in w.json -heuristic mct -policy aware -gantt
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -23,29 +14,21 @@ import (
 	"gridtrust/internal/workload"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+// cmdWorkload generates, inspects and replays the exact workload instances
+// behind the simulation results, using the JSON persistence of
+// internal/workload.  A surprising number in a paper table can be pinned
+// to a file, shared, and replayed bit-exactly.
+func cmdWorkload(_ context.Context, args []string) error {
+	verbs := map[string]func(args []string) error{"gen": cmdGen, "describe": cmdDescribe, "run": cmdRun}
+	if len(args) == 0 || verbs[args[0]] == nil {
+		fmt.Fprintln(os.Stderr, "usage: trustsim workload {gen|describe|run} [flags]")
+		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "gen":
-		err = cmdGen(os.Args[2:])
-	case "describe":
-		err = cmdDescribe(os.Args[2:])
-	case "run":
-		err = cmdRun(os.Args[2:])
-	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "workloadtool: %v\n", err)
-		os.Exit(1)
-	}
+	return verbs[args[0]](args[1:])
 }
 
 func cmdGen(args []string) error {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+	fs := flag.NewFlagSet("trustsim workload gen", flag.ExitOnError)
 	seed := fs.Uint64("seed", 1, "random seed")
 	tasks := fs.Int("tasks", 50, "number of requests")
 	consistency := fs.String("consistency", "inconsistent", "inconsistent, consistent or semi-consistent")
@@ -54,7 +37,7 @@ func cmdGen(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cons, err := parseConsistency(*consistency)
+	cons, err := sim.ParseConsistency(*consistency)
 	if err != nil {
 		return err
 	}
@@ -64,21 +47,21 @@ func cmdGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	dst := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
+	if *out == "" {
+		return w.Save(os.Stdout)
 	}
-	if err := w.Save(dst); err != nil {
+	f, err := os.Create(*out)
+	if err != nil {
 		return err
 	}
-	if *out != "" {
-		fmt.Printf("wrote %d-task workload (seed %d, %s) to %s\n", *tasks, *seed, cons, *out)
+	if err := w.Save(f); err != nil {
+		f.Close()
+		return err
 	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d-task workload (seed %d, %s) to %s\n", *tasks, *seed, cons, *out)
 	return nil
 }
 
@@ -95,7 +78,7 @@ func loadFrom(path string) (*workload.Workload, error) {
 }
 
 func cmdDescribe(args []string) error {
-	fs := flag.NewFlagSet("describe", flag.ExitOnError)
+	fs := flag.NewFlagSet("trustsim workload describe", flag.ExitOnError)
 	in := fs.String("in", "", "workload file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -129,7 +112,7 @@ func cmdDescribe(args []string) error {
 }
 
 func cmdRun(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+	fs := flag.NewFlagSet("trustsim workload run", flag.ExitOnError)
 	in := fs.String("in", "", "workload file")
 	heuristic := fs.String("heuristic", "mct", "mct, minmin or sufferage")
 	policy := fs.String("policy", "aware", "aware, unaware or blind")
@@ -181,22 +164,4 @@ func cmdRun(args []string) error {
 		fmt.Print(tr.Gantt(sc.Machines, 72))
 	}
 	return nil
-}
-
-func parseConsistency(s string) (workload.Consistency, error) {
-	switch s {
-	case "inconsistent":
-		return workload.Inconsistent, nil
-	case "consistent":
-		return workload.Consistent, nil
-	case "semi-consistent":
-		return workload.SemiConsistent, nil
-	default:
-		return 0, fmt.Errorf("unknown consistency %q", s)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: workloadtool {gen|describe|run} [flags]")
-	os.Exit(2)
 }

@@ -29,7 +29,6 @@ import (
 	"gridtrust/internal/rng"
 	"gridtrust/internal/secover"
 	"gridtrust/internal/sim"
-	"gridtrust/internal/workload"
 )
 
 // TableID names a table of the paper.
@@ -51,32 +50,22 @@ const (
 
 // SimTables lists the six simulation tables (4-9).
 func SimTables() []TableID {
-	return []TableID{
-		Table4MCTInconsistent, Table5MCTConsistent,
-		Table6MinMinInconsistent, Table7MinMinConsistent,
-		Table8SufferageInconsistent, Table9SufferageConsistent,
+	var ids []TableID
+	for _, t := range sim.PaperTables() {
+		ids = append(ids, TableID(t.Number))
 	}
+	return ids
 }
 
-// simTableSpec returns the heuristic and consistency class behind a
+// simTable returns the heuristic and consistency class behind a
 // simulation table.
-func simTableSpec(id TableID) (heuristic string, cons workload.Consistency, err error) {
-	switch id {
-	case Table4MCTInconsistent:
-		return "mct", workload.Inconsistent, nil
-	case Table5MCTConsistent:
-		return "mct", workload.Consistent, nil
-	case Table6MinMinInconsistent:
-		return "minmin", workload.Inconsistent, nil
-	case Table7MinMinConsistent:
-		return "minmin", workload.Consistent, nil
-	case Table8SufferageInconsistent:
-		return "sufferage", workload.Inconsistent, nil
-	case Table9SufferageConsistent:
-		return "sufferage", workload.Consistent, nil
-	default:
-		return "", 0, fmt.Errorf("gridtrust: table %d is not a simulation table", int(id))
+func simTable(id TableID) (sim.PaperTable, error) {
+	for _, t := range sim.PaperTables() {
+		if t.Number == int(id) {
+			return t, nil
+		}
 	}
+	return sim.PaperTable{}, fmt.Errorf("gridtrust: table %d is not a simulation table", int(id))
 }
 
 // Title returns the paper-style caption of a table.
@@ -88,21 +77,11 @@ func (id TableID) Title() string {
 		return "Table 2. Secure versus regular transmission for a 100 Mbps network."
 	case Table3Transfer1000:
 		return "Table 3. Secure versus regular transmission for a 1000 Mbps network."
-	case Table4MCTInconsistent:
-		return "Table 4. Average completion time, inconsistent LoLo, MCT heuristic."
-	case Table5MCTConsistent:
-		return "Table 5. Average completion time, consistent LoLo, MCT heuristic."
-	case Table6MinMinInconsistent:
-		return "Table 6. Average completion time, inconsistent LoLo, Min-min heuristic."
-	case Table7MinMinConsistent:
-		return "Table 7. Average completion time, consistent LoLo, Min-min heuristic."
-	case Table8SufferageInconsistent:
-		return "Table 8. Average completion time, inconsistent LoLo, Sufferage heuristic."
-	case Table9SufferageConsistent:
-		return "Table 9. Average completion time, consistent LoLo, Sufferage heuristic."
-	default:
-		return fmt.Sprintf("Table %d", int(id))
 	}
+	if t, err := simTable(id); err == nil {
+		return fmt.Sprintf("Table %d. Average completion time, %s LoLo, %s heuristic.", t.Number, t.Consistency, t.Label)
+	}
+	return fmt.Sprintf("Table %d", int(id))
 }
 
 // SimOptions parameterise a simulation-table reproduction.
@@ -178,35 +157,18 @@ func RunSimTables(ctx context.Context, ids []TableID, opts SimOptions) ([]*SimTa
 	opts = opts.withDefaults()
 	results := make([]*SimTableResult, len(ids))
 	var cells []sim.CompareCell
-	// fold[i] fills table i's cell from the comparison the grid hands
-	// back for the matching CompareCell.
-	var fold []func(*sim.Comparison)
 	for i, id := range ids {
-		heuristic, cons, err := simTableSpec(id)
+		t, err := simTable(id)
 		if err != nil {
 			return nil, err
 		}
-		results[i] = &SimTableResult{ID: id, Heuristic: heuristic}
-		res := results[i]
+		results[i] = &SimTableResult{ID: id, Heuristic: t.Heuristic}
 		for _, tasks := range opts.TaskCounts {
-			tasks := tasks
-			sc := sim.PaperScenario(heuristic, tasks, cons)
+			sc := sim.PaperScenario(t.Heuristic, tasks, t.Consistency)
 			sc.TrustModel = opts.TrustModel
 			cells = append(cells, sim.CompareCell{
 				Name:     fmt.Sprintf("table%d/%d-tasks", int(id), tasks),
 				Scenario: sc,
-			})
-			fold = append(fold, func(cmp *sim.Comparison) {
-				res.Cells = append(res.Cells, SimCell{
-					Tasks:              tasks,
-					UnawareUtilization: cmp.Unaware.Utilization.Mean(),
-					UnawareCompletion:  cmp.Unaware.AvgCompletion.Mean(),
-					AwareUtilization:   cmp.Aware.Utilization.Mean(),
-					AwareCompletion:    cmp.Aware.AvgCompletion.Mean(),
-					ImprovementPct:     cmp.ImprovementPercent(),
-					CompletionCI95:     cmp.CompletionPairs.DiffCI95(),
-					Significant:        cmp.CompletionPairs.Significant(),
-				})
 			})
 		}
 	}
@@ -216,10 +178,19 @@ func RunSimTables(ctx context.Context, ids []TableID, opts SimOptions) ([]*SimTa
 	if err != nil {
 		return nil, fmt.Errorf("gridtrust: %w", err)
 	}
-	// Comparisons arrive in cell order, which matches fold order, so each
-	// table's rows land in TaskCounts order.
+	// Comparisons arrive in cell order: table-major, then TaskCounts.
 	for i, cmp := range cmps {
-		fold[i](cmp)
+		res := results[i/len(opts.TaskCounts)]
+		res.Cells = append(res.Cells, SimCell{
+			Tasks:              opts.TaskCounts[i%len(opts.TaskCounts)],
+			UnawareUtilization: cmp.Unaware.Utilization.Mean(),
+			UnawareCompletion:  cmp.Unaware.AvgCompletion.Mean(),
+			AwareUtilization:   cmp.Aware.Utilization.Mean(),
+			AwareCompletion:    cmp.Aware.AvgCompletion.Mean(),
+			ImprovementPct:     cmp.ImprovementPercent(),
+			CompletionCI95:     cmp.CompletionPairs.DiffCI95(),
+			Significant:        cmp.CompletionPairs.Significant(),
+		})
 	}
 	return results, nil
 }
@@ -248,44 +219,24 @@ func (r *SimTableResult) Render() *report.Table {
 // ETSRows renders Table 1 exactly as printed in the paper, with symbolic
 // differences resolved to their numeric values.
 func ETSRows() *report.Table {
-	tb := report.NewTable(Table1ETS.Title(),
-		"requested TL", "A", "B", "C", "D", "E")
-	ets := grid.ETSTable()
-	for r := 0; r < 6; r++ {
-		row := []string{grid.TrustLevel(r + 1).String()}
-		for o := 0; o < 5; o++ {
-			row = append(row, fmt.Sprintf("%d", ets[r][o]))
-		}
-		tb.AddRow(row...)
+	tb, err := sim.ETSTable(Table1ETS.Title(), grid.ETSTable1)
+	if err != nil {
+		panic(err) // the literal rule prices every level pair
 	}
 	return tb
 }
 
-// TransferTable reproduces Table 2 (mbps=100) or Table 3 (mbps=1000).
-func TransferTable(mbps float64) (*report.Table, error) {
-	link, err := secover.LinkFor(mbps)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := link.Table(secover.PaperSizes)
-	if err != nil {
-		return nil, err
-	}
+// TransferTable reproduces Table 2 (mbps=100) or Table 3 (mbps=1000), for
+// the paper's file sizes unless others are given.
+func TransferTable(mbps float64, sizesMB ...float64) (*report.Table, error) {
 	id := Table2Transfer100
 	if mbps == 1000 {
 		id = Table3Transfer1000
 	}
-	tb := report.NewTable(id.Title(),
-		"File size/MB", "Using rcp/(sec)", "Using scp/(sec)", "Overhead")
-	for _, r := range rows {
-		tb.AddRow(
-			fmt.Sprintf("%g", r.SizeMB),
-			fmt.Sprintf("%.2f", r.RcpSeconds),
-			fmt.Sprintf("%.2f", r.ScpSeconds),
-			report.Percent(r.OverheadPercent, 2),
-		)
+	if len(sizesMB) == 0 {
+		sizesMB = secover.PaperSizes
 	}
-	return tb, nil
+	return sim.TransferTable(id.Title(), "Using rcp/(sec)", "Using scp/(sec)", mbps, sizesMB)
 }
 
 // SandboxTable renders the Section 5.1 sandboxing overheads.

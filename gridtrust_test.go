@@ -11,16 +11,20 @@ func TestSimTablesEnumeration(t *testing.T) {
 		t.Fatalf("SimTables returned %d ids", len(ids))
 	}
 	for _, id := range ids {
-		h, _, err := simTableSpec(id)
-		if err != nil || h == "" {
+		spec, err := simTable(id)
+		if err != nil || spec.Heuristic == "" {
 			t.Errorf("table %d has no spec: %v", int(id), err)
 		}
 		if !strings.HasPrefix(id.Title(), "Table") {
 			t.Errorf("table %d title %q", int(id), id.Title())
 		}
 	}
-	if _, _, err := simTableSpec(Table1ETS); err == nil {
+	if _, err := simTable(Table1ETS); err == nil {
 		t.Error("Table 1 accepted as a simulation table")
+	}
+	// Captions are derived from the one table list; pin the paper's wording.
+	if got, want := Table7MinMinConsistent.Title(), "Table 7. Average completion time, consistent LoLo, Min-min heuristic."; got != want {
+		t.Errorf("title %q, want %q", got, want)
 	}
 }
 

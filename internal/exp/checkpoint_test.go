@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -20,41 +19,13 @@ type ckResult struct {
 	Draw float64 `json:"draw"`
 }
 
-// ckCodec is the []*ckResult JSON codec, mirroring what sim builds for its
-// concrete result types.
-func ckCodec() (func([]any) ([]byte, error), func([]byte) ([]any, error)) {
-	enc := func(reps []any) ([]byte, error) {
-		out := make([]*ckResult, len(reps))
-		for i, v := range reps {
-			r, ok := v.(*ckResult)
-			if !ok {
-				return nil, fmt.Errorf("rep %d is %T", i, v)
-			}
-			out[i] = r
-		}
-		return json.Marshal(out)
-	}
-	dec := func(data []byte) ([]any, error) {
-		var in []*ckResult
-		if err := json.Unmarshal(data, &in); err != nil {
-			return nil, err
-		}
-		out := make([]any, len(in))
-		for i, v := range in {
-			out[i] = v
-		}
-		return out, nil
-	}
-	return enc, dec
-}
-
 // ckCells builds n cells whose runs record themselves on executed and
 // return a deterministic draw from the replication stream.
-func ckCells(n int, executed *atomic.Int64) []Cell {
-	cells := make([]Cell, n)
+func ckCells(n int, executed *atomic.Int64) []Cell[ckResult] {
+	cells := make([]Cell[ckResult], n)
 	for i := range cells {
 		name := fmt.Sprintf("cell-%d", i)
-		cells[i] = Cell{Name: name, Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
+		cells[i] = Cell[ckResult]{Name: name, Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (*ckResult, error) {
 			executed.Add(1)
 			return &ckResult{Cell: name, Rep: rep, Draw: src.Float64()}, nil
 		}}
@@ -63,10 +34,9 @@ func ckCells(n int, executed *atomic.Int64) []Cell {
 }
 
 func ckOptions(ck *Checkpoint, seed uint64) Options {
-	enc, dec := ckCodec()
 	return Options{
 		Seed: seed, Reps: 3, Workers: 2,
-		Checkpoint: ck, CheckpointSalt: "test", EncodeReps: enc, DecodeReps: dec,
+		Checkpoint: ck, CheckpointSalt: "test",
 	}
 }
 
@@ -228,7 +198,7 @@ func TestCheckpointDoesNotStoreFailedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ck.Close()
-	cells := []Cell{{Name: "boom", Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
+	cells := []Cell[ckResult]{{Name: "boom", Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (*ckResult, error) {
 		if rep == 1 {
 			return nil, fmt.Errorf("transient")
 		}
@@ -242,18 +212,35 @@ func TestCheckpointDoesNotStoreFailedCells(t *testing.T) {
 	}
 }
 
+// TestCheckpointRequiresCodecs keeps the id of the test that demanded
+// Options.EncodeReps/DecodeReps.  The codec is now derived from the
+// replication type, and what is left of the contract is its failure mode: a
+// type JSON cannot encode costs the run its durability, which is reported in
+// the joined run error, while the cell's results stay intact.
 func TestCheckpointRequiresCodecs(t *testing.T) {
 	ck, err := OpenCheckpoint(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ck.Close()
-	var executed atomic.Int64
-	opts := ckOptions(ck, 1)
-	opts.EncodeReps = nil
-	_, err = Run(context.Background(), ckCells(1, &executed), opts)
-	if err == nil || !strings.Contains(err.Error(), "EncodeReps") {
-		t.Fatalf("missing codec accepted: %v", err)
+	type opaque struct{ Done chan struct{} }
+	cells := []Cell[opaque]{{Name: "opaque", Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (*opaque, error) {
+		return &opaque{}, nil
+	}}}
+	res, err := Run(context.Background(), cells, ckOptions(ck, 1))
+	if err == nil || !strings.Contains(err.Error(), `checkpoint encode cell "opaque"`) {
+		t.Fatalf("unencodable replication type: run error %v", err)
+	}
+	if res[0].Err != nil {
+		t.Fatalf("checkpoint failure poisoned the cell: %v", res[0].Err)
+	}
+	for rep, r := range res[0].Reps {
+		if r == nil {
+			t.Fatalf("replication %d lost its result", rep)
+		}
+	}
+	if ck.Len() != 0 {
+		t.Fatalf("unencodable cell was checkpointed (%d cached)", ck.Len())
 	}
 }
 

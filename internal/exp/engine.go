@@ -27,6 +27,7 @@ package exp
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -37,23 +38,24 @@ import (
 	"gridtrust/internal/rng"
 )
 
-// RunFunc executes one replication of a cell.  rep is the replication
-// index within the cell; src is the deterministic rng stream derived for
-// that index (stream rep of the master seed, identical across cells);
-// scratch is the executing worker's scratch value (nil unless
-// Options.NewScratch is set) and must not be retained past the call.
-// The returned value is collected into CellResult.Reps[rep].
-type RunFunc func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error)
+// RunFunc executes one replication of a cell and returns its result of
+// type R.  rep is the replication index within the cell; src is the
+// deterministic rng stream derived for that index (stream rep of the
+// master seed, identical across cells); scratch is the executing worker's
+// scratch value (nil unless Options.NewScratch is set) and must not be
+// retained past the call.  The returned value is collected into
+// CellResult.Reps[rep].
+type RunFunc[R any] func(ctx context.Context, rep int, src *rng.Source, scratch any) (*R, error)
 
 // Cell is one unit of an experiment grid: a named configuration whose
 // replications the engine schedules independently.
-type Cell struct {
+type Cell[R any] struct {
 	// Name tags the cell in results, errors and progress events.
 	Name string
 	// Reps overrides Options.Reps for this cell when positive.
 	Reps int
 	// Run executes one replication.
-	Run RunFunc
+	Run RunFunc[R]
 }
 
 // Options configure a grid run.
@@ -74,19 +76,16 @@ type Options struct {
 	OnCell func(Progress)
 	// Checkpoint, when set, makes the grid resumable: every error-free
 	// cell is journalled through it as it drains, and cells found in it
-	// are restored without re-executing any replication.  EncodeReps and
-	// DecodeReps must also be set.
+	// are restored without re-executing any replication.  A cell is
+	// stored as the JSON array of its replications, so restored
+	// replications fold through the same aggregation paths as fresh ones
+	// exactly when R's fold path is exported fields (Go's JSON float64
+	// encoding round-trips bit for bit).
 	Checkpoint *Checkpoint
 	// CheckpointSalt namespaces this grid's cells inside a shared
 	// checkpoint directory (typically the sweep mode plus any knobs that
 	// change cell contents without changing cell names).
 	CheckpointSalt string
-	// EncodeReps and DecodeReps convert a cell's completed replication
-	// slice to and from its durable encoding.  Decoding must invert
-	// encoding exactly: restored replications fold through the same
-	// aggregation paths as fresh ones.
-	EncodeReps func(reps []any) ([]byte, error)
-	DecodeReps func(data []byte) ([]any, error)
 }
 
 // Progress describes one completed cell.
@@ -110,12 +109,12 @@ type Progress struct {
 }
 
 // CellResult collects one cell's outputs.
-type CellResult struct {
+type CellResult[R any] struct {
 	// Name echoes the cell.
 	Name string
 	// Reps holds per-replication outputs in replication order.  Entries
 	// may be nil for replications skipped by cancellation or failure.
-	Reps []any
+	Reps []*R
 	// Work is the summed execution time of the replications.
 	Work time.Duration
 	// Err is the lowest-replication error, tagged with cell name and
@@ -137,14 +136,11 @@ type cellState struct {
 // grid was cancelled, otherwise the join of all cell errors (nil when every
 // replication succeeded).  Partial results are returned alongside a
 // non-nil error: cells that completed are intact.
-func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, error) {
+func Run[R any](ctx context.Context, cells []Cell[R], opts Options) ([]CellResult[R], error) {
 	if len(cells) == 0 {
 		return nil, nil
 	}
-	if opts.Checkpoint != nil && (opts.EncodeReps == nil || opts.DecodeReps == nil) {
-		return nil, fmt.Errorf("exp: Options.Checkpoint requires EncodeReps and DecodeReps")
-	}
-	results := make([]CellResult, len(cells))
+	results := make([]CellResult[R], len(cells))
 	total := 0
 	maxReps := 0
 	for i := range cells {
@@ -158,7 +154,7 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, error) 
 		if cells[i].Run == nil {
 			return nil, fmt.Errorf("exp: cell %q has a nil run function", cells[i].Name)
 		}
-		results[i] = CellResult{Name: cells[i].Name, Reps: make([]any, reps)}
+		results[i] = CellResult[R]{Name: cells[i].Name, Reps: make([]*R, reps)}
 		total += reps
 		if reps > maxReps {
 			maxReps = reps
@@ -167,8 +163,11 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, error) 
 	// Restore cells the checkpoint already holds; their replications are
 	// never dispatched.  An entry that fails to decode or carries the
 	// wrong replication count is treated as a miss and re-executed.
+	// Restored cells complete up front: they are counted done and their
+	// progress events fire in cell order before any live work starts.
 	keys := make([]string, len(cells))
 	cached := make([]bool, len(cells))
+	var done atomic.Int64
 	if opts.Checkpoint != nil {
 		for i := range cells {
 			keys[i] = cellKey(opts.CheckpointSalt, cells[i].Name, opts.Seed, len(results[i].Reps))
@@ -176,13 +175,20 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, error) 
 			if !ok {
 				continue
 			}
-			reps, err := opts.DecodeReps(blob)
-			if err != nil || len(reps) != len(results[i].Reps) {
+			reps, err := decodeReps[R](blob, len(results[i].Reps))
+			if err != nil {
 				continue
 			}
 			cached[i] = true
 			results[i].Reps = reps
 			total -= len(reps)
+			n := done.Add(1)
+			if opts.OnCell != nil {
+				opts.OnCell(Progress{
+					Cell: results[i].Name, Index: i, Reps: len(reps),
+					Done: int(n), Cells: len(cells), Cached: true,
+				})
+			}
 		}
 	}
 
@@ -210,23 +216,7 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, error) 
 
 	jobs := make(chan job)
 	var wg sync.WaitGroup
-	var done atomic.Int64
 	var hookMu sync.Mutex
-
-	// Cached cells complete up front: count them done and fire their
-	// progress events in cell order before any live work starts.
-	for i := range cells {
-		if !cached[i] {
-			continue
-		}
-		n := done.Add(1)
-		if opts.OnCell != nil {
-			opts.OnCell(Progress{
-				Cell: results[i].Name, Index: i, Reps: len(results[i].Reps),
-				Done: int(n), Cells: len(cells), Cached: true,
-			})
-		}
-	}
 
 	// Checkpoint failures must not poison cell results; they are joined
 	// into the run error instead, so a sweep never silently loses the
@@ -256,7 +246,7 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, error) 
 			}
 		}
 		if opts.Checkpoint != nil && res.Err == nil {
-			if blob, err := opts.EncodeReps(res.Reps); err != nil {
+			if blob, err := encodeReps(res.Reps); err != nil {
 				ckFail(fmt.Errorf("exp: checkpoint encode cell %q: %w", res.Name, err))
 			} else if err := opts.Checkpoint.store(keys[j.cell], blob); err != nil {
 				ckFail(fmt.Errorf("exp: checkpoint cell %q: %w", res.Name, err))
@@ -285,9 +275,7 @@ func Run(ctx context.Context, cells []Cell, opts Options) ([]CellResult, error) 
 				start := time.Now()
 				src, err := rng.NewFromState(tmpl[j.rep].State())
 				if err == nil {
-					var out any
-					out, err = runRep(ctx, &cells[j.cell], j.rep, src, scratch)
-					results[j.cell].Reps[j.rep] = out
+					results[j.cell].Reps[j.rep], err = runRep(ctx, &cells[j.cell], j.rep, src, scratch)
 				}
 				errs[j.cell][j.rep] = err
 				finishRep(j, time.Since(start))
@@ -330,11 +318,39 @@ dispatch:
 
 // runRep invokes a cell's run function with panic isolation: a panicking
 // replication becomes an error instead of taking down the process.
-func runRep(ctx context.Context, c *Cell, rep int, src *rng.Source, scratch any) (out any, err error) {
+func runRep[R any](ctx context.Context, c *Cell[R], rep int, src *rng.Source, scratch any) (out *R, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			out, err = nil, fmt.Errorf("panic: %v", p)
 		}
 	}()
 	return c.Run(ctx, rep, src, scratch)
+}
+
+// encodeReps is the durable form of one completed cell: the JSON array of
+// its replications, in replication order.
+func encodeReps[R any](reps []*R) ([]byte, error) {
+	for i, r := range reps {
+		if r == nil {
+			return nil, fmt.Errorf("replication %d returned no result", i)
+		}
+	}
+	return json.Marshal(reps)
+}
+
+// decodeReps inverts encodeReps for a cell of n replications.
+func decodeReps[R any](data []byte, n int) ([]*R, error) {
+	var reps []*R
+	if err := json.Unmarshal(data, &reps); err != nil {
+		return nil, err
+	}
+	if len(reps) != n {
+		return nil, fmt.Errorf("cached cell holds %d replications, want %d", len(reps), n)
+	}
+	for i, r := range reps {
+		if r == nil {
+			return nil, fmt.Errorf("cached replication %d is null", i)
+		}
+	}
+	return reps, nil
 }

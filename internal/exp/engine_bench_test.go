@@ -25,7 +25,7 @@ func BenchmarkEngineFlattening(b *testing.B) {
 		workers = 8
 		wait    = 2 * time.Millisecond
 	)
-	cell := Cell{Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
+	cell := Cell[int]{Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (*int, error) {
 		timer := time.NewTimer(wait)
 		defer timer.Stop()
 		select {
@@ -35,7 +35,7 @@ func BenchmarkEngineFlattening(b *testing.B) {
 			return nil, ctx.Err()
 		}
 	}}
-	cells := make([]Cell, nCells)
+	cells := make([]Cell[int], nCells)
 	for i := range cells {
 		cells[i] = cell
 		cells[i].Name = "cell"

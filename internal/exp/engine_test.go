@@ -14,36 +14,35 @@ import (
 // sumCell draws n variates from the replication stream and sums them —
 // enough arithmetic that any seeding or ordering mistake shows up as a
 // bit-level difference in the fold.
-func sumCell(name string, n int) Cell {
-	return Cell{Name: name, Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
+func sumCell(name string, n int) Cell[float64] {
+	return Cell[float64]{Name: name, Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (*float64, error) {
 		s := 0.0
 		for i := 0; i < n; i++ {
 			s += src.Float64()
 		}
-		return s, nil
+		return &s, nil
 	}}
 }
 
 // fold reduces one cell's replication outputs in replication order.
-func fold(t *testing.T, res CellResult) float64 {
+func fold(t *testing.T, res CellResult[float64]) float64 {
 	t.Helper()
 	s := 0.0
-	for rep, v := range res.Reps {
-		f, ok := v.(float64)
-		if !ok {
+	for rep, f := range res.Reps {
+		if f == nil {
 			t.Fatalf("cell %s rep %d: missing result", res.Name, rep)
 		}
 		// A non-commutative mix so replication order matters.
-		s = s/2 + f
+		s = s/2 + *f
 	}
 	return s
 }
 
 func TestRunDeterministicAcrossWorkersAndCellOrder(t *testing.T) {
-	cells := []Cell{sumCell("a", 10), sumCell("b", 100), sumCell("c", 3)}
-	reversed := []Cell{cells[2], cells[1], cells[0]}
+	cells := []Cell[float64]{sumCell("a", 10), sumCell("b", 100), sumCell("c", 3)}
+	reversed := []Cell[float64]{cells[2], cells[1], cells[0]}
 
-	byName := func(cs []Cell, workers int) map[string]float64 {
+	byName := func(cs []Cell[float64], workers int) map[string]float64 {
 		res, err := Run(context.Background(), cs, Options{Seed: 99, Reps: 7, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -75,9 +74,10 @@ func TestRunDeterministicAcrossWorkersAndCellOrder(t *testing.T) {
 func TestRunMatchesStandaloneStreams(t *testing.T) {
 	// Replication r must see exactly stream r of the master seed, the
 	// contract the sim package's Compare equivalence rests on.
-	res, err := Run(context.Background(), []Cell{
-		{Name: "probe", Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
-			return src.Uint64(), nil
+	res, err := Run(context.Background(), []Cell[uint64]{
+		{Name: "probe", Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (*uint64, error) {
+			v := src.Uint64()
+			return &v, nil
 		}},
 	}, Options{Seed: 4, Reps: 5, Workers: 3})
 	if err != nil {
@@ -85,8 +85,8 @@ func TestRunMatchesStandaloneStreams(t *testing.T) {
 	}
 	streams := rng.Streams(4, 5)
 	for rep, v := range res[0].Reps {
-		if want := streams[rep].Uint64(); v.(uint64) != want {
-			t.Errorf("rep %d: got %d, want stream value %d", rep, v, want)
+		if want := streams[rep].Uint64(); *v != want {
+			t.Errorf("rep %d: got %d, want stream value %d", rep, *v, want)
 		}
 	}
 }
@@ -94,7 +94,7 @@ func TestRunMatchesStandaloneStreams(t *testing.T) {
 func TestRunCancellationDrainsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 64)
-	cells := []Cell{{Name: "slow", Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
+	cells := []Cell[int]{{Name: "slow", Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (*int, error) {
 		started <- struct{}{}
 		select {
 		case <-ctx.Done():
@@ -122,13 +122,13 @@ func TestRunCancellationDrainsPromptly(t *testing.T) {
 }
 
 func TestRunRecoversPanicsWithCellTag(t *testing.T) {
-	cells := []Cell{
+	cells := []Cell[float64]{
 		sumCell("healthy", 5),
-		{Name: "exploding", Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
+		{Name: "exploding", Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (*float64, error) {
 			if rep == 1 {
 				panic("boom")
 			}
-			return rep, nil
+			return new(float64), nil
 		}},
 	}
 	res, err := Run(context.Background(), cells, Options{Seed: 2, Reps: 3, Workers: 2})
@@ -153,11 +153,11 @@ func TestRunRecoversPanicsWithCellTag(t *testing.T) {
 func TestRunErrorsAreReplicationOrdered(t *testing.T) {
 	// The reported cell error is the lowest-replication failure, not
 	// whichever worker lost the race.
-	cells := []Cell{{Name: "flaky", Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
+	cells := []Cell[int]{{Name: "flaky", Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (*int, error) {
 		if rep >= 2 {
 			return nil, errors.New("late failure")
 		}
-		return rep, nil
+		return &rep, nil
 	}}}
 	res, err := Run(context.Background(), cells, Options{Seed: 3, Reps: 8, Workers: 8})
 	if err == nil || !strings.Contains(err.Error(), "replication 2") {
@@ -171,7 +171,7 @@ func TestRunErrorsAreReplicationOrdered(t *testing.T) {
 func TestRunScratchIsPerWorker(t *testing.T) {
 	var made atomic.Int64
 	type scratch struct{ uses int }
-	cells := []Cell{{Name: "s", Run: func(ctx context.Context, rep int, src *rng.Source, sc any) (any, error) {
+	cells := []Cell[int]{{Name: "s", Run: func(ctx context.Context, rep int, src *rng.Source, sc any) (*int, error) {
 		s, ok := sc.(*scratch)
 		if !ok {
 			return nil, errors.New("scratch missing or mistyped")
@@ -193,7 +193,7 @@ func TestRunScratchIsPerWorker(t *testing.T) {
 
 func TestRunProgressHook(t *testing.T) {
 	var events []Progress
-	cells := []Cell{sumCell("a", 2), sumCell("b", 2)}
+	cells := []Cell[float64]{sumCell("a", 2), sumCell("b", 2)}
 	_, err := Run(context.Background(), cells, Options{
 		Seed: 5, Reps: 4, Workers: 3,
 		OnCell: func(p Progress) { events = append(events, p) },
@@ -220,19 +220,19 @@ func TestRunProgressHook(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(context.Background(), []Cell{{Name: "x"}}, Options{Reps: 1}); err == nil {
+	if _, err := Run(context.Background(), []Cell[float64]{{Name: "x"}}, Options{Reps: 1}); err == nil {
 		t.Error("nil run function accepted")
 	}
-	if _, err := Run(context.Background(), []Cell{sumCell("x", 1)}, Options{}); err == nil {
+	if _, err := Run(context.Background(), []Cell[float64]{sumCell("x", 1)}, Options{}); err == nil {
 		t.Error("missing replication count accepted")
 	}
-	if res, err := Run(context.Background(), nil, Options{}); err != nil || res != nil {
+	if res, err := Run[float64](context.Background(), nil, Options{}); err != nil || res != nil {
 		t.Errorf("empty grid: got (%v, %v), want (nil, nil)", res, err)
 	}
 }
 
 func TestCellRepsOverride(t *testing.T) {
-	cells := []Cell{sumCell("default", 3), {Name: "more", Reps: 9, Run: sumCell("", 1).Run}}
+	cells := []Cell[float64]{sumCell("default", 3), {Name: "more", Reps: 9, Run: sumCell("", 1).Run}}
 	res, err := Run(context.Background(), cells, Options{Seed: 1, Reps: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,7 @@ package fault
 
 import (
 	"fmt"
-	"math"
 
-	"gridtrust/internal/behavior"
 	"gridtrust/internal/rng"
 	"gridtrust/internal/trust"
 )
@@ -97,12 +95,10 @@ func (c StudyConfig) Validate() error {
 	if c.Resources < 2 || c.Recommenders < 1 || c.Rounds < 1 {
 		return fmt.Errorf("fault: study needs >= 2 resources, >= 1 recommenders, >= 1 rounds")
 	}
-	for name, v := range map[string]float64{
-		"bad fraction": c.BadFraction, "liar fraction": c.LiarFraction,
-		"good defect prob": c.GoodDefectProb, "bad defect prob": c.BadDefectProb,
-	} {
+	names := [...]string{"bad fraction", "liar fraction", "good defect prob", "bad defect prob"}
+	for i, v := range [...]float64{c.BadFraction, c.LiarFraction, c.GoodDefectProb, c.BadDefectProb} {
 		if v < 0 || v > 1 {
-			return fmt.Errorf("fault: study %s %g outside [0,1]", name, v)
+			return fmt.Errorf("fault: study %s %g outside [0,1]", names[i], v)
 		}
 	}
 	return nil
@@ -128,35 +124,6 @@ type StudyResult struct {
 	MeanLiarR, MeanHonestR float64
 }
 
-// studyState bundles the derived constants of one study run.
-type studyState struct {
-	cfg    StudyConfig
-	scorer *behavior.DefaultScorer
-	// trueScore[i] is resource i's expected transaction outcome.
-	trueScore []float64
-	bad       []bool
-	osc       Oscillator
-	txCount   []int // per-resource transactions (drives oscillator phase)
-}
-
-// drawOutcome samples resource y's true transaction outcome.
-func (st *studyState) drawOutcome(src *rng.Source, y int) (float64, error) {
-	st.txCount[y]++
-	defect := false
-	switch {
-	case !st.bad[y]:
-		defect = src.Float64() < st.cfg.GoodDefectProb
-	case st.cfg.Oscillate:
-		defect = (st.txCount[y]-1)%(st.osc.GoodRun+st.osc.BadRun) >= st.osc.GoodRun
-	default:
-		defect = src.Float64() < st.cfg.BadDefectProb
-	}
-	if defect {
-		return st.scorer.Score(defectRecord(src, 0.5))
-	}
-	return st.scorer.Score(cleanRecord())
-}
-
 // roundCost models the completion cost of one placement given its
 // transaction outcome: a flat base plus a misbehavior premium (re-runs,
 // verification, cleanup) proportional to how far below perfect the
@@ -165,231 +132,20 @@ func roundCost(outcome float64) float64 {
 	return 100 * (1 + 0.15*(trust.MaxScore-outcome))
 }
 
-// RunStudy runs the closed trust loop of Figure 1 against a lying
-// recommender clique and misbehaving resources: each round every
-// recommender reports on a random resource (liars boost the clique's bad
-// resources and badmouth the rest), the observer places one task on its
-// currently most-trusted resource, transacts, and observes the true
-// outcome.  With RWeighted the observer additionally audits each
-// recommender's stored claim against its own direct experience and
-// weights (or purges) accordingly.  Deterministic given (cfg, src).
+// RunStudy runs the closed trust loop of Figure 1 (closedLoop) under the
+// paper's own engine against a lying recommender clique and misbehaving
+// resources, constant defectors or oscillators.  With RWeighted the observer
+// audits each recommender's stored claim against its own direct experience
+// and weights (or purges) accordingly; without it every R stays pinned at 1.
+// Deterministic given (cfg, src).
 func RunStudy(cfg StudyConfig, src *rng.Source) (*StudyResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	purge := 0.0
-	if cfg.RWeighted {
-		purge = PurgeThreshold
+	env := ZooClique
+	if cfg.Oscillate {
+		env = ZooOscillate
 	}
-	eng, err := trust.NewEngine(trust.Config{
-		Alpha: cfg.Alpha, Beta: cfg.Beta,
-		InitialScore: (trust.MinScore + trust.MaxScore) / 2,
-		PurgeBelow:   purge,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	st := &studyState{
-		cfg:       cfg,
-		scorer:    behavior.MustDefaultScorer(),
-		trueScore: make([]float64, cfg.Resources),
-		bad:       make([]bool, cfg.Resources),
-		osc:       Oscillator{GoodRun: 8, BadRun: 8, IncidentProb: 0.5},
-		txCount:   make([]int, cfg.Resources),
-	}
-	// Expected outcome of one defection: half incidents (floor), half
-	// late+corrupt deliveries.
-	incident := cleanRecord()
-	incident.SecurityIncident = true
-	si, err := st.scorer.Score(incident)
-	if err != nil {
-		return nil, err
-	}
-	late := cleanRecord()
-	late.ActualDuration = 250
-	late.ResultIntegrityOK = false
-	sl, err := st.scorer.Score(late)
-	if err != nil {
-		return nil, err
-	}
-	clean, err := st.scorer.Score(cleanRecord())
-	if err != nil {
-		return nil, err
-	}
-	expDefect := (si + sl) / 2
-	nBad := int(math.Round(cfg.BadFraction * float64(cfg.Resources)))
-	for i := range st.bad {
-		st.bad[i] = i < nBad
-		p := cfg.GoodDefectProb
-		if st.bad[i] {
-			p = cfg.BadDefectProb
-			if cfg.Oscillate {
-				p = float64(st.osc.BadRun) / float64(st.osc.GoodRun+st.osc.BadRun)
-			}
-		}
-		st.trueScore[i] = (1-p)*clean + p*expDefect
-	}
-
-	obs := trust.EntityID("observer")
-	resID := func(i int) trust.EntityID { return trust.EntityID(fmt.Sprintf("res:%d", i)) }
-	recID := func(j int) trust.EntityID { return trust.EntityID(fmt.Sprintf("rec:%d", j)) }
-	nLiars := int(math.Round(cfg.LiarFraction * float64(cfg.Recommenders)))
-	liar := func(j int) bool { return j < nLiars }
-
-	lastR := make([]float64, cfg.Recommenders)
-	errEWMA := make([]float64, cfg.Recommenders)
-	seenErr := make([]bool, cfg.Recommenders)
-	for j := range lastR {
-		lastR[j] = 1
-	}
-	if !cfg.RWeighted {
-		// Amputate the defense: every recommendation carries full weight,
-		// alliances and audits notwithstanding.
-		for j := 0; j < cfg.Recommenders; j++ {
-			for i := 0; i < cfg.Resources; i++ {
-				if err := eng.SetRecommenderFactor(recID(j), resID(i), 1); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	directN := make([]int, cfg.Resources)
-	var costSum float64
-	badPlacements := 0
-	for t := 0; t < cfg.Rounds; t++ {
-		now := float64(t)
-		// Recommender observations: honest ones report what they see,
-		// the clique reports the inversion of reality.
-		for j := 0; j < cfg.Recommenders; j++ {
-			y := src.Intn(cfg.Resources)
-			outcome := 0.0
-			if liar(j) {
-				outcome = trust.MinScore
-				if st.bad[y] {
-					outcome = trust.MaxScore
-				}
-			} else {
-				outcome, err = st.drawOutcome(src, y)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if _, err := eng.Observe(recID(j), resID(y), StudyContext, outcome, now); err != nil {
-				return nil, err
-			}
-		}
-		// Observer placement: trust-greedy, ties toward the lower index.
-		best, bestG := -1, math.Inf(-1)
-		for i := 0; i < cfg.Resources; i++ {
-			g, err := eng.Trust(obs, resID(i), StudyContext, now)
-			if err != nil {
-				return nil, err
-			}
-			if g > bestG {
-				bestG, best = g, i
-			}
-		}
-		outcome, err := st.drawOutcome(src, best)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.Observe(obs, resID(best), StudyContext, outcome, now); err != nil {
-			return nil, err
-		}
-		directN[best]++
-		costSum += roundCost(outcome)
-		if st.bad[best] {
-			badPlacements++
-		}
-		// Audit: compare each recommender's stored claim against direct
-		// experience wherever the observer has enough of it, and convert
-		// the error EWMA into R.
-		if cfg.RWeighted && t >= auditWarmup {
-			for j := 0; j < cfg.Recommenders; j++ {
-				var errSum float64
-				n := 0
-				for i := 0; i < cfg.Resources; i++ {
-					if directN[i] < directEvidenceMin {
-						continue
-					}
-					claim, ok, err := eng.Recommendation(recID(j), resID(i), StudyContext, now)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-					direct, err := eng.Direct(obs, resID(i), StudyContext, now)
-					if err != nil {
-						return nil, err
-					}
-					errSum += math.Abs(claim - direct)
-					n++
-				}
-				if n == 0 {
-					continue
-				}
-				e := errSum / float64(n)
-				if !seenErr[j] {
-					errEWMA[j], seenErr[j] = e, true
-				} else {
-					errEWMA[j] = 0.7*errEWMA[j] + 0.3*e
-				}
-				// Quadratic falloff: small honest disagreement keeps
-				// near-full weight, systematic lying drives R to 0.
-				rel := errEWMA[j] / (trust.MaxScore - trust.MinScore)
-				r := 1 - 4*rel*rel
-				if r < 0 {
-					r = 0
-				}
-				lastR[j] = r
-				for i := 0; i < cfg.Resources; i++ {
-					if err := eng.SetRecommenderFactor(recID(j), resID(i), r); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-
-	// Final metrics.
-	res := &StudyResult{}
-	now := float64(cfg.Rounds)
-	for i := 0; i < cfg.Resources; i++ {
-		g, err := eng.Trust(obs, resID(i), StudyContext, now)
-		if err != nil {
-			return nil, err
-		}
-		res.TrustError += math.Abs(g - st.trueScore[i])
-	}
-	res.TrustError /= float64(cfg.Resources)
-	bestTrue := math.Inf(-1)
-	for _, s := range st.trueScore {
-		bestTrue = math.Max(bestTrue, s)
-	}
-	oracle := roundCost(bestTrue)
-	res.DegradationPct = (costSum/float64(cfg.Rounds) - oracle) / oracle * 100
-	res.BadShare = float64(badPlacements) / float64(cfg.Rounds)
-	var liarR, honestR float64
-	for j := range lastR {
-		if liar(j) {
-			liarR += lastR[j]
-		} else {
-			honestR += lastR[j]
-		}
-	}
-	if nLiars > 0 {
-		res.MeanLiarR = liarR / float64(nLiars)
-	} else {
-		res.MeanLiarR = 1
-	}
-	if n := cfg.Recommenders - nLiars; n > 0 {
-		res.MeanHonestR = honestR / float64(n)
-	} else {
-		res.MeanHonestR = 1
-	}
-	return res, nil
+	return closedLoop(trust.DefaultModel, env, cfg, src)
 }

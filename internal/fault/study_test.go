@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 
 	"gridtrust/internal/rng"
@@ -28,6 +29,14 @@ func TestRunStudyValidation(t *testing.T) {
 	}
 	if _, err := RunStudy(StudyConfig{Resources: 1, Recommenders: 1, Rounds: 1}, rng.New(1)); err == nil {
 		t.Fatal("single resource must be rejected")
+	}
+	// With two fields out of range the error names the first in declared
+	// order, every time.
+	for i := 0; i < 20; i++ {
+		_, err := RunStudy(StudyConfig{BadFraction: 2, LiarFraction: 2}, rng.New(1))
+		if err == nil || !strings.Contains(err.Error(), "bad fraction") {
+			t.Fatalf("run %d: got %v, want the bad-fraction error", i, err)
+		}
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // The trust-model zoo: RunZoo pits any registered trust model against the
-// adversary strategies of the literature in the same closed Figure 1 loop
-// RunStudy uses for the paper's R factor.  Every model faces the same
-// four environments —
+// adversary strategies of the literature in the closed Figure 1 loop
+// (closedLoop) that RunStudy runs for the paper's R factor.  Every model
+// faces the same four environments —
 //
 //	lying-clique: a collusive recommender clique boosts the bad
 //	    resources and badmouths the good ones;
@@ -76,25 +76,25 @@ type ZooConfig struct {
 	Alpha, Beta    float64
 }
 
-// withDefaults fills unset fields from the study defaults.
-func (c ZooConfig) withDefaults() ZooConfig {
+// study resolves the cell to closedLoop's terms: the population and loop
+// shape with unset fields defaulted, and the recommender audit on, so every
+// model receives the same recommender-quality signal and spends it by its
+// own aggregation rule.
+func (c ZooConfig) study() StudyConfig {
 	s := StudyConfig{
 		Resources: c.Resources, BadFraction: c.BadFraction,
 		GoodDefectProb: c.GoodDefectProb, BadDefectProb: c.BadDefectProb,
-		Recommenders: c.Recommenders, Rounds: c.Rounds,
+		Recommenders: c.Recommenders, LiarFraction: c.LiarFraction,
+		Rounds: c.Rounds, RWeighted: true,
 		Alpha: c.Alpha, Beta: c.Beta,
 	}.withDefaults()
-	c.Resources, c.BadFraction = s.Resources, s.BadFraction
-	c.GoodDefectProb, c.BadDefectProb = s.GoodDefectProb, s.BadDefectProb
-	c.Recommenders, c.Rounds = s.Recommenders, s.Rounds
-	c.Alpha, c.Beta = s.Alpha, s.Beta
-	if c.Scenario == ZooClique && c.LiarFraction == 0 {
-		c.LiarFraction = 0.4
+	if c.Scenario == ZooClique && s.LiarFraction == 0 {
+		s.LiarFraction = 0.4
 	}
-	return c
+	return s
 }
 
-// Validate rejects unrunnable configurations.
+// Validate rejects configurations RunZoo cannot run.
 func (c ZooConfig) Validate() error {
 	if !trust.KnownModel(c.Model) {
 		return fmt.Errorf("fault: zoo model %q not registered (have %v)", c.Model, trust.ModelNames())
@@ -104,12 +104,7 @@ func (c ZooConfig) Validate() error {
 	default:
 		return fmt.Errorf("fault: unknown zoo scenario %q", c.Scenario)
 	}
-	return StudyConfig{
-		Resources: c.Resources, BadFraction: c.BadFraction,
-		GoodDefectProb: c.GoodDefectProb, BadDefectProb: c.BadDefectProb,
-		Recommenders: c.Recommenders, LiarFraction: c.LiarFraction,
-		Rounds: c.Rounds,
-	}.Validate()
+	return c.study().Validate()
 }
 
 // ZooResult reports one model's performance in one environment.
@@ -126,7 +121,8 @@ type ZooResult struct {
 
 // zooState bundles one run's derived state.
 type zooState struct {
-	cfg    ZooConfig
+	cfg    StudyConfig
+	env    ZooScenario
 	scorer *behavior.DefaultScorer
 	src    *rng.Source
 
@@ -175,21 +171,17 @@ func (z *zooState) churnAdvance(i int, now float64) {
 // under the configured scenario.
 func (z *zooState) drawOutcome(i int, now float64) (float64, error) {
 	z.txCount[i]++
-	if z.cfg.Scenario == ZooChurn {
+	if z.env == ZooChurn {
 		z.churnAdvance(i, now)
 		if !z.chUp[i] {
 			return z.failScore, nil
 		}
-		if z.src.Float64() < z.cfg.GoodDefectProb {
-			return z.scorer.Score(defectRecord(z.src, 0.5))
-		}
-		return z.scorer.Score(cleanRecord())
 	}
 	defect := false
 	switch {
-	case !z.bad[i]:
+	case !z.bad[i] || z.env == ZooChurn: // churn resources are honest while up
 		defect = z.src.Float64() < z.cfg.GoodDefectProb
-	case z.cfg.Scenario == ZooOscillate:
+	case z.env == ZooOscillate:
 		defect = (z.txCount[i]-1)%(z.osc.GoodRun+z.osc.BadRun) >= z.osc.GoodRun
 	default: // clique and whitewash populations defect persistently
 		defect = z.src.Float64() < z.cfg.BadDefectProb
@@ -200,21 +192,40 @@ func (z *zooState) drawOutcome(i int, now float64) (float64, error) {
 	return z.scorer.Score(cleanRecord())
 }
 
-// RunZoo runs one model × scenario cell of the trust zoo: the closed
-// observe → place → transact → audit loop of RunStudy, with the trust
-// policy behind the Model interface and the adversary population drawn
-// from the scenario.  The recommender audit (the R factor loop) is always
-// on: every model receives the same recommender-quality signal and spends
-// it according to its own aggregation rule.
+// RunZoo runs one model × scenario cell of the trust zoo: closedLoop with
+// the trust policy behind the Model interface, the adversary population
+// drawn from the scenario and the recommender audit always on.
 func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	model, err := trust.NewModel(cfg.Model, trust.Config{
+	r, err := closedLoop(cfg.Model, cfg.Scenario, cfg.study(), src)
+	if err != nil {
+		return nil, err
+	}
+	return &ZooResult{TrustError: r.TrustError, DegradationPct: r.DegradationPct, BadShare: r.BadShare}, nil
+}
+
+// closedLoop is the closed trust loop of Figure 1, the one copy under
+// RunStudy and RunZoo.  Each round every recommender reports on a random
+// resource (liars boost the clique's bad resources and badmouth the rest),
+// the observer places one task on the resource the model trusts most,
+// transacts, and observes the true outcome.  With cfg.RWeighted the
+// observer then audits each recommender's stored claim against its own
+// direct experience, sets the recommender's factor R from its error, and
+// the model purges recommenders below PurgeThreshold; without it every R is
+// pinned at 1 and nothing is purged (the paper's reputation formula with
+// its defense amputated).  cfg must be defaulted and validated; env, not
+// cfg.Oscillate, selects the environment.
+func closedLoop(modelName string, env ZooScenario, cfg StudyConfig, src *rng.Source) (*StudyResult, error) {
+	purge := 0.0
+	if cfg.RWeighted {
+		purge = PurgeThreshold
+	}
+	model, err := trust.NewModel(modelName, trust.Config{
 		Alpha: cfg.Alpha, Beta: cfg.Beta,
 		InitialScore: (trust.MinScore + trust.MaxScore) / 2,
-		PurgeBelow:   PurgeThreshold,
+		PurgeBelow:   purge,
 	})
 	if err != nil {
 		return nil, err
@@ -222,6 +233,7 @@ func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
 
 	z := &zooState{
 		cfg:       cfg,
+		env:       env,
 		scorer:    behavior.MustDefaultScorer(),
 		src:       src,
 		trueScore: make([]float64, cfg.Resources),
@@ -232,8 +244,9 @@ func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
 		chUp:      make([]bool, cfg.Resources),
 		chEnd:     make([]float64, cfg.Resources),
 	}
-	// Expected outcome of one defection (as in RunStudy) and of a failed
-	// placement against a down machine.
+	// Expected outcome of one defection (half incidents at the floor, half
+	// late and corrupt deliveries) and of a failed placement against a down
+	// machine.
 	incident := cleanRecord()
 	incident.SecurityIncident = true
 	si, err := z.scorer.Score(incident)
@@ -262,7 +275,7 @@ func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
 	nBad := int(math.Round(cfg.BadFraction * float64(cfg.Resources)))
 	for i := range z.bad {
 		z.bad[i] = i < nBad
-		switch cfg.Scenario {
+		switch env {
 		case ZooChurn:
 			// Every resource behaves honestly when up; the bad population
 			// is simply down far more often.
@@ -275,16 +288,13 @@ func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
 			z.trueScore[i] = avail*up + (1-avail)*z.failScore
 			z.chUp[i] = true
 			z.chEnd[i] = Weibull(src, mtbf, zooChurnShape)
-		case ZooOscillate:
-			p := cfg.GoodDefectProb
-			if z.bad[i] {
-				p = float64(z.osc.BadRun) / float64(z.osc.GoodRun+z.osc.BadRun)
-			}
-			z.trueScore[i] = (1-p)*clean + p*expDefect
 		default:
 			p := cfg.GoodDefectProb
 			if z.bad[i] {
 				p = cfg.BadDefectProb
+				if env == ZooOscillate {
+					p = float64(z.osc.BadRun) / float64(z.osc.GoodRun+z.osc.BadRun)
+				}
 			}
 			z.trueScore[i] = (1-p)*clean + p*expDefect
 		}
@@ -295,8 +305,22 @@ func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
 	nLiars := int(math.Round(cfg.LiarFraction * float64(cfg.Recommenders)))
 	liar := func(j int) bool { return j < nLiars }
 
+	lastR := make([]float64, cfg.Recommenders)
 	errEWMA := make([]float64, cfg.Recommenders)
 	seenErr := make([]bool, cfg.Recommenders)
+	for j := range lastR {
+		lastR[j] = 1
+		if cfg.RWeighted {
+			continue
+		}
+		// Amputate the defense: every recommendation carries full weight,
+		// alliances and audits notwithstanding.
+		for i := 0; i < cfg.Resources; i++ {
+			if err := model.SetRecommenderFactor(recID(j), z.resID(i), 1); err != nil {
+				return nil, err
+			}
+		}
+	}
 	directN := make([]int, cfg.Resources)
 	var costSum float64
 	badPlacements := 0
@@ -306,7 +330,7 @@ func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
 		// fixed cadence, reappearing to the model as strangers carrying
 		// the uninformed prior.  Direct-evidence counters reset with the
 		// identity — the observer's history died with the old name.
-		if cfg.Scenario == ZooWhitewash && t > 0 && t%zooWhitewashPeriod == 0 {
+		if env == ZooWhitewash && t > 0 && t%zooWhitewashPeriod == 0 {
 			for i := range z.bad {
 				if z.bad[i] {
 					z.gen[i]++
@@ -314,8 +338,8 @@ func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
 				}
 			}
 		}
-		// Recommender observations; in the clique scenario the liars
-		// report the inversion of reality.
+		// Recommender observations: honest ones report what they see, the
+		// clique reports the inversion of reality.
 		for j := 0; j < cfg.Recommenders; j++ {
 			y := src.Intn(cfg.Resources)
 			var outcome float64
@@ -357,10 +381,10 @@ func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
 		if z.bad[best] {
 			badPlacements++
 		}
-		// Audit loop (RunStudy's R-weighted defense, always on): claims
-		// are compared against direct experience and each recommender's
-		// factor follows its error EWMA.
-		if t >= auditWarmup {
+		// Audit: compare each recommender's stored claim against direct
+		// experience wherever the observer has enough of it, and convert
+		// the error EWMA into R.
+		if cfg.RWeighted && t >= auditWarmup {
 			for j := 0; j < cfg.Recommenders; j++ {
 				var errSum float64
 				n := 0
@@ -391,11 +415,14 @@ func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
 				} else {
 					errEWMA[j] = 0.7*errEWMA[j] + 0.3*e
 				}
+				// Quadratic falloff: small honest disagreement keeps
+				// near-full weight, systematic lying drives R to 0.
 				rel := errEWMA[j] / (trust.MaxScore - trust.MinScore)
 				r := 1 - 4*rel*rel
 				if r < 0 {
 					r = 0
 				}
+				lastR[j] = r
 				for i := 0; i < cfg.Resources; i++ {
 					if err := model.SetRecommenderFactor(recID(j), z.resID(i), r); err != nil {
 						return nil, err
@@ -405,7 +432,7 @@ func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
 		}
 	}
 
-	res := &ZooResult{}
+	res := &StudyResult{MeanLiarR: 1, MeanHonestR: 1}
 	now := float64(cfg.Rounds)
 	for i := 0; i < cfg.Resources; i++ {
 		g, err := model.Trust(obs, z.resID(i), StudyContext, now)
@@ -422,5 +449,19 @@ func RunZoo(cfg ZooConfig, src *rng.Source) (*ZooResult, error) {
 	oracle := roundCost(bestTrue)
 	res.DegradationPct = (costSum/float64(cfg.Rounds) - oracle) / oracle * 100
 	res.BadShare = float64(badPlacements) / float64(cfg.Rounds)
+	var liarR, honestR float64
+	for j, r := range lastR {
+		if liar(j) {
+			liarR += r
+		} else {
+			honestR += r
+		}
+	}
+	if nLiars > 0 {
+		res.MeanLiarR = liarR / float64(nLiars)
+	}
+	if n := cfg.Recommenders - nLiars; n > 0 {
+		res.MeanHonestR = honestR / float64(n)
+	}
 	return res, nil
 }

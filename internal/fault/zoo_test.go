@@ -52,11 +52,11 @@ func TestRunZooRejectsBadConfig(t *testing.T) {
 // TestRunZooCliqueDefault checks the clique scenario defaults to a
 // non-empty liar population (a clique with no liars is no clique).
 func TestRunZooCliqueDefault(t *testing.T) {
-	cfg := ZooConfig{Scenario: ZooClique}.withDefaults()
+	cfg := ZooConfig{Scenario: ZooClique}.study()
 	if cfg.LiarFraction != 0.4 {
 		t.Fatalf("clique liar fraction defaulted to %g", cfg.LiarFraction)
 	}
-	if cfg := (ZooConfig{Scenario: ZooOscillate}.withDefaults()); cfg.LiarFraction != 0 {
+	if cfg := (ZooConfig{Scenario: ZooOscillate}.study()); cfg.LiarFraction != 0 {
 		t.Fatalf("oscillate liar fraction defaulted to %g", cfg.LiarFraction)
 	}
 }

@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -206,14 +208,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// LoadConfig reads and validates a fleet config file.
+// LoadConfig reads and validates a fleet config file.  A key Config does
+// not declare is an error.
 func LoadConfig(path string) (Config, error) {
 	var c Config
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return c, fmt.Errorf("fleet: %w", err)
 	}
-	if err := json.Unmarshal(data, &c); err != nil {
+	// A misspelled key is an error, not a silently kept default.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err = dec.Decode(&c); err == nil && len(bytes.TrimSpace(data[dec.InputOffset():])) > 0 {
+		err = errors.New("data after the top-level value")
+	}
+	if err != nil {
 		return c, fmt.Errorf("fleet: parse %s: %w", path, err)
 	}
 	if err := c.Validate(); err != nil {

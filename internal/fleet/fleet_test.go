@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -317,6 +319,22 @@ func TestAmbiguouslyForwardedKeyNeverFailsOver(t *testing.T) {
 		if s.trms.Placed() != 0 {
 			t.Fatalf("shard %s placed an ambiguous key", s.name)
 		}
+	}
+}
+
+// TestLoadConfigRejectsUnknownKeys: a misspelled knob must not silently
+// resolve to its default; the shipped config carries only known keys.
+func TestLoadConfigRejectsUnknownKeys(t *testing.T) {
+	if _, err := LoadConfig("../../configs/fleet.json"); err != nil {
+		t.Fatalf("configs/fleet.json: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	body := `{"shards":[{"name":"s0","addr":"127.0.0.1:7469"}],"stalenes_bound_ms":5000,"forward_atempts":3}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(path); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Fatalf("misspelled keys: got %v, want an unknown-field error", err)
 	}
 }
 

@@ -211,24 +211,38 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
+// writerFor returns the renderer of the named format.
+func writerFor(format string) (func(*Table, io.Writer) error, error) {
+	switch format {
+	case "ascii", "":
+		return (*Table).WriteASCII, nil
+	case "markdown", "md":
+		return (*Table).WriteMarkdown, nil
+	case "csv":
+		return (*Table).WriteCSV, nil
+	case "json":
+		return (*Table).WriteJSON, nil
+	default:
+		return nil, fmt.Errorf("report: unknown format %q (want ascii, markdown, csv or json)", format)
+	}
+}
+
+// CheckFormat reports whether Render accepts the format name, so a command
+// can reject a bad -format before it computes anything.
+func CheckFormat(format string) error {
+	_, err := writerFor(format)
+	return err
+}
+
 // Render returns the table in the named format: "ascii", "markdown",
 // "csv" or "json".
 func (t *Table) Render(format string) (string, error) {
-	var sb strings.Builder
-	var err error
-	switch format {
-	case "ascii", "":
-		err = t.WriteASCII(&sb)
-	case "markdown", "md":
-		err = t.WriteMarkdown(&sb)
-	case "csv":
-		err = t.WriteCSV(&sb)
-	case "json":
-		err = t.WriteJSON(&sb)
-	default:
-		return "", fmt.Errorf("report: unknown format %q (want ascii, markdown, csv or json)", format)
-	}
+	write, err := writerFor(format)
 	if err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	if err := write(t, &sb); err != nil {
 		return "", err
 	}
 	return sb.String(), nil

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -73,8 +76,53 @@ func TestCompareGridCheckpointResumeBitIdentical(t *testing.T) {
 
 // TestGridsCheckpointRoundTrip covers the remaining grid types: each must
 // restore its own replication type from a shared directory (distinct
-// salts) and aggregate identically.
+// salts) and aggregate identically.  The on-disk format is part of the
+// contract: testdata/checkpoint_pr19_machines was written by commit
+// 3209f66's `sweep -mode machines -reps 2 -tasks 20 -seed 1 -checkpoint`,
+// whose codec was a pair of closures sim handed the engine, and must still
+// serve every cell.
 func TestGridsCheckpointRoundTrip(t *testing.T) {
+	t.Run("written-by-pr19", func(t *testing.T) {
+		dir := t.TempDir()
+		for _, name := range []string{"snap-0000000000000006.snap", "wal-0000000000000001.seg"} {
+			data, err := os.ReadFile(filepath.Join("testdata/checkpoint_pr19_machines", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// cmd/sweep's machines mode at -tasks 20.
+		var cells []CompareCell
+		for _, m := range []int{2, 5, 10, 20, 40} {
+			sc := PaperScenario("mct", 20, workload.Inconsistent)
+			sc.Machines = m
+			sc.ArrivalRate = sc.ArrivalRate * float64(m) / 5
+			cells = append(cells, CompareCell{Name: fmt.Sprint(m), Scenario: sc})
+		}
+		opts := GridOptions{Seed: 1, Reps: 2, Workers: 2}
+		fresh, err := CompareGrid(context.Background(), cells, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck := openCK(t, dir)
+		defer ck.Close()
+		opts.Checkpoint, opts.CheckpointSalt = ck, "machines|tasks=20"
+		cached := 0
+		cachedCounter(&opts, &cached)
+		restored, err := CompareGrid(context.Background(), cells, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached != len(cells) {
+			t.Fatalf("the PR 19 directory served %d of %d cells", cached, len(cells))
+		}
+		if !reflect.DeepEqual(fresh, restored) {
+			t.Fatal("comparisons restored from the PR 19 directory diverge from a fresh run")
+		}
+	})
+
 	dir := t.TempDir()
 	opts := GridOptions{Seed: 31, Reps: 3, Workers: 2}
 

@@ -25,11 +25,7 @@ type PairResult struct {
 // policies on it.  Because the workload is materialised once, the pairing
 // is exact: both runs see identical EECs, arrivals, RTLs and OTLs.
 func RunPair(sc Scenario, src *rng.Source) (*PairResult, error) {
-	pair, err := runPair(sc, src, &runScratch{})
-	if pair != nil {
-		pair.Rep = 0
-	}
-	return pair, err
+	return runPair(sc, src, &runScratch{})
 }
 
 // runPair is RunPair with caller-provided scratch: both runs of the pair

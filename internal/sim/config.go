@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -63,8 +65,9 @@ func (f *FaultConfig) plan() fault.Plan {
 	}
 }
 
-// parseConsistency maps the JSON name onto the enum.
-func parseConsistency(s string) (workload.Consistency, error) {
+// ParseConsistency maps the JSON and command-line name onto the enum; the
+// empty name selects the paper's inconsistent class.
+func ParseConsistency(s string) (workload.Consistency, error) {
 	switch strings.ToLower(s) {
 	case "", "inconsistent":
 		return workload.Inconsistent, nil
@@ -124,7 +127,7 @@ func (c ScenarioConfig) Scenario() (Scenario, error) {
 	default:
 		return Scenario{}, fmt.Errorf("sim: unknown mode %q", c.Mode)
 	}
-	cons, err := parseConsistency(c.Consistency)
+	cons, err := ParseConsistency(c.Consistency)
 	if err != nil {
 		return Scenario{}, err
 	}
@@ -215,24 +218,28 @@ func (s Scenario) Config() ScenarioConfig {
 }
 
 // LoadScenarios reads a JSON file holding either one ScenarioConfig object
-// or an array of them, returning validated scenarios.
+// or an array of them, returning validated scenarios.  A key ScenarioConfig
+// does not declare is an error.
 func LoadScenarios(path string) ([]Scenario, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("sim: read config: %w", err)
 	}
+	// A misspelled key is an error, not a silently kept paper default.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var cfgs []ScenarioConfig
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "[") {
-		if err := json.Unmarshal(data, &cfgs); err != nil {
-			return nil, fmt.Errorf("sim: parse config array: %w", err)
-		}
+	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
+		err = dec.Decode(&cfgs)
 	} else {
-		var one ScenarioConfig
-		if err := json.Unmarshal(data, &one); err != nil {
-			return nil, fmt.Errorf("sim: parse config: %w", err)
-		}
-		cfgs = []ScenarioConfig{one}
+		cfgs = make([]ScenarioConfig, 1)
+		err = dec.Decode(&cfgs[0])
+	}
+	if err == nil && len(bytes.TrimSpace(data[dec.InputOffset():])) > 0 {
+		err = errors.New("data after the top-level value")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sim: parse config: %w", err)
 	}
 	out := make([]Scenario, 0, len(cfgs))
 	for i, c := range cfgs {

@@ -3,6 +3,7 @@ package sim
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gridtrust/internal/grid"
@@ -140,12 +141,38 @@ func TestLoadScenariosErrors(t *testing.T) {
 	if _, err := LoadScenarios(empty); err == nil {
 		t.Error("empty array accepted")
 	}
+	trailing := filepath.Join(dir, "trailing.json")
+	if err := os.WriteFile(trailing, []byte(`{"heuristic":"mct","tasks":20} }`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadScenarios(trailing); err == nil {
+		t.Error("data after the top-level value accepted")
+	}
 	badEntry := filepath.Join(dir, "bad.json")
 	if err := os.WriteFile(badEntry, []byte(`[{"heuristic":"mct","tasks":0}]`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadScenarios(badEntry); err == nil {
 		t.Error("invalid entry accepted")
+	}
+	// A misspelled key must not silently select the paper default, in
+	// either file shape; the shipped configs carry only known keys.
+	for name, body := range map[string]string{
+		"array.json":  `[{"heuristic":"mct","tasks":20,"tc_wieght":0.001}]`,
+		"object.json": `{"heuristic":"mct","tasks":20,"fault":{"mtfb":100}}`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadScenarios(path); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: misspelled key: got %v, want an unknown-field error", name, err)
+		}
+	}
+	for _, shipped := range []string{"paper-tables.json", "extensions.json"} {
+		if _, err := LoadScenarios(filepath.Join("../../configs", shipped)); err != nil {
+			t.Errorf("configs/%s: %v", shipped, err)
+		}
 	}
 	if err := SaveScenarios(filepath.Join(dir, "x.json"), nil); err == nil {
 		t.Error("saving nothing accepted")

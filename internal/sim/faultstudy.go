@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"gridtrust/internal/exp"
 	"gridtrust/internal/fault"
 	"gridtrust/internal/rng"
 	"gridtrust/internal/stats"
@@ -31,34 +30,18 @@ type FaultStudyResult struct {
 // every cell draws from rng stream r of the master seed, so results are
 // bit-identical under any worker count.
 func FaultStudyGrid(ctx context.Context, cells []FaultStudyCell, opts GridOptions) ([]*FaultStudyResult, error) {
-	if opts.Reps <= 0 {
-		return nil, fmt.Errorf("sim: reps must be positive, got %d", opts.Reps)
-	}
-	ecells := make([]exp.Cell, len(cells))
-	for i := range cells {
-		cfg := cells[i].Config
-		ecells[i] = exp.Cell{Name: cells[i].Name, Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
-			return fault.RunStudy(cfg, src)
-		}}
-	}
-	res, err := exp.Run(ctx, ecells, opts.engineOptions(repsCodec[fault.StudyResult]()))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*FaultStudyResult, len(cells))
-	for i := range res {
-		agg := &FaultStudyResult{}
-		for _, v := range res[i].Reps {
-			r := v.(*fault.StudyResult)
+	return runGrid(ctx, cells, opts,
+		func(c FaultStudyCell) string { return c.Name },
+		func(c FaultStudyCell, _ int, src *rng.Source, _ *runScratch) (*fault.StudyResult, error) {
+			return fault.RunStudy(c.Config, src)
+		},
+		func(agg *FaultStudyResult, r *fault.StudyResult) {
 			agg.TrustError.Add(r.TrustError)
 			agg.DegradationPct.Add(r.DegradationPct)
 			agg.BadShare.Add(r.BadShare)
 			agg.MeanLiarR.Add(r.MeanLiarR)
 			agg.MeanHonestR.Add(r.MeanHonestR)
-		}
-		out[i] = agg
-	}
-	return out, nil
+		})
 }
 
 // FaultStudyCells builds the canonical adversary sweep: for each liar
@@ -68,13 +51,9 @@ func FaultStudyGrid(ctx context.Context, cells []FaultStudyCell, opts GridOption
 func FaultStudyCells(liarFractions []float64) []FaultStudyCell {
 	cells := make([]FaultStudyCell, 0, 2*len(liarFractions))
 	for _, lf := range liarFractions {
-		base := fault.StudyConfig{LiarFraction: lf}
-		unweighted := base
-		weighted := base
-		weighted.RWeighted = true
 		cells = append(cells,
-			FaultStudyCell{Name: fmt.Sprintf("liar=%.2f/unweighted", lf), Config: unweighted},
-			FaultStudyCell{Name: fmt.Sprintf("liar=%.2f/R-weighted", lf), Config: weighted},
+			FaultStudyCell{Name: fmt.Sprintf("liar=%.2f/unweighted", lf), Config: fault.StudyConfig{LiarFraction: lf}},
+			FaultStudyCell{Name: fmt.Sprintf("liar=%.2f/R-weighted", lf), Config: fault.StudyConfig{LiarFraction: lf, RWeighted: true}},
 		)
 	}
 	return cells

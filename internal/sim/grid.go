@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"gridtrust/internal/exp"
@@ -26,69 +25,54 @@ type GridOptions struct {
 	// grid resumed against the same directory re-executes only the cells
 	// that never finished.  Restored cells fold to bit-identical
 	// aggregates: every grid result type carries only exported fields on
-	// its fold path, and Go's JSON float64 encoding round-trips exactly.
+	// its fold path (see exp.Options.Checkpoint).
 	Checkpoint *exp.Checkpoint
 	// CheckpointSalt namespaces this grid's cells inside a shared
 	// checkpoint directory (e.g. the sweep mode plus the task count).
 	CheckpointSalt string
 }
 
-// engineOptions translates grid options for the engine, attaching the
-// per-worker simulation scratch and the checkpoint codec for the grid's
-// concrete replication type.
-func (o GridOptions) engineOptions(enc func([]any) ([]byte, error), dec func([]byte) ([]any, error)) exp.Options {
-	return exp.Options{
-		Seed:           o.Seed,
-		Reps:           o.Reps,
-		Workers:        o.Workers,
+// runGrid is the one path under every exported grid.  Each cell becomes an
+// engine cell named name(cell) whose replication is run(cell, ...) on the
+// executing worker's simulation scratch; every cell × Reps replication runs
+// as one job stream on one pool; and each cell's replications are folded
+// into a fresh A by add, in replication order, so the accumulators see the
+// sequence a serial run would.
+func runGrid[C, R, A any](ctx context.Context, cells []C, opts GridOptions,
+	name func(C) string,
+	run func(cell C, rep int, src *rng.Source, scr *runScratch) (*R, error),
+	add func(agg *A, r *R),
+) ([]*A, error) {
+	if opts.Reps <= 0 {
+		return nil, fmt.Errorf("sim: reps must be positive, got %d", opts.Reps)
+	}
+	ecells := make([]exp.Cell[R], len(cells))
+	for i := range cells {
+		cell := cells[i]
+		ecells[i] = exp.Cell[R]{Name: name(cell), Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (*R, error) {
+			return run(cell, rep, src, scratch.(*runScratch))
+		}}
+	}
+	res, err := exp.Run(ctx, ecells, exp.Options{
+		Seed:           opts.Seed,
+		Reps:           opts.Reps,
+		Workers:        opts.Workers,
 		NewScratch:     func() any { return &runScratch{} },
-		OnCell:         o.OnCell,
-		Checkpoint:     o.Checkpoint,
-		CheckpointSalt: o.CheckpointSalt,
-		EncodeReps:     enc,
-		DecodeReps:     dec,
+		OnCell:         opts.OnCell,
+		Checkpoint:     opts.Checkpoint,
+		CheckpointSalt: opts.CheckpointSalt,
+	})
+	if err != nil {
+		return nil, err
 	}
-}
-
-// repsCodec builds the checkpoint codec for grids whose replications
-// produce *T: a JSON array with one element per replication, in
-// replication order.
-func repsCodec[T any]() (func([]any) ([]byte, error), func([]byte) ([]any, error)) {
-	enc := func(reps []any) ([]byte, error) {
-		out := make([]*T, len(reps))
-		for i, v := range reps {
-			tv, ok := v.(*T)
-			if !ok || tv == nil {
-				return nil, fmt.Errorf("sim: replication %d is %T, want %T", i, v, out[i])
-			}
-			out[i] = tv
+	out := make([]*A, len(cells))
+	for i := range res {
+		out[i] = new(A)
+		for _, r := range res[i].Reps {
+			add(out[i], r)
 		}
-		return json.Marshal(out)
 	}
-	dec := func(data []byte) ([]any, error) {
-		var in []*T
-		if err := json.Unmarshal(data, &in); err != nil {
-			return nil, err
-		}
-		out := make([]any, len(in))
-		for i, v := range in {
-			if v == nil {
-				return nil, fmt.Errorf("sim: cached replication %d is null", i)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	return enc, dec
-}
-
-// simScratch recovers the worker's simulation scratch inside a cell
-// runner, tolerating engines configured without one.
-func simScratch(scratch any) *runScratch {
-	if scr, ok := scratch.(*runScratch); ok {
-		return scr
-	}
-	return &runScratch{}
+	return out, nil
 }
 
 // CompareCell names one scenario of a comparison grid.
@@ -103,54 +87,34 @@ type CompareCell struct {
 // scenario with the same seed and replication count, regardless of worker
 // count or cell order.
 func CompareGrid(ctx context.Context, cells []CompareCell, opts GridOptions) ([]*Comparison, error) {
-	if opts.Reps <= 0 {
-		return nil, fmt.Errorf("sim: reps must be positive, got %d", opts.Reps)
-	}
-	ecells := make([]exp.Cell, len(cells))
 	for i := range cells {
-		sc := cells[i].Scenario
-		if err := sc.Validate(); err != nil {
+		if err := cells[i].Scenario.Validate(); err != nil {
 			return nil, err
 		}
-		name := cells[i].Name
-		if name == "" {
-			name = sc.Name
-		}
-		ecells[i] = exp.Cell{Name: name, Run: compareRunner(sc)}
 	}
-	res, err := exp.Run(ctx, ecells, opts.engineOptions(repsCodec[PairResult]()))
-	if err != nil {
-		return nil, err
+	cmps, err := runGrid(ctx, cells, opts,
+		func(c CompareCell) string {
+			if c.Name == "" {
+				return c.Scenario.Name
+			}
+			return c.Name
+		},
+		func(c CompareCell, rep int, src *rng.Source, scr *runScratch) (*PairResult, error) {
+			pair, err := runPair(c.Scenario, src, scr)
+			if pair != nil {
+				pair.Rep = rep
+			}
+			return pair, err
+		},
+		func(cmp *Comparison, p *PairResult) {
+			cmp.Unaware.add(p.Unaware)
+			cmp.Aware.add(p.Aware)
+			cmp.CompletionPairs.Add(p.Unaware.AvgCompletionTime, p.Aware.AvgCompletionTime)
+		})
+	for i := range cmps {
+		cmps[i].Scenario, cmps[i].Reps = cells[i].Scenario, opts.Reps
 	}
-	cmps := make([]*Comparison, len(cells))
-	for i := range res {
-		cmps[i] = foldComparison(cells[i].Scenario, res[i].Reps)
-	}
-	return cmps, nil
-}
-
-// compareRunner adapts one scenario's paired replication to the engine.
-func compareRunner(sc Scenario) exp.RunFunc {
-	return func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
-		pair, err := runPair(sc, src, simScratch(scratch))
-		if pair != nil {
-			pair.Rep = rep
-		}
-		return pair, err
-	}
-}
-
-// foldComparison aggregates per-replication pairs in replication order, so
-// the Welford accumulators see the same sequence as a serial run.
-func foldComparison(sc Scenario, reps []any) *Comparison {
-	cmp := &Comparison{Scenario: sc, Reps: len(reps)}
-	for _, v := range reps {
-		p := v.(*PairResult)
-		cmp.Unaware.add(p.Unaware)
-		cmp.Aware.add(p.Aware)
-		cmp.CompletionPairs.Add(p.Unaware.AvgCompletionTime, p.Aware.AvgCompletionTime)
-	}
-	return cmp
+	return cmps, err
 }
 
 // EvolvingCell names one configuration of an evolving-trust grid.
@@ -173,25 +137,12 @@ type EvolvingSeriesResult struct {
 // EvolvingGrid runs every cell × Reps independent replications of the
 // evolving-trust experiment on one worker pool and aggregates per cell.
 func EvolvingGrid(ctx context.Context, cells []EvolvingCell, opts GridOptions) ([]*EvolvingSeriesResult, error) {
-	if opts.Reps <= 0 {
-		return nil, fmt.Errorf("sim: reps must be positive, got %d", opts.Reps)
-	}
-	ecells := make([]exp.Cell, len(cells))
-	for i := range cells {
-		cfg := cells[i].Config
-		ecells[i] = exp.Cell{Name: cells[i].Name, Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
-			return RunEvolving(cfg, src)
-		}}
-	}
-	res, err := exp.Run(ctx, ecells, opts.engineOptions(repsCodec[EvolvingResult]()))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*EvolvingSeriesResult, len(cells))
-	for i := range res {
-		agg := &EvolvingSeriesResult{}
-		for _, v := range res[i].Reps {
-			r := v.(*EvolvingResult)
+	return runGrid(ctx, cells, opts,
+		func(c EvolvingCell) string { return c.Name },
+		func(c EvolvingCell, _ int, src *rng.Source, _ *runScratch) (*EvolvingResult, error) {
+			return RunEvolving(c.Config, src)
+		},
+		func(agg *EvolvingSeriesResult, r *EvolvingResult) {
 			agg.EarlyShare.Add(r.EarlyUnreliableShare)
 			agg.LateShare.Add(r.LateUnreliableShare)
 			agg.FinalTrustReliable.Add(float64(r.FinalTrustReliable))
@@ -200,10 +151,7 @@ func EvolvingGrid(ctx context.Context, cells []EvolvingCell, opts GridOptions) (
 			agg.IncidentsUnreliable.Add(float64(r.Incidents[UnreliableRD]))
 			agg.MeanTCEarly.Add(r.MeanTCEarly)
 			agg.MeanTCLate.Add(r.MeanTCLate)
-		}
-		out[i] = agg
-	}
-	return out, nil
+		})
 }
 
 // StagingCell names one configuration of a data-staging grid.
@@ -223,29 +171,13 @@ type StagingSeriesResult struct {
 // aggregate is bit-identical to a serial StagingSeries run on the same
 // seed and replication count.
 func StagingGrid(ctx context.Context, cells []StagingCell, opts GridOptions) ([]*StagingSeriesResult, error) {
-	if opts.Reps <= 0 {
-		return nil, fmt.Errorf("sim: staging reps %d < 1", opts.Reps)
-	}
-	ecells := make([]exp.Cell, len(cells))
-	for i := range cells {
-		cfg := cells[i].Config
-		ecells[i] = exp.Cell{Name: cells[i].Name, Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
-			return RunStaging(cfg, src)
-		}}
-	}
-	res, err := exp.Run(ctx, ecells, opts.engineOptions(repsCodec[StagingResult]()))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*StagingSeriesResult, len(cells))
-	for i := range res {
-		agg := &StagingSeriesResult{}
-		for _, v := range res[i].Reps {
-			r := v.(*StagingResult)
+	return runGrid(ctx, cells, opts,
+		func(c StagingCell) string { return c.Name },
+		func(c StagingCell, _ int, src *rng.Source, _ *runScratch) (*StagingResult, error) {
+			return RunStaging(c.Config, src)
+		},
+		func(agg *StagingSeriesResult, r *StagingResult) {
 			agg.Improvement.Add(r.ImprovementPct)
 			agg.PlainShare.Add(float64(r.PlainTransfers) / float64(r.Requests))
-		}
-		out[i] = agg
-	}
-	return out, nil
+		})
 }

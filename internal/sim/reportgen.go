@@ -49,7 +49,7 @@ func (o ReportOptions) withDefaults() ReportOptions {
 // and this repository's ablations — and writes one self-contained
 // markdown document.  It is the single-command reproduction artefact:
 //
-//	go run ./cmd/reportgen > report.md
+//	go run ./cmd/trustsim report > report.md
 //
 // All stochastic comparison cells (the six simulation tables × task
 // counts plus the TC-weight ablation) run as one experiment-engine grid
@@ -59,35 +59,25 @@ func (o ReportOptions) withDefaults() ReportOptions {
 func WriteFullReport(ctx context.Context, w io.Writer, opts ReportOptions) error {
 	opts = opts.withDefaults()
 	start := time.Now()
-	pr := func(format string, args ...any) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
+	// section writes one heading, with any prose under it, and its table.
+	section := func(tb *report.Table, format string, args ...any) error {
+		if _, err := fmt.Fprintf(w, format, args...); err != nil {
+			return err
+		}
+		return tb.WriteMarkdown(w)
 	}
 
 	// ── Declare the comparison grid ──────────────────────────────────
-	type simTable struct {
-		caption   string
-		heuristic string
-		cons      workload.Consistency
-	}
-	tables := []simTable{
-		{"Table 4 — MCT, inconsistent LoLo", "mct", workload.Inconsistent},
-		{"Table 5 — MCT, consistent LoLo", "mct", workload.Consistent},
-		{"Table 6 — Min-min, inconsistent LoLo", "minmin", workload.Inconsistent},
-		{"Table 7 — Min-min, consistent LoLo", "minmin", workload.Consistent},
-		{"Table 8 — Sufferage, inconsistent LoLo", "sufferage", workload.Inconsistent},
-		{"Table 9 — Sufferage, consistent LoLo", "sufferage", workload.Consistent},
-	}
+	tables := PaperTables()
 	taskCounts := []int{50, 100}
 	tcWeights := []float64{0.001, 5, 10, 15, 20, 25, 30}
 
 	var cells []CompareCell
 	for _, st := range tables {
 		for _, tasks := range taskCounts {
-			sc := PaperScenario(st.heuristic, tasks, st.cons)
 			cells = append(cells, CompareCell{
-				Name:     fmt.Sprintf("%s/%d-tasks", st.heuristic, tasks),
-				Scenario: sc,
+				Name:     fmt.Sprintf("%s/%d-tasks", st.Heuristic, tasks),
+				Scenario: PaperScenario(st.Heuristic, tasks, st.Consistency),
 			})
 		}
 	}
@@ -104,61 +94,37 @@ func WriteFullReport(ctx context.Context, w io.Writer, opts ReportOptions) error
 	cells = append(cells, faultCells...)
 
 	// ── Run every stochastic cell on one pool ────────────────────────
-	cmps, err := CompareGrid(ctx, cells, GridOptions{
-		Seed: opts.Seed, Reps: opts.Reps, Workers: opts.Workers, OnCell: opts.OnCell,
-	})
+	gopts := GridOptions{Seed: opts.Seed, Reps: opts.Reps, Workers: opts.Workers, OnCell: opts.OnCell}
+	cmps, err := CompareGrid(ctx, cells, gopts)
 	if err != nil {
 		return err
 	}
 	next := 0
 	take := func() *Comparison { c := cmps[next]; next++; return c }
 
-	if err := pr("# %s\n\nseed %d, %d replications per cell.\n\n", opts.Title, opts.Seed, opts.Reps); err != nil {
-		return err
-	}
-
 	// ── Table 1 ──────────────────────────────────────────────────────
-	if err := pr("## Table 1 — expected trust supplement\n\n"); err != nil {
+	ets, err := ETSTable("", grid.ETSTable1)
+	if err != nil {
 		return err
 	}
-	ets := report.NewTable("", "requested TL", "A", "B", "C", "D", "E")
-	if err := writeETSRows(ets); err != nil {
-		return err
-	}
-	if err := ets.WriteMarkdown(w); err != nil {
+	if err := section(ets, "# %s\n\nseed %d, %d replications per cell.\n\n## Table 1 — expected trust supplement\n\n",
+		opts.Title, opts.Seed, opts.Reps); err != nil {
 		return err
 	}
 
 	// ── Tables 2-3 ───────────────────────────────────────────────────
 	for _, mbps := range []float64{100, 1000} {
-		if err := pr("\n## Secure vs plain transfer, %g Mbps\n\n", mbps); err != nil {
-			return err
-		}
-		link, err := secover.LinkFor(mbps)
+		tb, err := TransferTable("", "rcp (s)", "scp (s)", mbps, secover.PaperSizes)
 		if err != nil {
 			return err
 		}
-		rows, err := link.Table(secover.PaperSizes)
-		if err != nil {
-			return err
-		}
-		tb := report.NewTable("", "File size/MB", "rcp (s)", "scp (s)", "Overhead")
-		for _, r := range rows {
-			tb.AddRow(fmt.Sprintf("%g", r.SizeMB),
-				fmt.Sprintf("%.2f", r.RcpSeconds),
-				fmt.Sprintf("%.2f", r.ScpSeconds),
-				report.Percent(r.OverheadPercent, 2))
-		}
-		if err := tb.WriteMarkdown(w); err != nil {
+		if err := section(tb, "\n## Secure vs plain transfer, %g Mbps\n\n", mbps); err != nil {
 			return err
 		}
 	}
 
 	// ── Tables 4-9 ───────────────────────────────────────────────────
 	for _, st := range tables {
-		if err := pr("\n## %s\n\n", st.caption); err != nil {
-			return err
-		}
 		tb := report.NewTable("", "# of tasks", "Using trust", "Machine utilization",
 			"Ave. completion time (sec)", "Improvement", "Makespan improvement")
 		for _, tasks := range taskCounts {
@@ -174,26 +140,20 @@ func WriteFullReport(ctx context.Context, w io.Writer, opts ReportOptions) error
 				report.Fraction(cmp.Aware.Utilization.Mean(), 2),
 				report.Seconds(cmp.Aware.AvgCompletion.Mean()), "", "")
 		}
-		if err := tb.WriteMarkdown(w); err != nil {
+		if err := section(tb, "\n## Table %d — %s, %s LoLo\n\n", st.Number, st.Label, st.Consistency); err != nil {
 			return err
 		}
 	}
 
 	// ── Ablations ────────────────────────────────────────────────────
-	if err := pr("\n## Ablation: TC weight (paper fixes 15)\n\n"); err != nil {
-		return err
-	}
 	tcw := report.NewTable("", "TC weight", "improvement")
 	for _, weight := range tcWeights {
 		tcw.AddRow(fmt.Sprintf("%g", weight), report.Percent(take().ImprovementPercent(), 2))
 	}
-	if err := tcw.WriteMarkdown(w); err != nil {
+	if err := section(tcw, "\n## Ablation: TC weight (paper fixes 15)\n\n"); err != nil {
 		return err
 	}
 
-	if err := pr("\n## Ablation: evolving trust (Section 7 loop)\n\n"); err != nil {
-		return err
-	}
 	ev, err := RunEvolving(EvolvingConfig{Requests: 300}, rng.New(opts.Seed))
 	if err != nil {
 		return err
@@ -201,13 +161,10 @@ func WriteFullReport(ctx context.Context, w io.Writer, opts ReportOptions) error
 	evt := report.NewTable("", "phase", "share on misbehaving RD")
 	evt.AddRow("early", report.Fraction(ev.EarlyUnreliableShare, 1))
 	evt.AddRow("late", report.Fraction(ev.LateUnreliableShare, 1))
-	if err := evt.WriteMarkdown(w); err != nil {
+	if err := section(evt, "\n## Ablation: evolving trust (Section 7 loop)\n\n"); err != nil {
 		return err
 	}
 
-	if err := pr("\n## Ablation: data staging (rcp when trusted vs blanket scp)\n\n"); err != nil {
-		return err
-	}
 	imp, plain, err := StagingSeries(StagingConfig{}, opts.Seed, opts.Reps)
 	if err != nil {
 		return err
@@ -215,17 +172,11 @@ func WriteFullReport(ctx context.Context, w io.Writer, opts ReportOptions) error
 	stg := report.NewTable("", "metric", "value")
 	stg.AddRow("makespan improvement", report.Percent(imp.Mean(), 2))
 	stg.AddRow("plain-transfer share", report.Fraction(plain.Mean(), 1))
-	if err := stg.WriteMarkdown(w); err != nil {
+	if err := section(stg, "\n## Ablation: data staging (rcp when trusted vs blanket scp)\n\n"); err != nil {
 		return err
 	}
 
 	// ── Fault & adversary injection ──────────────────────────────────
-	if err := pr("\n## Fault injection: machine churn × whitewashing adversaries\n\n"); err != nil {
-		return err
-	}
-	if err := pr("Crash/repair renewal churn (MTTR = MTBF/10) with whitewashing resource\ndomains that advertise the maximum offerable trust level.  Makespan and\ndegradation are mean ± CI95 over the paired replications; degradation is\nrelative to the fault-free trust-aware cell.\n\n"); err != nil {
-		return err
-	}
 	baseCmp := cmps[len(cells)-len(faultCells)]
 	baseMakespan := baseCmp.Aware.Makespan.Mean()
 	ft := report.NewTable("", "mtbf/adversary", "makespan (aware)", "degradation",
@@ -238,77 +189,38 @@ func WriteFullReport(ctx context.Context, w io.Writer, opts ReportOptions) error
 			report.Percent((m.Mean()-baseMakespan)/baseMakespan*100, 2),
 			fmt.Sprintf("%.1f", cmp.Aware.Failures.Mean()),
 			fmt.Sprintf("%.1f", cmp.Aware.Requeues.Mean()),
-			fmt.Sprintf("%.2f ± %.2f", cmp.Aware.TrustTableError.Mean(), cmp.Aware.TrustTableError.CI95()),
+			plusMinus(cmp.Aware.TrustTableError),
 			report.Percent(cmp.ImprovementPercent(), 2))
 	}
-	if err := ft.WriteMarkdown(w); err != nil {
+	if err := section(ft, "\n## Fault injection: machine churn × whitewashing adversaries\n\n"+
+		"Crash/repair renewal churn (MTTR = MTBF/10) with whitewashing resource\ndomains that advertise the maximum offerable trust level.  Makespan and\ndegradation are mean ± CI95 over the paired replications; degradation is\nrelative to the fault-free trust-aware cell.\n\n"); err != nil {
 		return err
 	}
 
-	if err := pr("\n## Adversary study: collusive recommenders vs the R-weighted defense\n\n"); err != nil {
-		return err
-	}
-	if err := pr("Lying recommender cliques boost misbehaving resources and badmouth honest\nones.  \"unweighted\" pins every recommender trust factor R to 1 (the paper's\nreputation formula with its defense amputated); \"R-weighted\" audits claims\nagainst direct experience and purges recommenders whose R collapses.  Mean\n± CI95 over %d replications.\n\n", opts.Reps); err != nil {
-		return err
-	}
 	scells := FaultStudyCells([]float64{0.25, 0.5, 0.75})
-	sres, err := FaultStudyGrid(ctx, scells, GridOptions{
-		Seed: opts.Seed, Reps: opts.Reps, Workers: opts.Workers, OnCell: opts.OnCell,
-	})
+	sres, err := FaultStudyGrid(ctx, scells, gopts)
 	if err != nil {
 		return err
 	}
-	at := report.NewTable("", "liar fraction/variant", "trust-table error",
+	at := CollusionTable("", scells, sres, "liar fraction/variant", "trust-table error",
 		"cost degradation", "bad placements", "liar R", "honest R")
-	for i, res := range sres {
-		at.AddRow(scells[i].Name,
-			fmt.Sprintf("%.2f ± %.2f", res.TrustError.Mean(), res.TrustError.CI95()),
-			fmt.Sprintf("%.1f%% ± %.1f%%", res.DegradationPct.Mean(), res.DegradationPct.CI95()),
-			fmt.Sprintf("%.1f%% ± %.1f%%", res.BadShare.Mean()*100, res.BadShare.CI95()*100),
-			fmt.Sprintf("%.2f", res.MeanLiarR.Mean()),
-			fmt.Sprintf("%.2f", res.MeanHonestR.Mean()))
-	}
-	if err := at.WriteMarkdown(w); err != nil {
+	if err := section(at, "\n## Adversary study: collusive recommenders vs the R-weighted defense\n\n"+
+		"Lying recommender cliques boost misbehaving resources and badmouth honest\nones.  \"unweighted\" pins every recommender trust factor R to 1 (the paper's\nreputation formula with its defense amputated); \"R-weighted\" audits claims\nagainst direct experience and purges recommenders whose R collapses.  Mean\n± CI95 over %d replications.\n\n", opts.Reps); err != nil {
 		return err
 	}
 
 	// ── Trust-model zoo ──────────────────────────────────────────────
-	if err := pr("\n## Trust-model zoo: rival policies head-to-head under adversaries\n\n"); err != nil {
-		return err
-	}
-	if err := pr("Every registered trust model (`%s`) faces the same four adversary\nenvironments — lying recommender cliques, whitewashing identities,\noscillating resources, and Weibull crash/repair churn — on identical\nrandom streams.  Trust error is the mean |score − ground truth| over the\nlive population after the final round; degradation is the cost of the\nmodel's placements relative to an omniscient oracle.  Mean ± CI95 over\n%d replications.\n\n", strings.Join(trust.ModelNames(), "`, `"), opts.Reps); err != nil {
-		return err
-	}
 	zcells := ZooCells(trust.ModelNames(), fault.ZooScenarios())
-	zres, err := ZooGrid(ctx, zcells, GridOptions{
-		Seed: opts.Seed, Reps: opts.Reps, Workers: opts.Workers, OnCell: opts.OnCell,
-	})
+	zres, err := ZooGrid(ctx, zcells, gopts)
 	if err != nil {
 		return err
 	}
-	zt := report.NewTable("", "scenario/model", "trust error", "degradation", "bad placements")
-	for i, res := range zres {
-		zt.AddRow(zcells[i].Name,
-			fmt.Sprintf("%.2f ± %.2f", res.TrustError.Mean(), res.TrustError.CI95()),
-			fmt.Sprintf("%.1f%% ± %.1f%%", res.DegradationPct.Mean(), res.DegradationPct.CI95()),
-			fmt.Sprintf("%.1f%% ± %.1f%%", res.BadShare.Mean()*100, res.BadShare.CI95()*100))
-	}
-	if err := zt.WriteMarkdown(w); err != nil {
+	zt := ZooTable("", zcells, zres, "scenario/model", "trust error", "degradation", "bad placements")
+	if err := section(zt, "\n## Trust-model zoo: rival policies head-to-head under adversaries\n\n"+
+		"Every registered trust model (`%s`) faces the same four adversary\nenvironments — lying recommender cliques, whitewashing identities,\noscillating resources, and Weibull crash/repair churn — on identical\nrandom streams.  Trust error is the mean |score − ground truth| over the\nlive population after the final round; degradation is the cost of the\nmodel's placements relative to an omniscient oracle.  Mean ± CI95 over\n%d replications.\n\n", strings.Join(trust.ModelNames(), "`, `"), opts.Reps); err != nil {
 		return err
 	}
 
-	return pr("\n_Generated in %s._\n", time.Since(start).Round(time.Millisecond))
-}
-
-// writeETSRows fills the Table 1 rows from the canonical grid.ETSTable.
-func writeETSRows(tb *report.Table) error {
-	ets := grid.ETSTable()
-	for r := 0; r < 6; r++ {
-		row := []string{grid.TrustLevel(r + 1).String()}
-		for o := 0; o < 5; o++ {
-			row = append(row, fmt.Sprintf("%d", ets[r][o]))
-		}
-		tb.AddRow(row...)
-	}
-	return nil
+	_, err = fmt.Fprintf(w, "\n_Generated in %s._\n", time.Since(start).Round(time.Millisecond))
+	return err
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"gridtrust/internal/exp"
 	"gridtrust/internal/fault"
 	"gridtrust/internal/rng"
 	"gridtrust/internal/stats"
@@ -29,32 +28,16 @@ type ZooCellResult struct {
 // every cell draws from rng stream r of the master seed, so results are
 // bit-identical under any worker count.
 func ZooGrid(ctx context.Context, cells []ZooCell, opts GridOptions) ([]*ZooCellResult, error) {
-	if opts.Reps <= 0 {
-		return nil, fmt.Errorf("sim: reps must be positive, got %d", opts.Reps)
-	}
-	ecells := make([]exp.Cell, len(cells))
-	for i := range cells {
-		cfg := cells[i].Config
-		ecells[i] = exp.Cell{Name: cells[i].Name, Run: func(ctx context.Context, rep int, src *rng.Source, scratch any) (any, error) {
-			return fault.RunZoo(cfg, src)
-		}}
-	}
-	res, err := exp.Run(ctx, ecells, opts.engineOptions(repsCodec[fault.ZooResult]()))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*ZooCellResult, len(cells))
-	for i := range res {
-		agg := &ZooCellResult{}
-		for _, v := range res[i].Reps {
-			r := v.(*fault.ZooResult)
+	return runGrid(ctx, cells, opts,
+		func(c ZooCell) string { return c.Name },
+		func(c ZooCell, _ int, src *rng.Source, _ *runScratch) (*fault.ZooResult, error) {
+			return fault.RunZoo(c.Config, src)
+		},
+		func(agg *ZooCellResult, r *fault.ZooResult) {
 			agg.TrustError.Add(r.TrustError)
 			agg.DegradationPct.Add(r.DegradationPct)
 			agg.BadShare.Add(r.BadShare)
-		}
-		out[i] = agg
-	}
-	return out, nil
+		})
 }
 
 // ZooCells builds the head-to-head grid: every scenario × every model, in

@@ -19,6 +19,24 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# start_daemon LOG ARGS... starts gridtrustd in the background with its
+# output in LOG and waits for the listening line; it sets dpid to the
+# process id and addr to the bound address.
+start_daemon() {
+    log=$1
+    shift
+    /tmp/gridtrust-ci-daemon "$@" > "$log" 2>&1 &
+    dpid=$!
+    addr=""
+    i=0
+    while [ -z "$addr" ] && [ "$i" -lt 100 ]; do
+        sleep 0.1
+        addr=$(sed -n 's/^gridtrustd listening on //p' "$log")
+        i=$((i + 1))
+    done
+    test -n "$addr"
+}
+
 echo "==> gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -77,12 +95,27 @@ done
 
 echo "==> sweep smoke (every mode, tiny grid)"
 go build -o /tmp/gridtrust-ci-sweep ./cmd/sweep
-/tmp/gridtrust-ci-sweep -list > /dev/null
-for mode in heuristics tcweight heterogeneity batch machines etsrule rate evolving deadline staging fault trustzoo; do
+# The registry is the one list of modes: first column of -list, up to the
+# blank line that ends it.
+modes=$(/tmp/gridtrust-ci-sweep -list | sed '/^$/q' | awk '{print $1}')
+test -n "$modes"
+for mode in $modes; do
     echo "    sweep -mode $mode"
     /tmp/gridtrust-ci-sweep -mode "$mode" -reps 2 -tasks 20 -seed 1 > /dev/null
 done
 /tmp/gridtrust-ci-sweep -mode machines -reps 2 -tasks 20 -seed 1 -format json > /dev/null
+
+echo "==> trustsim subcommand smoke (ets, transfer, workload round trip, report)"
+go build -o /tmp/gridtrust-ci-trustsim ./cmd/trustsim
+td=$(mktemp -d)
+/tmp/gridtrust-ci-trustsim ets -rule linear | grep -q "linear variant"
+/tmp/gridtrust-ci-trustsim transfer -net 100 -sizes 1,10 | grep -q "asymptotic overhead"
+/tmp/gridtrust-ci-trustsim workload gen -seed 7 -tasks 30 -out "$td/w.json" > /dev/null
+/tmp/gridtrust-ci-trustsim workload describe -in "$td/w.json" | grep -q "30 tasks x 5 machines"
+/tmp/gridtrust-ci-trustsim workload run -in "$td/w.json" -heuristic minmin -gantt | grep -q "makespan:"
+/tmp/gridtrust-ci-trustsim report -reps 1 | grep -q '## Table 9'
+rm -rf "$td"
+rm -f /tmp/gridtrust-ci-trustsim
 
 echo "==> sweep byte-identity smoke (default trust model named explicitly; 1 vs 4 workers)"
 kd=$(mktemp -d)
@@ -109,17 +142,7 @@ rm -rf "$dd"
 
 echo "==> gridtrustd overload + drain smoke (limits on, SIGTERM, replay must match)"
 dd=$(mktemp -d)
-/tmp/gridtrust-ci-daemon -addr 127.0.0.1:0 -data "$dd" \
-    -max-conns 8 -max-inflight 2 > "$dd/log" 2>&1 &
-dpid=$!
-addr=""
-i=0
-while [ -z "$addr" ] && [ "$i" -lt 100 ]; do
-    sleep 0.1
-    addr=$(sed -n 's/^gridtrustd listening on //p' "$dd/log")
-    i=$((i + 1))
-done
-test -n "$addr"
+start_daemon "$dd/log" -addr 127.0.0.1:0 -data "$dd" -max-conns 8 -max-inflight 2
 /tmp/gridtrust-ci-gridctl -addr "$addr" health | grep -q "in-flight:"
 # Discover the machine count by growing the EEC vector until the daemon
 # accepts a submit (the topology is seed-drawn, so it is not known here).
@@ -160,17 +183,7 @@ wait "$dpid" # graceful drain must exit 0
 grep -q "final checkpoint" "$dd/log"
 grep -q "drained; exiting" "$dd/log"
 # The replayed daemon must serve byte-identical stats.
-/tmp/gridtrust-ci-daemon -addr 127.0.0.1:0 -data "$dd" \
-    -max-conns 8 -max-inflight 2 > "$dd/log2" 2>&1 &
-dpid=$!
-addr=""
-i=0
-while [ -z "$addr" ] && [ "$i" -lt 100 ]; do
-    sleep 0.1
-    addr=$(sed -n 's/^gridtrustd listening on //p' "$dd/log2")
-    i=$((i + 1))
-done
-test -n "$addr"
+start_daemon "$dd/log2" -addr 127.0.0.1:0 -data "$dd" -max-conns 8 -max-inflight 2
 /tmp/gridtrust-ci-gridctl -addr "$addr" stats > "$dd/stats-after.txt"
 cmp "$dd/stats-before.txt" "$dd/stats-after.txt"
 # Drain over the wire: the daemon must exit 0 without a signal.
@@ -183,17 +196,7 @@ echo "==> gridload smoke (limits on, mid-run SIGKILL+restart, books must balance
 go build -o /tmp/gridtrust-ci-gridload ./cmd/gridload
 ld=$(mktemp -d)
 mkdir "$ld/data"
-/tmp/gridtrust-ci-daemon -addr 127.0.0.1:0 -data "$ld/data" \
-    -max-inflight 2 > "$ld/log" 2>&1 &
-dpid=$!
-addr=""
-i=0
-while [ -z "$addr" ] && [ "$i" -lt 100 ]; do
-    sleep 0.1
-    addr=$(sed -n 's/^gridtrustd listening on //p' "$ld/log")
-    i=$((i + 1))
-done
-test -n "$addr"
+start_daemon "$ld/log" -addr 127.0.0.1:0 -data "$ld/data" -max-inflight 2
 # gridload exits 3 if its client totals do not reconcile with the
 # daemon's {"op":"metrics"} counters, so the smoke is the exit code;
 # the SIGKILL below lands mid-run and WAL replay must restore the
