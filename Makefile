@@ -1,6 +1,6 @@
 # Convenience targets; scripts/ci.sh is the canonical verify flow.
 
-.PHONY: verify test race smoke bench-e2e bench bench-kernels bench-sweep bench-fault bench-wal bench-des bench-des-flagship bench-trustzoo bench-serve bench-fleet
+.PHONY: verify test race smoke soak size bench-e2e bench bench-kernels bench-sweep bench-fault bench-wal bench-des bench-des-flagship bench-trustzoo
 
 # verify runs the tier-1 flow: build, vet, full tests, race tests for
 # the concurrent packages (exp's experiment engine, sim's cell runners,
@@ -12,7 +12,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/core/... ./internal/grid/... ./internal/exp/... ./internal/fault/... ./internal/sched/... ./internal/sim/... ./internal/trust/... ./internal/wal/... ./internal/rmswire/... ./internal/metrics/... ./internal/load/... ./internal/trustwire/... ./internal/fleet/... ./internal/chaos/...
+	go test -race ./internal/core/... ./internal/grid/... ./internal/exp/... ./internal/fault/... ./internal/sched/... ./internal/sim/... ./internal/trust/... ./internal/wal/... ./internal/frame/... ./internal/rmswire/... ./internal/metrics/... ./internal/load/... ./internal/trustwire/... ./internal/fleet/... ./internal/chaos/...
 
 # smoke runs every sweep mode once through the experiment engine on a
 # tiny grid (mirrors the smoke stage of scripts/ci.sh); the modes are the
@@ -23,6 +23,30 @@ smoke:
 		/tmp/gridtrust-smoke-sweep -mode $$mode -reps 2 -tasks 20 -seed 1 > /dev/null || exit 1; \
 	done
 	rm -f /tmp/gridtrust-smoke-sweep
+
+# soak runs the chaos soak N times, one isolated `go test -count=1` process
+# at a time, and prints how many passed; the output of a failed run is
+# shown.  A PR that touches rmswire, fleet, trustwire, frame, wal or core
+# quotes this at its parent and at its change.
+N ?= 20
+soak:
+	@pass=0; i=0; out=$$(mktemp); \
+	while [ $$i -lt $(N) ]; do \
+		if go test -count=1 -run '^TestChaosSoak$$' ./internal/fleet/ > $$out 2>&1; then \
+			pass=$$((pass + 1)); \
+		else \
+			cat $$out; \
+		fi; \
+		i=$$((i + 1)); \
+	done; \
+	rm -f $$out; \
+	echo "soak: $$pass of $(N) passed"; \
+	test $$pass -eq $(N)
+
+# size prints non-test Go lines per package, the measure simplicity PRs
+# quote (scripts/size.sh PKG... limits it to the packages named).
+size:
+	./scripts/size.sh
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # every workload once untraced for the gated end-to-end metrics, then once
@@ -71,20 +95,6 @@ bench-des:
 # once (about half a minute; see BENCH_des.json).
 bench-des-flagship:
 	go test ./internal/sim -run '^$$' -bench 'SimFlagship' -benchtime 1x -benchmem -timeout 30m
-
-# bench-serve measures the daemon end to end with gridload: sustained
-# closed-loop RPS per core and open-loop latency percentiles at two
-# concurrency levels, reconciled against the daemon's own metrics and
-# recorded in BENCH_serve.json (see EXPERIMENTS.md for methodology).
-bench-serve:
-	./scripts/bench_serve.sh
-
-# bench-fleet measures a 3-shard fleet against a single journalled
-# daemon at the same total client count: aggregate closed-loop RPS with
-# consistent-hash forwarding and trust gossip on, reconciled fleet-wide
-# and recorded in BENCH_fleet.json.  Fails unless the fleet wins.
-bench-fleet:
-	./scripts/bench_fleet.sh
 
 # bench-trustzoo measures every registered trust model: one reputation-
 # study replication per adversary scenario, plus the model-driven DES

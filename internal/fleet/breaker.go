@@ -19,9 +19,9 @@ import (
 //	half-open ──(probe succeeds)──▶ closed
 //	half-open ──(probe fails)──▶ open (cooldown restarts)
 //
-// Any success closes the breaker and resets the failure count; attempts
-// that never judged the peer (a cached connection found already broken)
-// release their probe slot via cancel without a transition.
+// Any success closes the breaker and resets the failure count.  Every
+// admitted attempt ends in record: the peer either answered, could not be
+// dialled, or failed mid-exchange.
 type breaker struct {
 	mu        sync.Mutex
 	threshold int
@@ -111,17 +111,6 @@ func (b *breaker) record(ok bool) {
 		b.tripLocked()
 	case breakerOpen:
 		// A straggler attempt admitted before the trip; already open.
-	}
-}
-
-// cancel releases an admitted attempt that never judged the peer (e.g.
-// the cached connection was found broken before any bytes were written)
-// without a state transition.
-func (b *breaker) cancel() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == breakerHalfOpen {
-		b.probing = false
 	}
 }
 

@@ -93,22 +93,3 @@ func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 		t.Fatalf("close counter = %d, want 1", got)
 	}
 }
-
-func TestBreakerCancelReleasesProbeWithoutJudgment(t *testing.T) {
-	const cooldown = 10 * time.Millisecond
-	b, _ := newTestBreaker(1, cooldown)
-	b.allow()
-	b.record(false)
-	time.Sleep(2 * cooldown)
-	if !b.allow() {
-		t.Fatal("probe denied")
-	}
-	b.cancel() // the attempt never judged the peer
-	if state, opens, closes := b.snapshot(); state != "half-open" || opens != 1 || closes != 0 {
-		t.Fatalf("after cancel: state=%s opens=%d closes=%d, want half-open/1/0", state, opens, closes)
-	}
-	// The released slot admits the next probe.
-	if !b.allow() {
-		t.Fatal("released probe slot not reusable")
-	}
-}

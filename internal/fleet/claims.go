@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/metrics"
 	"gridtrust/internal/rmswire"
@@ -48,15 +49,14 @@ func metricBreakerClose(peer string) string {
 // out of fusion (stale trust is worse than no trust — the
 // recommendation-purging argument).
 type Claims struct {
-	bound   time.Duration
-	timeout time.Duration    // per-round gossip deadline (0 = none)
-	now     func() time.Time // injectable for staleness tests
-	peers   []*peerState
+	bound time.Duration
+	now   func() time.Time // injectable for staleness tests
+	peers []*peerState
 }
 
-// peerState is one peer's gossip state.  The replica connection is
-// owned by the gossip goroutine; mu guards the claim view read by the
-// scheduler (FuseOTL) and by status reporting.
+// peerState is one peer's gossip state.  The replica lives as long as the
+// process and is polled by the gossip goroutine alone; mu guards the claim
+// view read by the scheduler (FuseOTL) and by status reporting.
 type peerState struct {
 	cfg ShardConfig
 
@@ -68,7 +68,7 @@ type peerState struct {
 	syncs    uint64
 	errs     uint64
 
-	rep *trustwire.Replica // gossip-goroutine local
+	rep *trustwire.Replica
 
 	syncC *metrics.Counter
 	errC  *metrics.Counter
@@ -78,12 +78,13 @@ type peerState struct {
 // timeout bounds one gossip round trip (dial + sync): a black-holed
 // peer then costs at most one deadline per tick instead of wedging its
 // gossip goroutine, and drops out of fusion once the staleness bound
-// passes.
+// passes.  Nothing is dialled until the first round.
 func newClaims(peers []ShardConfig, bound, timeout time.Duration, reg *metrics.Registry) *Claims {
-	c := &Claims{bound: bound, timeout: timeout, now: time.Now}
+	c := &Claims{bound: bound, now: time.Now}
 	for _, p := range peers {
 		c.peers = append(c.peers, &peerState{
 			cfg:   p,
+			rep:   trustwire.NewReplica(frame.NewConn(p.TrustAddr, timeout), timeout),
 			syncC: reg.Counter(metricGossipSync(p.Name)),
 			errC:  reg.Counter(metricGossipErr(p.Name)),
 		})
@@ -117,21 +118,14 @@ func (c *Claims) FuseOTL(cd, rd grid.DomainID, toa grid.ToA, local grid.TrustLev
 }
 
 // run is one peer's gossip loop: poll the peer's trustwire server every
-// interval, swap the claim view on success, and on any error drop the
-// connection so the next round redials.  A redialled replica starts
-// from version 0 and cold-syncs a full snapshot — that *is* the
-// anti-entropy path: whatever state diverged (missed deltas, a peer
-// restart that reset its version counter) is healed by the next
-// successful full sync.
+// interval and swap the claim view on success.  After an error the
+// replica's next poll rides a new connection and cold-syncs a full
+// snapshot — the anti-entropy path: whatever diverged (missed deltas, a
+// peer restart that reset its version counter) is healed by it.
 func (c *Claims) run(p *peerState, interval time.Duration, stop <-chan struct{}) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
-	defer func() {
-		if p.rep != nil {
-			_ = p.rep.Close()
-			p.rep = nil
-		}
-	}()
+	defer p.rep.Close()
 	for {
 		select {
 		case <-stop:
@@ -144,18 +138,8 @@ func (c *Claims) run(p *peerState, interval time.Duration, stop <-chan struct{})
 
 // syncPeer performs one gossip round against p.
 func (c *Claims) syncPeer(p *peerState) {
-	if p.rep == nil {
-		rep, err := trustwire.DialTimeout(p.cfg.TrustAddr, c.timeout)
-		if err != nil {
-			c.recordErr(p)
-			return
-		}
-		p.rep = rep
-	}
 	if _, err := p.rep.Sync(); err != nil {
 		c.recordErr(p)
-		_ = p.rep.Close()
-		p.rep = nil
 		return
 	}
 	table, version := p.rep.Table(), p.rep.Version()

@@ -177,11 +177,12 @@ func TestForwardingPlacesOnOwnerAndRoutesReports(t *testing.T) {
 			t.Fatalf("report client %d via shard 1: %v", c, err)
 		}
 	}
-	// A duplicate report must surface the owner's already-reported
-	// error through the relay unchanged.
-	err := shards[1].client.Report(placements[0].ID, 6, 2)
-	if err == nil || !strings.Contains(err.Error(), "already-reported") {
-		t.Fatalf("duplicate report: want already-reported error, got %v", err)
+	// A duplicate report must surface the owner's typed replay through
+	// the relay unchanged.
+	dup, _, err := shards[1].client.RoundTrip(rmswire.Request{
+		Op: rmswire.OpReport, PlacementID: placements[0].ID, Outcome: 6, Now: 2})
+	if err != nil || !dup.Replayed {
+		t.Fatalf("duplicate report: replayed=%v err=%v, want the owner's ok reply marked replayed", dup.Replayed, err)
 	}
 
 	// Exactly-once accounting: each placement lives on exactly one

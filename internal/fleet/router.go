@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/metrics"
 	"gridtrust/internal/rmswire"
@@ -27,9 +28,15 @@ var errBreakerOpen = errors.New("fleet: circuit breaker open")
 // errShutdown aborts a forward's backoff when the fleet is closing.
 var errShutdown = errors.New("fleet: shutting down")
 
-// routerPeerMetrics are the per-peer forward counters (nil handles for
-// the self slot, which is never forwarded to).
-type routerPeerMetrics struct {
+// routerPeer is everything the router holds about one other shard: the
+// client it forwards through, for the life of the process (the connection
+// underneath redials by itself), the circuit breaker on that path, and
+// the forward counters.
+type routerPeer struct {
+	cfg    ShardConfig
+	client *rmswire.Client
+	br     *breaker
+
 	ok       *metrics.Counter // relayed StatusOK responses
 	relayErr *metrics.Counter // relayed error/overloaded responses
 	fail     *metrics.Counter // forwarding exhausted, retryable synthesized
@@ -38,7 +45,7 @@ type routerPeerMetrics struct {
 
 // router implements rmswire.Router: it decides, per request, whether
 // this shard owns the key and — when it does not — relays the request
-// to the owning shard over a cached rmswire connection.
+// to the owning shard through that peer's client.
 //
 // Ownership:
 //
@@ -54,12 +61,11 @@ type routerPeerMetrics struct {
 // exactly like client-level retries dedupe at a single daemon.  The
 // one genuinely dangerous transition is failover — serving a key
 // locally because the owner is down.  That is allowed only when this
-// router can prove the owner never saw the key: every attempt this op
-// failed at dial time (or on a connection already broken before
-// anything was written), and no earlier op ever put the key on the
-// wire toward a peer (the forwarded set below).  Anything else is
-// ambiguous, and ambiguity surfaces to the client as a retryable
-// overload so the retry funnels back through this same entry shard —
+// router can prove the owner never saw the key: every attempt of this op
+// was not sent (rmswire.After said Failover each time), and no earlier op
+// ever put the key on the wire toward a peer (the forwarded set below).
+// Anything else is ambiguous, and ambiguity surfaces to the client as a
+// retryable overload so the retry funnels back through this same entry shard —
 // where either the local idempotency table (if we failed over) or the
 // owner's (if the forward landed) resolves it to the original
 // placement.  The guarantee is therefore per entry shard: a client
@@ -69,31 +75,23 @@ type router struct {
 	self     string
 	selfIdx  int
 	ring     *Ring
-	shards   []ShardConfig
 	attempts int
 
-	dialTimeout time.Duration
-	opTimeout   time.Duration
-
-	// breakers holds one circuit breaker per peer (nil for the self
-	// slot); stop aborts in-flight forward backoffs on fleet shutdown.
-	breakers []*breaker
-	stop     <-chan struct{}
+	// peers is indexed like Config.Shards (nil for the self slot); stop
+	// aborts in-flight forward backoffs on fleet shutdown.
+	peers []*routerPeer
+	stop  <-chan struct{}
 
 	// clientCD resolves a wire client ID to its owning CD; built once
 	// from the topology so routing never takes the scheduler lock.
 	clientCD map[int]grid.DomainID
 
 	forwardNS *metrics.Histogram
-	peerM     []routerPeerMetrics
 
 	// instance+fwdSeq generate idempotency keys for keyless forwarded
 	// submits, unique per entry-shard process lifetime.
 	instance int64
 	fwdSeq   atomic.Uint64
-
-	mu    sync.Mutex
-	conns map[int]*rmswire.Client
 
 	// forwarded remembers client-supplied idempotency keys that may
 	// have reached a peer, to forbid failover for them forever.  It
@@ -104,26 +102,22 @@ type router struct {
 	// clients that reuse or rotate bounded key sets keep small.  A
 	// known limit, accepted because dropping an entry early would
 	// permit a double placement.
+	mu        sync.Mutex
 	forwarded map[string]struct{}
 }
 
 func newRouter(cfg Config, selfIdx int, ring *Ring, topo *grid.Topology, reg *metrics.Registry, stop <-chan struct{}) *router {
 	r := &router{
-		self:        cfg.Shards[selfIdx].Name,
-		selfIdx:     selfIdx,
-		ring:        ring,
-		shards:      cfg.Shards,
-		attempts:    cfg.MaxForwardAttempts(),
-		dialTimeout: cfg.ForwardDialTimeout(),
-		opTimeout:   cfg.ForwardOpTimeout(),
-		breakers:    make([]*breaker, len(cfg.Shards)),
-		stop:        stop,
-		clientCD:    make(map[int]grid.DomainID, len(topo.Clients())),
-		forwardNS:   reg.Histogram(MetricForwardNS),
-		peerM:       make([]routerPeerMetrics, len(cfg.Shards)),
-		instance:    time.Now().UnixNano(),
-		conns:       make(map[int]*rmswire.Client),
-		forwarded:   make(map[string]struct{}),
+		self:      cfg.Shards[selfIdx].Name,
+		selfIdx:   selfIdx,
+		ring:      ring,
+		attempts:  cfg.MaxForwardAttempts(),
+		peers:     make([]*routerPeer, len(cfg.Shards)),
+		stop:      stop,
+		clientCD:  make(map[int]grid.DomainID, len(topo.Clients())),
+		forwardNS: reg.Histogram(MetricForwardNS),
+		instance:  time.Now().UnixNano(),
+		forwarded: make(map[string]struct{}),
 	}
 	for _, c := range topo.Clients() {
 		r.clientCD[int(c.ID)] = c.CD
@@ -132,14 +126,18 @@ func newRouter(cfg Config, selfIdx int, ring *Ring, topo *grid.Topology, reg *me
 		if i == selfIdx {
 			continue
 		}
-		r.peerM[i] = routerPeerMetrics{
+		client := rmswire.NewClient(frame.NewConn(s.Addr, cfg.ForwardDialTimeout()))
+		client.Timeout = cfg.ForwardOpTimeout()
+		r.peers[i] = &routerPeer{
+			cfg:      s,
+			client:   client,
 			ok:       reg.Counter(metricForwardOK(s.Name)),
 			relayErr: reg.Counter(metricForwardErr(s.Name)),
 			fail:     reg.Counter(metricForwardFail(s.Name)),
 			failover: reg.Counter(metricFailover(s.Name)),
+			br: newBreaker(cfg.BreakerTripThreshold(), cfg.BreakerCooldown(),
+				reg.Counter(metricBreakerOpen(s.Name)), reg.Counter(metricBreakerClose(s.Name))),
 		}
-		r.breakers[i] = newBreaker(cfg.BreakerTripThreshold(), cfg.BreakerCooldown(),
-			reg.Counter(metricBreakerOpen(s.Name)), reg.Counter(metricBreakerClose(s.Name)))
 	}
 	return r
 }
@@ -147,10 +145,10 @@ func newRouter(cfg Config, selfIdx int, ring *Ring, topo *grid.Topology, reg *me
 // breakerAt exposes a peer's breaker for status reporting (nil for the
 // self slot or out-of-range indexes).
 func (r *router) breakerAt(idx int) *breaker {
-	if idx < 0 || idx >= len(r.breakers) {
+	if idx < 0 || idx >= len(r.peers) || r.peers[idx] == nil {
 		return nil
 	}
-	return r.breakers[idx]
+	return r.peers[idx].br
 }
 
 // Route implements rmswire.Router.
@@ -182,10 +180,10 @@ func (r *router) Route(req rmswire.Request) (rmswire.Response, bool) {
 		if idx == r.selfIdx {
 			return rmswire.Response{}, false
 		}
-		if idx >= len(r.shards) {
+		if idx >= len(r.peers) {
 			return rmswire.Response{
 				Status: rmswire.StatusError,
-				Error:  fmt.Sprintf("placement %d names shard index %d outside the %d-shard ring", req.PlacementID, idx, len(r.shards)),
+				Error:  fmt.Sprintf("placement %d names shard index %d outside the %d-shard ring", req.PlacementID, idx, len(r.peers)),
 			}, true
 		}
 		return r.forward(idx, req, false, false)
@@ -198,8 +196,7 @@ func (r *router) Route(req rmswire.Request) (rmswire.Response, bool) {
 // can apply an outcome); minted marks a router-generated idempotency
 // key, which no later op can ever replay.
 func (r *router) forward(idx int, req rmswire.Request, submit, minted bool) (rmswire.Response, bool) {
-	peer := r.shards[idx]
-	pm := r.peerM[idx]
+	p := r.peers[idx]
 	req.Forwarded = true
 
 	var prior bool
@@ -221,7 +218,6 @@ func (r *router) forward(idx int, req rmswire.Request, submit, minted bool) (rms
 	}
 
 	began := time.Now()
-	br := r.breakers[idx]
 	reached := false // any attempt this op may have touched the owner
 	var lastErr error
 	for attempt := 0; attempt < r.attempts; attempt++ {
@@ -236,55 +232,48 @@ func (r *router) forward(idx int, req rmswire.Request, submit, minted bool) (rms
 				continue
 			}
 		}
-		if !br.allow() {
+		if !p.br.allow() {
 			// Open breaker: fail fast without paying the dial timeout.
 			// No bytes went toward the peer, so `reached` stays false and
 			// eligible submits take the failover path below immediately.
 			lastErr = errBreakerOpen
 			break
 		}
-		c, err := r.conn(idx)
-		if err != nil {
-			br.record(false)
-			lastErr = err // dial failure: the owner saw nothing
-			continue
-		}
-		resp, err := c.RoundTrip(req)
-		if resp.Status != "" {
-			// A server frame came back — relay it verbatim.  Errors and
-			// overloads are the owner's to report; the client's retrier
-			// already understands all three statuses.
-			br.record(true)
-			r.forwardNS.Observe(uint64(time.Since(began)))
-			if resp.Status == rmswire.StatusOK {
-				pm.ok.Inc()
-			} else {
-				pm.relayErr.Inc()
-			}
-			if resp.ConnClosing {
-				// The owner is closing the forward connection (drain,
-				// shed) — drop it so the next forward redials rather
-				// than relaying that onto the client's connection.
-				r.dropConn(idx, c)
-				resp.ConnClosing = false
-			}
-			return resp, true
-		}
-		if errors.Is(err, rmswire.ErrClientBroken) {
-			// The cached connection died under a previous op; nothing
-			// of this request was written.  The peer was never judged —
-			// release any probe slot without a transition, redial, retry.
-			br.cancel()
-			r.dropConn(idx, c)
+		resp, d, err := p.client.RoundTrip(req)
+		switch rmswire.After(d, resp.Status) {
+		case rmswire.Failover:
+			// Not sent: the owner saw nothing of this attempt.
+			p.br.record(false)
 			lastErr = err
 			continue
+		case rmswire.Retry:
+			if d != frame.Answered {
+				// Maybe sent: the owner may have executed the request
+				// with only the reply lost.  The next attempt's replay
+				// settles it — the idempotency key for a submit, the
+				// Replayed flag for a report — but the key is the
+				// owner's now, whatever happens next.
+				p.br.record(false)
+				reached = true
+				lastErr = err
+				continue
+			}
+			// The owner's own overloaded reply.  The owner is up, and
+			// serving its retry_after is the client's retrier's job, not
+			// a reason to ask again from here: relayed like any frame.
 		}
-		// Transport error mid-op: the owner may have executed the
-		// request and only the response was lost.  Ambiguous.
-		br.record(false)
-		reached = true
-		lastErr = err
-		r.dropConn(idx, c)
+		// A server frame came back — relay it verbatim.
+		p.br.record(true)
+		r.forwardNS.Observe(uint64(time.Since(began)))
+		if resp.Status == rmswire.StatusOK {
+			p.ok.Inc()
+		} else {
+			p.relayErr.Inc()
+		}
+		// The owner closing the forward connection (drain, shed) is the
+		// forward client's business, not the end client's.
+		resp.ConnClosing = false
+		return resp, true
 	}
 
 	if submit && !reached && !prior {
@@ -293,13 +282,13 @@ func (r *router) forward(idx int, req rmswire.Request, submit, minted bool) (rms
 		// placement journals here under the client's idempotency key,
 		// and the server consults its local table before routing, so
 		// retries replay from here instead of re-forwarding.
-		pm.failover.Inc()
+		p.failover.Inc()
 		return rmswire.Response{}, false
 	}
-	pm.fail.Inc()
+	p.fail.Inc()
 	return rmswire.Response{
 		Status:       rmswire.StatusOverloaded,
-		Error:        fmt.Sprintf("forward to shard %s (%s) failed: %v", peer.Name, peer.Addr, lastErr),
+		Error:        fmt.Sprintf("forward to shard %s (%s) failed: %v", p.cfg.Name, p.cfg.Addr, lastErr),
 		RetryAfterMS: forwardRetryAfter.Milliseconds(),
 	}, true
 }
@@ -315,53 +304,11 @@ func forwardBackoff(attempt int) time.Duration {
 	return d
 }
 
-// conn returns a healthy cached client for the shard at idx, dialing a
-// fresh one when the cache is empty, broken, or server-closed.
-func (r *router) conn(idx int) (*rmswire.Client, error) {
-	r.mu.Lock()
-	if c, ok := r.conns[idx]; ok {
-		if !c.Broken() && !c.Closing() {
-			r.mu.Unlock()
-			return c, nil
-		}
-		delete(r.conns, idx)
-		defer c.Close()
-	}
-	r.mu.Unlock()
-
-	nc, err := rmswire.DialTimeout(r.shards[idx].Addr, r.dialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	nc.Timeout = r.opTimeout
-	r.mu.Lock()
-	if cur, ok := r.conns[idx]; ok && !cur.Broken() && !cur.Closing() {
-		// Lost a dial race; use the connection that won.
-		r.mu.Unlock()
-		_ = nc.Close()
-		return cur, nil
-	}
-	r.conns[idx] = nc
-	r.mu.Unlock()
-	return nc, nil
-}
-
-// dropConn evicts c from the cache (if still cached) and closes it.
-func (r *router) dropConn(idx int, c *rmswire.Client) {
-	r.mu.Lock()
-	if r.conns[idx] == c {
-		delete(r.conns, idx)
-	}
-	r.mu.Unlock()
-	_ = c.Close()
-}
-
-// close releases every cached peer connection.
+// close releases every peer connection; a forward in flight fails.
 func (r *router) close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for idx, c := range r.conns {
-		_ = c.Close()
-		delete(r.conns, idx)
+	for _, p := range r.peers {
+		if p != nil {
+			_ = p.client.Close()
+		}
 	}
 }

@@ -1,6 +1,7 @@
-// Package frame is the wire framing internal/rmswire and
-// internal/trustwire share: newline-delimited JSON, one value per line,
-// with a hard bound on the size of a line in either direction.
+// Package frame is the wire layer internal/rmswire and internal/trustwire
+// share: newline-delimited JSON, one value per line, with a hard bound on
+// the size of a line in either direction (this file), and the one client
+// connection both protocols' clients are codecs over (conn.go).
 package frame
 
 import (
@@ -23,18 +24,26 @@ var ErrTooLarge = errors.New("frame exceeds MaxFrameBytes")
 
 // Write marshals v as one newline-terminated frame.
 func Write(w io.Writer, v any) error {
-	data, err := json.Marshal(v)
+	data, err := encode(v)
 	if err != nil {
-		return fmt.Errorf("frame: marshal: %w", err)
+		return err
 	}
-	if len(data) > MaxBytes {
-		return fmt.Errorf("frame: %d bytes exceeds limit", len(data))
-	}
-	data = append(data, '\n')
 	if _, err := w.Write(data); err != nil {
 		return fmt.Errorf("frame: write: %w", err)
 	}
 	return nil
+}
+
+// encode marshals v as one newline-terminated frame within MaxBytes.
+func encode(v any) ([]byte, error) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("frame: marshal: %w", err)
+	}
+	if len(data) > MaxBytes {
+		return nil, fmt.Errorf("frame: %d bytes exceeds limit", len(data))
+	}
+	return append(data, '\n'), nil
 }
 
 // Read reads one newline-terminated frame into v, enforcing MaxBytes

@@ -255,20 +255,14 @@ type Report struct {
 	Reconcile Reconcile `json:"reconcile"`
 }
 
-// pendingKey is a submit whose outcome was ambiguous when the timed
-// phase ended; the settle pass resolves it.
-type pendingKey struct {
-	key string
-	eec []float64
-	now float64
-}
-
-// pendingReport is an outcome report whose acknowledgement was lost;
-// the settle pass re-sends it, tolerating "already-reported".
-type pendingReport struct {
-	id      uint64
-	outcome float64
-	now     float64
+// pendingOp is a submit or report the timed phase left undecided: the
+// retrier gave up without a final answer, so the op may or may not have
+// been executed.  The settle pass runs it again — both ops replay, the
+// submit by its idempotency key, the report as a typed replay — and books
+// the answer in the same counters.
+type pendingOp struct {
+	op       func() error
+	ok, errs *int64
 }
 
 // worker is one concurrent load client.
@@ -291,8 +285,7 @@ type worker struct {
 	reportErrors  int64
 	sloAttained   int64
 
-	pending        []pendingKey
-	pendingReports []pendingReport
+	pending []pendingOp
 }
 
 // Run executes one load run against a live daemon and returns the
@@ -390,10 +383,11 @@ func Run(cfg Config) (*Report, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	// Settle: resolve every ambiguous submit to a definitive outcome so
-	// the placement accounting is exact.  Idempotency keys make this
-	// safe: a key that was placed replays its original placement, a key
-	// that never landed places now.
+	// Settle: resolve every undecided op to a definitive outcome so the
+	// accounting is exact.  This is safe because both ops replay: a key
+	// that was placed returns its original placement, a key that never
+	// landed places now, and a report that already landed is
+	// acknowledged again without being applied again.
 	var settled, unresolved int64
 	settleBy := time.Now().Add(cfg.SettleTimeout)
 	for _, w := range workers {
@@ -402,36 +396,12 @@ func Run(cfg Config) (*Report, error) {
 				unresolved++
 				continue
 			}
-			if _, err := w.retrier.SubmitKeyed(p.key, w.clientID, acts, rtl, p.eec, p.now); err != nil {
-				if errors.Is(err, rmswire.ErrExhausted) {
-					unresolved++
-				} else {
-					w.submitErrors++
-				}
-				continue
-			}
-			w.submitsOK++
-			settled++
-		}
-		for _, p := range w.pendingReports {
-			if time.Now().After(settleBy) {
+			switch book(p.op(), p.ok, p.errs) {
+			case acked:
+				settled++
+			case undecided:
 				unresolved++
-				continue
 			}
-			err := w.retrier.Report(p.id, p.outcome, p.now)
-			if err != nil && strings.Contains(err.Error(), "already-reported") {
-				err = nil // the lost-ack attempt did land
-			}
-			if err != nil {
-				if errors.Is(err, rmswire.ErrExhausted) {
-					unresolved++
-				} else {
-					w.reportErrors++
-				}
-				continue
-			}
-			w.reportsOK++
-			settled++
 		}
 	}
 
@@ -488,12 +458,11 @@ func Run(cfg Config) (*Report, error) {
 		rep.FleetAddrs = cfg.FleetAddrs
 		rep.ShardsBefore = before
 		rep.ShardsAfter = after
-		rep.Reconcile = reconcileFleet(before, after, rep)
 	} else {
 		rep.DaemonBefore = before[0]
 		rep.DaemonAfter = after[0]
-		rep.Reconcile = reconcile(before[0], after[0], rep)
 	}
+	rep.Reconcile = reconcile(before, after, rep)
 	return rep, nil
 }
 
@@ -554,6 +523,47 @@ func (w *worker) genEEC(machines int) []float64 {
 	return eec
 }
 
+// verdict is how one finished retrier op enters the books.
+type verdict int
+
+const (
+	acked     verdict = iota // acknowledged: counted ok
+	rejected                 // refused for good: counted as an error
+	undecided                // no final answer: counted nowhere yet
+)
+
+// book is the driver's one piece of outcome accounting.  The retrier's
+// error carries how its last round trip ended, and rmswire.After says
+// whether that settles the op: a final answer moves ok or errs, anything
+// else — shed to the last attempt, or sent with no reply — leaves the op
+// undecided, because an earlier attempt may have been executed.
+func book(err error, ok, errs *int64) verdict {
+	var oe *rmswire.OpError
+	switch {
+	case err == nil:
+		*ok++
+		return acked
+	case errors.As(err, &oe) && rmswire.After(oe.Delivery, oe.Status) != rmswire.Final:
+		return undecided
+	}
+	*errs++
+	return rejected
+}
+
+// attempt runs one op of the timed phase and books it; an undecided op
+// is queued for the settle pass.  It reports whether the op was
+// acknowledged.
+func (w *worker) attempt(op func() error, ok, errs *int64) bool {
+	switch book(op(), ok, errs) {
+	case acked:
+		return true
+	case undecided:
+		w.ambiguous++
+		w.pending = append(w.pending, pendingOp{op: op, ok: ok, errs: errs})
+	}
+	return false
+}
+
 // doTask issues one submit (and, by ReportFraction, its outcome report),
 // charging latency from chargeFrom — the call instant in closed loop,
 // the scheduled arrival in open loop.
@@ -562,22 +572,17 @@ func (w *worker) doTask(cfg Config, acts []grid.Activity, rtl grid.TrustLevel, m
 	eec := w.genEEC(machines)
 	now := time.Since(start).Seconds()
 	w.submitsIssued++
-	p, err := w.retrier.SubmitKeyed(key, w.clientID, acts, rtl, eec, now)
+	var p *rmswire.PlacementInfo
+	placed := w.attempt(func() (err error) {
+		p, err = w.retrier.SubmitKeyed(key, w.clientID, acts, rtl, eec, now)
+		return err
+	}, &w.submitsOK, &w.submitErrors)
 	latMS := float64(time.Since(chargeFrom)) / float64(time.Millisecond)
-	if err != nil {
-		if errors.Is(err, rmswire.ErrExhausted) {
-			// Ambiguous: an earlier attempt may have placed with the ack
-			// lost.  Deferred to the settle pass.
-			w.ambiguous++
-			w.pending = append(w.pending, pendingKey{key: key, eec: eec, now: now})
-		} else {
-			// Definitive rejection: the idempotency key was never placed
-			// (a placed key always replays OK).
-			w.submitErrors++
-		}
+	if !placed {
+		// Rejected for good (the key was never placed: a placed key
+		// always replays ok), or deferred to the settle pass.
 		return
 	}
-	w.submitsOK++
 	w.submitLat.Add(latMS)
 	if latMS > w.maxSubmit {
 		w.maxSubmit = latMS
@@ -587,21 +592,14 @@ func (w *worker) doTask(cfg Config, acts []grid.Activity, rtl grid.TrustLevel, m
 	}
 	if cfg.ReportFraction >= 1 || w.src.Float64() < cfg.ReportFraction {
 		t0 := time.Now()
-		rnow := time.Since(start).Seconds()
-		err := w.retrier.Report(p.ID, cfg.Outcome, rnow)
+		id, rnow := p.ID, time.Since(start).Seconds()
+		reported := w.attempt(func() error {
+			return w.retrier.Report(id, cfg.Outcome, rnow)
+		}, &w.reportsOK, &w.reportErrors)
 		rMS := float64(time.Since(t0)) / float64(time.Millisecond)
-		if err != nil {
-			if errors.Is(err, rmswire.ErrExhausted) {
-				// Ambiguous: the outcome may be applied with the ack lost.
-				w.ambiguous++
-				w.pendingReports = append(w.pendingReports,
-					pendingReport{id: p.ID, outcome: cfg.Outcome, now: rnow})
-			} else {
-				w.reportErrors++
-			}
+		if !reported {
 			return
 		}
-		w.reportsOK++
 		w.reportLat.Add(rMS)
 		if rMS > w.maxReport {
 			w.maxReport = rMS
@@ -630,105 +628,44 @@ func (w *worker) runOpen(cfg Config, acts []grid.Activity, rtl grid.TrustLevel, 
 	}
 }
 
-// reconcile cross-checks client totals against daemon metrics.
+// reconcile cross-checks client totals against the metrics of every
+// daemon driven: one for a lone daemon, one per shard for a fleet, whose
+// check names carry a "fleet " prefix.
 //
-// Durable checks compare gauges the daemon restores from its WAL
-// (placed, idem_entries, open_placements), so they must hold even if
-// the daemon was SIGKILLed and restarted mid-run.  Counter checks
-// (placements, report_ok, overload replies) only hold within one daemon
-// instance — counters reset on restart — and are skipped, with a note,
-// when the start stamp changed between scrapes.
-func reconcile(before, after *rmswire.MetricsInfo, rep *Report) Reconcile {
-	rec := Reconcile{OK: true,
-		DaemonRestarted: after.StartUnixNanos != before.StartUnixNanos}
-	gaugeDelta := func(name string) int64 { return after.Gauges[name] - before.Gauges[name] }
-	counterDelta := func(name string) int64 {
-		return int64(after.Counters[name]) - int64(before.Counters[name])
-	}
-	add := func(name string, got, want int64, skipped bool, note string) {
-		ok := skipped || got == want
-		if !ok {
-			rec.OK = false
-		}
-		rec.Checks = append(rec.Checks, Check{
-			Name: name, Got: got, Want: want, OK: got == want, Skipped: skipped, Note: note,
-		})
-	}
-	if rep.Unresolved > 0 {
-		rec.OK = false
-		rec.Checks = append(rec.Checks, Check{
-			Name: "settle", Got: rep.Unresolved, Want: 0, OK: false,
-			Note: "keys still ambiguous after the settle pass; placement accounting is not exact",
-		})
-	}
-
-	// Durable anchors: valid across restarts (WAL replay restores them).
-	add("placed_delta == submits_ok",
-		gaugeDelta(rmswire.MetricPlaced), rep.SubmitsOK, false,
-		"durable: placed survives restart via WAL replay")
-	add("idem_entries_delta == submits_ok",
-		gaugeDelta(rmswire.MetricIdemEntries), rep.SubmitsOK, false,
-		"durable: every submit travels under a fresh idempotency key")
-	add("open_placements_delta == submits_ok - reports_ok",
-		gaugeDelta(rmswire.MetricOpenPlacements), rep.SubmitsOK-rep.ReportsOK, false,
-		"durable: outcome reports close placements")
-
-	// Volatile counters: one daemon instance only.
-	restarted := rec.DaemonRestarted
-	note := ""
-	if restarted {
-		note = "skipped: daemon restarted between scrapes, counters reset"
-	}
-	add("placements_total_delta == submits_ok",
-		counterDelta(rmswire.MetricPlacements), rep.SubmitsOK, restarted, note)
-	add("report_ok_delta == reports_ok",
-		counterDelta(rmswire.MetricReportOK), rep.ReportsOK, restarted, note)
-	sheds := counterDelta(rmswire.MetricShedConnLimit)
-	skipOver := restarted || sheds > 0
-	overNote := note
-	if sheds > 0 && !restarted {
-		overNote = "skipped: accept-time conn sheds race the peer's first write, so an overloaded frame may surface client-side as a transport error"
-	}
-	add("overload_replies_delta == client_overloads",
-		counterDelta(rmswire.MetricOverloadReplies), int64(rep.Retrier.Overloads), skipOver, overNote)
-	return rec
-}
-
-// reconcileFleet cross-checks client totals against the whole fleet.
-// Every logical placement lives on exactly one shard — the ring owner,
-// or the entry shard after a proven-safe failover — so the durable
-// anchors must balance when *summed* across shards, and that holds even
-// through a mid-run SIGKILL + restart of any shard (each shard's gauges
-// are restored from its own WAL).  Volatile counter checks additionally
-// require that no shard restarted.  The overload-equality check is
-// skipped outright: the forwarding layer both relays owners' overload
-// frames and synthesizes its own retryable overloads when a peer is
-// unreachable, so per-shard overload counters and the client's view
-// legitimately disagree.
-func reconcileFleet(before, after []*rmswire.MetricsInfo, rep *Report) Reconcile {
+// Every logical placement lives on exactly one daemon — for a fleet the
+// ring owner, or the entry shard after a proven-safe failover — so the
+// books must balance when summed.  Durable checks compare gauges each
+// daemon restores from its own WAL (placed, idem_entries,
+// open_placements), so they must hold even if a daemon was SIGKILLed and
+// restarted mid-run.  Counter checks (placements, report_ok, overload
+// replies) only hold within one daemon instance — counters reset on
+// restart — and are skipped, with a note, when any start stamp changed
+// between scrapes.
+func reconcile(before, after []*rmswire.MetricsInfo, rep *Report) Reconcile {
 	rec := Reconcile{OK: true}
+	fleet, prefix := len(rep.FleetAddrs) > 0, ""
+	if fleet {
+		prefix = "fleet "
+	}
 	for i := range before {
 		if after[i].StartUnixNanos != before[i].StartUnixNanos {
 			rec.DaemonRestarted = true
 		}
 	}
-	sumGaugeDelta := func(name string) int64 {
-		var d int64
+	gaugeDelta := func(name string) (d int64) {
 		for i := range before {
 			d += after[i].Gauges[name] - before[i].Gauges[name]
 		}
 		return d
 	}
-	sumCounterDelta := func(name string) int64 {
-		var d int64
+	counterDelta := func(name string) (d int64) {
 		for i := range before {
 			d += int64(after[i].Counters[name]) - int64(before[i].Counters[name])
 		}
 		return d
 	}
 	add := func(name string, got, want int64, skipped bool, note string) {
-		ok := skipped || got == want
-		if !ok {
+		if !skipped && got != want {
 			rec.OK = false
 		}
 		rec.Checks = append(rec.Checks, Check{
@@ -739,32 +676,42 @@ func reconcileFleet(before, after []*rmswire.MetricsInfo, rep *Report) Reconcile
 		rec.OK = false
 		rec.Checks = append(rec.Checks, Check{
 			Name: "settle", Got: rep.Unresolved, Want: 0, OK: false,
-			Note: "keys still ambiguous after the settle pass; placement accounting is not exact",
+			Note: "ops still undecided after the settle pass; the accounting is not exact",
 		})
 	}
 
-	add("fleet placed_delta == submits_ok",
-		sumGaugeDelta(rmswire.MetricPlaced), rep.SubmitsOK, false,
-		"durable, summed across shards: each key placed on exactly one shard")
-	add("fleet idem_entries_delta == submits_ok",
-		sumGaugeDelta(rmswire.MetricIdemEntries), rep.SubmitsOK, false,
-		"durable, summed across shards: every key recorded exactly once fleet-wide")
-	add("fleet open_placements_delta == submits_ok - reports_ok",
-		sumGaugeDelta(rmswire.MetricOpenPlacements), rep.SubmitsOK-rep.ReportsOK, false,
-		"durable, summed across shards: reports route to whichever shard placed")
+	// Durable anchors: valid across restarts (WAL replay restores them).
+	add(prefix+"placed_delta == submits_ok",
+		gaugeDelta(rmswire.MetricPlaced), rep.SubmitsOK, false,
+		"durable: each key placed on exactly one daemon; placed survives restart via WAL replay")
+	add(prefix+"idem_entries_delta == submits_ok",
+		gaugeDelta(rmswire.MetricIdemEntries), rep.SubmitsOK, false,
+		"durable: every submit travels under a fresh idempotency key, recorded exactly once")
+	add(prefix+"open_placements_delta == submits_ok - reports_ok",
+		gaugeDelta(rmswire.MetricOpenPlacements), rep.SubmitsOK-rep.ReportsOK, false,
+		"durable: outcome reports close placements on whichever daemon placed them")
 
+	// Volatile counters: one daemon instance only.
 	restarted := rec.DaemonRestarted
 	note := ""
 	if restarted {
-		note = "skipped: a shard restarted between scrapes, counters reset"
+		note = "skipped: a daemon restarted between scrapes, counters reset"
 	}
-	add("fleet placements_total_delta == submits_ok",
-		sumCounterDelta(rmswire.MetricPlacements), rep.SubmitsOK, restarted, note)
-	add("fleet report_ok_delta == reports_ok",
-		sumCounterDelta(rmswire.MetricReportOK), rep.ReportsOK, restarted, note)
+	add(prefix+"placements_total_delta == submits_ok",
+		counterDelta(rmswire.MetricPlacements), rep.SubmitsOK, restarted, note)
+	add(prefix+"report_ok_delta == reports_ok",
+		counterDelta(rmswire.MetricReportOK), rep.ReportsOK, restarted, note)
+	skipOver, overNote := restarted, note
+	switch {
+	case fleet:
+		skipOver = true
+		overNote = "skipped: forwarding relays and synthesizes overloads, so shard and client counts differ by design"
+	case !restarted && counterDelta(rmswire.MetricShedConnLimit) > 0:
+		skipOver = true
+		overNote = "skipped: accept-time conn sheds race the peer's first write, so an overloaded frame may surface client-side as a transport error"
+	}
 	add("overload_replies_delta == client_overloads",
-		sumCounterDelta(rmswire.MetricOverloadReplies), int64(rep.Retrier.Overloads), true,
-		"skipped: forwarding relays and synthesizes overloads, so shard and client counts differ by design")
+		counterDelta(rmswire.MetricOverloadReplies), int64(rep.Retrier.Overloads), skipOver, overNote)
 	return rec
 }
 

@@ -1,11 +1,8 @@
 package rmswire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"gridtrust/internal/frame"
@@ -16,14 +13,11 @@ import (
 // fails within this window instead of hanging indefinitely.
 const DefaultDialTimeout = 5 * time.Second
 
-// ErrClientBroken reports a client whose connection desynchronized: a
-// read or write failed mid-frame, so the request/response stream can no
-// longer be trusted and every subsequent op fails fast instead of
-// decoding garbage.  Reconnect (or use a Retrier, which does) to recover.
-var ErrClientBroken = errors.New("rmswire: client connection broken")
-
-// Client is a synchronous RMS client over one connection.  It is safe for
-// concurrent use; requests are serialised on the connection.
+// Client is the RMS protocol over one frame.Conn: it encodes requests,
+// decodes replies and turns reply statuses into errors.  The connection
+// underneath redials by itself after a failure, so a Client stays usable
+// for as long as its server comes back.  Safe for concurrent use;
+// requests are serialised on the connection.
 type Client struct {
 	// Timeout bounds each op end to end (frame write + response read);
 	// 0 disables deadlines.  Set before issuing requests.
@@ -35,11 +29,7 @@ type Client struct {
 	// omits the field, keeping frames byte-identical to older clients.
 	Budget time.Duration
 
-	mu      sync.Mutex
-	conn    net.Conn
-	r       *bufio.Reader
-	broken  bool
-	closing bool
+	conn *frame.Conn
 }
 
 // Dial connects to a gridtrustd server within DefaultDialTimeout.
@@ -49,89 +39,152 @@ func Dial(addr string) (*Client, error) {
 
 // DialTimeout connects with an explicit dial timeout; 0 means no limit.
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("rmswire: dial %s: %w", addr, err)
+	c := NewClient(frame.NewConn(addr, timeout))
+	if err := c.conn.Dial(); err != nil {
+		return nil, fmt.Errorf("rmswire: %w", err)
 	}
-	return NewClient(conn), nil
+	return c, nil
 }
 
-// NewClient wraps an established connection.
-func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, r: bufio.NewReaderSize(conn, 64<<10)}
-}
+// NewClient speaks the protocol over conn, which dials when first used.
+func NewClient(conn *frame.Conn) *Client { return &Client{conn: conn} }
 
-// Close releases the connection.
+// Close releases the connection for good.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends one request and decodes the response.  Any transport
-// error marks the client broken: after a failed mid-frame read or write
-// the stream may hold a partial frame, and resynchronizing a
-// newline-delimited protocol is not possible in general.
-func (c *Client) roundTrip(req Request) (Response, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.broken {
-		return Response{}, ErrClientBroken
+// Next is what may follow one round trip.
+type Next int
+
+const (
+	// Final: the server answered ok or error, and that answer decides
+	// the op.  Asking again would get the same answer or a replay of it.
+	Final Next = iota
+	// Retry: ask again, by the same path.  Either the server shed the
+	// request before executing it (an overloaded reply, with its
+	// retry_after hint), or the request may have been executed with the
+	// reply lost.  In both cases the server may know the request's key,
+	// so the op must never be served anywhere else.
+	Retry
+	// Failover: nothing of the request left this process.  Ask again,
+	// and if every attempt an op ever made ended here, whoever holds an
+	// alternative may use it — the fleet router serves the submit locally.
+	Failover
+)
+
+// After is the delivery model's one decision: what may follow a round
+// trip that got as far as d and, if answered, came back with status.  The
+// Retrier's loop, the fleet router's forward loop and the load driver's
+// books all switch on it.
+func After(d frame.Delivery, status string) Next {
+	switch {
+	case d == frame.NotSent:
+		return Failover
+	case d == frame.MaybeSent || status == StatusOverloaded:
+		return Retry
 	}
+	return Final
+}
+
+// OpError is an op that did not end in an ok reply.  Delivery and Status
+// are those of its last round trip, so After(e.Delivery, e.Status) says
+// whether the matter is settled; Err is the cause: an *OverloadedError,
+// the server's error text, a transport error, or — from a Retrier that
+// gave up — ErrExhausted wrapping the last of those.
+type OpError struct {
+	Delivery frame.Delivery
+	Status   string
+	Err      error
+}
+
+func (e *OpError) Error() string { return e.Err.Error() }
+func (e *OpError) Unwrap() error { return e.Err }
+
+// RoundTrip sends one request frame and returns the decoded reply with
+// how far the exchange got.  For an error or overloaded reply the
+// Response is populated alongside the non-nil error, which is how the
+// fleet router relays an owner's reply verbatim.
+func (c *Client) RoundTrip(req Request) (Response, frame.Delivery, error) {
 	if c.Budget > 0 && req.BudgetMS == 0 {
 		req.BudgetMS = c.Budget.Milliseconds()
 	}
-	if c.Timeout > 0 {
-		_ = c.conn.SetDeadline(time.Now().Add(c.Timeout))
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	if err := frame.Write(c.conn, req); err != nil {
-		c.broken = true
-		return Response{}, err
-	}
 	var resp Response
-	if err := frame.Read(c.r, &resp); err != nil {
-		c.broken = true
-		return Response{}, err
+	d, err := c.conn.RoundTrip(c.Timeout, req, &resp)
+	if err != nil {
+		return Response{}, d, err
 	}
 	if resp.ConnClosing {
-		// The server announced it will close this connection after the
-		// frame (drain, accept-time shed).  The response itself is valid,
-		// but any further op on this client would fail with a transport
-		// error — record that so callers redial instead.
-		c.closing = true
+		// The server will close this connection after the frame (drain,
+		// accept-time shed).  The reply is valid; dialling now saves the
+		// next op from discovering a dead connection the hard way.
+		c.conn.Drop()
 	}
 	switch resp.Status {
 	case StatusError:
-		return resp, fmt.Errorf("rmswire: server: %s", resp.Error)
+		err = fmt.Errorf("rmswire: server: %s", resp.Error)
 	case StatusOverloaded:
-		return resp, &OverloadedError{
+		err = &OverloadedError{
 			Reason:     resp.Error,
 			RetryAfter: time.Duration(resp.RetryAfterMS) * time.Millisecond,
 		}
 	}
+	return resp, d, err
+}
+
+// call is one op over one round trip.
+func (c *Client) call(req Request) (Response, error) {
+	resp, d, err := c.RoundTrip(req)
+	if err != nil {
+		return resp, &OpError{Delivery: d, Status: resp.Status, Err: err}
+	}
 	return resp, nil
 }
 
-// RoundTrip sends one raw request frame and returns the decoded
-// response.  Fleet forwarders use it to relay a client's request to the
-// owning shard verbatim (Forwarded flag and all) and pass the owner's
-// response back unchanged: for application errors and overload the
-// returned Response is still populated alongside the non-nil error.
-func (c *Client) RoundTrip(req Request) (Response, error) { return c.roundTrip(req) }
-
-// Broken reports whether the connection desynchronized and the client
-// must be replaced.
-func (c *Client) Broken() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.broken
+// submitRequest builds the frame of a (keyed) submit.
+func submitRequest(key string, client grid.ClientID, activities []grid.Activity, rtl grid.TrustLevel, eec []float64, now float64) Request {
+	ids := make([]int, len(activities))
+	for i, a := range activities {
+		ids[i] = int(a)
+	}
+	return Request{
+		Op:         OpSubmit,
+		Client:     int(client),
+		Activities: ids,
+		RTL:        rtl.String(),
+		EEC:        eec,
+		IdemKey:    key,
+		Now:        now,
+	}
 }
 
-// Closing reports whether the server announced it will close this
-// connection (ConnClosing on a response).  The last response was still
-// valid; the next op would hit a dead connection, so callers should
-// replace the client first.
-func (c *Client) Closing() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closing
+// The payload helpers turn an op's (reply, error) into its typed result;
+// Client and Retrier share them, one over call and one over do.
+
+func placementOf(resp Response, err error) (*PlacementInfo, error) {
+	if err == nil && resp.Placement == nil {
+		err = errors.New("rmswire: submit response missing placement")
+	}
+	return resp.Placement, err
+}
+
+func statsOf(resp Response, err error) (*StatsInfo, error) {
+	if err == nil && resp.Stats == nil {
+		err = errors.New("rmswire: stats response missing stats")
+	}
+	return resp.Stats, err
+}
+
+func healthOf(resp Response, err error) (*HealthInfo, error) {
+	if err == nil && resp.Health == nil {
+		err = errors.New("rmswire: health response missing info")
+	}
+	return resp.Health, err
+}
+
+func metricsOf(resp Response, err error) (*MetricsInfo, error) {
+	if err == nil && resp.Metrics == nil {
+		err = errors.New("rmswire: metrics response missing info")
+	}
+	return resp.Metrics, err
 }
 
 // Submit schedules a task and returns its placement.
@@ -144,104 +197,52 @@ func (c *Client) Submit(client grid.ClientID, activities []grid.Activity, rtl gr
 // restart — returns the original placement instead of double-placing.
 // An empty key behaves exactly like Submit.
 func (c *Client) SubmitKeyed(key string, client grid.ClientID, activities []grid.Activity, rtl grid.TrustLevel, eec []float64, now float64) (*PlacementInfo, error) {
-	ids := make([]int, len(activities))
-	for i, a := range activities {
-		ids[i] = int(a)
-	}
-	resp, err := c.roundTrip(Request{
-		Op:         OpSubmit,
-		Client:     int(client),
-		Activities: ids,
-		RTL:        rtl.String(),
-		EEC:        eec,
-		IdemKey:    key,
-		Now:        now,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Placement == nil {
-		return nil, fmt.Errorf("rmswire: submit response missing placement")
-	}
-	return resp.Placement, nil
+	return placementOf(c.call(submitRequest(key, client, activities, rtl, eec, now)))
 }
 
-// Report feeds back the observed outcome (on [1,6]) of a placement.
+// Report feeds back the observed outcome (on [1,6]) of a placement.  A
+// report the daemon has already applied is acknowledged again, not
+// rejected (Response.Replayed).
 func (c *Client) Report(placementID uint64, outcome, now float64) error {
-	_, err := c.roundTrip(Request{
-		Op: OpReport, PlacementID: placementID, Outcome: outcome, Now: now,
-	})
+	_, err := c.call(Request{Op: OpReport, PlacementID: placementID, Outcome: outcome, Now: now})
 	return err
 }
 
 // Checkpoint asks the daemon to snapshot its state and compact the
 // write-ahead log.  It fails if the daemon runs without a journal.
 func (c *Client) Checkpoint() (*CheckpointInfo, error) {
-	resp, err := c.roundTrip(Request{Op: OpCheckpoint})
-	if err != nil {
-		return nil, err
+	resp, err := c.call(Request{Op: OpCheckpoint})
+	if err == nil && resp.Checkpoint == nil {
+		err = errors.New("rmswire: checkpoint response missing info")
 	}
-	if resp.Checkpoint == nil {
-		return nil, fmt.Errorf("rmswire: checkpoint response missing info")
-	}
-	return resp.Checkpoint, nil
+	return resp.Checkpoint, err
 }
 
 // Stats fetches daemon statistics.
-func (c *Client) Stats() (*StatsInfo, error) {
-	resp, err := c.roundTrip(Request{Op: OpStats})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Stats == nil {
-		return nil, fmt.Errorf("rmswire: stats response missing stats")
-	}
-	return resp.Stats, nil
-}
+func (c *Client) Stats() (*StatsInfo, error) { return statsOf(c.call(Request{Op: OpStats})) }
 
 // Health fetches the daemon's readiness view.  It is served outside
 // admission control, so it answers even when submits are being shed.
-func (c *Client) Health() (*HealthInfo, error) {
-	resp, err := c.roundTrip(Request{Op: OpHealth})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Health == nil {
-		return nil, fmt.Errorf("rmswire: health response missing info")
-	}
-	return resp.Health, nil
-}
+func (c *Client) Health() (*HealthInfo, error) { return healthOf(c.call(Request{Op: OpHealth})) }
 
 // Metrics scrapes the daemon's metrics registry.  Like Health it is
 // served outside admission control.
-func (c *Client) Metrics() (*MetricsInfo, error) {
-	resp, err := c.roundTrip(Request{Op: OpMetrics})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Metrics == nil {
-		return nil, fmt.Errorf("rmswire: metrics response missing info")
-	}
-	return resp.Metrics, nil
-}
+func (c *Client) Metrics() (*MetricsInfo, error) { return metricsOf(c.call(Request{Op: OpMetrics})) }
 
 // Drain asks the daemon to shut down gracefully: stop accepting, finish
 // in-flight requests, checkpoint, exit.  The acknowledgement only means
 // the request was delivered; the daemon drains asynchronously.
 func (c *Client) Drain() error {
-	_, err := c.roundTrip(Request{Op: OpDrain})
+	_, err := c.call(Request{Op: OpDrain})
 	return err
 }
 
 // Fleet fetches the shard's fleet view (ring membership, per-peer gossip
 // state).  It fails with a server error on a daemon not run with -fleet.
 func (c *Client) Fleet() (*FleetInfo, error) {
-	resp, err := c.roundTrip(Request{Op: OpFleet})
-	if err != nil {
-		return nil, err
+	resp, err := c.call(Request{Op: OpFleet})
+	if err == nil && resp.Fleet == nil {
+		err = errors.New("rmswire: fleet response missing info")
 	}
-	if resp.Fleet == nil {
-		return nil, fmt.Errorf("rmswire: fleet response missing info")
-	}
-	return resp.Fleet, nil
+	return resp.Fleet, err
 }

@@ -257,15 +257,24 @@ func TestConnClosingSavesAnAttempt(t *testing.T) {
 }
 
 // TestDrainAnnouncesConnClosing pins that a response produced while the
-// daemon drains carries conn_closing, and the client records it.
+// daemon drains carries conn_closing, and the client acts on it: the
+// announced connection is dropped at once, so the next op dials instead
+// of discovering a dead connection.
 func TestDrainAnnouncesConnClosing(t *testing.T) {
 	_, srv, client := newDaemon(t)
 	srv.draining.Store(true)
-	_, err := client.Stats()
+	resp, _, err := client.RoundTrip(Request{Op: OpStats})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("draining stats returned %v, want overloaded", err)
 	}
-	if !client.Closing() {
-		t.Fatal("client did not record the server's conn_closing announcement")
+	if !resp.ConnClosing {
+		t.Fatal("a reply written while draining did not announce conn_closing")
+	}
+	srv.draining.Store(false)
+	if _, err := client.Stats(); err != nil {
+		t.Fatalf("op after the announced close: %v", err)
+	}
+	if dials, _ := client.conn.Dials(); dials != 2 {
+		t.Fatalf("client dialled %d times, want 2: one connection per announcement", dials)
 	}
 }

@@ -75,6 +75,9 @@ const (
 	// MetricShedIdemPending counts submits shed because their
 	// idempotency key's first attempt was still executing.
 	MetricShedIdemPending = "shed_idem_pending_total"
+	// MetricShedReportPending counts reports shed because an earlier
+	// report of the same placement was still executing.
+	MetricShedReportPending = "shed_report_pending_total"
 	// MetricOverloadReplies counts every overloaded frame written,
 	// whatever the shed reason; it equals the sum of the shed_* counters.
 	MetricOverloadReplies = "overload_replies_total"
@@ -86,9 +89,13 @@ const (
 	// includes idempotent replays of an already-placed key.
 	MetricSubmitOK  = "submit_ok_total"
 	MetricSubmitErr = "submit_err_total"
-	// MetricReportOK / MetricReportErr count report responses.
-	MetricReportOK  = "report_ok_total"
-	MetricReportErr = "report_err_total"
+	// MetricReportOK / MetricReportErr count report responses.  OK counts
+	// reports applied, once each; a duplicate answered as a replay is
+	// counted by MetricReportReplays instead, so report_ok_total still
+	// equals the number of placements closed.
+	MetricReportOK      = "report_ok_total"
+	MetricReportErr     = "report_err_total"
+	MetricReportReplays = "report_replays_total"
 	// MetricPlacements counts fresh placements (excludes idempotent
 	// replays).
 	MetricPlacements = "placements_total"
@@ -313,6 +320,14 @@ type Response struct {
 	// RetryAfterMS accompanies StatusOverloaded: the server's hint for how
 	// long a well-behaved client should back off before retrying.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
+
+	// Replayed marks an ok reply to a report this daemon had already
+	// applied: the placement was minted here and is closed, so the
+	// report's first delivery landed and only its acknowledgement can
+	// have been lost.  Nothing is applied twice.  Absent on every other
+	// reply, so a run that never replays is byte-identical to one by a
+	// daemon that predates the flag.
+	Replayed bool `json:"replayed,omitempty"`
 
 	// ConnClosing tells the client the server will close this connection
 	// after the frame (accept-time shed, drain).  A retrier that sees it

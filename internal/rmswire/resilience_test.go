@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 )
 
@@ -442,8 +443,8 @@ func TestIdleReaperManyConcurrentClients(t *testing.T) {
 
 func TestClientFrameTooLargeOnReadPath(t *testing.T) {
 	// A rogue server floods an over-limit response line: the client must
-	// fail with the typed framing error, not buffer unboundedly, and mark
-	// itself broken.
+	// fail with the typed framing error, not buffer unboundedly, and never
+	// touch the desynchronized stream again.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -474,31 +475,38 @@ func TestClientFrameTooLargeOnReadPath(t *testing.T) {
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized response returned %v, want ErrFrameTooLarge", err)
 	}
-	if !client.Broken() {
-		t.Fatal("client not marked broken after a desynchronizing read")
+	var oe *OpError
+	if !errors.As(err, &oe) || oe.Delivery != frame.MaybeSent {
+		t.Fatalf("desynchronizing read reported as %v, want maybe sent", err)
 	}
-	if _, err := client.Stats(); !errors.Is(err, ErrClientBroken) {
-		t.Fatalf("broken client returned %v, want ErrClientBroken", err)
+	// The next op dials rather than reading on; with the listener gone
+	// that dial is what fails, before anything is written.
+	ln.Close()
+	if _, err := client.Stats(); !errors.As(err, &oe) || oe.Delivery != frame.NotSent {
+		t.Fatalf("op after the poisoned connection returned %v, want a failed dial (not sent)", err)
 	}
 }
 
 func TestClientBrokenFailsFast(t *testing.T) {
-	_, _, client := newDaemon(t)
+	_, srv, client := newDaemon(t)
 	if _, err := client.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the transport under the client: the in-flight op fails and
-	// every later op short-circuits with the typed error.
-	client.conn.Close()
-	if _, err := client.Stats(); err == nil {
-		t.Fatal("op succeeded over a closed connection")
+	// Kill the transport under the client: the in-flight op fails as
+	// maybe sent, and the broken connection costs the next op a dial,
+	// not a second failure.
+	severConns(srv)
+	_, err := client.Stats()
+	var oe *OpError
+	if !errors.As(err, &oe) || oe.Delivery != frame.MaybeSent {
+		t.Fatalf("op over a dead connection returned %v, want maybe sent", err)
 	}
 	start := time.Now()
-	if _, err := client.Stats(); !errors.Is(err, ErrClientBroken) {
-		t.Fatalf("got %v, want ErrClientBroken", err)
+	if _, err := client.Stats(); err != nil {
+		t.Fatalf("op after the broken connection: %v", err)
 	}
 	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("broken client did not fail fast")
+		t.Fatal("client did not recover fast")
 	}
 }
 
@@ -539,13 +547,15 @@ func TestClientOpTimeout(t *testing.T) {
 	defer client.Close()
 	client.Timeout = 100 * time.Millisecond
 	start := time.Now()
-	if _, err := client.Stats(); err == nil {
+	_, err = client.Stats()
+	if err == nil {
 		t.Fatal("op against a mute server succeeded")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("op took %v despite 100ms timeout", elapsed)
 	}
-	if !client.Broken() {
-		t.Fatal("timed-out client not marked broken")
+	var oe *OpError
+	if !errors.As(err, &oe) || oe.Delivery != frame.MaybeSent {
+		t.Fatalf("timed-out op reported as %v, want maybe sent", err)
 	}
 }

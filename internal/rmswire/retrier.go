@@ -1,12 +1,13 @@
 package rmswire
 
 // retrier.go is the client-side half of the overload-resilience layer: a
-// wrapper that dials, retries and reconnects so callers see one logical
-// request stream over an unreliable daemon.  Retries are safe because the
-// only non-idempotent op, Submit, always travels under an idempotency key
-// here — an ambiguous failure (connection died after the frame was
-// written) is resolved by resubmitting the same key, and the server
-// answers with the original placement instead of double-placing.
+// Client asked again until After says the answer is final, so callers see
+// one logical request stream over an unreliable daemon.  Retries are safe
+// because both mutations replay: a submit always travels under an
+// idempotency key here, so resubmitting after an ambiguous failure
+// (connection died after the frame was written) returns the original
+// placement instead of double-placing, and a report the daemon already
+// applied is acknowledged again as a replay.
 //
 // Backoff jitter is drawn from internal/rng seeded by the caller, so a
 // retry storm in a test is exactly reproducible run to run.
@@ -14,11 +15,11 @@ package rmswire
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/rng"
 )
@@ -66,21 +67,20 @@ func (c RetrierConfig) withDefaults() RetrierConfig {
 
 // Retrier is a self-healing client: it retries retryable failures
 // (overload sheds, broken or refused connections) with capped exponential
-// backoff and deterministic jitter, reconnecting as needed.  Application
-// errors — validation failures, unknown placements — are returned
-// immediately.  Safe for concurrent use.
+// backoff and deterministic jitter; its Client's connection redials as
+// needed.  Application errors — validation failures, unknown placements —
+// are returned immediately.  Safe for concurrent use.
 type Retrier struct {
-	cfg RetrierConfig
-
-	mu     sync.Mutex
+	cfg    RetrierConfig
 	client *Client
+
+	mu     sync.Mutex // guards the two random streams
 	jitter *rng.Source
 	keys   *rng.Source
 
-	// Attempt accounting, readable while ops run (Counters).
+	// Attempt accounting, readable while ops run (Counters); dials are
+	// counted by the connection.
 	attempts        atomic.Uint64
-	dials           atomic.Uint64
-	dialErrors      atomic.Uint64
 	overloads       atomic.Uint64
 	transportErrors atomic.Uint64
 	appErrors       atomic.Uint64
@@ -111,10 +111,11 @@ type RetrierCounters struct {
 
 // Counters snapshots the Retrier's attempt accounting.
 func (r *Retrier) Counters() RetrierCounters {
+	dials, dialErrors := r.client.conn.Dials()
 	return RetrierCounters{
 		Attempts:        r.attempts.Load(),
-		Dials:           r.dials.Load(),
-		DialErrors:      r.dialErrors.Load(),
+		Dials:           dials,
+		DialErrors:      dialErrors,
 		Overloads:       r.overloads.Load(),
 		TransportErrors: r.transportErrors.Load(),
 		AppErrors:       r.appErrors.Load(),
@@ -141,8 +142,11 @@ func (c *RetrierCounters) Add(other RetrierCounters) {
 func NewRetrier(cfg RetrierConfig) *Retrier {
 	cfg = cfg.withDefaults()
 	master := rng.New(cfg.Seed)
+	client := NewClient(frame.NewConn(cfg.Addr, cfg.DialTimeout))
+	client.Timeout, client.Budget = cfg.OpTimeout, cfg.Budget
 	return &Retrier{
 		cfg:    cfg,
+		client: client,
 		jitter: master.Split(),
 		keys:   master.Split(),
 	}
@@ -156,61 +160,13 @@ func (r *Retrier) NewKey() string {
 	return fmt.Sprintf("%016x%016x", r.keys.Uint64(), r.keys.Uint64())
 }
 
-// Close releases the current connection, if any.
-func (r *Retrier) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.client == nil {
-		return nil
-	}
-	err := r.client.Close()
-	r.client = nil
-	return err
-}
-
-// connect returns a healthy client, dialing a fresh connection if the
-// cached one is missing, broken, or announced closing by the server.
-// Treating closing like broken is the fix for a subtle double-spend:
-// before it, a server that shed at accept time (one overloaded frame,
-// then close) left the retrier holding a dead connection, so the shed
-// cost TWO attempts — the overload itself, plus a transport error
-// discovering the corpse on the next attempt.
-func (r *Retrier) connect() (*Client, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.client != nil && !r.client.Broken() && !r.client.Closing() {
-		return r.client, nil
-	}
-	if r.client != nil {
-		_ = r.client.Close()
-		r.client = nil
-	}
-	r.dials.Add(1)
-	c, err := DialTimeout(r.cfg.Addr, r.cfg.DialTimeout)
-	if err != nil {
-		r.dialErrors.Add(1)
-		return nil, err
-	}
-	c.Timeout = r.cfg.OpTimeout
-	c.Budget = r.cfg.Budget
-	r.client = c
-	return c, nil
-}
-
-// drop discards a connection the retrier no longer trusts.
-func (r *Retrier) drop(c *Client) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.client == c {
-		_ = r.client.Close()
-		r.client = nil
-	}
-}
+// Close releases the connection for good.
+func (r *Retrier) Close() error { return r.client.Close() }
 
 // backoff computes the sleep before retry number attempt (0-based): capped
 // exponential with deterministic half-jitter, floored by the server's
-// retry_after hint when the previous failure was an overload shed.
-func (r *Retrier) backoff(attempt int, lastErr error) time.Duration {
+// retry_after hint when the previous attempt was shed.
+func (r *Retrier) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	d := r.cfg.BaseBackoff
 	for i := 0; i < attempt && d < r.cfg.MaxBackoff; i++ {
 		d *= 2
@@ -218,9 +174,8 @@ func (r *Retrier) backoff(attempt int, lastErr error) time.Duration {
 	if d > r.cfg.MaxBackoff {
 		d = r.cfg.MaxBackoff
 	}
-	var oe *OverloadedError
-	if errors.As(lastErr, &oe) && oe.RetryAfter > d {
-		d = oe.RetryAfter
+	if retryAfter > d {
+		d = retryAfter
 	}
 	r.mu.Lock()
 	jittered := d/2 + time.Duration(r.jitter.Uniform(0, float64(d/2)))
@@ -228,47 +183,40 @@ func (r *Retrier) backoff(attempt int, lastErr error) time.Duration {
 	return jittered
 }
 
-// do runs op with retries.  op receives a healthy client; the error it
-// returns is classified: overload sheds and transport failures retry,
-// anything else is final.
-func (r *Retrier) do(op func(*Client) error) error {
-	var lastErr error
+// do sends req until After calls a reply final or the attempts run out.
+func (r *Retrier) do(req Request) (Response, error) {
+	var (
+		resp Response
+		d    frame.Delivery
+		err  error
+	)
 	for attempt := 0; attempt < r.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(r.backoff(attempt-1, lastErr))
+			time.Sleep(r.backoff(attempt-1, time.Duration(resp.RetryAfterMS)*time.Millisecond))
 		}
 		r.attempts.Add(1)
-		c, err := r.connect()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := op(c); err != nil {
-			lastErr = err
-			if errors.Is(err, ErrOverloaded) {
-				r.overloads.Add(1)
-				// Shed before execution.  Usually the connection is fine
-				// and is reused; if the server said it is closing it (an
-				// accept-time or drain shed), drop it now so the next
-				// attempt redials instead of dying on a dead conn.
-				if c.Closing() {
-					r.drop(c)
-				}
-				continue
+		resp, d, err = r.client.RoundTrip(req)
+		switch After(d, resp.Status) {
+		case Final:
+			if err != nil {
+				r.appErrors.Add(1)
+				return resp, &OpError{Delivery: d, Status: resp.Status, Err: err}
 			}
-			if c.Broken() || errors.Is(err, ErrClientBroken) {
+			r.ok.Add(1)
+			return resp, nil
+		case Retry:
+			if d == frame.Answered {
+				r.overloads.Add(1) // shed before execution
+			} else {
 				r.transportErrors.Add(1)
-				r.drop(c)
-				continue
 			}
-			r.appErrors.Add(1)
-			return err // application error: retrying cannot help
+		case Failover:
+			// A Retrier has one address: the next attempt dials it again.
 		}
-		r.ok.Add(1)
-		return nil
 	}
 	r.exhausted.Add(1)
-	return fmt.Errorf("rmswire: %d %w: %w", r.cfg.MaxAttempts, ErrExhausted, lastErr)
+	return resp, &OpError{Delivery: d, Status: resp.Status,
+		Err: fmt.Errorf("rmswire: %d %w: %w", r.cfg.MaxAttempts, ErrExhausted, err)}
 }
 
 // Submit schedules a task under a fresh idempotency key, retrying until
@@ -282,62 +230,25 @@ func (r *Retrier) Submit(client grid.ClientID, activities []grid.Activity, rtl g
 // task identity instead of the Retrier's stream.
 func (r *Retrier) SubmitKeyed(key string, client grid.ClientID, activities []grid.Activity, rtl grid.TrustLevel, eec []float64, now float64) (*PlacementInfo, error) {
 	if key == "" {
-		return nil, fmt.Errorf("rmswire: retried submit requires an idempotency key")
+		return nil, errors.New("rmswire: retried submit requires an idempotency key")
 	}
-	var p *PlacementInfo
-	err := r.do(func(c *Client) error {
-		var e error
-		p, e = c.SubmitKeyed(key, client, activities, rtl, eec, now)
-		return e
-	})
-	return p, err
+	return placementOf(r.do(submitRequest(key, client, activities, rtl, eec, now)))
 }
 
-// Report retries an outcome report.  Reports carry no idempotency key, so
-// after a retried attempt an "already-reported" rejection is treated as
-// success: the only plausible writer of this placement's outcome is the
-// earlier attempt whose acknowledgement was lost.
+// Report retries an outcome report.  Reports carry no idempotency key and
+// need none: the daemon acknowledges a report it already applied as a
+// replay, so an attempt whose acknowledgement was lost — on this
+// connection or on a fleet's forward hop — is settled by the next one.
 func (r *Retrier) Report(placementID uint64, outcome, now float64) error {
-	attempts := 0
-	return r.do(func(c *Client) error {
-		attempts++
-		err := c.Report(placementID, outcome, now)
-		if err != nil && attempts > 1 && strings.Contains(err.Error(), "already-reported") {
-			return nil
-		}
-		return err
-	})
+	_, err := r.do(Request{Op: OpReport, PlacementID: placementID, Outcome: outcome, Now: now})
+	return err
 }
 
 // Stats fetches daemon statistics with retries.
-func (r *Retrier) Stats() (*StatsInfo, error) {
-	var st *StatsInfo
-	err := r.do(func(c *Client) error {
-		var e error
-		st, e = c.Stats()
-		return e
-	})
-	return st, err
-}
+func (r *Retrier) Stats() (*StatsInfo, error) { return statsOf(r.do(Request{Op: OpStats})) }
 
 // Metrics scrapes the daemon's metrics registry with retries.
-func (r *Retrier) Metrics() (*MetricsInfo, error) {
-	var m *MetricsInfo
-	err := r.do(func(c *Client) error {
-		var e error
-		m, e = c.Metrics()
-		return e
-	})
-	return m, err
-}
+func (r *Retrier) Metrics() (*MetricsInfo, error) { return metricsOf(r.do(Request{Op: OpMetrics})) }
 
 // Health fetches the daemon readiness view with retries.
-func (r *Retrier) Health() (*HealthInfo, error) {
-	var h *HealthInfo
-	err := r.do(func(c *Client) error {
-		var e error
-		h, e = c.Health()
-		return e
-	})
-	return h, err
-}
+func (r *Retrier) Health() (*HealthInfo, error) { return healthOf(r.do(Request{Op: OpHealth})) }

@@ -17,7 +17,7 @@ func TestRetrierBackoffDeterministic(t *testing.T) {
 	}
 	a, b := mk(42), mk(42)
 	for i := 0; i < 10; i++ {
-		da, db := a.backoff(i, nil), b.backoff(i, nil)
+		da, db := a.backoff(i, 0), b.backoff(i, 0)
 		if da != db {
 			t.Fatalf("attempt %d: same seed diverged: %v vs %v", i, da, db)
 		}
@@ -41,8 +41,7 @@ func TestRetrierBackoffDeterministic(t *testing.T) {
 func TestRetrierHonorsRetryAfterHint(t *testing.T) {
 	r := NewRetrier(RetrierConfig{Addr: "unused", Seed: 1,
 		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
-	hint := &OverloadedError{RetryAfter: 80 * time.Millisecond}
-	if d := r.backoff(0, hint); d < 40*time.Millisecond {
+	if d := r.backoff(0, 80*time.Millisecond); d < 40*time.Millisecond {
 		t.Fatalf("backoff %v ignored the 80ms server hint", d)
 	}
 }
@@ -84,11 +83,9 @@ func TestRetrierReconnectsAfterBrokenConnection(t *testing.T) {
 	if _, err := r.Stats(); err != nil {
 		t.Fatal(err)
 	}
-	// Sever the cached connection behind the retrier's back: the next op
-	// must fail over to a fresh dial transparently.
-	r.mu.Lock()
-	r.client.conn.Close()
-	r.mu.Unlock()
+	// Sever the connection behind the retrier's back: the next op must
+	// fail over to a fresh dial transparently.
+	severConns(srv)
 	if _, err := r.Stats(); err != nil {
 		t.Fatalf("retrier did not recover from a broken connection: %v", err)
 	}
@@ -107,9 +104,7 @@ func TestRetrierSubmitSameKeyNeverDoublePlaces(t *testing.T) {
 	}
 	// Simulate a lost acknowledgement: the connection dies after the
 	// submit was applied, and the caller retries the same key.
-	r.mu.Lock()
-	r.client.conn.Close()
-	r.mu.Unlock()
+	severConns(srv)
 	p2, err := r.SubmitKeyed("storm-key", 0, acts, grid.LevelE, eec, 0)
 	if err != nil {
 		t.Fatal(err)

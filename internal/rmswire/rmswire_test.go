@@ -130,7 +130,7 @@ func TestTrustFeedbackAcrossWire(t *testing.T) {
 }
 
 func TestReportUnknownAndDoubleReport(t *testing.T) {
-	_, _, client := newDaemon(t)
+	trms, _, client := newDaemon(t)
 	if err := client.Report(999, 5, 0); err == nil {
 		t.Fatal("unknown placement accepted")
 	}
@@ -141,8 +141,26 @@ func TestReportUnknownAndDoubleReport(t *testing.T) {
 	if err := client.Report(p.ID, 5, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Report(p.ID, 5, 2); err == nil {
-		t.Fatal("double report accepted")
+	// The duplicate is acknowledged as a typed replay and applied to
+	// nothing: the first delivery landed, only its ack can have been lost.
+	resp, _, err := client.RoundTrip(Request{Op: OpReport, PlacementID: p.ID, Outcome: 5, Now: 2})
+	if err != nil || !resp.Replayed {
+		t.Fatalf("double report: replayed=%v err=%v, want an ok reply marked replayed", resp.Replayed, err)
+	}
+	trms.Drain()
+	if processed, _, _ := trms.AgentStats(); processed != 1 {
+		t.Fatalf("agents processed %d transactions for one placement reported twice", processed)
+	}
+	m, err := client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, replays := m.Counters[MetricReportOK], m.Counters[MetricReportReplays]; ok != 1 || replays != 1 {
+		t.Fatalf("report_ok_total=%d report_replays_total=%d, want 1 and 1", ok, replays)
+	}
+	// An id this daemon never minted is still an error, not a replay.
+	if err := client.Report(p.ID+1, 5, 3); err == nil {
+		t.Fatal("report for an id above the last minted one accepted")
 	}
 }
 
@@ -302,6 +320,16 @@ func TestIdleConnectionIsReaped(t *testing.T) {
 	}
 }
 
+// severConns closes every connection the server holds, behind its
+// clients' backs: their next op finds a dead stream.
+func severConns(srv *Server) {
+	srv.connMu.Lock()
+	defer srv.connMu.Unlock()
+	for c := range srv.conns {
+		c.Close()
+	}
+}
+
 func TestIdleTimeoutResolution(t *testing.T) {
 	s := &Server{}
 	if got := s.idleTimeout(); got != DefaultIdleTimeout {
@@ -322,7 +350,7 @@ func TestPipeTransport(t *testing.T) {
 	_ = trms
 	client, server := net.Pipe()
 	go srv.handle(server)
-	c := NewClient(client)
+	c := NewClient(frame.Wrap(client))
 	defer c.Close()
 	p, err := c.Submit(0, []grid.Activity{grid.ActStorage}, grid.LevelB, []float64{3, 4}, 0)
 	if err != nil {

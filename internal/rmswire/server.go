@@ -100,6 +100,12 @@ type Server struct {
 	idem        map[string]journalRecord
 	idemPending map[string]struct{}
 
+	// reporting reserves placement ids whose report is executing, as
+	// idemPending reserves keys: from the moment a report is accepted
+	// until it is journalled the id is neither open nor closed to anyone
+	// else.  Under mu; it holds in-flight reports only.
+	reporting map[uint64]struct{}
+
 	// jmu serialises operations against checkpoints: handlers that
 	// mutate the TRMS and append to the journal hold it for reading,
 	// Checkpoint holds it for writing so the captured state matches the
@@ -137,12 +143,14 @@ type serverMetrics struct {
 	shedDraining    *metrics.Counter
 	shedInflight    *metrics.Counter
 	shedIdemPending *metrics.Counter
+	shedReportPend  *metrics.Counter
 	overloadReplies *metrics.Counter
 	requests        *metrics.Counter
 	submitOK        *metrics.Counter
 	submitErr       *metrics.Counter
 	reportOK        *metrics.Counter
 	reportErr       *metrics.Counter
+	reportReplays   *metrics.Counter
 	placements      *metrics.Counter
 	idemHits        *metrics.Counter
 	refusedDegraded *metrics.Counter
@@ -171,6 +179,7 @@ func NewServer(trms *core.TRMS) (*Server, error) {
 		conns:          make(map[net.Conn]struct{}),
 		idem:           make(map[string]journalRecord),
 		idemPending:    make(map[string]struct{}),
+		reporting:      make(map[uint64]struct{}),
 		drainReq:       make(chan struct{}, 1),
 		start:          now,
 		startUnixNanos: now.UnixNano(),
@@ -182,12 +191,14 @@ func NewServer(trms *core.TRMS) (*Server, error) {
 		shedDraining:    s.reg.Counter(MetricShedDraining),
 		shedInflight:    s.reg.Counter(MetricShedInflight),
 		shedIdemPending: s.reg.Counter(MetricShedIdemPending),
+		shedReportPend:  s.reg.Counter(MetricShedReportPending),
 		overloadReplies: s.reg.Counter(MetricOverloadReplies),
 		requests:        s.reg.Counter(MetricRequests),
 		submitOK:        s.reg.Counter(MetricSubmitOK),
 		submitErr:       s.reg.Counter(MetricSubmitErr),
 		reportOK:        s.reg.Counter(MetricReportOK),
 		reportErr:       s.reg.Counter(MetricReportErr),
+		reportReplays:   s.reg.Counter(MetricReportReplays),
 		placements:      s.reg.Counter(MetricPlacements),
 		idemHits:        s.reg.Counter(MetricIdemHits),
 		refusedDegraded: s.reg.Counter(MetricRefusedDegraded),
@@ -744,49 +755,76 @@ func (s *Server) handleSubmit(req Request) Response {
 		s.mu.Unlock()
 	}
 	s.sm.submitOK.Inc()
-	return Response{Status: StatusOK, Placement: &PlacementInfo{
-		ID:      id,
-		Machine: int(p.Machine.ID),
-		RD:      int(p.RD),
-		CD:      int(p.CD),
-		OTL:     p.OTL.String(),
-		TC:      p.TC,
-		EEC:     p.EEC,
-		ESC:     p.ESC,
-		ECC:     p.ECC,
-		Start:   p.Start,
-		Finish:  p.Finish,
-	}}
+	// Answered from the record, like the replay above: a submit and its
+	// idempotent replay are the same bytes by construction.
+	return Response{Status: StatusOK, Placement: rec.placementInfo()}
 }
 
+// handleReport applies one outcome report, exactly once per placement.
+//
+// Invariant RPT-ORDER: close → apply → journal → acknowledge.  Closing
+// is reserving the id: from then until the journal append returns, the
+// placement is neither open nor closed to any other request, and a
+// duplicate of the report is shed as retryable — never an error, never
+// ok — so a replay never vouches for a report that has not landed.
+// apply validates first and is all or nothing, so a rejected outcome
+// reopens the placement untouched.  A crash between apply and journal
+// loses both with the process: recovery replays the placement as open,
+// and the client's retry (it was never acknowledged) applies the update
+// again to a trust table that never saw the first.
 func (s *Server) handleReport(req Request) Response {
+	id := req.PlacementID
 	s.mu.Lock()
-	op, ok := s.placements[req.PlacementID]
-	if ok {
-		delete(s.placements, req.PlacementID)
+	op, open := s.placements[id]
+	_, busy := s.reporting[id]
+	// Minted here: inside this daemon's id namespace — nextID carries it
+	// in its high bits — and at or below the last id issued.  Such an id
+	// that is neither open nor mid-report was closed by an earlier
+	// report, so no table of closed ids is kept.
+	minted := id <= s.nextID && id>>ShardIDShift == s.nextID>>ShardIDShift && id&(1<<ShardIDShift-1) != 0
+	if open && !busy {
+		s.reporting[id] = struct{}{}
 	}
 	s.mu.Unlock()
-	if !ok {
+	switch {
+	case busy:
+		s.sm.shedReportPend.Inc()
+		return s.overloaded(fmt.Sprintf("report for placement %d in flight", id))
+	case !open && minted:
+		s.sm.reportReplays.Inc()
+		return Response{Status: StatusOK, Replayed: true}
+	case !open:
 		s.sm.reportErr.Inc()
-		return Response{Status: StatusError,
-			Error: fmt.Sprintf("unknown or already-reported placement %d", req.PlacementID)}
+		return Response{Status: StatusError, Error: fmt.Sprintf("unknown placement %d", id)}
+	}
+	// settle ends the reservation, leaving the placement open or closed.
+	settle := func(closed bool) {
+		s.mu.Lock()
+		if closed {
+			delete(s.placements, id)
+		}
+		delete(s.reporting, id)
+		s.mu.Unlock()
 	}
 	if err := s.trms.ReportOutcome(op.p, op.toa, req.Outcome, req.Now); err != nil {
-		// Reporting failed (e.g. off-scale outcome): restore the
-		// placement so the client can retry with a valid outcome.
-		s.mu.Lock()
-		s.placements[req.PlacementID] = op
-		s.mu.Unlock()
+		// Nothing was applied (e.g. off-scale outcome): the client can
+		// retry with a valid outcome.
+		settle(false)
 		s.sm.reportErr.Inc()
 		return Response{Status: StatusError, Error: err.Error()}
 	}
 	if err := s.journalAppend(journalRecord{
-		Kind: recReport, ID: req.PlacementID, Outcome: req.Outcome, Now: req.Now,
+		Kind: recReport, ID: id, Outcome: req.Outcome, Now: req.Now,
 	}); err != nil {
+		// Applied but not durable, and the journal is now failed or
+		// closed for good.  The reservation is never settled: a
+		// duplicate must not be told ok for a report the journal does
+		// not hold, nor apply it a second time.
 		s.sm.reportErr.Inc()
 		return Response{Status: StatusError,
-			Error: fmt.Sprintf("report for %d applied but not journalled: %v", req.PlacementID, err)}
+			Error: fmt.Sprintf("report for %d applied but not journalled: %v", id, err)}
 	}
+	settle(true)
 	s.sm.reportOK.Inc()
 	return Response{Status: StatusOK}
 }

@@ -1,9 +1,7 @@
 package trustwire
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -13,22 +11,17 @@ import (
 // Replica maintains a local read-only copy of a remote trust table by
 // polling a Server.  Schedulers at a remote Grid domain read the replica
 // (a *grid.TrustTable) with zero network traffic on the hot path; the
-// poll loop refreshes it in the background.
+// poll loop refreshes it in the background.  It is the sync protocol over
+// one frame.Conn, which redials by itself after a failure.
 type Replica struct {
+	conn    *frame.Conn
+	timeout time.Duration // bounds every Sync round trip (0 = unbounded)
+
 	mu      sync.Mutex
-	conn    net.Conn
-	r       *bufio.Reader
-	version uint64
-	synced  int64 // snapshots applied
-	closed  bool
-
-	// addr and timeout enable redial and per-round deadlines.  Both are
-	// zero for NewReplica-wrapped connections, preserving the original
-	// no-deadline, no-redial behavior on that path.
-	addr    string
-	timeout time.Duration
-
-	local *replicaTable
+	version uint64 // last applied table version
+	have    uint64 // version the next poll claims: version, or 0 after a lost connection
+	synced  int64  // snapshots applied
+	local   *replicaTable
 }
 
 // Dial connects a replica to a server address with no I/O deadlines.
@@ -37,67 +30,25 @@ func Dial(addr string) (*Replica, error) {
 }
 
 // DialTimeout connects a replica to a server address.  A non-zero
-// timeout bounds the dial and every subsequent Sync round trip, and
-// arms redial: after a transport error the broken conn is dropped and
-// the next Sync dials afresh, so one black-holed round costs at most
-// one timeout and the replica self-heals when the peer returns.
+// timeout bounds the dial and every subsequent Sync round trip: one
+// black-holed round costs at most one timeout, and the replica
+// self-heals when the peer returns.
 func DialTimeout(addr string, timeout time.Duration) (*Replica, error) {
-	c := &Replica{
-		addr:    addr,
-		timeout: timeout,
-		local:   newReplicaTable(),
+	conn := frame.NewConn(addr, timeout)
+	if err := conn.Dial(); err != nil {
+		return nil, fmt.Errorf("trustwire: %w", err)
 	}
-	if err := c.redialLocked(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return NewReplica(conn, timeout), nil
 }
 
-// NewReplica wraps an established connection (e.g. one side of net.Pipe
-// in tests).
-func NewReplica(conn net.Conn) *Replica {
-	return &Replica{
-		conn:  conn,
-		r:     bufio.NewReaderSize(conn, 64<<10),
-		local: newReplicaTable(),
-	}
+// NewReplica polls over conn, which dials when first used, with every
+// round trip bounded by timeout.
+func NewReplica(conn *frame.Conn, timeout time.Duration) *Replica {
+	return &Replica{conn: conn, timeout: timeout, local: newReplicaTable()}
 }
 
-// redialLocked (re)establishes the connection.  Callers hold mu, or own
-// the Replica exclusively (DialTimeout).
-func (c *Replica) redialLocked() error {
-	conn, err := net.DialTimeout("tcp", c.addr, c.timeout)
-	if err != nil {
-		return fmt.Errorf("trustwire: dial %s: %w", c.addr, err)
-	}
-	c.conn = conn
-	c.r = bufio.NewReaderSize(conn, 64<<10)
-	return nil
-}
-
-// dropConnLocked discards a connection a transport error has made
-// untrustworthy; the next Sync redials if an address is known.
-func (c *Replica) dropConnLocked() {
-	if c.conn != nil {
-		_ = c.conn.Close()
-		c.conn = nil
-		c.r = nil
-	}
-}
-
-// Close releases the connection.
-func (c *Replica) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	c.r = nil
-	return err
-}
+// Close releases the connection for good.
+func (c *Replica) Close() error { return c.conn.Close() }
 
 // Version returns the last applied table version.
 func (c *Replica) Version() uint64 {
@@ -113,77 +64,58 @@ func (c *Replica) SnapshotsApplied() int64 {
 	return c.synced
 }
 
-// Sync performs one poll round-trip: if the server is ahead, the full
-// snapshot replaces the local copy atomically.  It reports whether new
-// data was applied.  With a timeout configured the whole round trip is
-// deadline-bounded, and a transport error drops the connection so the
-// next Sync redials — a partitioned peer costs one bounded round per
-// poll, never a wedged goroutine.
+// Sync performs one poll round-trip: if the server is ahead, its entries
+// replace the local copy atomically.  It reports whether new data was
+// applied.
+//
+// After any lost connection the next poll is a cold one (have_version 0).
+// The server on the new connection may be a restarted one whose version
+// counter began again: comparing its versions with ours would call a
+// different, lower-numbered table "current" for ever.  Asking for
+// everything is the anti-entropy path — whatever diverged is healed by
+// the next full snapshot.
 func (c *Replica) Sync() (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return false, net.ErrClosed
-	}
-	if c.conn == nil {
-		if c.addr == "" {
-			return false, net.ErrClosed
-		}
-		if err := c.redialLocked(); err != nil {
-			return false, err
-		}
-	}
-	if c.timeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-			c.dropConnLocked()
-			return false, err
-		}
-	}
-	if err := frame.Write(c.conn, Request{Op: OpSync, HaveVersion: c.version}); err != nil {
-		c.dropConnLocked()
-		return false, err
-	}
 	var resp Response
-	if err := frame.Read(c.r, &resp); err != nil {
-		c.dropConnLocked()
+	if d, err := c.conn.RoundTrip(c.timeout, Request{Op: OpSync, HaveVersion: c.have}, &resp); d != frame.Answered {
+		c.have = 0
 		return false, err
 	}
+	fresh := newReplicaTable()
 	switch resp.Status {
 	case StatusCurrent:
-		return false, nil
+		if c.have == c.version {
+			return false, nil
+		}
+		// A cold poll answered "current": the server's table is empty,
+		// and what we hold is a previous incarnation's.
 	case StatusSnapshot:
-		fresh := newReplicaTable()
 		if err := applyEntries(fresh.table, resp.Entries); err != nil {
 			return false, err
 		}
-		c.local = fresh
-		c.version = resp.Version
-		c.synced++
-		return true, nil
 	case StatusDelta:
 		// Overlay the changed entries on a copy of the current local
 		// table so readers still see atomic swaps.
-		fresh := newReplicaTable()
 		if err := copyTable(c.local, fresh, resp.Entries); err != nil {
 			return false, err
 		}
-		c.local = fresh
-		c.version = resp.Version
-		c.synced++
-		return true, nil
 	case StatusError:
 		return false, fmt.Errorf("trustwire: server error: %s", resp.Error)
 	default:
 		return false, fmt.Errorf("trustwire: unknown response status %q", resp.Status)
 	}
+	c.local = fresh
+	c.version, c.have = resp.Version, resp.Version
+	c.synced++
+	return true, nil
 }
 
 // Poll runs Sync every interval until stop is closed, delivering any sync
 // error to errs (non-blocking; errors are dropped if nobody listens).
 // Errors do not end the loop: replication is anti-entropy, so the next
-// tick retries (and, when the replica knows its address, redials) —
-// a transient peer failure must never silently kill replication for the
-// rest of the process lifetime.
+// tick retries on a new connection — a transient peer failure must never
+// silently kill replication for the rest of the process lifetime.
 func (c *Replica) Poll(interval time.Duration, stop <-chan struct{}, errs chan<- error) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()

@@ -144,3 +144,78 @@ func TestSyncDeadlineBoundsBlackholedPeer(t *testing.T) {
 		t.Fatalf("replica entry after heal = %v/%v", tl, ok)
 	}
 }
+
+// TestReplicaConvergesOnPeerRestartedBehind is the case a reconnect must
+// not get wrong: the peer comes back with a table whose version is lower
+// than the one the replica holds (restarted from an older checkpoint, or
+// from nothing).  Polling it with the old version would be answered
+// "current" for ever; the poll after a lost connection is a cold one.
+func TestReplicaConvergesOnPeerRestartedBehind(t *testing.T) {
+	defer testutil.LeakCheck(t)()
+
+	serve := func(table *grid.TrustTable, addr string) (*Server, string) {
+		t.Helper()
+		srv, err := NewServer(table, 4, 4, int(grid.NumBuiltinActivities))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := srv.ListenAndServe(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, bound.String()
+	}
+	// converge polls until the replica holds exactly want's entries.
+	converge := func(rep *Replica, want *grid.TrustTable, what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			_, err := rep.Sync()
+			got := rep.Table()
+			same := err == nil && got.Len() == want.Len()
+			want.ForEach(func(cd, rd grid.DomainID, act grid.Activity, tl grid.TrustLevel) {
+				if have, ok := got.Get(cd, rd, act); !ok || have != tl {
+					same = false
+				}
+			})
+			if same {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: replica never converged: %d entries at v%d, peer has %d at v%d (last error %v)",
+					what, got.Len(), rep.Version(), want.Len(), want.Version(), err)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	ahead := grid.NewTrustTable()
+	for i, tl := range []grid.TrustLevel{grid.LevelA, grid.LevelB, grid.LevelC, grid.LevelD, grid.LevelE} {
+		if err := ahead.Set(0, grid.DomainID(i%4), grid.ActCompute, tl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, addr := serve(ahead, "127.0.0.1:0")
+	rep, err := DialTimeout(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	converge(rep, ahead, "first sync")
+	srv.Close()
+
+	behind := grid.NewTrustTable()
+	if err := behind.Set(2, 3, grid.ActStorage, grid.LevelB); err != nil {
+		t.Fatal(err)
+	}
+	if behind.Version() >= ahead.Version() {
+		t.Fatalf("test premise: restarted table v%d is not behind v%d", behind.Version(), ahead.Version())
+	}
+	srv, _ = serve(behind, addr)
+	converge(rep, behind, "peer restarted behind")
+	srv.Close()
+
+	srv, _ = serve(grid.NewTrustTable(), addr)
+	defer srv.Close()
+	converge(rep, grid.NewTrustTable(), "peer restarted empty")
+}

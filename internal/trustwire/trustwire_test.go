@@ -355,7 +355,7 @@ func TestRoundTripOverPipe(t *testing.T) {
 	}
 	client, server := net.Pipe()
 	go srv.handle(server)
-	rep := NewReplica(client)
+	rep := NewReplica(frame.Wrap(client), 0)
 	defer rep.Close()
 	applied, err := rep.Sync()
 	if err != nil || !applied {

@@ -51,6 +51,18 @@ if grep -rnE '^func Set[A-Z]' --include='*.go' internal | grep -v '_test\.go:'; 
     exit 1
 fi
 
+echo "==> no matching on an error's text (err.Error() inside a strings. call in non-test code under internal/ and cmd/)"
+if grep -rnE 'strings\.[A-Za-z]+\(.*\.Error\(\)' --include='*.go' internal cmd | grep -v '_test\.go:'; then
+    echo "ci: errors are told apart by type or value (errors.Is, errors.As, a typed reply field), not by their text" >&2
+    exit 1
+fi
+
+echo "==> one dialler (net.Dial in non-test code only under internal/frame)"
+if grep -rn 'net\.Dial' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -v '^internal/frame/'; then
+    echo "ci: client connections are frame.Conn, which owns dial, deadline and redial" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -64,7 +76,7 @@ echo "==> bench module tests (its own module: held-out-seed goldens, estimator t
 (cd bench && go test .)
 
 echo "==> go test -race (concurrent packages)"
-go test -race ./internal/core/... ./internal/grid/... ./internal/exp/... ./internal/fault/... ./internal/sched/... ./internal/sim/... ./internal/trust/... ./internal/wal/... ./internal/rmswire/... ./internal/metrics/... ./internal/load/... ./internal/trustwire/... ./internal/fleet/... ./internal/chaos/...
+go test -race ./internal/core/... ./internal/grid/... ./internal/exp/... ./internal/fault/... ./internal/sched/... ./internal/sim/... ./internal/trust/... ./internal/wal/... ./internal/frame/... ./internal/rmswire/... ./internal/metrics/... ./internal/load/... ./internal/trustwire/... ./internal/fleet/... ./internal/chaos/...
 
 echo "==> chaos soak smoke (seeded fault schedule, race detector, bounded)"
 # The soak runs a 3-shard journaled fleet under a scripted schedule of
