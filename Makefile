@@ -1,6 +1,6 @@
 # Convenience targets; scripts/ci.sh is the canonical verify flow.
 
-.PHONY: verify test race smoke soak size bench-e2e bench bench-kernels bench-sweep bench-fault bench-wal bench-des bench-des-flagship bench-trustzoo
+.PHONY: verify test race smoke soak size bench-e2e bench-micro
 
 # verify runs the tier-1 flow: build, vet, full tests, race tests for
 # the concurrent packages (exp's experiment engine, sim's cell runners,
@@ -59,46 +59,14 @@ bench-e2e:
 		done; \
 	done
 
-# bench regenerates the paper-table and kernel benchmarks recorded in
-# BENCH_sched.json (see EXPERIMENTS.md for methodology).
-bench:
-	go test -run '^$$' -bench 'Kernel|Table[4-9]' -benchmem ./...
-
-# bench-kernels runs only the batch-kernel suite (optimized vs reference).
-bench-kernels:
-	go test ./internal/sched -run '^$$' -bench 'Kernel' -benchmem
-
-# bench-sweep measures the experiment-engine flattening recorded in
-# BENCH_sweep.json (serial-cells vs global-pool scheduling).
-bench-sweep:
-	go test -run '^$$' -bench 'SweepGrid|EngineFlattening' ./internal/sim ./internal/exp
-
-# bench-fault measures the fault-path overhead recorded in
-# BENCH_fault.json (fast path vs masking-only vs real churn).
-bench-fault:
-	go test ./internal/sim -run '^$$' -bench 'FaultPathOverhead' -benchmem
-
-# bench-wal measures write-ahead-log append throughput (group commit vs
-# NoSync) and recovery speed, recorded in BENCH_wal.json.
-bench-wal:
-	go test ./internal/wal -run '^$$' -bench 'Append|Recover' -benchmem
-
-# bench-des measures the flat DES kernel: queue microbenchmarks beside the
-# closure-based test oracle, plus end-to-end replications at 1024
-# machines on the one run path.  BENCH_des.json's reference_* columns for
-# SimRun are historical.
-bench-des:
-	go test ./internal/des -run '^$$' -bench 'ScheduleDrain|SteadyState|CancelHeavy' -benchmem
-	go test ./internal/sim -run '^$$' -bench 'SimRun' -benchmem
-
-# bench-des-flagship runs the 5000-machine x 1M-task headline replication
-# once (about half a minute; see BENCH_des.json).
-bench-des-flagship:
-	go test ./internal/sim -run '^$$' -bench 'SimFlagship' -benchtime 1x -benchmem -timeout 30m
-
-# bench-trustzoo measures every registered trust model: one reputation-
-# study replication per adversary scenario, plus the model-driven DES
-# overhead vs the static table path.  Recorded in BENCH_trustzoo.json.
-bench-trustzoo:
-	go test ./internal/fault -run '^$$' -bench 'TrustzooRunZoo' -benchmem
-	go test ./internal/sim -run '^$$' -bench 'TrustzooModelOverhead' -benchmem
+# bench-micro runs every testing.B in the module: the kernels beside their
+# references (sched, des), the run loops (sim), the experiment engine, the
+# trust zoo, the WAL, the daemon's decision and the paper-table pipelines.
+# They are for reading one layer while working on it; nothing gates them
+# (bench-e2e is the gated benchmark) and scripts/ci.sh runs them at
+# BENCHTIME=1x so none can rot.  The 5000-machine x 1M-task replication
+# takes half a minute and is left out; run it by name:
+#   go test ./internal/sim -run '^$' -bench SimFlagship -benchtime 1x -timeout 30m
+BENCHTIME ?= 1s
+bench-micro:
+	go test -run '^$$' -bench . -skip SimFlagship -benchtime $(BENCHTIME) -benchmem ./...

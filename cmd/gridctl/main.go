@@ -130,8 +130,15 @@ func cmdReport(client *rmswire.Client, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := client.Report(*placement, *outcome, *now); err != nil {
+	// RoundTrip, not Report: the reply says whether this call applied the
+	// outcome or the daemon had applied it before.
+	resp, _, err := client.RoundTrip(rmswire.Request{Op: rmswire.OpReport, PlacementID: *placement, Outcome: *outcome, Now: *now})
+	if err != nil {
 		return err
+	}
+	if resp.Replayed {
+		fmt.Printf("placement %d: already applied (replayed)\n", *placement)
+		return nil
 	}
 	fmt.Printf("reported outcome %.1f for placement %d\n", *outcome, *placement)
 	return nil

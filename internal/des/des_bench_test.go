@@ -9,8 +9,8 @@ import (
 // flat queue on the event mixes the simulator produces: bulk
 // schedule-then-drain (arrival streams), steady-state schedule/fire
 // churn (finish events begetting finish events), and cancel-heavy
-// traffic (fault-path finish cancellations).  Run with
-// `make bench-des`; results are recorded in BENCH_des.json.
+// traffic (fault-path finish cancellations).  `make bench-micro` runs
+// them; EXPERIMENTS.md keeps the rows recorded when the flat queue landed.
 
 var benchSizes = []int{1_000, 10_000, 100_000, 1_000_000}
 

@@ -9,7 +9,7 @@ import (
 
 // BenchmarkTrustzooRunZoo measures one full reputation-study replication
 // (200 rounds, 10 resources, audits on) per registered model and
-// adversary scenario.  Recorded in BENCH_trustzoo.json.
+// adversary scenario.
 func BenchmarkTrustzooRunZoo(b *testing.B) {
 	for _, sc := range ZooScenarios() {
 		for _, m := range trust.ModelNames() {

@@ -56,6 +56,10 @@ const (
 // bursts are spaced so the mean rate stays at TargetRPS.
 const burstSize = 8
 
+// sampleCap bounds each worker's latency reservoirs, so a long run's memory
+// does not grow with its op count.
+const sampleCap = 65536
+
 // Config parameterises one load run.  Zero values select defaults.
 type Config struct {
 	Addr string
@@ -88,10 +92,6 @@ type Config struct {
 
 	Seed      uint64
 	KeyPrefix string // idempotency-key namespace (default "load"); use a fresh prefix per run against a durable daemon
-
-	// SampleCap bounds each worker's latency reservoir (default 65536;
-	// negative = unbounded).
-	SampleCap int
 
 	// Retrier tuning; zero values select rmswire defaults.
 	MaxAttempts int
@@ -154,9 +154,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.KeyPrefix == "" {
 		c.KeyPrefix = "load"
-	}
-	if c.SampleCap == 0 {
-		c.SampleCap = 65536
 	}
 	if c.SettleTimeout <= 0 {
 		c.SettleTimeout = 15 * time.Second
@@ -349,10 +346,8 @@ func Run(cfg Config) (*Report, error) {
 			submitLat: &stats.Sample{},
 			reportLat: &stats.Sample{},
 		}
-		if cfg.SampleCap > 0 {
-			w.submitLat.Bound(cfg.SampleCap, cfg.Seed+uint64(i)*2+1)
-			w.reportLat.Bound(cfg.SampleCap, cfg.Seed+uint64(i)*2+2)
-		}
+		w.submitLat.Bound(sampleCap, cfg.Seed+uint64(i)*2+1)
+		w.reportLat.Bound(sampleCap, cfg.Seed+uint64(i)*2+2)
 		workers[i] = w
 	}
 	defer func() {

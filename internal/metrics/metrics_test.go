@@ -165,10 +165,12 @@ func TestRegistryConcurrent(t *testing.T) {
 	const writers = 8
 	const perWriter = 5000
 	var writerWG sync.WaitGroup
+	started := make(chan struct{}) // closed after the first scrape, so the two sides always overlap
 	for w := 0; w < writers; w++ {
 		writerWG.Add(1)
 		go func(w int) {
 			defer writerWG.Done()
+			<-started
 			c := r.Counter("ops")
 			h := r.Histogram("lat")
 			g := r.Gauge("depth")
@@ -192,7 +194,9 @@ func TestRegistryConcurrent(t *testing.T) {
 			default:
 			}
 			s := r.Snapshot()
-			n++
+			if n++; n == 1 {
+				close(started)
+			}
 			if s.Counters["ops"] > writers*perWriter {
 				t.Error("snapshot counter exceeds possible total")
 			}

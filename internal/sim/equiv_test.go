@@ -13,8 +13,8 @@ import (
 	"gridtrust/internal/workload"
 )
 
-// equivScenarios spans the run loops' code paths: fused immediate scans
-// (mct/met/olb), fallback immediate (kpb/sa), batch, deadlines, churn and
+// equivScenarios spans the run loops' code paths: the fused immediate scan
+// (mct), AssignOne immediate (met/olb/kpb/sa), batch, deadlines, churn and
 // adversary injection.
 func equivScenarios() []Scenario {
 	mk := func(name, heuristic string, mode Mode, tasks int) Scenario {
@@ -111,58 +111,62 @@ func pinEquiv(t *testing.T, file string, run func(*testing.T, Scenario, hash.Has
 	}
 }
 
-// TestFusedScanMatchesAssignOne drives the fused pick directly against
-// the generic heuristic on randomized free-time states.
+// TestFusedScanMatchesAssignOne drives the fused MCT pick directly against
+// sched.MCT on randomized free-time states, and requires every other
+// immediate heuristic to have no fused scan: each runs its own AssignOne,
+// so a later specialisation has to arrive with a workload that measures it.
 func TestFusedScanMatchesAssignOne(t *testing.T) {
 	src := rng.New(13)
-	for _, name := range []string{"mct", "met", "olb"} {
-		sc := PaperScenario(name, 30, workload.Inconsistent)
-		sc.Heuristic = name
-		sc.Mode = Immediate
-		sc.Machines = 17
-		w, err := workload.NewWorkload(src, sc.WorkloadSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		costs, err := newWorkloadCosts(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		aware, unaware, err := sc.policies()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, policy := range []sched.Policy{aware, unaware} {
+	sc := PaperScenario("mct", 30, workload.Inconsistent)
+	sc.Mode = Immediate
+	sc.Machines = 17
+	w, err := workload.NewWorkload(src, sc.WorkloadSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs, err := newWorkloadCosts(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aware, unaware, err := sc.policies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range []sched.Policy{aware, unaware} {
+		for _, name := range []string{"met", "olb", "kpb", "sa"} {
 			h, err := sched.ImmediateByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan := fusedScanFor(h, policy)
-			if scan == fusedNone {
-				t.Fatalf("no fused scan for %s under %s", name, policy.Name)
+			if scan := fusedScanFor(h, policy); scan != fusedNone {
+				t.Errorf("%s under %s has fused scan %d, want none", name, policy.Name, scan)
 			}
-			decForm, decW := policy.DecisionForm()
-			dec := fusedESC{form: decForm, w: decW}
-			scr := &runScratch{}
-			scr.prepare(sc.Machines)
-			st := &runState{sc: sc, costs: costs, policy: policy, scr: scr}
-			for trial := 0; trial < 200; trial++ {
-				now := src.Uniform(0, 500)
-				for m := range scr.freeTime {
-					scr.freeTime[m] = src.Uniform(0, 1000)
-					if src.Bool(0.2) {
-						scr.freeTime[m] = now // provoke max(ft, now) ties
-					}
+		}
+		h := sched.MCT{}
+		if scan := fusedScanFor(h, policy); scan != fusedMCT {
+			t.Fatalf("no fused scan for mct under %s", policy.Name)
+		}
+		scr := &runScratch{}
+		scr.prepare(sc.Machines)
+		scr.freeTime = zeroed(scr.freeTime, sc.Machines)
+		st := &runState{runBase: runBase{sc: sc, truth: costs, policy: policy, scr: scr}}
+		st.decESC.form, st.decESC.w = policy.DecisionForm()
+		for trial := 0; trial < 200; trial++ {
+			now := src.Uniform(0, 500)
+			for m := range scr.freeTime {
+				scr.freeTime[m] = src.Uniform(0, 1000)
+				if src.Bool(0.2) {
+					scr.freeTime[m] = now // provoke max(ft, now) ties
 				}
-				r := src.Intn(sc.Tasks)
-				want, err := h.AssignOne(costs, policy, r, st.availability(now))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := st.fusedPick(scan, dec, r, now); got != want.Machine {
-					t.Fatalf("%s/%s trial %d: fused picked %d, AssignOne picked %d",
-						name, policy.Name, trial, got, want.Machine)
-				}
+			}
+			r := src.Intn(sc.Tasks)
+			want, err := h.AssignOne(costs, policy, r, st.availability(now))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st.fusedPick(r, now); got != want.Machine {
+				t.Fatalf("mct/%s trial %d: fused picked %d, AssignOne picked %d",
+					policy.Name, trial, got, want.Machine)
 			}
 		}
 	}

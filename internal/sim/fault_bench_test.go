@@ -8,7 +8,7 @@ import (
 	"gridtrust/internal/workload"
 )
 
-// Fault-path overhead benchmarks, recorded in BENCH_fault.json.  Three
+// Fault-path overhead benchmarks.  Three
 // regimes on the same Table-4 MCT workload:
 //
 //   - fast-path: inactive plan, the pre-fault scheduling loop (§8's

@@ -9,9 +9,11 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"testing"
 
 	"gridtrust/internal/fault"
+	"gridtrust/internal/rng"
 	"gridtrust/internal/sched"
 	"gridtrust/internal/trace"
 	"gridtrust/internal/workload"
@@ -136,8 +138,9 @@ func hashEvents(h hash.Hash, events []trace.Event) {
 
 // digests runs the cell on every seed and returns two hashes: one of the
 // result floats the paper's tables and the fault studies report, one of
-// the whole RunResult and the whole trace.
-func (c goldenConfig) digests(t *testing.T) (result, events string) {
+// the whole RunResult and the whole trace.  Every run uses scr; nil means a
+// fresh scratch per run.
+func (c goldenConfig) digests(t *testing.T, scr *runScratch) (result, events string) {
 	t.Helper()
 	hr, he := fnv.New64a(), fnv.New64a()
 	var tr trace.Trace
@@ -153,7 +156,11 @@ func (c goldenConfig) digests(t *testing.T) (result, events string) {
 			policy = aware
 		}
 		tr.Reset()
-		res, err := RunTraced(sc, w, policy, &tr)
+		runScr := scr
+		if runScr == nil {
+			runScr = &runScratch{}
+		}
+		res, err := runTraced(sc, w, policy, &tr, runScr)
 		if err != nil {
 			t.Fatalf("%s seed %d: %v", c.name(), seed, err)
 		}
@@ -190,13 +197,59 @@ func (c goldenConfig) digests(t *testing.T) (result, events string) {
 func TestGoldenDigests(t *testing.T) {
 	results, traces := map[string]string{}, map[string]string{}
 	for _, c := range goldenGrid() {
-		results[c.name()], traces[c.name()] = c.digests(t)
+		results[c.name()], traces[c.name()] = c.digests(t, nil)
 	}
 	for _, c := range goldenTraceOnly() {
-		_, traces[c.name()] = c.digests(t)
+		_, traces[c.name()] = c.digests(t, nil)
 	}
 	checkGolden(t, goldenDigestFile, results)
 	checkGolden(t, goldenTraceFile, traces)
+}
+
+// TestSharedScratchCannotLeak threads one scratch through the whole golden
+// grid in a fixed shuffled order, so table-driven, whitewash-only,
+// live-model and churn cells interleave on the same buffers and the same
+// event queue, and requires the digests pinned for fresh scratches.  It
+// then ends a run in an error on a scratch, leaving queued work, running
+// tasks, requeue counts and armed crash/repair events behind, and requires
+// the next run on that scratch to equal a run on a fresh one.
+func TestSharedScratchCannotLeak(t *testing.T) {
+	cells := goldenGrid()
+	inResults := len(cells)
+	cells = append(cells, goldenTraceOnly()...)
+	order := rng.New(23).Perm(len(cells))
+	scr := &runScratch{}
+	results, traces := map[string]string{}, map[string]string{}
+	for _, i := range order {
+		c := cells[i]
+		r, e := c.digests(t, scr)
+		traces[c.name()] = e
+		if i < inResults {
+			results[c.name()] = r
+		}
+	}
+	checkGolden(t, goldenDigestFile, results)
+	checkGolden(t, goldenTraceFile, traces)
+
+	for _, h := range []string{"mct", "minmin"} {
+		clean := goldenConfig{heuristic: h, aware: true, model: "purge", adversary: 0.5, churn: true}
+		starved := clean.scenario(1)
+		starved.Fault.MTBF, starved.Fault.MTTR, starved.Fault.MaxRequeues = 20, 100, 1
+		w := mustWorkload(t, starved, 1)
+		aware, _, err := starved.policies()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := &runScratch{}
+		if _, err := runTraced(starved, w, aware, nil, dirty); err == nil || !strings.Contains(err.Error(), "requeued more than 1 times") {
+			t.Fatalf("%s: starving plan ended with %v, want the requeue cap error", h, err)
+		}
+		wantR, wantE := clean.digests(t, nil)
+		if gotR, gotE := clean.digests(t, dirty); gotR != wantR || gotE != wantE {
+			t.Errorf("%s: run after a failed run on the same scratch: digests %s %s, on a fresh scratch %s %s",
+				h, gotR, gotE, wantR, wantE)
+		}
+	}
 }
 
 // pinned returns the digests recorded in file, or nil when the file does

@@ -63,33 +63,49 @@ func Run(sc Scenario, w *workload.Workload, policy sched.Policy) (*RunResult, er
 	return RunTraced(sc, w, policy, nil)
 }
 
-// runScratch holds the per-run working buffers.  A zero value is ready to
-// use; reusing one scratch across runs (RunPair) and across replications
-// within a Compare worker keeps the steady-state scheduling loop free of
-// heap allocation.  A scratch must not be shared between goroutines.
+// runScratch holds the working buffers of one run, for either run loop.
+// A zero value is ready to use; reusing one scratch across runs (RunPair)
+// and across replications within a grid worker keeps the steady-state
+// scheduling loop free of heap allocation.  Every run resets what it
+// reads before reading it, so a scratch left dirty by a run of the other
+// loop, or by a run that ended in an error, cannot leak into the next.  A
+// scratch must not be shared between goroutines.
 type runScratch struct {
-	freeTime []float64
-	busy     []float64
-	avail    []float64
-	pending  []int
-	asg      []sched.Assignment
+	// Both loops: the event queue, the availability vector handed to the
+	// heuristics, per-machine busy time, the batch-mode requests awaiting
+	// the next tick and the schedule buffer the batch flush recycles.
+	q       *des.Queue
+	avail   []float64
+	busy    []float64
+	pending []int
+	asg     []sched.Assignment
 
-	// q is the event queue, reused across runs (Reset keeps its
-	// buffers); tcw holds the per-RD-slot ESC factors of the request
-	// being scanned.
-	q   *des.Queue
-	tcw []float64
+	// Table-driven loop: freeTime[m] is the absolute time machine m
+	// finishes its committed work; tcw holds the per-RD-slot ESC factors
+	// of the request being scanned.
+	freeTime []float64
+	tcw      []float64
+
+	// Event-per-task loop (see faultrun.go).
+	up       []bool
+	queue    [][]faultTask // committed, waiting for the machine
+	running  []faultTask   // running[m].req == -1 when idle
+	runStart []float64
+	finishEv []des.FlatID
+	deferred []int // immediate mode: arrivals seen while every machine was down
+	requeues []int // per-request requeue counts, against the plan's cap
 }
 
-// prepare sizes the buffers for nm machines and zeroes the accumulators.
+// prepare resets what both loops use for a run on nm machines: an empty
+// queue at time zero (events a stopped run left behind included), zeroed
+// busy time and no pending requests.
 func (scr *runScratch) prepare(nm int) {
-	scr.freeTime = growFloats(scr.freeTime, nm)
-	scr.busy = growFloats(scr.busy, nm)
-	scr.avail = growFloats(scr.avail, nm)
-	for m := 0; m < nm; m++ {
-		scr.freeTime[m] = 0
-		scr.busy[m] = 0
+	if scr.q == nil {
+		scr.q = des.NewQueue()
 	}
+	scr.q.Reset()
+	scr.avail = growFloats(scr.avail, nm)
+	scr.busy = zeroed(scr.busy, nm)
 	scr.pending = scr.pending[:0]
 }
 
@@ -102,165 +118,349 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
+// zeroed returns s with length n and every element zero, reallocating
+// only when capacity is short.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // RunTraced is Run with an optional execution trace collector; pass nil
 // to skip tracing (no overhead).
 func RunTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace.Trace) (*RunResult, error) {
 	return runTraced(sc, w, policy, tr, &runScratch{})
 }
 
-// runTraced is RunTraced with caller-provided scratch.
+// Run loops
 //
-// A fault-free run on the static trust table collapses a task's Start and
-// Finish into its commit: once a machine's queue position is known the
-// timeline is determined, so the only events are arrivals and batch
-// ticks.  Events are typed (kind + request id), not closures, so the
-// queue allocates nothing steady-state.  Fault plans and live trust
-// models need Start and Finish as real events; runFaultTraced runs those.
-func runTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace.Trace, scr *runScratch) (*RunResult, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if sc.Fault.Active() || sc.dynamicTrust() {
-		return runFaultTraced(sc, w, policy, tr)
-	}
-	costs, err := newWorkloadCosts(w)
-	if err != nil {
-		return nil, err
-	}
-	if costs.NumRequests() != sc.Tasks || costs.NumMachines() != sc.Machines {
-		return nil, fmt.Errorf("sim: workload shape %dx%d does not match scenario %dx%d",
-			costs.NumRequests(), costs.NumMachines(), sc.Tasks, sc.Machines)
-	}
-	if sc.Tasks > math.MaxInt32 {
-		return nil, fmt.Errorf("sim: %d tasks exceed the typed event payload range", sc.Tasks)
-	}
+// There are two, and the scenario picks: a fault plan or a live trust
+// model needs a task's Start and Finish as real, cancellable events
+// (faultrun.go); without them a machine's timeline is determined the
+// moment a task is committed to it, so the table-driven loop below
+// collapses Start and Finish into the commit and its only events are
+// arrivals and batch ticks.  What does not differ between the two is
+// runBase: set-up and validation, the arrival and batch-tick events, the
+// batch flush, the ledger a commit and a completion are entered in, and
+// the final metrics.  A loop supplies the machineModel the scaffold calls
+// back into; the scaffold never asks which loop that is.
 
+// machineModel is the half of a run loop that differs: how its machines
+// take work.
+type machineModel interface {
+	// availability returns the scheduler's availability vector at time
+	// now, sched.Masked() for a machine that cannot take work.  The slice
+	// is scratch, valid until the next call; heuristics never mutate or
+	// retain it.
+	availability(now float64) []float64
+	// place maps request r in immediate mode.
+	place(r int, now float64)
+	// commit puts request r on machine m.
+	commit(r, m int, now float64)
+}
+
+// runBase is the scaffold both run loops embed.
+type runBase struct {
+	sc     Scenario
+	truth  *workloadCosts // what a commit is charged
+	dec    sched.Costs    // what the heuristics decide on: truth, unless a fault plan lies or a model learns
+	policy sched.Policy
+	loop   machineModel
+
+	scr   *runScratch
+	q     *des.Queue
+	trace *trace.Trace
+
+	imm   sched.Immediate // exactly one of imm and batch is set, by the scenario's mode
+	batch sched.Batch
+	kTick int32
+
+	completed int
+	tcSum     float64
+	result    *RunResult
+	err       error
+}
+
+// newRunBase validates the workload against the scenario and sets up the
+// costs, the result and the scratch.
+func newRunBase(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace.Trace, scr *runScratch) (runBase, error) {
+	truth, err := newWorkloadCosts(w)
+	if err != nil {
+		return runBase{}, err
+	}
+	if truth.NumRequests() != sc.Tasks || truth.NumMachines() != sc.Machines {
+		return runBase{}, fmt.Errorf("sim: workload shape %dx%d does not match scenario %dx%d",
+			truth.NumRequests(), truth.NumMachines(), sc.Tasks, sc.Machines)
+	}
+	// Event payloads carry a request id or a machine index as an int32.
+	if sc.Tasks > math.MaxInt32 || sc.Machines > math.MaxInt32 {
+		return runBase{}, fmt.Errorf("sim: instance exceeds the typed event payload range")
+	}
 	scr.prepare(sc.Machines)
-	st := &runState{
+	return runBase{
 		sc:     sc,
-		costs:  costs,
+		truth:  truth,
+		dec:    truth,
 		policy: policy,
-		trace:  tr,
 		scr:    scr,
+		q:      scr.q,
+		trace:  tr,
 		result: &RunResult{
 			Policy:      policy.Name,
 			Completions: &stats.Sample{},
 			BusyTime:    make([]float64, sc.Machines),
 		},
-	}
-
-	if scr.q == nil {
-		scr.q = des.NewQueue()
-	}
-	q := scr.q
-	q.Reset()
-
-	switch sc.Mode {
-	case Immediate:
-		h, err := sched.ImmediateByName(sc.Heuristic)
-		if err != nil {
-			return nil, err
-		}
-		scan := fusedScanFor(h, policy)
-		chForm, chW := policy.ChargedForm()
-		charge := fusedESC{form: chForm, w: chW}
-		chargeOpaque := chForm == sched.ESCOpaque
-		decForm, decW := policy.DecisionForm()
-		dec := fusedESC{form: decForm, w: decW}
-		kindArrival := q.RegisterKind(func(q *des.Queue, a, _ int32) {
-			if st.err != nil {
-				return
-			}
-			r := int(a)
-			now := q.Now()
-			st.record(trace.Event{Time: now, Kind: trace.Arrival, Request: r, Machine: -1})
-			if scan == fusedNone {
-				st.err = st.assignImmediate(h, r, now)
-				return
-			}
-			m := st.fusedPick(scan, dec, r, now)
-			if m < 0 {
-				st.err = fmt.Errorf("sim: %s found no machine for request %d", sc.Heuristic, r)
-				return
-			}
-			st.err = st.commitFused(charge, chargeOpaque, r, m, now, now)
-		})
-		for i := range w.Requests {
-			req := &w.Requests[i]
-			if _, err := q.ScheduleAt(req.ArrivalAt, kindArrival, int32(req.ID), 0); err != nil {
-				return nil, err
-			}
-		}
-	case Batch:
-		h, err := sched.BatchByName(sc.Heuristic)
-		if err != nil {
-			return nil, err
-		}
-		kindArrival := q.RegisterKind(func(q *des.Queue, a, _ int32) {
-			st.record(trace.Event{Time: q.Now(), Kind: trace.Arrival, Request: int(a), Machine: -1})
-			st.scr.pending = append(st.scr.pending, int(a))
-		})
-		// Batch ticks every BatchInterval until all requests are
-		// scheduled; after the last arrival the next tick drains the
-		// final meta-request.  A failed re-arm ends the series too.
-		var kindTick int32
-		kindTick = q.RegisterKind(func(q *des.Queue, _, _ int32) {
-			if st.err != nil {
-				return
-			}
-			if len(st.scr.pending) > 0 {
-				st.record(trace.Event{
-					Time: q.Now(), Kind: trace.BatchTick,
-					Request: -1, Machine: -1, Cost: float64(len(st.scr.pending)),
-				})
-				st.err = st.assignBatch(h, q.Now())
-			}
-			if st.result.Assigned < sc.Tasks && st.err == nil {
-				_, _ = q.ScheduleAfter(sc.BatchInterval, kindTick, 0, 0)
-			}
-		})
-		for i := range w.Requests {
-			req := &w.Requests[i]
-			if _, err := q.ScheduleAt(req.ArrivalAt, kindArrival, int32(req.ID), 0); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := q.ScheduleAfter(sc.BatchInterval, kindTick, 0, 0); err != nil {
-			return nil, err
-		}
-	}
-
-	q.Run()
-	if st.err != nil {
-		return nil, st.err
-	}
-	if st.result.Assigned != sc.Tasks {
-		return nil, fmt.Errorf("sim: only %d of %d requests scheduled", st.result.Assigned, sc.Tasks)
-	}
-	return st.finalize()
+	}, nil
 }
 
-// runState carries the mutable simulation state shared by event handlers.
-// scr.freeTime[m] is the absolute time machine m finishes its committed
-// work; scr.busy[m] accumulates charged service time; scr.pending holds
-// batch-mode requests awaiting the next meta-request.
+// start resolves the scenario's heuristic and schedules every arrival
+// and, in batch mode, the first tick.  Events are typed (kind + request
+// id), not closures, so the queue allocates nothing steady-state.
+func (b *runBase) start(loop machineModel) error {
+	b.loop = loop
+	var err error
+	if b.sc.Mode == Batch {
+		b.batch, err = sched.BatchByName(b.sc.Heuristic)
+	} else {
+		b.imm, err = sched.ImmediateByName(b.sc.Heuristic)
+	}
+	if err != nil {
+		return err
+	}
+	kArrival := b.q.RegisterKind(b.onArrival)
+	for i := range b.truth.w.Requests {
+		req := &b.truth.w.Requests[i]
+		if _, err := b.q.ScheduleAt(req.ArrivalAt, kArrival, int32(req.ID), 0); err != nil {
+			return err
+		}
+	}
+	if b.batch == nil {
+		return nil
+	}
+	b.kTick = b.q.RegisterKind(b.onTick)
+	_, err = b.q.ScheduleAfter(b.sc.BatchInterval, b.kTick, 0, 0)
+	return err
+}
+
+// onArrival is the arrival of request r.
+func (b *runBase) onArrival(q *des.Queue, r, _ int32) {
+	if b.err != nil {
+		return
+	}
+	b.record(trace.Event{Time: q.Now(), Kind: trace.Arrival, Request: int(r), Machine: -1})
+	b.submit(int(r), q.Now())
+}
+
+// submit hands request r to the mapper: in batch mode it joins the pending
+// meta-request, in immediate mode the loop places it now.
+func (b *runBase) submit(r int, now float64) {
+	if b.batch != nil {
+		b.scr.pending = append(b.scr.pending, r)
+		return
+	}
+	b.loop.place(r, now)
+}
+
+// onTick is the batch tick: it maps the pending meta-request, unless there
+// is none or no machine can take work, and re-arms itself every
+// BatchInterval until all requests have completed; after the last arrival
+// the next tick drains the final meta-request.  A failed re-arm ends the
+// series too.
+func (b *runBase) onTick(q *des.Queue, _, _ int32) {
+	if b.err != nil {
+		return
+	}
+	if len(b.scr.pending) > 0 {
+		now := q.Now()
+		if avail := b.loop.availability(now); anyAvailable(avail) {
+			b.record(trace.Event{
+				Time: now, Kind: trace.BatchTick,
+				Request: -1, Machine: -1, Cost: float64(len(b.scr.pending)),
+			})
+			b.flush(now, avail)
+		}
+	}
+	if b.completed < b.sc.Tasks && b.err == nil {
+		_, _ = q.ScheduleAfter(b.sc.BatchInterval, b.kTick, 0, 0)
+	}
+}
+
+// anyAvailable reports whether some machine is not masked.
+func anyAvailable(avail []float64) bool {
+	for _, a := range avail {
+		if !sched.IsMasked(a) {
+			return true
+		}
+	}
+	return false
+}
+
+// flush maps the pending meta-request and commits the schedule.  The
+// arrival buffer and the schedule buffer are both recycled: reqs is fully
+// consumed before any later event can append to the backing array again.
+func (b *runBase) flush(now float64, avail []float64) {
+	reqs := b.scr.pending
+	b.scr.pending = reqs[:0]
+	var as []sched.Assignment
+	var err error
+	if bi, ok := b.batch.(sched.BatchInto); ok {
+		as, err = bi.AssignBatchInto(b.dec, b.policy, reqs, avail, b.scr.asg[:0])
+		b.scr.asg = as[:0]
+	} else {
+		as, err = b.batch.AssignBatch(b.dec, b.policy, reqs, avail)
+	}
+	if err == nil && len(as) != len(reqs) {
+		err = fmt.Errorf("sim: batch heuristic mapped %d of %d requests", len(as), len(reqs))
+	}
+	if err != nil {
+		b.fail(err)
+		return
+	}
+	for _, a := range as {
+		b.loop.commit(a.Req, a.Machine, now)
+		if b.err != nil {
+			return
+		}
+	}
+}
+
+// mapOne maps request r through the immediate heuristic's AssignOne and
+// commits it.
+func (b *runBase) mapOne(r int, now float64, avail []float64) {
+	a, err := b.imm.AssignOne(b.dec, b.policy, r, avail)
+	if err != nil {
+		b.fail(err)
+		return
+	}
+	b.loop.commit(r, a.Machine, now)
+}
+
+// charge prices request r on machine m at the truth, whatever the mapper
+// believed: the policy's charged ECC and the true trust cost.
+func (b *runBase) charge(r, m int) (ecc float64, tc int, err error) {
+	if ecc, err = sched.ChargedECC(b.truth, b.policy, r, m); err != nil {
+		return 0, 0, err
+	}
+	tc, err = b.truth.TrustCost(r, m)
+	return ecc, tc, err
+}
+
+// booked enters a scheduling commit in the ledger.
+func (b *runBase) booked(r, m int, now, ecc float64, tc int) {
+	b.record(trace.Event{Time: now, Kind: trace.Scheduled, Request: r, Machine: m, Cost: ecc})
+	b.tcSum += float64(tc)
+	b.result.Assigned++
+}
+
+// finished enters a completion in the ledger: request r ran ecc on machine
+// m and finished at time at.  The last completion ends the run; on the
+// event-per-task loop the crash/repair renewal chains would otherwise keep
+// the queue alive forever.
+func (b *runBase) finished(r, m int, at, ecc float64) {
+	b.record(trace.Event{Time: at, Kind: trace.Finish, Request: r, Machine: m, Cost: ecc})
+	b.scr.busy[m] += ecc
+	req := &b.truth.w.Requests[r]
+	b.result.Completions.Add(at - req.ArrivalAt)
+	if req.Deadline > 0 && at > req.Deadline {
+		b.result.DeadlineMisses++
+	}
+	if at > b.result.Makespan {
+		b.result.Makespan = at
+	}
+	b.completed++
+	if b.completed == b.sc.Tasks {
+		b.q.Stop()
+	}
+}
+
+// record appends a trace event when tracing is enabled.
+func (b *runBase) record(e trace.Event) {
+	if b.trace != nil {
+		b.trace.Add(e)
+	}
+}
+
+// fail records the first error and stops the simulation.
+func (b *runBase) fail(err error) {
+	if b.err == nil {
+		b.err = err
+	}
+	b.q.Stop()
+}
+
+// run drains the event queue and returns the finalized result.
+func (b *runBase) run() (*RunResult, error) {
+	b.q.Run()
+	if b.err != nil {
+		return nil, b.err
+	}
+	if b.completed != b.sc.Tasks {
+		return nil, fmt.Errorf("sim: only %d of %d requests completed", b.completed, b.sc.Tasks)
+	}
+	return b.finalize()
+}
+
+// finalize computes the aggregate metrics.
+func (b *runBase) finalize() (*RunResult, error) {
+	res := b.result
+	res.AvgCompletionTime = res.Completions.Mean()
+	res.P50Completion = res.Completions.Quantile(0.5)
+	res.P95Completion = res.Completions.Quantile(0.95)
+	copy(res.BusyTime, b.scr.busy)
+	if res.Makespan <= 0 {
+		return nil, fmt.Errorf("sim: degenerate makespan %g", res.Makespan)
+	}
+	util := 0.0
+	for _, busy := range b.scr.busy {
+		util += busy / res.Makespan
+	}
+	res.MeanUtilization = util / float64(len(b.scr.busy))
+	res.MeanTrustCost = b.tcSum / float64(res.Assigned)
+	res.DeadlineMissRate = float64(res.DeadlineMisses) / float64(b.completed)
+	return res, nil
+}
+
+// The table-driven loop
+
+// runState is the table-driven loop: a machine is its stacked free time,
+// and a commit is a completion.
 type runState struct {
-	sc     Scenario
-	costs  *workloadCosts
-	policy sched.Policy
+	runBase
 
-	scr   *runScratch
-	trace *trace.Trace
-
-	tcSum  float64
-	result *RunResult
-	err    error
+	// The fused MCT scan and the policy's closed ESC forms, for immediate
+	// mode (see below).
+	scan           fusedScan
+	decESC, chgESC fusedESC
 }
 
-// availability returns the scheduler's availability vector at time now:
-// a machine already idle is available immediately.  The returned slice is
-// scratch, valid until the next call; heuristics never mutate or retain
-// it.
+// runTraced is RunTraced with caller-provided scratch.
+func runTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace.Trace, scr *runScratch) (*RunResult, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	if sc.Fault.Active() || sc.dynamicTrust() {
+		return runFaultTraced(sc, w, policy, tr, scr)
+	}
+	base, err := newRunBase(sc, w, policy, tr, scr)
+	if err != nil {
+		return nil, err
+	}
+	st := &runState{runBase: base}
+	scr.freeTime = zeroed(scr.freeTime, sc.Machines)
+	if err := st.start(st); err != nil {
+		return nil, err
+	}
+	st.scan = fusedScanFor(st.imm, policy)
+	st.decESC.form, st.decESC.w = policy.DecisionForm()
+	st.chgESC.form, st.chgESC.w = policy.ChargedForm()
+	return st.run()
+}
+
+// availability is max(free time, now): a machine already idle is available
+// immediately.
 func (st *runState) availability(now float64) []float64 {
 	a := st.scr.avail
 	for m, ft := range st.scr.freeTime {
@@ -269,120 +469,64 @@ func (st *runState) availability(now float64) []float64 {
 	return a
 }
 
-// record appends a trace event when tracing is enabled.
-func (st *runState) record(e trace.Event) {
-	if st.trace != nil {
-		st.trace.Add(e)
+// place maps one arriving request: by the fused scan when the heuristic and
+// the policy have one, charging the ECC inline when the policy's charged
+// form is closed too.
+func (st *runState) place(r int, now float64) {
+	if st.scan == fusedNone {
+		st.mapOne(r, now, st.availability(now))
+		return
 	}
+	m := st.fusedPick(r, now)
+	if m < 0 {
+		st.fail(fmt.Errorf("sim: %s found no machine for request %d", st.sc.Heuristic, r))
+		return
+	}
+	if st.chgESC.form == sched.ESCOpaque {
+		st.commit(r, m, now)
+		return
+	}
+	eec := st.truth.eecRow(r)[m]
+	tc := st.truth.tcRow(r)[st.truth.rdOf[m]]
+	st.commitCosted(r, m, now, st.chgESC.ecc(eec, tc), tc)
 }
 
-// commit places request r on machine m at time now: the task starts when
-// the machine frees up (never before now) and runs for its charged ECC.
-func (st *runState) commit(r, m int, now, arrival float64) error {
-	ecc, err := sched.ChargedECC(st.costs, st.policy, r, m)
+// commit places request r on machine m at time now.
+func (st *runState) commit(r, m int, now float64) {
+	ecc, tc, err := st.charge(r, m)
 	if err != nil {
-		return err
+		st.fail(err)
+		return
 	}
-	tc, err := st.costs.TrustCost(r, m)
-	if err != nil {
-		return err
-	}
-	st.commitCosted(r, m, now, arrival, ecc, tc)
-	return nil
+	st.commitCosted(r, m, now, ecc, tc)
 }
 
-// commitCosted is commit with the charged ECC and TC already computed;
-// commitFused calls it directly with inlined arithmetic that reproduces
-// ChargedECC operation for operation.
-func (st *runState) commitCosted(r, m int, now, arrival, ecc float64, tc int) {
-	deadline := st.costs.w.Requests[r].Deadline
+// commitCosted is commit with the charged ECC and TC already computed (by
+// place, with inlined arithmetic that reproduces ChargedECC operation for
+// operation): the task starts when the machine frees up, never before now,
+// and runs for its charged ECC.
+func (st *runState) commitCosted(r, m int, now, ecc float64, tc int) {
 	start := math.Max(st.scr.freeTime[m], now)
 	finish := start + ecc
-	st.record(trace.Event{Time: now, Kind: trace.Scheduled, Request: r, Machine: m, Cost: ecc})
+	st.booked(r, m, now, ecc, tc)
 	st.record(trace.Event{Time: start, Kind: trace.Start, Request: r, Machine: m, Cost: ecc})
-	st.record(trace.Event{Time: finish, Kind: trace.Finish, Request: r, Machine: m, Cost: ecc})
 	st.scr.freeTime[m] = finish
-	st.scr.busy[m] += ecc
-	st.tcSum += float64(tc)
-	st.result.Completions.Add(finish - arrival)
-	if deadline > 0 && finish > deadline {
-		st.result.DeadlineMisses++
-	}
-	if finish > st.result.Makespan {
-		st.result.Makespan = finish
-	}
-	st.result.Assigned++
+	st.finished(r, m, finish, ecc)
 }
 
-// assignImmediate maps one arriving request.
-func (st *runState) assignImmediate(h sched.Immediate, r int, now float64) error {
-	a, err := h.AssignOne(st.costs, st.policy, r, st.availability(now))
-	if err != nil {
-		return err
-	}
-	return st.commit(r, a.Machine, now, now)
-}
-
-// assignBatch maps the pending meta-request.  The arrival buffer and the
-// schedule buffer are both recycled: reqs is fully consumed before any
-// later arrival event can append to the backing array again.
-func (st *runState) assignBatch(h sched.Batch, now float64) error {
-	reqs := st.scr.pending
-	st.scr.pending = st.scr.pending[:0]
-	var as []sched.Assignment
-	var err error
-	if bi, ok := h.(sched.BatchInto); ok {
-		as, err = bi.AssignBatchInto(st.costs, st.policy, reqs, st.availability(now), st.scr.asg[:0])
-		st.scr.asg = as[:0]
-	} else {
-		as, err = h.AssignBatch(st.costs, st.policy, reqs, st.availability(now))
-	}
-	if err != nil {
-		return err
-	}
-	if len(as) != len(reqs) {
-		return fmt.Errorf("sim: batch heuristic mapped %d of %d requests", len(as), len(reqs))
-	}
-	for _, asg := range as {
-		arrival := st.costs.w.Requests[asg.Req].ArrivalAt
-		if err := st.commit(asg.Req, asg.Machine, now, arrival); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// finalize computes the aggregate metrics.
-func (st *runState) finalize() (*RunResult, error) {
-	res := st.result
-	res.AvgCompletionTime = res.Completions.Mean()
-	res.P50Completion = res.Completions.Quantile(0.5)
-	res.P95Completion = res.Completions.Quantile(0.95)
-	copy(res.BusyTime, st.scr.busy)
-	if res.Makespan <= 0 {
-		return nil, fmt.Errorf("sim: degenerate makespan %g", res.Makespan)
-	}
-	util := 0.0
-	for _, b := range st.scr.busy {
-		util += b / res.Makespan
-	}
-	res.MeanUtilization = util / float64(len(st.scr.busy))
-	res.MeanTrustCost = st.tcSum / float64(res.Assigned)
-	res.DeadlineMissRate = float64(res.DeadlineMisses) / float64(res.Assigned)
-	return res, nil
-}
-
-// Fused decision scans
+// The fused MCT scan
 //
-// The MCT/MET/OLB arrival scans walk the EEC row, the machine → RD-slot
-// map and the free-time vector directly, computing the policy's
-// closed-form ESC inline from the request's per-slot trust costs instead
-// of calling through sched.Costs and the policy func values.  Each fused
-// expression reproduces the float operations of the generic heuristic
-// exactly (see sched.ESCForm), so scores, completion times and every
-// derived metric are bit-identical to AssignOne's.  Heuristics without a
-// fused form (KPB, SA, all batch heuristics) run their AssignOne or
-// AssignBatch code over the same availability vector.
+// The MCT arrival scan walks the EEC row, the machine → RD-slot map and the
+// free-time vector directly, computing the policy's closed-form ESC inline
+// from the request's per-slot trust costs instead of calling through
+// sched.Costs and the policy func values.  Each fused expression
+// reproduces the float operations of sched.MCT exactly (see
+// sched.ESCForm), so scores, completion times and every derived metric are
+// bit-identical to AssignOne's.  Only MCT is specialised, because only MCT
+// has a benchmark workload that shows the difference (sim_paper loses 5 %
+// of its throughput on sched.MCT.AssignOne; DESIGN.md, "Run loops"): MET,
+// OLB, KPB and SA run their AssignOne over the availability vector, as
+// every batch heuristic runs its AssignBatch.
 
 // fusedScan names the immediate-mode heuristics with a fused fast scan.
 type fusedScan int
@@ -390,8 +534,6 @@ type fusedScan int
 const (
 	fusedNone fusedScan = iota
 	fusedMCT
-	fusedMET
-	fusedOLB
 )
 
 // fusedScanFor returns the fused scan for the heuristic, or fusedNone
@@ -400,16 +542,10 @@ func fusedScanFor(h sched.Immediate, p sched.Policy) fusedScan {
 	if form, _ := p.DecisionForm(); form == sched.ESCOpaque {
 		return fusedNone
 	}
-	switch h.(type) {
-	case sched.MCT:
+	if _, ok := h.(sched.MCT); ok {
 		return fusedMCT
-	case sched.MET:
-		return fusedMET
-	case sched.OLB:
-		return fusedOLB
-	default:
-		return fusedNone
 	}
+	return fusedNone
 }
 
 // fusedESC holds one ESC closed form for inline evaluation.
@@ -433,19 +569,17 @@ func (f fusedESC) ecc(eec float64, tc int) float64 {
 }
 
 // fusedScanRange scans machines [lo,hi) and returns the first machine
-// attaining the scan's minimum (decision completion for MCT, decision
-// ECC for MET, availability for OLB) and that minimum; (-1, +Inf) when
-// the range is empty or fully masked.
+// attaining the minimum decision completion time and that minimum;
+// (-1, +Inf) when the range is empty.
 //
-// The inner loops are specialized per (scan, form) so the hot path
-// carries no per-iteration dispatch, and the slices are re-sliced to the
-// range up front so the compiler drops the bounds checks.  The manual
-// max is bit-identical to the generic heuristics' math.Max here:
-// simulation times are finite and non-negative, so the NaN and
-// signed-zero cases that distinguish them cannot arise.  Each ESC
-// expression keeps sched's parenthesization — in particular
-// availability + (eec + esc), never (availability + eec) + esc — so every
-// sum rounds identically.
+// The inner loops are specialized per form so the hot path carries no
+// per-iteration dispatch, and the slices are re-sliced to the range up
+// front so the compiler drops the bounds checks.  The manual max is
+// bit-identical to sched.MCT's math.Max here: simulation times are finite
+// and non-negative, so the NaN and signed-zero cases that distinguish them
+// cannot arise.  Each ESC expression keeps sched's parenthesization — in
+// particular availability + (eec + esc), never (availability + eec) + esc —
+// so every sum rounds identically.
 //
 // Under ESCLinear the trust cost enters through tcw, the request's
 // per-slot product float64(tc)*weight (the innermost factor of sched's
@@ -457,97 +591,42 @@ func (f fusedESC) ecc(eec float64, tc int) float64 {
 // the same instructions behind a shorter prologue (no lo/hi, one result)
 // ran the MCT legs 5-12 % slower on the benchmark box (EXPERIMENTS.md,
 // "-intra").  Reshape this function only with a paired measurement.
-func fusedScanRange(scan fusedScan, dec fusedESC, eec, tcw []float64, rdOf []int32, ft []float64, now float64, lo, hi int) (int, float64) {
+func fusedScanRange(dec fusedESC, eec, tcw []float64, rdOf []int32, ft []float64, now float64, lo, hi int) (int, float64) {
 	best := -1
 	bestVal := math.Inf(1)
 	if lo >= hi {
 		return best, bestVal
 	}
 	eec, rdOf, ft = eec[lo:hi:hi], rdOf[lo:hi:hi], ft[lo:hi:hi]
-	switch scan {
-	case fusedMCT:
-		switch dec.form {
-		case sched.ESCLinear:
-			for i, e := range eec {
-				a := ft[i]
-				if a < now {
-					a = now
-				}
-				if done := a + (e + e*tcw[rdOf[i]]/100); done < bestVal {
-					bestVal, best = done, i
-				}
-			}
-		case sched.ESCFlat:
-			for i, e := range eec {
-				a := ft[i]
-				if a < now {
-					a = now
-				}
-				if done := a + (e + e*dec.w/100); done < bestVal {
-					bestVal, best = done, i
-				}
-			}
-		default: // ESCZero
-			for i, e := range eec {
-				a := ft[i]
-				if a < now {
-					a = now
-				}
-				if done := a + e; done < bestVal {
-					bestVal, best = done, i
-				}
-			}
-		}
-	case fusedMET:
-		switch dec.form {
-		case sched.ESCLinear:
-			for i, e := range eec {
-				a := ft[i]
-				if a < now {
-					a = now
-				}
-				if sched.IsMasked(a) {
-					continue
-				}
-				if ecc := e + e*tcw[rdOf[i]]/100; ecc < bestVal {
-					bestVal, best = ecc, i
-				}
-			}
-		case sched.ESCFlat:
-			for i, e := range eec {
-				a := ft[i]
-				if a < now {
-					a = now
-				}
-				if sched.IsMasked(a) {
-					continue
-				}
-				if ecc := e + e*dec.w/100; ecc < bestVal {
-					bestVal, best = ecc, i
-				}
-			}
-		default:
-			for i, e := range eec {
-				a := ft[i]
-				if a < now {
-					a = now
-				}
-				if sched.IsMasked(a) {
-					continue
-				}
-				if e < bestVal {
-					bestVal, best = e, i
-				}
-			}
-		}
-	case fusedOLB:
-		for i := range ft {
+	switch dec.form {
+	case sched.ESCLinear:
+		for i, e := range eec {
 			a := ft[i]
 			if a < now {
 				a = now
 			}
-			if a < bestVal {
-				bestVal, best = a, i
+			if done := a + (e + e*tcw[rdOf[i]]/100); done < bestVal {
+				bestVal, best = done, i
+			}
+		}
+	case sched.ESCFlat:
+		for i, e := range eec {
+			a := ft[i]
+			if a < now {
+				a = now
+			}
+			if done := a + (e + e*dec.w/100); done < bestVal {
+				bestVal, best = done, i
+			}
+		}
+	default: // ESCZero
+		for i, e := range eec {
+			a := ft[i]
+			if a < now {
+				a = now
+			}
+			if done := a + e; done < bestVal {
+				bestVal, best = done, i
 			}
 		}
 	}
@@ -557,30 +636,18 @@ func fusedScanRange(scan fusedScan, dec fusedESC, eec, tcw []float64, rdOf []int
 	return best, bestVal
 }
 
-// fusedPick runs the decision scan for request r at time now.
-func (st *runState) fusedPick(scan fusedScan, dec fusedESC, r int, now float64) int {
+// fusedPick runs the MCT scan for request r at time now.
+func (st *runState) fusedPick(r int, now float64) int {
 	var tcw []float64
-	if dec.form == sched.ESCLinear {
-		tcs := st.costs.tcRow(r)
+	if st.decESC.form == sched.ESCLinear {
+		tcs := st.truth.tcRow(r)
 		st.scr.tcw = growFloats(st.scr.tcw, len(tcs))
 		tcw = st.scr.tcw
 		for s, tc := range tcs {
-			tcw[s] = float64(tc) * dec.w
+			tcw[s] = float64(tc) * st.decESC.w
 		}
 	}
 	ft := st.scr.freeTime
-	m, _ := fusedScanRange(scan, dec, st.costs.eecRow(r), tcw, st.costs.rdOf, ft, now, 0, len(ft))
+	m, _ := fusedScanRange(st.decESC, st.truth.eecRow(r), tcw, st.truth.rdOf, ft, now, 0, len(ft))
 	return m
-}
-
-// commitFused commits request r to machine m, computing the charged ECC
-// inline when the policy's charged form is closed.
-func (st *runState) commitFused(ch fusedESC, opaque bool, r, m int, now, arrival float64) error {
-	if opaque {
-		return st.commit(r, m, now, arrival)
-	}
-	eec := st.costs.eecRow(r)[m]
-	tc := st.costs.tcRow(r)[st.costs.rdOf[m]]
-	st.commitCosted(r, m, now, arrival, ch.ecc(eec, tc), tc)
-	return nil
 }

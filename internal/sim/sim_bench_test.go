@@ -9,7 +9,8 @@ import (
 	"gridtrust/internal/workload"
 )
 
-// End-to-end simulator benchmarks, recorded in BENCH_des.json.
+// End-to-end simulator benchmarks; EXPERIMENTS.md keeps the rows recorded
+// when the flat kernel landed.
 //
 // BenchmarkSimRun drives complete replications (workload fixed, runs
 // repeated) at a wide 1024-machine instance, the scale where the fused

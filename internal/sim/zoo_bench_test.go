@@ -12,7 +12,6 @@ import (
 // scheduler through each registered trust model (the modelView wrapper:
 // per-finish Observe, per-decision Trust fused with the claimed table)
 // against the static table-driven default path, on the Table-4 scenario.
-// Recorded in BENCH_trustzoo.json.
 func BenchmarkTrustzooModelOverhead(b *testing.B) {
 	base := PaperScenario("mct", 100, workload.Inconsistent)
 	w, err := workload.NewWorkload(rng.New(2002), base.WorkloadSpec())

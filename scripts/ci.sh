@@ -63,6 +63,12 @@ if grep -rn 'net\.Dial' --include='*.go' internal cmd | grep -v '_test\.go:' | g
     exit 1
 fi
 
+echo "==> no hand-recorded benchmark files (BENCH_*.json at the repository root)"
+if ls BENCH_*.json 2>/dev/null; then
+    echo "ci: bench/ and BENCHMARK.json are the one benchmark; a microbenchmark's history is a dated row in EXPERIMENTS.md" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -74,6 +80,12 @@ go test ./...
 
 echo "==> bench module tests (its own module: held-out-seed goldens, estimator tests)"
 (cd bench && go test .)
+
+echo "==> microbenchmarks, one iteration each (none may rot; nothing is timed)"
+if ! out=$(make bench-micro BENCHTIME=1x 2>&1); then
+    echo "$out" >&2
+    exit 1
+fi
 
 echo "==> go test -race (concurrent packages)"
 go test -race ./internal/core/... ./internal/grid/... ./internal/exp/... ./internal/fault/... ./internal/sched/... ./internal/sim/... ./internal/trust/... ./internal/wal/... ./internal/frame/... ./internal/rmswire/... ./internal/metrics/... ./internal/load/... ./internal/trustwire/... ./internal/fleet/... ./internal/chaos/...
@@ -321,5 +333,8 @@ wait "$pid" || true
 cmp "$ckd/expected.txt" "$ckd/resumed.txt"
 rm -rf "$ckd"
 rm -f /tmp/gridtrust-ci-sweep
+
+echo "==> size (non-test Go lines; simplicity PRs quote it)"
+./scripts/size.sh internal/sim internal/load cmd/gridctl
 
 echo "ci: ok"
