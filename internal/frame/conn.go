@@ -60,6 +60,8 @@ type Conn struct {
 	r      *bufio.Reader
 	closed bool
 
+	wbuf []byte // the one encode buffer, under rt
+
 	dials, dialErrors atomic.Uint64
 }
 
@@ -123,13 +125,14 @@ func (c *Conn) live() (net.Conn, *bufio.Reader, error) {
 // RoundTrip writes req as one frame and reads one frame into resp, the
 // whole exchange bounded by timeout (0 = unbounded), and reports how far
 // it got.  The error is nil exactly when the delivery is Answered.
-func (c *Conn) RoundTrip(timeout time.Duration, req, resp any) (Delivery, error) {
-	data, err := encode(req)
+func (c *Conn) RoundTrip(timeout time.Duration, req, resp Frame) (Delivery, error) {
+	c.rt.Lock()
+	defer c.rt.Unlock()
+	data, err := encode(c.wbuf, req)
+	c.wbuf = data
 	if err != nil {
 		return NotSent, err
 	}
-	c.rt.Lock()
-	defer c.rt.Unlock()
 	conn, r, err := c.live()
 	if err != nil {
 		return NotSent, err

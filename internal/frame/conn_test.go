@@ -3,6 +3,7 @@ package frame
 import (
 	"bufio"
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -15,9 +16,16 @@ import (
 )
 
 type ping struct {
-	N   int    `json:"n"`
-	Pad string `json:"pad,omitempty"`
+	N   int     `json:"n"`
+	Pad string  `json:"pad,omitempty"`
+	F   float64 `json:"f,omitempty"`
 }
+
+var pingCodec = NewCodec(
+	Of("n", Int, func(p *ping) *int { return &p.N }),
+	Of("pad,omitempty", String, func(p *ping) *string { return &p.Pad }),
+	Of("f,omitempty", Float64, func(p *ping) *float64 { return &p.F }),
+)
 
 // echoServer answers every frame with the same frame, behind a chaos
 // wire.  executed counts the requests it read in full — what a client can
@@ -58,13 +66,13 @@ func startEcho(t *testing.T) *echoServer {
 				defer s.wg.Done()
 				defer conn.Close()
 				r := bufio.NewReader(conn)
+				var p ping
 				for {
-					var p ping
-					if Read(r, &p) != nil {
+					if Read(r, pingCodec.Frame(&p)) != nil {
 						return
 					}
 					s.executed.Add(1)
-					if Write(conn, p) != nil {
+					if Write(conn, pingCodec.Frame(&p)) != nil {
 						return
 					}
 				}
@@ -90,7 +98,7 @@ func (s *echoServer) stop() {
 func roundTrip(t *testing.T, c *Conn, timeout time.Duration, req ping, want Delivery) error {
 	t.Helper()
 	var resp ping
-	d, err := c.RoundTrip(timeout, req, &resp)
+	d, err := c.RoundTrip(timeout, pingCodec.Frame(&req), pingCodec.Frame(&resp))
 	if d != want {
 		t.Fatalf("delivery = %v (err %v), want %v", d, err, want)
 	}
@@ -212,8 +220,12 @@ func TestConnDropAndClose(t *testing.T) {
 		t.Fatalf("round trip on a closed Conn failed with %v, want ErrClosed", err)
 	}
 	// An unencodable request never reaches the connection.
-	if d, _ := NewConn(s.ln.Addr().String(), time.Second).RoundTrip(0, func() {}, nil); d != NotSent {
-		t.Fatalf("unencodable request: delivery %v, want not sent", d)
+	nan := NewConn(s.ln.Addr().String(), time.Second)
+	if err := roundTrip(t, nan, 0, ping{F: math.NaN()}, NotSent); !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Fatalf("unencodable request failed with %v, want encoding/json's error", err)
+	}
+	if dials, _ := nan.Dials(); dials != 0 {
+		t.Fatalf("unencodable request dialled %d times", dials)
 	}
 
 	raw, err := net.Dial("tcp", s.ln.Addr().String())
@@ -227,5 +239,27 @@ func TestConnDropAndClose(t *testing.T) {
 	roundTrip(t, w, 0, ping{N: 5}, MaybeSent)
 	if err := roundTrip(t, w, 0, ping{N: 6}, NotSent); !errors.Is(err, ErrClosed) {
 		t.Fatalf("wrapped connection after a failure: %v, want ErrClosed", err)
+	}
+}
+
+// TestConnOversizeRequestIsTypedAndNotSent: the sender refuses a frame
+// over MaxBytes with the error the reader would have answered it with,
+// before a byte of it leaves, and the connection carries on.
+func TestConnOversizeRequestIsTypedAndNotSent(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
+	s := startEcho(t)
+	c := NewConn(s.ln.Addr().String(), time.Second)
+	defer c.Close()
+	roundTrip(t, c, 0, ping{N: 1}, Answered)
+	err := roundTrip(t, c, 0, ping{N: 2, Pad: strings.Repeat("x", MaxBytes)}, NotSent)
+	if !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("oversize request failed with %v, want ErrTooLarge", err)
+	}
+	roundTrip(t, c, 0, ping{N: 3}, Answered)
+	if dials, _ := c.Dials(); dials != 1 {
+		t.Fatalf("dials = %d, want 1: refusing a frame must not cost the connection", dials)
+	}
+	if got := s.executed.Load(); got != 2 {
+		t.Fatalf("server executed %d requests, want 2", got)
 	}
 }

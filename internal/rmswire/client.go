@@ -108,7 +108,7 @@ func (c *Client) RoundTrip(req Request) (Response, frame.Delivery, error) {
 		req.BudgetMS = c.Budget.Milliseconds()
 	}
 	var resp Response
-	d, err := c.conn.RoundTrip(c.Timeout, req, &resp)
+	d, err := c.conn.RoundTrip(c.Timeout, requestCodec.Frame(&req), responseCodec.Frame(&resp))
 	if err != nil {
 		return Response{}, d, err
 	}

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"gridtrust/internal/core"
 	"gridtrust/internal/grid"
@@ -179,7 +180,7 @@ func (s *Server) replay(rec *wal.Recovered) error {
 	}
 	for _, w := range rec.Records {
 		var r journalRecord
-		if err := json.Unmarshal(w.Payload, &r); err != nil {
+		if err := recordCodec.Parse(w.Payload, &r); err != nil {
 			return fmt.Errorf("decode record %d: %w", w.Seq, err)
 		}
 		switch r.Kind {
@@ -295,13 +296,22 @@ func placeRecord(id uint64, p *core.Placement, toa grid.ToA, now float64) journa
 	}
 }
 
+// recordBufs recycles the buffers journal records are encoded into.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // journalAppend durably appends one record; a nil journal is a no-op.  The
 // caller holds jmu for reading.
 func (s *Server) journalAppend(r journalRecord) error {
 	if s.journal == nil {
 		return nil
 	}
-	data, err := json.Marshal(r)
+	// The log copies the payload before Append returns.  The codec takes
+	// the record by pointer, which sends it to the heap: rec does that
+	// here, past the check an unjournalled daemon returns at.
+	buf, rec := recordBufs.Get().(*[]byte), r
+	defer recordBufs.Put(buf)
+	data, err := recordCodec.Append((*buf)[:0], &rec)
+	*buf = data
 	if err != nil {
 		return fmt.Errorf("rmswire: encode journal record: %w", err)
 	}

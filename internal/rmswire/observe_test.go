@@ -222,17 +222,17 @@ func TestConnClosingSavesAnAttempt(t *testing.T) {
 				defer conn.Close()
 				r := bufio.NewReader(conn)
 				var req Request
-				if err := frame.Read(r, &req); err != nil {
+				if err := frame.Read(r, requestCodec.Frame(&req)); err != nil {
 					return
 				}
 				if i < sheds {
-					_ = frame.Write(conn, Response{
+					_ = frame.Write(conn, responseCodec.Frame(&Response{
 						Status: StatusOverloaded, Error: "conn shed",
 						RetryAfterMS: 1, ConnClosing: true,
-					})
+					}))
 					return // close: the frame said so
 				}
-				_ = frame.Write(conn, Response{Status: StatusOK, Stats: &StatsInfo{}})
+				_ = frame.Write(conn, responseCodec.Frame(&Response{Status: StatusOK, Stats: &StatsInfo{}}))
 			}(conn, i)
 		}
 	}()

@@ -6,9 +6,17 @@
 //
 // The wire format is newline-delimited JSON frames, one request and one
 // response per line, mirroring internal/trustwire.  The protocol is
-// deliberately synchronous (request/response over one connection) — the
-// paper's RMS is centrally organised, and scheduling throughput is bounded
-// by the mapping heuristic, not the transport.
+// deliberately synchronous (request/response over one connection): the
+// paper's RMS is centrally organised, and one placement is one exchange.
+//
+// The mapping heuristic is not what bounds a submit.  The decision is one
+// to two microseconds; the rest of a local submit is the transport, and
+// while frames went through reflection JSON that was mostly encoding
+// (EXPERIMENTS.md "PR 24").  The frames and the journal record are now
+// written and read by field tables (codec.go, over internal/frame), byte
+// for byte what encoding/json writes, so the struct tags below remain the
+// definition of the protocol; what is left of a submit is chiefly the
+// four socket calls of its round trip and strconv on its EEC row.
 package rmswire
 
 import (

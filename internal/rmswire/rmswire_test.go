@@ -257,7 +257,7 @@ func TestMalformedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp Response
-	if err := frame.Read(bufio.NewReader(conn), &resp); err != nil {
+	if err := frame.Read(bufio.NewReader(conn), responseCodec.Frame(&resp)); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != StatusError {
@@ -279,7 +279,7 @@ func TestOversizeFrameAnsweredWithError(t *testing.T) {
 		_, _ = conn.Write([]byte{'\n'})
 	}()
 	var resp Response
-	if err := frame.Read(bufio.NewReader(conn), &resp); err != nil {
+	if err := frame.Read(bufio.NewReader(conn), responseCodec.Frame(&resp)); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != StatusError || !strings.Contains(resp.Error, "MaxFrameBytes") {

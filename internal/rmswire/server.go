@@ -278,7 +278,7 @@ func (s *Server) rejectConn(conn net.Conn, reason string) {
 	}
 	resp := s.overloaded(reason)
 	resp.ConnClosing = true
-	_ = frame.Write(conn, resp)
+	_ = frame.Write(conn, responseCodec.Frame(&resp))
 	_ = conn.Close()
 }
 
@@ -445,17 +445,25 @@ func (s *Server) handle(conn net.Conn) {
 			_ = set(time.Now().Add(timeout))
 		}
 	}
+	// One request, one reply and one encode buffer serve the whole
+	// stream: a frame is parsed out of r's buffer into req and the reply
+	// is encoded over the last one.
+	var (
+		req  Request
+		resp Response
+	)
+	in, out, w := requestCodec.Frame(&req), responseCodec.Frame(&resp), frame.Writer{W: conn}
 	for {
-		var req Request
 		deadline(conn.SetReadDeadline)
-		if err := frame.Read(r, &req); err != nil {
+		if err := frame.Read(r, in); err != nil {
 			if !errors.Is(err, io.EOF) && !s.closed.Load() {
 				deadline(conn.SetWriteDeadline)
-				_ = frame.Write(conn, Response{Status: StatusError, Error: err.Error()})
+				resp = Response{Status: StatusError, Error: err.Error()}
+				_ = w.Write(out)
 			}
 			return
 		}
-		resp := s.respond(req)
+		resp = s.respond(req)
 		// A draining server finishes the request it already answered and
 		// then closes the stream so the client reconnects elsewhere; say
 		// so in the frame so the client redials instead of discovering a
@@ -465,7 +473,7 @@ func (s *Server) handle(conn net.Conn) {
 			resp.ConnClosing = true
 		}
 		deadline(conn.SetWriteDeadline)
-		if err := frame.Write(conn, resp); err != nil {
+		if err := w.Write(out); err != nil {
 			return
 		}
 		if closing {

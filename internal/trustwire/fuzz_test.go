@@ -19,7 +19,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("a"), 4096))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
-		_ = frame.Read(bufio.NewReader(bytes.NewReader(data)), &req)
+		_ = frame.Read(bufio.NewReader(bytes.NewReader(data)), requestCodec.Frame(&req))
 	})
 }
 

@@ -59,6 +59,27 @@ type Response struct {
 	Error string `json:"error,omitempty"`
 }
 
+// The frames' field tables (internal/frame, codec.go), row for row the
+// struct tags above.
+var (
+	requestCodec = frame.NewCodec(
+		frame.Of("op", frame.String, func(r *Request) *string { return &r.Op }),
+		frame.Of("have_version", frame.Uint64, func(r *Request) *uint64 { return &r.HaveVersion }),
+	)
+	entryCodec = frame.NewCodec(
+		frame.Of("cd", frame.Int, func(e *Entry) *int { return &e.CD }),
+		frame.Of("rd", frame.Int, func(e *Entry) *int { return &e.RD }),
+		frame.Of("activity", frame.Int, func(e *Entry) *int { return &e.Activity }),
+		frame.Of("level", frame.String, func(e *Entry) *string { return &e.Level }),
+	)
+	responseCodec = frame.NewCodec(
+		frame.Of("status", frame.String, func(r *Response) *string { return &r.Status }),
+		frame.Of("version", frame.Uint64, func(r *Response) *uint64 { return &r.Version }),
+		frame.Of("entries,omitempty", frame.Slice(entryCodec.Value()), func(r *Response) *[]Entry { return &r.Entries }),
+		frame.Of("error,omitempty", frame.String, func(r *Response) *string { return &r.Error }),
+	)
+)
+
 // Wire statuses.
 const (
 	StatusSnapshot = "snapshot"

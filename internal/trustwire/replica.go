@@ -77,8 +77,8 @@ func (c *Replica) SnapshotsApplied() int64 {
 func (c *Replica) Sync() (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var resp Response
-	if d, err := c.conn.RoundTrip(c.timeout, Request{Op: OpSync, HaveVersion: c.have}, &resp); d != frame.Answered {
+	req, resp := Request{Op: OpSync, HaveVersion: c.have}, Response{}
+	if d, err := c.conn.RoundTrip(c.timeout, requestCodec.Frame(&req), responseCodec.Frame(&resp)); d != frame.Answered {
 		c.have = 0
 		return false, err
 	}

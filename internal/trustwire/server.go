@@ -151,17 +151,22 @@ func (s *Server) DeltasServed() int64 { return s.deltasServed.Load() }
 // handle serves one connection: a loop of request → response frames.
 func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
+	var (
+		req  Request
+		resp Response
+	)
+	in, out, w := requestCodec.Frame(&req), responseCodec.Frame(&resp), frame.Writer{W: conn}
 	for {
-		var req Request
-		if err := frame.Read(r, &req); err != nil {
+		if err := frame.Read(r, in); err != nil {
 			if !errors.Is(err, io.EOF) && !s.closed.Load() {
 				// Malformed frame: answer once, then drop the peer.
-				_ = frame.Write(conn, Response{Status: StatusError, Error: err.Error()})
+				resp = Response{Status: StatusError, Error: err.Error()}
+				_ = w.Write(out)
 			}
 			return
 		}
-		resp := s.respond(req)
-		if err := frame.Write(conn, resp); err != nil {
+		resp = s.respond(req)
+		if err := w.Write(out); err != nil {
 			return
 		}
 	}

@@ -244,11 +244,11 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := frame.Write(conn, Request{Op: "explode"}); err != nil {
+	if err := frame.Write(conn, requestCodec.Frame(&Request{Op: "explode"})); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response
-	if err := frame.Read(bufio.NewReader(conn), &resp); err != nil {
+	if err := frame.Read(bufio.NewReader(conn), responseCodec.Frame(&resp)); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != StatusError || !strings.Contains(resp.Error, "explode") {
@@ -267,7 +267,7 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp Response
-	if err := frame.Read(bufio.NewReader(conn), &resp); err != nil {
+	if err := frame.Read(bufio.NewReader(conn), responseCodec.Frame(&resp)); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != StatusError {
@@ -298,7 +298,7 @@ func TestServerBoundsUnterminatedFrame(t *testing.T) {
 	}
 	r := bufio.NewReader(conn)
 	var resp Response
-	if err := frame.Read(r, &resp); err != nil {
+	if err := frame.Read(r, responseCodec.Frame(&resp)); err != nil {
 		t.Fatalf("no error frame: %v", err)
 	}
 	if resp.Status != StatusError || !strings.Contains(resp.Error, "MaxFrameBytes") {

@@ -63,6 +63,12 @@ if grep -rn 'net\.Dial' --include='*.go' internal cmd | grep -v '_test\.go:' | g
     exit 1
 fi
 
+echo "==> no unsafe on the wire (non-test code under internal/frame, rmswire, trustwire, fleet)"
+if grep -rn '"unsafe"' --include='*.go' internal/frame internal/rmswire internal/trustwire internal/fleet | grep -v '_test\.go:'; then
+    echo "ci: the frame codec reads and writes through typed accessors; bytes from a peer never meet unsafe" >&2
+    exit 1
+fi
+
 echo "==> no hand-recorded benchmark files (BENCH_*.json at the repository root)"
 if ls BENCH_*.json 2>/dev/null; then
     echo "ci: bench/ and BENCHMARK.json are the one benchmark; a microbenchmark's history is a dated row in EXPERIMENTS.md" >&2
@@ -108,6 +114,8 @@ for spec in \
     "./internal/grid FuzzETSWith" \
     "./internal/grid FuzzLevelFromScore" \
     "./internal/trustwire FuzzReadFrame" \
+    "./internal/trustwire FuzzCodecMatchesJSON" \
+    "./internal/rmswire FuzzCodecMatchesJSON" \
     "./internal/trustwire FuzzApplyEntries" \
     "./internal/trustwire FuzzServerRespond" \
     "./internal/chaos FuzzTornTailRecovery" \
