@@ -61,7 +61,9 @@ bench-e2e:
 
 # bench-micro runs every testing.B in the module: the kernels beside their
 # references (sched, des), the run loops (sim), the experiment engine, the
-# trust zoo, the WAL, the daemon's decision and the paper-table pipelines.
+# trust zoo (BenchmarkModelTrust: one Trust call of every registered model,
+# with allocations), the WAL, the daemon's decision and the paper-table
+# pipelines.
 # They are for reading one layer while working on it; nothing gates them
 # (bench-e2e is the gated benchmark) and scripts/ci.sh runs them at
 # BENCHTIME=1x so none can rot.  The 5000-machine x 1M-task replication

@@ -13,11 +13,11 @@ import (
 // treats trust costs as fixed inputs; under a model the view starts from
 // the model's uninformed prior, observes every task completion (the CD of
 // the finished request judges the machine's RD by the true offered trust
-// level) and re-derives the decision-view TC from the model's evolving
-// score after every completion.  Because all client domains feed the
-// same model, each CD's direct experience doubles as every other CD's
-// recommendation — the Figure 1 recommender network arises from the
-// workload itself.
+// level) and re-derives a decision-view TC from the model's evolving
+// score whenever a completion changed what the model knows about it.
+// Because all client domains feed the same model, each CD's direct
+// experience doubles as every other CD's recommendation — the Figure 1
+// recommender network arises from the workload itself.
 //
 // The fusion with the advertised table is conservative: the decision TC
 // is the maximum of the claimed cost (the whitewashed table when the
@@ -33,26 +33,39 @@ import (
 // count.  All model calls pass now=0: the view installs no decay
 // function, making scores time-independent.
 //
-// The model scores (CD, RD, context) and the context is the request's
-// ToA, so a decision TC is a function of the request's profile — the one
-// workloadCosts keys its rows on — and the machine's RD slot.  Model.Trust
-// only reads, and only noteFinish's Observe changes what it returns, so
-// between two completions the view asks the model once per (profile,
-// slot) and serves every other lookup from dec.
+// Caching.  The model scores (CD, RD, context) and the context is the
+// request's ToA, so the quantised level is a function of the (CD,
+// context) pair — the asker — and the machine's RD slot; the request's
+// RTL enters only afterwards, through grid.TrustCostWith.  The model
+// contract says Trust(x, y, c) reads nothing but state about subject y in
+// context c, and noteFinish's Observe is the only call that changes
+// state, about exactly one (context, slot).  So the view keeps one
+// version per (context, slot), bumped by noteFinish, and two caches that
+// stamp each entry with the version it was computed at: the level per
+// (asker, slot) and the decision TC per (profile, slot).  An entry is
+// valid while its stamp equals its (context, slot) version; a completion
+// invalidates only the entries about what it observed, and every answer
+// equals what asking the model afresh would return.
 type modelView struct {
 	truth   *workloadCosts
 	claimed *workloadCosts // truth, or the whitewashed overlay when active
 	model   trust.Model
 
-	cds  []trust.EntityID // client-domain entity names, "cd:<i>"
-	rds  []trust.EntityID // per RD slot: resource-domain entity name, "rd:<i>"
-	ctxs []trust.Context  // per profile: its composed ToA as a context
+	rds []trust.EntityID // per RD slot: resource-domain entity name, "rd:<i>"
 
-	// dec caches decision TCs per (profile, slot); an entry is valid
-	// while its stamp equals epoch, which noteFinish advances.
-	dec   []int
-	stamp []uint64
-	epoch uint64
+	// Contexts are the distinct ToA renderings; an asker is a distinct
+	// (CD, context) pair.
+	ctxs   []trust.Context  // per context
+	askCD  []trust.EntityID // per asker: client-domain entity name, "cd:<i>"
+	askCtx []int32          // per asker: its context
+	ctxOf  []int32          // per profile: its context
+	askOf  []int32          // per profile: its asker
+
+	ver    []uint64          // per (context, slot): observations so far, plus 1
+	lvl    []grid.TrustLevel // per (asker, slot)
+	lvlVer []uint64
+	dec    []int // per (profile, slot)
+	decVer []uint64
 }
 
 // viewModelConfig is the trust configuration every scenario-level model
@@ -76,26 +89,52 @@ func newModelView(sc Scenario, truth, claimed *workloadCosts) (*modelView, error
 		return nil, err
 	}
 	w := truth.w
+	slots, profiles := len(truth.slotRD), len(truth.rowReq)
 	v := &modelView{
 		truth:   truth,
 		claimed: claimed,
 		model:   model,
-		cds:     make([]trust.EntityID, w.NumCDs),
-		rds:     make([]trust.EntityID, len(truth.slotRD)),
-		ctxs:    make([]trust.Context, len(truth.rowReq)),
+		rds:     make([]trust.EntityID, slots),
+		ctxOf:   make([]int32, profiles),
+		askOf:   make([]int32, profiles),
 		dec:     make([]int, len(truth.tc)),
-		stamp:   make([]uint64, len(truth.tc)),
-		epoch:   1,
-	}
-	for i := range v.cds {
-		v.cds[i] = trust.EntityID(fmt.Sprintf("cd:%d", i))
+		decVer:  make([]uint64, len(truth.tc)),
 	}
 	for s, rd := range truth.slotRD {
 		v.rds[s] = trust.EntityID(fmt.Sprintf("rd:%d", rd))
 	}
-	for j, r := range truth.rowReq {
-		v.ctxs[j] = trust.Context(w.Requests[r].ToA.String())
+	cds := make([]trust.EntityID, w.NumCDs)
+	for i := range cds {
+		cds[i] = trust.EntityID(fmt.Sprintf("cd:%d", i))
 	}
+	ctxIdx := map[trust.Context]int32{}
+	for j, r := range truth.rowReq {
+		ctx := trust.Context(w.Requests[r].ToA.String())
+		c, ok := ctxIdx[ctx]
+		if !ok {
+			c = int32(len(v.ctxs))
+			ctxIdx[ctx] = c
+			v.ctxs = append(v.ctxs, ctx)
+		}
+		v.ctxOf[j] = c
+	}
+	askIdx := make([]int32, len(v.ctxs)*len(cds)) // (context, CD) → asker + 1
+	for j, r := range truth.rowReq {
+		cd := w.Requests[r].CD
+		k := int(v.ctxOf[j])*len(cds) + int(cd)
+		if askIdx[k] == 0 {
+			v.askCD = append(v.askCD, cds[cd])
+			v.askCtx = append(v.askCtx, v.ctxOf[j])
+			askIdx[k] = int32(len(v.askCD))
+		}
+		v.askOf[j] = askIdx[k] - 1
+	}
+	v.ver = make([]uint64, len(v.ctxs)*slots)
+	for i := range v.ver {
+		v.ver[i] = 1
+	}
+	v.lvl = make([]grid.TrustLevel, len(v.askCD)*slots)
+	v.lvlVer = make([]uint64, len(v.lvl))
 	return v, nil
 }
 
@@ -109,15 +148,16 @@ func (v *modelView) NumMachines() int { return v.truth.NumMachines() }
 // machine speed.
 func (v *modelView) EEC(r, m int) float64 { return v.truth.EEC(r, m) }
 
-// modelTC derives the trust cost the model currently implies for profile
-// j on RD slot s: the model's score for (CD, RD) in the profile's ToA
-// context is quantised to a trust level (non-offerable levels cap at the
-// maximum offerable, mirroring core's table updates) and priced through
-// the scenario's ETS rule.
-func (v *modelView) modelTC(j int32, s int) (int, error) {
-	w := v.truth.w
-	req := &w.Requests[v.truth.rowReq[j]]
-	score, err := v.model.Trust(v.cds[req.CD], v.rds[s], v.ctxs[j], 0)
+// level returns the trust level the model currently implies for asker a
+// on RD slot s, whose (context, slot) version is cur: the model's score
+// for (CD, RD) in the asker's context, quantised, with non-offerable
+// levels capped at the maximum offerable, mirroring core's table updates.
+func (v *modelView) level(a int32, s int, cur uint64) (grid.TrustLevel, error) {
+	k := int(a)*len(v.rds) + s
+	if v.lvlVer[k] == cur {
+		return v.lvl[k], nil
+	}
+	score, err := v.model.Trust(v.askCD[a], v.rds[s], v.ctxs[v.askCtx[a]], 0)
 	if err != nil {
 		return 0, err
 	}
@@ -125,25 +165,33 @@ func (v *modelView) modelTC(j int32, s int) (int, error) {
 	if !lvl.Offerable() {
 		lvl = grid.MaxOfferable
 	}
-	return grid.TrustCostWith(w.Spec.ETSRule, req.ClientRTL, w.ResourceRTL[v.truth.slotRD[s]], lvl)
+	v.lvl[k], v.lvlVer[k] = lvl, cur
+	return lvl, nil
 }
 
 // decisionTC returns the decision-view trust cost of profile j on RD slot
-// s: the conservative maximum of the claimed table cost and the
-// model-derived cost.
+// s: the conservative maximum of the claimed table cost and the model's
+// level priced through the scenario's ETS rule.
 func (v *modelView) decisionTC(j int32, s int) (int, error) {
 	k := int(j)*len(v.rds) + s
-	if v.stamp[k] == v.epoch {
+	cur := v.ver[int(v.ctxOf[j])*len(v.rds)+s]
+	if v.decVer[k] == cur {
 		return v.dec[k], nil
 	}
-	tc, err := v.modelTC(j, s)
+	lvl, err := v.level(v.askOf[j], s, cur)
+	if err != nil {
+		return 0, err
+	}
+	w := v.truth.w
+	req := &w.Requests[v.truth.rowReq[j]]
+	tc, err := grid.TrustCostWith(w.Spec.ETSRule, req.ClientRTL, w.ResourceRTL[v.truth.slotRD[s]], lvl)
 	if err != nil {
 		return 0, err
 	}
 	if ctc := v.claimed.tc[k]; ctc > tc {
 		tc = ctc
 	}
-	v.dec[k], v.stamp[k] = tc, v.epoch
+	v.dec[k], v.decVer[k] = tc, cur
 	return tc, nil
 }
 
@@ -167,15 +215,17 @@ func (v *modelView) noteFinish(r, m int) error {
 	if err != nil {
 		return err
 	}
-	v.epoch++
-	_, err = v.model.Observe(v.cds[req.CD], v.rds[s], v.ctxs[v.truth.rowOf[r]], float64(otl), 0)
+	j := v.truth.rowOf[r]
+	v.ver[int(v.ctxOf[j])*len(v.rds)+int(s)]++
+	_, err = v.model.Observe(v.askCD[v.askOf[j]], v.rds[s], v.ctxs[v.ctxOf[j]], float64(otl), 0)
 	return err
 }
 
 // tableError measures the final decision-view gap: the mean absolute
 // difference between the decision TC (post-learning) and the true TC over
 // every (request, machine) pair — the RunResult.TrustTableError a
-// model-driven run reports.
+// model-driven run reports.  It reads through decisionTC, so only entries
+// a completion invalidated are asked again.
 func (v *modelView) tableError() (float64, error) {
 	var gap int64
 	for k, ttc := range v.truth.tc {

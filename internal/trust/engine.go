@@ -106,19 +106,22 @@ func (c Config) withDefaults() (Config, error) {
 //
 //   - out[x] is x's outgoing adjacency, sorted by (to, ctx) index — a
 //     binary search replaces the map lookup in Observe/Direct;
-//   - in[y] is y's incoming adjacency, sorted by the recommender's
-//     EntityID *string* (then ctx).  Reputation's contract is that
+//   - in[y] is y's incoming adjacency, sorted by context index, then by
+//     the recommender's EntityID *string*.  Reputation's contract is that
 //     contributions sum in recommender string order (float addition is
 //     not associative, so summation order defines the bits of Ω); the
 //     old engine sorted on every call, this one keeps the adjacency
-//     presorted and just scans, making Ω an allocation-free linear pass
-//     over exactly the relationships that matter;
+//     presorted, binary-searches the context's run and just scans it,
+//     making Ω an allocation-free linear pass over exactly the
+//     relationships that matter;
 //   - recommender factors and alliances are per-entity sorted index
 //     lists, looked up by binary search.
 //
 // Steady-state Observe and Trust therefore allocate nothing and touch no
-// map beyond the O(1) intern lookups at the API boundary (EntityID and
-// Context are strings; the intern read is how a string becomes an index).
+// map beyond the intern lookups at the API boundary (EntityID and Context
+// are strings; the intern read is how a string becomes an index), done
+// once per call under one lock: every string-keyed method turns its names
+// into indices and runs the indexed code on them.
 // Scores are bit-identical to the reference implementation in
 // reference_test.go, which engine_equiv_test.go and FuzzEngineEquivalence
 // enforce.
@@ -154,7 +157,7 @@ type Engine struct {
 	relFree    []int32
 
 	out  [][]edge    // per from-entity, sorted by (to, ctx) index
-	in   [][]edge    // per to-entity, sorted by (from string, ctx)
+	in   [][]edge    // per to-entity, sorted by (ctx index, from string)
 	rec  [][]recEdge // per recommender, sorted by about index
 	ally [][]int32   // per entity, sorted ally index list
 }
@@ -269,16 +272,17 @@ func (e *Engine) newRel(xi, yi, ci int32, score, lastTx float64) int32 {
 	adj[pos] = edge{peer: yi, ctx: ci, rel: ri}
 	e.out[xi] = adj
 
-	// Incoming adjacency: ordered by the recommender's EntityID string
-	// (then ctx) so Reputation's scan sums contributions in exactly the
-	// order the reference implementation sorts them into.
+	// Incoming adjacency: ordered by ctx, then by the recommender's
+	// EntityID string, so Reputation's scan of one context's run sums
+	// contributions in exactly the order the reference implementation
+	// sorts them into.
 	from := e.ents[xi]
 	inc := e.in[yi]
 	pos = sort.Search(len(inc), func(i int) bool {
-		if p := e.ents[inc[i].peer]; p != from {
-			return p > from
+		if inc[i].ctx != ci {
+			return inc[i].ctx > ci
 		}
-		return inc[i].ctx >= ci
+		return e.ents[inc[i].peer] >= from
 	})
 	inc = append(inc, edge{})
 	copy(inc[pos+1:], inc[pos:])
@@ -434,12 +438,24 @@ func (e *Engine) recommenderFactor(zi, yi int32) float64 {
 // significant amount of transactional data" (Section 3.1).
 // It reports whether the stored trust level changed.
 func (e *Engine) Observe(x, y EntityID, c Context, outcome, now float64) (bool, error) {
-	if outcome < MinScore || outcome > MaxScore {
-		return false, fmt.Errorf("trust: outcome %g outside [%g,%g]", outcome, MinScore, MaxScore)
+	if err := checkOutcome(outcome); err != nil {
+		return false, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	xi, yi, ci := e.intern(x), e.intern(y), e.internCtx(c)
+	return e.observe(e.intern(x), e.intern(y), e.internCtx(c), outcome, now), nil
+}
+
+// checkOutcome rejects an outcome off the trust scale.
+func checkOutcome(outcome float64) error {
+	if outcome < MinScore || outcome > MaxScore {
+		return fmt.Errorf("trust: outcome %g outside [%g,%g]", outcome, MinScore, MaxScore)
+	}
+	return nil
+}
+
+// observe is Observe on interned indices.  Caller holds the write lock.
+func (e *Engine) observe(xi, yi, ci int32, outcome, now float64) bool {
 	ri, ok := e.findRel(xi, yi, ci)
 	if !ok {
 		ri = e.newRel(xi, yi, ci, e.cfg.InitialScore, now)
@@ -448,13 +464,37 @@ func (e *Engine) Observe(x, y EntityID, c Context, outcome, now float64) (bool, 
 	e.relPendCnt[ri]++
 	e.relLastTx[ri] = now
 	if int(e.relPendCnt[ri]) < e.cfg.UpdateBatch {
-		return false, nil
+		return false
 	}
 	batchMean := e.relPendSum[ri] / float64(e.relPendCnt[ri])
 	e.relPendSum[ri], e.relPendCnt[ri] = 0, 0
 	s := e.cfg.Smoothing
 	e.relScore[ri] = clampScore((1-s)*e.relScore[ri] + s*batchMean)
-	return true, nil
+	return true
+}
+
+// query is one (asker, subject, context) triple resolved to dense
+// indices; -1 marks a name the engine has never seen.  The context's
+// name rides along for the decay function.
+type query struct {
+	x, y, c int32
+	ctx     Context
+}
+
+// resolve looks x, y and c up without interning them.  Caller holds the
+// lock.
+func (e *Engine) resolve(x, y EntityID, c Context) query {
+	q := query{x: -1, y: -1, c: -1, ctx: c}
+	if i, ok := e.entIdx[x]; ok {
+		q.x = i
+	}
+	if i, ok := e.entIdx[y]; ok {
+		q.y = i
+	}
+	if i, ok := e.ctxIdx[c]; ok {
+		q.c = i
+	}
+	return q
 }
 
 // Direct computes Θ(x,y,t,c) = DTT(x,y,c) · Υ(t−t_xy, c).  Unknown
@@ -465,27 +505,37 @@ func (e *Engine) Observe(x, y EntityID, c Context, outcome, now float64) (bool, 
 func (e *Engine) Direct(x, y EntityID, c Context, now float64) (float64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	xi, okx := e.entIdx[x]
-	yi, oky := e.entIdx[y]
-	ci, okc := e.ctxIdx[c]
-	if !okx || !oky || !okc {
-		return e.cfg.InitialScore, nil
-	}
-	return e.directIdx(xi, yi, ci, c, now)
+	return e.direct(e.resolve(x, y, c), now)
 }
 
-func (e *Engine) directIdx(xi, yi, ci int32, c Context, now float64) (float64, error) {
-	ri, ok := e.findRel(xi, yi, ci)
+// direct is Direct on a resolved query.  Caller holds the lock.
+func (e *Engine) direct(q query, now float64) (float64, error) {
+	if q.x < 0 || q.y < 0 || q.c < 0 {
+		return e.cfg.InitialScore, nil
+	}
+	ri, ok := e.findRel(q.x, q.y, q.c)
 	if !ok {
 		return e.cfg.InitialScore, nil
 	}
-	d, err := e.decay(now-e.relLastTx[ri], c)
+	d, err := e.decay(now-e.relLastTx[ri], q.ctx)
 	if err != nil {
 		return 0, err
 	}
 	// Decay pulls the remembered score toward the scale floor rather than
 	// to zero, keeping Θ on [1,6]: Θ = 1 + (score−1)·Υ.
 	return MinScore + (e.relScore[ri]-MinScore)*d, nil
+}
+
+// incoming returns the run of y's incoming adjacency in context c, in
+// recommender string order.  Caller holds the lock; y and c are known.
+func (e *Engine) incoming(y, c int32) []edge {
+	inc := e.in[y]
+	lo := sort.Search(len(inc), func(i int) bool { return inc[i].ctx >= c })
+	hi := lo
+	for hi < len(inc) && inc[hi].ctx == c {
+		hi++
+	}
+	return inc[lo:hi]
 }
 
 // Reputation computes Ω(y,t,c): the average over recommenders z≠x of
@@ -495,35 +545,29 @@ func (e *Engine) directIdx(xi, yi, ci int32, c Context, now float64) (float64, e
 func (e *Engine) Reputation(x, y EntityID, c Context, now float64) (float64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	yi, oky := e.entIdx[y]
-	ci, okc := e.ctxIdx[c]
-	if !oky || !okc {
-		return e.cfg.InitialScore, nil
-	}
-	xi := int32(-1)
-	if i, ok := e.entIdx[x]; ok {
-		xi = i
-	}
-	return e.reputationIdx(xi, yi, ci, c, now)
+	return e.reputation(e.resolve(x, y, c), now)
 }
 
-// reputationIdx scans y's incoming adjacency.  The list is presorted by
-// recommender string, so the sum accumulates in exactly the order the
+// reputation scans y's incoming run in context c.  The run is presorted
+// by recommender string, so the sum accumulates in exactly the order the
 // reference implementation establishes by sorting per call — float
 // addition is not associative, and Ω's bits are part of the engine's
-// determinism contract.
-func (e *Engine) reputationIdx(xi, yi, ci int32, c Context, now float64) (float64, error) {
+// determinism contract.  Caller holds the lock.
+func (e *Engine) reputation(q query, now float64) (float64, error) {
+	if q.y < 0 || q.c < 0 {
+		return e.cfg.InitialScore, nil
+	}
 	var sum float64
 	n := 0
-	for _, ed := range e.in[yi] {
-		if ed.ctx != ci || ed.peer == xi || ed.peer == yi {
+	for _, ed := range e.incoming(q.y, q.c) {
+		if ed.peer == q.x || ed.peer == q.y {
 			continue
 		}
-		d, err := e.decay(now-e.relLastTx[ed.rel], c)
+		d, err := e.decay(now-e.relLastTx[ed.rel], q.ctx)
 		if err != nil {
 			return 0, err
 		}
-		r := e.recommenderFactor(ed.peer, yi)
+		r := e.recommenderFactor(ed.peer, q.y)
 		if r < e.cfg.PurgeBelow {
 			// Purged: a recommender distrusted this far is not averaged
 			// in at the floor, it is ignored outright.
@@ -550,21 +594,15 @@ func (e *Engine) reputationIdx(xi, yi, ci int32, c Context, now float64) (float6
 func (e *Engine) Recommendation(z, y EntityID, c Context, now float64) (float64, bool, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	zi, okz := e.entIdx[z]
-	yi, oky := e.entIdx[y]
-	ci, okc := e.ctxIdx[c]
-	if !okz || !oky || !okc {
+	q := e.resolve(z, y, c)
+	if q.x < 0 || q.y < 0 || q.c < 0 {
 		return 0, false, nil
 	}
-	ri, ok := e.findRel(zi, yi, ci)
-	if !ok {
+	if _, ok := e.findRel(q.x, q.y, q.c); !ok {
 		return 0, false, nil
 	}
-	d, err := e.decay(now-e.relLastTx[ri], c)
-	if err != nil {
-		return 0, false, err
-	}
-	return MinScore + (e.relScore[ri]-MinScore)*d, true, nil
+	v, err := e.direct(q, now)
+	return v, err == nil, err
 }
 
 // Trust computes the eventual trust Γ(x,y,t,c) = α·Θ + β·Ω, clamped to the
@@ -572,25 +610,14 @@ func (e *Engine) Recommendation(z, y EntityID, c Context, now float64) (float64,
 func (e *Engine) Trust(x, y EntityID, c Context, now float64) (float64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	yi, oky := e.entIdx[y]
-	ci, okc := e.ctxIdx[c]
-	xi, okx := e.entIdx[x]
-	theta, omega := e.cfg.InitialScore, e.cfg.InitialScore
-	if oky && okc {
-		var err error
-		if okx {
-			theta, err = e.directIdx(xi, yi, ci, c, now)
-			if err != nil {
-				return 0, err
-			}
-		}
-		if !okx {
-			xi = -1
-		}
-		omega, err = e.reputationIdx(xi, yi, ci, c, now)
-		if err != nil {
-			return 0, err
-		}
+	q := e.resolve(x, y, c)
+	theta, err := e.direct(q, now)
+	if err != nil {
+		return 0, err
+	}
+	omega, err := e.reputation(q, now)
+	if err != nil {
+		return 0, err
 	}
 	return clampScore(e.cfg.Alpha*theta + e.cfg.Beta*omega), nil
 }

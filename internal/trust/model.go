@@ -21,13 +21,18 @@ import (
 //   - Determinism: identical call sequences produce bit-identical floats.
 //     Any aggregation over multiple relationships must iterate in a
 //     reproducible order — the Engine's incoming adjacency is presorted
-//     by recommender EntityID string exactly for this, and rival models
-//     reuse it via claimsAbout.  No map iteration may influence a result.
+//     by recommender EntityID string within each context exactly for
+//     this, and rival models reuse it via claims.  No map iteration may
+//     influence a result.
 //   - Queries only read: Trust, Direct and Recommendation leave every
 //     later result unchanged, so between two mutating calls (Observe,
 //     SetDirect, SetRecommenderFactor, DeclareAlliance, Import) a caller
-//     may keep an answer instead of asking again — internal/sim's model
-//     view does.
+//     may keep an answer instead of asking again.
+//   - Trust reads only its subject (see Trust below), so an Observe about
+//     (y, c) leaves every Trust about another subject or context
+//     unchanged; internal/sim's model view keeps its answers per
+//     (context, subject) on that promise, and TestTrustReadsOnlyItsSubject
+//     holds every registered model to it.
 //   - Snapshot round-trip: Export must capture every score-relevant
 //     datum; Import(Export()) into a fresh instance of the same model
 //     must reproduce identical Trust values.  Snapshots are stamped with
@@ -42,6 +47,11 @@ type Model interface {
 	ModelParams() string
 
 	Observe(x, y EntityID, c Context, outcome, now float64) (bool, error)
+	// Trust scores subject y as asker x sees it in context c at time now.
+	// It may read only: the relationships into y in c (x's own among
+	// them), x's observation tallies about (y, c), the total load
+	// observed on (y, c), the recommender factors and alliances about y,
+	// and the configuration.
 	Trust(x, y EntityID, c Context, now float64) (float64, error)
 	Direct(x, y EntityID, c Context, now float64) (float64, error)
 	Recommendation(z, y EntityID, c Context, now float64) (float64, bool, error)
@@ -193,41 +203,35 @@ func (c Config) paramString(noDecay bool) string {
 // floor-anchored RTT(z,y,c)·Υ value and the recommender trust factor
 // R(z,y) the consumer may weight it by.
 type claim struct {
-	peer   EntityID
 	value  float64
 	factor float64
 }
 
-// claimsAbout collects every recommender claim about y in context c at
-// time now, excluding x (the asker) and y itself, in recommender
+// claimBuf sizes the claim buffer a caller keeps on its stack; a subject
+// with more recommenders in one context spills to the heap.
+const claimBuf = 16
+
+// claims appends to buf every recommender claim about q's subject in q's
+// context, excluding the asker and the subject itself, in recommender
 // EntityID string order — the deterministic iteration order rival models
-// inherit from the engine's presorted incoming adjacency.  The buf slice
-// is recycled when capacity allows.
-func (e *Engine) claimsAbout(x, y EntityID, c Context, now float64, buf []claim) ([]claim, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+// inherit from the engine's presorted incoming adjacency.  Caller holds
+// the lock.
+func (e *Engine) claims(q query, now float64, buf []claim) ([]claim, error) {
 	out := buf[:0]
-	yi, oky := e.entIdx[y]
-	ci, okc := e.ctxIdx[c]
-	if !oky || !okc {
+	if q.y < 0 || q.c < 0 {
 		return out, nil
 	}
-	xi := int32(-1)
-	if i, ok := e.entIdx[x]; ok {
-		xi = i
-	}
-	for _, ed := range e.in[yi] {
-		if ed.ctx != ci || ed.peer == xi || ed.peer == yi {
+	for _, ed := range e.incoming(q.y, q.c) {
+		if ed.peer == q.x || ed.peer == q.y {
 			continue
 		}
-		d, err := e.decay(now-e.relLastTx[ed.rel], c)
+		d, err := e.decay(now-e.relLastTx[ed.rel], q.ctx)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, claim{
-			peer:   e.ents[ed.peer],
 			value:  MinScore + (e.relScore[ed.rel]-MinScore)*d,
-			factor: e.recommenderFactor(ed.peer, yi),
+			factor: e.recommenderFactor(ed.peer, q.y),
 		})
 	}
 	return out, nil

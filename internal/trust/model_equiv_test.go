@@ -18,6 +18,18 @@ import (
 // fails the run.  FuzzModelEquivalence feeds the same harness with
 // fuzzer-derived programs.
 
+// obsKey and loadKey key the reference's tallies by name.
+type obsKey struct {
+	from EntityID
+	to   EntityID
+	ctx  Context
+}
+
+type loadKey struct {
+	to  EntityID
+	ctx Context
+}
+
 // refZooModel is the naive reference for the zoo models: a refEngine for
 // relationship state plus plain maps for the observation tallies.
 type refZooModel struct {
@@ -57,7 +69,7 @@ func (m *refZooModel) Observe(x, y EntityID, c Context, outcome, now float64) (b
 	return changed, nil
 }
 
-// claimsAbout mirrors Engine.claimsAbout on the map store: every incoming
+// claimsAbout mirrors Engine.claims on the map store: every incoming
 // relationship to y in c except from x and y itself, decayed and paired
 // with the recommender factor, in recommender string order.
 func (m *refZooModel) claimsAbout(x, y EntityID, c Context, now float64) ([]claim, error) {
@@ -77,7 +89,6 @@ func (m *refZooModel) claimsAbout(x, y EntityID, c Context, now float64) ([]clai
 			return nil, err
 		}
 		out = append(out, claim{
-			peer:   k.from,
 			value:  MinScore + (rel.score-MinScore)*d,
 			factor: m.eng.recommenderFactor(k.from, y),
 		})

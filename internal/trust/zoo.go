@@ -3,8 +3,8 @@ package trust
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 )
 
 // This file implements the rival trust models from the literature
@@ -37,32 +37,22 @@ import (
 // midpoint for the reliability tallies.
 const posThreshold = (MinScore + MaxScore) / 2
 
-type obsKey struct {
-	from EntityID
-	to   EntityID
-	ctx  Context
-}
-
 type obsVal struct {
 	n   int32
 	pos int32
 }
 
-type loadKey struct {
-	to  EntityID
-	ctx Context
-}
-
 // zooBase wraps an Engine with observation tallies and the model
-// identity plumbing shared by every rival model.
+// identity plumbing shared by every rival model.  The tallies are keyed
+// by interned indices and guarded by the engine's lock, so a Trust reads
+// relationships and tallies under one read lock with one name lookup.
 type zooBase struct {
 	*Engine
 	name   string
 	params string
 
-	statsMu sync.Mutex
-	obs     map[obsKey]obsVal
-	loadCnt map[loadKey]int32
+	obs     map[[3]int32]obsVal // (from, to, ctx) → outcomes observed
+	loadCnt map[[2]int32]int32  // (to, ctx) → outcomes observed by anyone
 }
 
 func newZooBase(name, params string, cfg Config) (*zooBase, error) {
@@ -74,48 +64,47 @@ func newZooBase(name, params string, cfg Config) (*zooBase, error) {
 		Engine:  eng,
 		name:    name,
 		params:  params,
-		obs:     make(map[obsKey]obsVal),
-		loadCnt: make(map[loadKey]int32),
+		obs:     make(map[[3]int32]obsVal),
+		loadCnt: make(map[[2]int32]int32),
 	}, nil
 }
 
 func (m *zooBase) ModelName() string   { return m.name }
 func (m *zooBase) ModelParams() string { return m.params }
 
-// Observe delegates to the engine and tallies the outcome.
+// Observe records the outcome in the engine and tallies it, under one
+// write lock.
 func (m *zooBase) Observe(x, y EntityID, c Context, outcome, now float64) (bool, error) {
-	changed, err := m.Engine.Observe(x, y, c, outcome, now)
-	if err != nil {
-		return changed, err
+	if err := checkOutcome(outcome); err != nil {
+		return false, err
 	}
-	m.statsMu.Lock()
-	v := m.obs[obsKey{x, y, c}]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	xi, yi, ci := m.intern(x), m.intern(y), m.internCtx(c)
+	changed := m.observe(xi, yi, ci, outcome, now)
+	v := m.obs[[3]int32{xi, yi, ci}]
 	v.n++
 	if outcome >= posThreshold {
 		v.pos++
 	}
-	m.obs[obsKey{x, y, c}] = v
-	m.loadCnt[loadKey{y, c}]++
-	m.statsMu.Unlock()
+	m.obs[[3]int32{xi, yi, ci}] = v
+	m.loadCnt[[2]int32{yi, ci}]++
 	return changed, nil
 }
 
-// counts returns how many outcomes x has observed about y in c, and how
-// many were positive.
-func (m *zooBase) counts(x, y EntityID, c Context) (n, pos int32) {
-	m.statsMu.Lock()
-	v := m.obs[obsKey{x, y, c}]
-	m.statsMu.Unlock()
+// counts returns how many outcomes the asker has observed about the
+// subject in the context, and how many were positive.  Caller holds the
+// lock.
+func (m *zooBase) counts(q query) (n, pos int32) {
+	v := m.obs[[3]int32{q.x, q.y, q.c}]
 	return v.n, v.pos
 }
 
-// load returns the total observations recorded about y in c by anyone —
-// the FRTRUST "load" input: how heavily the subject is being used.
-func (m *zooBase) load(y EntityID, c Context) int32 {
-	m.statsMu.Lock()
-	n := m.loadCnt[loadKey{y, c}]
-	m.statsMu.Unlock()
-	return n
+// load returns the total observations recorded about the subject in the
+// context by anyone — the FRTRUST "load" input: how heavily the subject
+// is being used.  Caller holds the lock.
+func (m *zooBase) load(q query) int32 {
+	return m.loadCnt[[2]int32{q.y, q.c}]
 }
 
 // Export stamps the model identity and appends the tallies.
@@ -123,13 +112,13 @@ func (m *zooBase) Export() *Snapshot {
 	snap := m.Engine.Export()
 	snap.Model = m.name
 	snap.ParamHash = ParamHash(m.name, m.params)
-	m.statsMu.Lock()
+	m.mu.RLock()
 	for k, v := range m.obs {
 		snap.Counts = append(snap.Counts, ObservationCount{
-			From: k.from, To: k.to, Ctx: k.ctx, N: v.n, Pos: v.pos,
+			From: m.ents[k[0]], To: m.ents[k[1]], Ctx: m.ctxs[k[2]], N: v.n, Pos: v.pos,
 		})
 	}
-	m.statsMu.Unlock()
+	m.mu.RUnlock()
 	sort.Slice(snap.Counts, func(i, j int) bool {
 		a, b := snap.Counts[i], snap.Counts[j]
 		if a.From != b.From {
@@ -165,14 +154,15 @@ func (m *zooBase) Import(snap *Snapshot) error {
 	if err := m.Engine.Import(&eng); err != nil {
 		return err
 	}
-	m.statsMu.Lock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, c := range snap.Counts {
-		k := obsKey{c.From, c.To, c.Ctx}
+		xi, yi, ci := m.intern(c.From), m.intern(c.To), m.internCtx(c.Ctx)
+		k := [3]int32{xi, yi, ci}
 		old := m.obs[k]
 		m.obs[k] = obsVal{n: c.N, pos: c.Pos}
-		m.loadCnt[loadKey{c.To, c.Ctx}] += c.N - old.n
+		m.loadCnt[[2]int32{yi, ci}] += c.N - old.n
 	}
-	m.statsMu.Unlock()
 	return nil
 }
 
@@ -208,15 +198,19 @@ func newPurgeModel(cfg Config) (Model, error) {
 // median — a minority of liars cannot move the majority.  If every claim
 // is purged, Ω falls back to the reference itself, never to the liars.
 func (m *purgeModel) Trust(x, y EntityID, c Context, now float64) (float64, error) {
-	theta, err := m.Engine.Direct(x, y, c, now)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	q := m.resolve(x, y, c)
+	theta, err := m.direct(q, now)
 	if err != nil {
 		return 0, err
 	}
-	claims, err := m.Engine.claimsAbout(x, y, c, now, nil)
+	var buf [claimBuf]claim
+	claims, err := m.claims(q, now, buf[:])
 	if err != nil {
 		return 0, err
 	}
-	n, _ := m.counts(x, y, c)
+	n, _ := m.counts(q)
 	ref := theta
 	if n < m.directMin && len(claims) > 0 {
 		ref = medianClaimValue(claims)
@@ -241,11 +235,12 @@ func (m *purgeModel) Trust(x, y EntityID, c Context, now float64) (float64, erro
 // recommender-string order; values are re-sorted numerically, so the
 // result is independent of who said what and deterministic.
 func medianClaimValue(claims []claim) float64 {
-	vals := make([]float64, len(claims))
-	for i, cl := range claims {
-		vals[i] = cl.value
+	var buf [claimBuf]float64
+	vals := buf[:0]
+	for _, cl := range claims {
+		vals = append(vals, cl.value)
 	}
-	sort.Float64s(vals)
+	slices.Sort(vals)
 	mid := len(vals) / 2
 	if len(vals)%2 == 1 {
 		return vals[mid]
@@ -283,11 +278,15 @@ func newFuzzyModel(cfg Config) (Model, error) {
 // trust, defuzzified by centroid — heavy load degrades mid/high trust
 // one step, FRTRUST's resource-congestion discount.
 func (m *fuzzyModel) Trust(x, y EntityID, c Context, now float64) (float64, error) {
-	theta, err := m.Engine.Direct(x, y, c, now)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	q := m.resolve(x, y, c)
+	theta, err := m.direct(q, now)
 	if err != nil {
 		return 0, err
 	}
-	claims, err := m.Engine.claimsAbout(x, y, c, now, nil)
+	var buf [claimBuf]claim
+	claims, err := m.claims(q, now, buf[:])
 	if err != nil {
 		return 0, err
 	}
@@ -299,10 +298,10 @@ func (m *fuzzyModel) Trust(x, y EntityID, c Context, now float64) (float64, erro
 		}
 		omega = sum / float64(len(claims))
 	}
-	n, _ := m.counts(x, y, c)
+	n, _ := m.counts(q)
 	h := float64(n) / (float64(n) + m.historySat)
 	evidence := h*score01(theta) + (1-h)*score01(omega)
-	ny := m.load(y, c)
+	ny := m.load(q)
 	load := float64(ny) / (float64(ny) + m.loadSat)
 	z := defuzzTrust(evidence, load)
 	return clampScore(MinScore + (MaxScore-MinScore)*z), nil
@@ -370,14 +369,18 @@ func newReliabilityModel(cfg Config) (Model, error) {
 // entirely on reputation, so whitewashing resets reliability to the
 // uninformed prior instead of escaping it.
 func (m *reliabilityModel) Trust(x, y EntityID, c Context, now float64) (float64, error) {
-	theta, err := m.Engine.Direct(x, y, c, now)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	q := m.resolve(x, y, c)
+	theta, err := m.direct(q, now)
 	if err != nil {
 		return 0, err
 	}
-	n, pos := m.counts(x, y, c)
+	n, pos := m.counts(q)
 	rho := (float64(pos) + 1) / (float64(n) + 2)
 	direct := MinScore + (theta-MinScore)*rho
-	claims, err := m.Engine.claimsAbout(x, y, c, now, nil)
+	var buf [claimBuf]claim
+	claims, err := m.claims(q, now, buf[:])
 	if err != nil {
 		return 0, err
 	}

@@ -149,7 +149,7 @@ td=$(mktemp -d)
 rm -rf "$td"
 rm -f /tmp/gridtrust-ci-trustsim
 
-echo "==> sweep byte-identity smoke (default trust model named explicitly; 1 vs 4 workers)"
+echo "==> sweep byte-identity smoke (default trust model named explicitly; 1 vs 4 workers; rival models vs committed outputs)"
 kd=$(mktemp -d)
 # The default trust model is the paper engine: selecting it explicitly
 # must not change a byte of any sweep output.
@@ -162,6 +162,15 @@ done
 /tmp/gridtrust-ci-sweep -mode fault -reps 2 -tasks 20 -seed 1 -trust-model purge -workers 1 > "$kd/fault-purge-w1.txt"
 /tmp/gridtrust-ci-sweep -mode fault -reps 2 -tasks 20 -seed 1 -trust-model purge -workers 4 > "$kd/fault-purge-w4.txt"
 cmp "$kd/fault-purge-w1.txt" "$kd/fault-purge-w4.txt"
+# The model-driven path against outputs committed from the binary of
+# commit bc8376a, whose model view asked the model again after every
+# completion: keeping answers per (context, subject) must not move a byte.
+for model in purge frtrust bawa; do
+    /tmp/gridtrust-ci-sweep -mode heuristics -trust-model "$model" -reps 10 > "$kd/heuristics-$model.txt"
+    cmp "$kd/heuristics-$model.txt" "cmd/sweep/testdata/heuristics-$model-reps10.txt"
+done
+/tmp/gridtrust-ci-sweep -mode trustzoo > "$kd/trustzoo.txt"
+cmp "$kd/trustzoo.txt" cmd/sweep/testdata/trustzoo.txt
 rm -rf "$kd"
 
 echo "==> gridtrustd demo smoke (journalled)"
@@ -343,6 +352,6 @@ rm -rf "$ckd"
 rm -f /tmp/gridtrust-ci-sweep
 
 echo "==> size (non-test Go lines; simplicity PRs quote it)"
-./scripts/size.sh internal/sim internal/load cmd/gridctl
+./scripts/size.sh internal/sim internal/trust internal/load cmd/gridctl
 
 echo "ci: ok"
