@@ -79,11 +79,17 @@ func TestJournalCrossVersion(t *testing.T) {
 	if got := *srv.handleStats().Stats; got != want.Stats {
 		t.Errorf("stats after recovery:\n got  %+v\n want %+v", got, want.Stats)
 	}
-	if len(srv.idem) != len(want.Idem) {
-		t.Errorf("idempotency table holds %d keys, want %d", len(srv.idem), len(want.Idem))
+	var books daemonSnapshot
+	srv.books.export(&books)
+	idem := map[string]journalRecord{}
+	for _, r := range books.Idem {
+		idem[r.IdemKey] = r
+	}
+	if len(idem) != len(want.Idem) {
+		t.Errorf("idempotency table holds %d keys, want %d", len(idem), len(want.Idem))
 	}
 	for key, p := range want.Idem {
-		r, ok := srv.idem[key]
+		r, ok := idem[key]
 		if !ok || *r.placementInfo() != p {
 			t.Errorf("key %s replays %+v, want %+v", key, r.placementInfo(), p)
 		}

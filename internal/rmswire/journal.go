@@ -11,18 +11,13 @@ package rmswire
 // against a replayed table could diverge, because the live table evolves
 // asynchronously under the monitoring agents.  Replay of placements is
 // therefore order-insensitive; reports replay through ReportOutcome so the
-// trust engine sees the same transaction stream it saw live.
-//
-// Concurrency: request handlers hold jmu for reading while they mutate the
-// TRMS and append to the journal; Checkpoint takes jmu for writing, so it
-// observes a quiescent daemon whose journal position exactly matches the
-// captured state.
+// trust engine sees the same transaction stream it saw live.  The books
+// a record changes are ledger.go's.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"gridtrust/internal/core"
@@ -157,65 +152,17 @@ func (s *Server) replay(rec *wal.Recovered) error {
 				return err
 			}
 		}
-		s.mu.Lock()
-		s.nextID = snap.NextID
-		s.mu.Unlock()
-		for i := range snap.Open {
-			r := &snap.Open[i]
-			p, toa, err := r.placement(s.trms.Topology())
-			if err != nil {
-				return fmt.Errorf("open placement %d: %w", r.ID, err)
-			}
-			s.mu.Lock()
-			s.placements[r.ID] = openPlacement{p: p, toa: toa}
-			s.mu.Unlock()
+		if err := s.books.restore(&snap); err != nil {
+			return err
 		}
-		s.mu.Lock()
-		for _, r := range snap.Idem {
-			if r.IdemKey != "" {
-				s.idem[r.IdemKey] = r
-			}
-		}
-		s.mu.Unlock()
 	}
 	for _, w := range rec.Records {
 		var r journalRecord
 		if err := recordCodec.Parse(w.Payload, &r); err != nil {
 			return fmt.Errorf("decode record %d: %w", w.Seq, err)
 		}
-		switch r.Kind {
-		case recPlace:
-			p, toa, err := r.placement(s.trms.Topology())
-			if err != nil {
-				return fmt.Errorf("record %d: %w", w.Seq, err)
-			}
-			if err := s.trms.RecoverPlacement(r.Machine, r.Finish); err != nil {
-				return fmt.Errorf("record %d: %w", w.Seq, err)
-			}
-			s.mu.Lock()
-			s.placements[r.ID] = openPlacement{p: p, toa: toa}
-			if r.IdemKey != "" {
-				s.idem[r.IdemKey] = r
-			}
-			if r.ID > s.nextID {
-				s.nextID = r.ID
-			}
-			s.mu.Unlock()
-		case recReport:
-			s.mu.Lock()
-			op, ok := s.placements[r.ID]
-			if ok {
-				delete(s.placements, r.ID)
-			}
-			s.mu.Unlock()
-			if !ok {
-				return fmt.Errorf("record %d: report for unknown placement %d", w.Seq, r.ID)
-			}
-			if err := s.trms.ReportOutcome(op.p, op.toa, r.Outcome, r.Now); err != nil {
-				return fmt.Errorf("record %d: %w", w.Seq, err)
-			}
-		default:
-			return fmt.Errorf("record %d: unknown kind %q", w.Seq, r.Kind)
+		if err := s.books.apply(&r); err != nil {
+			return fmt.Errorf("record %d: %w", w.Seq, err)
 		}
 	}
 	// Settle the agents so the table reflects every replayed report before
@@ -345,10 +292,12 @@ func (s *Server) Checkpoint() (*CheckpointInfo, error) {
 	}
 	boundary := s.journal.NextSeq()
 	compacted := s.journal.LiveRecords()
+	// Whether or not it succeeds, the next automatic checkpoint is
+	// compactEvery records away.
+	s.lastBoundary = boundary
 	if err := s.journal.Snapshot(boundary, payload); err != nil {
 		return nil, err
 	}
-	s.lastBoundary = boundary
 	return &CheckpointInfo{
 		Boundary:  boundary,
 		Compacted: compacted,
@@ -370,29 +319,26 @@ func (s *Server) capture() *daemonSnapshot {
 		Trust:        s.trms.Model().Export(),
 	}
 	snap.AgentsProcessed, snap.AgentsCommitted, snap.AgentsRejected = s.trms.AgentStats()
-	s.mu.Lock()
-	snap.NextID = s.nextID
-	for id, op := range s.placements {
-		snap.Open = append(snap.Open, placeRecord(id, op.p, op.toa, 0))
-	}
-	for _, rec := range s.idem {
-		snap.Idem = append(snap.Idem, rec)
-	}
-	s.mu.Unlock()
-	sort.Slice(snap.Open, func(i, j int) bool { return snap.Open[i].ID < snap.Open[j].ID })
-	sort.Slice(snap.Idem, func(i, j int) bool { return snap.Idem[i].IdemKey < snap.Idem[j].IdemKey })
+	s.books.export(snap)
 	return snap
 }
 
-// maybeCompact checkpoints once enough records accumulated past the last
-// boundary.  Called outside jmu; a losing racer re-checks under the lock
-// via lastBoundary and becomes a cheap extra checkpoint at worst.
+// maybeCompact checkpoints once compactEvery records accumulated past
+// the last attempt; concurrent requests may each take one.  A failure is
+// counted, and the next attempt waits another compactEvery records rather
+// than quiescing the daemon on every request.  A degraded daemon, whose
+// journal refuses every write, makes none.
 func (s *Server) maybeCompact() {
+	if s.journal == nil || s.compactEvery <= 0 || s.degraded.Load() {
+		return
+	}
 	s.jmu.RLock()
-	due := s.journal != nil && s.compactEvery > 0 &&
-		s.journal.NextSeq()-s.lastBoundary >= uint64(s.compactEvery)
+	due := s.journal.NextSeq()-s.lastBoundary >= uint64(s.compactEvery)
 	s.jmu.RUnlock()
-	if due {
-		_, _ = s.Checkpoint()
+	if !due {
+		return
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		s.sm.autoCkptErrs.Inc()
 	}
 }

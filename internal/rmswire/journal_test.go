@@ -1,12 +1,16 @@
 package rmswire
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"gridtrust/internal/chaos"
 	"gridtrust/internal/core"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/trust"
@@ -279,5 +283,119 @@ func TestJournalFilesAreBounded(t *testing.T) {
 			t.Logf("  %s", e.Name())
 		}
 		t.Fatalf("%d files in journal dir after compaction", len(entries))
+	}
+}
+
+// failTempFS is a chaos filesystem on which every snapshot fails at its
+// first step, creating the temp file, and which counts the attempts.
+type failTempFS struct {
+	*chaos.FS
+	attempts atomic.Int64
+}
+
+func (f *failTempFS) CreateTemp(string, string) (wal.File, error) {
+	f.attempts.Add(1)
+	return nil, syscall.ENOSPC
+}
+
+// TestFailedAutoCheckpointWaitsForMoreRecords: an automatic checkpoint
+// that fails is counted and tried again only after another compactEvery
+// records, not on every later request, and never on a degraded daemon.
+func TestFailedAutoCheckpointWaitsForMoreRecords(t *testing.T) {
+	fs := &failTempFS{FS: chaos.NewFS()}
+	srv := booksServer(t)
+	defer srv.trms.Close()
+	log, rec, err := wal.Create(t.TempDir(), wal.Options{FS: fs, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if err := srv.AttachJournal(log, rec, 4); err != nil {
+		t.Fatal(err)
+	}
+	submit := func() Response {
+		return srv.respond(Request{Op: OpSubmit, Activities: []int{0}, RTL: "D", EEC: []float64{10, 12}})
+	}
+	check := func(when string, attempts, errs int) {
+		t.Helper()
+		got := srv.Metrics().Snapshot().Counters[MetricAutoCheckpointErrors]
+		if fs.attempts.Load() != int64(attempts) || got != uint64(errs) {
+			t.Fatalf("%s: %d snapshot attempts and %s=%d, want %d and %d",
+				when, fs.attempts.Load(), MetricAutoCheckpointErrors, got, attempts, errs)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if resp := submit(); resp.Status != StatusOK {
+			t.Fatalf("submit %d: %+v", i, resp)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		srv.respond(Request{Op: OpStats})
+	}
+	check("4 submits and 20 stats", 1, 1)
+	for i := 0; i < 4; i++ {
+		submit()
+	}
+	check("4 more submits", 2, 2)
+	// Three records, then a write fault: the fourth submit's record fails
+	// the journal, which degrades the daemon as it becomes due.
+	for i := 0; i < 3; i++ {
+		submit()
+	}
+	fs.FailWrites(syscall.EIO)
+	if resp := submit(); resp.Status == StatusOK {
+		t.Fatal("submit on a failing disk succeeded")
+	}
+	if deg, _ := srv.Degraded(); !deg {
+		t.Fatal("daemon not degraded by a failed journal write")
+	}
+	srv.respond(Request{Op: OpStats})
+	check("degraded", 2, 2)
+}
+
+// TestNextIDBaseBeforeReplay: SetNextIDBase called before AttachJournal
+// keeps the shard's namespace when the snapshot's next_id is lower.
+func TestNextIDBaseBeforeReplay(t *testing.T) {
+	dir := t.TempDir()
+	srv := booksServer(t)
+	log, rec, err := wal.Create(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AttachJournal(log, rec, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if resp := srv.respond(Request{Op: OpSubmit, Activities: []int{0}, RTL: "D", EEC: []float64{10, 12}}); resp.Status != StatusOK {
+			t.Fatalf("submit %d: %+v", i, resp)
+		}
+	}
+	if _, err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	srv.trms.Close()
+
+	srv2 := booksServer(t)
+	defer srv2.trms.Close()
+	srv2.SetNextIDBase(2 << ShardIDShift)
+	log2, rec2, err := wal.Create(dir, wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log2.Close()
+	var snap daemonSnapshot
+	if err := json.Unmarshal(rec2.Snapshot, &snap); err != nil || snap.NextID != 5 {
+		t.Fatalf("snapshot next_id %d (%v), want 5", snap.NextID, err)
+	}
+	if err := srv2.AttachJournal(log2, rec2, 0); err != nil {
+		t.Fatal(err)
+	}
+	resp := srv2.respond(Request{Op: OpSubmit, Activities: []int{0}, RTL: "D", EEC: []float64{10, 12}})
+	if resp.Status != StatusOK {
+		t.Fatalf("submit after replay: %+v", resp)
+	}
+	if got, want := resp.Placement.ID, uint64(2<<ShardIDShift+1); got != want {
+		t.Fatalf("first placement after replay has id %d, want %d", got, want)
 	}
 }

@@ -112,6 +112,9 @@ const (
 	// MetricRefusedDegraded counts mutations refused because the daemon
 	// latched into journal fail-stop (see MetricDegraded).
 	MetricRefusedDegraded = "refused_degraded_total"
+	// MetricAutoCheckpointErrors counts automatic checkpoints that
+	// failed; the next attempt waits another compact-every records.
+	MetricAutoCheckpointErrors = "auto_checkpoint_errors_total"
 	// MetricWALAppends / MetricWALSyncs / MetricWALRotations mirror the
 	// attached journal's wal.Stats at scrape time.
 	MetricWALAppends   = "wal_appends_total"

@@ -215,6 +215,28 @@ func TestHealthReportsJournal(t *testing.T) {
 	}
 }
 
+// TestHealthAndMetricsAnswerDuringCheckpoint: the probes read the journal
+// without the checkpoint lock, so a daemon quiesced for a checkpoint
+// still answers them.
+func TestHealthAndMetricsAnswerDuringCheckpoint(t *testing.T) {
+	srv, _, stop := startJournaled(t, t.TempDir(), 0)
+	defer stop()
+	srv.jmu.Lock()
+	defer srv.jmu.Unlock()
+	for _, op := range []string{OpHealth, OpMetrics} {
+		done := make(chan Response, 1)
+		go func() { done <- srv.respond(Request{Op: op}) }()
+		select {
+		case resp := <-done:
+			if resp.Status != StatusOK {
+				t.Fatalf("%s: %+v", op, resp)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s did not answer while the journal lock was held", op)
+		}
+	}
+}
+
 func TestDrainRejectsAndReportsDraining(t *testing.T) {
 	_, srv, client := newDaemon(t)
 	// One round trip first: a connection still in the accept queue when
@@ -325,16 +347,14 @@ func TestIdempotentSubmitDedup(t *testing.T) {
 
 func TestIdempotentSubmitPendingKeySheds(t *testing.T) {
 	_, srv, client := newDaemon(t)
-	srv.mu.Lock()
-	srv.idemPending["busy"] = struct{}{}
-	srv.mu.Unlock()
+	if _, c := srv.books.reserveKey("busy"); c != claimed {
+		t.Fatalf("a fresh key could not be claimed: %d", c)
+	}
 	_, err := client.SubmitKeyed("busy", 0, []grid.Activity{grid.ActCompute}, grid.LevelE, []float64{1, 2}, 0)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("concurrent same-key submit returned %v, want overloaded", err)
 	}
-	srv.mu.Lock()
-	delete(srv.idemPending, "busy")
-	srv.mu.Unlock()
+	srv.books.releaseKey("busy")
 	if _, err := client.SubmitKeyed("busy", 0, []grid.Activity{grid.ActCompute}, grid.LevelE, []float64{1, 2}, 1); err != nil {
 		t.Fatalf("key unusable after pending cleared: %v", err)
 	}

@@ -27,8 +27,8 @@ const DefaultIdleTimeout = 2 * time.Minute
 // responses when Server.RetryAfter is zero.
 const DefaultRetryAfter = 50 * time.Millisecond
 
-// Server exposes one TRMS over the wire.  It owns a placement registry so
-// outcome reports can reference placements by id across connections.
+// Server exposes one TRMS over the wire.  Its ledger keeps placements by
+// id so outcome reports can reference them across connections.
 type Server struct {
 	trms *core.TRMS
 
@@ -88,28 +88,16 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	mu         sync.Mutex
-	nextID     uint64
-	placements map[uint64]openPlacement
-
-	// idem maps Submit idempotency keys to the acknowledged placement
-	// record so a retried submit returns the original placement instead
-	// of double-placing; idemPending reserves keys whose first attempt is
-	// still executing.  Both live under mu; idem is rebuilt from the
-	// journal on replay, so it survives restart.
-	idem        map[string]journalRecord
-	idemPending map[string]struct{}
-
-	// reporting reserves placement ids whose report is executing, as
-	// idemPending reserves keys: from the moment a report is accepted
-	// until it is journalled the id is neither open nor closed to anyone
-	// else.  Under mu; it holds in-flight reports only.
-	reporting map[uint64]struct{}
+	// books are the placements, idempotency keys and id counter the
+	// requests change and the journal replays (ledger.go).
+	books *ledger
 
 	// jmu serialises operations against checkpoints: handlers that
 	// mutate the TRMS and append to the journal hold it for reading,
 	// Checkpoint holds it for writing so the captured state matches the
-	// journal position exactly.  See journal.go.
+	// journal position exactly.  journal and compactEvery are set before
+	// serving and read without it; lastBoundary, the last checkpoint
+	// attempt's journal position, is under it.
 	jmu          sync.RWMutex
 	journal      *wal.Log
 	compactEvery int
@@ -154,16 +142,10 @@ type serverMetrics struct {
 	placements      *metrics.Counter
 	idemHits        *metrics.Counter
 	refusedDegraded *metrics.Counter
+	autoCkptErrs    *metrics.Counter
 	opSubmit        *metrics.Histogram
 	opReport        *metrics.Histogram
 	opStats         *metrics.Histogram
-}
-
-// openPlacement pairs a placement with the ToA it was submitted under so
-// ReportOutcome can attribute per-activity transactions.
-type openPlacement struct {
-	p   *core.Placement
-	toa grid.ToA
 }
 
 // NewServer wraps a TRMS.  The server does not own the TRMS: callers
@@ -175,11 +157,8 @@ func NewServer(trms *core.TRMS) (*Server, error) {
 	now := time.Now()
 	s := &Server{
 		trms:           trms,
-		placements:     make(map[uint64]openPlacement),
 		conns:          make(map[net.Conn]struct{}),
-		idem:           make(map[string]journalRecord),
-		idemPending:    make(map[string]struct{}),
-		reporting:      make(map[uint64]struct{}),
+		books:          newLedger(trms),
 		drainReq:       make(chan struct{}, 1),
 		start:          now,
 		startUnixNanos: now.UnixNano(),
@@ -202,6 +181,7 @@ func NewServer(trms *core.TRMS) (*Server, error) {
 		placements:      s.reg.Counter(MetricPlacements),
 		idemHits:        s.reg.Counter(MetricIdemHits),
 		refusedDegraded: s.reg.Counter(MetricRefusedDegraded),
+		autoCkptErrs:    s.reg.Counter(MetricAutoCheckpointErrors),
 		opSubmit:        s.reg.Histogram(MetricOpSubmitNS),
 		opReport:        s.reg.Histogram(MetricOpReportNS),
 		opStats:         s.reg.Histogram(MetricOpStatsNS),
@@ -215,17 +195,12 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // SetNextIDBase raises the placement-id counter to at least base,
 // namespacing this server's ids in a fleet (shard k passes
-// k << ShardIDShift).  Call after AttachJournal — replayed ids from an
-// earlier fleet run already carry the namespace and must not be
-// lowered — and before serving.  Shard 0's base is zero, which keeps a
-// single-shard fleet's ids (and hence its WAL) byte-identical to a
-// non-fleet daemon's.
+// k << ShardIDShift).  Call before serving.  Shard 0's base is zero,
+// which keeps a single-shard fleet's ids (and hence its WAL)
+// byte-identical to a non-fleet daemon's.
 func (s *Server) SetNextIDBase(base uint64) {
-	s.mu.Lock()
-	if s.nextID < base {
-		s.nextID = base
-	}
-	s.mu.Unlock()
+	// restore only raises the counter, and the snapshot holds no records.
+	_ = s.books.restore(&daemonSnapshot{NextID: base})
 }
 
 // ListenAndServe binds addr and serves in the background, returning the
@@ -508,9 +483,8 @@ func (s *Server) respond(req Request) Response {
 	// refuses every mutation outright (StatusError, not overloaded — a
 	// retry here can never succeed; the client must go elsewhere).
 	// Reads still serve.
-	if (req.Op == OpSubmit || req.Op == OpReport) && s.degraded.Load() {
+	if deg, cause := s.Degraded(); deg && (req.Op == OpSubmit || req.Op == OpReport) {
 		s.sm.refusedDegraded.Inc()
-		cause, _ := s.degradedCause.Load().(string)
 		return Response{Status: StatusError,
 			Error: fmt.Sprintf("daemon degraded (journal fail-stop): %s", cause)}
 	}
@@ -528,7 +502,7 @@ func (s *Server) respond(req Request) Response {
 	// this shard (typically by failover while the owner was down), and
 	// re-forwarding its retry would double-place it at the owner.
 	if s.Router != nil && !req.Forwarded && (req.Op == OpSubmit || req.Op == OpReport) {
-		if req.Op != OpSubmit || !s.idemKnown(req.IdemKey) {
+		if req.Op != OpSubmit || req.IdemKey == "" || !s.books.known(req.IdemKey) {
 			if resp, handled := s.Router.Route(req); handled {
 				return resp
 			}
@@ -570,10 +544,7 @@ func (s *Server) handleHealth() Response {
 	s.connMu.Lock()
 	conns := len(s.conns)
 	s.connMu.Unlock()
-	s.mu.Lock()
-	open := len(s.placements)
-	idem := len(s.idem)
-	s.mu.Unlock()
+	open, idem := s.books.counts()
 	topo := s.trms.Topology()
 	h := &HealthInfo{
 		Status:           "ok",
@@ -599,13 +570,11 @@ func (s *Server) handleHealth() Response {
 		h.Degraded = true
 		h.DegradedCause = cause
 	}
-	s.jmu.RLock()
 	if s.journal != nil {
 		h.Journal = true
 		h.JournalNextSeq = s.journal.NextSeq()
 		h.JournalSegments = s.journal.Stats().Segments
 	}
-	s.jmu.RUnlock()
 	return Response{Status: StatusOK, Health: h}
 }
 
@@ -620,16 +589,12 @@ func (s *Server) handleMetrics() Response {
 	if snap.Gauges == nil {
 		snap.Gauges = make(map[string]int64)
 	}
-	if snap.Counters == nil {
-		snap.Counters = make(map[string]uint64)
-	}
 	s.connMu.Lock()
 	snap.Gauges[MetricConns] = int64(len(s.conns))
 	s.connMu.Unlock()
-	s.mu.Lock()
-	snap.Gauges[MetricOpenPlacements] = int64(len(s.placements))
-	snap.Gauges[MetricIdemEntries] = int64(len(s.idem))
-	s.mu.Unlock()
+	open, idem := s.books.counts()
+	snap.Gauges[MetricOpenPlacements] = int64(open)
+	snap.Gauges[MetricIdemEntries] = int64(idem)
 	snap.Gauges[MetricInFlight] = s.inflight.Load()
 	snap.Gauges[MetricPlaced] = int64(s.trms.Placed())
 	if s.draining.Load() {
@@ -642,7 +607,6 @@ func (s *Server) handleMetrics() Response {
 	} else {
 		snap.Gauges[MetricDegraded] = 0
 	}
-	s.jmu.RLock()
 	if s.journal != nil {
 		js := s.journal.Stats()
 		snap.Counters[MetricWALAppends] = js.Appends
@@ -651,7 +615,6 @@ func (s *Server) handleMetrics() Response {
 		snap.Gauges[MetricWALSegments] = int64(js.Segments)
 		snap.Gauges[MetricJournalNextSeq] = int64(s.journal.NextSeq())
 	}
-	s.jmu.RUnlock()
 	return Response{Status: StatusOK, Metrics: &MetricsInfo{
 		Snapshot:       *snap,
 		UptimeMS:       time.Since(s.start).Milliseconds(),
@@ -678,47 +641,21 @@ func (s *Server) handleCheckpoint() Response {
 	return Response{Status: StatusOK, Checkpoint: info}
 }
 
-// idemKnown reports whether a submit key is already bound to this
-// shard: acknowledged (idem) or mid-first-attempt (idemPending).  The
-// routing hook consults it so fleet forwarding never re-forwards a key
-// this shard has durably placed.
-func (s *Server) idemKnown(key string) bool {
-	if key == "" {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.idem[key]; ok {
-		return true
-	}
-	_, ok := s.idemPending[key]
-	return ok
-}
-
+// handleSubmit places one task.  A key already acknowledged replays the
+// original placement; a key whose first attempt is executing is shed as
+// retryable rather than raced into a double-place.
 func (s *Server) handleSubmit(req Request) Response {
-	// Idempotency: a key already acknowledged replays the original
-	// placement; a key whose first attempt is still executing is shed as
-	// retryable rather than racing it into a double-place.
 	if req.IdemKey != "" {
-		s.mu.Lock()
-		if rec, ok := s.idem[req.IdemKey]; ok {
-			s.mu.Unlock()
+		switch rec, c := s.books.reserveKey(req.IdemKey); c {
+		case answered:
 			s.sm.idemHits.Inc()
 			s.sm.submitOK.Inc()
 			return Response{Status: StatusOK, Placement: rec.placementInfo()}
-		}
-		if _, busy := s.idemPending[req.IdemKey]; busy {
-			s.mu.Unlock()
+		case inFlight:
 			s.sm.shedIdemPending.Inc()
 			return s.overloaded(fmt.Sprintf("submit with idempotency key %q in flight", req.IdemKey))
 		}
-		s.idemPending[req.IdemKey] = struct{}{}
-		s.mu.Unlock()
-		defer func() {
-			s.mu.Lock()
-			delete(s.idemPending, req.IdemKey)
-			s.mu.Unlock()
-		}()
+		defer s.books.releaseKey(req.IdemKey)
 	}
 	toa, err := activitiesToToA(req.Activities)
 	if err != nil {
@@ -740,108 +677,59 @@ func (s *Server) handleSubmit(req Request) Response {
 		s.sm.submitErr.Inc()
 		return Response{Status: StatusError, Error: err.Error()}
 	}
-	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
-	s.placements[id] = openPlacement{p: p, toa: toa}
-	s.mu.Unlock()
+	id := s.books.open(p, toa)
 	s.sm.placements.Inc()
 	rec := placeRecord(id, p, toa, req.Now)
 	rec.IdemKey = req.IdemKey
 	if err := s.journalAppend(rec); err != nil {
 		s.sm.submitErr.Inc()
-		// The placement is applied but not durable: surface that instead
-		// of pretending either way.  The key is deliberately not recorded
-		// — the client saw an error, and a dedup hit must never vouch for
-		// a placement the journal does not hold.
 		return Response{Status: StatusError,
 			Error: fmt.Sprintf("placement %d applied but not journalled: %v", id, err)}
 	}
-	if req.IdemKey != "" {
-		s.mu.Lock()
-		s.idem[req.IdemKey] = rec
-		s.mu.Unlock()
-	}
+	s.books.ack(rec)
 	s.sm.submitOK.Inc()
-	// Answered from the record, like the replay above: a submit and its
-	// idempotent replay are the same bytes by construction.
+	// Answered from the record, so a submit and its replay are the same
+	// bytes by construction.
 	return Response{Status: StatusOK, Placement: rec.placementInfo()}
 }
 
-// handleReport applies one outcome report, exactly once per placement.
-//
-// Invariant RPT-ORDER: close → apply → journal → acknowledge.  Closing
-// is reserving the id: from then until the journal append returns, the
-// placement is neither open nor closed to any other request, and a
-// duplicate of the report is shed as retryable — never an error, never
-// ok — so a replay never vouches for a report that has not landed.
-// apply validates first and is all or nothing, so a rejected outcome
-// reopens the placement untouched.  A crash between apply and journal
-// loses both with the process: recovery replays the placement as open,
-// and the client's retry (it was never acknowledged) applies the update
-// again to a trust table that never saw the first.
+// handleReport applies one outcome report, exactly once per placement,
+// in RPT-ORDER (ledger.go, DESIGN.md §12).
 func (s *Server) handleReport(req Request) Response {
 	id := req.PlacementID
-	s.mu.Lock()
-	op, open := s.placements[id]
-	_, busy := s.reporting[id]
-	// Minted here: inside this daemon's id namespace — nextID carries it
-	// in its high bits — and at or below the last id issued.  Such an id
-	// that is neither open nor mid-report was closed by an earlier
-	// report, so no table of closed ids is kept.
-	minted := id <= s.nextID && id>>ShardIDShift == s.nextID>>ShardIDShift && id&(1<<ShardIDShift-1) != 0
-	if open && !busy {
-		s.reporting[id] = struct{}{}
-	}
-	s.mu.Unlock()
-	switch {
-	case busy:
+	op, c := s.books.reserveReport(id)
+	switch c {
+	case inFlight:
 		s.sm.shedReportPend.Inc()
 		return s.overloaded(fmt.Sprintf("report for placement %d in flight", id))
-	case !open && minted:
+	case answered:
 		s.sm.reportReplays.Inc()
 		return Response{Status: StatusOK, Replayed: true}
-	case !open:
+	case unknown:
 		s.sm.reportErr.Inc()
 		return Response{Status: StatusError, Error: fmt.Sprintf("unknown placement %d", id)}
 	}
-	// settle ends the reservation, leaving the placement open or closed.
-	settle := func(closed bool) {
-		s.mu.Lock()
-		if closed {
-			delete(s.placements, id)
-		}
-		delete(s.reporting, id)
-		s.mu.Unlock()
-	}
 	if err := s.trms.ReportOutcome(op.p, op.toa, req.Outcome, req.Now); err != nil {
-		// Nothing was applied (e.g. off-scale outcome): the client can
-		// retry with a valid outcome.
-		settle(false)
+		// Nothing was applied (e.g. an off-scale outcome): reopen.
+		s.books.settle(id, false)
 		s.sm.reportErr.Inc()
 		return Response{Status: StatusError, Error: err.Error()}
 	}
 	if err := s.journalAppend(journalRecord{
 		Kind: recReport, ID: id, Outcome: req.Outcome, Now: req.Now,
 	}); err != nil {
-		// Applied but not durable, and the journal is now failed or
-		// closed for good.  The reservation is never settled: a
-		// duplicate must not be told ok for a report the journal does
-		// not hold, nor apply it a second time.
 		s.sm.reportErr.Inc()
 		return Response{Status: StatusError,
 			Error: fmt.Sprintf("report for %d applied but not journalled: %v", id, err)}
 	}
-	settle(true)
+	s.books.settle(id, true)
 	s.sm.reportOK.Inc()
 	return Response{Status: StatusOK}
 }
 
 func (s *Server) handleStats() Response {
 	processed, committed, rejected := s.trms.AgentStats()
-	s.mu.Lock()
-	open := len(s.placements)
-	s.mu.Unlock()
+	open, _ := s.books.counts()
 	return Response{Status: StatusOK, Stats: &StatsInfo{
 		Placed:          s.trms.Placed(),
 		AgentsProcessed: processed,

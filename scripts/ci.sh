@@ -63,6 +63,13 @@ if grep -rn 'net\.Dial' --include='*.go' internal cmd | grep -v '_test\.go:' | g
     exit 1
 fi
 
+echo "==> one switch on journal record kind (internal/rmswire/ledger.go)"
+if grep -rnE 'case recPlace|case recReport|\.Kind ==' --include='*.go' internal/rmswire \
+    | grep -v '_test\.go:' | grep -v '^internal/rmswire/ledger\.go:'; then
+    echo "ci: a journal record changes the daemon's books through ledger.apply, the one place that tells record kinds apart" >&2
+    exit 1
+fi
+
 echo "==> no unsafe on the wire (non-test code under internal/frame, rmswire, trustwire, fleet)"
 if grep -rn '"unsafe"' --include='*.go' internal/frame internal/rmswire internal/trustwire internal/fleet | grep -v '_test\.go:'; then
     echo "ci: the frame codec reads and writes through typed accessors; bytes from a peer never meet unsafe" >&2
@@ -352,6 +359,6 @@ rm -rf "$ckd"
 rm -f /tmp/gridtrust-ci-sweep
 
 echo "==> size (non-test Go lines; simplicity PRs quote it)"
-./scripts/size.sh internal/sim internal/trust internal/load cmd/gridctl
+./scripts/size.sh internal/sim internal/trust internal/load internal/rmswire cmd/gridctl
 
 echo "ci: ok"
