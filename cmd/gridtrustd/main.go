@@ -1,6 +1,6 @@
 // Command gridtrustd runs the trust-aware resource management system as a
 // network daemon: the Figure 1 architecture (trust engine, monitoring
-// agents, central trust-level table, trust-aware scheduler) behind a
+// agent, central trust-level table, trust-aware scheduler) behind a
 // newline-delimited JSON protocol.
 //
 // Usage:
@@ -57,10 +57,11 @@ import (
 )
 
 // daemonMeta pins the parameters a data directory was created with.
+// The "agents" key of directories written while the daemon had an -agents
+// flag is ignored: the agent count never changed what a journal replays to.
 type daemonMeta struct {
 	TopologySeed uint64  `json:"topology_seed"`
 	Domains      int     `json:"domains"`
-	Agents       int     `json:"agents"`
 	TCWeight     float64 `json:"tc_weight"`
 	// TrustModel and TrustParamHash pin the trust policy: replaying a
 	// journal recorded under one model into another would silently
@@ -107,7 +108,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:7431", "listen address")
 		seed     = flag.Uint64("topology-seed", 7, "seed for the generated grid topology")
 		domains  = flag.Int("domains", 3, "grid domains to generate")
-		agents   = flag.Int("agents", 2, "monitoring agents")
 		tcWeight = flag.Float64("tcweight", 15, "trust-cost weight of the ESC formula")
 		model    = flag.String("trust-model", "", "trust model from the registry (default: paper); see -list-models")
 		listM    = flag.Bool("list-models", false, "list registered trust models and exit")
@@ -165,7 +165,6 @@ func main() {
 	}
 	trms, err := core.New(core.Config{
 		Topology:   top,
-		Agents:     *agents,
 		TCWeight:   *tcWeight,
 		Trust:      trust.Config{Alpha: 0.8, Beta: 0.2, Smoothing: 0.4},
 		TrustModel: *model,
@@ -196,7 +195,7 @@ func main() {
 		defer log.Close()
 		tm := trms.Model()
 		if err := checkMeta(*dataDir, daemonMeta{
-			TopologySeed: *seed, Domains: *domains, Agents: *agents, TCWeight: *tcWeight,
+			TopologySeed: *seed, Domains: *domains, TCWeight: *tcWeight,
 			TrustModel:     tm.ModelName(),
 			TrustParamHash: trust.ParamHash(tm.ModelName(), tm.ModelParams()),
 		}); err != nil {
@@ -226,6 +225,15 @@ func main() {
 		}
 		defer fl.Close()
 	}
+	// Graceful drain on SIGTERM/SIGINT or a client drain op: stop
+	// accepting, finish in-flight requests under the drain deadline, take
+	// a final checkpoint so restart replays from one snapshot, exit 0.
+	// The handler is installed before the daemon is reachable, so a
+	// signal sent once a client has been served drains rather than kills.
+	sig := make(chan os.Signal, 1)
+	if !*demo {
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	}
 	bound, err := srv.ListenAndServe(*addr)
 	if err != nil {
 		fatalf("listen: %v", err)
@@ -250,11 +258,6 @@ func main() {
 		return
 	}
 
-	// Graceful drain on SIGTERM/SIGINT or a client drain op: stop
-	// accepting, finish in-flight requests under the drain deadline, take
-	// a final checkpoint so restart replays from one snapshot, exit 0.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("draining: signal %v\n", s)

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -104,9 +106,6 @@ func TestCrashRestartRoundTrip(t *testing.T) {
 	args := []string{
 		"-addr", "127.0.0.1:0", "-data", dir,
 		"-topology-seed", "7", "-domains", "3",
-		// One agent keeps transaction processing order identical between
-		// the live run and journal replay.
-		"-agents", "1",
 	}
 	cmd, addr, _ := spawnDaemon(t, args...)
 	client, err := rmswire.Dial(addr)
@@ -179,10 +178,14 @@ func TestCrashRestartRoundTrip(t *testing.T) {
 	}
 	reported++
 
-	before := waitProcessed(t, client, reported)
+	before, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Pin the expected pre-crash shape: 12 tasks + 1 post-checkpoint
-	// placement, of which i=3,7,11 were left open.
-	if before.Placed != tasks+1 || before.OpenPlacements != 3 {
+	// placement, of which i=3,7,11 were left open, and every report
+	// applied before its reply.
+	if before.Placed != tasks+1 || before.OpenPlacements != 3 || before.AgentsProcessed != reported {
 		t.Fatalf("pre-crash state unexpected: %+v", before)
 	}
 	client.Close()
@@ -216,7 +219,7 @@ func TestCrashRestartRoundTrip(t *testing.T) {
 	}
 
 	// A data dir started with different topology flags must refuse.
-	bad := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-data", dir, "-topology-seed", "8", "-agents", "1")
+	bad := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-data", dir, "-topology-seed", "8")
 	bad.Env = append(os.Environ(), "GRIDTRUSTD_RUN_MAIN=1")
 	out, err := bad.CombinedOutput()
 	if err == nil || !strings.Contains(string(out), "was created with") {
@@ -232,23 +235,50 @@ func seqEEC(n int) []float64 {
 	return eec
 }
 
-// waitProcessed polls until the daemon's single agent has consumed every
-// reported transaction, so the stats view is settled before the kill.
-func waitProcessed(t *testing.T, client *rmswire.Client, want int) *rmswire.StatsInfo {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := client.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.AgentsProcessed >= want {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("agent processed %d of %d", st.AgentsProcessed, want)
-		}
-		time.Sleep(5 * time.Millisecond)
+// TestMetaFromAgentsFlagEra: testdata/meta_with_agents/meta.json was
+// written by a gridtrustd that still had an -agents flag, with its default
+// of 2.  A daemon started with default flags writes a meta.json with no
+// agents key into a new data directory, and checkMeta accepts the old
+// file under that meta.
+func TestMetaFromAgentsFlagEra(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	fresh := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-data", fresh, "-demo")
+	cmd.Env = append(os.Environ(), "GRIDTRUSTD_RUN_MAIN=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("demo failed: %v\n%s", err, out)
+	}
+	written, err := os.ReadFile(filepath.Join(fresh, "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(written, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["agents"]; ok {
+		t.Fatalf("new meta.json has an agents key:\n%s", written)
+	}
+	var meta daemonMeta
+	if err := json.Unmarshal(written, &meta); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(filepath.Join("testdata", "meta_with_agents", "meta.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"agents": 2`) {
+		t.Fatalf("fixture lost its agents key:\n%s", data)
+	}
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, "meta.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkMeta(old, meta); err != nil {
+		t.Fatalf("a directory written with -agents 2 refused: %v", err)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestLoadReconcilesAcrossCrashRestart(t *testing.T) {
 		t.Skip("subprocess test")
 	}
 	dir := t.TempDir()
-	args := []string{"-data", dir, "-topology-seed", "7", "-domains", "3", "-agents", "1"}
+	args := []string{"-data", dir, "-topology-seed", "7", "-domains", "3"}
 	cmd, addr, _ := spawnDaemon(t, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 
 	type result struct {

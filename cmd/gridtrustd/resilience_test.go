@@ -56,7 +56,7 @@ func TestRetryStormExactlyOnce(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{
 		"-addr", "127.0.0.1:0", "-data", dir,
-		"-topology-seed", "7", "-domains", "3", "-agents", "1",
+		"-topology-seed", "7", "-domains", "3",
 		// A tiny admission limit makes overload sheds certain under the
 		// storm; compaction off keeps every record inspectable on disk.
 		"-max-inflight", "2", "-compact-every", "0",
@@ -219,7 +219,7 @@ func TestGracefulDrainSIGTERM(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{
 		"-addr", "127.0.0.1:0", "-data", dir,
-		"-topology-seed", "7", "-domains", "3", "-agents", "1",
+		"-topology-seed", "7", "-domains", "3",
 		"-drain-timeout", "5s",
 	}
 	cmd, addr, out := spawnDaemon(t, args...)
@@ -242,7 +242,13 @@ func TestGracefulDrainSIGTERM(t *testing.T) {
 			reported++
 		}
 	}
-	before := waitProcessed(t, client, reported)
+	before, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.AgentsProcessed != reported {
+		t.Fatalf("agent processed %d of %d reports before their replies", before.AgentsProcessed, reported)
+	}
 	client.Close()
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

@@ -47,8 +47,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// ── 2. Start the TRMS: MCT heuristic, evolving trust engine, two
-	// monitoring agents writing back into the shared trust table. ────
+	// ── 2. Start the TRMS: MCT heuristic, evolving trust engine, and the
+	// monitoring agent writing back into the shared trust table. ─────
 	trms, err := core.New(core.Config{
 		Topology: topology,
 		Trust:    trust.Config{Alpha: 0.8, Beta: 0.2, Smoothing: 0.6},
@@ -75,14 +75,13 @@ func main() {
 		p.Machine.ID, p.RD, p.OTL, p.TC, p.EEC, p.ESC, p.Finish)
 
 	// ── 4. The interaction goes flawlessly: report outcome 6 (best) for
-	// several transactions.  The agents feed the trust engine, which
-	// lifts domain 0's trust level in the table. ──────────────────────
+	// several transactions.  Each report has lifted domain 0's trust
+	// level in the table by the time ReportOutcome returns. ───────────
 	for i := 0; i < 4; i++ {
 		if err := trms.ReportOutcome(p, task.ToA, 6, float64(i+1)); err != nil {
 			log.Fatal(err)
 		}
 	}
-	trms.Drain()
 	tl, _ := trms.Table().Get(0, 0, grid.ActCompute)
 	fmt.Printf("t=5    after 4 excellent outcomes, trust table (CD0→RD0, compute) = %v\n", tl)
 

@@ -3,11 +3,13 @@
 //
 // A TRMS owns (a) the grid topology of GDs with their client and resource
 // domains, (b) the central trust-level table, (c) the trust engine that
-// evolves Γ values from transaction outcomes, and (d) monitoring agents
-// that observe completed Grid-level transactions and write revised trust
+// evolves Γ values from transaction outcomes, and (d) the monitoring agent
+// that observes completed Grid-level transactions and writes revised trust
 // levels back into the table — exactly the block diagram of Figure 1.
 // Scheduling requests flow through a trust-aware mapping heuristic whose
-// expected security cost comes from the live table.
+// expected security cost comes from the live table.  A report is applied,
+// table write included, before ReportOutcome returns, so the table a
+// submit is priced from depends only on the calls made before it.
 //
 // The simulation experiments of Tables 4-9 bypass this package and use
 // internal/sim directly (their trust tables are statically drawn, as in
@@ -19,7 +21,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"gridtrust/internal/grid"
@@ -56,9 +57,11 @@ type Config struct {
 	// Zero defaults to grid.LevelC.
 	InitialTrust grid.TrustLevel
 
-	// Agents is the number of monitoring agents draining the
-	// transaction stream (Figure 1 shows one per domain; any positive
-	// count works since they share the engine).  Zero defaults to 2.
+	// Agents is ignored: one monitoring agent applies every report on the
+	// caller's goroutine (see ReportOutcome).
+	//
+	// Deprecated: nothing reads Agents; it is kept so callers that set it
+	// still compile.
 	Agents int
 }
 
@@ -124,9 +127,8 @@ type TRMS struct {
 	// the trust engine's entity and context names; read-only after New.
 	names entityNames
 
-	txCh   chan trust.Transaction
-	agents []*trust.Agent
-	wg     sync.WaitGroup
+	// agent applies every report: Figure 1's monitoring agent.
+	agent *trust.Agent
 
 	mu       sync.Mutex
 	freeTime []float64 // indexed by topology machine order
@@ -136,17 +138,16 @@ type TRMS struct {
 	availBuf []float64
 	asgBuf   []sched.Assignment
 	placed   int
-	reported int
 	closed   bool
 	// base* seed the cumulative agent counters when a TRMS is rebuilt
 	// from a durability snapshot (RestoreAgentStats); AgentStats adds
-	// them to the live agents' counts.
+	// them to the live agent's counts.
 	baseProcessed int
 	baseCommitted int
 	baseRejected  int
 }
 
-// New builds and starts a TRMS; call Close to stop its agents.
+// New builds a TRMS.
 func New(cfg Config) (*TRMS, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("core: config requires a topology")
@@ -162,12 +163,6 @@ func New(cfg Config) (*TRMS, error) {
 	}
 	if !cfg.InitialTrust.Offerable() {
 		return nil, fmt.Errorf("core: initial trust %v is not offerable", cfg.InitialTrust)
-	}
-	if cfg.Agents == 0 {
-		cfg.Agents = 2
-	}
-	if cfg.Agents < 0 {
-		return nil, fmt.Errorf("core: negative agent count %d", cfg.Agents)
 	}
 	if !cfg.ETSRule.Valid() {
 		return nil, fmt.Errorf("core: invalid ETS rule %d", int(cfg.ETSRule))
@@ -190,7 +185,6 @@ func New(cfg Config) (*TRMS, error) {
 		table:    grid.NewTrustTable(),
 		model:    model,
 		names:    newEntityNames(cfg.Topology),
-		txCh:     make(chan trust.Transaction, 128),
 		freeTime: make([]float64, len(cfg.Topology.Machines())),
 		availBuf: make([]float64, len(cfg.Topology.Machines())),
 	}
@@ -208,20 +202,11 @@ func New(cfg Config) (*TRMS, error) {
 		}
 	}
 
-	// Figure 1: monitoring agents share the transaction stream, feed the
-	// engine, and push committed trust revisions into the table.
-	update := t.applyTrustUpdate
-	for i := 0; i < cfg.Agents; i++ {
-		agent, err := trust.NewAgent(fmt.Sprintf("agent-%d", i), model, t.txCh, update)
-		if err != nil {
-			return nil, err
-		}
-		t.agents = append(t.agents, agent)
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			agent.Run()
-		}()
+	// Figure 1: the monitoring agent feeds the engine and pushes committed
+	// trust revisions into the table.
+	t.agent, err = trust.NewAgent(model, t.applyTrustUpdate)
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -242,7 +227,7 @@ func activityContext(a grid.Activity) trust.Context {
 }
 
 // entityNames holds the names the report path would otherwise format per
-// transaction, and their exact inverses for the agents' table hook.
+// transaction, and their exact inverses for the agent's table hook.
 type entityNames struct {
 	cd, rd     map[grid.DomainID]trust.EntityID
 	cdOf, rdOf map[trust.EntityID]grid.DomainID
@@ -286,7 +271,7 @@ func (n *entityNames) pair(cd, rd grid.DomainID) (from, to trust.EntityID) {
 	return from, to
 }
 
-// applyTrustUpdate is the agents' table hook: quantise the fresh Γ score
+// applyTrustUpdate is the agent's table hook: quantise the fresh Γ score
 // onto the discrete scale and update the table if the level changed.
 // Entities that are not a cd→rd pair of the topology (or contexts that are
 // not built-in activities) are ignored; the engine may track them but the
@@ -441,65 +426,49 @@ func (t *TRMS) currentAvail(now float64) []float64 {
 // ReportOutcome feeds the observed behaviour of a completed placement back
 // into the trust fabric: one transaction per activity of the ToA, from the
 // client's domain about the resource's domain.  outcome is on the [1,6]
-// scale.  The table update happens asynchronously via the agents; callers
-// needing a synchronous view can Drain first.
+// scale.  Every transaction is applied before ReportOutcome returns, trust
+// table write included, so a Submit after it is priced from the new
+// level.  The table is written on the caller's goroutine: do not call
+// ReportOutcome from inside a TrustTable.ForEach callback, which holds the
+// table's read lock.
+//
+// The outcome is checked here as every trust model checks it.  A
+// transaction the model still rejects is counted in AgentStats rather
+// than failing the report, so a journalled report replays to the same
+// counts.
 func (t *TRMS) ReportOutcome(p *Placement, toa grid.ToA, outcome, now float64) error {
 	if p == nil {
 		return fmt.Errorf("core: nil placement")
 	}
-	if outcome < trust.MinScore || outcome > trust.MaxScore {
+	if math.IsNaN(outcome) || outcome < trust.MinScore || outcome > trust.MaxScore {
 		return fmt.Errorf("core: outcome %g outside [%g,%g]", outcome, trust.MinScore, trust.MaxScore)
 	}
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	closed := t.closed
+	t.mu.Unlock()
+	if closed {
 		return fmt.Errorf("core: TRMS is closed")
 	}
-	t.reported += len(toa.Activities)
-	t.mu.Unlock()
 	from, to := t.names.pair(p.CD, p.RD)
 	for _, act := range toa.Activities {
-		t.txCh <- trust.Transaction{From: from, To: to, Ctx: activityContext(act), Outcome: outcome, Now: now}
+		// A rejection is counted in AgentStats, not returned (see above).
+		_ = t.agent.Apply(trust.Transaction{From: from, To: to, Ctx: activityContext(act), Outcome: outcome, Now: now})
 	}
 	return nil
 }
 
-// Close stops the monitoring agents after draining queued transactions.
-// Close is idempotent.
+// Close makes the TRMS refuse further submits and reports.  Close is
+// idempotent.
 func (t *TRMS) Close() {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
 	t.closed = true
 	t.mu.Unlock()
-	close(t.txCh)
-	t.wg.Wait()
-}
-
-// Drain blocks until every transaction reported so far has been processed
-// by the agents, trust-table write included (an agent counts a
-// transaction only after its update hook returns).  Concurrent
-// ReportOutcome calls extend the wait.
-func (t *TRMS) Drain() {
-	for {
-		t.mu.Lock()
-		want := t.reported
-		t.mu.Unlock()
-		got, _, _ := t.AgentStats()
-		if got >= want {
-			return
-		}
-		runtime.Gosched()
-	}
 }
 
 // RestoreAgentStats seeds the cumulative agent counters from a
 // durability snapshot, so a restarted daemon reports the same lifetime
-// totals its predecessor acknowledged.  The restored count also enters
-// the Drain ledger, keeping "reported vs processed" consistent.  Call
-// it on a fresh TRMS before it takes traffic.
+// totals its predecessor acknowledged.  Call it on a fresh TRMS before it
+// takes traffic.
 func (t *TRMS) RestoreAgentStats(processed, committed, rejected int) error {
 	if processed < 0 || committed < 0 || rejected < 0 {
 		return fmt.Errorf("core: negative agent stats %d/%d/%d", processed, committed, rejected)
@@ -513,21 +482,15 @@ func (t *TRMS) RestoreAgentStats(processed, committed, rejected int) error {
 	t.baseProcessed = processed
 	t.baseCommitted = committed
 	t.baseRejected = rejected
-	t.reported += processed
 	return nil
 }
 
-// AgentStats sums processed/committed/rejected across the agents, on
+// AgentStats reports the agent's processed/committed/rejected counts on
 // top of any snapshot-restored base counts.
 func (t *TRMS) AgentStats() (processed, committed, rejected int) {
 	t.mu.Lock()
 	processed, committed, rejected = t.baseProcessed, t.baseCommitted, t.baseRejected
 	t.mu.Unlock()
-	for _, a := range t.agents {
-		p, c, r := a.Stats()
-		processed += p
-		committed += c
-		rejected += r
-	}
-	return
+	p, c, r := t.agent.Stats()
+	return processed + p, committed + c, rejected + r
 }

@@ -27,7 +27,6 @@ func startDaemonServer(t *testing.T, tune func(*rmswire.Server)) (string, *rmswi
 	}
 	trms, err := core.New(core.Config{
 		Topology: top,
-		Agents:   2,
 		TCWeight: 15,
 		Trust:    trust.Config{Alpha: 0.8, Beta: 0.2, Smoothing: 0.4},
 	})

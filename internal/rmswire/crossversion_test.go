@@ -55,7 +55,7 @@ func TestJournalCrossVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trms, err := core.New(core.Config{Topology: top, Agents: 2, TCWeight: 15,
+	trms, err := core.New(core.Config{Topology: top, TCWeight: 15,
 		Trust: trust.Config{Alpha: 0.8, Beta: 0.2, Smoothing: 0.4}})
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,12 @@ package rmswire
 // Records journal *results*, not requests.  A placement record carries the
 // machine, timing and trust figures the heuristic chose, and replay applies
 // them directly with TRMS.RecoverPlacement — re-running the heuristic
-// against a replayed table could diverge, because the live table evolves
-// asynchronously under the monitoring agents.  Replay of placements is
-// therefore order-insensitive; reports replay through ReportOutcome so the
-// trust engine sees the same transaction stream it saw live.  The books
-// a record changes are ledger.go's.
+// against a replayed table could diverge, because concurrent live requests
+// interleave submits and reports in an order the journal does not keep.
+// Replay of placements is therefore order-insensitive; reports replay
+// through ReportOutcome, which applies each one before it returns, so the
+// trust engine sees the transaction stream in journal order.  The books a
+// record changes are ledger.go's.
 
 import (
 	"encoding/json"
@@ -88,7 +89,7 @@ type daemonSnapshot struct {
 	Idem []journalRecord `json:"idem,omitempty"`
 	// Agent counters at the boundary: the lifetime totals the daemon
 	// acknowledged, restored so a restart's stats view matches exactly
-	// (the record tail re-runs its reports through the agents on top).
+	// (the record tail re-runs its reports through the agent on top).
 	AgentsProcessed int `json:"agents_processed,omitempty"`
 	AgentsCommitted int `json:"agents_committed,omitempty"`
 	AgentsRejected  int `json:"agents_rejected,omitempty"`
@@ -165,9 +166,6 @@ func (s *Server) replay(rec *wal.Recovered) error {
 			return fmt.Errorf("record %d: %w", w.Seq, err)
 		}
 	}
-	// Settle the agents so the table reflects every replayed report before
-	// the daemon takes traffic.
-	s.trms.Drain()
 	return nil
 }
 
@@ -282,9 +280,6 @@ func (s *Server) Checkpoint() (*CheckpointInfo, error) {
 	if s.journal == nil {
 		return nil, fmt.Errorf("rmswire: no journal attached")
 	}
-	// Settle in-flight trust transactions so the engine export includes
-	// every report already journalled.
-	s.trms.Drain()
 	snap := s.capture()
 	payload, err := json.Marshal(snap)
 	if err != nil {
@@ -306,7 +301,7 @@ func (s *Server) Checkpoint() (*CheckpointInfo, error) {
 }
 
 // capture assembles the snapshot payload.  The caller holds jmu for
-// writing and has drained the agents, so all state is at rest.
+// writing, so no request is mid-way and all state is at rest.
 func (s *Server) capture() *daemonSnapshot {
 	placed, freeTime := s.trms.SchedulerState()
 	table := s.trms.Table()

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"testing"
-	"time"
 
 	"gridtrust/internal/chaos"
 	"gridtrust/internal/core"
@@ -50,13 +49,12 @@ func journalTopology(t *testing.T) *grid.Topology {
 	return top
 }
 
-// startJournaled boots a daemon over the WAL in dir: a fresh TRMS with one
-// deterministic agent, journal recovery replayed, server listening.
+// startJournaled boots a daemon over the WAL in dir: a fresh TRMS, journal
+// recovery replayed, server listening.
 func startJournaled(t *testing.T, dir string, compactEvery int) (*Server, *Client, func()) {
 	t.Helper()
 	trms, err := core.New(core.Config{
 		Topology: journalTopology(t),
-		Agents:   1,
 		Trust:    trust.Config{Alpha: 1, Beta: 0, Smoothing: 1},
 	})
 	if err != nil {
@@ -90,23 +88,18 @@ func startJournaled(t *testing.T, dir string, compactEvery int) (*Server, *Clien
 	return srv, client, stop
 }
 
-// settle polls stats until the agents have processed want transactions.
-func settle(t *testing.T, client *Client, want int) *StatsInfo {
+// stats reads the stats view, which must count want processed
+// transactions: a report is applied before its reply is sent.
+func stats(t *testing.T, client *Client, want int) *StatsInfo {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, err := client.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.AgentsProcessed >= want {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("agents processed %d of %d", st.AgentsProcessed, want)
-		}
-		time.Sleep(time.Millisecond)
+	st, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if st.AgentsProcessed != want {
+		t.Fatalf("agent processed %d transactions, want %d", st.AgentsProcessed, want)
+	}
+	return st
 }
 
 // driveTraffic submits n tasks, reporting an outcome for all but the last
@@ -139,12 +132,12 @@ func TestJournalRestartRestoresState(t *testing.T) {
 	dir := t.TempDir()
 	_, client, stop := startJournaled(t, dir, 0)
 	reported := driveTraffic(t, client, 9)
-	before := settle(t, client, reported)
+	before := stats(t, client, reported)
 	stop()
 
 	_, client2, stop2 := startJournaled(t, dir, 0)
 	defer stop2()
-	after := settle(t, client2, reported)
+	after := stats(t, client2, reported)
 	if after.Placed != before.Placed ||
 		after.OpenPlacements != before.OpenPlacements ||
 		after.TableVersion != before.TableVersion ||
@@ -169,7 +162,6 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	_, client, stop := startJournaled(t, dir, 0)
 	reported := driveTraffic(t, client, 8)
-	settle(t, client, reported)
 
 	info, err := client.Checkpoint()
 	if err != nil {
@@ -187,7 +179,7 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	if err := client.Report(p.ID, 6, 51); err != nil {
 		t.Fatal(err)
 	}
-	before := settle(t, client, reported+1)
+	before := stats(t, client, reported+1)
 	stop()
 
 	// The restart must recover from snapshot + tail.
@@ -200,9 +192,9 @@ func TestCheckpointCompactsAndRecovers(t *testing.T) {
 	}
 	_, client2, stop2 := startJournaled(t, dir, 0)
 	defer stop2()
-	// Agent counters are activity metrics, not state: after a checkpoint
-	// restart only the tail's one report replays through the agents.
-	after := settle(t, client2, 1)
+	// The snapshot carries the agent counters; the tail's one report
+	// replays through the agent on top of them.
+	after := stats(t, client2, reported+1)
 	if after.Placed != before.Placed ||
 		after.OpenPlacements != before.OpenPlacements ||
 		after.TableVersion != before.TableVersion {
@@ -214,8 +206,7 @@ func TestAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	_, client, stop := startJournaled(t, dir, 4)
 	defer stop()
-	reported := driveTraffic(t, client, 6)
-	settle(t, client, reported)
+	driveTraffic(t, client, 6)
 	names, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +235,7 @@ func TestReplayRejectsGarbageRecords(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	trms, err := core.New(core.Config{Topology: journalTopology(t), Agents: 1})
+	trms, err := core.New(core.Config{Topology: journalTopology(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +260,7 @@ func TestJournalFilesAreBounded(t *testing.T) {
 	dir := t.TempDir()
 	_, client, stop := startJournaled(t, dir, 3)
 	defer stop()
-	reported := driveTraffic(t, client, 12)
-	settle(t, client, reported)
+	driveTraffic(t, client, 12)
 	if _, err := client.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // stream-oriented transport, making the trust-aware resource management
 // system deployable as a daemon: clients submit tasks, receive placements,
 // and report transaction outcomes; the server schedules against the live
-// trust table and feeds outcomes to the monitoring agents.
+// trust table and feeds outcomes to the monitoring agent.
 //
 // The wire format is newline-delimited JSON frames, one request and one
 // response per line, mirroring internal/trustwire.  The protocol is

@@ -13,14 +13,12 @@ import (
 	"gridtrust/internal/wal"
 )
 
-// booksServer builds the daemon every replay test uses: journalTopology,
-// one monitoring agent so reports reach the trust table in journal order,
+// booksServer builds the daemon every replay test uses: journalTopology
 // and no listener, since requests go straight to respond.
 func booksServer(t *testing.T) *Server {
 	t.Helper()
 	trms, err := core.New(core.Config{
 		Topology: journalTopology(t),
-		Agents:   1,
 		Trust:    trust.Config{Alpha: 1, Beta: 0, Smoothing: 1},
 	})
 	if err != nil {
@@ -52,10 +50,9 @@ func journalledBooksServer(t *testing.T, dir string) *Server {
 }
 
 // restState renders everything a daemon holds at rest: the checkpoint
-// payload and the stats view, once the agents have settled.
+// payload and the stats view.
 func restState(t *testing.T, srv *Server) string {
 	t.Helper()
-	srv.trms.Drain()
 	payload, err := json.Marshal(srv.capture())
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func TestNewServerValidation(t *testing.T) {
 }
 
 func TestSubmitReportStats(t *testing.T) {
-	trms, _, client := newDaemon(t)
+	_, _, client := newDaemon(t)
 	p, err := client.Submit(0, []grid.Activity{grid.ActCompute}, grid.LevelE, []float64{100, 110}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,6 @@ func TestSubmitReportStats(t *testing.T) {
 	if err := client.Report(p.ID, 6, 1); err != nil {
 		t.Fatal(err)
 	}
-	trms.Drain()
 	st, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +106,7 @@ func TestSubmitReportStats(t *testing.T) {
 }
 
 func TestTrustFeedbackAcrossWire(t *testing.T) {
-	trms, _, client := newDaemon(t)
+	_, _, client := newDaemon(t)
 	acts := []grid.Activity{grid.ActCompute}
 	eec := []float64{100, 100}
 	p, err := client.Submit(0, acts, grid.LevelE, eec, 0)
@@ -117,7 +116,6 @@ func TestTrustFeedbackAcrossWire(t *testing.T) {
 	if err := client.Report(p.ID, 6, 1); err != nil {
 		t.Fatal(err)
 	}
-	trms.Drain()
 	// The served RD's trust rose to E; a later submit must prefer it
 	// with TC 0.
 	p2, err := client.Submit(0, acts, grid.LevelE, eec, 1000)
@@ -147,9 +145,8 @@ func TestReportUnknownAndDoubleReport(t *testing.T) {
 	if err != nil || !resp.Replayed {
 		t.Fatalf("double report: replayed=%v err=%v, want an ok reply marked replayed", resp.Replayed, err)
 	}
-	trms.Drain()
 	if processed, _, _ := trms.AgentStats(); processed != 1 {
-		t.Fatalf("agents processed %d transactions for one placement reported twice", processed)
+		t.Fatalf("agent processed %d transactions for one placement reported twice", processed)
 	}
 	m, err := client.Metrics()
 	if err != nil {

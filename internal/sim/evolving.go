@@ -145,7 +145,6 @@ func RunEvolving(cfg EvolvingConfig, src *rng.Source) (*EvolvingResult, error) {
 			Smoothing: 0.35, UpdateBatch: 8, InitialScore: 5,
 		},
 		InitialTrust: grid.LevelE,
-		Agents:       1, // keep outcome application ordered
 	})
 	if err != nil {
 		return nil, err
@@ -212,12 +211,12 @@ func RunEvolving(cfg EvolvingConfig, src *rng.Source) (*EvolvingResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The report is applied before ReportOutcome returns, so
+		// placement i+1 sees the trust consequences of placement i, as a
+		// slow Grid would.
 		if err := trms.ReportOutcome(p, toa, outcome, now); err != nil {
 			return nil, err
 		}
-		// Keep the loop synchronous so placement i+1 sees the trust
-		// consequences of placement i, as a slow Grid would.
-		trms.Drain()
 	}
 
 	res.EarlyUnreliableShare = float64(earlyUnreliable) / float64(warmup)

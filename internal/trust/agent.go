@@ -24,58 +24,54 @@ type Transaction struct {
 // Section 3.1).
 type UpdateFunc func(x, y EntityID, c Context, score float64)
 
-// Agent is the CD/RD monitoring agent of Figure 1.  It consumes completed
-// transactions from a channel, feeds them to the trust engine, and fires
-// the update hook when the engine commits a revised trust level.  Run the
-// agent with go a.Run(); stop it by closing the input channel.
+// Agent is the CD/RD monitoring agent of Figure 1.  Apply feeds one
+// completed transaction to the trust model and fires the update hook when
+// the model commits a revised trust level, on the caller's goroutine.
 type Agent struct {
-	Name     string
-	Engine   Model // any registered trust model; the default is *Engine
-	In       <-chan Transaction
+	Engine   Model      // any registered trust model; the default is *Engine
 	OnUpdate UpdateFunc // optional
 
 	mu        sync.Mutex
 	processed int
 	committed int
-	errs      []error
+	rejected  int
 }
 
-// NewAgent wires an agent to a trust model and input channel.
-func NewAgent(name string, e Model, in <-chan Transaction, onUpdate UpdateFunc) (*Agent, error) {
+// NewAgent wires an agent to a trust model.
+func NewAgent(e Model, onUpdate UpdateFunc) (*Agent, error) {
 	if e == nil {
-		return nil, fmt.Errorf("trust: agent %q requires an engine", name)
+		return nil, fmt.Errorf("trust: agent requires an engine")
 	}
-	if in == nil {
-		return nil, fmt.Errorf("trust: agent %q requires an input channel", name)
-	}
-	return &Agent{Name: name, Engine: e, In: in, OnUpdate: onUpdate}, nil
+	return &Agent{Engine: e, OnUpdate: onUpdate}, nil
 }
 
-// Run processes transactions until the input channel closes.  It never
-// panics on bad transactions; malformed outcomes are counted as errors and
-// retrievable via Stats.
-//
-// A transaction is counted only after its update hook has returned:
-// core.TRMS.Drain waits on the processed count, and its callers read the
-// trust table the hook writes.
-func (a *Agent) Run() {
-	for tx := range a.In {
-		changed, err := a.Engine.Observe(tx.From, tx.To, tx.Ctx, tx.Outcome, tx.Now)
-		if err == nil && changed && a.OnUpdate != nil {
-			score, terr := a.Engine.Trust(tx.From, tx.To, tx.Ctx, tx.Now)
-			if terr == nil {
-				a.OnUpdate(tx.From, tx.To, tx.Ctx, score)
-			}
-		}
-		a.mu.Lock()
-		a.processed++
-		if err != nil {
-			a.errs = append(a.errs, err)
-		} else if changed {
-			a.committed++
-		}
-		a.mu.Unlock()
+// Apply observes one transaction and, if that revised the stored trust
+// level, computes Γ and runs the update hook.  It holds the agent's lock
+// throughout, so concurrent calls reach the model and the hook in one
+// order and a later transaction's hook never runs before an earlier
+// one's.  A malformed transaction is counted as rejected and its error
+// returned.
+func (a *Agent) Apply(tx Transaction) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.processed++
+	changed, err := a.Engine.Observe(tx.From, tx.To, tx.Ctx, tx.Outcome, tx.Now)
+	if err != nil {
+		a.rejected++
+		return err
 	}
+	if !changed {
+		return nil
+	}
+	a.committed++
+	if a.OnUpdate != nil {
+		score, err := a.Engine.Trust(tx.From, tx.To, tx.Ctx, tx.Now)
+		if err != nil {
+			return err
+		}
+		a.OnUpdate(tx.From, tx.To, tx.Ctx, score)
+	}
+	return nil
 }
 
 // Stats reports how many transactions the agent has processed, how many
@@ -83,14 +79,5 @@ func (a *Agent) Run() {
 func (a *Agent) Stats() (processed, committed, rejected int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.processed, a.committed, len(a.errs)
-}
-
-// Errors returns a copy of the accumulated observation errors.
-func (a *Agent) Errors() []error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]error, len(a.errs))
-	copy(out, a.errs)
-	return out
+	return a.processed, a.committed, a.rejected
 }

@@ -3,56 +3,47 @@ package trust
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestAgentProcessesTransactions(t *testing.T) {
 	e := newTestEngine(t, Config{Alpha: 1, Beta: 0, Smoothing: 1, InitialScore: 1})
-	in := make(chan Transaction)
-	var mu sync.Mutex
 	var updates []float64
-	a, err := NewAgent("rd-agent", e, in, func(x, y EntityID, c Context, score float64) {
-		mu.Lock()
+	a, err := NewAgent(e, func(x, y EntityID, c Context, score float64) {
 		updates = append(updates, score)
-		mu.Unlock()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() { a.Run(); close(done) }()
-
-	in <- Transaction{From: "cd0", To: "rd1", Ctx: "compute", Outcome: 5, Now: 1}
-	in <- Transaction{From: "cd0", To: "rd1", Ctx: "compute", Outcome: 3, Now: 2}
-	close(in)
-	<-done
-
+	for _, tx := range []Transaction{
+		{From: "cd0", To: "rd1", Ctx: "compute", Outcome: 5, Now: 1},
+		{From: "cd0", To: "rd1", Ctx: "compute", Outcome: 3, Now: 2},
+	} {
+		if err := a.Apply(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
 	processed, committed, rejected := a.Stats()
 	if processed != 2 || committed != 2 || rejected != 0 {
 		t.Fatalf("stats = %d/%d/%d, want 2/2/0", processed, committed, rejected)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(updates) != 2 {
-		t.Fatalf("update hook fired %d times, want 2", len(updates))
-	}
-	if updates[0] != 5 || updates[1] != 3 {
+	if len(updates) != 2 || updates[0] != 5 || updates[1] != 3 {
 		t.Fatalf("updates = %v, want [5 3] with smoothing=1", updates)
 	}
 }
 
 func TestAgentBatchingSuppressesUpdates(t *testing.T) {
 	e := newTestEngine(t, Config{Alpha: 1, Beta: 0, UpdateBatch: 3, Smoothing: 1, InitialScore: 1})
-	in := make(chan Transaction, 3)
 	fired := 0
-	a, err := NewAgent("a", e, in, func(EntityID, EntityID, Context, float64) { fired++ })
+	a, err := NewAgent(e, func(EntityID, EntityID, Context, float64) { fired++ })
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		in <- Transaction{From: "x", To: "y", Ctx: "c", Outcome: 6, Now: float64(i)}
+		if err := a.Apply(Transaction{From: "x", To: "y", Ctx: "c", Outcome: 6, Now: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	close(in)
-	a.Run() // synchronous: channel pre-filled and closed
 	if fired != 1 {
 		t.Fatalf("update hook fired %d times, want 1 (batch of 3)", fired)
 	}
@@ -64,89 +55,92 @@ func TestAgentBatchingSuppressesUpdates(t *testing.T) {
 
 func TestAgentRecordsBadTransactions(t *testing.T) {
 	e := newTestEngine(t, defaultCfg())
-	in := make(chan Transaction, 2)
-	a, err := NewAgent("a", e, in, nil)
+	a, err := NewAgent(e, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in <- Transaction{From: "x", To: "y", Ctx: "c", Outcome: 99, Now: 0} // off scale
-	in <- Transaction{From: "x", To: "y", Ctx: "c", Outcome: 4, Now: 1}
-	close(in)
-	a.Run()
+	if err := a.Apply(Transaction{From: "x", To: "y", Ctx: "c", Outcome: 99, Now: 0}); err == nil {
+		t.Fatal("applied an off-scale outcome")
+	}
+	if err := a.Apply(Transaction{From: "x", To: "y", Ctx: "c", Outcome: 4, Now: 1}); err != nil {
+		t.Fatal(err)
+	}
 	processed, _, rejected := a.Stats()
 	if processed != 2 || rejected != 1 {
 		t.Fatalf("processed/rejected = %d/%d, want 2/1", processed, rejected)
 	}
-	if len(a.Errors()) != 1 {
-		t.Fatalf("errors = %v", a.Errors())
-	}
 }
 
-// TestAgentCountsAfterUpdateHook pins the order core.TRMS.Drain relies on:
-// a transaction is not counted as processed while its update hook is
-// still running, so "processed == reported" implies the hook's table
-// write has happened.
+// TestAgentCountsAfterUpdateHook: Apply holds the agent's lock through the
+// update hook, so Stats, which takes the same lock, cannot observe a
+// transaction whose hook is still running.
 func TestAgentCountsAfterUpdateHook(t *testing.T) {
 	e := newTestEngine(t, Config{Alpha: 1, Beta: 0, Smoothing: 1, InitialScore: 1})
-	in := make(chan Transaction, 1)
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	a, err := NewAgent("a", e, in, func(EntityID, EntityID, Context, float64) {
+	a, err := NewAgent(e, func(EntityID, EntityID, Context, float64) {
 		close(entered)
 		<-release
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() { a.Run(); close(done) }()
-	in <- Transaction{From: "x", To: "y", Ctx: "c", Outcome: 5, Now: 1}
-	close(in)
-
+	applied := make(chan error)
+	go func() { applied <- a.Apply(Transaction{From: "x", To: "y", Ctx: "c", Outcome: 5, Now: 1}) }()
 	<-entered
-	if processed, committed, _ := a.Stats(); processed != 0 || committed != 0 {
-		t.Errorf("stats advanced to %d/%d while the update hook was still running", processed, committed)
+	stats := make(chan [3]int)
+	go func() {
+		p, c, r := a.Stats()
+		stats <- [3]int{p, c, r}
+	}()
+	select {
+	case got := <-stats:
+		t.Fatalf("Stats returned %v while the update hook was running", got)
+	case <-time.After(20 * time.Millisecond):
 	}
 	close(release)
-	<-done
-	if processed, committed, rejected := a.Stats(); processed != 1 || committed != 1 || rejected != 0 {
-		t.Fatalf("stats = %d/%d/%d after the hook returned, want 1/1/0", processed, committed, rejected)
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	if got := <-stats; got != [3]int{1, 1, 0} {
+		t.Fatalf("stats = %v read across the update hook, want [1 1 0]", got)
 	}
 }
 
 func TestAgentConstructorValidation(t *testing.T) {
-	e := newTestEngine(t, defaultCfg())
-	if _, err := NewAgent("a", nil, make(chan Transaction), nil); err == nil {
+	if _, err := NewAgent(nil, nil); err == nil {
 		t.Fatal("accepted nil engine")
 	}
-	if _, err := NewAgent("a", e, nil, nil); err == nil {
-		t.Fatal("accepted nil channel")
+	if _, err := NewAgent(newTestEngine(t, defaultCfg()), nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// TestMultipleAgentsSharedEngine: Figure 1 draws one agent per domain,
+// all feeding one engine.  Agents applying concurrently (run it under
+// -race) each see their own relationship converge.
 func TestMultipleAgentsSharedEngine(t *testing.T) {
-	// Figure 1: several CD/RD agents feed one engine concurrently.
 	e := newTestEngine(t, Config{Alpha: 1, Beta: 0, Smoothing: 0.5, InitialScore: 1})
 	const agents, txPerAgent = 4, 100
-	chans := make([]chan Transaction, agents)
 	var wg sync.WaitGroup
-	for i := range chans {
-		chans[i] = make(chan Transaction, txPerAgent)
-		a, err := NewAgent("agent", e, chans[i], nil)
+	for i := 0; i < agents; i++ {
+		a, err := NewAgent(e, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func() { defer wg.Done(); a.Run() }()
-	}
-	for i, ch := range chans {
-		for k := 0; k < txPerAgent; k++ {
-			ch <- Transaction{
-				From: EntityID(rune('a' + i)), To: "target", Ctx: "c",
-				Outcome: 4, Now: float64(k),
+		go func() {
+			defer wg.Done()
+			for k := 0; k < txPerAgent; k++ {
+				if err := a.Apply(Transaction{
+					From: EntityID(rune('a' + i)), To: "target", Ctx: "c",
+					Outcome: 4, Now: float64(k),
+				}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}
-		close(ch)
+		}()
 	}
 	wg.Wait()
 	// Every agent's relationship should have converged toward 4.

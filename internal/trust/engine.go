@@ -330,7 +330,7 @@ func (e *Engine) decay(age float64, c Context) (float64, error) {
 // SetDirect installs a direct-trust table entry, e.g. from configuration or
 // an out-of-band agreement.  score must be on [1,6].
 func (e *Engine) SetDirect(x, y EntityID, c Context, score, now float64) error {
-	if score < MinScore || score > MaxScore {
+	if math.IsNaN(score) || score < MinScore || score > MaxScore {
 		return fmt.Errorf("trust: score %g outside [%g,%g]", score, MinScore, MaxScore)
 	}
 	e.mu.Lock()
@@ -396,7 +396,7 @@ func (e *Engine) Allied(a, b EntityID) bool {
 // internal knowledge that each entity has and is learned based on actual
 // outcomes" (Section 2.2); tests and simulations can inject it directly.
 func (e *Engine) SetRecommenderFactor(z, y EntityID, r float64) error {
-	if r < 0 || r > 1 {
+	if math.IsNaN(r) || r < 0 || r > 1 {
 		return fmt.Errorf("trust: recommender factor %g outside [0,1]", r)
 	}
 	e.mu.Lock()
@@ -446,9 +446,9 @@ func (e *Engine) Observe(x, y EntityID, c Context, outcome, now float64) (bool, 
 	return e.observe(e.intern(x), e.intern(y), e.internCtx(c), outcome, now), nil
 }
 
-// checkOutcome rejects an outcome off the trust scale.
+// checkOutcome rejects an outcome off the trust scale, NaN included.
 func checkOutcome(outcome float64) error {
-	if outcome < MinScore || outcome > MaxScore {
+	if math.IsNaN(outcome) || outcome < MinScore || outcome > MaxScore {
 		return fmt.Errorf("trust: outcome %g outside [%g,%g]", outcome, MinScore, MaxScore)
 	}
 	return nil

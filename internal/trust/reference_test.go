@@ -2,6 +2,7 @@ package trust
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -52,7 +53,7 @@ func newRefEngine(cfg Config) (*refEngine, error) {
 }
 
 func (e *refEngine) SetDirect(x, y EntityID, c Context, score, now float64) error {
-	if score < MinScore || score > MaxScore {
+	if math.IsNaN(score) || score < MinScore || score > MaxScore {
 		return fmt.Errorf("trust: score %g outside [%g,%g]", score, MinScore, MaxScore)
 	}
 	e.peers[x], e.peers[y] = true, true
@@ -71,7 +72,7 @@ func (e *refEngine) Allied(a, b EntityID) bool {
 }
 
 func (e *refEngine) SetRecommenderFactor(z, y EntityID, r float64) error {
-	if r < 0 || r > 1 {
+	if math.IsNaN(r) || r < 0 || r > 1 {
 		return fmt.Errorf("trust: recommender factor %g outside [0,1]", r)
 	}
 	e.peers[z], e.peers[y] = true, true
@@ -90,7 +91,7 @@ func (e *refEngine) recommenderFactor(z, y EntityID) float64 {
 }
 
 func (e *refEngine) Observe(x, y EntityID, c Context, outcome, now float64) (bool, error) {
-	if outcome < MinScore || outcome > MaxScore {
+	if math.IsNaN(outcome) || outcome < MinScore || outcome > MaxScore {
 		return false, fmt.Errorf("trust: outcome %g outside [%g,%g]", outcome, MinScore, MaxScore)
 	}
 	e.peers[x], e.peers[y] = true, true

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verify flow.  Beyond the seed contract (build + test), it vets
 # the whole module, race-tests the packages with real concurrency or
-# shared scratch (the trust table the agents write while the TRMS prices
+# shared scratch (the trust table reports write while the TRMS prices
 # against it, the experiment engine's global pool, internal/sim's
 # cell runners, internal/sched's pooled kernel state, the WAL's group
 # commit, the daemon's journal), runs the seeded chaos soak (wire
@@ -70,6 +70,13 @@ if grep -rnE 'case recPlace|case recReport|\.Kind ==' --include='*.go' internal/
     exit 1
 fi
 
+echo "==> no goroutine or channel in the TRMS (a go statement or chan in non-test code under internal/core)"
+if grep -rnE '^[[:space:]]*go[[:space:]]+[A-Za-z_(]|(^|[^A-Za-z0-9_])chan([^A-Za-z0-9_]|$)' --include='*.go' internal/core \
+    | grep -v '_test\.go:'; then
+    echo "ci: ReportOutcome applies a report on the caller's goroutine, so the table a submit is priced from depends only on the calls before it" >&2
+    exit 1
+fi
+
 echo "==> no unsafe on the wire (non-test code under internal/frame, rmswire, trustwire, fleet)"
 if grep -rn '"unsafe"' --include='*.go' internal/frame internal/rmswire internal/trustwire internal/fleet | grep -v '_test\.go:'; then
     echo "ci: the frame codec reads and writes through typed accessors; bytes from a peer never meet unsafe" >&2
@@ -102,6 +109,9 @@ fi
 
 echo "==> go test -race (concurrent packages)"
 go test -race ./internal/core/... ./internal/grid/... ./internal/exp/... ./internal/fault/... ./internal/sched/... ./internal/sim/... ./internal/trust/... ./internal/wal/... ./internal/frame/... ./internal/rmswire/... ./internal/metrics/... ./internal/load/... ./internal/trustwire/... ./internal/fleet/... ./internal/chaos/...
+
+echo "==> sequential reports are deterministic (race detector, 20 runs)"
+go test -race -count=20 -run '^TestSequentialReportsAreDeterministic$' ./internal/core
 
 echo "==> chaos soak smoke (seeded fault schedule, race detector, bounded)"
 # The soak runs a 3-shard journaled fleet under a scripted schedule of
@@ -217,15 +227,9 @@ while [ "$i" -le 9 ]; do
     reports=$((reports + 1))
     i=$((i + 1))
 done
-# Settle the monitoring agents so the pre-drain stats view is final.
-i=0
-while [ "$i" -lt 100 ]; do
-    /tmp/gridtrust-ci-gridctl -addr "$addr" stats \
-        | grep -q "agents processed:  $reports (" && break
-    i=$((i + 1))
-    sleep 0.1
-done
+# Every report was applied before its reply, so this view is final.
 /tmp/gridtrust-ci-gridctl -addr "$addr" stats > "$dd/stats-before.txt"
+grep -q "agents processed:  $reports (" "$dd/stats-before.txt"
 kill -TERM "$dpid"
 wait "$dpid" # graceful drain must exit 0
 grep -q "final checkpoint" "$dd/log"
@@ -359,6 +363,6 @@ rm -rf "$ckd"
 rm -f /tmp/gridtrust-ci-sweep
 
 echo "==> size (non-test Go lines; simplicity PRs quote it)"
-./scripts/size.sh internal/sim internal/trust internal/load internal/rmswire cmd/gridctl
+./scripts/size.sh internal/core internal/sim internal/trust internal/load internal/rmswire cmd/gridctl
 
 echo "ci: ok"
