@@ -18,35 +18,52 @@ import (
 // is reused across iterations exactly as RunPair/Compare reuse it, so
 // the numbers reflect the steady state a sweep sees; the trust-cost table
 // is rebuilt by every run, as it is there.
+//
+// At the paper's arrival rate every one of 1024 machines is idle when a
+// request arrives, so immediate-mct never finds a busy machine.  The
+// loaded cases scale the rate with the machine count as the repository
+// benchmark's sim_paper does (0.04 per five machines, 4 CDs and 4 RDs), so
+// whether a machine is busy changes from machine to machine.
 func BenchmarkSimRun(b *testing.B) {
 	cases := []struct {
 		name      string
 		mode      Mode
 		heuristic string
 		tasks     int
+		loaded    bool
+		unaware   bool
 	}{
-		{"immediate-mct", Immediate, "mct", 2048},
-		{"batch-minmin", Batch, "minmin", 512},
+		{"immediate-mct", Immediate, "mct", 2048, false, false},
+		{"immediate-mct-loaded/aware", Immediate, "mct", 2048, true, false},
+		{"immediate-mct-loaded/unaware", Immediate, "mct", 2048, true, true},
+		{"batch-minmin", Batch, "minmin", 512, false, false},
 	}
 	for _, tc := range cases {
 		sc := PaperScenario(tc.heuristic, tc.tasks, workload.Inconsistent)
 		sc.Mode = tc.mode
 		sc.Heuristic = tc.heuristic
 		sc.Machines = 1024
+		if tc.loaded {
+			sc.ArrivalRate = 0.04 * float64(sc.Machines) / 5
+			sc.NumCDs, sc.NumRDs = 4, 4
+		}
 		w, err := workload.NewWorkload(rng.New(2024), sc.WorkloadSpec())
 		if err != nil {
 			b.Fatal(err)
 		}
-		aware, _, err := sc.policies()
+		policy, unaware, err := sc.policies()
 		if err != nil {
 			b.Fatal(err)
+		}
+		if tc.unaware {
+			policy = unaware
 		}
 		b.Run(tc.name, func(b *testing.B) {
 			scr := &runScratch{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := runTraced(sc, w, aware, nil, scr); err != nil {
+				if _, err := runTraced(sc, w, policy, nil, scr); err != nil {
 					b.Fatal(err)
 				}
 			}
