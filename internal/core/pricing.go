@@ -117,7 +117,7 @@ func (t *TRMS) commit(c *decisionCosts, r, m int, now float64) *Placement {
 	cell := c.cell(r, m)
 	eec := c.tasks[r].EEC[m]
 	esc := t.policy.ChargedESC(eec, c.tc[cell])
-	start := math.Max(t.freeTime[m], now)
+	start := max(t.freeTime[m], now)
 	finish := start + eec + esc
 	t.freeTime[m] = finish
 	t.placed++

@@ -367,7 +367,7 @@ func (t *TRMS) RecoverPlacement(m int, finish float64) error {
 	if m < 0 || m >= len(t.freeTime) {
 		return fmt.Errorf("core: recovered placement on machine %d of %d", m, len(t.freeTime))
 	}
-	t.freeTime[m] = math.Max(t.freeTime[m], finish)
+	t.freeTime[m] = max(t.freeTime[m], finish)
 	t.placed++
 	return nil
 }
@@ -418,7 +418,7 @@ func (t *TRMS) Submit(task Task, now float64) (*Placement, error) {
 // until the next locked mapping event.
 func (t *TRMS) currentAvail(now float64) []float64 {
 	for m, ft := range t.freeTime {
-		t.availBuf[m] = math.Max(ft, now)
+		t.availBuf[m] = max(ft, now)
 	}
 	return t.availBuf
 }

@@ -501,6 +501,26 @@ func TestRecoverPlacementIsOrderInsensitive(t *testing.T) {
 	}
 }
 
+// TestBuiltinMaxMatchesMathMax writes down where the builtin max that
+// currentAvail, commit and RecoverPlacement take agrees with math.Max: bit
+// for bit on every pair of non-NaN inputs, signed zeros and infinities
+// included.  With a NaN argument both return a NaN, though not always the
+// same one, except that math.Max(+Inf, NaN) is +Inf.  Neither NaN nor an
+// infinity reaches the TRMS over the wire: JSON carries neither.
+func TestBuiltinMaxMatchesMathMax(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 5e-324, 1, 30, -1, math.MaxFloat64, math.Inf(1), math.Inf(-1)}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := max(a, b), math.Max(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("max(%v, %v) = %#x, math.Max %#x", a, b, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+		if !math.IsNaN(max(a, math.NaN())) || !math.IsNaN(max(math.NaN(), a)) {
+			t.Errorf("max(%v, NaN) is not NaN", a)
+		}
+	}
+}
+
 func TestRestoreAgentStats(t *testing.T) {
 	trms := newTRMS(t, Config{Topology: twoDomainTopology(t)})
 	if err := trms.RestoreAgentStats(10, 7, 2); err != nil {

@@ -460,11 +460,12 @@ func runTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace
 }
 
 // availability is max(free time, now): a machine already idle is available
-// immediately.
+// immediately.  The builtin max is inlined, where math.Max is not; the two
+// differ only on NaN, which simulation times never are.
 func (st *runState) availability(now float64) []float64 {
 	a := st.scr.avail
 	for m, ft := range st.scr.freeTime {
-		a[m] = math.Max(ft, now)
+		a[m] = max(ft, now)
 	}
 	return a
 }
@@ -506,7 +507,7 @@ func (st *runState) commit(r, m int, now float64) {
 // operation): the task starts when the machine frees up, never before now,
 // and runs for its charged ECC.
 func (st *runState) commitCosted(r, m int, now, ecc float64, tc int) {
-	start := math.Max(st.scr.freeTime[m], now)
+	start := max(st.scr.freeTime[m], now)
 	finish := start + ecc
 	st.booked(r, m, now, ecc, tc)
 	st.record(trace.Event{Time: start, Kind: trace.Start, Request: r, Machine: m, Cost: ecc})
@@ -574,12 +575,22 @@ func (f fusedESC) ecc(eec float64, tc int) float64 {
 //
 // The inner loops are specialized per form so the hot path carries no
 // per-iteration dispatch, and the slices are re-sliced to the range up
-// front so the compiler drops the bounds checks.  The manual max is
-// bit-identical to sched.MCT's math.Max here: simulation times are finite
-// and non-negative, so the NaN and signed-zero cases that distinguish them
-// cannot arise.  Each ESC expression keeps sched's parenthesization — in
-// particular availability + (eec + esc), never (availability + eec) + esc —
-// so every sum rounds identically.
+// front so the compiler drops the bounds checks.  Each ESC expression keeps
+// sched's parenthesization — in particular availability + (eec + esc),
+// never (availability + eec) + esc — so every sum rounds identically.
+//
+// The clamp max(ft[i], now) is taken on the IEEE bit patterns so that it
+// compiles to a conditional move: under sim_paper's load whether a machine
+// is busy changes from machine to machine, a compare-and-branch there was
+// mispredicted often enough to be most of the scan's cost, and the builtin
+// float max was slower than the branch with every machine idle (DESIGN.md
+// §13, "Run loops").  Precondition: every ft[i] is ≥ +0 and not NaN (free
+// time starts at +0 and only grows by charged ECCs), and now is ≥ −0 and
+// not NaN, read as +0 when it is −0 (now + 0).  For such floats unsigned
+// order of the bits is float order, so the result is bit-identical to
+// sched.MCT's math.Max and to the branching clamp;
+// TestFusedScanMatchesReference and FuzzFusedScan hold the function to the
+// latter.
 //
 // Under ESCLinear the trust cost enters through tcw, the request's
 // per-slot product float64(tc)*weight (the innermost factor of sched's
@@ -598,33 +609,25 @@ func fusedScanRange(dec fusedESC, eec, tcw []float64, rdOf []int32, ft []float64
 		return best, bestVal
 	}
 	eec, rdOf, ft = eec[lo:hi:hi], rdOf[lo:hi:hi], ft[lo:hi:hi]
+	nowBits := math.Float64bits(now + 0)
 	switch dec.form {
 	case sched.ESCLinear:
 		for i, e := range eec {
-			a := ft[i]
-			if a < now {
-				a = now
-			}
+			a := math.Float64frombits(max(math.Float64bits(ft[i]), nowBits))
 			if done := a + (e + e*tcw[rdOf[i]]/100); done < bestVal {
 				bestVal, best = done, i
 			}
 		}
 	case sched.ESCFlat:
 		for i, e := range eec {
-			a := ft[i]
-			if a < now {
-				a = now
-			}
+			a := math.Float64frombits(max(math.Float64bits(ft[i]), nowBits))
 			if done := a + (e + e*dec.w/100); done < bestVal {
 				bestVal, best = done, i
 			}
 		}
 	default: // ESCZero
 		for i, e := range eec {
-			a := ft[i]
-			if a < now {
-				a = now
-			}
+			a := math.Float64frombits(max(math.Float64bits(ft[i]), nowBits))
 			if done := a + e; done < bestVal {
 				bestVal, best = done, i
 			}

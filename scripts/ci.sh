@@ -77,6 +77,12 @@ if grep -rnE '^[[:space:]]*go[[:space:]]+[A-Za-z_(]|(^|[^A-Za-z0-9_])chan([^A-Za
     exit 1
 fi
 
+echo "==> no math.Max or math.Min (non-test code under internal/sim, internal/sched, internal/core)"
+if grep -rnE 'math\.(Max|Min)\(' --include='*.go' internal/sim internal/sched internal/core | grep -v '_test\.go:'; then
+    echo "ci: math.Max and math.Min are never inlined; the builtin max and min are, and agree with them on every non-NaN input" >&2
+    exit 1
+fi
+
 echo "==> no unsafe on the wire (non-test code under internal/frame, rmswire, trustwire, fleet)"
 if grep -rn '"unsafe"' --include='*.go' internal/frame internal/rmswire internal/trustwire internal/fleet | grep -v '_test\.go:'; then
     echo "ci: the frame codec reads and writes through typed accessors; bytes from a peer never meet unsafe" >&2
@@ -125,6 +131,7 @@ for spec in \
     "./internal/wal FuzzWALRecoverSnapshot" \
     "./internal/sched FuzzKernelEquivalence" \
     "./internal/des FuzzQueueEquivalence" \
+    "./internal/sim FuzzFusedScan" \
     "./internal/trust FuzzEngineEquivalence" \
     "./internal/trust FuzzModelEquivalence" \
     "./internal/grid FuzzParseLevel" \
