@@ -116,7 +116,7 @@ func (t *TRMS) price(tasks []Task, cds []grid.DomainID) (*decisionCosts, int, er
 func (t *TRMS) commit(c *decisionCosts, r, m int, now float64) *Placement {
 	cell := c.cell(r, m)
 	eec := c.tasks[r].EEC[m]
-	esc := t.policy.ChargedESC(eec, c.tc[cell])
+	esc := t.policy.Charged().Cost(eec, c.tc[cell])
 	start := max(t.freeTime[m], now)
 	finish := start + eec + esc
 	t.freeTime[m] = finish

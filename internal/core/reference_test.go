@@ -117,7 +117,7 @@ func refSubmit(t *TRMS, task Task, now float64) (*Placement, error) {
 		return nil, err
 	}
 	eec := task.EEC[m]
-	esc := t.policy.ChargedESC(eec, tcs[m])
+	esc := t.policy.Charged().Cost(eec, tcs[m])
 	start := avail[m]
 	finish := start + eec + esc
 	t.freeTime[m] = finish
@@ -258,7 +258,7 @@ func refSubmitBatch(t *TRMS, tasks []Task, h sched.Batch, now float64) ([]*Place
 			return nil, err
 		}
 		e := eec[i][m]
-		esc := t.policy.ChargedESC(e, tcs[i][m])
+		esc := t.policy.Charged().Cost(e, tcs[i][m])
 		start := math.Max(t.freeTime[m], now)
 		finish := start + e + esc
 		t.freeTime[m] = finish

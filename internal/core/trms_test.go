@@ -80,6 +80,18 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonFiniteTCWeight: with a NaN or infinite weight every
+// completion time is NaN or +Inf and every submit would fail, so the TRMS
+// refuses to start.
+func TestNewRejectsNonFiniteTCWeight(t *testing.T) {
+	top := twoDomainTopology(t)
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := New(Config{Topology: top, TCWeight: w}); err == nil {
+			t.Errorf("accepted TC weight %g", w)
+		}
+	}
+}
+
 func TestSubmitBasicPlacement(t *testing.T) {
 	trms := newTRMS(t, Config{Topology: twoDomainTopology(t)})
 	task := Task{

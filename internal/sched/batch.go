@@ -14,24 +14,6 @@ type Batch interface {
 	AssignBatch(c Costs, p Policy, reqs []int, avail []float64) ([]Assignment, error)
 }
 
-// eccTable precomputes decision ECCs for the batch as a single flat
-// backing array with row stride nm: entry i*nm+m is the ECC of the i-th
-// request of reqs on machine m.  One allocation, cache-friendly scans.
-func eccTable(c Costs, p Policy, reqs []int, nm int) ([]float64, error) {
-	table := make([]float64, len(reqs)*nm)
-	for i, r := range reqs {
-		row := table[i*nm : (i+1)*nm]
-		for m := 0; m < nm; m++ {
-			ecc, err := decisionECC(c, p, r, m)
-			if err != nil {
-				return nil, err
-			}
-			row[m] = ecc
-		}
-	}
-	return table, nil
-}
-
 // validateBatch extends validateInstance with request-set checks.
 func validateBatch(c Costs, p Policy, reqs []int, avail []float64) error {
 	if err := validateInstance(c, p, avail); err != nil {
@@ -141,11 +123,12 @@ func (Duplex) AssignBatchInto(c Costs, p Policy, reqs []int, avail []float64, ds
 }
 
 // decisionMakespan computes the makespan implied by a schedule's decision
-// completions, including machines that received no work.
+// completions, including up machines that received no work; a masked
+// machine receives none and does not count.
 func decisionMakespan(as []Assignment, avail []float64) float64 {
 	ms := math.Inf(-1)
 	for _, a := range avail {
-		if a > ms {
+		if a > ms && !IsMasked(a) {
 			ms = a
 		}
 	}

@@ -203,6 +203,26 @@ func TestDuplexPicksBetterSchedule(t *testing.T) {
 	}
 }
 
+// TestDuplexIgnoresMaskedMachines is TestDuplexPicksBetterSchedule's
+// instance with a third, down machine: its +Inf availability must not
+// enter either candidate's makespan, so Duplex still keeps Max-min's.
+func TestDuplexIgnoresMaskedMachines(t *testing.T) {
+	c := zeroTC(t, [][]float64{{10, 10, 1}, {1, 1, 1}, {1, 1, 1}, {1, 1, 1}, {1, 1, 1}})
+	avail := []float64{0, 0, Masked()}
+	maxAs, err := MaxMin{}.AssignBatch(c, aware, reqRange(5), avail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dupAs, err := Duplex{}.AssignBatch(c, aware, reqRange(5), avail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSchedule(t, "Duplex over a masked machine", dupAs, maxAs)
+	if ms := decisionMakespan(dupAs, avail); ms != 10 {
+		t.Fatalf("Duplex makespan %g with a machine down, want Max-min's 10", ms)
+	}
+}
+
 func TestBatchValidation(t *testing.T) {
 	c := zeroTC(t, [][]float64{{1, 2}})
 	if _, err := (MinMin{}).AssignBatch(c, aware, []int{5}, []float64{0, 0}); err == nil {

@@ -105,21 +105,21 @@ type Assignment struct {
 }
 
 // decisionECC computes the cost a heuristic minimises for (r,m) under the
-// policy: EEC + DecisionESC.
+// policy: EEC + its decision ESC.
 func decisionECC(c Costs, p Policy, r, m int) (float64, error) {
 	eec := c.EEC(r, m)
 	tc, err := c.TrustCost(r, m)
 	if err != nil {
 		return 0, err
 	}
-	return eec + p.DecisionESC(eec, tc), nil
+	return eec + p.decision.Cost(eec, tc), nil
 }
 
 // ChargedECC computes the cost the system actually pays for (r,m) under
-// the policy: EEC + ChargedESC.  The simulator uses this to advance
-// machine availability regardless of what the mapper believed.
+// the policy: EEC + its charged ESC, regardless of what the mapper
+// believed.
 func ChargedECC(c Costs, p Policy, r, m int) (float64, error) {
-	if err := validatePolicy(p); err != nil {
+	if err := p.Validate(); err != nil {
 		return 0, err
 	}
 	eec := c.EEC(r, m)
@@ -127,7 +127,7 @@ func ChargedECC(c Costs, p Policy, r, m int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return eec + p.ChargedESC(eec, tc), nil
+	return eec + p.charged.Cost(eec, tc), nil
 }
 
 // ChargedMakespan replays a schedule charging each assignment its charged
@@ -165,7 +165,7 @@ func validateInstance(c Costs, p Policy, avail []float64) error {
 	if c == nil {
 		return fmt.Errorf("sched: nil costs")
 	}
-	if err := validatePolicy(p); err != nil {
+	if err := p.Validate(); err != nil {
 		return err
 	}
 	if c.NumMachines() <= 0 {

@@ -210,13 +210,16 @@ func NewSA(low, high float64) (*SA, error) {
 func (s *SA) Name() string { return fmt.Sprintf("SA(%g,%g)", s.Low, s.High) }
 
 // AssignOne maps req with MET or MCT according to the current load-balance
-// regime.
+// regime, measured over the machines that are up.
 func (s *SA) AssignOne(c Costs, p Policy, req int, avail []float64) (Assignment, error) {
 	if err := validateInstance(c, p, avail); err != nil {
 		return Assignment{}, err
 	}
-	minA, maxA := avail[0], avail[0]
-	for _, a := range avail[1:] {
+	minA, maxA := math.Inf(1), math.Inf(-1)
+	for _, a := range avail {
+		if IsMasked(a) {
+			continue
+		}
 		if a < minA {
 			minA = a
 		}

@@ -204,6 +204,40 @@ func TestSASwitchesRegimes(t *testing.T) {
 	}
 }
 
+// TestSAIgnoresMaskedMachines takes SA's balance index over the machines
+// that are up: 45/50 among them is balanced, so SA runs MET (machine 0),
+// where MCT would pick machine 1 (45+14 < 50+10).
+func TestSAIgnoresMaskedMachines(t *testing.T) {
+	sa, err := NewSA(0.5, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := zeroTC(t, [][]float64{{10, 14, 1}})
+	a, err := sa.AssignOne(c, aware, 0, []float64{50, 45, Masked()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Machine != 0 {
+		t.Fatalf("SA chose %d with a machine down, want MET machine 0", a.Machine)
+	}
+}
+
+// TestPolicyConstructorsRejectNonFinite: a NaN or infinite weight makes
+// every cost NaN or +Inf, so no machine would ever win a comparison.
+func TestPolicyConstructorsRejectNonFinite(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := TrustAware(w); err == nil {
+			t.Errorf("TrustAware accepted weight %g", w)
+		}
+		if _, err := TrustUnaware(w); err == nil {
+			t.Errorf("TrustUnaware accepted overhead %g", w)
+		}
+		if _, err := TrustBlind(w); err == nil {
+			t.Errorf("TrustBlind accepted weight %g", w)
+		}
+	}
+}
+
 func TestImmediateByName(t *testing.T) {
 	for _, name := range []string{"mct", "met", "olb", "kpb", "sa"} {
 		h, err := ImmediateByName(name)
@@ -255,28 +289,28 @@ func TestPolicyESCFormulas(t *testing.T) {
 	eec := 200.0
 	for tc := 0; tc <= 6; tc++ {
 		want := eec * float64(tc) * 15 / 100
-		if got := aware.DecisionESC(eec, tc); math.Abs(got-want) > 1e-12 {
+		if got := aware.Decision().Cost(eec, tc); math.Abs(got-want) > 1e-12 {
 			t.Errorf("aware ESC(tc=%d) = %g, want %g", tc, got, want)
 		}
-		if got := aware.ChargedESC(eec, tc); math.Abs(got-want) > 1e-12 {
+		if got := aware.Charged().Cost(eec, tc); math.Abs(got-want) > 1e-12 {
 			t.Errorf("aware charged ESC(tc=%d) = %g, want %g", tc, got, want)
 		}
-		if got := unaware.DecisionESC(eec, tc); got != 0 {
+		if got := unaware.Decision().Cost(eec, tc); got != 0 {
 			t.Errorf("unaware decision ESC = %g, want 0", got)
 		}
-		if got := unaware.ChargedESC(eec, tc); got != 100 {
+		if got := unaware.Charged().Cost(eec, tc); got != 100 {
 			t.Errorf("unaware charged ESC = %g, want 100", got)
 		}
 	}
 	// Average TC of 3 gives 45% vs the flat 50% — the paper's calibration.
-	if got := aware.ChargedESC(eec, 3); got != 0.45*eec {
+	if got := aware.Charged().Cost(eec, 3); got != 0.45*eec {
 		t.Errorf("aware ESC at mean TC = %g, want 45%% of EEC", got)
 	}
 	blind := MustTrustBlind(DefaultTCWeight)
-	if blind.DecisionESC(eec, 6) != 0 {
+	if blind.Decision().Cost(eec, 6) != 0 {
 		t.Error("blind decision ESC should be 0")
 	}
-	if blind.ChargedESC(eec, 6) != aware.ChargedESC(eec, 6) {
+	if blind.Charged().Cost(eec, 6) != aware.Charged().Cost(eec, 6) {
 		t.Error("blind charged ESC should match aware")
 	}
 }

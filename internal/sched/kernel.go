@@ -87,19 +87,18 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// fill populates the flat decision-ECC table and the availability working
-// copy for a T-task, M-machine batch.  When the instance provides rows
-// and the policy's decision ESC has a closed form, each row is evaluated
-// inline; the expressions are, operation for operation, the ones
-// decisionECC computes through the policy's func value (see ESCForm), so
-// both paths fill bit-identical tables.
+// fill populates the flat decision-ECC table (entry i*nm+m is the ECC of
+// the i-th request of reqs on machine m) and the availability working copy
+// for a T-task, M-machine batch.  When the instance provides rows, each
+// row is evaluated inline; the expressions are, operation for operation,
+// the ones decisionECC computes through ESC.Cost, so both paths fill
+// bit-identical tables.
 func (ks *kernelState) fill(c Costs, p Policy, reqs []int, avail []float64) error {
 	nt, nm := len(reqs), len(avail)
 	ks.table = grow(ks.table, nt*nm)
 	ks.avail = grow(ks.avail, nm)
 	copy(ks.avail, avail)
-	form, w := p.DecisionForm()
-	if rc, ok := c.(RowCosts); ok && form != ESCOpaque {
+	if rc, ok := c.(RowCosts); ok {
 		idx := rc.MachineIndex()
 		if len(idx) != nm {
 			return fmt.Errorf("sched: machine index has %d entries for %d machines", len(idx), nm)
@@ -116,10 +115,11 @@ func (ks *kernelState) fill(c Costs, p Policy, reqs []int, avail []float64) erro
 			if len(eec) != nm || len(tcs) <= int(top) {
 				return fmt.Errorf("sched: request %d has cost rows of %d/%d entries for %d machines over %d indices", r, len(eec), len(tcs), nm, top+1)
 			}
-			ks.fillRow(ks.table[i*nm:(i+1)*nm], form, w, eec, tcs, idx)
+			ks.fillRow(ks.table[i*nm:(i+1)*nm], p.decision, eec, tcs, idx)
 		}
 		return nil
 	}
+	dec := p.decision
 	for i, r := range reqs {
 		row := ks.table[i*nm : (i+1)*nm]
 		for m := range row {
@@ -128,7 +128,7 @@ func (ks *kernelState) fill(c Costs, p Policy, reqs []int, avail []float64) erro
 			if err != nil {
 				return err
 			}
-			row[m] = eec + p.DecisionESC(eec, tc)
+			row[m] = eec + dec.Cost(eec, tc)
 		}
 	}
 	return nil
@@ -136,22 +136,22 @@ func (ks *kernelState) fill(c Costs, p Policy, reqs []int, avail []float64) erro
 
 // fillRow evaluates one request's decision ECCs from its cost rows.  The
 // per-index factor float64(tc)*w is hoisted out of the machine loop; the
-// per-cell expression keeps decisionECC's parenthesization.
-func (ks *kernelState) fillRow(row []float64, form ESCForm, w float64, eec []float64, tcs []int, idx []int32) {
+// per-cell expression keeps ESC.Cost's parenthesization.
+func (ks *kernelState) fillRow(row []float64, dec ESC, eec []float64, tcs []int, idx []int32) {
 	row, idx = row[:len(eec)], idx[:len(eec)]
-	switch form {
+	switch dec.Form {
 	case ESCLinear:
 		ks.factor = grow(ks.factor, len(tcs))
 		f := ks.factor
 		for s, tc := range tcs {
-			f[s] = float64(tc) * w
+			f[s] = float64(tc) * dec.Weight
 		}
 		for m, e := range eec {
 			row[m] = e + e*f[idx[m]]/100
 		}
 	case ESCFlat:
 		for m, e := range eec {
-			row[m] = e + e*w/100
+			row[m] = e + e*dec.Weight/100
 		}
 	default: // ESCZero: eec + 0 is the identity because EEC >= 0
 		copy(row, eec)

@@ -23,21 +23,12 @@ func equivPolicies() []Policy {
 	}
 }
 
-// rowPolicies adds the two decision forms no shipped policy has to
+// rowPolicies adds the decision form no shipped policy has to
 // equivPolicies, so the row path of kernelState.fill is compared under
-// every ESCForm: linear (aware), zero (unaware, blind), flat, and an
-// opaque policy that must keep the per-cell path.
+// every ESCForm: linear (aware), zero (unaware, blind) and flat.
 func rowPolicies() []Policy {
-	flat := func(eec float64, _ int) float64 { return eec * DefaultFlatOverheadPct / 100 }
-	opaque := func(eec float64, tc int) float64 { return eec * float64(tc*tc) / 40 }
-	return append(equivPolicies(),
-		Policy{
-			Name: "flat-aware", DecisionESC: flat, ChargedESC: flat,
-			decForm: ESCFlat, decWeight: DefaultFlatOverheadPct,
-			chForm: ESCFlat, chWeight: DefaultFlatOverheadPct,
-		},
-		Policy{Name: "opaque", DecisionESC: opaque, ChargedESC: opaque},
-	)
+	flat := ESC{ESCFlat, DefaultFlatOverheadPct}
+	return append(equivPolicies(), Policy{Name: "flat-aware", decision: flat, charged: flat})
 }
 
 // rowInstance is a RowCosts fixture: machines fall into groups and the

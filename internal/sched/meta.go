@@ -127,10 +127,11 @@ func (g GeneticAlgorithm) AssignBatch(c Costs, p Policy, reqs []int, avail []flo
 		return nil, nil
 	}
 	nm := c.NumMachines()
-	table, err := eccTable(c, p, reqs, nm)
-	if err != nil {
+	var ks kernelState
+	if err := ks.fill(c, p, reqs, avail); err != nil {
 		return nil, err
 	}
+	table := ks.table
 	src := rng.New(g.Seed)
 	scratch := make([]float64, nm)
 
@@ -275,10 +276,11 @@ func (s SimulatedAnnealing) AssignBatch(c Costs, p Policy, reqs []int, avail []f
 		return nil, nil
 	}
 	nm := c.NumMachines()
-	table, err := eccTable(c, p, reqs, nm)
-	if err != nil {
+	var ks kernelState
+	if err := ks.fill(c, p, reqs, avail); err != nil {
 		return nil, err
 	}
+	table := ks.table
 	src := rng.New(s.Seed)
 	scratch := make([]float64, nm)
 
@@ -373,10 +375,11 @@ func (g GeneticSimulatedAnnealing) AssignBatch(c Costs, p Policy, reqs []int, av
 		return nil, nil
 	}
 	nm := c.NumMachines()
-	table, err := eccTable(c, p, reqs, nm)
-	if err != nil {
+	var ks kernelState
+	if err := ks.fill(c, p, reqs, avail); err != nil {
 		return nil, err
 	}
+	table := ks.table
 	src := rng.New(g.GA.Seed)
 	scratch := make([]float64, nm)
 

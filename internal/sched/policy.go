@@ -15,11 +15,14 @@
 // Trust-aware:   ESC = EEC × (TC × 15)/100, TC ∈ [0,6] from the ETS table.
 // Trust-unaware: ESC = EEC × 50/100 — but the mapper does not see it:
 // "the security overhead is not considered when mapping" (Section 5.3).
-// A Policy therefore exposes two views: the DecisionESC the heuristic
-// minimises, and the ChargedESC the simulator bills.
+// A Policy therefore has two views: the Decision ESC the heuristic
+// minimises, and the Charged ESC the simulator bills.
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DefaultTCWeight is the paper's "arbitrarily chosen" weight of 15 for the
 // trust cost: with TC averaging 3, trust-aware ESC averages 45% of EEC.
@@ -30,82 +33,92 @@ const DefaultTCWeight = 15.0
 const DefaultFlatOverheadPct = 50.0
 
 // Policy decides how security cost enters the mapping decision and the
-// charged completion cost.
+// charged completion cost.  Build one with TrustAware, TrustUnaware or
+// TrustBlind; every entry point rejects the zero Policy.
 type Policy struct {
 	// Name labels the policy in reports ("trust-aware"/"trust-unaware").
 	Name string
 
-	// DecisionESC is the security cost the heuristic sees when ranking
-	// machines.
-	DecisionESC func(eec float64, tc int) float64
-
-	// ChargedESC is the security cost actually incurred when the task
-	// runs.
-	ChargedESC func(eec float64, tc int) float64
-
-	// decForm/chForm describe the closed form of the two ESC functions
-	// when the policy was built by a package constructor, letting hot
-	// loops inline the arithmetic instead of calling through the func
-	// values.  Hand-assembled Policy literals keep the zero ESCOpaque
-	// form and take the generic path.
-	decForm, chForm     ESCForm
-	decWeight, chWeight float64
+	// decision is the security cost the heuristic sees when ranking
+	// machines, charged the one incurred when the task runs.
+	decision, charged ESC
 }
 
-// ESCForm classifies a policy's ESC function for fused hot loops.  A
-// non-opaque form MUST compute, operation for operation, the same float
-// expression as the corresponding func field: the simulator's fast path
-// relies on that to stay bit-identical to the reference path.
+// ESC is one closed-form security cost: a form and its weight.
+type ESC struct {
+	Form   ESCForm
+	Weight float64
+}
+
+// ESCForm is the shape of an ESC.  The zero form is no form at all: it
+// marks a Policy no constructor built.
 type ESCForm int
 
 const (
-	// ESCOpaque: unknown shape; call the func field.
-	ESCOpaque ESCForm = iota
 	// ESCZero: ESC = 0 (the decision view of unaware/blind policies).
-	ESCZero
+	ESCZero ESCForm = iota + 1
 	// ESCLinear: ESC = eec * (float64(tc) * weight) / 100.
 	ESCLinear
 	// ESCFlat: ESC = eec * weight / 100, independent of TC.
 	ESCFlat
 )
 
-// DecisionForm returns the closed form of DecisionESC and its weight.
-func (p Policy) DecisionForm() (ESCForm, float64) { return p.decForm, p.decWeight }
+// Cost returns the security cost of a task with execution cost eec and
+// trust cost tc.  Hot loops that hoist a factor out of their machine
+// loop (kernelState.fillRow, the simulator's MCT scan) keep this
+// parenthesisation, so every path rounds identically.
+func (e ESC) Cost(eec float64, tc int) float64 {
+	switch e.Form {
+	case ESCLinear:
+		return eec * (float64(tc) * e.Weight) / 100
+	case ESCFlat:
+		return eec * e.Weight / 100
+	}
+	return 0
+}
 
-// ChargedForm returns the closed form of ChargedESC and its weight.
-func (p Policy) ChargedForm() (ESCForm, float64) { return p.chForm, p.chWeight }
+// Decision returns the security cost the heuristic minimises.
+func (p Policy) Decision() ESC { return p.decision }
+
+// Charged returns the security cost the system pays.
+func (p Policy) Charged() ESC { return p.charged }
+
+// Validate rejects a Policy no constructor built.
+func (p Policy) Validate() error {
+	if p.decision.Form == 0 || p.charged.Form == 0 {
+		return fmt.Errorf("sched: policy %q has no ESC form; build it with TrustAware, TrustUnaware or TrustBlind", p.Name)
+	}
+	return nil
+}
+
+// checkWeight rejects a weight that would make every cost negative, NaN
+// or +Inf.
+func checkWeight(what string, w float64) error {
+	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("sched: %s %g is not a finite non-negative number", what, w)
+	}
+	return nil
+}
 
 // TrustAware returns the paper's trust-aware policy with the given TC
 // weight (use DefaultTCWeight for the paper's 15).  Decision and charged
 // costs coincide: the scheduler optimises the cost the system pays.
 func TrustAware(tcWeight float64) (Policy, error) {
-	if tcWeight < 0 {
-		return Policy{}, fmt.Errorf("sched: negative TC weight %g", tcWeight)
+	if err := checkWeight("TC weight", tcWeight); err != nil {
+		return Policy{}, err
 	}
-	esc := func(eec float64, tc int) float64 {
-		return eec * (float64(tc) * tcWeight) / 100
-	}
-	return Policy{
-		Name: "trust-aware", DecisionESC: esc, ChargedESC: esc,
-		decForm: ESCLinear, decWeight: tcWeight,
-		chForm: ESCLinear, chWeight: tcWeight,
-	}, nil
+	esc := ESC{ESCLinear, tcWeight}
+	return Policy{Name: "trust-aware", decision: esc, charged: esc}, nil
 }
 
 // TrustUnaware returns the paper's trust-unaware policy: the mapper ignores
 // security entirely (decision ESC = 0) while the system pays a flat
 // overhead of flatPct percent of EEC on every task.
 func TrustUnaware(flatPct float64) (Policy, error) {
-	if flatPct < 0 {
-		return Policy{}, fmt.Errorf("sched: negative flat overhead %g%%", flatPct)
+	if err := checkWeight("flat overhead", flatPct); err != nil {
+		return Policy{}, err
 	}
-	return Policy{
-		Name:        "trust-unaware",
-		DecisionESC: func(float64, int) float64 { return 0 },
-		ChargedESC:  func(eec float64, _ int) float64 { return eec * flatPct / 100 },
-		decForm:     ESCZero,
-		chForm:      ESCFlat, chWeight: flatPct,
-	}, nil
+	return Policy{Name: "trust-unaware", decision: ESC{Form: ESCZero}, charged: ESC{ESCFlat, flatPct}}, nil
 }
 
 // TrustBlind returns the policy of the paper's Section 5.2 theorem: the
@@ -116,18 +129,10 @@ func TrustUnaware(flatPct float64) (Policy, error) {
 // trust-unaware makespan under the same heuristic — is stated in exactly
 // this setting (both makespans sum EEC + ESC over the chosen mapping).
 func TrustBlind(tcWeight float64) (Policy, error) {
-	if tcWeight < 0 {
-		return Policy{}, fmt.Errorf("sched: negative TC weight %g", tcWeight)
+	if err := checkWeight("TC weight", tcWeight); err != nil {
+		return Policy{}, err
 	}
-	return Policy{
-		Name:        "trust-blind",
-		DecisionESC: func(float64, int) float64 { return 0 },
-		ChargedESC: func(eec float64, tc int) float64 {
-			return eec * (float64(tc) * tcWeight) / 100
-		},
-		decForm: ESCZero,
-		chForm:  ESCLinear, chWeight: tcWeight,
-	}, nil
+	return Policy{Name: "trust-blind", decision: ESC{Form: ESCZero}, charged: ESC{ESCLinear, tcWeight}}, nil
 }
 
 // MustTrustBlind is the panicking form of TrustBlind.
@@ -156,12 +161,4 @@ func MustTrustUnaware(flatPct float64) Policy {
 		panic(err)
 	}
 	return p
-}
-
-// validatePolicy guards heuristic entry points.
-func validatePolicy(p Policy) error {
-	if p.DecisionESC == nil || p.ChargedESC == nil {
-		return fmt.Errorf("sched: policy %q missing ESC functions", p.Name)
-	}
-	return nil
 }

@@ -52,8 +52,8 @@ func TestESCMatchesReference(t *testing.T) {
 						name      string
 						got, want float64
 					}{
-						{"decision", p.DecisionESC(eec, tc), ref.decision(w, eec, tc)},
-						{"charged", p.ChargedESC(eec, tc), ref.charged(w, eec, tc)},
+						{"decision", p.Decision().Cost(eec, tc), ref.decision(w, eec, tc)},
+						{"charged", p.Charged().Cost(eec, tc), ref.charged(w, eec, tc)},
 					} {
 						if math.Float64bits(view.got) != math.Float64bits(view.want) {
 							t.Fatalf("%s(%g) %s ESC(%g, %d) = %v (%#x), closure %v (%#x)", ref.name, w, view.name, eec, tc,

@@ -12,6 +12,24 @@ import (
 // identical schedules, and kernel_bench_test.go benchmarks them as the
 // "old" side of the perf trajectory.
 
+// referenceTable computes the decision ECCs of the batch cell by cell into
+// one flat array with row stride nm: entry i*nm+m is the ECC of the i-th
+// request of reqs on machine m.
+func referenceTable(c Costs, p Policy, reqs []int, nm int) ([]float64, error) {
+	table := make([]float64, len(reqs)*nm)
+	for i, r := range reqs {
+		row := table[i*nm : (i+1)*nm]
+		for m := 0; m < nm; m++ {
+			ecc, err := decisionECC(c, p, r, m)
+			if err != nil {
+				return nil, err
+			}
+			row[m] = ecc
+		}
+	}
+	return table, nil
+}
+
 // referenceMinMaxMin implements both Min-min (pickMax=false) and Max-min
 // (pickMax=true) by full rescan of every remaining (task, machine) pair.
 func referenceMinMaxMin(c Costs, p Policy, reqs []int, avail []float64, pickMax bool) ([]Assignment, error) {
@@ -19,7 +37,7 @@ func referenceMinMaxMin(c Costs, p Policy, reqs []int, avail []float64, pickMax 
 		return nil, err
 	}
 	nm := c.NumMachines()
-	table, err := eccTable(c, p, reqs, nm)
+	table, err := referenceTable(c, p, reqs, nm)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +95,7 @@ func referenceSufferage(c Costs, p Policy, reqs []int, avail []float64) ([]Assig
 		return nil, err
 	}
 	nm := c.NumMachines()
-	table, err := eccTable(c, p, reqs, nm)
+	table, err := referenceTable(c, p, reqs, nm)
 	if err != nil {
 		return nil, err
 	}

@@ -111,10 +111,23 @@ func pinEquiv(t *testing.T, file string, run func(*testing.T, Scenario, hash.Has
 	}
 }
 
+// TestRunRejectsZeroPolicy: the fused MCT scan reads the policy's
+// decision form without going through sched, so Run must reject a Policy
+// no constructor built before any scan, on both run loops and in batch
+// mode alike.
+func TestRunRejectsZeroPolicy(t *testing.T) {
+	mct := PaperScenario("mct", 20, workload.Inconsistent)
+	churn := mct
+	churn.Fault = fault.Plan{MTBF: 2000, MTTR: 200, Seed: 1}
+	for _, sc := range []Scenario{mct, churn, PaperScenario("minmin", 20, workload.Inconsistent)} {
+		if _, err := Run(sc, mustWorkload(t, sc, 1), sched.Policy{}); err == nil {
+			t.Errorf("%s (fault plan active: %v) ran a zero policy", sc.Name, sc.Fault.Active())
+		}
+	}
+}
+
 // TestFusedScanMatchesAssignOne drives the fused MCT pick directly against
-// sched.MCT on randomized free-time states, and requires every other
-// immediate heuristic to have no fused scan: each runs its own AssignOne,
-// so a later specialisation has to arrive with a workload that measures it.
+// sched.MCT on randomized free-time states.
 func TestFusedScanMatchesAssignOne(t *testing.T) {
 	src := rng.New(13)
 	sc := PaperScenario("mct", 30, workload.Inconsistent)
@@ -133,24 +146,11 @@ func TestFusedScanMatchesAssignOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, policy := range []sched.Policy{aware, unaware} {
-		for _, name := range []string{"met", "olb", "kpb", "sa"} {
-			h, err := sched.ImmediateByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scan := fusedScanFor(h, policy); scan != fusedNone {
-				t.Errorf("%s under %s has fused scan %d, want none", name, policy.Name, scan)
-			}
-		}
 		h := sched.MCT{}
-		if scan := fusedScanFor(h, policy); scan != fusedMCT {
-			t.Fatalf("no fused scan for mct under %s", policy.Name)
-		}
 		scr := &runScratch{}
 		scr.prepare(sc.Machines)
 		scr.freeTime = zeroed(scr.freeTime, sc.Machines)
 		st := &runState{runBase: runBase{sc: sc, truth: costs, policy: policy, scr: scr}}
-		st.decESC.form, st.decESC.w = policy.DecisionForm()
 		for trial := 0; trial < 200; trial++ {
 			now := src.Uniform(0, 500)
 			for m := range scr.freeTime {

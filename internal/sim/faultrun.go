@@ -208,11 +208,7 @@ func (st *faultState) commit(r, m int, now float64) {
 		st.fail(fmt.Errorf("sim: heuristic %q mapped request %d to down machine %d", st.sc.Heuristic, r, m))
 		return
 	}
-	ecc, tc, err := st.charge(r, m)
-	if err != nil {
-		st.fail(err)
-		return
-	}
+	ecc, tc := st.charge(r, m)
 	st.booked(r, m, now, ecc, tc)
 	st.scr.queue[m] = append(st.scr.queue[m], faultTask{req: r, ecc: ecc})
 	st.startNext(m)

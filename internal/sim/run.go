@@ -184,9 +184,12 @@ type runBase struct {
 	err       error
 }
 
-// newRunBase validates the workload against the scenario and sets up the
-// costs, the result and the scratch.
+// newRunBase validates the policy, and the workload against the scenario,
+// and sets up the costs, the result and the scratch.
 func newRunBase(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace.Trace, scr *runScratch) (runBase, error) {
+	if err := policy.Validate(); err != nil {
+		return runBase{}, err
+	}
 	truth, err := newWorkloadCosts(w)
 	if err != nil {
 		return runBase{}, err
@@ -340,12 +343,10 @@ func (b *runBase) mapOne(r int, now float64, avail []float64) {
 
 // charge prices request r on machine m at the truth, whatever the mapper
 // believed: the policy's charged ECC and the true trust cost.
-func (b *runBase) charge(r, m int) (ecc float64, tc int, err error) {
-	if ecc, err = sched.ChargedECC(b.truth, b.policy, r, m); err != nil {
-		return 0, 0, err
-	}
-	tc, err = b.truth.TrustCost(r, m)
-	return ecc, tc, err
+func (b *runBase) charge(r, m int) (ecc float64, tc int) {
+	eec := b.truth.eecRow(r)[m]
+	tc = b.truth.tcRow(r)[b.truth.rdOf[m]]
+	return eec + b.policy.Charged().Cost(eec, tc), tc
 }
 
 // booked enters a scheduling commit in the ledger.
@@ -430,10 +431,8 @@ func (b *runBase) finalize() (*RunResult, error) {
 type runState struct {
 	runBase
 
-	// The fused MCT scan and the policy's closed ESC forms, for immediate
-	// mode (see below).
-	scan           fusedScan
-	decESC, chgESC fusedESC
+	// mct: the heuristic is MCT, which place runs as the fused scan below.
+	mct bool
 }
 
 // runTraced is RunTraced with caller-provided scratch.
@@ -453,9 +452,7 @@ func runTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace
 	if err := st.start(st); err != nil {
 		return nil, err
 	}
-	st.scan = fusedScanFor(st.imm, policy)
-	st.decESC.form, st.decESC.w = policy.DecisionForm()
-	st.chgESC.form, st.chgESC.w = policy.ChargedForm()
+	_, st.mct = st.imm.(sched.MCT)
 	return st.run()
 }
 
@@ -470,11 +467,10 @@ func (st *runState) availability(now float64) []float64 {
 	return a
 }
 
-// place maps one arriving request: by the fused scan when the heuristic and
-// the policy have one, charging the ECC inline when the policy's charged
-// form is closed too.
+// place maps one arriving request: by the fused scan when the heuristic is
+// MCT, through its AssignOne otherwise.
 func (st *runState) place(r int, now float64) {
-	if st.scan == fusedNone {
+	if !st.mct {
 		st.mapOne(r, now, st.availability(now))
 		return
 	}
@@ -483,30 +479,13 @@ func (st *runState) place(r int, now float64) {
 		st.fail(fmt.Errorf("sim: %s found no machine for request %d", st.sc.Heuristic, r))
 		return
 	}
-	if st.chgESC.form == sched.ESCOpaque {
-		st.commit(r, m, now)
-		return
-	}
-	eec := st.truth.eecRow(r)[m]
-	tc := st.truth.tcRow(r)[st.truth.rdOf[m]]
-	st.commitCosted(r, m, now, st.chgESC.ecc(eec, tc), tc)
+	st.commit(r, m, now)
 }
 
-// commit places request r on machine m at time now.
+// commit places request r on machine m at time now: the task starts when
+// the machine frees up, never before now, and runs for its charged ECC.
 func (st *runState) commit(r, m int, now float64) {
-	ecc, tc, err := st.charge(r, m)
-	if err != nil {
-		st.fail(err)
-		return
-	}
-	st.commitCosted(r, m, now, ecc, tc)
-}
-
-// commitCosted is commit with the charged ECC and TC already computed (by
-// place, with inlined arithmetic that reproduces ChargedECC operation for
-// operation): the task starts when the machine frees up, never before now,
-// and runs for its charged ECC.
-func (st *runState) commitCosted(r, m int, now, ecc float64, tc int) {
+	ecc, tc := st.charge(r, m)
 	start := max(st.scr.freeTime[m], now)
 	finish := start + ecc
 	st.booked(r, m, now, ecc, tc)
@@ -518,56 +497,16 @@ func (st *runState) commitCosted(r, m int, now, ecc float64, tc int) {
 // The fused MCT scan
 //
 // The MCT arrival scan walks the EEC row, the machine → RD-slot map and the
-// free-time vector directly, computing the policy's closed-form ESC inline
+// free-time vector directly, computing the policy's decision ESC inline
 // from the request's per-slot trust costs instead of calling through
-// sched.Costs and the policy func values.  Each fused expression
-// reproduces the float operations of sched.MCT exactly (see
-// sched.ESCForm), so scores, completion times and every derived metric are
-// bit-identical to AssignOne's.  Only MCT is specialised, because only MCT
-// has a benchmark workload that shows the difference (sim_paper loses 5 %
-// of its throughput on sched.MCT.AssignOne; DESIGN.md, "Run loops"): MET,
-// OLB, KPB and SA run their AssignOne over the availability vector, as
-// every batch heuristic runs its AssignBatch.
-
-// fusedScan names the immediate-mode heuristics with a fused fast scan.
-type fusedScan int
-
-const (
-	fusedNone fusedScan = iota
-	fusedMCT
-)
-
-// fusedScanFor returns the fused scan for the heuristic, or fusedNone
-// when the heuristic or the policy's decision form has no closed form.
-func fusedScanFor(h sched.Immediate, p sched.Policy) fusedScan {
-	if form, _ := p.DecisionForm(); form == sched.ESCOpaque {
-		return fusedNone
-	}
-	if _, ok := h.(sched.MCT); ok {
-		return fusedMCT
-	}
-	return fusedNone
-}
-
-// fusedESC holds one ESC closed form for inline evaluation.
-type fusedESC struct {
-	form sched.ESCForm
-	w    float64
-}
-
-// ecc computes EEC + ESC with the same float operations as
-// sched.decisionECC / sched.ChargedECC under the corresponding policy.
-// For ESCZero the sum eec + 0.0 is the identity because EEC >= 0.
-func (f fusedESC) ecc(eec float64, tc int) float64 {
-	switch f.form {
-	case sched.ESCLinear:
-		return eec + eec*(float64(tc)*f.w)/100
-	case sched.ESCFlat:
-		return eec + eec*f.w/100
-	default: // ESCZero
-		return eec
-	}
-}
+// sched.Costs.  Each fused expression reproduces the float operations of
+// sched.MCT exactly (see sched.ESC.Cost), so scores, completion times and
+// every derived metric are bit-identical to AssignOne's.  Only MCT is
+// specialised, because only MCT has a benchmark workload that shows the
+// difference (sim_paper loses 5 % of its throughput on
+// sched.MCT.AssignOne; DESIGN.md, "Run loops"): MET, OLB, KPB and SA run
+// their AssignOne over the availability vector, as every batch heuristic
+// runs its AssignBatch.
 
 // fusedScanRange scans machines [lo,hi) and returns the first machine
 // attaining the minimum decision completion time and that minimum;
@@ -602,7 +541,7 @@ func (f fusedESC) ecc(eec float64, tc int) float64 {
 // the same instructions behind a shorter prologue (no lo/hi, one result)
 // ran the MCT legs 5-12 % slower on the benchmark box (EXPERIMENTS.md,
 // "-intra").  Reshape this function only with a paired measurement.
-func fusedScanRange(dec fusedESC, eec, tcw []float64, rdOf []int32, ft []float64, now float64, lo, hi int) (int, float64) {
+func fusedScanRange(dec sched.ESC, eec, tcw []float64, rdOf []int32, ft []float64, now float64, lo, hi int) (int, float64) {
 	best := -1
 	bestVal := math.Inf(1)
 	if lo >= hi {
@@ -610,7 +549,7 @@ func fusedScanRange(dec fusedESC, eec, tcw []float64, rdOf []int32, ft []float64
 	}
 	eec, rdOf, ft = eec[lo:hi:hi], rdOf[lo:hi:hi], ft[lo:hi:hi]
 	nowBits := math.Float64bits(now + 0)
-	switch dec.form {
+	switch dec.Form {
 	case sched.ESCLinear:
 		for i, e := range eec {
 			a := math.Float64frombits(max(math.Float64bits(ft[i]), nowBits))
@@ -621,7 +560,7 @@ func fusedScanRange(dec fusedESC, eec, tcw []float64, rdOf []int32, ft []float64
 	case sched.ESCFlat:
 		for i, e := range eec {
 			a := math.Float64frombits(max(math.Float64bits(ft[i]), nowBits))
-			if done := a + (e + e*dec.w/100); done < bestVal {
+			if done := a + (e + e*dec.Weight/100); done < bestVal {
 				bestVal, best = done, i
 			}
 		}
@@ -641,16 +580,17 @@ func fusedScanRange(dec fusedESC, eec, tcw []float64, rdOf []int32, ft []float64
 
 // fusedPick runs the MCT scan for request r at time now.
 func (st *runState) fusedPick(r int, now float64) int {
+	dec := st.policy.Decision()
 	var tcw []float64
-	if st.decESC.form == sched.ESCLinear {
+	if dec.Form == sched.ESCLinear {
 		tcs := st.truth.tcRow(r)
 		st.scr.tcw = growFloats(st.scr.tcw, len(tcs))
 		tcw = st.scr.tcw
 		for s, tc := range tcs {
-			tcw[s] = float64(tc) * st.decESC.w
+			tcw[s] = float64(tc) * dec.Weight
 		}
 	}
 	ft := st.scr.freeTime
-	m, _ := fusedScanRange(st.decESC, st.truth.eecRow(r), tcw, st.truth.rdOf, ft, now, 0, len(ft))
+	m, _ := fusedScanRange(dec, st.truth.eecRow(r), tcw, st.truth.rdOf, ft, now, 0, len(ft))
 	return m
 }

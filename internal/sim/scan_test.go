@@ -12,14 +12,14 @@ import (
 // compare-and-branch (`if a < now { a = now }`), kept verbatim as the
 // oracle: the production scan must return the same machine and the same
 // value, bit for bit, on every input that meets its precondition.
-func referenceScanRange(dec fusedESC, eec, tcw []float64, rdOf []int32, ft []float64, now float64, lo, hi int) (int, float64) {
+func referenceScanRange(dec sched.ESC, eec, tcw []float64, rdOf []int32, ft []float64, now float64, lo, hi int) (int, float64) {
 	best := -1
 	bestVal := math.Inf(1)
 	if lo >= hi {
 		return best, bestVal
 	}
 	eec, rdOf, ft = eec[lo:hi:hi], rdOf[lo:hi:hi], ft[lo:hi:hi]
-	switch dec.form {
+	switch dec.Form {
 	case sched.ESCLinear:
 		for i, e := range eec {
 			a := ft[i]
@@ -36,7 +36,7 @@ func referenceScanRange(dec fusedESC, eec, tcw []float64, rdOf []int32, ft []flo
 			if a < now {
 				a = now
 			}
-			if done := a + (e + e*dec.w/100); done < bestVal {
+			if done := a + (e + e*dec.Weight/100); done < bestVal {
 				bestVal, best = done, i
 			}
 		}
@@ -71,22 +71,22 @@ type scanRow struct {
 
 // scanForms are the three closed ESC forms the scan specialises, with
 // the weights the paper's policies use.
-var scanForms = []fusedESC{
-	{form: sched.ESCLinear, w: sched.DefaultTCWeight},
-	{form: sched.ESCFlat, w: sched.DefaultFlatOverheadPct},
-	{form: sched.ESCZero},
+var scanForms = []sched.ESC{
+	{Form: sched.ESCLinear, Weight: sched.DefaultTCWeight},
+	{Form: sched.ESCFlat, Weight: sched.DefaultFlatOverheadPct},
+	{Form: sched.ESCZero},
 }
 
 // checkScan compares fusedScanRange with the reference on one row under
 // every form: the machine, and the value by its bits.
-func checkScan(t *testing.T, row scanRow, forms []fusedESC) {
+func checkScan(t *testing.T, row scanRow, forms []sched.ESC) {
 	t.Helper()
 	for _, dec := range forms {
 		gm, gv := fusedScanRange(dec, row.eec, row.tcw, row.rdOf, row.ft, row.now, row.lo, row.hi)
 		wm, wv := referenceScanRange(dec, row.eec, row.tcw, row.rdOf, row.ft, row.now, row.lo, row.hi)
 		if gm != wm || math.Float64bits(gv) != math.Float64bits(wv) {
 			t.Fatalf("%s, form %d: scan picked (%d, %v = %#x), reference (%d, %v = %#x)",
-				row.name, dec.form, gm, gv, math.Float64bits(gv), wm, wv, math.Float64bits(wv))
+				row.name, dec.Form, gm, gv, math.Float64bits(gv), wm, wv, math.Float64bits(wv))
 		}
 	}
 }
@@ -233,6 +233,6 @@ func FuzzFusedScan(f *testing.F) {
 			row.ft = append(row.ft, ft)
 		}
 		row.lo, row.hi = min(int(lo), n), min(int(hi), n)
-		checkScan(t, row, []fusedESC{{form: sched.ESCLinear, w: w}, {form: sched.ESCFlat, w: w}, {form: sched.ESCZero}})
+		checkScan(t, row, []sched.ESC{{Form: sched.ESCLinear, Weight: w}, {Form: sched.ESCFlat, Weight: w}, {Form: sched.ESCZero}})
 	})
 }

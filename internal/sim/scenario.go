@@ -137,8 +137,8 @@ func (s Scenario) Validate() error {
 	if s.ArrivalRate <= 0 {
 		return fmt.Errorf("sim: scenario %q needs a positive arrival rate", s.Name)
 	}
-	if s.TCWeight < 0 || s.FlatOverheadPct < 0 {
-		return fmt.Errorf("sim: scenario %q has negative cost parameters", s.Name)
+	if _, _, err := s.policies(); err != nil {
+		return fmt.Errorf("sim: scenario %q: %w", s.Name, err)
 	}
 	if s.DeadlineSlack < 0 {
 		return fmt.Errorf("sim: scenario %q has negative deadline slack", s.Name)

@@ -53,6 +53,21 @@ func TestScenarioValidate(t *testing.T) {
 	}
 }
 
+func TestScenarioValidateRejectsNonFiniteWeights(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sc := PaperScenario("mct", 50, workload.Inconsistent)
+		sc.TCWeight = v
+		if err := sc.Validate(); err == nil {
+			t.Errorf("TC weight %g accepted", v)
+		}
+		sc = PaperScenario("mct", 50, workload.Inconsistent)
+		sc.FlatOverheadPct = v
+		if err := sc.Validate(); err == nil {
+			t.Errorf("flat overhead %g accepted", v)
+		}
+	}
+}
+
 func TestPaperScenarioModes(t *testing.T) {
 	if PaperScenario("mct", 50, workload.Consistent).Mode != Immediate {
 		t.Error("mct should run immediate mode")

@@ -83,6 +83,12 @@ if grep -rnE 'math\.(Max|Min)\(' --include='*.go' internal/sim internal/sched in
     exit 1
 fi
 
+echo "==> one cost formula (no ESC func fields, opaque policy form or second decision-table builder in non-test Go code)"
+if grep -rnE 'DecisionESC|ChargedESC|ESCOpaque|eccTable' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:'; then
+    echo "ci: a policy is its closed form, sched.ESC; every cost goes through ESC.Cost or a loop that keeps its parenthesisation" >&2
+    exit 1
+fi
+
 echo "==> no unsafe on the wire (non-test code under internal/frame, rmswire, trustwire, fleet)"
 if grep -rn '"unsafe"' --include='*.go' internal/frame internal/rmswire internal/trustwire internal/fleet | grep -v '_test\.go:'; then
     echo "ci: the frame codec reads and writes through typed accessors; bytes from a peer never meet unsafe" >&2
@@ -370,6 +376,6 @@ rm -rf "$ckd"
 rm -f /tmp/gridtrust-ci-sweep
 
 echo "==> size (non-test Go lines; simplicity PRs quote it)"
-./scripts/size.sh internal/core internal/sim internal/trust internal/load internal/rmswire cmd/gridctl
+./scripts/size.sh internal/core internal/sched internal/sim internal/trust internal/load internal/rmswire cmd/gridctl
 
 echo "ci: ok"
