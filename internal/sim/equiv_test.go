@@ -126,13 +126,46 @@ func TestRunRejectsZeroPolicy(t *testing.T) {
 	}
 }
 
+// slotRow is the decision trust-cost row sched.MCT sees for request r, one
+// cost per RD slot read through TrustCost at the slot's first machine.
+func slotRow(t *testing.T, dec sched.Costs, truth *workloadCosts, r int) []int {
+	t.Helper()
+	row := make([]int, len(truth.slotAt))
+	for s, m := range truth.slotAt {
+		tc, err := dec.TrustCost(r, int(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		row[s] = tc
+	}
+	return row
+}
+
+// rowPick is the fused MCT pick for request r at time now over the given
+// decision trust-cost row.
+func rowPick(st *runState, row []int, r int, now float64) int {
+	dec := st.policy.Decision()
+	tcw := make([]float64, len(row))
+	for s, tc := range row {
+		tcw[s] = float64(tc) * dec.Weight
+	}
+	ft := st.scr.freeTime
+	m, _ := fusedScanRange(dec, st.truth.eecRow(r), tcw, st.truth.rdOf, ft, now, 0, len(ft))
+	return m
+}
+
 // TestFusedScanMatchesAssignOne drives the fused MCT pick directly against
-// sched.MCT on randomized free-time states.
+// sched.MCT on randomized free-time states, a tenth of the machines masked
+// and every tenth state entirely masked (AssignOne fails, the pick is −1),
+// deciding on the truth, on a whitewashed table and on a live model's
+// rows, which completions fed into the model keep moving.
 func TestFusedScanMatchesAssignOne(t *testing.T) {
 	src := rng.New(13)
 	sc := PaperScenario("mct", 30, workload.Inconsistent)
 	sc.Mode = Immediate
 	sc.Machines = 17
+	sc.Fault = fault.Plan{AdversaryFraction: 0.5, Seed: 2}
+	sc.TrustModel = "purge"
 	w, err := workload.NewWorkload(src, sc.WorkloadSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -141,32 +174,77 @@ func TestFusedScanMatchesAssignOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	claimed, _, err := newFaultCosts(costs, sc.Fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if claimed == costs {
+		t.Fatal("no resource domain whitewashes; the claimed rows equal the truth")
+	}
+	view, err := newModelView(sc, costs, claimed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	aware, unaware, err := sc.policies()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range []sched.Policy{aware, unaware} {
-		h := sched.MCT{}
-		scr := &runScratch{}
-		scr.prepare(sc.Machines)
-		scr.freeTime = zeroed(scr.freeTime, sc.Machines)
-		st := &runState{runBase: runBase{sc: sc, truth: costs, policy: policy, scr: scr}}
-		for trial := 0; trial < 200; trial++ {
-			now := src.Uniform(0, 500)
-			for m := range scr.freeTime {
-				scr.freeTime[m] = src.Uniform(0, 1000)
-				if src.Bool(0.2) {
-					scr.freeTime[m] = now // provoke max(ft, now) ties
+	decs := []struct {
+		name string
+		dec  sched.Costs
+	}{{"truth", costs}, {"whitewashed", claimed}, {"model", view}}
+	for _, d := range decs {
+		for _, policy := range []sched.Policy{aware, unaware} {
+			h := sched.MCT{}
+			scr := &runScratch{}
+			scr.prepare(sc.Machines)
+			scr.freeTime = zeroed(scr.freeTime, sc.Machines)
+			st := &runState{runBase: runBase{sc: sc, truth: costs, dec: d.dec, policy: policy, scr: scr}}
+			differs := 0
+			for trial := 0; trial < 200; trial++ {
+				now := src.Uniform(0, 500)
+				for m := range scr.freeTime {
+					scr.freeTime[m] = src.Uniform(0, 1000)
+					switch {
+					case trial%10 == 9 || src.Bool(0.1):
+						scr.freeTime[m] = sched.Masked()
+					case src.Bool(0.2):
+						scr.freeTime[m] = now // provoke max(ft, now) ties
+					}
+				}
+				if d.dec == view {
+					// A completion moves what the model believes.
+					if err := view.noteFinish(src.Intn(sc.Tasks), src.Intn(sc.Machines)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r := src.Intn(sc.Tasks)
+				row := slotRow(t, d.dec, costs, r)
+				for s, tc := range row {
+					if tc != costs.tcRow(r)[s] {
+						differs++
+					}
+				}
+				got := rowPick(st, row, r, now)
+				if d.dec == costs {
+					if prod := st.fusedPick(r, now); prod != got {
+						t.Fatalf("%s trial %d: production pick %d, row pick %d", policy.Name, trial, prod, got)
+					}
+				}
+				want, err := h.AssignOne(d.dec, policy, r, st.availability(now))
+				if err != nil {
+					if trial%10 != 9 {
+						t.Fatalf("%s/%s trial %d: %v", d.name, policy.Name, trial, err)
+					}
+					want.Machine = -1
+				}
+				if got != want.Machine {
+					t.Fatalf("%s/%s trial %d: fused picked %d, AssignOne picked %d",
+						d.name, policy.Name, trial, got, want.Machine)
 				}
 			}
-			r := src.Intn(sc.Tasks)
-			want, err := h.AssignOne(costs, policy, r, st.availability(now))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := st.fusedPick(r, now); got != want.Machine {
-				t.Fatalf("mct/%s trial %d: fused picked %d, AssignOne picked %d",
-					policy.Name, trial, got, want.Machine)
+			if d.dec != costs && differs == 0 {
+				t.Fatalf("%s/%s: the decision rows never differed from the truth", d.name, policy.Name)
 			}
 		}
 	}

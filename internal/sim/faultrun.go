@@ -119,6 +119,25 @@ func (scr *runScratch) prepareMachines(nm, tasks int) {
 // runFaultTraced executes one fault-aware run.  It mirrors runTraced's
 // contract but pays event-per-task overhead for crash handling.
 func runFaultTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace.Trace, scr *runScratch) (*RunResult, error) {
+	st, err := newFaultState(sc, w, policy, tr, scr)
+	if err != nil {
+		return nil, err
+	}
+	res, err := st.run()
+	if err != nil || st.view == nil {
+		return res, err
+	}
+	// Under a live model the reported gap is what the scheduler was left
+	// believing after learning, not the static whitewash gap.
+	if res.TrustTableError, err = st.view.tableError(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// newFaultState sets up one fault-aware run with every initial event
+// scheduled, ready for its queue to run.
+func newFaultState(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace.Trace, scr *runScratch) (*faultState, error) {
 	base, err := newRunBase(sc, w, policy, tr, scr)
 	if err != nil {
 		return nil, err
@@ -152,17 +171,7 @@ func runFaultTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *
 			st.scheduleCrash(m, st.churn.UpTime(m))
 		}
 	}
-
-	res, err := st.run()
-	if err != nil || st.view == nil {
-		return res, err
-	}
-	// Under a live model the reported gap is what the scheduler was left
-	// believing after learning, not the static whitewash gap.
-	if res.TrustTableError, err = st.view.tableError(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return st, nil
 }
 
 // availability builds the masked availability vector at time now.  For an

@@ -78,15 +78,23 @@ var scanForms = []sched.ESC{
 }
 
 // checkScan compares fusedScanRange with the reference on one row under
-// every form: the machine, and the value by its bits.
+// every form: the machine, and the value by its bits.  A range whose
+// every free time is masked (+Inf, a down machine) must find no machine.
 func checkScan(t *testing.T, row scanRow, forms []sched.ESC) {
 	t.Helper()
+	allMasked := true
+	for i := row.lo; i < row.hi; i++ {
+		allMasked = allMasked && sched.IsMasked(row.ft[i])
+	}
 	for _, dec := range forms {
 		gm, gv := fusedScanRange(dec, row.eec, row.tcw, row.rdOf, row.ft, row.now, row.lo, row.hi)
 		wm, wv := referenceScanRange(dec, row.eec, row.tcw, row.rdOf, row.ft, row.now, row.lo, row.hi)
 		if gm != wm || math.Float64bits(gv) != math.Float64bits(wv) {
 			t.Fatalf("%s, form %d: scan picked (%d, %v = %#x), reference (%d, %v = %#x)",
 				row.name, dec.Form, gm, gv, math.Float64bits(gv), wm, wv, math.Float64bits(wv))
+		}
+		if allMasked && gm != -1 {
+			t.Fatalf("%s, form %d: every machine in [%d,%d) is masked, scan picked %d", row.name, dec.Form, row.lo, row.hi, gm)
 		}
 	}
 }
@@ -106,10 +114,12 @@ func uniformRow(name string, n int, e, ft, now float64) scanRow {
 // TestFusedScanMatchesReference pins the machine scan against the
 // branching reference on the edge cases of its clamp and its tie-break:
 // equal completion times (the first index wins), free time equal to now,
-// every machine idle or busy, one machine, empty ranges, signed zeros and
-// zero EEC.
+// every machine idle or busy, one machine, empty ranges, signed zeros,
+// zero EEC, and masked (down) machines: a masked free time is +Inf, which
+// no completion time beats, so a range of nothing else finds no machine.
 func TestFusedScanMatchesReference(t *testing.T) {
 	negZero := math.Copysign(0, -1)
+	inf := sched.Masked()
 	rows := []scanRow{
 		uniformRow("ties, all idle", 6, 10, 0, 5),
 		uniformRow("ties, all busy", 6, 10, 50, 5),
@@ -164,13 +174,41 @@ func TestFusedScanMatchesReference(t *testing.T) {
 			name: "no machines",
 			tcw:  []float64{0}, now: 1,
 		},
+		uniformRow("all masked at zero", 4, 3, inf, 0),
+		uniformRow("all masked, zero EEC", 3, 0, inf, 0),
+		uniformRow("one machine masked", 1, 12, inf, 3),
+		{
+			name: "masked machines beside the best",
+			eec:  []float64{1, 9, 1, 4, 1},
+			rdOf: []int32{0, 1, 0, 1, 0},
+			ft:   []float64{inf, 6, inf, 4, inf},
+			tcw:  []float64{0, 45},
+			now:  4, hi: 5,
+		},
+		{
+			name: "only the last machine up",
+			eec:  []float64{1, 1, 1, 50},
+			rdOf: []int32{0, 1, 2, 0},
+			ft:   []float64{inf, inf, inf, 0},
+			tcw:  []float64{15, 30, 90},
+			now:  2, hi: 4,
+		},
+		{
+			name: "masked sub-range of a live row",
+			eec:  []float64{1, 8, 3, 7, 2, 1},
+			rdOf: []int32{0, 1, 2, 0, 1, 2},
+			ft:   []float64{0, inf, inf, inf, 6, 0},
+			tcw:  []float64{15, 45, 75},
+			now:  2, lo: 1, hi: 4,
+		},
 	}
 	for _, row := range rows {
 		checkScan(t, row, scanForms)
 	}
 
-	// Random rows in the shape the run loop produces: free times that
-	// only grow from +0, a fifth of them exactly now.
+	// Random rows in the shape the run loops produce: free times that
+	// only grow from +0, a fifth of them exactly now, a tenth masked, and
+	// every tenth row entirely masked.
 	src := rng.New(30)
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + src.Intn(40)
@@ -181,6 +219,8 @@ func TestFusedScanMatchesReference(t *testing.T) {
 		for m := 0; m < n; m++ {
 			ft := src.Uniform(0, 1000)
 			switch {
+			case trial%10 == 9 || src.Bool(0.1):
+				ft = inf
 			case src.Bool(0.2):
 				ft = row.now
 			case src.Bool(0.1):
@@ -200,15 +240,18 @@ func TestFusedScanMatchesReference(t *testing.T) {
 
 // FuzzFusedScan compares the machine scan with the branching reference on
 // fuzzed rows.  Each machine takes three bytes: its free time (a multiple
-// of a quarter, or now itself when the byte is a multiple of 8), its EEC
-// (arbitrary, negative zero at 0xff) and its RD slot.  Free times and now
-// are brought inside the scan's precondition (≥ +0 and not NaN for free
-// times, ≥ −0 and not NaN for now); EEC and the weight are not.
+// of a quarter, now itself when the byte is a multiple of 8, masked at
+// 0xff), its EEC (arbitrary, negative zero at 0xff) and its RD slot.  Free
+// times and now are brought inside the scan's precondition (≥ +0 and not
+// NaN for free times, +Inf included; ≥ −0 and not NaN for now); EEC and
+// the weight are not.
 func FuzzFusedScan(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 8, 10, 1, 16, 10, 2}, 2.0, 15.0, uint8(0), uint8(255))
 	f.Add([]byte{3, 1, 0, 3, 1, 1, 3, 1, 0}, 0.0, 50.0, uint8(0), uint8(3))
 	f.Add([]byte{1, 255, 0, 0, 0, 1}, math.Copysign(0, -1), 0.0, uint8(1), uint8(2))
 	f.Add([]byte{}, 1.0, 15.0, uint8(0), uint8(0))
+	f.Add([]byte{255, 10, 0, 255, 3, 1, 255, 7, 2}, 5.0, 15.0, uint8(0), uint8(3))
+	f.Add([]byte{255, 10, 0, 9, 3, 1, 255, 7, 2}, 1.0, 30.0, uint8(0), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, now, w float64, lo, hi uint8) {
 		if math.IsNaN(now) {
 			return
@@ -221,7 +264,10 @@ func FuzzFusedScan(f *testing.F) {
 		for m := 0; m < n; m++ {
 			fb, eb, rb := data[3*m], data[3*m+1], data[3*m+2]
 			ft := float64(fb) / 4
-			if fb%8 == 0 {
+			switch {
+			case fb == 0xff:
+				ft = sched.Masked()
+			case fb%8 == 0:
 				ft = now + 0 // exactly now, with a −0 now read as +0
 			}
 			e := float64(eb) / 2

@@ -201,6 +201,15 @@ for model in purge frtrust bawa; do
 done
 /tmp/gridtrust-ci-sweep -mode trustzoo > "$kd/trustzoo.txt"
 cmp "$kd/trustzoo.txt" cmd/sweep/testdata/trustzoo.txt
+# The event-per-task loop (churn, whitewashing, a live model) against
+# outputs committed from the binary of commit a76c2c1, whose loop walked
+# every machine's queue for availability and priced MCT through AssignOne.
+/tmp/gridtrust-ci-sweep -mode fault -reps 10 -seed 1 > "$kd/fault.txt"
+cmp "$kd/fault.txt" cmd/sweep/testdata/fault-reps10.txt
+for model in purge frtrust bawa; do
+    /tmp/gridtrust-ci-sweep -mode fault -trust-model "$model" -reps 10 -seed 1 > "$kd/fault-$model.txt"
+    cmp "$kd/fault-$model.txt" "cmd/sweep/testdata/fault-$model-reps10.txt"
+done
 rm -rf "$kd"
 
 echo "==> gridtrustd demo smoke (journalled)"
