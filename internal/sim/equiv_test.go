@@ -141,24 +141,13 @@ func slotRow(t *testing.T, dec sched.Costs, truth *workloadCosts, r int) []int {
 	return row
 }
 
-// rowPick is the fused MCT pick for request r at time now over the given
-// decision trust-cost row.
-func rowPick(st *runState, row []int, r int, now float64) int {
-	dec := st.policy.Decision()
-	tcw := make([]float64, len(row))
-	for s, tc := range row {
-		tcw[s] = float64(tc) * dec.Weight
-	}
-	ft := st.scr.freeTime
-	m, _ := fusedScanRange(dec, st.truth.eecRow(r), tcw, st.truth.rdOf, ft, now, 0, len(ft))
-	return m
-}
-
 // TestFusedScanMatchesAssignOne drives the fused MCT pick directly against
 // sched.MCT on randomized free-time states, a tenth of the machines masked
 // and every tenth state entirely masked (AssignOne fails, the pick is −1),
 // deciding on the truth, on a whitewashed table and on a live model's
-// rows, which completions fed into the model keep moving.
+// rows, which completions fed into the model keep moving.  Each row the
+// production code hands the scan must equal the one sched.MCT reads
+// through TrustCost.
 func TestFusedScanMatchesAssignOne(t *testing.T) {
 	src := rng.New(13)
 	sc := PaperScenario("mct", 30, workload.Inconsistent)
@@ -192,7 +181,12 @@ func TestFusedScanMatchesAssignOne(t *testing.T) {
 	decs := []struct {
 		name string
 		dec  sched.Costs
-	}{{"truth", costs}, {"whitewashed", claimed}, {"model", view}}
+		row  func(r int) ([]int, error)
+	}{
+		{"truth", costs, func(r int) ([]int, error) { return costs.tcRow(r), nil }},
+		{"whitewashed", claimed, func(r int) ([]int, error) { return claimed.tcRow(r), nil }},
+		{"model", view, view.tcRow},
+	}
 	for _, d := range decs {
 		for _, policy := range []sched.Policy{aware, unaware} {
 			h := sched.MCT{}
@@ -219,18 +213,19 @@ func TestFusedScanMatchesAssignOne(t *testing.T) {
 					}
 				}
 				r := src.Intn(sc.Tasks)
-				row := slotRow(t, d.dec, costs, r)
-				for s, tc := range row {
+				row, err := d.row(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s, tc := range slotRow(t, d.dec, costs, r) {
+					if row[s] != tc {
+						t.Fatalf("%s trial %d: decision row %v, TrustCost reads slot %d as %d", d.name, trial, row, s, tc)
+					}
 					if tc != costs.tcRow(r)[s] {
 						differs++
 					}
 				}
-				got := rowPick(st, row, r, now)
-				if d.dec == costs {
-					if prod := st.fusedPick(r, now); prod != got {
-						t.Fatalf("%s trial %d: production pick %d, row pick %d", policy.Name, trial, prod, got)
-					}
-				}
+				got := st.fusedPick(r, now, row)
 				want, err := h.AssignOne(d.dec, policy, r, st.availability(now))
 				if err != nil {
 					if trial%10 != 9 {

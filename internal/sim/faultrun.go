@@ -22,6 +22,16 @@ import (
 // loops share (runBase).  Event payloads carry the request id (arrivals)
 // or the machine index (finish/crash/repair).
 //
+// What a heuristic sees is the scaffold's machine model, the same as on
+// the table-driven loop: scr.freeTime[m] is the time machine m's committed
+// work drains.  commit sets it to max(free time, now) + ECC, a crash masks
+// it (sched.Masked(), +Inf, which the fused MCT scan and every
+// deterministic heuristic skip), and a repair recomputes it once from the
+// running task and the queue in commitment order.  Those sums are the
+// running task's start plus each ECC in turn, so the vector is bit for
+// bit what walking every queue at every decision returned, and a
+// crash-free run accumulates the table-driven loop's floats.
+//
 // Semantics:
 //   - A crash loses only the in-flight task; it re-enters the scheduler
 //     with its original request (and therefore its original RTL).  Work
@@ -90,21 +100,21 @@ func newFaultCosts(truth *workloadCosts, plan fault.Plan) (*workloadCosts, float
 // events.  The per-machine state lives in the scratch (runScratch).
 type faultState struct {
 	runBase
-	view  *modelView // non-nil when Scenario.TrustModel drives decisions
-	churn *fault.Churn
+	claimed *workloadCosts // the table the mapper is shown: the truth, or its whitewashed overlay
+	view    *modelView     // non-nil when Scenario.TrustModel drives decisions
+	churn   *fault.Churn
 
 	kFinish, kCrash, kRepair int32
 }
 
 // prepareMachines resets the event-per-task loop's buffers: nm idle, up
-// machines with empty queues, nothing deferred and no request requeued.
+// machines with empty queues and no request requeued.
 func (scr *runScratch) prepareMachines(nm, tasks int) {
 	scr.up = zeroed(scr.up, nm)
 	scr.running = zeroed(scr.running, nm)
 	scr.runStart = zeroed(scr.runStart, nm)
 	scr.finishEv = zeroed(scr.finishEv, nm)
 	scr.requeues = zeroed(scr.requeues, tasks)
-	scr.deferred = scr.deferred[:0]
 	if cap(scr.queue) < nm {
 		scr.queue = make([][]faultTask, nm)
 	}
@@ -147,7 +157,7 @@ func newFaultState(sc Scenario, w *workload.Workload, policy sched.Policy, tr *t
 	if err != nil {
 		return nil, err
 	}
-	st.dec = claimed
+	st.claimed, st.dec = claimed, claimed
 	st.result.TrustTableError = tableErr
 	if sc.dynamicTrust() {
 		if st.view, err = newModelView(sc, st.truth, claimed); err != nil {
@@ -174,52 +184,29 @@ func newFaultState(sc Scenario, w *workload.Workload, policy sched.Policy, tr *t
 	return st, nil
 }
 
-// availability builds the masked availability vector at time now.  For an
-// up machine it is the time its committed work drains; a down machine is
-// masked out entirely.  The queue is summed in commitment order so that a
-// crash-free run accumulates bit-identical floats to the table-driven
-// loop's stacked free time.
-func (st *faultState) availability(now float64) []float64 {
-	scr := st.scr
-	for m := range scr.avail {
-		if !scr.up[m] {
-			scr.avail[m] = sched.Masked()
-			continue
-		}
-		base := now
-		if scr.running[m].req != -1 {
-			base = scr.runStart[m] + scr.running[m].ecc
-		}
-		for _, t := range scr.queue[m] {
-			base += t.ecc
-		}
-		scr.avail[m] = base
+// decisionRow is what the mapper believes of request r: the live model's
+// row when one learns, the claimed table's otherwise.
+func (st *faultState) decisionRow(r int) ([]int, error) {
+	if st.view != nil {
+		return st.view.tcRow(r)
 	}
-	return scr.avail
+	return st.claimed.tcRow(r), nil
 }
 
-// place maps one request immediately, or parks it when every machine is
-// down (repair drains the deferred list).
-func (st *faultState) place(r int, now float64) {
-	avail := st.availability(now)
-	if !anyAvailable(avail) {
-		st.scr.deferred = append(st.scr.deferred, r)
-		return
-	}
-	st.mapOne(r, now, avail)
-}
-
-// commit appends request r to machine m's queue and starts it if the
-// machine is idle.  The masking contract is enforced here for every
-// heuristic, deterministic or not.
+// commit appends request r to machine m's queue, where it finishes after
+// the work already committed there, and starts it if the machine is idle.
+// The masking contract is enforced here for every heuristic,
+// deterministic or not.
 func (st *faultState) commit(r, m int, now float64) {
-	if !st.scr.up[m] {
+	scr := st.scr
+	if !scr.up[m] {
 		st.fail(fmt.Errorf("sim: heuristic %q mapped request %d to down machine %d", st.sc.Heuristic, r, m))
 		return
 	}
 	ecc, tc := st.charge(r, m)
 	st.booked(r, m, now, ecc, tc)
-	st.scr.queue[m] = append(st.scr.queue[m], faultTask{req: r, ecc: ecc})
+	scr.freeTime[m] = max(scr.freeTime[m], now) + ecc
+	scr.queue[m] = append(scr.queue[m], faultTask{req: r, ecc: ecc})
 	st.startNext(m)
 }
 
@@ -277,6 +264,7 @@ func (st *faultState) onCrash(m int) {
 	scr := st.scr
 	now := st.q.Now()
 	scr.up[m] = false
+	scr.freeTime[m] = sched.Masked()
 	st.result.Failures++
 	down := st.churn.DownTime(m)
 	lost := scr.running[m]
@@ -312,18 +300,31 @@ func (st *faultState) requeue(r, m int) {
 }
 
 // onRepair brings machine m back up, arms its next crash, resumes its
-// queue and drains any arrivals deferred while the whole grid was down.
+// queue, unmasks its free time and drains any arrivals deferred while the
+// whole grid was down.
 func (st *faultState) onRepair(m int) {
 	if st.err != nil {
 		return
 	}
-	st.scr.up[m] = true
+	scr := st.scr
+	now := st.q.Now()
+	scr.up[m] = true
 	st.scheduleCrash(m, st.churn.UpTime(m))
 	st.startNext(m)
-	// place may defer again, behind the n requests being drained.
-	n := len(st.scr.deferred)
-	for i := 0; i < n && st.err == nil; i++ {
-		st.place(st.scr.deferred[i], st.q.Now())
+	// Nothing was committed while m was down: its queue is what the crash
+	// left, and the head (if any) has just started.
+	ft := now
+	if scr.running[m].req != -1 {
+		ft = scr.runStart[m] + scr.running[m].ecc
 	}
-	st.scr.deferred = st.scr.deferred[:copy(st.scr.deferred, st.scr.deferred[n:])]
+	for _, t := range scr.queue[m] {
+		ft += t.ecc
+	}
+	scr.freeTime[m] = ft
+	// place may defer again, behind the n requests being drained.
+	n := len(scr.deferred)
+	for i := 0; i < n && st.err == nil; i++ {
+		st.place(scr.deferred[i], now)
+	}
+	scr.deferred = scr.deferred[:copy(scr.deferred, scr.deferred[n:])]
 }

@@ -203,6 +203,23 @@ func (v *modelView) TrustCost(r, m int) (int, error) {
 	return v.decisionTC(v.truth.rowOf[r], int(v.truth.rdOf[m]))
 }
 
+// tcRow returns request r's decision-view trust costs, one per RD slot,
+// refreshing only the stale slots, in slot order.  Slots are numbered in
+// order of their first machine, so the model is asked exactly what
+// sched.MCT's walk over machines asks through TrustCost, in the same
+// order: a slot's first machine refreshes it and every later one hits the
+// cache.  The slice is the view's own (shared by the request's profile):
+// read-only and valid until the next noteFinish.
+func (v *modelView) tcRow(r int) ([]int, error) {
+	j, slots := v.truth.rowOf[r], len(v.rds)
+	for s := 0; s < slots; s++ {
+		if _, err := v.decisionTC(j, s); err != nil {
+			return nil, err
+		}
+	}
+	return v.dec[int(j)*slots : (int(j)+1)*slots], nil
+}
+
 // noteFinish feeds one completed task back into the model: the request's
 // CD observes the machine's RD with the RD's true offered trust level as
 // the outcome, so over the run the model's scores converge on the truth

@@ -71,20 +71,21 @@ func Run(sc Scenario, w *workload.Workload, policy sched.Policy) (*RunResult, er
 // loop, or by a run that ended in an error, cannot leak into the next.  A
 // scratch must not be shared between goroutines.
 type runScratch struct {
-	// Both loops: the event queue, the availability vector handed to the
-	// heuristics, per-machine busy time, the batch-mode requests awaiting
-	// the next tick and the schedule buffer the batch flush recycles.
-	q       *des.Queue
-	avail   []float64
-	busy    []float64
-	pending []int
-	asg     []sched.Assignment
-
-	// Table-driven loop: freeTime[m] is the absolute time machine m
-	// finishes its committed work; tcw holds the per-RD-slot ESC factors
-	// of the request being scanned.
+	// Both loops: the event queue; freeTime[m], the absolute time machine
+	// m drains its committed work (sched.Masked() while it is down); the
+	// availability vector handed to the heuristics; the per-RD-slot ESC
+	// factors of the request the fused MCT scan prices; per-machine busy
+	// time; the batch-mode requests awaiting the next tick, the schedule
+	// buffer the batch flush recycles, and the immediate-mode requests
+	// that arrived while every machine was down.
+	q        *des.Queue
 	freeTime []float64
+	avail    []float64
 	tcw      []float64
+	busy     []float64
+	pending  []int
+	asg      []sched.Assignment
+	deferred []int
 
 	// Event-per-task loop (see faultrun.go).
 	up       []bool
@@ -92,21 +93,23 @@ type runScratch struct {
 	running  []faultTask   // running[m].req == -1 when idle
 	runStart []float64
 	finishEv []des.FlatID
-	deferred []int // immediate mode: arrivals seen while every machine was down
 	requeues []int // per-request requeue counts, against the plan's cap
 }
 
 // prepare resets what both loops use for a run on nm machines: an empty
-// queue at time zero (events a stopped run left behind included), zeroed
-// busy time and no pending requests.
+// queue at time zero (events a stopped run left behind included), every
+// machine free from time zero, zeroed busy time and no pending or
+// deferred requests.
 func (scr *runScratch) prepare(nm int) {
 	if scr.q == nil {
 		scr.q = des.NewQueue()
 	}
 	scr.q.Reset()
+	scr.freeTime = zeroed(scr.freeTime, nm)
 	scr.avail = growFloats(scr.avail, nm)
 	scr.busy = zeroed(scr.busy, nm)
 	scr.pending = scr.pending[:0]
+	scr.deferred = scr.deferred[:0]
 }
 
 // growFloats returns s with length n, reallocating only when capacity is
@@ -143,21 +146,22 @@ func RunTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace
 // moment a task is committed to it, so the table-driven loop below
 // collapses Start and Finish into the commit and its only events are
 // arrivals and batch ticks.  What does not differ between the two is
-// runBase: set-up and validation, the arrival and batch-tick events, the
-// batch flush, the ledger a commit and a completion are entered in, and
-// the final metrics.  A loop supplies the machineModel the scaffold calls
-// back into; the scaffold never asks which loop that is.
+// runBase: set-up and validation, the machine model a heuristic sees (one
+// drain time per machine, the availability vector and the fused MCT scan
+// over it), the arrival and batch-tick events, the batch flush, the ledger
+// a commit and a completion are entered in, and the final metrics.  A loop
+// supplies the machineModel the scaffold calls back into; the scaffold
+// never asks which loop that is.
 
-// machineModel is the half of a run loop that differs: how its machines
-// take work.
+// machineModel is the half of a run loop that differs: what the mapper
+// believes and how machines take work.  Both loops keep scr.freeTime
+// current, so the availability vector and immediate-mode placement are the
+// scaffold's.
 type machineModel interface {
-	// availability returns the scheduler's availability vector at time
-	// now, sched.Masked() for a machine that cannot take work.  The slice
-	// is scratch, valid until the next call; heuristics never mutate or
-	// retain it.
-	availability(now float64) []float64
-	// place maps request r in immediate mode.
-	place(r int, now float64)
+	// decisionRow returns request r's decision trust costs, one per RD
+	// slot (machine m's is row[truth.rdOf[m]]).  The slice is read-only
+	// and valid until the next completion.
+	decisionRow(r int) ([]int, error)
 	// commit puts request r on machine m.
 	commit(r, m int, now float64)
 }
@@ -176,6 +180,7 @@ type runBase struct {
 
 	imm   sched.Immediate // exactly one of imm and batch is set, by the scenario's mode
 	batch sched.Batch
+	mct   bool // the heuristic is MCT, which place runs as the fused scan
 	kTick int32
 
 	completed int
@@ -233,6 +238,7 @@ func (b *runBase) start(loop machineModel) error {
 	if err != nil {
 		return err
 	}
+	_, b.mct = b.imm.(sched.MCT)
 	kArrival := b.q.RegisterKind(b.onArrival)
 	for i := range b.truth.w.Requests {
 		req := &b.truth.w.Requests[i]
@@ -258,13 +264,13 @@ func (b *runBase) onArrival(q *des.Queue, r, _ int32) {
 }
 
 // submit hands request r to the mapper: in batch mode it joins the pending
-// meta-request, in immediate mode the loop places it now.
+// meta-request, in immediate mode it is placed now.
 func (b *runBase) submit(r int, now float64) {
 	if b.batch != nil {
 		b.scr.pending = append(b.scr.pending, r)
 		return
 	}
-	b.loop.place(r, now)
+	b.place(r, now)
 }
 
 // onTick is the batch tick: it maps the pending meta-request, unless there
@@ -278,7 +284,7 @@ func (b *runBase) onTick(q *des.Queue, _, _ int32) {
 	}
 	if len(b.scr.pending) > 0 {
 		now := q.Now()
-		if avail := b.loop.availability(now); anyAvailable(avail) {
+		if avail := b.availability(now); anyAvailable(avail) {
 			b.record(trace.Event{
 				Time: now, Kind: trace.BatchTick,
 				Request: -1, Machine: -1, Cost: float64(len(b.scr.pending)),
@@ -330,15 +336,49 @@ func (b *runBase) flush(now float64, avail []float64) {
 	}
 }
 
-// mapOne maps request r through the immediate heuristic's AssignOne and
-// commits it.
-func (b *runBase) mapOne(r int, now float64, avail []float64) {
-	a, err := b.imm.AssignOne(b.dec, b.policy, r, avail)
+// availability is max(free time, now): a machine already idle is available
+// immediately, a down one stays masked.  The slice is scratch, valid until
+// the next call; heuristics never mutate or retain it.  The builtin max is
+// inlined, where math.Max is not; the two differ only on NaN, which
+// simulation times never are.
+func (b *runBase) availability(now float64) []float64 {
+	a := b.scr.avail
+	for m, ft := range b.scr.freeTime {
+		a[m] = max(ft, now)
+	}
+	return a
+}
+
+// place maps request r in immediate mode and commits it: by the fused
+// scan over its decision row when the heuristic is MCT, through the
+// heuristic's AssignOne otherwise.  While every machine is down the
+// request is parked instead, before it is priced, and a repair places it
+// (only the event-per-task loop has down machines).
+func (b *runBase) place(r int, now float64) {
+	if !anyAvailable(b.scr.freeTime) {
+		b.scr.deferred = append(b.scr.deferred, r)
+		return
+	}
+	if !b.mct {
+		a, err := b.imm.AssignOne(b.dec, b.policy, r, b.availability(now))
+		if err != nil {
+			b.fail(err)
+			return
+		}
+		b.loop.commit(r, a.Machine, now)
+		return
+	}
+	tcs, err := b.loop.decisionRow(r)
 	if err != nil {
 		b.fail(err)
 		return
 	}
-	b.loop.commit(r, a.Machine, now)
+	m := b.fusedPick(r, now, tcs)
+	if m < 0 {
+		b.fail(fmt.Errorf("sim: %s found no machine for request %d", b.sc.Heuristic, r))
+		return
+	}
+	b.loop.commit(r, m, now)
 }
 
 // charge prices request r on machine m at the truth, whatever the mapper
@@ -430,9 +470,6 @@ func (b *runBase) finalize() (*RunResult, error) {
 // and a commit is a completion.
 type runState struct {
 	runBase
-
-	// mct: the heuristic is MCT, which place runs as the fused scan below.
-	mct bool
 }
 
 // runTraced is RunTraced with caller-provided scratch.
@@ -448,38 +485,15 @@ func runTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace
 		return nil, err
 	}
 	st := &runState{runBase: base}
-	scr.freeTime = zeroed(scr.freeTime, sc.Machines)
 	if err := st.start(st); err != nil {
 		return nil, err
 	}
-	_, st.mct = st.imm.(sched.MCT)
 	return st.run()
 }
 
-// availability is max(free time, now): a machine already idle is available
-// immediately.  The builtin max is inlined, where math.Max is not; the two
-// differ only on NaN, which simulation times never are.
-func (st *runState) availability(now float64) []float64 {
-	a := st.scr.avail
-	for m, ft := range st.scr.freeTime {
-		a[m] = max(ft, now)
-	}
-	return a
-}
-
-// place maps one arriving request: by the fused scan when the heuristic is
-// MCT, through its AssignOne otherwise.
-func (st *runState) place(r int, now float64) {
-	if !st.mct {
-		st.mapOne(r, now, st.availability(now))
-		return
-	}
-	m := st.fusedPick(r, now)
-	if m < 0 {
-		st.fail(fmt.Errorf("sim: %s found no machine for request %d", st.sc.Heuristic, r))
-		return
-	}
-	st.commit(r, m, now)
+// decisionRow is the truth: no plan lies and no model learns.
+func (st *runState) decisionRow(r int) ([]int, error) {
+	return st.truth.tcRow(r), nil
 }
 
 // commit places request r on machine m at time now: the task starts when
@@ -498,19 +512,22 @@ func (st *runState) commit(r, m int, now float64) {
 //
 // The MCT arrival scan walks the EEC row, the machine → RD-slot map and the
 // free-time vector directly, computing the policy's decision ESC inline
-// from the request's per-slot trust costs instead of calling through
-// sched.Costs.  Each fused expression reproduces the float operations of
-// sched.MCT exactly (see sched.ESC.Cost), so scores, completion times and
-// every derived metric are bit-identical to AssignOne's.  Only MCT is
-// specialised, because only MCT has a benchmark workload that shows the
-// difference (sim_paper loses 5 % of its throughput on
-// sched.MCT.AssignOne; DESIGN.md, "Run loops"): MET, OLB, KPB and SA run
+// from the request's per-slot decision trust costs instead of calling
+// through sched.Costs.  Each fused expression reproduces the float
+// operations of sched.MCT exactly (see sched.ESC.Cost), so scores,
+// completion times and every derived metric are bit-identical to
+// AssignOne's.  Both run loops place MCT this way.  Only MCT is
+// specialised, because only MCT has benchmark workloads that show the
+// difference (sim_paper on the table-driven loop, sim_trust on the
+// event-per-task loop; DESIGN.md, "Run loops"): MET, OLB, KPB and SA run
 // their AssignOne over the availability vector, as every batch heuristic
 // runs its AssignBatch.
 
 // fusedScanRange scans machines [lo,hi) and returns the first machine
 // attaining the minimum decision completion time and that minimum;
-// (-1, +Inf) when the range is empty.
+// (-1, +Inf) when the range is empty or every free time in it is masked
+// (+Inf, a down machine: its completion time is +Inf, which never beats
+// the initial +Inf).
 //
 // The inner loops are specialized per form so the hot path carries no
 // per-iteration dispatch, and the slices are re-sliced to the range up
@@ -524,10 +541,11 @@ func (st *runState) commit(r, m int, now float64) {
 // mispredicted often enough to be most of the scan's cost, and the builtin
 // float max was slower than the branch with every machine idle (DESIGN.md
 // §13, "Run loops").  Precondition: every ft[i] is ≥ +0 and not NaN (free
-// time starts at +0 and only grows by charged ECCs), and now is ≥ −0 and
-// not NaN, read as +0 when it is −0 (now + 0).  For such floats unsigned
-// order of the bits is float order, so the result is bit-identical to
-// sched.MCT's math.Max and to the branching clamp;
+// time starts at +0 and only grows by charged ECCs; +Inf marks a down
+// machine), and now is ≥ −0 and not NaN, read as +0 when it is −0
+// (now + 0).  For such floats unsigned order of the bits is float order,
+// +Inf included, so the result is bit-identical to sched.MCT's math.Max
+// and to the branching clamp;
 // TestFusedScanMatchesReference and FuzzFusedScan hold the function to the
 // latter.
 //
@@ -578,19 +596,19 @@ func fusedScanRange(dec sched.ESC, eec, tcw []float64, rdOf []int32, ft []float6
 	return best, bestVal
 }
 
-// fusedPick runs the MCT scan for request r at time now.
-func (st *runState) fusedPick(r int, now float64) int {
-	dec := st.policy.Decision()
+// fusedPick runs the MCT scan for request r at time now over its decision
+// trust-cost row tcs, one cost per RD slot; -1 when every machine is down.
+func (b *runBase) fusedPick(r int, now float64, tcs []int) int {
+	dec := b.policy.Decision()
 	var tcw []float64
 	if dec.Form == sched.ESCLinear {
-		tcs := st.truth.tcRow(r)
-		st.scr.tcw = growFloats(st.scr.tcw, len(tcs))
-		tcw = st.scr.tcw
+		b.scr.tcw = growFloats(b.scr.tcw, len(tcs))
+		tcw = b.scr.tcw
 		for s, tc := range tcs {
 			tcw[s] = float64(tc) * dec.Weight
 		}
 	}
-	ft := st.scr.freeTime
-	m, _ := fusedScanRange(dec, st.truth.eecRow(r), tcw, st.truth.rdOf, ft, now, 0, len(ft))
+	ft := b.scr.freeTime
+	m, _ := fusedScanRange(dec, b.truth.eecRow(r), tcw, b.truth.rdOf, ft, now, 0, len(ft))
 	return m
 }
