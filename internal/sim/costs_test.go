@@ -2,7 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -215,5 +218,142 @@ func TestRunAllocationBudget(t *testing.T) {
 	t.Logf("one Run allocated %d bytes", got)
 	if got >= 1<<20 {
 		t.Fatalf("one Run allocated %d bytes, budget is 1 MB", got)
+	}
+}
+
+// referenceWorkloadCosts is newWorkloadCosts as it was when every (profile,
+// slot) cell was priced through Workload.TrustCostRD, kept as the oracle
+// for the build: the same table, or the same error for the same first
+// request and slot.
+func referenceWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
+	if w == nil {
+		return nil, fmt.Errorf("sim: nil workload")
+	}
+	nm := w.Spec.Machines
+	if len(w.MachineRD) != nm {
+		return nil, fmt.Errorf("sim: workload maps %d machines to resource domains, spec has %d", len(w.MachineRD), nm)
+	}
+	c := &workloadCosts{w: w, rdOf: make([]int32, nm), rowOf: make([]int32, len(w.Requests))}
+	slotOf := make(map[grid.DomainID]int32)
+	for m, rd := range w.MachineRD {
+		s, ok := slotOf[rd]
+		if !ok {
+			s = int32(len(c.slotRD))
+			slotOf[rd] = s
+			c.slotRD = append(c.slotRD, rd)
+			c.slotAt = append(c.slotAt, int32(m))
+			c.slotLen = append(c.slotLen, 0)
+		}
+		c.rdOf[m] = s
+		c.slotLen[s]++
+	}
+	seen := make(map[string]int32)
+	var key []byte
+	for i := range w.Requests {
+		r := w.Requests[i]
+		key = binary.AppendVarint(key[:0], int64(r.CD))
+		key = binary.AppendVarint(key, int64(r.ClientRTL))
+		for _, a := range r.ToA.Activities {
+			key = binary.AppendVarint(key, int64(a))
+		}
+		j, dup := seen[string(key)]
+		if !dup {
+			for s, rd := range c.slotRD {
+				v, err := w.TrustCostRD(r, rd)
+				if err != nil {
+					return nil, fmt.Errorf("sim: trust cost for request %d on machine %d: %w", i, c.slotAt[s], err)
+				}
+				c.tc = append(c.tc, v)
+			}
+			j = int32(len(c.rowReq))
+			seen[string(key)] = j
+			c.rowReq = append(c.rowReq, int32(i))
+			c.rowSize = append(c.rowSize, 0)
+		}
+		c.rowOf[i] = j
+		c.rowSize[j]++
+	}
+	return c, nil
+}
+
+// checkCostsBuild compares newWorkloadCosts with the reference on one
+// workload: every field of the table, or the error text.
+func checkCostsBuild(t *testing.T, label string, w *workload.Workload) (failed bool) {
+	t.Helper()
+	got, gerr := newWorkloadCosts(w)
+	want, werr := referenceWorkloadCosts(w)
+	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+		t.Fatalf("%s: build error %v, reference %v", label, gerr, werr)
+	}
+	if gerr != nil {
+		return true
+	}
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"rdOf", got.rdOf, want.rdOf}, {"slotRD", got.slotRD, want.slotRD},
+		{"slotAt", got.slotAt, want.slotAt}, {"slotLen", got.slotLen, want.slotLen},
+		{"tc", got.tc, want.tc}, {"rowOf", got.rowOf, want.rowOf},
+		{"rowReq", got.rowReq, want.rowReq}, {"rowSize", got.rowSize, want.rowSize},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Fatalf("%s: %s = %v, reference %v", label, f.name, f.got, f.want)
+		}
+	}
+	return false
+}
+
+// TestCostsBuildMatchesReference holds the table build to the per-cell
+// reference on generated workloads and on broken ones: table entries
+// removed at random (a gap may fall on any activity of any profile on any
+// slot), a resource domain without an RTL, an invalid client RTL, an
+// empty ToA and a client domain outside the workload's.
+func TestCostsBuildMatchesReference(t *testing.T) {
+	src := rng.New(3232)
+	errs := 0
+	for trial := 0; trial < 60; trial++ {
+		sc := PaperScenario("mct", 1+src.Intn(80), workload.Inconsistent)
+		sc.Machines = 1 + src.Intn(12)
+		sc.NumCDs, sc.NumRDs = 1+src.Intn(4), 1+src.Intn(4)
+		w, err := workload.NewWorkload(src, sc.WorkloadSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCostsBuild(t, "generated", w)
+
+		broken := *w
+		broken.Requests = slices.Clone(w.Requests)
+		broken.ResourceRTL = map[grid.DomainID]grid.TrustLevel{}
+		for rd, rtl := range w.ResourceRTL {
+			broken.ResourceRTL[rd] = rtl
+		}
+		var kept []grid.TableEntry
+		for _, e := range w.Table.Entries() {
+			if !src.Bool(0.02) {
+				kept = append(kept, e)
+			}
+		}
+		broken.Table = grid.NewTrustTable()
+		if err := broken.Table.Restore(kept, 1); err != nil {
+			t.Fatal(err)
+		}
+		r := &broken.Requests[src.Intn(len(broken.Requests))]
+		switch trial % 5 {
+		case 1:
+			delete(broken.ResourceRTL, broken.MachineRD[src.Intn(len(broken.MachineRD))])
+		case 2:
+			r.ClientRTL = grid.TrustLevel(9)
+		case 3:
+			r.ToA = grid.ToA{}
+		case 4:
+			r.CD = grid.DomainID(broken.NumCDs + 3)
+		}
+		if checkCostsBuild(t, fmt.Sprintf("broken %d", trial), &broken) {
+			errs++
+		}
+	}
+	if errs < 30 {
+		t.Fatalf("only %d of 60 broken workloads failed to build; the gaps are too sparse to test the error path", errs)
 	}
 }
