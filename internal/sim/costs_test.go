@@ -308,7 +308,8 @@ func checkCostsBuild(t *testing.T, label string, w *workload.Workload) (failed b
 // reference on generated workloads and on broken ones: table entries
 // removed at random (a gap may fall on any activity of any profile on any
 // slot), a resource domain without an RTL, an invalid client RTL, an
-// empty ToA and a client domain outside the workload's.
+// empty ToA and a client domain outside the workload's.  Activities past
+// the dense range, with table rows, must price as the reference does.
 func TestCostsBuildMatchesReference(t *testing.T) {
 	src := rng.New(3232)
 	errs := 0
@@ -348,6 +349,18 @@ func TestCostsBuildMatchesReference(t *testing.T) {
 			r.ToA = grid.ToA{}
 		case 4:
 			r.CD = grid.DomainID(broken.NumCDs + 3)
+		}
+		if trial%2 == 0 {
+			far := grid.Activity(maxDenseActivity + 5)
+			for _, e := range kept {
+				if err := broken.Table.Set(e.CD, e.RD, far, e.Level); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k := 0; k < 3; k++ {
+				q := &broken.Requests[src.Intn(len(broken.Requests))]
+				q.ToA = grid.MustToA(append([]grid.Activity{far}, q.ToA.Activities...)...)
+			}
 		}
 		if checkCostsBuild(t, fmt.Sprintf("broken %d", trial), &broken) {
 			errs++

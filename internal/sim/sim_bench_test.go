@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"gridtrust/internal/grid"
@@ -179,5 +180,30 @@ func BenchmarkSimFlagship(b *testing.B) {
 		if res.Assigned != requests {
 			b.Fatalf("assigned %d of %d", res.Assigned, requests)
 		}
+	}
+}
+
+// BenchmarkNewWorkloadCosts builds the trust-cost table alone, as every
+// Run does first, for the 2048-task workloads of the repository
+// benchmark's sim_trust (64 machines) and sim_paper MCT leg (1024
+// machines), both over 4 CDs and 4 RDs.
+func BenchmarkNewWorkloadCosts(b *testing.B) {
+	for _, machines := range []int{64, 1024} {
+		sc := PaperScenario("mct", 2048, workload.Inconsistent)
+		sc.Machines = machines
+		sc.ArrivalRate = 0.04 * float64(machines) / 5
+		sc.NumCDs, sc.NumRDs = 4, 4
+		w, err := workload.NewWorkload(rng.New(1), sc.WorkloadSpec())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("machines=%d", machines), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := newWorkloadCosts(w); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
