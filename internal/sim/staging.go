@@ -29,7 +29,8 @@ type StagingConfig struct {
 	// MaxInputMB bounds the per-request input size, drawn uniformly
 	// from [1, MaxInputMB] (default 500).
 	MaxInputMB float64
-	// TCWeight is the ESC weight (default 15).
+	// TCWeight is the ESC weight (default 15); it must be finite and
+	// non-negative.
 	TCWeight float64
 }
 
@@ -62,8 +63,8 @@ func (c StagingConfig) validate() error {
 		return fmt.Errorf("sim: staging needs at least one machine")
 	case c.MaxInputMB < 1:
 		return fmt.Errorf("sim: MaxInputMB %g < 1", c.MaxInputMB)
-	case c.TCWeight < 0:
-		return fmt.Errorf("sim: negative TC weight %g", c.TCWeight)
+	case c.TCWeight < 0 || math.IsNaN(c.TCWeight) || math.IsInf(c.TCWeight, 0):
+		return fmt.Errorf("sim: TC weight %g is negative or not finite", c.TCWeight)
 	}
 	if _, err := secover.LinkFor(c.LinkMbps); err != nil {
 		return err

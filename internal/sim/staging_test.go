@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"gridtrust/internal/rng"
@@ -13,11 +14,23 @@ func TestStagingValidation(t *testing.T) {
 		{Requests: 10, MaxInputMB: 0.5},
 		{Requests: 10, LinkMbps: 42},
 		{Requests: 10, TCWeight: -1},
+		// A non-finite weight makes every trust-aware rank NaN or +Inf,
+		// so no machine would ever be chosen.
+		{Requests: 10, TCWeight: math.NaN()},
+		{Requests: 10, TCWeight: math.Inf(1)},
+		{Requests: 10, TCWeight: math.Inf(-1)},
 	}
 	for i, cfg := range bad {
-		if _, err := RunStaging(cfg, rng.New(1)); err == nil {
-			t.Errorf("bad config %d accepted: %+v", i, cfg)
-		}
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("bad config %d panicked: %+v: %v", i, cfg, p)
+				}
+			}()
+			if _, err := RunStaging(cfg, rng.New(1)); err == nil {
+				t.Errorf("bad config %d accepted: %+v", i, cfg)
+			}
+		}()
 	}
 	if _, err := RunStaging(StagingConfig{}, nil); err == nil {
 		t.Error("nil source accepted")
