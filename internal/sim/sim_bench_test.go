@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gridtrust/internal/fault"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/rng"
 	"gridtrust/internal/sched"
@@ -25,25 +26,40 @@ import (
 // loaded cases scale the rate with the machine count as the repository
 // benchmark's sim_paper does (0.04 per five machines, 4 CDs and 4 RDs), so
 // whether a machine is busy changes from machine to machine.
+//
+// The event-per-task loop's cases run at 64 machines, loaded:
+// immediate-mct-model/purge is the repository benchmark's sim_trust leg
+// for the purge model (a live model behind every decision row), and
+// immediate-mct-churn crashes and repairs machines (mean up-time 2000,
+// repair 200) with the static table.
 func BenchmarkSimRun(b *testing.B) {
 	cases := []struct {
 		name      string
 		mode      Mode
 		heuristic string
 		tasks     int
+		machines  int
 		loaded    bool
 		unaware   bool
+		model     string
+		churn     bool
 	}{
-		{"immediate-mct", Immediate, "mct", 2048, false, false},
-		{"immediate-mct-loaded/aware", Immediate, "mct", 2048, true, false},
-		{"immediate-mct-loaded/unaware", Immediate, "mct", 2048, true, true},
-		{"batch-minmin", Batch, "minmin", 512, false, false},
+		{"immediate-mct", Immediate, "mct", 2048, 1024, false, false, "", false},
+		{"immediate-mct-loaded/aware", Immediate, "mct", 2048, 1024, true, false, "", false},
+		{"immediate-mct-loaded/unaware", Immediate, "mct", 2048, 1024, true, true, "", false},
+		{"batch-minmin", Batch, "minmin", 512, 1024, false, false, "", false},
+		{"immediate-mct-model/purge", Immediate, "mct", 2048, 64, true, false, "purge", false},
+		{"immediate-mct-churn", Immediate, "mct", 2048, 64, true, false, "", true},
 	}
 	for _, tc := range cases {
 		sc := PaperScenario(tc.heuristic, tc.tasks, workload.Inconsistent)
 		sc.Mode = tc.mode
 		sc.Heuristic = tc.heuristic
-		sc.Machines = 1024
+		sc.Machines = tc.machines
+		sc.TrustModel = tc.model
+		if tc.churn {
+			sc.Fault = fault.Plan{MTBF: 2000, MTTR: 200, Seed: 1}
+		}
 		if tc.loaded {
 			sc.ArrivalRate = 0.04 * float64(sc.Machines) / 5
 			sc.NumCDs, sc.NumRDs = 4, 4
