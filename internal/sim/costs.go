@@ -22,9 +22,8 @@ import (
 // never of the machine itself.  The adapter stores exactly that function
 // — one row of #RDs costs per distinct profile, plus the machine → RD
 // slot map — and never expands it over machines, so its memory is
-// O(profiles × RDs + machines).  Building it reads the trust table once
-// per (CD, activity, RD) and prices each (profile, RD) from those levels.
-// A 1M-request stream carries at most
+// O(profiles × RDs + machines) and building it reads the table once per
+// (CD, activity, RD).  A 1M-request stream carries at most
 // |CDs| × |RTLs| × |ordered ToAs| profiles (4 × 6 × 205 = 4920 in the
 // paper's configuration).
 type workloadCosts struct {
@@ -79,12 +78,36 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 	c.tc = make([]int, 0, hint*len(c.slotRD))
 	c.rowReq = make([]int32, 0, hint)
 	c.rowSize = make([]int32, 0, hint)
-	levels := newOfferedLevels(w, c.slotRD)
-	rtl := make([]grid.TrustLevel, len(c.slotRD)) // per slot: the domain's RTL
+	// lvl holds the table's level per (CD, built-in activity, slot),
+	// LevelNone for a gap, read once; a profile's OTL on a slot is the min
+	// over its activities (Section 3.1).  A profile with a gap, an empty
+	// ToA, or a CD or activity outside lvl is priced cell by cell, which
+	// fails on the first bad cell with the table's own error.
+	acts, slots := int(grid.NumBuiltinActivities), len(c.slotRD)
+	lvl := make([]grid.TrustLevel, max(w.NumCDs, 0)*acts*slots)
+	for k := range lvl {
+		lvl[k], _ = w.Table.Get(grid.DomainID(k/slots/acts), c.slotRD[k%slots], grid.Activity(k/slots%acts))
+	}
+	otl, rtl := make([]grid.TrustLevel, slots), make([]grid.TrustLevel, slots)
 	for s, rd := range c.slotRD {
 		rtl[s] = w.ResourceRTL[rd]
 	}
-	otl := make([]grid.TrustLevel, len(c.slotRD))
+	offered := func(r *workload.Request) bool {
+		for k, a := range r.ToA.Activities {
+			if r.CD < 0 || int(r.CD) >= w.NumCDs || a < 0 || int(a) >= acts {
+				return false
+			}
+			for s, tl := range lvl[(int(r.CD)*acts+int(a))*slots:][:slots] {
+				if tl == grid.LevelNone {
+					return false
+				}
+				if k == 0 || tl < otl[s] {
+					otl[s] = tl
+				}
+			}
+		}
+		return len(r.ToA.Activities) > 0
+	}
 	var key []byte
 	for i := range w.Requests {
 		r := w.Requests[i]
@@ -95,17 +118,10 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 		}
 		j, dup := seen[string(key)]
 		if !dup {
-			// A profile the levels cannot price (a table gap, an empty
-			// ToA, a pair outside the dense range) is priced cell by
-			// cell, which fails on the first bad cell with the table's
-			// own error.
-			whole := levels.row(&r, otl)
+			dense := offered(&r)
 			for s, rd := range c.slotRD {
-				var v int
-				var err error
-				if whole {
-					v, err = grid.TrustCostWith(w.Spec.ETSRule, r.ClientRTL, rtl[s], otl[s])
-				} else {
+				v, err := grid.TrustCostWith(w.Spec.ETSRule, r.ClientRTL, rtl[s], otl[s])
+				if !dense {
 					v, err = w.TrustCostRD(r, rd)
 				}
 				if err != nil {
@@ -122,71 +138,6 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 		c.rowSize[j]++
 	}
 	return c, nil
-}
-
-// maxDenseActivity bounds the activity indices offeredLevels keeps
-// densely; a profile with a larger one is priced cell by cell.
-const maxDenseActivity = 1024
-
-// offeredLevels reads a workload's trust table once per (CD, activity, RD
-// slot) into a dense array: a (CD, activity) pair's levels on every slot
-// are read together the first time a profile needs them.  Pairs outside
-// the dense range — a CD outside [0, NumCDs), an activity outside [0,
-// maxDenseActivity) — are not kept, and their profiles are priced cell by
-// cell.
-type offeredLevels struct {
-	table  *grid.TrustTable
-	slotRD []grid.DomainID
-	cds    int               // dense CDs: [0, cds)
-	acts   int               // dense activities: [0, acts)
-	at     []int32           // (CD, activity) -> 1 + offset of its len(slotRD) levels in lvl, 0 until read
-	lvl    []grid.TrustLevel // grid.LevelNone where the table has no entry
-}
-
-func newOfferedLevels(w *workload.Workload, slotRD []grid.DomainID) *offeredLevels {
-	o := &offeredLevels{table: w.Table, slotRD: slotRD, cds: max(w.NumCDs, 0)}
-	for i := range w.Requests {
-		for _, a := range w.Requests[i].ToA.Activities {
-			if a >= 0 && a < maxDenseActivity {
-				o.acts = max(o.acts, int(a)+1)
-			}
-		}
-	}
-	o.at = make([]int32, o.cds*o.acts)
-	return o
-}
-
-// row sets otl[s] to request r's offered trust level on slot s, the
-// minimum over its activities (Section 3.1, as grid.TrustTable.OTL
-// computes it), and reports whether every level it needed exists: false
-// for a table gap, an empty ToA or a pair outside the dense range.
-func (o *offeredLevels) row(r *workload.Request, otl []grid.TrustLevel) bool {
-	acts := r.ToA.Activities
-	for k, a := range acts {
-		if r.CD < 0 || int(r.CD) >= o.cds || a < 0 || int(a) >= o.acts {
-			return false
-		}
-		at := &o.at[int(r.CD)*o.acts+int(a)]
-		if *at == 0 {
-			*at = int32(len(o.lvl)) + 1
-			for _, rd := range o.slotRD {
-				tl, _ := o.table.Get(r.CD, rd, a)
-				o.lvl = append(o.lvl, tl)
-			}
-		}
-		off := int(*at) - 1
-		for s, tl := range o.lvl[off : off+len(otl)] {
-			if tl == grid.LevelNone {
-				return false
-			}
-			if k == 0 {
-				otl[s] = tl
-			} else {
-				otl[s] = min(otl[s], tl)
-			}
-		}
-	}
-	return len(acts) > 0
 }
 
 // NumRequests returns the instance's request count.
@@ -214,6 +165,9 @@ func (c *workloadCosts) tcRow(r int) []int {
 	j, slots := int(c.rowOf[r]), len(c.slotRD)
 	return c.tc[j*slots : (j+1)*slots]
 }
+
+// decisionRow is tcRow, for decisionCosts.
+func (c *workloadCosts) decisionRow(r int) ([]int, error) { return c.tcRow(r), nil }
 
 // checkIndex rejects an (r, m) outside the instance.
 func (c *workloadCosts) checkIndex(r, m int) error {

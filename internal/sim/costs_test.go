@@ -351,7 +351,7 @@ func TestCostsBuildMatchesReference(t *testing.T) {
 			r.CD = grid.DomainID(broken.NumCDs + 3)
 		}
 		if trial%2 == 0 {
-			far := grid.Activity(maxDenseActivity + 5)
+			far := grid.Activity(grid.NumBuiltinActivities + 5) // past the activities the build reads densely
 			for _, e := range kept {
 				if err := broken.Table.Set(e.CD, e.RD, far, e.Level); err != nil {
 					t.Fatal(err)

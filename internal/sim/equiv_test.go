@@ -180,13 +180,8 @@ func TestFusedScanMatchesAssignOne(t *testing.T) {
 	}
 	decs := []struct {
 		name string
-		dec  sched.Costs
-		row  func(r int) ([]int, error)
-	}{
-		{"truth", costs, func(r int) ([]int, error) { return costs.tcRow(r), nil }},
-		{"whitewashed", claimed, func(r int) ([]int, error) { return claimed.tcRow(r), nil }},
-		{"model", view, view.tcRow},
-	}
+		dec  decisionCosts
+	}{{"truth", costs}, {"whitewashed", claimed}, {"model", view}}
 	for _, d := range decs {
 		for _, policy := range []sched.Policy{aware, unaware} {
 			h := sched.MCT{}
@@ -213,7 +208,7 @@ func TestFusedScanMatchesAssignOne(t *testing.T) {
 					}
 				}
 				r := src.Intn(sc.Tasks)
-				row, err := d.row(r)
+				row, err := d.dec.decisionRow(r)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -22,15 +22,10 @@ import (
 // loops share (runBase).  Event payloads carry the request id (arrivals)
 // or the machine index (finish/crash/repair).
 //
-// What a heuristic sees is the scaffold's machine model, the same as on
-// the table-driven loop: scr.freeTime[m] is the time machine m's committed
-// work drains.  commit sets it to max(free time, now) + ECC, a crash masks
-// it (sched.Masked(), +Inf, which the fused MCT scan and every
-// deterministic heuristic skip), and a repair recomputes it once from the
-// running task and the queue in commitment order.  Those sums are the
-// running task's start plus each ECC in turn, so the vector is bit for
-// bit what walking every queue at every decision returned, and a
-// crash-free run accumulates the table-driven loop's floats.
+// A heuristic sees scr.freeTime, as on the table-driven loop: commit sets
+// it to max(free time, now) + ECC, a crash masks it, and a repair adds the
+// queued ECCs to the repair time in commitment order.  So a crash-free run
+// accumulates the table-driven loop's floats.
 //
 // Semantics:
 //   - A crash loses only the in-flight task; it re-enters the scheduler
@@ -100,9 +95,8 @@ func newFaultCosts(truth *workloadCosts, plan fault.Plan) (*workloadCosts, float
 // events.  The per-machine state lives in the scratch (runScratch).
 type faultState struct {
 	runBase
-	claimed *workloadCosts // the table the mapper is shown: the truth, or its whitewashed overlay
-	view    *modelView     // non-nil when Scenario.TrustModel drives decisions
-	churn   *fault.Churn
+	view  *modelView // non-nil when Scenario.TrustModel drives decisions
+	churn *fault.Churn
 
 	kFinish, kCrash, kRepair int32
 }
@@ -157,7 +151,7 @@ func newFaultState(sc Scenario, w *workload.Workload, policy sched.Policy, tr *t
 	if err != nil {
 		return nil, err
 	}
-	st.claimed, st.dec = claimed, claimed
+	st.dec = claimed
 	st.result.TrustTableError = tableErr
 	if sc.dynamicTrust() {
 		if st.view, err = newModelView(sc, st.truth, claimed); err != nil {
@@ -184,19 +178,9 @@ func newFaultState(sc Scenario, w *workload.Workload, policy sched.Policy, tr *t
 	return st, nil
 }
 
-// decisionRow is what the mapper believes of request r: the live model's
-// row when one learns, the claimed table's otherwise.
-func (st *faultState) decisionRow(r int) ([]int, error) {
-	if st.view != nil {
-		return st.view.tcRow(r)
-	}
-	return st.claimed.tcRow(r), nil
-}
-
-// commit appends request r to machine m's queue, where it finishes after
-// the work already committed there, and starts it if the machine is idle.
-// The masking contract is enforced here for every heuristic,
-// deterministic or not.
+// commit appends request r to machine m's queue and starts it if the
+// machine is idle.  The masking contract is enforced here for every
+// heuristic, deterministic or not.
 func (st *faultState) commit(r, m int, now float64) {
 	scr := st.scr
 	if !scr.up[m] {
@@ -300,8 +284,7 @@ func (st *faultState) requeue(r, m int) {
 }
 
 // onRepair brings machine m back up, arms its next crash, resumes its
-// queue, unmasks its free time and drains any arrivals deferred while the
-// whole grid was down.
+// queue and drains any arrivals deferred while the whole grid was down.
 func (st *faultState) onRepair(m int) {
 	if st.err != nil {
 		return
@@ -309,18 +292,13 @@ func (st *faultState) onRepair(m int) {
 	scr := st.scr
 	now := st.q.Now()
 	scr.up[m] = true
+	// m runs nothing and took no work while down: its queue drains from now.
+	scr.freeTime[m] = now
+	for _, t := range scr.queue[m] {
+		scr.freeTime[m] += t.ecc
+	}
 	st.scheduleCrash(m, st.churn.UpTime(m))
 	st.startNext(m)
-	// Nothing was committed while m was down: its queue is what the crash
-	// left, and the head (if any) has just started.
-	ft := now
-	if scr.running[m].req != -1 {
-		ft = scr.runStart[m] + scr.running[m].ecc
-	}
-	for _, t := range scr.queue[m] {
-		ft += t.ecc
-	}
-	scr.freeTime[m] = ft
 	// place may defer again, behind the n requests being drained.
 	n := len(scr.deferred)
 	for i := 0; i < n && st.err == nil; i++ {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gridtrust/internal/grid"
-	"gridtrust/internal/sched"
 	"gridtrust/internal/trust"
 )
 
@@ -203,14 +202,10 @@ func (v *modelView) TrustCost(r, m int) (int, error) {
 	return v.decisionTC(v.truth.rowOf[r], int(v.truth.rdOf[m]))
 }
 
-// tcRow returns request r's decision-view trust costs, one per RD slot,
-// refreshing only the stale slots, in slot order.  Slots are numbered in
-// order of their first machine, so the model is asked exactly what
-// sched.MCT's walk over machines asks through TrustCost, in the same
-// order: a slot's first machine refreshes it and every later one hits the
-// cache.  The slice is the view's own (shared by the request's profile):
-// read-only and valid until the next noteFinish.
-func (v *modelView) tcRow(r int) ([]int, error) {
+// decisionRow returns request r's decision-view trust costs per RD slot,
+// refreshing stale slots in slot order: their first machines' order, so
+// the model is asked what sched.MCT's walk through TrustCost asks.
+func (v *modelView) decisionRow(r int) ([]int, error) {
 	j, slots := v.truth.rowOf[r], len(v.rds)
 	for s := 0; s < slots; s++ {
 		if _, err := v.decisionTC(j, s); err != nil {
@@ -256,4 +251,4 @@ func (v *modelView) tableError() (float64, error) {
 	return v.truth.meanGap(gap), nil
 }
 
-var _ sched.Costs = (*modelView)(nil)
+var _ decisionCosts = (*modelView)(nil)

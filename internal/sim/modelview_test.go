@@ -7,6 +7,7 @@ import (
 	"gridtrust/internal/fault"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/rng"
+	"gridtrust/internal/sched"
 	"gridtrust/internal/trust"
 	"gridtrust/internal/workload"
 )
@@ -112,6 +113,81 @@ func TestModelViewMatchesUncached(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// recordingModel wraps a model and records every Trust call.
+type recordingModel struct {
+	trust.Model
+	calls []string
+}
+
+func (m *recordingModel) Trust(x, y trust.EntityID, c trust.Context, now float64) (float64, error) {
+	m.calls = append(m.calls, fmt.Sprintf("%s>%s/%s", x, y, c))
+	return m.Model.Trust(x, y, c, now)
+}
+
+// TestDecisionRowAsksLikeAssignOne: the fused MCT scan reads a request's
+// decision row once, where sched.MCT asked TrustCost machine by machine.
+// Two views fed the same completions must see the same Trust calls in the
+// same order, one read through decisionRow, the other through
+// sched.MCT.AssignOne, on a layout whose RD slots interleave.
+func TestDecisionRowAsksLikeAssignOne(t *testing.T) {
+	for _, model := range []string{"purge", "frtrust", "bawa"} {
+		sc := PaperScenario("mct", 200, workload.Inconsistent)
+		sc.Machines, sc.NumCDs, sc.NumRDs = 11, 3, 4
+		sc.TrustModel = model
+		sc.Fault = fault.Plan{AdversaryFraction: 0.5, Seed: 3}
+		w := mustWorkload(t, sc, 21)
+		views := [2]*modelView{}
+		recs := [2]*recordingModel{}
+		for i := range views {
+			truth, err := newWorkloadCosts(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			claimed, _, err := newFaultCosts(truth, sc.Fault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if views[i], err = newModelView(sc, truth, claimed); err != nil {
+				t.Fatal(err)
+			}
+			recs[i] = &recordingModel{Model: views[i].model}
+			views[i].model = recs[i]
+		}
+		avail := make([]float64, sc.Machines)
+		policy := sched.MustTrustAware(sc.TCWeight)
+		src := rng.New(8)
+		for step := 0; step < 2000; step++ {
+			r, m := src.Intn(len(w.Requests)), src.Intn(sc.Machines)
+			if src.Bool(0.4) {
+				for _, v := range views {
+					if err := v.noteFinish(r, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				continue
+			}
+			if _, err := views[0].decisionRow(r); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := (sched.MCT{}).AssignOne(views[1], policy, r, avail); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, b := recs[0].calls, recs[1].calls
+		if len(a) != len(b) {
+			t.Fatalf("%s: decisionRow asked %d times, AssignOne %d", model, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: Trust call %d: decisionRow asked %s, AssignOne %s", model, i, a[i], b[i])
+			}
+		}
+		if len(a) == 0 {
+			t.Fatalf("%s: no Trust calls", model)
 		}
 	}
 }

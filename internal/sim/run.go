@@ -71,13 +71,10 @@ func Run(sc Scenario, w *workload.Workload, policy sched.Policy) (*RunResult, er
 // loop, or by a run that ended in an error, cannot leak into the next.  A
 // scratch must not be shared between goroutines.
 type runScratch struct {
-	// Both loops: the event queue; freeTime[m], the absolute time machine
-	// m drains its committed work (sched.Masked() while it is down); the
-	// availability vector handed to the heuristics; the per-RD-slot ESC
-	// factors of the request the fused MCT scan prices; per-machine busy
-	// time; the batch-mode requests awaiting the next tick, the schedule
-	// buffer the batch flush recycles, and the immediate-mode requests
-	// that arrived while every machine was down.
+	// Both loops: the event queue, when each machine drains its committed
+	// work (sched.Masked() while down), the availability vector, the fused
+	// MCT scan's per-RD-slot ESC factors, busy time, the batch requests
+	// and schedule buffer, and arrivals parked while every machine is down.
 	q        *des.Queue
 	freeTime []float64
 	avail    []float64
@@ -98,8 +95,7 @@ type runScratch struct {
 
 // prepare resets what both loops use for a run on nm machines: an empty
 // queue at time zero (events a stopped run left behind included), every
-// machine free from time zero, zeroed busy time and no pending or
-// deferred requests.
+// machine free from zero, no busy time and no pending or parked requests.
 func (scr *runScratch) prepare(nm int) {
 	if scr.q == nil {
 		scr.q = des.NewQueue()
@@ -146,31 +142,31 @@ func RunTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace
 // moment a task is committed to it, so the table-driven loop below
 // collapses Start and Finish into the commit and its only events are
 // arrivals and batch ticks.  What does not differ between the two is
-// runBase: set-up and validation, the machine model a heuristic sees (one
-// drain time per machine, the availability vector and the fused MCT scan
-// over it), the arrival and batch-tick events, the batch flush, the ledger
-// a commit and a completion are entered in, and the final metrics.  A loop
-// supplies the machineModel the scaffold calls back into; the scaffold
-// never asks which loop that is.
+// runBase: set-up and validation, the machines' drain times and every
+// mapping decision over them, the arrival and batch-tick events, the
+// ledger a commit and a completion are entered in, and the final metrics.
+// A loop supplies the machineModel the scaffold calls back into; the
+// scaffold never asks which loop that is.
 
-// machineModel is the half of a run loop that differs: what the mapper
-// believes and how machines take work.  Both loops keep scr.freeTime
-// current, so the availability vector and immediate-mode placement are the
-// scaffold's.
+// machineModel is the half of a run loop that differs: how its machines
+// take work, keeping scr.freeTime current.
 type machineModel interface {
-	// decisionRow returns request r's decision trust costs, one per RD
-	// slot (machine m's is row[truth.rdOf[m]]).  The slice is read-only
-	// and valid until the next completion.
-	decisionRow(r int) ([]int, error)
 	// commit puts request r on machine m.
 	commit(r, m int, now float64)
+}
+
+// decisionCosts is what the mapper decides on; decisionRow is request r's
+// trust costs per RD slot for the fused scan, read-only until a completion.
+type decisionCosts interface {
+	sched.Costs
+	decisionRow(r int) ([]int, error)
 }
 
 // runBase is the scaffold both run loops embed.
 type runBase struct {
 	sc     Scenario
 	truth  *workloadCosts // what a commit is charged
-	dec    sched.Costs    // what the heuristics decide on: truth, unless a fault plan lies or a model learns
+	dec    decisionCosts  // what the heuristics decide on: truth, unless a fault plan lies or a model learns
 	policy sched.Policy
 	loop   machineModel
 
@@ -336,11 +332,10 @@ func (b *runBase) flush(now float64, avail []float64) {
 	}
 }
 
-// availability is max(free time, now): a machine already idle is available
-// immediately, a down one stays masked.  The slice is scratch, valid until
-// the next call; heuristics never mutate or retain it.  The builtin max is
-// inlined, where math.Max is not; the two differ only on NaN, which
-// simulation times never are.
+// availability is max(free time, now), scratch valid until the next call:
+// a machine already idle is available immediately, a down one stays
+// masked.  The builtin max is inlined, where math.Max is not; the two
+// differ only on NaN, which simulation times never are.
 func (b *runBase) availability(now float64) []float64 {
 	a := b.scr.avail
 	for m, ft := range b.scr.freeTime {
@@ -349,11 +344,9 @@ func (b *runBase) availability(now float64) []float64 {
 	return a
 }
 
-// place maps request r in immediate mode and commits it: by the fused
-// scan over its decision row when the heuristic is MCT, through the
-// heuristic's AssignOne otherwise.  While every machine is down the
-// request is parked instead, before it is priced, and a repair places it
-// (only the event-per-task loop has down machines).
+// place maps request r in immediate mode and commits it: MCT by the fused
+// scan over its decision row, others by AssignOne.  While every machine is
+// down the request is parked, unpriced, until a repair places it.
 func (b *runBase) place(r int, now float64) {
 	if !anyAvailable(b.scr.freeTime) {
 		b.scr.deferred = append(b.scr.deferred, r)
@@ -368,7 +361,7 @@ func (b *runBase) place(r int, now float64) {
 		b.loop.commit(r, a.Machine, now)
 		return
 	}
-	tcs, err := b.loop.decisionRow(r)
+	tcs, err := b.dec.decisionRow(r)
 	if err != nil {
 		b.fail(err)
 		return
@@ -491,11 +484,6 @@ func runTraced(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trace
 	return st.run()
 }
 
-// decisionRow is the truth: no plan lies and no model learns.
-func (st *runState) decisionRow(r int) ([]int, error) {
-	return st.truth.tcRow(r), nil
-}
-
 // commit places request r on machine m at time now: the task starts when
 // the machine frees up, never before now, and runs for its charged ECC.
 func (st *runState) commit(r, m int, now float64) {
@@ -516,18 +504,14 @@ func (st *runState) commit(r, m int, now float64) {
 // through sched.Costs.  Each fused expression reproduces the float
 // operations of sched.MCT exactly (see sched.ESC.Cost), so scores,
 // completion times and every derived metric are bit-identical to
-// AssignOne's.  Both run loops place MCT this way.  Only MCT is
-// specialised, because only MCT has benchmark workloads that show the
-// difference (sim_paper on the table-driven loop, sim_trust on the
-// event-per-task loop; DESIGN.md, "Run loops"): MET, OLB, KPB and SA run
-// their AssignOne over the availability vector, as every batch heuristic
-// runs its AssignBatch.
+// AssignOne's.  Only MCT is specialised, because only MCT has benchmark
+// workloads that show the difference (sim_paper and sim_trust; DESIGN.md,
+// "Run loops"): MET, OLB, KPB and SA run their AssignOne over the
+// availability vector, as every batch heuristic runs its AssignBatch.
 
 // fusedScanRange scans machines [lo,hi) and returns the first machine
 // attaining the minimum decision completion time and that minimum;
-// (-1, +Inf) when the range is empty or every free time in it is masked
-// (+Inf, a down machine: its completion time is +Inf, which never beats
-// the initial +Inf).
+// (-1, +Inf) when the range is empty or every machine in it is masked.
 //
 // The inner loops are specialized per form so the hot path carries no
 // per-iteration dispatch, and the slices are re-sliced to the range up
@@ -541,11 +525,11 @@ func (st *runState) commit(r, m int, now float64) {
 // mispredicted often enough to be most of the scan's cost, and the builtin
 // float max was slower than the branch with every machine idle (DESIGN.md
 // §13, "Run loops").  Precondition: every ft[i] is ≥ +0 and not NaN (free
-// time starts at +0 and only grows by charged ECCs; +Inf marks a down
-// machine), and now is ≥ −0 and not NaN, read as +0 when it is −0
-// (now + 0).  For such floats unsigned order of the bits is float order,
-// +Inf included, so the result is bit-identical to sched.MCT's math.Max
-// and to the branching clamp;
+// time starts at +0 and only grows by charged ECCs; a masked +Inf never
+// wins), and now is ≥ −0 and not NaN, read as +0 when it is −0 (now + 0).
+// For such floats unsigned order of the bits is float order, so the
+// result is bit-identical to sched.MCT's math.Max and to the branching
+// clamp;
 // TestFusedScanMatchesReference and FuzzFusedScan hold the function to the
 // latter.
 //
@@ -597,7 +581,7 @@ func fusedScanRange(dec sched.ESC, eec, tcw []float64, rdOf []int32, ft []float6
 }
 
 // fusedPick runs the MCT scan for request r at time now over its decision
-// trust-cost row tcs, one cost per RD slot; -1 when every machine is down.
+// trust costs per RD slot; -1 when every machine is masked.
 func (b *runBase) fusedPick(r int, now float64, tcs []int) int {
 	dec := b.policy.Decision()
 	var tcw []float64
