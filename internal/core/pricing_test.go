@@ -114,7 +114,9 @@ func samePlacement(a, b *Placement) bool {
 // same request sequence on twin TRMSs and requires every placement field
 // and every error text to agree: 1-16 domains, atomic and composed ToAs,
 // ToAs some or all RDs do not support, a table gap on a used RD and on a
-// machine-less one, with and without a fuser.
+// machine-less one, with and without a fuser.  Every immediate heuristic
+// runs through Submit and every deterministic batch heuristic through
+// SubmitBatch, since each reads the decision's costs its own way.
 func TestSubmitMatchesPerMachineReference(t *testing.T) {
 	type variant struct {
 		name  string
@@ -129,12 +131,17 @@ func TestSubmitMatchesPerMachineReference(t *testing.T) {
 		{name: "gap-spare", gap: "spare"},
 	}
 	// What the drawn requests exercised, so the comparison cannot pass by
-	// never reaching a case: error texts by kind, and placed tasks.
+	// never reaching a case: error texts by kind, placed tasks, and
+	// decisions placed while some machine's RD did not support a task
+	// (the machines the decision prices at +Inf).
 	seen := map[string]int{}
-	note := func(err error, placed int) {
+	note := func(err error, placed int, partial bool) {
 		switch {
 		case err == nil:
 			seen["placed"] += placed
+			if partial {
+				seen["partial"]++
+			}
 		case strings.Contains(err.Error(), "no trust entry"):
 			seen["gap"]++
 		case strings.Contains(err.Error(), "no resource domain supports"):
@@ -143,99 +150,130 @@ func TestSubmitMatchesPerMachineReference(t *testing.T) {
 			seen["invalid"]++
 		}
 	}
+	// Immediate heuristics by name: SA keeps state, so each TRMS of a pair
+	// gets its own.
+	imms := []string{"mct", "met", "olb", "kpb", "sa"}
+	batches := []sched.Batch{sched.MinMin{}, sched.Sufferage{}, sched.MaxMin{}, sched.Duplex{}, sched.MinMin{}}
 	for domains := 1; domains <= 16; domains++ {
 		for _, v := range variants {
-			domains, v := domains, v
-			t.Run(fmt.Sprintf("domains=%d/%s", domains, v.name), func(t *testing.T) {
-				top := genTopology(t, uint64(100+domains), domains, true)
-				got := newTRMS(t, Config{Topology: top, ETSRule: grid.ETSLinear})
-				want := newTRMS(t, Config{Topology: top, ETSRule: grid.ETSLinear})
-
-				// Both tables get the same drawn levels (New seeds a flat C).
-				src := rng.New(uint64(domains))
-				for _, e := range got.Table().Entries() {
-					tl := grid.TrustLevel(src.IntRange(int(grid.MinOfferable), int(grid.MaxOfferable)))
-					for _, trms := range []*TRMS{got, want} {
-						if err := trms.Table().Set(e.CD, e.RD, e.Activity, tl); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if v.gap != "" {
-					rds := top.ResourceDomains()
-					rd := rds[len(rds)-1] // the spare
-					if v.gap == "used" {
-						rd = rds[src.Intn(len(rds)-1)]
-					}
-					var act grid.Activity
-					for act = 0; ; act++ {
-						if _, ok := rd.Supported[act]; ok {
-							break
-						}
-					}
-					cd := top.ClientDomains()[src.Intn(len(top.ClientDomains()))].ID
-					deleteEntry(t, got.Table(), cd, rd.ID, act)
-					deleteEntry(t, want.Table(), cd, rd.ID, act)
-				}
-				if v.fuser != nil {
-					got.SetOTLFuser(v.fuser)
-					want.SetOTLFuser(v.fuser)
-				}
-
-				now := 0.0
-				for i := 0; i < 40; i++ {
-					task := randomTask(src, top)
-					now += src.Uniform(0, 5)
-					p, err := got.Submit(task, now)
-					q, rerr := refSubmit(want, task, now)
-					if errText(err) != errText(rerr) {
-						t.Fatalf("submit %d: error %q, reference %q", i, errText(err), errText(rerr))
-					}
-					if !samePlacement(p, q) {
-						t.Fatalf("submit %d: placement %+v, reference %+v", i, p, q)
-					}
-					note(err, 1)
-				}
-				for i, h := range []sched.Batch{sched.MinMin{}, sched.Sufferage{}, sched.MaxMin{}, sched.MinMin{}} {
-					tasks := make([]Task, src.IntRange(1, 6))
-					for j := range tasks {
-						tasks[j] = randomTask(src, top)
-					}
-					if i == 3 && len(tasks) > 1 {
-						// An invalid task behind priced ones: whichever
-						// fails first in task order must be reported.
-						tasks[len(tasks)-1].Client = 9999
-					}
-					now += src.Uniform(0, 5)
-					ps, err := got.SubmitBatch(tasks, h, now)
-					qs, rerr := refSubmitBatch(want, tasks, h, now)
-					if errText(err) != errText(rerr) {
-						t.Fatalf("batch %d: error %q, reference %q", i, errText(err), errText(rerr))
-					}
-					if len(ps) != len(qs) {
-						t.Fatalf("batch %d: %d placements, reference %d", i, len(ps), len(qs))
-					}
-					for j := range ps {
-						if !samePlacement(ps[j], qs[j]) {
-							t.Fatalf("batch %d task %d: placement %+v, reference %+v", i, j, ps[j], qs[j])
-						}
-					}
-					note(err, len(ps))
-				}
-				gp, gft := got.SchedulerState()
-				wp, wft := want.SchedulerState()
-				if gp != wp || fmt.Sprint(gft) != fmt.Sprint(wft) {
-					t.Fatalf("scheduler state diverged: placed %d vs %d\n%v\n%v", gp, wp, gft, wft)
-				}
-			})
+			for _, imm := range imms {
+				domains, v, imm := domains, v, imm
+				t.Run(fmt.Sprintf("domains=%d/%s/%s", domains, v.name, imm), func(t *testing.T) {
+					matchReference(t, domains, v.fuser, v.gap, imm, batches, note)
+				})
+			}
 		}
 	}
-	for _, kind := range []string{"placed", "gap", "unsupported", "invalid"} {
+	for _, kind := range []string{"placed", "partial", "gap", "unsupported", "invalid"} {
 		if seen[kind] == 0 {
 			t.Errorf("no request exercised the %q case: %v", kind, seen)
 		}
 	}
 	t.Logf("cases exercised: %v", seen)
+}
+
+// matchReference runs one comparison of TestSubmitMatchesPerMachineReference:
+// twin TRMSs on a drawn topology of the given size, 40 submits under the
+// named immediate heuristic, then one meta-request per batch heuristic, the
+// last with an invalid task behind priced ones.
+func matchReference(t *testing.T, domains int, fuser OTLFuser, gap, imm string, batches []sched.Batch, note func(error, int, bool)) {
+	top := genTopology(t, uint64(100+domains), domains, true)
+	twin := func() *TRMS {
+		h, err := sched.ImmediateByName(imm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newTRMS(t, Config{Topology: top, ETSRule: grid.ETSLinear, Heuristic: h})
+	}
+	got, want := twin(), twin()
+	// partial reports whether some machine's RD does not support a task.
+	partial := func(tasks ...Task) bool {
+		for _, task := range tasks {
+			for _, m := range top.Machines() {
+				if rd, _ := top.MachineRD(m.ID); !rd.Supports(task.ToA) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	// Both tables get the same drawn levels (New seeds a flat C).
+	src := rng.New(uint64(domains))
+	for _, e := range got.Table().Entries() {
+		tl := grid.TrustLevel(src.IntRange(int(grid.MinOfferable), int(grid.MaxOfferable)))
+		for _, trms := range []*TRMS{got, want} {
+			if err := trms.Table().Set(e.CD, e.RD, e.Activity, tl); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if gap != "" {
+		rds := top.ResourceDomains()
+		rd := rds[len(rds)-1] // the spare
+		if gap == "used" {
+			rd = rds[src.Intn(len(rds)-1)]
+		}
+		var act grid.Activity
+		for act = 0; ; act++ {
+			if _, ok := rd.Supported[act]; ok {
+				break
+			}
+		}
+		cd := top.ClientDomains()[src.Intn(len(top.ClientDomains()))].ID
+		deleteEntry(t, got.Table(), cd, rd.ID, act)
+		deleteEntry(t, want.Table(), cd, rd.ID, act)
+	}
+	if fuser != nil {
+		got.SetOTLFuser(fuser)
+		want.SetOTLFuser(fuser)
+	}
+
+	now := 0.0
+	for i := 0; i < 40; i++ {
+		task := randomTask(src, top)
+		now += src.Uniform(0, 5)
+		p, err := got.Submit(task, now)
+		q, rerr := refSubmit(want, task, now)
+		if errText(err) != errText(rerr) {
+			t.Fatalf("submit %d: error %q, reference %q", i, errText(err), errText(rerr))
+		}
+		if !samePlacement(p, q) {
+			t.Fatalf("submit %d: placement %+v, reference %+v", i, p, q)
+		}
+		note(err, 1, partial(task))
+	}
+	for i, h := range batches {
+		tasks := make([]Task, src.IntRange(1, 6))
+		for j := range tasks {
+			tasks[j] = randomTask(src, top)
+		}
+		if i == len(batches)-1 && len(tasks) > 1 {
+			// An invalid task behind priced ones: whichever
+			// fails first in task order must be reported.
+			tasks[len(tasks)-1].Client = 9999
+		}
+		now += src.Uniform(0, 5)
+		ps, err := got.SubmitBatch(tasks, h, now)
+		qs, rerr := refSubmitBatch(want, tasks, h, now)
+		if errText(err) != errText(rerr) {
+			t.Fatalf("batch %d: error %q, reference %q", i, errText(err), errText(rerr))
+		}
+		if len(ps) != len(qs) {
+			t.Fatalf("batch %d: %d placements, reference %d", i, len(ps), len(qs))
+		}
+		for j := range ps {
+			if !samePlacement(ps[j], qs[j]) {
+				t.Fatalf("batch %d task %d: placement %+v, reference %+v", i, j, ps[j], qs[j])
+			}
+		}
+		note(err, len(ps), partial(tasks...))
+	}
+	gp, gft := got.SchedulerState()
+	wp, wft := want.SchedulerState()
+	if gp != wp || fmt.Sprint(gft) != fmt.Sprint(wft) {
+		t.Fatalf("scheduler state diverged: placed %d vs %d\n%v\n%v", gp, wp, gft, wft)
+	}
 }
 
 // TestPricingErrorOrder pins which failure a decision reports when a row
