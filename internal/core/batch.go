@@ -26,12 +26,16 @@ func (t *TRMS) SubmitBatch(tasks []Task, h sched.Batch, now float64) ([]*Placeme
 	cds := make([]grid.DomainID, 0, len(tasks))
 	var invalid error
 	for i, task := range tasks {
-		cd, err := t.validateBatchTask(i, task)
-		if err != nil {
-			invalid = err
+		if err := t.checkTask(task); err != nil {
+			invalid = fmt.Errorf("core: batch task %d %w", i, err)
 			break
 		}
-		cds = append(cds, cd)
+		cd, err := t.cfg.Topology.ClientCD(task.Client)
+		if err != nil {
+			invalid = fmt.Errorf("core: batch task %d: %w", i, err)
+			break
+		}
+		cds = append(cds, cd.ID)
 	}
 	costs, i, err := t.price(tasks[:len(cds)], cds)
 	if err == errNoSupportingRD {
@@ -82,24 +86,4 @@ func (t *TRMS) SubmitBatch(tasks []Task, h sched.Batch, now float64) ([]*Placeme
 		placements[a.Req] = t.commit(costs, a.Req, a.Machine, now)
 	}
 	return placements, nil
-}
-
-// validateBatchTask checks batch task i's shape and resolves its client
-// domain.
-func (t *TRMS) validateBatchTask(i int, task Task) (grid.DomainID, error) {
-	if nm := len(t.slot); len(task.EEC) != nm {
-		return 0, fmt.Errorf("core: batch task %d has %d EEC entries for %d machines",
-			i, len(task.EEC), nm)
-	}
-	if len(task.ToA.Activities) == 0 {
-		return 0, fmt.Errorf("core: batch task %d has an empty ToA", i)
-	}
-	if !task.RTL.Valid() {
-		return 0, fmt.Errorf("core: batch task %d RTL %v invalid", i, task.RTL)
-	}
-	cd, err := t.cfg.Topology.ClientCD(task.Client)
-	if err != nil {
-		return 0, fmt.Errorf("core: batch task %d: %w", i, err)
-	}
-	return cd.ID, nil
 }

@@ -19,6 +19,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -377,14 +378,8 @@ func (t *TRMS) RecoverPlacement(m int, finish float64) error {
 // table: ESC = EEC × (TC × weight)/100 with TC = ETS(max(task RTL, RD
 // RTL), OTL) per Section 4.1.
 func (t *TRMS) Submit(task Task, now float64) (*Placement, error) {
-	if nm := len(t.slot); len(task.EEC) != nm {
-		return nil, fmt.Errorf("core: task has %d EEC entries for %d machines", len(task.EEC), nm)
-	}
-	if len(task.ToA.Activities) == 0 {
-		return nil, fmt.Errorf("core: task has an empty ToA")
-	}
-	if !task.RTL.Valid() {
-		return nil, fmt.Errorf("core: task RTL %v invalid", task.RTL)
+	if err := t.checkTask(task); err != nil {
+		return nil, fmt.Errorf("core: task %w", err)
 	}
 	cd, err := t.cfg.Topology.ClientCD(task.Client)
 	if err != nil {
@@ -411,6 +406,27 @@ func (t *TRMS) Submit(task Task, now float64) (*Placement, error) {
 		return nil, fmt.Errorf("core: heuristic chose ineligible machine %d", asg.Machine)
 	}
 	return t.commit(costs, 0, asg.Machine, now), nil
+}
+
+// checkTask checks a task's shape, for Submit and SubmitBatch alike: one
+// finite, non-negative execution cost per machine, a ToA and a valid RTL.
+// The error's text continues a phrase naming the task.
+func (t *TRMS) checkTask(task Task) error {
+	if nm := len(t.slot); len(task.EEC) != nm {
+		return fmt.Errorf("has %d EEC entries for %d machines", len(task.EEC), nm)
+	}
+	for m, v := range task.EEC {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("EEC entry %d is %v, want a finite cost >= 0", m, v)
+		}
+	}
+	if len(task.ToA.Activities) == 0 {
+		return errors.New("has an empty ToA")
+	}
+	if !task.RTL.Valid() {
+		return fmt.Errorf("RTL %v invalid", task.RTL)
+	}
+	return nil
 }
 
 // currentAvail fills the reusable availability buffer from the machine

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -598,5 +600,31 @@ func TestTrustUpdateMatchesNamesExactly(t *testing.T) {
 	// name it always had.
 	if from, to = trms.names.pair(7, 8); from != "cd:7" || to != "rd:8" {
 		t.Fatalf("unknown domains named %q -> %q", from, to)
+	}
+}
+
+// TestBadEECIsRejected pins the task check Submit and SubmitBatch share:
+// an execution cost must be finite and non-negative.  A negative one used
+// to be placed with Finish before Start and walked the machine's free time
+// backwards; NaN and ±Inf were accepted too.
+func TestBadEECIsRejected(t *testing.T) {
+	for _, v := range []float64{-100, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		t.Run(fmt.Sprint(v), func(t *testing.T) {
+			trms := newTRMS(t, Config{Topology: twoDomainTopology(t)})
+			task := Task{Client: 0, ToA: grid.MustToA(grid.ActCompute), RTL: grid.LevelA, EEC: []float64{10, v}}
+			_, err := trms.Submit(task, 5)
+			if want := "core: task EEC entry 1 is " + fmt.Sprint(v); err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("Submit: %v, want an error starting %q", err, want)
+			}
+			tasks := batchTasks(3, 10, 12)
+			tasks[2].EEC[1] = v
+			_, err = trms.SubmitBatch(tasks, sched.MinMin{}, 5)
+			if want := "core: batch task 2 EEC entry 1 is " + fmt.Sprint(v); err == nil || !strings.HasPrefix(err.Error(), want) {
+				t.Errorf("SubmitBatch: %v, want an error starting %q", err, want)
+			}
+			if placed, ft := trms.SchedulerState(); placed != 0 || ft[0] != 0 || ft[1] != 0 {
+				t.Errorf("rejected tasks changed the scheduler: placed %d, free times %v", placed, ft)
+			}
+		})
 	}
 }

@@ -389,3 +389,38 @@ func TestNextIDBaseBeforeReplay(t *testing.T) {
 		t.Fatalf("first placement after replay has id %d, want %d", got, want)
 	}
 }
+
+// TestNegativeEECIsRejectedOverWire pins that a submit with a negative
+// execution cost, which is valid JSON, is refused by the daemon: it
+// answers StatusError, journals nothing, and the next valid submit is
+// placed exactly as on a daemon that never saw it.
+func TestNegativeEECIsRejectedOverWire(t *testing.T) {
+	acts := []grid.Activity{grid.ActCompute}
+	run := func(bad bool) (p PlacementInfo, seq uint64) {
+		_, client, stop := startJournaled(t, t.TempDir(), 0)
+		defer stop()
+		if bad {
+			resp, err := client.call(submitRequest("", 0, acts, grid.LevelA, []float64{10, -100}, 5))
+			if err == nil || resp.Status != StatusError || !strings.Contains(resp.Error, "EEC entry 1 is -100") {
+				t.Fatalf("negative EEC: status %q, error %q (%v), want StatusError naming the entry", resp.Status, resp.Error, err)
+			}
+		}
+		h, err := client.Health()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := client.Submit(0, acts, grid.LevelA, []float64{10, 12}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *got, h.JournalNextSeq
+	}
+	clean, cleanSeq := run(false)
+	after, afterSeq := run(true)
+	if afterSeq != cleanSeq {
+		t.Errorf("journal next seq %d after the rejected submit, %d without it", afterSeq, cleanSeq)
+	}
+	if after != clean {
+		t.Errorf("next placement %+v, %+v without the rejected submit", after, clean)
+	}
+}

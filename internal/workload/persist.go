@@ -209,6 +209,10 @@ func Load(in io.Reader) (*Workload, error) {
 	}
 	w.Requests = make([]Request, spec.Tasks)
 	for i, sr := range sw.Requests {
+		// The simulator indexes Requests by id.
+		if sr.ID != i {
+			return nil, fmt.Errorf("workload: request %d has id %d, want its position", i, sr.ID)
+		}
 		acts := make([]grid.Activity, len(sr.Activities))
 		for k, a := range sr.Activities {
 			acts[k] = grid.Activity(a)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -114,5 +115,49 @@ func TestWorkloadLoadValidatesCrossReferences(t *testing.T) {
 	corrupted = corrupted[:start] + `"table": [` + corrupted[start+end:]
 	if _, err := Load(strings.NewReader(corrupted)); err == nil {
 		t.Fatal("workload with empty trust table accepted")
+	}
+}
+
+// TestWorkloadLoadRequiresPositionalIDs pins that a request's id is its
+// position: the simulator indexes Requests by id, so an id past the end
+// panicked mid-run and a repeated id ran one request twice and another
+// never, silently.
+func TestWorkloadLoadRequiresPositionalIDs(t *testing.T) {
+	w, err := NewWorkload(rng.New(5), PaperSpec(4, Inconsistent))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := w.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ids  []int
+		want string
+	}{
+		{"past-the-end", []int{0, 1, 9, 3}, "request 2 has id 9"},
+		{"repeated", []int{0, 0, 2, 3}, "request 1 has id 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sw serialisedWorkload
+			if err := json.Unmarshal(buf.Bytes(), &sw); err != nil {
+				t.Fatal(err)
+			}
+			for i, id := range tc.ids {
+				sw.Requests[i].ID = id
+			}
+			blob, err := json.Marshal(sw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Load(bytes.NewReader(blob))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load: %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("unmodified workload rejected: %v", err)
 	}
 }
