@@ -170,7 +170,7 @@ func benchHeuristicBatch(b *testing.B, h sched.Batch) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.AssignBatch(costs, p, reqs, avail); err != nil {
+		if _, err := h.AssignBatchInto(costs, p, reqs, avail, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -53,7 +53,7 @@ func main() {
 
 	for _, h := range heuristics {
 		for _, p := range policies {
-			as, err := h.AssignBatch(costs, p, reqs, avail)
+			as, err := h.AssignBatchInto(costs, p, reqs, avail, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

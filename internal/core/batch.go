@@ -59,15 +59,9 @@ func (t *TRMS) SubmitBatch(tasks []Task, h sched.Batch, now float64) ([]*Placeme
 		return nil, fmt.Errorf("core: TRMS is closed")
 	}
 	avail := t.currentAvail(now)
-	// Reuse the TRMS schedule buffer across batch events when the
-	// heuristic supports allocation-free mapping.
-	var as []sched.Assignment
-	if bi, ok := h.(sched.BatchInto); ok {
-		as, err = bi.AssignBatchInto(costs, t.policy, reqs, avail, t.asgBuf[:0])
-		t.asgBuf = as[:0]
-	} else {
-		as, err = h.AssignBatch(costs, t.policy, reqs, avail)
-	}
+	// Reuse the TRMS schedule buffer across batch events.
+	as, err := h.AssignBatchInto(costs, t.policy, reqs, avail, t.asgBuf[:0])
+	t.asgBuf = as[:0]
 	if err != nil {
 		return nil, err
 	}

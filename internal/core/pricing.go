@@ -11,14 +11,14 @@ import (
 // that own a machine, in first-machine order, and each machine's cell among
 // them.  A domain without machines can host nothing, so it is never priced
 // and a table gap on it is not an error.
-func pricedDomains(top *grid.Topology) (priced []*grid.ResourceDomain, slot []int) {
+func pricedDomains(top *grid.Topology) (priced []*grid.ResourceDomain, slot []int32) {
 	rds := top.ResourceDomains()
-	cell := make([]int, len(rds)) // RD index -> cell+1, 0 while unseen
-	slot = make([]int, len(top.Machines()))
+	cell := make([]int32, len(rds)) // RD index -> cell+1, 0 while unseen
+	slot = make([]int32, len(top.Machines()))
 	for m, rd := range top.MachineSlots() {
 		if cell[rd] == 0 {
 			priced = append(priced, rds[rd])
-			cell[rd] = len(priced)
+			cell[rd] = int32(len(priced))
 		}
 		slot[m] = cell[rd] - 1
 	}
@@ -28,35 +28,34 @@ func pricedDomains(top *grid.Topology) (priced []*grid.ResourceDomain, slot []in
 // decisionCosts is one mapping decision, priced: a row per task, a cell
 // per priced resource domain.  It is the sched.Costs instance the
 // heuristic scans — machine m of task r reads cell slot[m] of row r, so
-// nothing per-machine is built — and what commit reads a placement from.
+// the only per-machine data is the EEC row — and what commit reads a
+// placement from.
 type decisionCosts struct {
 	tasks []Task
 	cds   []grid.DomainID // per task: the client's domain
-	slot  []int           // machine -> cell (shared with the TRMS)
+	slot  []int32         // machine -> cell (shared with the TRMS)
 	cells int             // row stride: len(TRMS.priced)
 
+	// eec holds each task's EEC row as the heuristic sees it, row stride
+	// len(slot): the task's own, but +Inf on machines whose RD does not
+	// support the ToA, so no sane heuristic selects them.
+	eec []float64
 	otl []grid.TrustLevel // fused OTL; LevelNone where the RD does not support the ToA
-	tc  []int             // trust cost; -1 where the RD does not support the ToA
+	tc  []int             // trust cost; 0 where the RD does not support the ToA
 }
 
-func (c *decisionCosts) cell(r, m int) int { return r*c.cells + c.slot[m] }
+func (c *decisionCosts) cell(r, m int) int { return r*c.cells + int(c.slot[m]) }
 
 // eligible reports whether machine m's resource domain supports task r.
-func (c *decisionCosts) eligible(r, m int) bool { return c.tc[c.cell(r, m)] >= 0 }
+// A priced RD that supports the ToA has an offerable OTL: price fails on
+// a fused LevelNone.
+func (c *decisionCosts) eligible(r, m int) bool { return c.otl[c.cell(r, m)] != grid.LevelNone }
 
-func (c *decisionCosts) NumRequests() int { return len(c.tasks) }
-func (c *decisionCosts) NumMachines() int { return len(c.slot) }
-
-// EEC is infinite on an ineligible machine so no sane heuristic selects it.
-func (c *decisionCosts) EEC(r, m int) float64 {
-	if !c.eligible(r, m) {
-		return math.Inf(1)
-	}
-	return c.tasks[r].EEC[m]
-}
-
-func (c *decisionCosts) TrustCost(r, m int) (int, error) {
-	return max(c.tc[c.cell(r, m)], 0), nil
+func (c *decisionCosts) NumRequests() int      { return len(c.tasks) }
+func (c *decisionCosts) MachineIndex() []int32 { return c.slot }
+func (c *decisionCosts) CostRows(r int) ([]float64, []int, error) {
+	nm := len(c.slot)
+	return c.eec[r*nm : (r+1)*nm], c.tc[r*c.cells : (r+1)*c.cells], nil
 }
 
 // errNoSupportingRD is price's report that no priced resource domain
@@ -74,6 +73,7 @@ func (t *TRMS) price(tasks []Task, cds []grid.DomainID) (*decisionCosts, int, er
 	n := len(t.priced)
 	c := &decisionCosts{
 		tasks: tasks, cds: cds, slot: t.slot, cells: n,
+		eec: make([]float64, len(tasks)*len(t.slot)),
 		otl: make([]grid.TrustLevel, len(tasks)*n),
 		tc:  make([]int, len(tasks)*n),
 	}
@@ -91,7 +91,6 @@ func (t *TRMS) price(tasks []Task, cds []grid.DomainID) (*decisionCosts, int, er
 				return nil, i, row.Err // the table has a gap on this RD
 			}
 			if row.OTL[s] == grid.LevelNone {
-				tcs[s] = -1
 				continue
 			}
 			if t.fuser != nil {
@@ -106,6 +105,13 @@ func (t *TRMS) price(tasks []Task, cds []grid.DomainID) (*decisionCosts, int, er
 		}
 		if !supported {
 			return nil, i, errNoSupportingRD
+		}
+		eec := c.eec[i*len(t.slot) : (i+1)*len(t.slot)]
+		for m, s := range t.slot {
+			eec[m] = task.EEC[m]
+			if row.OTL[s] == grid.LevelNone {
+				eec[m] = math.Inf(1)
+			}
 		}
 	}
 	return c, -1, nil

@@ -137,24 +137,36 @@ func refSubmit(t *TRMS, task Task, now float64) (*Placement, error) {
 	}, nil
 }
 
+// refSubmitCosts serves the reference's per-machine arrays as rows over
+// the identity index: a machine whose RD does not support the ToA costs
+// +Inf to run at trust cost 0.
 type refSubmitCosts struct {
 	eec []float64
 	tc  []int
 }
 
 func (c *refSubmitCosts) NumRequests() int { return 1 }
-func (c *refSubmitCosts) NumMachines() int { return len(c.eec) }
-func (c *refSubmitCosts) EEC(_, m int) float64 {
-	if c.tc[m] < 0 {
-		return math.Inf(1)
-	}
-	return c.eec[m]
+func (c *refSubmitCosts) MachineIndex() []int32 {
+	return identity(len(c.eec))
 }
-func (c *refSubmitCosts) TrustCost(_, m int) (int, error) {
-	if c.tc[m] < 0 {
-		return 0, nil
+func (c *refSubmitCosts) CostRows(int) ([]float64, []int, error) {
+	eec, tc := make([]float64, len(c.eec)), make([]int, len(c.tc))
+	for m := range eec {
+		eec[m], tc[m] = c.eec[m], max(c.tc[m], 0)
+		if c.tc[m] < 0 {
+			eec[m] = math.Inf(1)
+		}
 	}
-	return c.tc[m], nil
+	return eec, tc, nil
+}
+
+// identity is the machine index of a per-machine instance.
+func identity(n int) []int32 {
+	idx := make([]int32, n)
+	for m := range idx {
+		idx[m] = int32(m)
+	}
+	return idx
 }
 
 func refSubmitBatch(t *TRMS, tasks []Task, h sched.Batch, now float64) ([]*Placement, error) {
@@ -236,7 +248,7 @@ func refSubmitBatch(t *TRMS, tasks []Task, h sched.Batch, now float64) ([]*Place
 		return nil, fmt.Errorf("core: TRMS is closed")
 	}
 	avail := t.currentAvail(now)
-	as, err := h.AssignBatch(costs, t.policy, reqs, avail)
+	as, err := h.AssignBatchInto(costs, t.policy, reqs, avail, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -280,17 +292,19 @@ func refSubmitBatch(t *TRMS, tasks []Task, h sched.Batch, now float64) ([]*Place
 	return placements, nil
 }
 
+// refBatchCosts is refSubmitCosts for a batch: eec is already +Inf where
+// tc is -1.
 type refBatchCosts struct {
 	eec [][]float64
 	tc  [][]int
 }
 
-func (c *refBatchCosts) NumRequests() int     { return len(c.eec) }
-func (c *refBatchCosts) NumMachines() int     { return len(c.eec[0]) }
-func (c *refBatchCosts) EEC(r, m int) float64 { return c.eec[r][m] }
-func (c *refBatchCosts) TrustCost(r, m int) (int, error) {
-	if c.tc[r][m] < 0 {
-		return 0, nil
+func (c *refBatchCosts) NumRequests() int      { return len(c.eec) }
+func (c *refBatchCosts) MachineIndex() []int32 { return identity(len(c.eec[0])) }
+func (c *refBatchCosts) CostRows(r int) ([]float64, []int, error) {
+	tc := make([]int, len(c.tc[r]))
+	for m, v := range c.tc[r] {
+		tc[m] = max(v, 0)
 	}
-	return c.tc[r][m], nil
+	return c.eec[r], tc, nil
 }

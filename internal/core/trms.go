@@ -117,7 +117,7 @@ type TRMS struct {
 	// a decision prices one cell per resource domain that owns a machine
 	// (priced, in first-machine order) and machine m reads cell slot[m].
 	priced []*grid.ResourceDomain
-	slot   []int
+	slot   []int32
 
 	// fuser, when non-nil, adjusts per-domain OTLs on the submit path.
 	// Installed once before the TRMS takes traffic (SetOTLFuser); nil

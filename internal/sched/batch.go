@@ -11,20 +11,30 @@ import (
 // Implementations must not mutate avail; they work on an internal copy.
 type Batch interface {
 	Name() string
-	AssignBatch(c Costs, p Policy, reqs []int, avail []float64) ([]Assignment, error)
+	BatchInto
 }
 
-// validateBatch extends validateInstance with request-set checks.
-func validateBatch(c Costs, p Policy, reqs []int, avail []float64) error {
-	if err := validateInstance(c, p, avail); err != nil {
-		return err
+// BatchInto is a batch heuristic's one mapping method.  It appends the
+// schedule of reqs into dst[:0] and returns it, grown as needed; a caller
+// that recycles dst maps without allocating in steady state, and a nil
+// dst gets a fresh slice.
+type BatchInto interface {
+	AssignBatchInto(c Costs, p Policy, reqs []int, avail []float64, dst []Assignment) ([]Assignment, error)
+}
+
+// validateBatch checks the instance, as checkInstance does, and that
+// every request is in it.
+func validateBatch(c Costs, p Policy, reqs []int, avail []float64) (instance, error) {
+	in, err := checkInstance(c, p, avail)
+	if err != nil {
+		return instance{}, err
 	}
 	for _, r := range reqs {
-		if r < 0 || r >= c.NumRequests() {
-			return fmt.Errorf("sched: request index %d outside [0,%d)", r, c.NumRequests())
+		if r < 0 || r >= in.NumRequests() {
+			return instance{}, fmt.Errorf("sched: request index %d outside [0,%d)", r, in.NumRequests())
 		}
 	}
-	return nil
+	return in, nil
 }
 
 // MinMin is the Min-min batch heuristic: repeatedly find, over all
@@ -37,12 +47,7 @@ type MinMin struct{}
 // Name returns "Min-min".
 func (MinMin) Name() string { return "Min-min" }
 
-// AssignBatch maps the meta-request with the Min-min rule.
-func (MinMin) AssignBatch(c Costs, p Policy, reqs []int, avail []float64) ([]Assignment, error) {
-	return minMaxMinKernel(c, p, reqs, avail, false, nil)
-}
-
-// AssignBatchInto is AssignBatch appending into dst.
+// AssignBatchInto maps the meta-request with the Min-min rule.
 func (MinMin) AssignBatchInto(c Costs, p Policy, reqs []int, avail []float64, dst []Assignment) ([]Assignment, error) {
 	return minMaxMinKernel(c, p, reqs, avail, false, dst)
 }
@@ -55,12 +60,7 @@ type MaxMin struct{}
 // Name returns "Max-min".
 func (MaxMin) Name() string { return "Max-min" }
 
-// AssignBatch maps the meta-request with the Max-min rule.
-func (MaxMin) AssignBatch(c Costs, p Policy, reqs []int, avail []float64) ([]Assignment, error) {
-	return minMaxMinKernel(c, p, reqs, avail, true, nil)
-}
-
-// AssignBatchInto is AssignBatch appending into dst.
+// AssignBatchInto maps the meta-request with the Max-min rule.
 func (MaxMin) AssignBatchInto(c Costs, p Policy, reqs []int, avail []float64, dst []Assignment) ([]Assignment, error) {
 	return minMaxMinKernel(c, p, reqs, avail, true, dst)
 }
@@ -78,12 +78,7 @@ type Sufferage struct{}
 // Name returns "Sufferage".
 func (Sufferage) Name() string { return "Sufferage" }
 
-// AssignBatch maps the meta-request with the Sufferage rule.
-func (Sufferage) AssignBatch(c Costs, p Policy, reqs []int, avail []float64) ([]Assignment, error) {
-	return sufferageKernel(c, p, reqs, avail, nil)
-}
-
-// AssignBatchInto is AssignBatch appending into dst.
+// AssignBatchInto maps the meta-request with the Sufferage rule.
 func (Sufferage) AssignBatchInto(c Costs, p Policy, reqs []int, avail []float64, dst []Assignment) ([]Assignment, error) {
 	return sufferageKernel(c, p, reqs, avail, dst)
 }
@@ -96,14 +91,9 @@ type Duplex struct{}
 // Name returns "Duplex".
 func (Duplex) Name() string { return "Duplex" }
 
-// AssignBatch maps the meta-request with both Min-min and Max-min and
-// returns the better schedule.
-func (d Duplex) AssignBatch(c Costs, p Policy, reqs []int, avail []float64) ([]Assignment, error) {
-	return d.AssignBatchInto(c, p, reqs, avail, nil)
-}
-
-// AssignBatchInto is AssignBatch appending the winning schedule into dst;
-// the losing candidate lives in pooled scratch.
+// AssignBatchInto maps the meta-request with both Min-min and Max-min and
+// returns the better schedule in dst; the losing candidate lives in
+// pooled scratch.
 func (Duplex) AssignBatchInto(c Costs, p Policy, reqs []int, avail []float64, dst []Assignment) ([]Assignment, error) {
 	minA, err := minMaxMinKernel(c, p, reqs, avail, false, dst)
 	if err != nil {
@@ -139,15 +129,6 @@ func decisionMakespan(as []Assignment, avail []float64) float64 {
 	}
 	return ms
 }
-
-// Compile-time checks that every deterministic batch heuristic offers the
-// allocation-free entry point.
-var (
-	_ BatchInto = MinMin{}
-	_ BatchInto = MaxMin{}
-	_ BatchInto = Sufferage{}
-	_ BatchInto = Duplex{}
-)
 
 // BatchByName resolves a batch heuristic from its canonical name.
 // Recognised: "minmin", "maxmin", "sufferage", "duplex".

@@ -18,7 +18,7 @@ func TestMinMinHandComputed(t *testing.T) {
 	// Round 2 (a=[0,1]): t0->m0@2, t2->m0@5; min t0@m0.
 	// Round 3 (a=[2,1]): t2: m0@7, m1@7 -> tie, first strict win m0.
 	c := zeroTC(t, [][]float64{{2, 4}, {3, 1}, {5, 6}})
-	as, err := MinMin{}.AssignBatch(c, aware, reqRange(3), []float64{0, 0})
+	as, err := MinMin{}.AssignBatchInto(c, aware, reqRange(3), []float64{0, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestMaxMinHandComputed(t *testing.T) {
 	// max is t0@m1(4).
 	// Round 3 (a=[5,4]): t1: m0@8, m1@5 -> m1@5.
 	c := zeroTC(t, [][]float64{{2, 4}, {3, 1}, {5, 6}})
-	as, err := MaxMin{}.AssignBatch(c, aware, reqRange(3), []float64{0, 0})
+	as, err := MaxMin{}.AssignBatchInto(c, aware, reqRange(3), []float64{0, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSufferageHandComputed(t *testing.T) {
 	// Commit t0->m1@1, t2->m0@6 (machine order), a=[6,1].
 	// Iter 2: t1 best m1@3.
 	c := zeroTC(t, [][]float64{{4, 1}, {3, 2}, {6, 7}})
-	as, err := Sufferage{}.AssignBatch(c, aware, reqRange(3), []float64{0, 0})
+	as, err := Sufferage{}.AssignBatchInto(c, aware, reqRange(3), []float64{0, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSufferageEvictionPrefersLargerSufferage(t *testing.T) {
 	// machine and t0 waits a full iteration.
 	// t0: m0@1, m1@2 -> suffer 1.  t1: m0@1, m1@10 -> suffer 9.
 	c := zeroTC(t, [][]float64{{1, 2}, {1, 10}})
-	as, err := Sufferage{}.AssignBatch(c, aware, reqRange(2), []float64{0, 0})
+	as, err := Sufferage{}.AssignBatchInto(c, aware, reqRange(2), []float64{0, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSufferageEvictionPrefersLargerSufferage(t *testing.T) {
 
 func TestSufferageSingleMachine(t *testing.T) {
 	c := zeroTC(t, [][]float64{{3}, {5}, {1}})
-	as, err := Sufferage{}.AssignBatch(c, aware, reqRange(3), []float64{0})
+	as, err := Sufferage{}.AssignBatchInto(c, aware, reqRange(3), []float64{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSufferageSingleMachine(t *testing.T) {
 		if a.Machine != 0 {
 			t.Fatalf("assignment %+v on non-existent machine", a)
 		}
-		total += c.EEC(a.Req, 0)
+		total += c.Exec[a.Req][0]
 	}
 	if as[len(as)-1].DecisionCompletion != total {
 		t.Fatalf("final completion %g, want %g", as[len(as)-1].DecisionCompletion, total)
@@ -134,7 +134,7 @@ func TestBatchAssignsEveryRequestOnce(t *testing.T) {
 	}
 	c := zeroTC(t, exec)
 	for _, h := range []Batch{MinMin{}, MaxMin{}, Sufferage{}, Duplex{}} {
-		as, err := h.AssignBatch(c, aware, reqRange(8), []float64{0, 0, 0})
+		as, err := h.AssignBatchInto(c, aware, reqRange(8), []float64{0, 0, 0}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", h.Name(), err)
 		}
@@ -157,7 +157,7 @@ func TestBatchAssignsEveryRequestOnce(t *testing.T) {
 func TestBatchSubsetOfRequests(t *testing.T) {
 	// Heuristics must honour an explicit meta-request subset.
 	c := zeroTC(t, [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}})
-	as, err := MinMin{}.AssignBatch(c, aware, []int{1, 3}, []float64{0, 0})
+	as, err := MinMin{}.AssignBatchInto(c, aware, []int{1, 3}, []float64{0, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,15 +180,15 @@ func TestDuplexPicksBetterSchedule(t *testing.T) {
 	}
 	c := zeroTC(t, exec)
 	avail := []float64{0, 0}
-	minAs, err := MinMin{}.AssignBatch(c, aware, reqRange(5), avail)
+	minAs, err := MinMin{}.AssignBatchInto(c, aware, reqRange(5), avail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxAs, err := MaxMin{}.AssignBatch(c, aware, reqRange(5), avail)
+	maxAs, err := MaxMin{}.AssignBatchInto(c, aware, reqRange(5), avail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dupAs, err := Duplex{}.AssignBatch(c, aware, reqRange(5), avail)
+	dupAs, err := Duplex{}.AssignBatchInto(c, aware, reqRange(5), avail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +209,11 @@ func TestDuplexPicksBetterSchedule(t *testing.T) {
 func TestDuplexIgnoresMaskedMachines(t *testing.T) {
 	c := zeroTC(t, [][]float64{{10, 10, 1}, {1, 1, 1}, {1, 1, 1}, {1, 1, 1}, {1, 1, 1}})
 	avail := []float64{0, 0, Masked()}
-	maxAs, err := MaxMin{}.AssignBatch(c, aware, reqRange(5), avail)
+	maxAs, err := MaxMin{}.AssignBatchInto(c, aware, reqRange(5), avail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dupAs, err := Duplex{}.AssignBatch(c, aware, reqRange(5), avail)
+	dupAs, err := Duplex{}.AssignBatchInto(c, aware, reqRange(5), avail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +225,17 @@ func TestDuplexIgnoresMaskedMachines(t *testing.T) {
 
 func TestBatchValidation(t *testing.T) {
 	c := zeroTC(t, [][]float64{{1, 2}})
-	if _, err := (MinMin{}).AssignBatch(c, aware, []int{5}, []float64{0, 0}); err == nil {
+	if _, err := (MinMin{}).AssignBatchInto(c, aware, []int{5}, []float64{0, 0}, nil); err == nil {
 		t.Error("accepted out-of-range request index")
 	}
-	if _, err := (MinMin{}).AssignBatch(c, aware, []int{0}, []float64{0}); err == nil {
+	if _, err := (MinMin{}).AssignBatchInto(c, aware, []int{0}, []float64{0}, nil); err == nil {
 		t.Error("accepted short availability vector")
 	}
-	if _, err := (Sufferage{}).AssignBatch(nil, aware, []int{0}, []float64{0, 0}); err == nil {
+	if _, err := (Sufferage{}).AssignBatchInto(nil, aware, []int{0}, []float64{0, 0}, nil); err == nil {
 		t.Error("accepted nil costs")
 	}
 	// Empty meta-request is legal and yields an empty schedule.
-	as, err := (MinMin{}).AssignBatch(c, aware, nil, []float64{0, 0})
+	as, err := (MinMin{}).AssignBatchInto(c, aware, nil, []float64{0, 0}, nil)
 	if err != nil || len(as) != 0 {
 		t.Errorf("empty batch: %v, %v", as, err)
 	}
@@ -255,7 +255,7 @@ func TestBatchByName(t *testing.T) {
 
 func TestBatchRespectsInitialAvailability(t *testing.T) {
 	c := zeroTC(t, [][]float64{{5, 5}})
-	as, err := MinMin{}.AssignBatch(c, aware, []int{0}, []float64{100, 0})
+	as, err := MinMin{}.AssignBatchInto(c, aware, []int{0}, []float64{100, 0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,46 +1,39 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Costs abstracts the scheduling instance: execution costs and trust costs
-// for every (request, machine) pair.  internal/sim adapts a
-// workload.Workload; tests use MatrixCosts fixtures.
+// Costs abstracts the scheduling instance as rows.  In the paper a
+// machine inherits the trust level of its resource domain (Section 4.1),
+// so a request's costs are one EEC per machine plus one trust cost per
+// domain: machine m of request r runs for eec[m] at trust cost
+// tcs[MachineIndex()[m]].  internal/sim adapts a workload.Workload,
+// internal/core a priced decision; tests use MatrixCosts fixtures.
 type Costs interface {
-	// NumRequests and NumMachines give the instance dimensions.
+	// NumRequests gives the number of requests.
 	NumRequests() int
-	NumMachines() int
-	// EEC returns the expected execution cost of request r on machine m.
-	EEC(r, m int) float64
-	// TrustCost returns the paper's TC in [0,6] for request r on
-	// machine m.
-	TrustCost(r, m int) (int, error)
-}
-
-// RowCosts is an optional extension of Costs for instances whose trust
-// cost depends on the machine only through a small index — in the paper a
-// machine inherits the trust level of its resource domain, so a row of M
-// machines holds only #RDs distinct trust costs.  The batch kernels read
-// whole rows through it instead of calling EEC and TrustCost per cell.
-type RowCosts interface {
-	Costs
 	// MachineIndex returns the machine → index map, one entry per machine
-	// and the same for every request.
+	// and the same for every request; its length is the machine count.
 	MachineIndex() []int32
-	// CostRows returns request r's EEC row (one entry per machine) and
-	// its distinct trust costs, so that EEC(r, m) == eec[m] and
-	// TrustCost(r, m) == tcs[MachineIndex()[m]].
+	// CostRows returns request r's EEC row (one entry per machine) and its
+	// trust costs in [0,6], one per index.
 	//
-	// The slices of both methods are read-only and valid until the
-	// instance changes.  The kernels check their shape once per batch —
-	// every index non-negative and inside every tcs — and fail with an
-	// error, as the per-cell path does when TrustCost fails.
-	CostRows(r int) (eec []float64, tcs []int)
+	// The slices are read-only and valid until the instance changes.  The
+	// heuristics check their shape — every index non-negative and inside
+	// every tcs — and fail with an error, as they do when CostRows fails.
+	CostRows(r int) (eec []float64, tcs []int, err error)
 }
 
-// MatrixCosts is a concrete Costs backed by dense matrices.
+// MatrixCosts is a concrete Costs backed by dense matrices: every machine
+// is its own index.  Build one with NewMatrixCosts.
 type MatrixCosts struct {
 	Exec [][]float64 // [request][machine]
 	TC   [][]int     // [request][machine]; nil means all zero
+
+	idx  []int32 // the identity
+	zero []int   // every request's trust costs when TC is nil
 }
 
 // NewMatrixCosts validates and wraps the given matrices.  tc may be nil
@@ -55,8 +48,8 @@ func NewMatrixCosts(exec [][]float64, tc [][]int) (*MatrixCosts, error) {
 			return nil, fmt.Errorf("sched: ragged EEC matrix at row %d", i)
 		}
 		for j, v := range row {
-			if v < 0 {
-				return nil, fmt.Errorf("sched: negative EEC at (%d,%d)", i, j)
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("sched: EEC %v at (%d,%d) is not a finite cost >= 0", v, i, j)
 			}
 		}
 	}
@@ -75,24 +68,28 @@ func NewMatrixCosts(exec [][]float64, tc [][]int) (*MatrixCosts, error) {
 			}
 		}
 	}
-	return &MatrixCosts{Exec: exec, TC: tc}, nil
+	c := &MatrixCosts{Exec: exec, TC: tc, idx: make([]int32, machines)}
+	for m := range c.idx {
+		c.idx[m] = int32(m)
+	}
+	if tc == nil {
+		c.zero = make([]int, machines)
+	}
+	return c, nil
 }
 
 // NumRequests returns the number of requests in the instance.
 func (c *MatrixCosts) NumRequests() int { return len(c.Exec) }
 
-// NumMachines returns the number of machines in the instance.
-func (c *MatrixCosts) NumMachines() int { return len(c.Exec[0]) }
+// MachineIndex returns the identity: machine m's trust cost is TC[r][m].
+func (c *MatrixCosts) MachineIndex() []int32 { return c.idx }
 
-// EEC returns the execution cost of request r on machine m.
-func (c *MatrixCosts) EEC(r, m int) float64 { return c.Exec[r][m] }
-
-// TrustCost returns the trust cost of request r on machine m.
-func (c *MatrixCosts) TrustCost(r, m int) (int, error) {
+// CostRows returns request r's rows of the two matrices.
+func (c *MatrixCosts) CostRows(r int) ([]float64, []int, error) {
 	if c.TC == nil {
-		return 0, nil
+		return c.Exec[r], c.zero, nil
 	}
-	return c.TC[r][m], nil
+	return c.Exec[r], c.TC[r], nil
 }
 
 // Assignment maps one request onto one machine.
@@ -104,15 +101,80 @@ type Assignment struct {
 	DecisionCompletion float64
 }
 
-// decisionECC computes the cost a heuristic minimises for (r,m) under the
-// policy: EEC + its decision ESC.
-func decisionECC(c Costs, p Policy, r, m int) (float64, error) {
-	eec := c.EEC(r, m)
-	tc, err := c.TrustCost(r, m)
-	if err != nil {
-		return 0, err
+// instance is a Costs whose machine index has been checked: one entry
+// per machine, none negative, top the largest.
+type instance struct {
+	Costs
+	idx []int32
+	top int32
+}
+
+// checkInstance checks what every heuristic needs of its inputs: a valid
+// policy, and costs whose machine index has one entry per machine of avail.
+func checkInstance(c Costs, p Policy, avail []float64) (instance, error) {
+	if err := p.Validate(); err != nil {
+		return instance{}, err
 	}
-	return eec + p.decision.Cost(eec, tc), nil
+	in, err := newInstance(c)
+	if err != nil {
+		return instance{}, err
+	}
+	if len(avail) != len(in.idx) {
+		return instance{}, fmt.Errorf("sched: availability vector has %d entries for %d machines",
+			len(avail), len(in.idx))
+	}
+	return in, nil
+}
+
+// newInstance checks c's machine index.
+func newInstance(c Costs) (instance, error) {
+	if c == nil {
+		return instance{}, fmt.Errorf("sched: nil costs")
+	}
+	idx := c.MachineIndex()
+	if len(idx) == 0 {
+		return instance{}, fmt.Errorf("sched: instance has no machines")
+	}
+	in := instance{Costs: c, idx: idx, top: -1}
+	for m, s := range idx {
+		if s < 0 {
+			return instance{}, fmt.Errorf("sched: machine %d maps to trust-cost index %d", m, s)
+		}
+		in.top = max(in.top, s)
+	}
+	return in, nil
+}
+
+// costRow is one request's cost rows, checked against the machine index.
+type costRow struct {
+	eec []float64
+	tcs []int
+	idx []int32
+}
+
+// row reads request r's rows and checks their shape: one EEC per machine
+// and a trust cost for every index.
+func (in instance) row(r int) (costRow, error) {
+	if n := in.NumRequests(); r < 0 || r >= n {
+		return costRow{}, fmt.Errorf("sched: request index %d outside [0,%d)", r, n)
+	}
+	eec, tcs, err := in.CostRows(r)
+	if err != nil {
+		return costRow{}, err
+	}
+	if len(eec) != len(in.idx) || len(tcs) <= int(in.top) {
+		return costRow{}, fmt.Errorf("sched: request %d has cost rows of %d/%d entries for %d machines over %d indices",
+			r, len(eec), len(tcs), len(in.idx), in.top+1)
+	}
+	return costRow{eec, tcs, in.idx}, nil
+}
+
+// cost is the ECC of the row's request on machine m under one ESC: EEC +
+// its ESC.  Under the policy's decision ESC it is what a heuristic
+// minimises, under its charged ESC what the system pays.
+func (row costRow) cost(e ESC, m int) float64 {
+	eec := row.eec[m]
+	return eec + e.Cost(eec, row.tcs[row.idx[m]])
 }
 
 // ChargedECC computes the cost the system actually pays for (r,m) under
@@ -122,12 +184,23 @@ func ChargedECC(c Costs, p Policy, r, m int) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
-	eec := c.EEC(r, m)
-	tc, err := c.TrustCost(r, m)
+	in, err := newInstance(c)
 	if err != nil {
 		return 0, err
 	}
-	return eec + p.charged.Cost(eec, tc), nil
+	return in.charged(p, r, m)
+}
+
+// charged is ChargedECC on a checked instance.
+func (in instance) charged(p Policy, r, m int) (float64, error) {
+	if m < 0 || m >= len(in.idx) {
+		return 0, fmt.Errorf("sched: assignment to unknown machine %d", m)
+	}
+	row, err := in.row(r)
+	if err != nil {
+		return 0, err
+	}
+	return row.cost(p.charged, m), nil
 }
 
 // ChargedMakespan replays a schedule charging each assignment its charged
@@ -136,16 +209,14 @@ func ChargedECC(c Costs, p Policy, r, m int) (float64, error) {
 // α_m = Σ_k [EEC + ESC]·X_km (Section 5.2).  The initial availability
 // vector is not mutated.
 func ChargedMakespan(c Costs, p Policy, as []Assignment, avail []float64) (float64, error) {
-	if err := validateInstance(c, p, avail); err != nil {
+	in, err := checkInstance(c, p, avail)
+	if err != nil {
 		return 0, err
 	}
 	a := make([]float64, len(avail))
 	copy(a, avail)
 	for _, asg := range as {
-		if asg.Machine < 0 || asg.Machine >= len(a) {
-			return 0, fmt.Errorf("sched: assignment to unknown machine %d", asg.Machine)
-		}
-		ecc, err := ChargedECC(c, p, asg.Req, asg.Machine)
+		ecc, err := in.charged(p, asg.Req, asg.Machine)
 		if err != nil {
 			return 0, err
 		}
@@ -158,22 +229,4 @@ func ChargedMakespan(c Costs, p Policy, as []Assignment, avail []float64) (float
 		}
 	}
 	return ms, nil
-}
-
-// validateInstance checks common preconditions of heuristic entry points.
-func validateInstance(c Costs, p Policy, avail []float64) error {
-	if c == nil {
-		return fmt.Errorf("sched: nil costs")
-	}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if c.NumMachines() <= 0 {
-		return fmt.Errorf("sched: instance has no machines")
-	}
-	if len(avail) != c.NumMachines() {
-		return fmt.Errorf("sched: availability vector has %d entries for %d machines",
-			len(avail), c.NumMachines())
-	}
-	return nil
 }

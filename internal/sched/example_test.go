@@ -39,8 +39,8 @@ func ExampleMinMin() {
 	if err != nil {
 		panic(err)
 	}
-	schedule, err := sched.MinMin{}.AssignBatch(
-		costs, sched.MustTrustAware(15), []int{0, 1, 2}, []float64{0, 0})
+	schedule, err := sched.MinMin{}.AssignBatchInto(
+		costs, sched.MustTrustAware(15), []int{0, 1, 2}, []float64{0, 0}, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -91,7 +91,7 @@ func TestFuzzBatchInvariants(t *testing.T) {
 		snapshot := make([]float64, machines)
 		copy(snapshot, avail)
 		for _, h := range allBatch() {
-			as, err := h.AssignBatch(c, p, reqs, avail)
+			as, err := h.AssignBatchInto(c, p, reqs, avail, nil)
 			if err != nil {
 				return false
 			}
@@ -187,7 +187,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				optMin, err := (MinMin{}).AssignBatch(inst, p, reqs, avail)
+				optMin, err := (MinMin{}).AssignBatchInto(inst, p, reqs, avail, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,7 +197,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				optMax, err := (MaxMin{}).AssignBatch(inst, p, reqs, avail)
+				optMax, err := (MaxMin{}).AssignBatchInto(inst, p, reqs, avail, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,7 +207,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				optSuf, err := (Sufferage{}).AssignBatch(inst, p, reqs, avail)
+				optSuf, err := (Sufferage{}).AssignBatchInto(inst, p, reqs, avail, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -243,7 +243,7 @@ func TestFuzzDecisionCompletionReplay(t *testing.T) {
 		reqs := reqRange(tasks)
 		avail := make([]float64, machines)
 		for _, h := range []Batch{MinMin{}, MaxMin{}, Sufferage{}} {
-			as, err := h.AssignBatch(c, p, reqs, avail)
+			as, err := h.AssignBatchInto(c, p, reqs, avail, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -27,17 +27,14 @@ func (MCT) Name() string { return "MCT" }
 // AssignOne maps req to the machine minimising decision completion time.
 // Ties break toward the lower machine index, deterministically.
 func (MCT) AssignOne(c Costs, p Policy, req int, avail []float64) (Assignment, error) {
-	if err := validateInstance(c, p, avail); err != nil {
+	row, err := requestRow(c, p, req, avail)
+	if err != nil {
 		return Assignment{}, err
 	}
 	best := -1
 	bestDone := math.Inf(1)
-	for m := 0; m < c.NumMachines(); m++ {
-		ecc, err := decisionECC(c, p, req, m)
-		if err != nil {
-			return Assignment{}, err
-		}
-		if done := avail[m] + ecc; done < bestDone {
+	for m := range row.eec {
+		if done := avail[m] + row.cost(p.decision, m); done < bestDone {
 			bestDone = done
 			best = m
 		}
@@ -46,6 +43,16 @@ func (MCT) AssignOne(c Costs, p Policy, req int, avail []float64) (Assignment, e
 		return Assignment{}, fmt.Errorf("sched: MCT found no machine for request %d", req)
 	}
 	return Assignment{Req: req, Machine: best, DecisionCompletion: bestDone}, nil
+}
+
+// requestRow checks an immediate heuristic's instance and reads request
+// req's rows.
+func requestRow(c Costs, p Policy, req int, avail []float64) (costRow, error) {
+	in, err := checkInstance(c, p, avail)
+	if err != nil {
+		return costRow{}, err
+	}
+	return in.row(req)
 }
 
 // MET is the minimum-execution-time heuristic: it ignores machine load and
@@ -59,20 +66,17 @@ func (MET) Name() string { return "MET" }
 // AssignOne maps req to the machine with minimum decision ECC, ignoring
 // availability (load), but never a masked (down) machine.
 func (MET) AssignOne(c Costs, p Policy, req int, avail []float64) (Assignment, error) {
-	if err := validateInstance(c, p, avail); err != nil {
+	row, err := requestRow(c, p, req, avail)
+	if err != nil {
 		return Assignment{}, err
 	}
 	best := -1
 	bestCost := math.Inf(1)
-	for m := 0; m < c.NumMachines(); m++ {
+	for m := range row.eec {
 		if IsMasked(avail[m]) {
 			continue
 		}
-		ecc, err := decisionECC(c, p, req, m)
-		if err != nil {
-			return Assignment{}, err
-		}
-		if ecc < bestCost {
+		if ecc := row.cost(p.decision, m); ecc < bestCost {
 			bestCost = ecc
 			best = m
 		}
@@ -93,7 +97,8 @@ func (OLB) Name() string { return "OLB" }
 
 // AssignOne maps req to the machine with minimum availability.
 func (OLB) AssignOne(c Costs, p Policy, req int, avail []float64) (Assignment, error) {
-	if err := validateInstance(c, p, avail); err != nil {
+	row, err := requestRow(c, p, req, avail)
+	if err != nil {
 		return Assignment{}, err
 	}
 	best := 0
@@ -105,11 +110,7 @@ func (OLB) AssignOne(c Costs, p Policy, req int, avail []float64) (Assignment, e
 	if IsMasked(avail[best]) {
 		return Assignment{}, fmt.Errorf("sched: OLB found no available machine for request %d", req)
 	}
-	ecc, err := decisionECC(c, p, req, best)
-	if err != nil {
-		return Assignment{}, err
-	}
-	return Assignment{Req: req, Machine: best, DecisionCompletion: avail[best] + ecc}, nil
+	return Assignment{Req: req, Machine: best, DecisionCompletion: avail[best] + row.cost(p.decision, best)}, nil
 }
 
 // KPB is the k-percent-best heuristic from [10]: consider only the
@@ -126,13 +127,14 @@ func (k KPB) Name() string { return fmt.Sprintf("KPB(%g)", k.Percent) }
 
 // AssignOne maps req per the k-percent-best rule.
 func (k KPB) AssignOne(c Costs, p Policy, req int, avail []float64) (Assignment, error) {
-	if err := validateInstance(c, p, avail); err != nil {
+	row, err := requestRow(c, p, req, avail)
+	if err != nil {
 		return Assignment{}, err
 	}
 	if k.Percent <= 0 || k.Percent > 100 {
 		return Assignment{}, fmt.Errorf("sched: KPB percent %g outside (0,100]", k.Percent)
 	}
-	nm := c.NumMachines()
+	nm := len(row.eec)
 	subset := int(math.Ceil(k.Percent * float64(nm) / 100))
 	if subset < 1 {
 		subset = 1
@@ -143,12 +145,8 @@ func (k KPB) AssignOne(c Costs, p Policy, req int, avail []float64) (Assignment,
 		ecc float64
 	}
 	ranked := make([]me, nm)
-	for m := 0; m < nm; m++ {
-		ecc, err := decisionECC(c, p, req, m)
-		if err != nil {
-			return Assignment{}, err
-		}
-		ranked[m] = me{m, ecc}
+	for m := range ranked {
+		ranked[m] = me{m, row.cost(p.decision, m)}
 	}
 	// Insertion sort by (ecc, machine index): nm is small.
 	for i := 1; i < nm; i++ {
@@ -212,7 +210,7 @@ func (s *SA) Name() string { return fmt.Sprintf("SA(%g,%g)", s.Low, s.High) }
 // AssignOne maps req with MET or MCT according to the current load-balance
 // regime, measured over the machines that are up.
 func (s *SA) AssignOne(c Costs, p Policy, req int, avail []float64) (Assignment, error) {
-	if err := validateInstance(c, p, avail); err != nil {
+	if _, err := checkInstance(c, p, avail); err != nil {
 		return Assignment{}, err
 	}
 	minA, maxA := math.Inf(1), math.Inf(-1)

@@ -270,8 +270,10 @@ func TestNewMatrixCostsValidation(t *testing.T) {
 	if _, err := NewMatrixCosts([][]float64{{1, 2}, {3}}, nil); err == nil {
 		t.Error("accepted ragged exec")
 	}
-	if _, err := NewMatrixCosts([][]float64{{-1}}, nil); err == nil {
-		t.Error("accepted negative EEC")
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewMatrixCosts([][]float64{{1, 2}, {3, v}}, nil); err == nil {
+			t.Errorf("accepted EEC %v", v)
+		}
 	}
 	if _, err := NewMatrixCosts([][]float64{{1}}, [][]int{{7}}); err == nil {
 		t.Error("accepted TC > 6")

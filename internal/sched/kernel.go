@@ -30,17 +30,8 @@ import (
 //     is restored explicitly by comparing task positions on value ties).
 //
 // All scratch lives in a pooled kernelState so steady-state batch mapping
-// performs no heap allocation beyond the returned schedule — and none at
-// all through the AssignBatchInto entry points when the caller recycles
-// the destination slice.
-
-// BatchInto is implemented by batch heuristics that can append the
-// schedule into a caller-provided slice, enabling allocation-free
-// steady-state mapping.  The returned slice is dst (grown as needed) and
-// follows the same ordering contract as AssignBatch.
-type BatchInto interface {
-	AssignBatchInto(c Costs, p Policy, reqs []int, avail []float64, dst []Assignment) ([]Assignment, error)
-}
+// performs no heap allocation beyond the returned schedule, and none at
+// all when the caller recycles the destination slice.
 
 // kernelState is the reusable scratch of the batch kernels.  States are
 // pooled; every slice is length-managed by grow and fully (re)initialised
@@ -89,72 +80,46 @@ func grow[T any](s []T, n int) []T {
 
 // fill populates the flat decision-ECC table (entry i*nm+m is the ECC of
 // the i-th request of reqs on machine m) and the availability working copy
-// for a T-task, M-machine batch.  When the instance provides rows, each
-// row is evaluated inline; the expressions are, operation for operation,
-// the ones decisionECC computes through ESC.Cost, so both paths fill
-// bit-identical tables.
-func (ks *kernelState) fill(c Costs, p Policy, reqs []int, avail []float64) error {
+// for a T-task, M-machine batch, reading each request's rows once.
+func (ks *kernelState) fill(in instance, p Policy, reqs []int, avail []float64) error {
 	nt, nm := len(reqs), len(avail)
 	ks.table = grow(ks.table, nt*nm)
 	ks.avail = grow(ks.avail, nm)
 	copy(ks.avail, avail)
-	if rc, ok := c.(RowCosts); ok {
-		idx := rc.MachineIndex()
-		if len(idx) != nm {
-			return fmt.Errorf("sched: machine index has %d entries for %d machines", len(idx), nm)
-		}
-		top := int32(-1) // largest index any machine maps to
-		for m, s := range idx {
-			if s < 0 {
-				return fmt.Errorf("sched: machine %d maps to trust-cost index %d", m, s)
-			}
-			top = max(top, s)
-		}
-		for i, r := range reqs {
-			eec, tcs := rc.CostRows(r)
-			if len(eec) != nm || len(tcs) <= int(top) {
-				return fmt.Errorf("sched: request %d has cost rows of %d/%d entries for %d machines over %d indices", r, len(eec), len(tcs), nm, top+1)
-			}
-			ks.fillRow(ks.table[i*nm:(i+1)*nm], p.decision, eec, tcs, idx)
-		}
-		return nil
-	}
-	dec := p.decision
 	for i, r := range reqs {
-		row := ks.table[i*nm : (i+1)*nm]
-		for m := range row {
-			eec := c.EEC(r, m)
-			tc, err := c.TrustCost(r, m)
-			if err != nil {
-				return err
-			}
-			row[m] = eec + dec.Cost(eec, tc)
+		row, err := in.row(r)
+		if err != nil {
+			return err
 		}
+		ks.fillRow(ks.table[i*nm:(i+1)*nm], p.decision, row)
 	}
 	return nil
 }
 
 // fillRow evaluates one request's decision ECCs from its cost rows.  The
 // per-index factor float64(tc)*w is hoisted out of the machine loop; the
-// per-cell expression keeps ESC.Cost's parenthesization.
-func (ks *kernelState) fillRow(row []float64, dec ESC, eec []float64, tcs []int, idx []int32) {
-	row, idx = row[:len(eec)], idx[:len(eec)]
+// per-cell expression keeps ESC.Cost's parenthesization, so every entry is,
+// operation for operation, row.cost(dec, m) (referenceFill in
+// reference_test.go).
+func (ks *kernelState) fillRow(dst []float64, dec ESC, row costRow) {
+	eec, idx := row.eec, row.idx[:len(row.eec)]
+	dst = dst[:len(eec)]
 	switch dec.Form {
 	case ESCLinear:
-		ks.factor = grow(ks.factor, len(tcs))
+		ks.factor = grow(ks.factor, len(row.tcs))
 		f := ks.factor
-		for s, tc := range tcs {
+		for s, tc := range row.tcs {
 			f[s] = float64(tc) * dec.Weight
 		}
 		for m, e := range eec {
-			row[m] = e + e*f[idx[m]]/100
+			dst[m] = e + e*f[idx[m]]/100
 		}
 	case ESCFlat:
 		for m, e := range eec {
-			row[m] = e + e*dec.Weight/100
+			dst[m] = e + e*dec.Weight/100
 		}
 	default: // ESCZero: eec + 0 is the identity because EEC >= 0
-		copy(row, eec)
+		copy(dst, eec)
 	}
 }
 
@@ -185,7 +150,8 @@ func (ks *kernelState) recomputePair(i, nm int) {
 // (pickMax=true) kernel.  It emits the same assignment sequence as
 // referenceMinMaxMin.
 func minMaxMinKernel(c Costs, p Policy, reqs []int, avail []float64, pickMax bool, dst []Assignment) ([]Assignment, error) {
-	if err := validateBatch(c, p, reqs, avail); err != nil {
+	in, err := validateBatch(c, p, reqs, avail)
+	if err != nil {
 		return nil, err
 	}
 	nt, nm := len(reqs), len(avail)
@@ -200,7 +166,7 @@ func minMaxMinKernel(c Costs, p Policy, reqs []int, avail []float64, pickMax boo
 	ks.secondM = grow(ks.secondM, nt)
 	ks.secondD = grow(ks.secondD, nt)
 	ks.remaining = grow(ks.remaining, nt)
-	if err := ks.fill(c, p, reqs, avail); err != nil {
+	if err := ks.fill(in, p, reqs, avail); err != nil {
 		return nil, err
 	}
 	for i := 0; i < nt; i++ {
@@ -249,7 +215,8 @@ func minMaxMinKernel(c Costs, p Policy, reqs []int, avail []float64, pickMax boo
 // sufferageKernel is the incremental Sufferage kernel; it emits the same
 // assignment sequence as referenceSufferage.
 func sufferageKernel(c Costs, p Policy, reqs []int, avail []float64, dst []Assignment) ([]Assignment, error) {
-	if err := validateBatch(c, p, reqs, avail); err != nil {
+	in, err := validateBatch(c, p, reqs, avail)
+	if err != nil {
 		return nil, err
 	}
 	nt, nm := len(reqs), len(avail)
@@ -270,7 +237,7 @@ func sufferageKernel(c Costs, p Policy, reqs []int, avail []float64, dst []Assig
 	ks.sufferOf = grow(ks.sufferOf, nm)
 	ks.doneOf = grow(ks.doneOf, nm)
 	ks.changedAt = grow(ks.changedAt, nm)
-	if err := ks.fill(c, p, reqs, avail); err != nil {
+	if err := ks.fill(in, p, reqs, avail); err != nil {
 		return nil, err
 	}
 	for i := 0; i < nt; i++ {

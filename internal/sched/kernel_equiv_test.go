@@ -24,15 +24,15 @@ func equivPolicies() []Policy {
 }
 
 // rowPolicies adds the decision form no shipped policy has to
-// equivPolicies, so the row path of kernelState.fill is compared under
-// every ESCForm: linear (aware), zero (unaware, blind) and flat.
+// equivPolicies, so kernelState.fill is compared with its per-cell oracle
+// under every ESCForm: linear (aware), zero (unaware, blind) and flat.
 func rowPolicies() []Policy {
 	flat := ESC{ESCFlat, DefaultFlatOverheadPct}
 	return append(equivPolicies(), Policy{Name: "flat-aware", decision: flat, charged: flat})
 }
 
-// rowInstance is a RowCosts fixture: machines fall into groups and the
-// trust cost depends on the machine only through its group, the shape
+// rowInstance is a grouped Costs fixture: machines fall into groups and
+// the trust cost depends on the machine only through its group, the shape
 // internal/sim's RD-indexed table has.
 type rowInstance struct {
 	exec [][]float64 // [request][machine]
@@ -40,27 +40,20 @@ type rowInstance struct {
 	idx  []int32     // machine -> group
 }
 
-func (c *rowInstance) NumRequests() int     { return len(c.exec) }
-func (c *rowInstance) NumMachines() int     { return len(c.idx) }
-func (c *rowInstance) EEC(r, m int) float64 { return c.exec[r][m] }
-func (c *rowInstance) TrustCost(r, m int) (int, error) {
-	return c.tcs[r][c.idx[m]], nil
-}
+func (c *rowInstance) NumRequests() int      { return len(c.exec) }
 func (c *rowInstance) MachineIndex() []int32 { return c.idx }
-func (c *rowInstance) CostRows(r int) ([]float64, []int) {
-	return c.exec[r], c.tcs[r]
+func (c *rowInstance) CostRows(r int) ([]float64, []int, error) {
+	return c.exec[r], c.tcs[r], nil
 }
-
-// cellsOnly hides the row methods, forcing the per-cell path.
-type cellsOnly struct{ Costs }
 
 // grouped folds a dense instance into a rowInstance over the given
 // number of groups: machine m joins group pick(m), and a request's cost
 // on a group is its dense cost on the machine of that index.
 func grouped(c *MatrixCosts, groups int, pick func(m int) int) *rowInstance {
-	rc := &rowInstance{exec: c.Exec, idx: make([]int32, c.NumMachines())}
-	if groups > c.NumMachines() {
-		groups = c.NumMachines()
+	nm := len(c.MachineIndex())
+	rc := &rowInstance{exec: c.Exec, idx: make([]int32, nm)}
+	if groups > nm {
+		groups = nm
 	}
 	for m := range rc.idx {
 		rc.idx[m] = int32(pick(m) % groups)
@@ -71,20 +64,25 @@ func grouped(c *MatrixCosts, groups int, pick func(m int) int) *rowInstance {
 	return rc
 }
 
-// assertRowFillIdentical fills the decision table through the row path
-// and through the per-cell path and requires bit-identical entries.
-func assertRowFillIdentical(t *testing.T, rc *rowInstance, p Policy, reqs []int, avail []float64) {
+// assertRowFillIdentical fills the decision table by rows and by its
+// per-cell oracle, referenceTable, and requires bit-identical entries.
+func assertRowFillIdentical(t *testing.T, c Costs, p Policy, reqs []int, avail []float64) {
 	t.Helper()
-	var rows, cells kernelState
-	if err := rows.fill(rc, p, reqs, avail); err != nil {
+	in, err := validateBatch(c, p, reqs, avail)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cells.fill(cellsOnly{rc}, p, reqs, avail); err != nil {
+	var rows kernelState
+	if err := rows.fill(in, p, reqs, avail); err != nil {
 		t.Fatal(err)
 	}
-	for k := range cells.table {
-		if math.Float64bits(rows.table[k]) != math.Float64bits(cells.table[k]) {
-			t.Fatalf("%s: decision ECC %d is %v by rows, %v by cells", p.Name, k, rows.table[k], cells.table[k])
+	cells, err := referenceTable(c, p, reqs, len(avail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range cells {
+		if math.Float64bits(rows.table[k]) != math.Float64bits(cells[k]) {
+			t.Fatalf("%s: decision ECC %d is %v by rows, %v by cells", p.Name, k, rows.table[k], cells[k])
 		}
 	}
 }
@@ -110,7 +108,7 @@ func assertSameSchedule(t *testing.T, label string, got, want []Assignment) {
 func checkEquivalence(t *testing.T, c Costs, p Policy, reqs []int, avail []float64) {
 	t.Helper()
 	refMin, err1 := referenceMinMaxMin(c, p, reqs, avail, false)
-	optMin, err2 := (MinMin{}).AssignBatch(c, p, reqs, avail)
+	optMin, err2 := (MinMin{}).AssignBatchInto(c, p, reqs, avail, nil)
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("Min-min error mismatch: reference %v, optimized %v", err1, err2)
 	}
@@ -119,7 +117,7 @@ func checkEquivalence(t *testing.T, c Costs, p Policy, reqs []int, avail []float
 	}
 
 	refMax, err1 := referenceMinMaxMin(c, p, reqs, avail, true)
-	optMax, err2 := (MaxMin{}).AssignBatch(c, p, reqs, avail)
+	optMax, err2 := (MaxMin{}).AssignBatchInto(c, p, reqs, avail, nil)
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("Max-min error mismatch: reference %v, optimized %v", err1, err2)
 	}
@@ -128,7 +126,7 @@ func checkEquivalence(t *testing.T, c Costs, p Policy, reqs []int, avail []float
 	}
 
 	refSuf, err1 := referenceSufferage(c, p, reqs, avail)
-	optSuf, err2 := (Sufferage{}).AssignBatch(c, p, reqs, avail)
+	optSuf, err2 := (Sufferage{}).AssignBatchInto(c, p, reqs, avail, nil)
 	if (err1 == nil) != (err2 == nil) {
 		t.Fatalf("Sufferage error mismatch: reference %v, optimized %v", err1, err2)
 	}
@@ -155,10 +153,10 @@ func TestKernelEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalenceRows drives row-providing instances through every
-// kernel: the row path must fill the table the per-cell path fills, bit
-// for bit, and the schedules must match the references', under every
-// decision form.
+// TestKernelEquivalenceRows drives grouped instances through every
+// kernel: the rows must fill the table the per-cell oracle fills, bit for
+// bit, and the schedules must match the references', under every decision
+// form.
 func TestKernelEquivalenceRows(t *testing.T) {
 	src := rng.New(20261001)
 	for trial := 0; trial < 120; trial++ {
@@ -180,8 +178,8 @@ func TestKernelEquivalenceRows(t *testing.T) {
 }
 
 // TestMalformedRowsAreErrors hands the kernels row instances whose shape
-// is wrong in each way the row path indexes by: they must fail with an
-// error, like a failing TrustCost on the per-cell path, never panic.
+// is wrong in each way the rows are indexed by: they must fail with an
+// error, like a failing CostRows, never panic.
 func TestMalformedRowsAreErrors(t *testing.T) {
 	exec := [][]float64{{1, 2, 3}, {4, 5, 6}}
 	for name, rc := range map[string]*rowInstance{
@@ -191,7 +189,7 @@ func TestMalformedRowsAreErrors(t *testing.T) {
 		"short EEC row":              {exec: [][]float64{{1, 2, 3}, {4, 5}}, tcs: [][]int{{1}, {2}}, idx: []int32{0, 0, 0}},
 	} {
 		for _, h := range []Batch{MinMin{}, MaxMin{}, Sufferage{}} {
-			if _, err := h.AssignBatch(rc, MustTrustAware(DefaultTCWeight), reqRange(2), make([]float64, 3)); err == nil {
+			if _, err := h.AssignBatchInto(rc, MustTrustAware(DefaultTCWeight), reqRange(2), make([]float64, 3), nil); err == nil {
 				t.Errorf("%s: %s scheduled a malformed instance", name, h.Name())
 			}
 		}
@@ -273,7 +271,7 @@ func TestKernelEquivalenceQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		optMin, err := (MinMin{}).AssignBatch(c, p, reqRange(tasks), avail)
+		optMin, err := (MinMin{}).AssignBatchInto(c, p, reqRange(tasks), avail, nil)
 		if err != nil || len(optMin) != len(refMin) {
 			return false
 		}
@@ -286,7 +284,7 @@ func TestKernelEquivalenceQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		optSuf, err := (Sufferage{}).AssignBatch(c, p, reqRange(tasks), avail)
+		optSuf, err := (Sufferage{}).AssignBatchInto(c, p, reqRange(tasks), avail, nil)
 		if err != nil || len(optSuf) != len(refSuf) {
 			return false
 		}
@@ -302,16 +300,16 @@ func TestKernelEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// TestAssignBatchIntoReusesBuffer verifies the Into entry points append
-// into the supplied slice (no fresh backing array when capacity suffices)
-// and still match AssignBatch.
+// TestAssignBatchIntoReusesBuffer verifies AssignBatchInto appends into
+// the supplied slice (no fresh backing array when capacity suffices) and
+// maps as it does into a nil one.
 func TestAssignBatchIntoReusesBuffer(t *testing.T) {
 	src := rng.New(13)
 	c := randomInstance(src, 30, 6)
 	avail := make([]float64, 6)
 	p := MustTrustAware(DefaultTCWeight)
-	for _, h := range []BatchInto{MinMin{}, MaxMin{}, Sufferage{}, Duplex{}} {
-		plain, err := h.(Batch).AssignBatch(c, p, reqRange(30), avail)
+	for _, h := range []Batch{MinMin{}, MaxMin{}, Sufferage{}, Duplex{}} {
+		plain, err := h.AssignBatchInto(c, p, reqRange(30), avail, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,9 +319,9 @@ func TestAssignBatchIntoReusesBuffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if &into[0] != &buf[:1][0] {
-			t.Fatalf("%s: AssignBatchInto did not reuse the supplied buffer", h.(Batch).Name())
+			t.Fatalf("%s: AssignBatchInto did not reuse the supplied buffer", h.Name())
 		}
-		assertSameSchedule(t, h.(Batch).Name()+" Into", into, plain)
+		assertSameSchedule(t, h.Name()+" Into", into, plain)
 	}
 }
 
@@ -338,7 +336,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	avail := make([]float64, 8)
 	reqs := reqRange(64)
 	p := MustTrustAware(DefaultTCWeight)
-	for _, h := range []BatchInto{MinMin{}, MaxMin{}, Sufferage{}, Duplex{}} {
+	for _, h := range []Batch{MinMin{}, MaxMin{}, Sufferage{}, Duplex{}} {
 		buf := make([]Assignment, 0, 64)
 		// Warm the kernel pool (and Duplex's aux pool) first.
 		if _, err := h.AssignBatchInto(c, p, reqs, avail, buf); err != nil {
@@ -352,7 +350,7 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 			_ = out
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %v allocs/op in steady state, want 0", h.(Batch).Name(), allocs)
+			t.Errorf("%s: %v allocs/op in steady state, want 0", h.Name(), allocs)
 		}
 	}
 }

@@ -102,7 +102,7 @@ func TestBatchNeverMapsToMaskedMachine(t *testing.T) {
 		}
 		MaskAvail(avail, up, avail)
 		for _, h := range maskedBatches() {
-			as, err := h.AssignBatch(c, p, reqs, avail)
+			as, err := h.AssignBatchInto(c, p, reqs, avail, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", h.Name(), err)
 			}
@@ -128,7 +128,7 @@ func TestAllMaskedErrors(t *testing.T) {
 		}
 	}
 	for _, h := range maskedBatches() {
-		if _, err := h.AssignBatch(c, p, []int{0, 1}, avail); err == nil {
+		if _, err := h.AssignBatchInto(c, p, []int{0, 1}, avail, nil); err == nil {
 			t.Errorf("%s accepted an all-masked grid", h.Name())
 		}
 	}
@@ -156,13 +156,8 @@ func TestMaskingEquivalentToRemoval(t *testing.T) {
 				if m == down {
 					continue
 				}
-				ecc := c.EEC(i, m)
-				v, err := c.TrustCost(i, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				exec[i] = append(exec[i], ecc)
-				tc[i] = append(tc[i], v)
+				exec[i] = append(exec[i], c.Exec[i][m])
+				tc[i] = append(tc[i], c.TC[i][m])
 			}
 		}
 		reduced, err := NewMatrixCosts(exec, tc)
@@ -206,11 +201,11 @@ func TestMaskingEquivalentToRemoval(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = i
 		}
-		b1, err := MinMin{}.AssignBatch(c, p, reqs, masked)
+		b1, err := MinMin{}.AssignBatchInto(c, p, reqs, masked, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b2, err := MinMin{}.AssignBatch(reduced, p, reqs, redAvail)
+		b2, err := MinMin{}.AssignBatchInto(reduced, p, reqs, redAvail, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,22 +16,19 @@ import (
 // found, so their decision makespan is never worse than Min-min's.
 
 // assignmentVectorToSchedule converts a machines-per-request vector into
-// ordered Assignments: requests are dispatched machine by machine in
-// vector order, reproducing list-schedule semantics.
-func assignmentVectorToSchedule(c Costs, p Policy, reqs []int, vec []int, avail []float64) ([]Assignment, error) {
+// ordered Assignments appended to dst[:0]: requests are dispatched machine
+// by machine in vector order, reproducing list-schedule semantics, at the
+// decision ECCs of a flat table with row stride len(avail).
+func assignmentVectorToSchedule(table []float64, reqs []int, vec []int, avail []float64, dst []Assignment) []Assignment {
 	a := make([]float64, len(avail))
 	copy(a, avail)
-	out := make([]Assignment, len(reqs))
+	out := dst[:0]
 	for i, r := range reqs {
 		m := vec[i]
-		ecc, err := decisionECC(c, p, r, m)
-		if err != nil {
-			return nil, err
-		}
-		a[m] += ecc
-		out[i] = Assignment{Req: r, Machine: m, DecisionCompletion: a[m]}
+		a[m] += table[i*len(avail)+m]
+		out = append(out, Assignment{Req: r, Machine: m, DecisionCompletion: a[m]})
 	}
-	return out, nil
+	return out
 }
 
 // vectorMakespan evaluates the decision makespan of a machines-per-request
@@ -53,7 +50,7 @@ func vectorMakespan(table []float64, vec []int, avail []float64, scratch []float
 
 // minMinVector runs Min-min and returns its machine vector in reqs order.
 func minMinVector(c Costs, p Policy, reqs []int, avail []float64) ([]int, error) {
-	as, err := (MinMin{}).AssignBatch(c, p, reqs, avail)
+	as, err := minMaxMinKernel(c, p, reqs, avail, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -115,20 +112,21 @@ func (g GeneticAlgorithm) validate() error {
 	return nil
 }
 
-// AssignBatch evolves a schedule for the meta-request.
-func (g GeneticAlgorithm) AssignBatch(c Costs, p Policy, reqs []int, avail []float64) ([]Assignment, error) {
-	if err := validateBatch(c, p, reqs, avail); err != nil {
+// AssignBatchInto evolves a schedule for the meta-request into dst.
+func (g GeneticAlgorithm) AssignBatchInto(c Costs, p Policy, reqs []int, avail []float64, dst []Assignment) ([]Assignment, error) {
+	in, err := validateBatch(c, p, reqs, avail)
+	if err != nil {
 		return nil, err
 	}
 	if err := g.validate(); err != nil {
 		return nil, err
 	}
 	if len(reqs) == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
-	nm := c.NumMachines()
+	nm := len(avail)
 	var ks kernelState
-	if err := ks.fill(c, p, reqs, avail); err != nil {
+	if err := ks.fill(in, p, reqs, avail); err != nil {
 		return nil, err
 	}
 	table := ks.table
@@ -206,7 +204,7 @@ func (g GeneticAlgorithm) AssignBatch(c Costs, p Policy, reqs []int, avail []flo
 			}
 		}
 	}
-	return assignmentVectorToSchedule(c, p, reqs, best, avail)
+	return assignmentVectorToSchedule(table, reqs, best, avail, dst), nil
 }
 
 // tournament picks the fitter of two random population members.
@@ -264,20 +262,21 @@ func (s SimulatedAnnealing) validate() error {
 	return nil
 }
 
-// AssignBatch anneals a schedule for the meta-request.
-func (s SimulatedAnnealing) AssignBatch(c Costs, p Policy, reqs []int, avail []float64) ([]Assignment, error) {
-	if err := validateBatch(c, p, reqs, avail); err != nil {
+// AssignBatchInto anneals a schedule for the meta-request into dst.
+func (s SimulatedAnnealing) AssignBatchInto(c Costs, p Policy, reqs []int, avail []float64, dst []Assignment) ([]Assignment, error) {
+	in, err := validateBatch(c, p, reqs, avail)
+	if err != nil {
 		return nil, err
 	}
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	if len(reqs) == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
-	nm := c.NumMachines()
+	nm := len(avail)
 	var ks kernelState
-	if err := ks.fill(c, p, reqs, avail); err != nil {
+	if err := ks.fill(in, p, reqs, avail); err != nil {
 		return nil, err
 	}
 	table := ks.table
@@ -325,7 +324,7 @@ func (s SimulatedAnnealing) AssignBatch(c Costs, p Policy, reqs []int, avail []f
 		}
 		temp *= s.Cooling
 	}
-	return assignmentVectorToSchedule(c, p, reqs, best, avail)
+	return assignmentVectorToSchedule(table, reqs, best, avail, dst), nil
 }
 
 var (
@@ -359,9 +358,11 @@ func NewGSA(seed uint64) GeneticSimulatedAnnealing {
 // Name returns "GSA".
 func (GeneticSimulatedAnnealing) Name() string { return "GSA" }
 
-// AssignBatch evolves a schedule with annealed survivor selection.
-func (g GeneticSimulatedAnnealing) AssignBatch(c Costs, p Policy, reqs []int, avail []float64) ([]Assignment, error) {
-	if err := validateBatch(c, p, reqs, avail); err != nil {
+// AssignBatchInto evolves a schedule with annealed survivor selection
+// into dst.
+func (g GeneticSimulatedAnnealing) AssignBatchInto(c Costs, p Policy, reqs []int, avail []float64, dst []Assignment) ([]Assignment, error) {
+	in, err := validateBatch(c, p, reqs, avail)
+	if err != nil {
 		return nil, err
 	}
 	if err := g.GA.validate(); err != nil {
@@ -372,11 +373,11 @@ func (g GeneticSimulatedAnnealing) AssignBatch(c Costs, p Policy, reqs []int, av
 			g.InitialTempFactor, g.Cooling)
 	}
 	if len(reqs) == 0 {
-		return nil, nil
+		return dst[:0], nil
 	}
-	nm := c.NumMachines()
+	nm := len(avail)
 	var ks kernelState
-	if err := ks.fill(c, p, reqs, avail); err != nil {
+	if err := ks.fill(in, p, reqs, avail); err != nil {
 		return nil, err
 	}
 	table := ks.table
@@ -441,7 +442,7 @@ func (g GeneticSimulatedAnnealing) AssignBatch(c Costs, p Policy, reqs []int, av
 		}
 		temp *= g.Cooling
 	}
-	return assignmentVectorToSchedule(c, p, reqs, best, avail)
+	return assignmentVectorToSchedule(table, reqs, best, avail, dst), nil
 }
 
 var _ Batch = GeneticSimulatedAnnealing{}

@@ -16,7 +16,7 @@ func TestMetaAssignEveryRequestOnce(t *testing.T) {
 	reqs := reqRange(24)
 	avail := make([]float64, 5)
 	for _, h := range metaHeuristics() {
-		as, err := h.AssignBatch(c, aware, reqs, avail)
+		as, err := h.AssignBatchInto(c, aware, reqs, avail, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", h.Name(), err)
 		}
@@ -45,13 +45,13 @@ func TestMetaNeverWorseThanMinMin(t *testing.T) {
 		c := randomInstance(src, 30, 5)
 		reqs := reqRange(30)
 		avail := make([]float64, 5)
-		mm, err := (MinMin{}).AssignBatch(c, aware, reqs, avail)
+		mm, err := (MinMin{}).AssignBatchInto(c, aware, reqs, avail, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mmMS := decisionMakespan(mm, avail)
 		for _, h := range metaHeuristics() {
-			as, err := h.AssignBatch(c, aware, reqs, avail)
+			as, err := h.AssignBatchInto(c, aware, reqs, avail, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,19 +75,19 @@ func TestMetaUsuallyBeatsMinMin(t *testing.T) {
 		c := randomInstance(src, 40, 5)
 		reqs := reqRange(40)
 		avail := make([]float64, 5)
-		mm, err := (MinMin{}).AssignBatch(c, aware, reqs, avail)
+		mm, err := (MinMin{}).AssignBatchInto(c, aware, reqs, avail, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mmMS := decisionMakespan(mm, avail)
-		ga, err := NewGeneticAlgorithm(uint64(trial)).AssignBatch(c, aware, reqs, avail)
+		ga, err := NewGeneticAlgorithm(uint64(trial)).AssignBatchInto(c, aware, reqs, avail, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if decisionMakespan(ga, avail) < mmMS-1e-9 {
 			improvedGA++
 		}
-		sa, err := NewSimulatedAnnealing(uint64(trial)).AssignBatch(c, aware, reqs, avail)
+		sa, err := NewSimulatedAnnealing(uint64(trial)).AssignBatchInto(c, aware, reqs, avail, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,11 +112,11 @@ func TestMetaDeterministicBySeed(t *testing.T) {
 		func(s uint64) Batch { return NewGeneticAlgorithm(s) },
 		func(s uint64) Batch { return NewSimulatedAnnealing(s) },
 	} {
-		a, err := build(5).AssignBatch(c, aware, reqs, avail)
+		a, err := build(5).AssignBatchInto(c, aware, reqs, avail, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := build(5).AssignBatch(c, aware, reqs, avail)
+		b, err := build(5).AssignBatchInto(c, aware, reqs, avail, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestMetaParameterValidation(t *testing.T) {
 		{Population: 10, Generations: 10, CrossoverRate: 0.5, MutationRate: 0.1, Patience: -1},
 	}
 	for i, g := range badGA {
-		if _, err := g.AssignBatch(c, aware, []int{0}, avail); err == nil {
+		if _, err := g.AssignBatchInto(c, aware, []int{0}, avail, nil); err == nil {
 			t.Errorf("bad GA %d accepted", i)
 		}
 	}
@@ -150,7 +150,7 @@ func TestMetaParameterValidation(t *testing.T) {
 		{InitialTempFactor: 0.1, Cooling: 0.9, MovesPerTemp: -1, MinTempFraction: 0.001},
 	}
 	for i, s := range badSA {
-		if _, err := s.AssignBatch(c, aware, []int{0}, avail); err == nil {
+		if _, err := s.AssignBatchInto(c, aware, []int{0}, avail, nil); err == nil {
 			t.Errorf("bad SA %d accepted", i)
 		}
 	}
@@ -159,7 +159,7 @@ func TestMetaParameterValidation(t *testing.T) {
 func TestMetaEmptyBatch(t *testing.T) {
 	c := zeroTC(t, [][]float64{{1, 2}})
 	for _, h := range metaHeuristics() {
-		as, err := h.AssignBatch(c, aware, nil, []float64{0, 0})
+		as, err := h.AssignBatchInto(c, aware, nil, []float64{0, 0}, nil)
 		if err != nil || len(as) != 0 {
 			t.Errorf("%s on empty batch: %v, %v", h.Name(), as, err)
 		}
@@ -170,7 +170,7 @@ func TestMetaRespectsAvailability(t *testing.T) {
 	// One request, machine 0 heavily loaded: both must pick machine 1.
 	c := zeroTC(t, [][]float64{{5, 5}})
 	for _, h := range metaHeuristics() {
-		as, err := h.AssignBatch(c, aware, []int{0}, []float64{1000, 0})
+		as, err := h.AssignBatchInto(c, aware, []int{0}, []float64{1000, 0}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestGSAInvariants(t *testing.T) {
 	reqs := reqRange(25)
 	avail := make([]float64, 5)
 	gsa := NewGSA(4)
-	as, err := gsa.AssignBatch(c, aware, reqs, avail)
+	as, err := gsa.AssignBatchInto(c, aware, reqs, avail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestGSAInvariants(t *testing.T) {
 		t.Fatalf("GSA assigned %d of 25", len(seen))
 	}
 	// Never worse than Min-min (seeded + best-tracked).
-	mm, err := (MinMin{}).AssignBatch(c, aware, reqs, avail)
+	mm, err := (MinMin{}).AssignBatchInto(c, aware, reqs, avail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestGSAInvariants(t *testing.T) {
 			decisionMakespan(as, avail), decisionMakespan(mm, avail))
 	}
 	// Deterministic by seed.
-	again, err := NewGSA(4).AssignBatch(c, aware, reqs, avail)
+	again, err := NewGSA(4).AssignBatchInto(c, aware, reqs, avail, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +225,17 @@ func TestGSAValidation(t *testing.T) {
 	c := zeroTC(t, [][]float64{{1, 2}})
 	bad := NewGSA(1)
 	bad.Cooling = 1.5
-	if _, err := bad.AssignBatch(c, aware, []int{0}, []float64{0, 0}); err == nil {
+	if _, err := bad.AssignBatchInto(c, aware, []int{0}, []float64{0, 0}, nil); err == nil {
 		t.Error("bad cooling accepted")
 	}
 	bad = NewGSA(1)
 	bad.InitialTempFactor = 0
-	if _, err := bad.AssignBatch(c, aware, []int{0}, []float64{0, 0}); err == nil {
+	if _, err := bad.AssignBatchInto(c, aware, []int{0}, []float64{0, 0}, nil); err == nil {
 		t.Error("zero temperature accepted")
 	}
 	bad = NewGSA(1)
 	bad.GA.Population = 0
-	if _, err := bad.AssignBatch(c, aware, []int{0}, []float64{0, 0}); err == nil {
+	if _, err := bad.AssignBatchInto(c, aware, []int{0}, []float64{0, 0}, nil); err == nil {
 		t.Error("bad GA parameters accepted")
 	}
 }

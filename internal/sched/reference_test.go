@@ -12,6 +12,22 @@ import (
 // identical schedules, and kernel_bench_test.go benchmarks them as the
 // "old" side of the perf trajectory.
 
+// decisionECC is the cost a heuristic minimises for (r,m), read cell by
+// cell: the EEC plus the policy's decision ESC through ESC.Cost.  It is
+// the per-cell oracle of the row reads in production: kernelState.fill
+// (fillRow's hoisted factor) and the immediate heuristics' costRow.cost.
+func decisionECC(c Costs, p Policy, r, m int) (float64, error) {
+	eec, tcs, err := c.CostRows(r)
+	if err != nil {
+		return 0, err
+	}
+	idx := c.MachineIndex()
+	if m >= len(eec) || m >= len(idx) || idx[m] < 0 || int(idx[m]) >= len(tcs) {
+		return 0, fmt.Errorf("sched: no cost cell (%d,%d)", r, m)
+	}
+	return eec[m] + p.decision.Cost(eec[m], tcs[idx[m]]), nil
+}
+
 // referenceTable computes the decision ECCs of the batch cell by cell into
 // one flat array with row stride nm: entry i*nm+m is the ECC of the i-th
 // request of reqs on machine m.
@@ -33,10 +49,10 @@ func referenceTable(c Costs, p Policy, reqs []int, nm int) ([]float64, error) {
 // referenceMinMaxMin implements both Min-min (pickMax=false) and Max-min
 // (pickMax=true) by full rescan of every remaining (task, machine) pair.
 func referenceMinMaxMin(c Costs, p Policy, reqs []int, avail []float64, pickMax bool) ([]Assignment, error) {
-	if err := validateBatch(c, p, reqs, avail); err != nil {
+	if _, err := validateBatch(c, p, reqs, avail); err != nil {
 		return nil, err
 	}
-	nm := c.NumMachines()
+	nm := len(avail)
 	table, err := referenceTable(c, p, reqs, nm)
 	if err != nil {
 		return nil, err
@@ -91,10 +107,10 @@ func referenceMinMaxMin(c Costs, p Policy, reqs []int, avail []float64, pickMax 
 // referenceSufferage implements the Sufferage heuristic by recomputing
 // every remaining task's (best, second-best) pair on every sweep.
 func referenceSufferage(c Costs, p Policy, reqs []int, avail []float64) ([]Assignment, error) {
-	if err := validateBatch(c, p, reqs, avail); err != nil {
+	if _, err := validateBatch(c, p, reqs, avail); err != nil {
 		return nil, err
 	}
-	nm := c.NumMachines()
+	nm := len(avail)
 	table, err := referenceTable(c, p, reqs, nm)
 	if err != nil {
 		return nil, err

@@ -30,7 +30,7 @@ func randomInstance(src *rng.Source, tasks, machines int) *MatrixCosts {
 // each step, returning the charged makespan.
 func runImmediate(t *testing.T, h Immediate, c Costs, p Policy) float64 {
 	t.Helper()
-	avail := make([]float64, c.NumMachines())
+	avail := make([]float64, len(c.MachineIndex()))
 	for r := 0; r < c.NumRequests(); r++ {
 		a, err := h.AssignOne(c, p, r, avail)
 		if err != nil {
@@ -118,11 +118,11 @@ func TestTheoremBatchHeuristics(t *testing.T) {
 			c := randomInstance(src, 30, 5)
 			reqs := reqRange(30)
 			avail := make([]float64, 5)
-			asA, err := h.AssignBatch(c, awareP, reqs, avail)
+			asA, err := h.AssignBatchInto(c, awareP, reqs, avail, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			asB, err := h.AssignBatch(c, blindP, reqs, avail)
+			asB, err := h.AssignBatchInto(c, blindP, reqs, avail, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

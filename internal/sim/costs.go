@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"gridtrust/internal/grid"
-	"gridtrust/internal/sched"
 	"gridtrust/internal/workload"
 )
 
@@ -143,13 +142,12 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 // NumRequests returns the instance's request count.
 func (c *workloadCosts) NumRequests() int { return len(c.w.Requests) }
 
-// NumMachines returns the instance's machine count.
-func (c *workloadCosts) NumMachines() int { return c.w.Spec.Machines }
+// MachineIndex returns the machine → RD slot map.
+func (c *workloadCosts) MachineIndex() []int32 { return c.rdOf }
 
-// EEC looks up the expected execution cost from the workload matrix; the
-// request's TaskIndex selects the row.
-func (c *workloadCosts) EEC(r, m int) float64 {
-	return c.w.EEC.At(c.w.Requests[r].TaskIndex, m)
+// CostRows returns request r's EEC row and its trust costs per RD slot.
+func (c *workloadCosts) CostRows(r int) ([]float64, []int, error) {
+	return c.eecRow(r), c.tcRow(r), nil
 }
 
 // eecRow returns request r's execution-cost row without copying (see
@@ -166,25 +164,6 @@ func (c *workloadCosts) tcRow(r int) []int {
 	return c.tc[j*slots : (j+1)*slots]
 }
 
-// decisionRow is tcRow, for decisionCosts.
-func (c *workloadCosts) decisionRow(r int) ([]int, error) { return c.tcRow(r), nil }
-
-// checkIndex rejects an (r, m) outside the instance.
-func (c *workloadCosts) checkIndex(r, m int) error {
-	if r < 0 || r >= len(c.rowOf) || m < 0 || m >= len(c.rdOf) {
-		return fmt.Errorf("sim: trust cost index (%d,%d) out of range", r, m)
-	}
-	return nil
-}
-
-// TrustCost returns the precomputed TC.
-func (c *workloadCosts) TrustCost(r, m int) (int, error) {
-	if err := c.checkIndex(r, m); err != nil {
-		return 0, err
-	}
-	return c.tcRow(r)[c.rdOf[m]], nil
-}
-
 // pairGap is |a−b| counted once for every (request, machine) pair it
 // stands for: n requests share the profile, slotLen[s] machines the slot.
 // A trust-table error is the mean of these small integers over all pairs,
@@ -199,14 +178,5 @@ func (c *workloadCosts) pairGap(a, b int, n int32, s int) int64 {
 
 // meanGap divides a pairGap sum by the number of (request, machine) pairs.
 func (c *workloadCosts) meanGap(sum int64) float64 {
-	return float64(sum) / float64(c.NumRequests()*c.NumMachines())
+	return float64(sum) / float64(len(c.rowOf)*len(c.rdOf))
 }
-
-// MachineIndex and CostRows implement sched.RowCosts.
-func (c *workloadCosts) MachineIndex() []int32 { return c.rdOf }
-
-func (c *workloadCosts) CostRows(r int) ([]float64, []int) {
-	return c.eecRow(r), c.tcRow(r)
-}
-
-var _ sched.RowCosts = (*workloadCosts)(nil)

@@ -28,21 +28,20 @@ func assertCostsMatchWorkload(t *testing.T, label string, w *workload.Workload) 
 	}
 	idx := c.MachineIndex()
 	for r, req := range w.Requests {
-		eec, tcs := c.CostRows(r)
+		eec, tcs, err := c.CostRows(r)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
 		for m := 0; m < w.Spec.Machines; m++ {
 			want, err := w.TrustCost(req, m)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			got, err := c.TrustCost(r, m)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+			if got := tcs[idx[m]]; got != want {
+				t.Fatalf("%s: TC(%d,%d) = %d, workload prices %d", label, r, m, got, want)
 			}
-			if got != want || tcs[idx[m]] != want {
-				t.Fatalf("%s: TC(%d,%d) = %d (row view %d), workload prices %d", label, r, m, got, tcs[idx[m]], want)
-			}
-			if eec[m] != c.EEC(r, m) {
-				t.Fatalf("%s: EEC row view differs at (%d,%d)", label, r, m)
+			if eec[m] != w.EEC.At(req.TaskIndex, m) {
+				t.Fatalf("%s: EEC row differs at (%d,%d)", label, r, m)
 			}
 		}
 	}

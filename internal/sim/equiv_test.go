@@ -126,28 +126,11 @@ func TestRunRejectsZeroPolicy(t *testing.T) {
 	}
 }
 
-// slotRow is the decision trust-cost row sched.MCT sees for request r, one
-// cost per RD slot read through TrustCost at the slot's first machine.
-func slotRow(t *testing.T, dec sched.Costs, truth *workloadCosts, r int) []int {
-	t.Helper()
-	row := make([]int, len(truth.slotAt))
-	for s, m := range truth.slotAt {
-		tc, err := dec.TrustCost(r, int(m))
-		if err != nil {
-			t.Fatal(err)
-		}
-		row[s] = tc
-	}
-	return row
-}
-
 // TestFusedScanMatchesAssignOne drives the fused MCT pick directly against
 // sched.MCT on randomized free-time states, a tenth of the machines masked
 // and every tenth state entirely masked (AssignOne fails, the pick is −1),
 // deciding on the truth, on a whitewashed table and on a live model's
-// rows, which completions fed into the model keep moving.  Each row the
-// production code hands the scan must equal the one sched.MCT reads
-// through TrustCost.
+// rows, which completions fed into the model keep moving.
 func TestFusedScanMatchesAssignOne(t *testing.T) {
 	src := rng.New(13)
 	sc := PaperScenario("mct", 30, workload.Inconsistent)
@@ -180,7 +163,7 @@ func TestFusedScanMatchesAssignOne(t *testing.T) {
 	}
 	decs := []struct {
 		name string
-		dec  decisionCosts
+		dec  sched.Costs
 	}{{"truth", costs}, {"whitewashed", claimed}, {"model", view}}
 	for _, d := range decs {
 		for _, policy := range []sched.Policy{aware, unaware} {
@@ -208,14 +191,11 @@ func TestFusedScanMatchesAssignOne(t *testing.T) {
 					}
 				}
 				r := src.Intn(sc.Tasks)
-				row, err := d.dec.decisionRow(r)
+				_, row, err := d.dec.CostRows(r)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for s, tc := range slotRow(t, d.dec, costs, r) {
-					if row[s] != tc {
-						t.Fatalf("%s trial %d: decision row %v, TrustCost reads slot %d as %d", d.name, trial, row, s, tc)
-					}
+				for s, tc := range row {
 					if tc != costs.tcRow(r)[s] {
 						differs++
 					}

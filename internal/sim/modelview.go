@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"gridtrust/internal/grid"
+	"gridtrust/internal/sched"
 	"gridtrust/internal/trust"
 )
 
@@ -140,12 +141,22 @@ func newModelView(sc Scenario, truth, claimed *workloadCosts) (*modelView, error
 // NumRequests returns the instance's request count.
 func (v *modelView) NumRequests() int { return v.truth.NumRequests() }
 
-// NumMachines returns the instance's machine count.
-func (v *modelView) NumMachines() int { return v.truth.NumMachines() }
+// MachineIndex returns the machine → RD slot map.
+func (v *modelView) MachineIndex() []int32 { return v.truth.rdOf }
 
-// EEC delegates to the true execution costs: the model shapes trust, not
-// machine speed.
-func (v *modelView) EEC(r, m int) float64 { return v.truth.EEC(r, m) }
+// CostRows returns request r's true execution costs (the model shapes
+// trust, not machine speed) and its decision-view trust costs per RD slot,
+// refreshing stale slots in slot order: their first machines' order, so
+// the model is asked in the order a walk over the machines would ask it.
+func (v *modelView) CostRows(r int) ([]float64, []int, error) {
+	j, slots := v.truth.rowOf[r], len(v.rds)
+	for s := 0; s < slots; s++ {
+		if _, err := v.decisionTC(j, s); err != nil {
+			return nil, nil, err
+		}
+	}
+	return v.truth.eecRow(r), v.dec[int(j)*slots : (int(j)+1)*slots], nil
+}
 
 // level returns the trust level the model currently implies for asker a
 // on RD slot s, whose (context, slot) version is cur: the model's score
@@ -194,27 +205,6 @@ func (v *modelView) decisionTC(j int32, s int) (int, error) {
 	return tc, nil
 }
 
-// TrustCost returns the decision-view trust cost of request r on machine m.
-func (v *modelView) TrustCost(r, m int) (int, error) {
-	if err := v.truth.checkIndex(r, m); err != nil {
-		return 0, err
-	}
-	return v.decisionTC(v.truth.rowOf[r], int(v.truth.rdOf[m]))
-}
-
-// decisionRow returns request r's decision-view trust costs per RD slot,
-// refreshing stale slots in slot order: their first machines' order, so
-// the model is asked what sched.MCT's walk through TrustCost asks.
-func (v *modelView) decisionRow(r int) ([]int, error) {
-	j, slots := v.truth.rowOf[r], len(v.rds)
-	for s := 0; s < slots; s++ {
-		if _, err := v.decisionTC(j, s); err != nil {
-			return nil, err
-		}
-	}
-	return v.dec[int(j)*slots : (int(j)+1)*slots], nil
-}
-
 // noteFinish feeds one completed task back into the model: the request's
 // CD observes the machine's RD with the RD's true offered trust level as
 // the outcome, so over the run the model's scores converge on the truth
@@ -251,4 +241,4 @@ func (v *modelView) tableError() (float64, error) {
 	return v.truth.meanGap(gap), nil
 }
 
-var _ decisionCosts = (*modelView)(nil)
+var _ sched.Costs = (*modelView)(nil)

@@ -60,7 +60,7 @@ func TestModelViewMatchesUncached(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ctc, _ := claimed.TrustCost(r, m); ctc > tc {
+					if ctc := claimed.tcRow(r)[claimed.rdOf[m]]; ctc > tc {
 						tc = ctc
 					}
 					return tc
@@ -69,8 +69,7 @@ func TestModelViewMatchesUncached(t *testing.T) {
 					var gap int64
 					for r := range w.Requests {
 						for m := 0; m < sc.Machines; m++ {
-							ttc, _ := truth.TrustCost(r, m)
-							d := uncached(r, m) - ttc
+							d := uncached(r, m) - truth.tcRow(r)[truth.rdOf[m]]
 							if d < 0 {
 								d = -d
 							}
@@ -95,12 +94,12 @@ func TestModelViewMatchesUncached(t *testing.T) {
 							t.Fatal(err)
 						}
 					case p < 99:
-						got, err := v.TrustCost(r, m)
+						_, tcs, err := v.CostRows(r)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if want := uncached(r, m); got != want {
-							t.Fatalf("step %d: TrustCost(%d,%d) = %d, uncached %d", step, r, m, got, want)
+						if got, want := tcs[truth.rdOf[m]], uncached(r, m); got != want {
+							t.Fatalf("step %d: TC(%d,%d) = %d, uncached %d", step, r, m, got, want)
 						}
 					default:
 						got, err := v.tableError()
@@ -128,11 +127,12 @@ func (m *recordingModel) Trust(x, y trust.EntityID, c trust.Context, now float64
 	return m.Model.Trust(x, y, c, now)
 }
 
-// TestDecisionRowAsksLikeAssignOne: the fused MCT scan reads a request's
-// decision row once, where sched.MCT asked TrustCost machine by machine.
-// Two views fed the same completions must see the same Trust calls in the
-// same order, one read through decisionRow, the other through
-// sched.MCT.AssignOne, on a layout whose RD slots interleave.
+// TestDecisionRowAsksLikeAssignOne: every heuristic, the fused MCT scan
+// included, reads a request's decision row once through CostRows, where
+// sched.MCT once asked for the trust cost machine by machine.  Two views
+// fed the same completions must see the same Trust calls in the same
+// order, one read through sched.MCT.AssignOne, the other by that
+// per-machine walk, on a layout whose RD slots interleave.
 func TestDecisionRowAsksLikeAssignOne(t *testing.T) {
 	for _, model := range []string{"purge", "frtrust", "bawa"} {
 		sc := PaperScenario("mct", 200, workload.Inconsistent)
@@ -170,20 +170,22 @@ func TestDecisionRowAsksLikeAssignOne(t *testing.T) {
 				}
 				continue
 			}
-			if _, err := views[0].decisionRow(r); err != nil {
+			if _, err := (sched.MCT{}).AssignOne(views[0], policy, r, avail); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := (sched.MCT{}).AssignOne(views[1], policy, r, avail); err != nil {
-				t.Fatal(err)
+			for _, s := range views[1].truth.rdOf {
+				if _, err := views[1].decisionTC(views[1].truth.rowOf[r], int(s)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		a, b := recs[0].calls, recs[1].calls
 		if len(a) != len(b) {
-			t.Fatalf("%s: decisionRow asked %d times, AssignOne %d", model, len(a), len(b))
+			t.Fatalf("%s: AssignOne asked %d times, the machine walk %d", model, len(a), len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("%s: Trust call %d: decisionRow asked %s, AssignOne %s", model, i, a[i], b[i])
+				t.Fatalf("%s: Trust call %d: AssignOne asked %s, the machine walk %s", model, i, a[i], b[i])
 			}
 		}
 		if len(a) == 0 {

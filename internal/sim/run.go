@@ -155,18 +155,11 @@ type machineModel interface {
 	commit(r, m int, now float64)
 }
 
-// decisionCosts is what the mapper decides on; decisionRow is request r's
-// trust costs per RD slot for the fused scan, read-only until a completion.
-type decisionCosts interface {
-	sched.Costs
-	decisionRow(r int) ([]int, error)
-}
-
 // runBase is the scaffold both run loops embed.
 type runBase struct {
 	sc     Scenario
 	truth  *workloadCosts // what a commit is charged
-	dec    decisionCosts  // what the heuristics decide on: truth, unless a fault plan lies or a model learns
+	dec    sched.Costs    // what the heuristics decide on: truth, unless a fault plan lies or a model learns
 	policy sched.Policy
 	loop   machineModel
 
@@ -195,9 +188,9 @@ func newRunBase(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trac
 	if err != nil {
 		return runBase{}, err
 	}
-	if truth.NumRequests() != sc.Tasks || truth.NumMachines() != sc.Machines {
+	if truth.NumRequests() != sc.Tasks || len(truth.rdOf) != sc.Machines {
 		return runBase{}, fmt.Errorf("sim: workload shape %dx%d does not match scenario %dx%d",
-			truth.NumRequests(), truth.NumMachines(), sc.Tasks, sc.Machines)
+			truth.NumRequests(), len(truth.rdOf), sc.Tasks, sc.Machines)
 	}
 	// Event payloads carry a request id or a machine index as an int32.
 	if sc.Tasks > math.MaxInt32 || sc.Machines > math.MaxInt32 {
@@ -309,14 +302,8 @@ func anyAvailable(avail []float64) bool {
 func (b *runBase) flush(now float64, avail []float64) {
 	reqs := b.scr.pending
 	b.scr.pending = reqs[:0]
-	var as []sched.Assignment
-	var err error
-	if bi, ok := b.batch.(sched.BatchInto); ok {
-		as, err = bi.AssignBatchInto(b.dec, b.policy, reqs, avail, b.scr.asg[:0])
-		b.scr.asg = as[:0]
-	} else {
-		as, err = b.batch.AssignBatch(b.dec, b.policy, reqs, avail)
-	}
+	as, err := b.batch.AssignBatchInto(b.dec, b.policy, reqs, avail, b.scr.asg[:0])
+	b.scr.asg = as[:0]
 	if err == nil && len(as) != len(reqs) {
 		err = fmt.Errorf("sim: batch heuristic mapped %d of %d requests", len(as), len(reqs))
 	}
@@ -361,7 +348,7 @@ func (b *runBase) place(r int, now float64) {
 		b.loop.commit(r, a.Machine, now)
 		return
 	}
-	tcs, err := b.dec.decisionRow(r)
+	_, tcs, err := b.dec.CostRows(r)
 	if err != nil {
 		b.fail(err)
 		return

@@ -275,28 +275,28 @@ func TestWorkloadCostsAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumRequests() != 10 || c.NumMachines() != 5 {
-		t.Fatalf("adapter dims %dx%d", c.NumRequests(), c.NumMachines())
+	if c.NumRequests() != 10 || len(c.MachineIndex()) != 5 {
+		t.Fatalf("adapter dims %dx%d", c.NumRequests(), len(c.MachineIndex()))
 	}
 	for r := 0; r < 10; r++ {
+		eec, tcs, err := c.CostRows(r)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for m := 0; m < 5; m++ {
-			if c.EEC(r, m) != w.EEC.At(r, m) {
+			if eec[m] != w.EEC.At(r, m) {
 				t.Fatalf("EEC mismatch at (%d,%d)", r, m)
-			}
-			tc, err := c.TrustCost(r, m)
-			if err != nil {
-				t.Fatal(err)
 			}
 			want, err := w.TrustCost(w.Requests[r], m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc != want {
+			if tc := tcs[c.MachineIndex()[m]]; tc != want {
 				t.Fatalf("TC mismatch at (%d,%d): %d vs %d", r, m, tc, want)
 			}
 		}
 	}
-	if _, err := c.TrustCost(99, 0); err == nil {
+	if _, err := (sched.MCT{}).AssignOne(c, sched.MustTrustAware(sc.TCWeight), 99, make([]float64, 5)); err == nil {
 		t.Error("accepted out-of-range request")
 	}
 	if _, err := newWorkloadCosts(nil); err == nil {

@@ -141,12 +141,8 @@ func RunStaging(cfg StagingConfig, src *rng.Source) (*StagingResult, error) {
 
 	// chargedCost returns the full cost of running request r on machine
 	// m under one of the two regimes.
-	chargedCost := func(r, m int, aware bool) (total, staging float64, plain bool, err error) {
-		eec := costs.EEC(r, m)
-		tc, err := costs.TrustCost(r, m)
-		if err != nil {
-			return 0, 0, false, err
-		}
+	chargedCost := func(r, m int, aware bool) (total, staging float64, plain bool) {
+		eec, tc := costs.eecRow(r)[m], costs.tcRow(r)[costs.rdOf[m]]
 		if aware {
 			var t float64
 			if tc == 0 {
@@ -155,15 +151,15 @@ func RunStaging(cfg StagingConfig, src *rng.Source) (*StagingResult, error) {
 			} else {
 				t = scpTime[r]
 			}
-			return eec*(1+cfg.TCWeight*float64(tc)/100) + t, t, plain, nil
+			return eec*(1+cfg.TCWeight*float64(tc)/100) + t, t, plain
 		}
-		return eec*1.5 + scpTime[r], scpTime[r], false, nil
+		return eec*1.5 + scpTime[r], scpTime[r], false
 	}
 
 	// schedule runs greedy MCT under one regime.  The aware scheduler
 	// ranks by its true charged cost; the unaware one ranks by raw EEC
 	// (it is oblivious to both security and secure-staging costs).
-	schedule := func(aware bool) (makespan, staging float64, plainCount int, err error) {
+	schedule := func(aware bool) (makespan, staging float64, plainCount int) {
 		avail := make([]float64, cfg.Machines)
 		for r := 0; r < cfg.Requests; r++ {
 			best := -1
@@ -171,23 +167,17 @@ func RunStaging(cfg StagingConfig, src *rng.Source) (*StagingResult, error) {
 			for m := 0; m < cfg.Machines; m++ {
 				var rank float64
 				if aware {
-					total, _, _, cerr := chargedCost(r, m, true)
-					if cerr != nil {
-						return 0, 0, 0, cerr
-					}
+					total, _, _ := chargedCost(r, m, true)
 					rank = avail[m] + total
 				} else {
-					rank = avail[m] + costs.EEC(r, m)
+					rank = avail[m] + costs.eecRow(r)[m]
 				}
 				if rank < bestRank {
 					bestRank = rank
 					best = m
 				}
 			}
-			total, st, plain, cerr := chargedCost(r, best, aware)
-			if cerr != nil {
-				return 0, 0, 0, cerr
-			}
+			total, st, plain := chargedCost(r, best, aware)
 			avail[best] += total
 			staging += st
 			if plain {
@@ -199,17 +189,11 @@ func RunStaging(cfg StagingConfig, src *rng.Source) (*StagingResult, error) {
 				makespan = a
 			}
 		}
-		return makespan, staging, plainCount, nil
+		return makespan, staging, plainCount
 	}
 
-	unMS, unStage, _, err := schedule(false)
-	if err != nil {
-		return nil, err
-	}
-	awMS, awStage, plain, err := schedule(true)
-	if err != nil {
-		return nil, err
-	}
+	unMS, unStage, _ := schedule(false)
+	awMS, awStage, plain := schedule(true)
 	return &StagingResult{
 		UnawareMakespan: unMS,
 		AwareMakespan:   awMS,
