@@ -99,7 +99,7 @@ func (ks *kernelState) fill(in instance, p Policy, reqs []int, avail []float64) 
 // fillRow evaluates one request's decision ECCs from its cost rows.  The
 // per-index factor float64(tc)*w is hoisted out of the machine loop; the
 // per-cell expression keeps ESC.Cost's parenthesization, so every entry is,
-// operation for operation, row.cost(dec, m) (referenceFill in
+// operation for operation, row.cost(dec, m) (referenceTable in
 // reference_test.go).
 func (ks *kernelState) fillRow(dst []float64, dec ESC, row costRow) {
 	eec, idx := row.eec, row.idx[:len(row.eec)]

@@ -89,6 +89,13 @@ if grep -rnE 'DecisionESC|ChargedESC|ESCOpaque|eccTable' --include='*.go' --excl
     exit 1
 fi
 
+echo "==> one cost interface (no per-cell cost method, RowCosts, decisionRow, AssignBatch method or BatchInto assertion in non-test code under internal/sched, internal/sim, internal/core)"
+if grep -rnE 'RowCosts|decisionRow|\(sched\.BatchInto\)|^func \([^)]*\) (AssignBatch|EEC|TrustCost)\(' --include='*.go' internal/sched internal/sim internal/core \
+    | grep -v '_test\.go:'; then
+    echo "ci: a cost instance serves rows (sched.Costs: NumRequests, MachineIndex, CostRows) and a batch heuristic maps through AssignBatchInto alone" >&2
+    exit 1
+fi
+
 echo "==> no unsafe on the wire (non-test code under internal/frame, rmswire, trustwire, fleet)"
 if grep -rn '"unsafe"' --include='*.go' internal/frame internal/rmswire internal/trustwire internal/fleet | grep -v '_test\.go:'; then
     echo "ci: the frame codec reads and writes through typed accessors; bytes from a peer never meet unsafe" >&2
