@@ -156,12 +156,15 @@ func TestSubmitMatchesPerMachineReference(t *testing.T) {
 	batches := []sched.Batch{sched.MinMin{}, sched.Sufferage{}, sched.MaxMin{}, sched.Duplex{}, sched.MinMin{}}
 	for domains := 1; domains <= 16; domains++ {
 		for _, v := range variants {
-			for _, imm := range imms {
-				domains, v, imm := domains, v, imm
-				t.Run(fmt.Sprintf("domains=%d/%s/%s", domains, v.name, imm), func(t *testing.T) {
-					matchReference(t, domains, v.fuser, v.gap, imm, batches, note)
-				})
-			}
+			domains, v := domains, v
+			t.Run(fmt.Sprintf("domains=%d/%s", domains, v.name), func(t *testing.T) {
+				for _, imm := range imms {
+					imm := imm
+					t.Run(imm, func(t *testing.T) {
+						matchReference(t, domains, v.fuser, v.gap, imm, batches, note)
+					})
+				}
+			})
 		}
 	}
 	for _, kind := range []string{"placed", "partial", "gap", "unsupported", "invalid"} {
