@@ -73,26 +73,31 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Smoothing == 0 {
 		c.Smoothing = 0.3
 	}
-	if c.Alpha < 0 || c.Beta < 0 {
-		return c, fmt.Errorf("trust: negative weights α=%g β=%g", c.Alpha, c.Beta)
+	// Every comparison with NaN is false, so each check names it: a NaN
+	// weight, score or threshold would otherwise pass and poison every Γ.
+	if !finite(c.Alpha) || !finite(c.Beta) || c.Alpha < 0 || c.Beta < 0 {
+		return c, fmt.Errorf("trust: weights α=%g β=%g must be finite and non-negative", c.Alpha, c.Beta)
 	}
 	if math.Abs(c.Alpha+c.Beta-1) > 1e-9 {
 		return c, fmt.Errorf("trust: α+β must equal 1, got %g", c.Alpha+c.Beta)
 	}
-	if c.InitialScore < MinScore || c.InitialScore > MaxScore {
+	if math.IsNaN(c.InitialScore) || c.InitialScore < MinScore || c.InitialScore > MaxScore {
 		return c, fmt.Errorf("trust: initial score %g outside [%g,%g]", c.InitialScore, MinScore, MaxScore)
 	}
 	if c.UpdateBatch < 1 {
 		return c, fmt.Errorf("trust: update batch %d must be >= 1", c.UpdateBatch)
 	}
-	if c.Smoothing <= 0 || c.Smoothing > 1 {
+	if math.IsNaN(c.Smoothing) || c.Smoothing <= 0 || c.Smoothing > 1 {
 		return c, fmt.Errorf("trust: smoothing %g outside (0,1]", c.Smoothing)
 	}
-	if c.PurgeBelow < 0 || c.PurgeBelow > 1 {
+	if math.IsNaN(c.PurgeBelow) || c.PurgeBelow < 0 || c.PurgeBelow > 1 {
 		return c, fmt.Errorf("trust: purge threshold %g outside [0,1]", c.PurgeBelow)
 	}
 	return c, nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Engine evolves and serves trust values.  It is safe for concurrent use.
 //

@@ -29,6 +29,16 @@ func TestConfigValidation(t *testing.T) {
 		{Alpha: 0.5, Beta: 0.5, Smoothing: 1.5},    // bad smoothing
 		{Alpha: 0.5, Beta: 0.5, Smoothing: -0.1},   // bad smoothing
 		{Alpha: 0.5, Beta: 0.5, InitialScore: 0.5}, // below scale
+		// NaN fails every comparison, so each range check must name it.
+		{Alpha: math.NaN(), Beta: 0.5},
+		{Alpha: 0.5, Beta: math.NaN()},
+		{Alpha: math.Inf(1), Beta: math.Inf(-1)},
+		{Alpha: 0.5, Beta: 0.5, InitialScore: math.NaN()},
+		{Alpha: 0.5, Beta: 0.5, InitialScore: math.Inf(1)},
+		{Alpha: 0.5, Beta: 0.5, Smoothing: math.NaN()},
+		{Alpha: 0.5, Beta: 0.5, Smoothing: math.Inf(1)},
+		{Alpha: 0.5, Beta: 0.5, PurgeBelow: math.NaN()},
+		{Alpha: 0.5, Beta: 0.5, PurgeBelow: math.Inf(-1)},
 	}
 	for i, cfg := range bad {
 		if _, err := NewEngine(cfg); err == nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -193,13 +194,18 @@ func (e *Engine) Import(snap *Snapshot) error {
 	if err := checkSnapshotModel(DefaultModel, snap); err != nil {
 		return err
 	}
+	// The checks SetDirect and SetRecommenderFactor make, NaN included,
+	// plus a finite last transaction time: Θ's decay age is taken from it.
 	for _, r := range snap.Relationships {
-		if r.Score < MinScore || r.Score > MaxScore {
+		if math.IsNaN(r.Score) || r.Score < MinScore || r.Score > MaxScore {
 			return fmt.Errorf("trust: snapshot score %g for %s→%s outside scale", r.Score, r.From, r.To)
+		}
+		if !finite(r.LastTx) {
+			return fmt.Errorf("trust: snapshot last_tx %g for %s→%s is not finite", r.LastTx, r.From, r.To)
 		}
 	}
 	for _, r := range snap.Recommenders {
-		if r.Factor < 0 || r.Factor > 1 {
+		if math.IsNaN(r.Factor) || r.Factor < 0 || r.Factor > 1 {
 			return fmt.Errorf("trust: snapshot recommender factor %g outside [0,1]", r.Factor)
 		}
 	}

@@ -3,6 +3,7 @@ package trust
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -122,6 +123,44 @@ func TestImportValidation(t *testing.T) {
 	// A failed import must not have mutated the engine.
 	if e.Relationships() != 0 {
 		t.Error("rejected import leaked state")
+	}
+}
+
+// TestImportRejectsNonFinite pins that a snapshot cannot smuggle in what
+// SetDirect and SetRecommenderFactor refuse: a NaN score or factor, or a
+// non-finite last transaction time.  Each is refused before any record is
+// installed, by the paper engine and by every zoo model, whose Import goes
+// through the engine's.
+func TestImportRejectsNonFinite(t *testing.T) {
+	good := RelationshipRecord{From: "a", To: "y", Ctx: "c", Score: 4, LastTx: 1}
+	bad := map[string]*Snapshot{
+		"NaN score": {Version: 1, Relationships: []RelationshipRecord{good,
+			{From: "x", To: "y", Ctx: "c", Score: math.NaN()}}},
+		"NaN factor": {Version: 1, Relationships: []RelationshipRecord{good},
+			Recommenders: []RecommenderRecord{{From: "x", About: "y", Factor: math.NaN()}}},
+		"NaN last_tx": {Version: 1, Relationships: []RelationshipRecord{good,
+			{From: "x", To: "y", Ctx: "c", Score: 3, LastTx: math.NaN()}}},
+		"+Inf last_tx": {Version: 1, Relationships: []RelationshipRecord{good,
+			{From: "x", To: "y", Ctx: "c", Score: 3, LastTx: math.Inf(1)}}},
+		"-Inf last_tx": {Version: 1, Relationships: []RelationshipRecord{good,
+			{From: "x", To: "y", Ctx: "c", Score: 3, LastTx: math.Inf(-1)}}},
+	}
+	for _, name := range ModelNames() {
+		for what, snap := range bad {
+			m, err := NewModel(name, defaultCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Import(snap); err == nil {
+				t.Errorf("%s: snapshot with a %s accepted", name, what)
+			}
+			if n := m.Relationships(); n != 0 {
+				t.Errorf("%s: rejected snapshot with a %s installed %d relationships", name, what, n)
+			}
+			if v, err := m.Trust("z", "y", "c", 2); err != nil || math.IsNaN(v) {
+				t.Errorf("%s: after a rejected snapshot with a %s, Trust = %v, %v", name, what, v, err)
+			}
+		}
 	}
 }
 
