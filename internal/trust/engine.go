@@ -3,6 +3,7 @@ package trust
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -109,16 +110,24 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // stores relationships in flat parallel slices (SoA) addressed by those
 // indices:
 //
-//   - out[x] is x's outgoing adjacency, sorted by (to, ctx) index — a
-//     binary search replaces the map lookup in Observe/Direct;
-//   - in[y] is y's incoming adjacency, sorted by context index, then by
-//     the recommender's EntityID *string*.  Reputation's contract is that
-//     contributions sum in recommender string order (float addition is
-//     not associative, so summation order defines the bits of Ω); the
-//     old engine sorted on every call, this one keeps the adjacency
-//     presorted, binary-searches the context's run and just scans it,
-//     making Ω an allocation-free linear pass over exactly the
-//     relationships that matter;
+//   - every (subject y, context c) with a record owns one incoming run,
+//     the records (x→y, c) sorted by the recommender's EntityID *string*,
+//     found by one lookup of (y, c) in runIdx.  That run is the only index
+//     a query uses: the asker's own relationship sits in it beside the
+//     recommenders' (findRel looks x up there, by a scan of a short run
+//     and by name in a long one), and Ω and the rival models' claims scan
+//     it.  Reputation's contract is that contributions sum in recommender
+//     string order (float addition is not associative, so summation order
+//     defines the bits of Ω); the old engine sorted on every call, this
+//     one keeps the run presorted, making Ω an allocation-free linear
+//     pass over exactly the relationships that matter;
+//   - the rival models' observation tallies (how many outcomes a
+//     truster saw and how many were positive) live on the relationship
+//     record, so a subject's load is the sum of the tallies in its run.
+//     A tally outlives its relationship: Prune unlinks a relationship's
+//     record only when it carries no tally, and otherwise leaves it in the
+//     run as a tally-only record that Θ, Ω, the claims and Export skip
+//     until an Observe, SetDirect or Import makes it a relationship again;
 //   - recommender factors and alliances are per-entity sorted index
 //     lists, looked up by binary search.
 //
@@ -129,7 +138,8 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // into indices and runs the indexed code on them.
 // Scores are bit-identical to the reference implementation in
 // reference_test.go, which engine_equiv_test.go and FuzzEngineEquivalence
-// enforce.
+// enforce; the tallies to the rival models' map-based reference in
+// model_equiv_test.go.
 type Engine struct {
 	cfg Config
 	// noDecay marks the default Υ (Config.Decay == nil): decay is then
@@ -148,9 +158,10 @@ type Engine struct {
 	ctxIdx map[Context]int32
 	ctxs   []Context
 
-	// Relationship records in flat parallel slices, addressed by the
-	// rel index stored in the adjacency edges.  Freed slots (Prune) are
-	// recycled through relFree.
+	// Records in flat parallel slices, addressed by the rel index stored
+	// in the adjacency edges.  A linked record is a live relationship, a
+	// tally-only record, or both; one that is neither is unlinked and its
+	// slot recycled through relFree.
 	relFrom    []int32
 	relTo      []int32
 	relCtx     []int32
@@ -158,22 +169,27 @@ type Engine struct {
 	relLastTx  []float64
 	relPendSum []float64
 	relPendCnt []int32
-	relLive    []bool
+	relLive    []bool // a relationship: scored, exported, recommending
+	relTally   []bool // carries a tally (rival models only)
+	relN       []int32
+	relPos     []int32
 	relFree    []int32
+	live       int // live relationships
 
-	out  [][]edge    // per from-entity, sorted by (to, ctx) index
-	in   [][]edge    // per to-entity, sorted by (ctx index, from string)
-	rec  [][]recEdge // per recommender, sorted by about index
-	ally [][]int32   // per entity, sorted ally index list
+	runIdx map[uint64]int32 // runKey(subject, context) → its run in runs
+	runs   [][]edge         // per (subject, context): sorted by from string
+	rec    [][]recEdge      // per recommender, sorted by about index
+	ally   [][]int32        // per entity, sorted ally index list
 }
 
-// edge is one adjacency entry: the far endpoint, the context and the
-// relationship record it names.
+// edge is one incoming run entry: the recommender and the record it names.
 type edge struct {
-	peer int32 // out: the trustee; in: the recommender
-	ctx  int32
+	peer int32
 	rel  int32
 }
+
+// runKey packs a (subject, context) pair of indices into runIdx's key.
+func runKey(y, c int32) uint64 { return uint64(uint32(y))<<32 | uint64(uint32(c)) }
 
 // recEdge is one explicit R(z,y) override.
 type recEdge struct {
@@ -193,6 +209,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		noDecay: noDecay,
 		entIdx:  make(map[EntityID]int32),
 		ctxIdx:  make(map[Context]int32),
+		runIdx:  make(map[uint64]int32),
 	}, nil
 }
 
@@ -206,8 +223,6 @@ func (e *Engine) intern(id EntityID) int32 {
 	i := int32(len(e.ents))
 	e.entIdx[id] = i
 	e.ents = append(e.ents, id)
-	e.out = append(e.out, nil)
-	e.in = append(e.in, nil)
 	e.rec = append(e.rec, nil)
 	e.ally = append(e.ally, nil)
 	return i
@@ -224,98 +239,128 @@ func (e *Engine) internCtx(c Context) int32 {
 	return i
 }
 
-// findRel locates the relationship (xi → yi, ci) by binary search over
-// xi's outgoing adjacency.
-func (e *Engine) findRel(xi, yi, ci int32) (int32, bool) {
-	adj := e.out[xi]
-	lo := sort.Search(len(adj), func(i int) bool {
-		if adj[i].peer != yi {
-			return adj[i].peer > yi
-		}
-		return adj[i].ctx >= ci
-	})
-	if lo < len(adj) && adj[lo].peer == yi && adj[lo].ctx == ci {
-		return adj[lo].rel, true
+// run returns y's incoming run in context c, in recommender string order;
+// empty when y or c is unknown (negative) or nobody has a record about y
+// in c.  Caller holds the lock.
+func (e *Engine) run(y, c int32) []edge {
+	if y < 0 || c < 0 {
+		return nil
 	}
-	return 0, false
+	if i, ok := e.runIdx[runKey(y, c)]; ok {
+		return e.runs[i]
+	}
+	return nil
 }
 
-// newRel creates a relationship record and links it into both adjacency
-// lists.  The caller must hold the write lock and must have checked the
-// relationship does not already exist.
-func (e *Engine) newRel(xi, yi, ci int32, score, lastTx float64) int32 {
+// shortRun is the run length up to which lookup scans indices instead of
+// binary-searching names: the simulator's runs hold one record per client
+// domain, a fault study's one per recommender.
+const shortRun = 16
+
+// lookup returns the record x holds in run, or -1.  Caller holds the lock.
+func (e *Engine) lookup(run []edge, x int32) int32 {
+	if x < 0 {
+		return -1
+	}
+	if len(run) <= shortRun {
+		for _, ed := range run {
+			if ed.peer == x {
+				return ed.rel
+			}
+		}
+		return -1
+	}
+	name := e.ents[x]
+	lo, hi := 0, len(run)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); e.ents[run[mid].peer] < name {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(run) && run[lo].peer == x {
+		return run[lo].rel
+	}
+	return -1
+}
+
+// findRel locates the live relationship (xi → yi, ci) in the run of (yi,
+// ci).  Caller holds the lock.
+func (e *Engine) findRel(xi, yi, ci int32) (int32, bool) {
+	ri := e.lookup(e.run(yi, ci), xi)
+	return ri, ri >= 0 && e.relLive[ri]
+}
+
+// relate makes (xi → yi, ci) a live relationship with the given score and
+// last transaction time and no pending evidence, on the record already in
+// the run (live, or tally-only after a prune) or on a new one, which it
+// links in.  It returns the record.  Caller holds the write lock.
+func (e *Engine) relate(xi, yi, ci int32, score, lastTx float64) int32 {
+	ri := e.lookup(e.run(yi, ci), xi)
+	if ri < 0 {
+		ri = e.link(xi, yi, ci)
+	}
+	e.relScore[ri], e.relLastTx[ri] = score, lastTx
+	e.relPendSum[ri], e.relPendCnt[ri] = 0, 0
+	if !e.relLive[ri] {
+		e.relLive[ri] = true
+		e.live++
+	}
+	return ri
+}
+
+// link creates an empty record — neither a relationship nor a tally yet —
+// and inserts it into the incoming run of (yi, ci).  The caller must hold the
+// write lock, must have checked no record exists and must make the new one
+// a relationship or a tally.
+func (e *Engine) link(xi, yi, ci int32) int32 {
 	var ri int32
 	if n := len(e.relFree); n > 0 {
 		ri = e.relFree[n-1]
 		e.relFree = e.relFree[:n-1]
 		e.relFrom[ri], e.relTo[ri], e.relCtx[ri] = xi, yi, ci
-		e.relScore[ri], e.relLastTx[ri] = score, lastTx
+		e.relScore[ri], e.relLastTx[ri] = 0, 0
 		e.relPendSum[ri], e.relPendCnt[ri] = 0, 0
-		e.relLive[ri] = true
+		e.relLive[ri], e.relTally[ri] = false, false
+		e.relN[ri], e.relPos[ri] = 0, 0
 	} else {
 		ri = int32(len(e.relFrom))
 		e.relFrom = append(e.relFrom, xi)
 		e.relTo = append(e.relTo, yi)
 		e.relCtx = append(e.relCtx, ci)
-		e.relScore = append(e.relScore, score)
-		e.relLastTx = append(e.relLastTx, lastTx)
+		e.relScore = append(e.relScore, 0)
+		e.relLastTx = append(e.relLastTx, 0)
 		e.relPendSum = append(e.relPendSum, 0)
 		e.relPendCnt = append(e.relPendCnt, 0)
-		e.relLive = append(e.relLive, true)
+		e.relLive = append(e.relLive, false)
+		e.relTally = append(e.relTally, false)
+		e.relN = append(e.relN, 0)
+		e.relPos = append(e.relPos, 0)
 	}
-
-	// Outgoing adjacency: ordered by (to, ctx) index for binary search.
-	adj := e.out[xi]
-	pos := sort.Search(len(adj), func(i int) bool {
-		if adj[i].peer != yi {
-			return adj[i].peer > yi
-		}
-		return adj[i].ctx >= ci
-	})
-	adj = append(adj, edge{})
-	copy(adj[pos+1:], adj[pos:])
-	adj[pos] = edge{peer: yi, ctx: ci, rel: ri}
-	e.out[xi] = adj
-
-	// Incoming adjacency: ordered by ctx, then by the recommender's
-	// EntityID string, so Reputation's scan of one context's run sums
-	// contributions in exactly the order the reference implementation
-	// sorts them into.
-	from := e.ents[xi]
-	inc := e.in[yi]
-	pos = sort.Search(len(inc), func(i int) bool {
-		if inc[i].ctx != ci {
-			return inc[i].ctx > ci
-		}
-		return e.ents[inc[i].peer] >= from
-	})
-	inc = append(inc, edge{})
-	copy(inc[pos+1:], inc[pos:])
-	inc[pos] = edge{peer: xi, ctx: ci, rel: ri}
-	e.in[yi] = inc
+	// Ordered by the recommender's EntityID string, so a scan of the run
+	// sums contributions in exactly the order the reference implementation
+	// sorts them into.  A new run has room for a few recommenders: the
+	// simulator's runs hold one record per client domain.
+	k := runKey(yi, ci)
+	i, ok := e.runIdx[k]
+	if !ok {
+		i = int32(len(e.runs))
+		e.runIdx[k] = i
+		e.runs = append(e.runs, make([]edge, 0, 4))
+	}
+	run, from := e.runs[i], e.ents[xi]
+	pos := sort.Search(len(run), func(j int) bool { return e.ents[run[j].peer] >= from })
+	e.runs[i] = slices.Insert(run, pos, edge{peer: xi, rel: ri})
 	return ri
 }
 
-// dropRel unlinks and frees a relationship record.  Caller holds the
-// write lock.
-func (e *Engine) dropRel(ri int32) {
-	xi, yi, ci := e.relFrom[ri], e.relTo[ri], e.relCtx[ri]
-	adj := e.out[xi]
-	for i := range adj {
-		if adj[i].rel == ri {
-			e.out[xi] = append(adj[:i], adj[i+1:]...)
-			break
-		}
-	}
-	inc := e.in[yi]
-	for i := range inc {
-		if inc[i].rel == ri {
-			e.in[yi] = append(inc[:i], inc[i+1:]...)
-			break
-		}
-	}
-	_ = ci
-	e.relLive[ri] = false
+// unlink removes a record that is neither a relationship nor a tally from
+// its run and frees its slot.  An emptied run stays, for the next record
+// about its subject in its context.  Caller holds the write lock.
+func (e *Engine) unlink(ri int32) {
+	i := e.runIdx[runKey(e.relTo[ri], e.relCtx[ri])]
+	e.runs[i] = slices.DeleteFunc(e.runs[i], func(ed edge) bool { return ed.rel == ri })
 	e.relFree = append(e.relFree, ri)
 }
 
@@ -340,13 +385,7 @@ func (e *Engine) SetDirect(x, y EntityID, c Context, score, now float64) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	xi, yi, ci := e.intern(x), e.intern(y), e.internCtx(c)
-	if ri, ok := e.findRel(xi, yi, ci); ok {
-		e.relScore[ri], e.relLastTx[ri] = score, now
-		e.relPendSum[ri], e.relPendCnt[ri] = 0, 0
-		return nil
-	}
-	e.newRel(xi, yi, ci, score, now)
+	e.relate(e.intern(x), e.intern(y), e.internCtx(c), score, now)
 	return nil
 }
 
@@ -448,7 +487,8 @@ func (e *Engine) Observe(x, y EntityID, c Context, outcome, now float64) (bool, 
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.observe(e.intern(x), e.intern(y), e.internCtx(c), outcome, now), nil
+	_, changed := e.observe(e.intern(x), e.intern(y), e.internCtx(c), outcome, now)
+	return changed, nil
 }
 
 // checkOutcome rejects an outcome off the trust scale, NaN included.
@@ -459,23 +499,24 @@ func checkOutcome(outcome float64) error {
 	return nil
 }
 
-// observe is Observe on interned indices.  Caller holds the write lock.
-func (e *Engine) observe(xi, yi, ci int32, outcome, now float64) bool {
+// observe is Observe on interned indices: it returns the relationship's
+// record and whether its stored TL changed.  Caller holds the write lock.
+func (e *Engine) observe(xi, yi, ci int32, outcome, now float64) (int32, bool) {
 	ri, ok := e.findRel(xi, yi, ci)
 	if !ok {
-		ri = e.newRel(xi, yi, ci, e.cfg.InitialScore, now)
+		ri = e.relate(xi, yi, ci, e.cfg.InitialScore, now)
 	}
 	e.relPendSum[ri] += outcome
 	e.relPendCnt[ri]++
 	e.relLastTx[ri] = now
 	if int(e.relPendCnt[ri]) < e.cfg.UpdateBatch {
-		return false
+		return ri, false
 	}
 	batchMean := e.relPendSum[ri] / float64(e.relPendCnt[ri])
 	e.relPendSum[ri], e.relPendCnt[ri] = 0, 0
 	s := e.cfg.Smoothing
 	e.relScore[ri] = clampScore((1-s)*e.relScore[ri] + s*batchMean)
-	return true
+	return ri, true
 }
 
 // query is one (asker, subject, context) triple resolved to dense
@@ -510,37 +551,24 @@ func (e *Engine) resolve(x, y EntityID, c Context) query {
 func (e *Engine) Direct(x, y EntityID, c Context, now float64) (float64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.direct(e.resolve(x, y, c), now)
+	q := e.resolve(x, y, c)
+	return e.theta(e.lookup(e.run(q.y, q.c), q.x), q.ctx, now)
 }
 
-// direct is Direct on a resolved query.  Caller holds the lock.
-func (e *Engine) direct(q query, now float64) (float64, error) {
-	if q.x < 0 || q.y < 0 || q.c < 0 {
+// theta is Θ on the asker's record ri in the query's run (-1 for none):
+// the initial score unless the record is a live relationship.  Caller
+// holds the lock.
+func (e *Engine) theta(ri int32, ctx Context, now float64) (float64, error) {
+	if ri < 0 || !e.relLive[ri] {
 		return e.cfg.InitialScore, nil
 	}
-	ri, ok := e.findRel(q.x, q.y, q.c)
-	if !ok {
-		return e.cfg.InitialScore, nil
-	}
-	d, err := e.decay(now-e.relLastTx[ri], q.ctx)
+	d, err := e.decay(now-e.relLastTx[ri], ctx)
 	if err != nil {
 		return 0, err
 	}
 	// Decay pulls the remembered score toward the scale floor rather than
 	// to zero, keeping Θ on [1,6]: Θ = 1 + (score−1)·Υ.
 	return MinScore + (e.relScore[ri]-MinScore)*d, nil
-}
-
-// incoming returns the run of y's incoming adjacency in context c, in
-// recommender string order.  Caller holds the lock; y and c are known.
-func (e *Engine) incoming(y, c int32) []edge {
-	inc := e.in[y]
-	lo := sort.Search(len(inc), func(i int) bool { return inc[i].ctx >= c })
-	hi := lo
-	for hi < len(inc) && inc[hi].ctx == c {
-		hi++
-	}
-	return inc[lo:hi]
 }
 
 // Reputation computes Ω(y,t,c): the average over recommenders z≠x of
@@ -550,22 +578,20 @@ func (e *Engine) incoming(y, c int32) []edge {
 func (e *Engine) Reputation(x, y EntityID, c Context, now float64) (float64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.reputation(e.resolve(x, y, c), now)
+	q := e.resolve(x, y, c)
+	return e.reputation(q, e.run(q.y, q.c), now)
 }
 
-// reputation scans y's incoming run in context c.  The run is presorted
-// by recommender string, so the sum accumulates in exactly the order the
-// reference implementation establishes by sorting per call — float
-// addition is not associative, and Ω's bits are part of the engine's
+// reputation scans q's run: y's incoming run in context c.  The run is
+// presorted by recommender string, so the sum accumulates in exactly the
+// order the reference implementation establishes by sorting per call —
+// float addition is not associative, and Ω's bits are part of the engine's
 // determinism contract.  Caller holds the lock.
-func (e *Engine) reputation(q query, now float64) (float64, error) {
-	if q.y < 0 || q.c < 0 {
-		return e.cfg.InitialScore, nil
-	}
+func (e *Engine) reputation(q query, run []edge, now float64) (float64, error) {
 	var sum float64
 	n := 0
-	for _, ed := range e.incoming(q.y, q.c) {
-		if ed.peer == q.x || ed.peer == q.y {
+	for _, ed := range run {
+		if ed.peer == q.x || ed.peer == q.y || !e.relLive[ed.rel] {
 			continue
 		}
 		d, err := e.decay(now-e.relLastTx[ed.rel], q.ctx)
@@ -600,27 +626,28 @@ func (e *Engine) Recommendation(z, y EntityID, c Context, now float64) (float64,
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	q := e.resolve(z, y, c)
-	if q.x < 0 || q.y < 0 || q.c < 0 {
+	ri, ok := e.findRel(q.x, q.y, q.c)
+	if !ok {
 		return 0, false, nil
 	}
-	if _, ok := e.findRel(q.x, q.y, q.c); !ok {
-		return 0, false, nil
-	}
-	v, err := e.direct(q, now)
+	v, err := e.theta(ri, q.ctx, now)
 	return v, err == nil, err
 }
 
 // Trust computes the eventual trust Γ(x,y,t,c) = α·Θ + β·Ω, clamped to the
-// paper's [1,6] scale.
+// paper's [1,6] scale.  Both read one run: the subject's incoming run in
+// the context, which holds the asker's own relationship among the
+// recommenders'.
 func (e *Engine) Trust(x, y EntityID, c Context, now float64) (float64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	q := e.resolve(x, y, c)
-	theta, err := e.direct(q, now)
+	run := e.run(q.y, q.c)
+	theta, err := e.theta(e.lookup(run, q.x), q.ctx, now)
 	if err != nil {
 		return 0, err
 	}
-	omega, err := e.reputation(q, now)
+	omega, err := e.reputation(q, run, now)
 	if err != nil {
 		return 0, err
 	}
@@ -643,15 +670,16 @@ func (e *Engine) Entities() []EntityID {
 func (e *Engine) Relationships() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.relFrom) - len(e.relFree)
+	return e.live
 }
 
 // Prune removes relationships whose last transaction is older than
 // `before` and whose decayed contribution has fallen to the scale floor —
 // the garbage collection a long-running trust fabric needs ("managing ...
 // trust in a large-scale distributed system", Section 7).  A relationship
-// with pending (uncommitted) observations is never pruned.  It returns the
-// number of records removed.
+// with pending (uncommitted) observations is never pruned.  A rival
+// model's tally survives its relationship's prune.  It returns the number
+// of relationships removed.
 func (e *Engine) Prune(before float64) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -660,8 +688,12 @@ func (e *Engine) Prune(before float64) int {
 		if !e.relLive[ri] || e.relPendCnt[ri] > 0 || e.relLastTx[ri] >= before {
 			continue
 		}
-		e.dropRel(int32(ri))
+		e.relLive[ri] = false
+		e.live--
 		removed++
+		if !e.relTally[ri] {
+			e.unlink(int32(ri))
+		}
 	}
 	return removed
 }

@@ -211,30 +211,31 @@ type claim struct {
 // with more recommenders in one context spills to the heap.
 const claimBuf = 16
 
-// claims appends to buf every recommender claim about q's subject in q's
-// context, excluding the asker and the subject itself, in recommender
-// EntityID string order — the deterministic iteration order rival models
-// inherit from the engine's presorted incoming adjacency.  Caller holds
-// the lock.
-func (e *Engine) claims(q query, now float64, buf []claim) ([]claim, error) {
+// claims appends to buf every recommender claim in run, q's subject's
+// incoming run in q's context, excluding the asker, the subject itself and
+// tally-only records, in recommender EntityID string order — the
+// deterministic iteration order rival models inherit from the engine's
+// presorted incoming adjacency.  It also returns the subject's load: the
+// sum of every tally in the run, the asker's and the subject's included.
+// Caller holds the lock.
+func (e *Engine) claims(q query, run []edge, now float64, buf []claim) ([]claim, int32, error) {
 	out := buf[:0]
-	if q.y < 0 || q.c < 0 {
-		return out, nil
-	}
-	for _, ed := range e.incoming(q.y, q.c) {
-		if ed.peer == q.x || ed.peer == q.y {
+	var load int32
+	for _, ed := range run {
+		load += e.relN[ed.rel]
+		if ed.peer == q.x || ed.peer == q.y || !e.relLive[ed.rel] {
 			continue
 		}
 		d, err := e.decay(now-e.relLastTx[ed.rel], q.ctx)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		out = append(out, claim{
 			value:  MinScore + (e.relScore[ed.rel]-MinScore)*d,
 			factor: e.recommenderFactor(ed.peer, q.y),
 		})
 	}
-	return out, nil
+	return out, load, nil
 }
 
 var _ Model = (*Engine)(nil)

@@ -2,6 +2,7 @@ package trust
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -37,17 +38,99 @@ func warmModel(tb testing.TB, name string) (m Model, cds, rds []EntityID, ctxs [
 	return m, cds, rds, ctxs
 }
 
-// BenchmarkModelTrust reads one Trust call of each registered model on a
-// warmed grid, cycling through every (asker, subject, context).
+// simShapedModel builds the named model under the simulator's
+// configuration in the state a sim_trust leg works on: four client
+// domains observe four resource domains in the 205 ordered ToAs of up to
+// four of the five built-in activities (rendered as the simulator renders
+// a ToA), one to three times each, skipping one (CD, RD, context) in
+// sixteen — about 3 000 relationships, so every subject has some 800
+// records across its contexts and four (sometimes three) in each.
+func simShapedModel(tb testing.TB, name string) (m Model, cds, rds []EntityID, ctxs []Context) {
+	tb.Helper()
+	m, err := NewModel(name, Config{Alpha: 0.7, Beta: 0.3, InitialScore: (MinScore + MaxScore) / 2, UpdateBatch: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		cds = append(cds, EntityID(fmt.Sprintf("cd:%d", i)))
+		rds = append(rds, EntityID(fmt.Sprintf("rd:%d", i)))
+	}
+	acts := []string{"compute", "storage", "print", "display", "network"}
+	var extend func(prefix []string, used int)
+	extend = func(prefix []string, used int) {
+		if len(prefix) > 0 {
+			ctxs = append(ctxs, Context("{"+strings.Join(prefix, "+")+"}"))
+		}
+		if len(prefix) == 4 {
+			return
+		}
+		for a := range acts {
+			if used&(1<<a) == 0 {
+				extend(append(prefix, acts[a]), used|1<<a)
+			}
+		}
+	}
+	extend(nil, 0)
+	for k, c := range ctxs {
+		for i, x := range cds {
+			for j, y := range rds {
+				if (7*i+5*j+k)%16 == 0 {
+					continue
+				}
+				for n := 0; n <= (i+j+k)%3; n++ {
+					outcome := float64(1 + (i+2*j+3*k+n)%6)
+					if _, err := m.Observe(x, y, c, outcome, 0); err != nil {
+						tb.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	return m, cds, rds, ctxs
+}
+
+// BenchmarkModelTrust reads one Trust call of each registered model,
+// cycling through every (asker, subject, context): on a small warmed grid
+// (three contexts), and under sim/ on the state a sim_trust leg works on.
 func BenchmarkModelTrust(b *testing.B) {
+	type builder func(testing.TB, string) (Model, []EntityID, []EntityID, []Context)
+	bench := func(b *testing.B, build builder, name string) {
+		m, cds, rds, ctxs := build(b, name)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x, y, c := cds[i%4], rds[(i/4)%4], ctxs[(i/16)%len(ctxs)]
+			if _, err := m.Trust(x, y, c, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, name := range ModelNames() {
 		b.Run(name, func(b *testing.B) {
-			m, cds, rds, ctxs := warmModel(b, name)
+			bench(b, warmModel, name)
+		})
+	}
+	b.Run("sim", func(b *testing.B) {
+		for _, name := range ModelNames() {
+			b.Run(name, func(b *testing.B) {
+				bench(b, simShapedModel, name)
+			})
+		}
+	})
+}
+
+// BenchmarkModelObserve is BenchmarkModelTrust/sim's twin for Observe:
+// one observation per call on the sim_trust-shaped state, cycling through
+// every (observer, subject, context) as the leg's completions do.
+func BenchmarkModelObserve(b *testing.B) {
+	for _, name := range ModelNames() {
+		b.Run("sim/"+name, func(b *testing.B) {
+			m, cds, rds, ctxs := simShapedModel(b, name)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				x, y, c := cds[i%4], rds[(i/4)%4], ctxs[(i/16)%len(ctxs)]
-				if _, err := m.Trust(x, y, c, 0); err != nil {
+				if _, err := m.Observe(x, y, c, float64(1+i%6), 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -212,13 +212,7 @@ func (e *Engine) Import(snap *Snapshot) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, r := range snap.Relationships {
-		xi, yi, ci := e.intern(r.From), e.intern(r.To), e.internCtx(r.Ctx)
-		if ri, ok := e.findRel(xi, yi, ci); ok {
-			e.relScore[ri], e.relLastTx[ri] = r.Score, r.LastTx
-			e.relPendSum[ri], e.relPendCnt[ri] = 0, 0
-			continue
-		}
-		e.newRel(xi, yi, ci, r.Score, r.LastTx)
+		e.relate(e.intern(r.From), e.intern(r.To), e.internCtx(r.Ctx), r.Score, r.LastTx)
 	}
 	for _, r := range snap.Recommenders {
 		zi, yi := e.intern(r.From), e.intern(r.About)

@@ -20,6 +20,14 @@ type refRelationship struct {
 	pendingCount int
 }
 
+// obsVal is one reference tally, the value the rival models' (from, to,
+// ctx)-keyed observation map held before the tallies moved onto the
+// engine's relationship records (refZooModel, model_equiv_test.go).
+type obsVal struct {
+	n   int32
+	pos int32
+}
+
 type refRelKey struct {
 	from EntityID
 	to   EntityID

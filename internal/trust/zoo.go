@@ -27,32 +27,26 @@ import (
 //
 // All three are engine-backed: the Engine stores relationships,
 // recommender factors and alliances (inheriting its deterministic
-// string-ordered iteration), and zooBase layers the per-relationship
+// string-ordered iteration) and, on each relationship's record, the
 // observation tallies (counts of outcomes and positives) the rivals need
-// but the paper's model does not.  Every float aggregation walks claims
-// in the engine's presorted recommender order or fixed-size arrays, so
-// results are bit-identical across runs, workers and shard counts.
+// but the paper's model does not; zooBase keeps them.  Every float
+// aggregation walks claims in the engine's presorted recommender order or
+// fixed-size arrays, so results are bit-identical across runs, workers and
+// shard counts.
 
 // posThreshold splits outcomes into positive/negative at the scale
 // midpoint for the reliability tallies.
 const posThreshold = (MinScore + MaxScore) / 2
 
-type obsVal struct {
-	n   int32
-	pos int32
-}
-
-// zooBase wraps an Engine with observation tallies and the model
-// identity plumbing shared by every rival model.  The tallies are keyed
-// by interned indices and guarded by the engine's lock, so a Trust reads
-// relationships and tallies under one read lock with one name lookup.
+// zooBase wraps an Engine with the observation tallies and the model
+// identity plumbing shared by every rival model.  A tally lives on the
+// engine record of its (from, to, ctx) and is guarded by the engine's
+// lock, so a Trust reads relationships and tallies under one read lock
+// with one name lookup and one walk of the subject's run.
 type zooBase struct {
 	*Engine
 	name   string
 	params string
-
-	obs     map[[3]int32]obsVal // (from, to, ctx) → outcomes observed
-	loadCnt map[[2]int32]int32  // (to, ctx) → outcomes observed by anyone
 }
 
 func newZooBase(name, params string, cfg Config) (*zooBase, error) {
@@ -60,13 +54,7 @@ func newZooBase(name, params string, cfg Config) (*zooBase, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &zooBase{
-		Engine:  eng,
-		name:    name,
-		params:  params,
-		obs:     make(map[[3]int32]obsVal),
-		loadCnt: make(map[[2]int32]int32),
-	}, nil
+	return &zooBase{Engine: eng, name: name, params: params}, nil
 }
 
 func (m *zooBase) ModelName() string   { return m.name }
@@ -80,31 +68,45 @@ func (m *zooBase) Observe(x, y EntityID, c Context, outcome, now float64) (bool,
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	xi, yi, ci := m.intern(x), m.intern(y), m.internCtx(c)
-	changed := m.observe(xi, yi, ci, outcome, now)
-	v := m.obs[[3]int32{xi, yi, ci}]
-	v.n++
+	ri, changed := m.observe(m.intern(x), m.intern(y), m.internCtx(c), outcome, now)
+	m.relTally[ri] = true
+	m.relN[ri]++
 	if outcome >= posThreshold {
-		v.pos++
+		m.relPos[ri]++
 	}
-	m.obs[[3]int32{xi, yi, ci}] = v
-	m.loadCnt[[2]int32{yi, ci}]++
 	return changed, nil
 }
 
-// counts returns how many outcomes the asker has observed about the
-// subject in the context, and how many were positive.  Caller holds the
-// lock.
-func (m *zooBase) counts(q query) (n, pos int32) {
-	v := m.obs[[3]int32{q.x, q.y, q.c}]
-	return v.n, v.pos
+// sight is what a rival model's Trust reads about its subject: Θ, the
+// asker's tallies (how many outcomes it observed about the subject in the
+// context, and how many were positive), every other recommender's claim,
+// and the load — the observations recorded about the subject in the
+// context by anyone, the FRTRUST input for how heavily it is used.
+type sight struct {
+	theta  float64
+	n, pos int32
+	claims []claim
+	load   int32
 }
 
-// load returns the total observations recorded about the subject in the
-// context by anyone — the FRTRUST "load" input: how heavily the subject
-// is being used.  Caller holds the lock.
-func (m *zooBase) load(q query) int32 {
-	return m.loadCnt[[2]int32{q.y, q.c}]
+// look resolves the query and reads its sight off one run, the subject's
+// incoming run in the context: the asker's record in it gives Θ and the
+// asker's tallies, a walk over it the claims and the load.  Claims spill
+// past buf to the heap.  Caller holds the lock.
+func (m *zooBase) look(x, y EntityID, c Context, now float64, buf []claim) (sight, error) {
+	q := m.resolve(x, y, c)
+	run := m.run(q.y, q.c)
+	own := m.lookup(run, q.x)
+	var s sight
+	var err error
+	if s.theta, err = m.theta(own, q.ctx, now); err != nil {
+		return s, err
+	}
+	if own >= 0 {
+		s.n, s.pos = m.relN[own], m.relPos[own]
+	}
+	s.claims, s.load, err = m.claims(q, run, now, buf)
+	return s, err
 }
 
 // Export stamps the model identity and appends the tallies.
@@ -113,10 +115,13 @@ func (m *zooBase) Export() *Snapshot {
 	snap.Model = m.name
 	snap.ParamHash = ParamHash(m.name, m.params)
 	m.mu.RLock()
-	for k, v := range m.obs {
-		snap.Counts = append(snap.Counts, ObservationCount{
-			From: m.ents[k[0]], To: m.ents[k[1]], Ctx: m.ctxs[k[2]], N: v.n, Pos: v.pos,
-		})
+	for ri, tallied := range m.relTally {
+		if tallied {
+			snap.Counts = append(snap.Counts, ObservationCount{
+				From: m.ents[m.relFrom[ri]], To: m.ents[m.relTo[ri]], Ctx: m.ctxs[m.relCtx[ri]],
+				N: m.relN[ri], Pos: m.relPos[ri],
+			})
+		}
 	}
 	m.mu.RUnlock()
 	sort.Slice(snap.Counts, func(i, j int) bool {
@@ -134,7 +139,9 @@ func (m *zooBase) Export() *Snapshot {
 
 // Import refuses snapshots taken under a different model, then merges
 // engine state and tallies (overlapping tallies are replaced, like
-// relationship records).
+// relationship records).  A tally whose relationship is not in the
+// snapshot, or was pruned before the export, is kept on a tally-only
+// record.
 func (m *zooBase) Import(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("trust: nil snapshot")
@@ -158,10 +165,12 @@ func (m *zooBase) Import(snap *Snapshot) error {
 	defer m.mu.Unlock()
 	for _, c := range snap.Counts {
 		xi, yi, ci := m.intern(c.From), m.intern(c.To), m.internCtx(c.Ctx)
-		k := [3]int32{xi, yi, ci}
-		old := m.obs[k]
-		m.obs[k] = obsVal{n: c.N, pos: c.Pos}
-		m.loadCnt[[2]int32{yi, ci}] += c.N - old.n
+		ri := m.lookup(m.run(yi, ci), xi)
+		if ri < 0 {
+			ri = m.link(xi, yi, ci)
+		}
+		m.relTally[ri] = true
+		m.relN[ri], m.relPos[ri] = c.N, c.Pos
 	}
 	return nil
 }
@@ -200,24 +209,18 @@ func newPurgeModel(cfg Config) (Model, error) {
 func (m *purgeModel) Trust(x, y EntityID, c Context, now float64) (float64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	q := m.resolve(x, y, c)
-	theta, err := m.direct(q, now)
-	if err != nil {
-		return 0, err
-	}
 	var buf [claimBuf]claim
-	claims, err := m.claims(q, now, buf[:])
+	s, err := m.look(x, y, c, now, buf[:])
 	if err != nil {
 		return 0, err
 	}
-	n, _ := m.counts(q)
-	ref := theta
-	if n < m.directMin && len(claims) > 0 {
-		ref = medianClaimValue(claims)
+	ref := s.theta
+	if s.n < m.directMin && len(s.claims) > 0 {
+		ref = medianClaimValue(s.claims)
 	}
 	var sum float64
 	kept := 0
-	for _, cl := range claims {
+	for _, cl := range s.claims {
 		if math.Abs(cl.value-ref) > m.deviation {
 			continue
 		}
@@ -228,7 +231,7 @@ func (m *purgeModel) Trust(x, y EntityID, c Context, now float64) (float64, erro
 	if kept > 0 {
 		omega = sum / float64(kept)
 	}
-	return clampScore(m.cfg.Alpha*theta + m.cfg.Beta*omega), nil
+	return clampScore(m.cfg.Alpha*s.theta + m.cfg.Beta*omega), nil
 }
 
 // medianClaimValue computes the median claim value.  Claims arrive in
@@ -280,29 +283,22 @@ func newFuzzyModel(cfg Config) (Model, error) {
 func (m *fuzzyModel) Trust(x, y EntityID, c Context, now float64) (float64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	q := m.resolve(x, y, c)
-	theta, err := m.direct(q, now)
-	if err != nil {
-		return 0, err
-	}
 	var buf [claimBuf]claim
-	claims, err := m.claims(q, now, buf[:])
+	s, err := m.look(x, y, c, now, buf[:])
 	if err != nil {
 		return 0, err
 	}
-	omega := theta
-	if len(claims) > 0 {
+	omega := s.theta
+	if len(s.claims) > 0 {
 		var sum float64
-		for _, cl := range claims {
+		for _, cl := range s.claims {
 			sum += MinScore + (cl.value-MinScore)*cl.factor
 		}
-		omega = sum / float64(len(claims))
+		omega = sum / float64(len(s.claims))
 	}
-	n, _ := m.counts(q)
-	h := float64(n) / (float64(n) + m.historySat)
-	evidence := h*score01(theta) + (1-h)*score01(omega)
-	ny := m.load(q)
-	load := float64(ny) / (float64(ny) + m.loadSat)
+	h := float64(s.n) / (float64(s.n) + m.historySat)
+	evidence := h*score01(s.theta) + (1-h)*score01(omega)
+	load := float64(s.load) / (float64(s.load) + m.loadSat)
 	z := defuzzTrust(evidence, load)
 	return clampScore(MinScore + (MaxScore-MinScore)*z), nil
 }
@@ -371,29 +367,23 @@ func newReliabilityModel(cfg Config) (Model, error) {
 func (m *reliabilityModel) Trust(x, y EntityID, c Context, now float64) (float64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	q := m.resolve(x, y, c)
-	theta, err := m.direct(q, now)
-	if err != nil {
-		return 0, err
-	}
-	n, pos := m.counts(q)
-	rho := (float64(pos) + 1) / (float64(n) + 2)
-	direct := MinScore + (theta-MinScore)*rho
 	var buf [claimBuf]claim
-	claims, err := m.claims(q, now, buf[:])
+	s, err := m.look(x, y, c, now, buf[:])
 	if err != nil {
 		return 0, err
 	}
+	rho := (float64(s.pos) + 1) / (float64(s.n) + 2)
+	direct := MinScore + (s.theta-MinScore)*rho
 	omega := m.cfg.InitialScore
 	var wsum, vsum float64
-	for _, cl := range claims {
+	for _, cl := range s.claims {
 		wsum += cl.factor
 		vsum += cl.factor * cl.value
 	}
 	if wsum > 0 {
 		omega = vsum / wsum
 	}
-	h := float64(n) / (float64(n) + m.historySat)
+	h := float64(s.n) / (float64(s.n) + m.historySat)
 	return clampScore(h*direct + (1-h)*omega), nil
 }
 

@@ -96,6 +96,13 @@ if grep -rnE 'RowCosts|decisionRow|\(sched\.BatchInto\)|^func \([^)]*\) (AssignB
     exit 1
 fi
 
+echo "==> one incoming run per trust query (no outgoing adjacency, tally map or load map in non-test code under internal/trust)"
+if grep -rnE '\bout[[:space:]]+\[\]\[\]edge|\.out\[|\bobs[[:space:]]+map\[|\bloadCnt\b|map\[\[[23]\]int32\]' --include='*.go' internal/trust \
+    | grep -v '_test\.go:'; then
+    echo "ci: a trust query reads one run, the subject's incoming run in the context, and the rival models' tallies live on its records" >&2
+    exit 1
+fi
+
 echo "==> no unsafe on the wire (non-test code under internal/frame, rmswire, trustwire, fleet)"
 if grep -rn '"unsafe"' --include='*.go' internal/frame internal/rmswire internal/trustwire internal/fleet | grep -v '_test\.go:'; then
     echo "ci: the frame codec reads and writes through typed accessors; bytes from a peer never meet unsafe" >&2
