@@ -12,6 +12,7 @@ package des
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Queue is the event queue.  It stores events as plain values in a 4-ary
@@ -40,6 +41,11 @@ import (
 //     counter and are recycled through a free list.  A FlatID is
 //     (slot, generation): cancelling a fired or stale ID compares
 //     generations and returns false.
+//   - Events known up front — a simulation's arrivals — can bypass the
+//     heap as a stream (Stream): a sorted array read from the front and
+//     merged with the heap by the same (time, sequence) order, so the
+//     heap holds only the events the run creates as it goes and every pop
+//     sifts a heap of that size, not one of every arrival still to come.
 type Queue struct {
 	now     float64
 	seq     uint64
@@ -48,6 +54,9 @@ type Queue struct {
 	free    []int32
 	dead    int // cancelled entries still buried in the heap
 	stopped bool
+
+	stream []entry // installed by Stream, sorted by (at, seq); slot 0
+	next   int     // stream[next:] is still to fire
 
 	executed uint64
 	handlers []TypedHandler
@@ -93,6 +102,8 @@ func (q *Queue) Reset() {
 	q.now = 0
 	q.seq = 0
 	q.heap = q.heap[:0]
+	q.stream = q.stream[:0]
+	q.next = 0
 	q.slots = q.slots[:0]
 	q.free = q.free[:0]
 	q.dead = 0
@@ -111,9 +122,9 @@ func (q *Queue) RegisterKind(h TypedHandler) int32 {
 // Now returns the current simulated time.
 func (q *Queue) Now() float64 { return q.now }
 
-// Pending returns the number of events still scheduled (cancelled
-// events awaiting their lazy removal are not counted).
-func (q *Queue) Pending() int { return len(q.heap) - q.dead }
+// Pending returns the number of events still scheduled, streamed ones
+// included (cancelled events awaiting their lazy removal are not counted).
+func (q *Queue) Pending() int { return len(q.heap) - q.dead + len(q.stream) - q.next }
 
 // Executed returns the number of events that have fired.
 func (q *Queue) Executed() uint64 { return q.executed }
@@ -122,15 +133,31 @@ func (q *Queue) Executed() uint64 { return q.executed }
 // Scheduling in the past (before Now) is an error: the paper's model is
 // causal.
 func (q *Queue) ScheduleAt(at float64, kind, a, b int32) (FlatID, error) {
+	if err := q.check(at, kind); err != nil {
+		return FlatID{}, err
+	}
+	ev := entry{at: at, seq: q.seq, kind: kind, a: a, b: b}
+	q.seq++
+	return q.enqueue(ev), nil
+}
+
+// check is what scheduling an event of the given kind at absolute time at
+// requires: a registered kind and a finite time no earlier than Now.
+func (q *Queue) check(at float64, kind int32) error {
 	if kind < 0 || int(kind) >= len(q.handlers) || q.handlers[kind] == nil {
-		return FlatID{}, fmt.Errorf("des: unregistered event kind %d", kind)
+		return fmt.Errorf("des: unregistered event kind %d", kind)
 	}
 	if math.IsNaN(at) || math.IsInf(at, 0) {
-		return FlatID{}, fmt.Errorf("des: non-finite event time %v", at)
+		return fmt.Errorf("des: non-finite event time %v", at)
 	}
 	if at < q.now {
-		return FlatID{}, fmt.Errorf("des: cannot schedule at %g, now is %g", at, q.now)
+		return fmt.Errorf("des: cannot schedule at %g, now is %g", at, q.now)
 	}
+	return nil
+}
+
+// enqueue gives ev a slot and pushes it onto the heap.
+func (q *Queue) enqueue(ev entry) FlatID {
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -142,10 +169,58 @@ func (q *Queue) ScheduleAt(at float64, kind, a, b int32) (FlatID, error) {
 	st := &q.slots[slot-1]
 	st.queued = true
 	st.dead = false
-	ev := entry{at: at, seq: q.seq, slot: slot, kind: kind, a: a, b: b}
-	q.seq++
+	ev.slot = slot
 	q.push(ev)
-	return FlatID{slot: slot, gen: st.gen}, nil
+	return FlatID{slot: slot, gen: st.gen}
+}
+
+// Event is one event of a stream: a kind and its two arguments, at an
+// absolute time.
+type Event struct {
+	At   float64
+	Kind int32
+	A, B int32
+}
+
+// Stream schedules evs as if by one ScheduleAt each, in slice order, but
+// keeps them off the heap: each takes its sequence number now, in slice
+// order, and the queue holds them in a stream sorted by (time, sequence)
+// — evs need not be sorted; the stream is a stable sort of it by time —
+// merged with the heap as events fire.  Streamed events cannot be
+// cancelled.  Each event is checked as ScheduleAt checks it, in slice
+// order, and the first failure is returned with ScheduleAt's error;
+// nothing is scheduled then.  Events of an earlier stream that have not
+// fired yet move to the heap, keeping their sequence numbers.
+func (q *Queue) Stream(evs []Event) error {
+	for _, ev := range evs {
+		if err := q.check(ev.At, ev.Kind); err != nil {
+			return err
+		}
+	}
+	for _, ev := range q.stream[q.next:] {
+		q.enqueue(ev)
+	}
+	q.stream, q.next = q.stream[:0], 0
+	for _, ev := range evs {
+		q.stream = append(q.stream, entry{at: ev.At, seq: q.seq, kind: ev.Kind, a: ev.A, b: ev.B})
+		q.seq++
+	}
+	if !slices.IsSortedFunc(q.stream, compare) {
+		slices.SortFunc(q.stream, compare)
+	}
+	return nil
+}
+
+// compare orders entries like less, as a three-way comparison; no two
+// entries share a sequence number.
+func compare(x, y entry) int {
+	if less(&x, &y) {
+		return -1
+	}
+	if less(&y, &x) {
+		return 1
+	}
+	return 0
 }
 
 // ScheduleAfter schedules an event delay time units from now.
@@ -188,15 +263,19 @@ func (q *Queue) Run() uint64 {
 func (q *Queue) RunUntil(deadline float64) uint64 {
 	q.stopped = false
 	var ran uint64
-	for len(q.heap) > 0 && !q.stopped {
-		if q.heap[0].at > deadline {
+	for !q.stopped {
+		head := q.head()
+		if head == nil {
+			break
+		}
+		if head.at > deadline {
 			if deadline > q.now && !math.IsInf(deadline, 1) {
 				q.now = deadline
 			}
 			break
 		}
-		ev := q.pop()
-		if q.release(ev.slot) {
+		ev, ok := q.take(head)
+		if !ok {
 			continue
 		}
 		q.now = ev.at
@@ -209,9 +288,9 @@ func (q *Queue) RunUntil(deadline float64) uint64 {
 
 // Step executes exactly one live event, returning false if none remain.
 func (q *Queue) Step() bool {
-	for len(q.heap) > 0 {
-		ev := q.pop()
-		if q.release(ev.slot) {
+	for head := q.head(); head != nil; head = q.head() {
+		ev, ok := q.take(head)
+		if !ok {
 			continue
 		}
 		q.now = ev.at
@@ -220,6 +299,31 @@ func (q *Queue) Step() bool {
 		return true
 	}
 	return false
+}
+
+// head returns the next event by (time, sequence), the heap's top or the
+// stream's front, cancelled or not; nil when both are empty.
+func (q *Queue) head() *entry {
+	if q.next < len(q.stream) {
+		if s := &q.stream[q.next]; len(q.heap) == 0 || less(s, &q.heap[0]) {
+			return s
+		}
+	}
+	if len(q.heap) > 0 {
+		return &q.heap[0]
+	}
+	return nil
+}
+
+// take removes head, which head() just returned, and returns it, with
+// false when it had been cancelled.
+func (q *Queue) take(head *entry) (entry, bool) {
+	if head.slot == 0 {
+		q.next++
+		return *head, true
+	}
+	ev := q.pop()
+	return ev, !q.release(ev.slot)
 }
 
 // release retires a popped event's slot, returning whether the event

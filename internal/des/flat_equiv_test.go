@@ -1,7 +1,9 @@
 package des
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"gridtrust/internal/rng"
@@ -13,6 +15,13 @@ import (
 // identical fire order, fire times, clock positions, pending counts and
 // executed counts on both.  FuzzQueueEquivalence (flat_fuzz_test.go) feeds
 // the same harness with fuzzer-derived programs.
+//
+// A stream (Queue.Stream) is checked against the reference scheduling the
+// same events one by one, in stream order, when the stream is installed:
+// the reference checks every time first, since Stream schedules all or
+// none, and keeps no cancel handle, since streamed events cannot be
+// cancelled.  A reset is a fresh reference Simulator, and on both kernels
+// it forgets every cancel handle taken before it.
 
 // Operation codes for equivalence programs.
 const (
@@ -20,15 +29,44 @@ const (
 	opCancel          // cancel the event with tag `target` from outside
 	opRun             // RunUntil(at)
 	opStep            // Step once
+	opStream          // install stream: one event per entry, in entry order
+	opReset           // Reset (a fresh Simulator on the reference)
 )
 
 // equivOp is one step of an equivalence program.
 type equivOp struct {
 	kind     int
-	at       float64 // schedule: absolute fire time; run: deadline
-	cancelAt int     // schedule: tag to cancel when this event fires, -1 none
-	spawn    float64 // schedule: relative delay of a spawned follow-up, 0 none
-	target   int     // cancel: tag to cancel
+	at       float64   // schedule: absolute fire time; run: deadline
+	cancelAt int       // schedule: tag to cancel when this event fires, -1 none
+	spawn    float64   // schedule: relative delay of a spawned follow-up, 0 none
+	target   int       // cancel: tag to cancel
+	stream   []equivOp // stream: one schedule op per streamed event
+}
+
+// tagsOf counts the tags a program's own ops take: one per schedule op and
+// one per streamed event.  Spawned events are tagged after them.
+func tagsOf(ops []equivOp) int {
+	n := 0
+	for _, o := range ops {
+		switch o.kind {
+		case opSchedule:
+			n++
+		case opStream:
+			n += len(o.stream)
+		}
+	}
+	return n
+}
+
+// streamOK reports whether every streamed time could be scheduled at now,
+// checked before any is: Stream installs all of its events or none.
+func streamOK(evs []equivOp, now float64) bool {
+	for _, e := range evs {
+		if math.IsNaN(e.at) || math.IsInf(e.at, 0) || e.at < now {
+			return false
+		}
+	}
+	return true
 }
 
 // fireRec is one observed firing.
@@ -55,12 +93,7 @@ func runReferenceProgram(ops []equivOp) kernelObs {
 	s := New()
 	var ids []EventID
 	var schedule func(tag int, at float64, cancelAt int, spawn float64) bool
-	nextSpawn := 0
-	for _, o := range ops {
-		if o.kind == opSchedule {
-			nextSpawn++
-		}
-	}
+	nextSpawn := tagsOf(ops)
 	schedule = func(tag int, at float64, cancelAt int, spawn float64) bool {
 		id, err := s.ScheduleAt(at, func(sim *Simulator) {
 			obs.fired = append(obs.fired, fireRec{tag, sim.Now()})
@@ -108,6 +141,22 @@ func runReferenceProgram(ops []equivOp) kernelObs {
 			obs.runs = append(obs.runs, s.RunUntil(o.at))
 		case opStep:
 			obs.steps = append(obs.steps, s.Step())
+		case opStream:
+			ok := streamOK(o.stream, s.Now())
+			for _, e := range o.stream {
+				if ok {
+					schedule(tag, e.at, e.cancelAt, e.spawn)
+				}
+				for len(ids) <= tag {
+					ids = append(ids, EventID{})
+				}
+				ids[tag] = EventID{}
+				tag++
+			}
+			obs.scheds = append(obs.scheds, ok)
+		case opReset:
+			s = New()
+			clear(ids)
 		}
 		obs.nows = append(obs.nows, s.Now())
 		obs.pendings = append(obs.pendings, s.Pending())
@@ -130,12 +179,7 @@ func runFlatProgram(ops []equivOp) kernelObs {
 		cancelOf []int
 		spawnOf  []float64
 	)
-	nextSpawn := 0
-	for _, o := range ops {
-		if o.kind == opSchedule {
-			nextSpawn++
-		}
-	}
+	nextSpawn := tagsOf(ops)
 	grow := func(tag int) {
 		for len(ids) <= tag {
 			ids = append(ids, FlatID{})
@@ -143,7 +187,8 @@ func runFlatProgram(ops []equivOp) kernelObs {
 			spawnOf = append(spawnOf, 0)
 		}
 	}
-	kind := q.RegisterKind(func(q *Queue, a, _ int32) {
+	var kind int32
+	handler := func(q *Queue, a, _ int32) {
 		tag := int(a)
 		obs.fired = append(obs.fired, fireRec{tag, q.Now()})
 		if c := cancelOf[tag]; c >= 0 && c < len(ids) {
@@ -153,12 +198,13 @@ func runFlatProgram(ops []equivOp) kernelObs {
 			stag := nextSpawn
 			nextSpawn++
 			grow(stag)
-			id, err := q.ScheduleAfter(sp, 0, int32(stag), 0)
+			id, err := q.ScheduleAfter(sp, kind, int32(stag), 0)
 			if err == nil {
 				ids[stag] = id
 			}
 		}
-	})
+	}
+	kind = q.RegisterKind(handler)
 	tag := 0
 	for _, o := range ops {
 		switch o.kind {
@@ -182,6 +228,20 @@ func runFlatProgram(ops []equivOp) kernelObs {
 			obs.runs = append(obs.runs, q.RunUntil(o.at))
 		case opStep:
 			obs.steps = append(obs.steps, q.Step())
+		case opStream:
+			var evs []Event
+			for _, e := range o.stream {
+				grow(tag)
+				cancelOf[tag] = e.cancelAt
+				spawnOf[tag] = e.spawn
+				evs = append(evs, Event{At: e.at, Kind: kind, A: int32(tag)})
+				tag++
+			}
+			obs.scheds = append(obs.scheds, q.Stream(evs) == nil)
+		case opReset:
+			q.Reset()
+			kind = q.RegisterKind(handler)
+			clear(ids)
 		}
 		obs.nows = append(obs.nows, q.Now())
 		obs.pendings = append(obs.pendings, q.Pending())
@@ -243,12 +303,32 @@ func checkEquivProgram(t testing.TB, ops []equivOp) {
 
 // randomEquivProgram draws a program heavy on equal timestamps (times are
 // small quarter-integers) so the FIFO tie-break is constantly exercised.
-func randomEquivProgram(src *rng.Source) []equivOp {
+// With streams, it also installs streams, sorted or not, and resets.
+func randomEquivProgram(src *rng.Source, streams bool) []equivOp {
 	n := 1 + src.Intn(60)
 	ops := make([]equivOp, 0, n)
 	scheduled := 0
 	for i := 0; i < n; i++ {
 		switch {
+		case streams && src.Bool(0.15):
+			op := equivOp{kind: opStream}
+			for k := src.Intn(12); k > 0; k-- {
+				e := equivOp{kind: opSchedule, at: float64(src.Intn(48)) / 4, cancelAt: -1}
+				if scheduled > 0 && src.Bool(0.2) {
+					e.cancelAt = src.Intn(scheduled)
+				}
+				if src.Bool(0.3) {
+					e.spawn = float64(src.Intn(16)) / 4
+				}
+				op.stream = append(op.stream, e)
+				scheduled++
+			}
+			if src.Bool(0.7) {
+				slices.SortStableFunc(op.stream, func(a, b equivOp) int { return cmp.Compare(a.at, b.at) })
+			}
+			ops = append(ops, op)
+		case streams && src.Bool(0.03):
+			ops = append(ops, equivOp{kind: opReset})
 		case scheduled == 0 || src.Bool(0.55):
 			op := equivOp{kind: opSchedule, at: float64(src.Intn(48)) / 4, cancelAt: -1}
 			if scheduled > 0 && src.Bool(0.25) {
@@ -275,7 +355,10 @@ func randomEquivProgram(src *rng.Source) []equivOp {
 func TestFlatQueueEquivalence(t *testing.T) {
 	src := rng.New(20260807)
 	for trial := 0; trial < 300; trial++ {
-		checkEquivProgram(t, randomEquivProgram(src))
+		checkEquivProgram(t, randomEquivProgram(src, false))
+	}
+	for trial := 0; trial < 300; trial++ {
+		checkEquivProgram(t, randomEquivProgram(src, true))
 	}
 }
 
@@ -324,6 +407,48 @@ func TestFlatQueueEquivalenceDirected(t *testing.T) {
 			{kind: opSchedule, at: 3, cancelAt: -1},
 			{kind: opRun, at: 5},
 			{kind: opSchedule, at: 1, cancelAt: -1},
+		},
+		// A stream after heap events, with ties on both sides, stepped.
+		{
+			{kind: opSchedule, at: 1, cancelAt: -1},
+			{kind: opSchedule, at: 2, cancelAt: -1},
+			{kind: opStream, stream: []equivOp{{at: 1, cancelAt: -1}, {at: 2, cancelAt: 1}, {at: 3, cancelAt: -1, spawn: 0.5}}},
+			{kind: opSchedule, at: 2, cancelAt: -1},
+			{kind: opStep},
+			{kind: opStep},
+			{kind: opStep},
+		},
+		// RunUntil to a deadline between stream times, then to one equal
+		// to a stream time.
+		{
+			{kind: opStream, stream: []equivOp{{at: 1, cancelAt: -1}, {at: 2, cancelAt: -1}, {at: 4, cancelAt: -1}}},
+			{kind: opRun, at: 1.5},
+			{kind: opRun, at: 4},
+			{kind: opSchedule, at: 5, cancelAt: -1},
+		},
+		// An unsorted stream fires in time order, ties in stream order.
+		{
+			{kind: opStream, stream: []equivOp{{at: 3, cancelAt: -1}, {at: 1, cancelAt: -1}, {at: 3, cancelAt: -1}, {at: 1, cancelAt: -1}}},
+			{kind: opRun, at: 10},
+		},
+		// A stream with a past time schedules nothing; a second stream
+		// while the first is pending merges with it.
+		{
+			{kind: opStream, stream: []equivOp{{at: 2, cancelAt: -1}, {at: 6, cancelAt: -1}}},
+			{kind: opRun, at: 3},
+			{kind: opStream, stream: []equivOp{{at: 4, cancelAt: -1}, {at: 1, cancelAt: -1}}},
+			{kind: opStream, stream: []equivOp{{at: 6, cancelAt: -1}, {at: 5, cancelAt: -1}}},
+			{kind: opRun, at: 10},
+		},
+		// Reset drops the stream and the heap; the queue starts over.
+		{
+			{kind: opSchedule, at: 2, cancelAt: -1},
+			{kind: opStream, stream: []equivOp{{at: 1, cancelAt: -1}, {at: 3, cancelAt: -1}}},
+			{kind: opStep},
+			{kind: opReset},
+			{kind: opCancel, target: 0},
+			{kind: opStream, stream: []equivOp{{at: 0, cancelAt: -1}}},
+			{kind: opRun, at: 1},
 		},
 	}
 	for i, ops := range cases {
