@@ -30,19 +30,21 @@ type workloadCosts struct {
 
 	// Resource-domain slots: the RDs that own a machine, numbered densely
 	// in order of first appearance in w.MachineRD.
-	rdOf    []int32         // machine -> slot
-	slotRD  []grid.DomainID // slot -> resource domain
-	slotAt  []int32         // slot -> its first machine
-	slotLen []int32         // slot -> number of machines
+	rdOf    []int32           // machine -> slot
+	slotRD  []grid.DomainID   // slot -> resource domain
+	slotAt  []int32           // slot -> its first machine
+	slotLen []int32           // slot -> number of machines
+	slotRTL []grid.TrustLevel // slot -> its resource domain's RTL
 
 	// Request profiles: requests with the same (CD, RTL, ordered ToA)
 	// share a row.  The table ignores activity order (OTL is a min over
 	// activities) but a trust model's context is the ToA's rendering,
 	// which keeps it, so one key serves the table and modelView alike.
-	tc      []int   // TC per (profile, slot), row stride len(slotRD)
-	rowOf   []int32 // request -> profile
-	rowReq  []int32 // profile -> its first request
-	rowSize []int32 // profile -> number of requests
+	tc      []int             // TC per (profile, slot), row stride len(slotRD)
+	otl     []grid.TrustLevel // the table's OTL per (profile, slot), same stride
+	rowOf   []int32           // request -> profile
+	rowReq  []int32           // profile -> its first request
+	rowSize []int32           // profile -> number of requests
 }
 
 // newWorkloadCosts builds the adapter, surfacing any trust-table gaps as
@@ -75,6 +77,7 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 	hint := min(len(w.Requests), 1024)
 	seen := make(map[string]int32, hint)
 	c.tc = make([]int, 0, hint*len(c.slotRD))
+	c.otl = make([]grid.TrustLevel, 0, hint*len(c.slotRD))
 	c.rowReq = make([]int32, 0, hint)
 	c.rowSize = make([]int32, 0, hint)
 	// lvl holds the table's level per (CD, built-in activity, slot),
@@ -91,6 +94,7 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 	for s, rd := range c.slotRD {
 		rtl[s] = w.ResourceRTL[rd]
 	}
+	c.slotRTL = rtl
 	offered := func(r *workload.Request) bool {
 		for k, a := range r.ToA.Activities {
 			if r.CD < 0 || int(r.CD) >= w.NumCDs || a < 0 || int(a) >= acts {
@@ -119,14 +123,20 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 		if !dup {
 			dense := offered(&r)
 			for s, rd := range c.slotRD {
-				v, err := grid.TrustCostWith(w.Spec.ETSRule, r.ClientRTL, rtl[s], otl[s])
+				// Cell by cell this is w.TrustCostRD(r, rd), keeping the OTL.
+				var err error
 				if !dense {
-					v, err = w.TrustCostRD(r, rd)
+					otl[s], err = w.Table.OTL(r.CD, rd, r.ToA)
+				}
+				v := 0
+				if err == nil {
+					v, err = grid.TrustCostWith(w.Spec.ETSRule, r.ClientRTL, rtl[s], otl[s])
 				}
 				if err != nil {
 					return nil, fmt.Errorf("sim: trust cost for request %d on machine %d: %w", i, c.slotAt[s], err)
 				}
 				c.tc = append(c.tc, v)
+				c.otl = append(c.otl, otl[s])
 			}
 			j = int32(len(c.rowReq))
 			seen[string(key)] = j

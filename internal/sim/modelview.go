@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"gridtrust/internal/grid"
@@ -107,14 +108,22 @@ func newModelView(sc Scenario, truth, claimed *workloadCosts) (*modelView, error
 	for i := range cds {
 		cds[i] = trust.EntityID(fmt.Sprintf("cd:%d", i))
 	}
-	ctxIdx := map[trust.Context]int32{}
+	// A context is the rendering of an ordered ToA, which is one-to-one, so
+	// the ToAs are keyed by their activities and each distinct one is
+	// rendered once.
+	ctxIdx := map[string]int32{}
+	var key []byte
 	for j, r := range truth.rowReq {
-		ctx := trust.Context(w.Requests[r].ToA.String())
-		c, ok := ctxIdx[ctx]
+		toa := w.Requests[r].ToA
+		key = key[:0]
+		for _, a := range toa.Activities {
+			key = binary.AppendVarint(key, int64(a))
+		}
+		c, ok := ctxIdx[string(key)]
 		if !ok {
 			c = int32(len(v.ctxs))
-			ctxIdx[ctx] = c
-			v.ctxs = append(v.ctxs, ctx)
+			ctxIdx[string(key)] = c
+			v.ctxs = append(v.ctxs, trust.Context(toa.String()))
 		}
 		v.ctxOf[j] = c
 	}
@@ -194,7 +203,7 @@ func (v *modelView) decisionTC(j int32, s int) (int, error) {
 	}
 	w := v.truth.w
 	req := &w.Requests[v.truth.rowReq[j]]
-	tc, err := grid.TrustCostWith(w.Spec.ETSRule, req.ClientRTL, w.ResourceRTL[v.truth.slotRD[s]], lvl)
+	tc, err := grid.TrustCostWith(w.Spec.ETSRule, req.ClientRTL, v.truth.slotRTL[s], lvl)
 	if err != nil {
 		return 0, err
 	}
@@ -208,18 +217,14 @@ func (v *modelView) decisionTC(j int32, s int) (int, error) {
 // noteFinish feeds one completed task back into the model: the request's
 // CD observes the machine's RD with the RD's true offered trust level as
 // the outcome, so over the run the model's scores converge on the truth
-// the adversarial table misreports.
+// the adversarial table misreports.  The OTL is the table's for the
+// request's profile on the slot, read when the costs were built.
 func (v *modelView) noteFinish(r, m int) error {
-	w := v.truth.w
-	req := w.Requests[r]
-	s := v.truth.rdOf[m]
-	otl, err := w.Table.OTL(req.CD, v.truth.slotRD[s], req.ToA)
-	if err != nil {
-		return err
-	}
+	s := int(v.truth.rdOf[m])
 	j := v.truth.rowOf[r]
-	v.ver[int(v.ctxOf[j])*len(v.rds)+int(s)]++
-	_, err = v.model.Observe(v.askCD[v.askOf[j]], v.rds[s], v.ctxs[v.ctxOf[j]], float64(otl), 0)
+	otl := v.truth.otl[int(j)*len(v.rds)+s]
+	v.ver[int(v.ctxOf[j])*len(v.rds)+s]++
+	_, err := v.model.Observe(v.askCD[v.askOf[j]], v.rds[s], v.ctxs[v.ctxOf[j]], float64(otl), 0)
 	return err
 }
 

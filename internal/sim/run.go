@@ -71,11 +71,13 @@ func Run(sc Scenario, w *workload.Workload, policy sched.Policy) (*RunResult, er
 // loop, or by a run that ended in an error, cannot leak into the next.  A
 // scratch must not be shared between goroutines.
 type runScratch struct {
-	// Both loops: the event queue, when each machine drains its committed
-	// work (sched.Masked() while down), the availability vector, the fused
-	// MCT scan's per-RD-slot ESC factors, busy time, the batch requests
-	// and schedule buffer, and arrivals parked while every machine is down.
+	// Both loops: the event queue and the arrival stream handed to it,
+	// when each machine drains its committed work (sched.Masked() while
+	// down), the availability vector, the fused MCT scan's per-RD-slot ESC
+	// factors, busy time, the batch requests and schedule buffer, and
+	// arrivals parked while every machine is down.
 	q        *des.Queue
+	arrivals []des.Event
 	freeTime []float64
 	avail    []float64
 	tcw      []float64
@@ -215,7 +217,11 @@ func newRunBase(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trac
 
 // start resolves the scenario's heuristic and schedules every arrival
 // and, in batch mode, the first tick.  Events are typed (kind + request
-// id), not closures, so the queue allocates nothing steady-state.
+// id), not closures, so the queue allocates nothing steady-state.  The
+// arrivals go in as the queue's stream, in request order, which the queue
+// checks and stable-sorts by time: they fire as one ScheduleAt per request
+// in request order would have them, a bad arrival time fails with
+// ScheduleAt's error, and the heap is left to the events the run creates.
 func (b *runBase) start(loop machineModel) error {
 	b.loop = loop
 	var err error
@@ -229,11 +235,14 @@ func (b *runBase) start(loop machineModel) error {
 	}
 	_, b.mct = b.imm.(sched.MCT)
 	kArrival := b.q.RegisterKind(b.onArrival)
+	arrivals := b.scr.arrivals[:0]
 	for i := range b.truth.w.Requests {
 		req := &b.truth.w.Requests[i]
-		if _, err := b.q.ScheduleAt(req.ArrivalAt, kArrival, int32(req.ID), 0); err != nil {
-			return err
-		}
+		arrivals = append(arrivals, des.Event{At: req.ArrivalAt, Kind: kArrival, A: int32(req.ID)})
+	}
+	b.scr.arrivals = arrivals
+	if err := b.q.Stream(arrivals); err != nil {
+		return err
 	}
 	if b.batch == nil {
 		return nil
