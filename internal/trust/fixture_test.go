@@ -16,7 +16,7 @@ import (
 // snapshot carries tallies, two of them about relationships that were
 // pruned, one relationship revived by SetDirect after its prune and one by
 // Observe, a recommender factor, an alliance and a self-observation.
-const zooFixtureDir = "testdata/zoo_snapshots_pr33"
+const zooFixtureDir = "testdata/zoo_snapshots_d9eb9e9"
 
 // fixtureTrust is one recorded Trust answer, its float64 bits in hex.
 type fixtureTrust struct {
