@@ -10,6 +10,7 @@
 package des
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -182,15 +183,14 @@ type Event struct {
 	A, B int32
 }
 
-// Stream schedules evs as if by one ScheduleAt each, in slice order, but
-// keeps them off the heap: each takes its sequence number now, in slice
-// order, and the queue holds them in a stream sorted by (time, sequence)
-// — evs need not be sorted; the stream is a stable sort of it by time —
-// merged with the heap as events fire.  Streamed events cannot be
-// cancelled.  Each event is checked as ScheduleAt checks it, in slice
-// order, and the first failure is returned with ScheduleAt's error;
-// nothing is scheduled then.  Events of an earlier stream that have not
-// fired yet move to the heap, keeping their sequence numbers.
+// Stream schedules evs as one ScheduleAt each in slice order would, but
+// off the heap: each takes its sequence number now, and the queue keeps a
+// copy of evs stable-sorted by time, merged with the heap as events fire.
+// Streamed events cannot be cancelled.  Each event is checked as
+// ScheduleAt checks it, in slice order, and the first failure is returned
+// with ScheduleAt's error; nothing is scheduled then.  Events of an
+// earlier stream that have not fired yet move to the heap, keeping their
+// sequence numbers.
 func (q *Queue) Stream(evs []Event) error {
 	for _, ev := range evs {
 		if err := q.check(ev.At, ev.Kind); err != nil {
@@ -205,22 +205,11 @@ func (q *Queue) Stream(evs []Event) error {
 		q.stream = append(q.stream, entry{at: ev.At, seq: q.seq, kind: ev.Kind, a: ev.A, b: ev.B})
 		q.seq++
 	}
-	if !slices.IsSortedFunc(q.stream, compare) {
-		slices.SortFunc(q.stream, compare)
+	byTime := func(x, y entry) int { return cmp.Compare(x.at, y.at) }
+	if !slices.IsSortedFunc(q.stream, byTime) {
+		slices.SortStableFunc(q.stream, byTime)
 	}
 	return nil
-}
-
-// compare orders entries like less, as a three-way comparison; no two
-// entries share a sequence number.
-func compare(x, y entry) int {
-	if less(&x, &y) {
-		return -1
-	}
-	if less(&y, &x) {
-		return 1
-	}
-	return 0
 }
 
 // ScheduleAfter schedules an event delay time units from now.

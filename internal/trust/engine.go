@@ -159,7 +159,7 @@ type Engine struct {
 	ctxs   []Context
 
 	// Records in flat parallel slices, addressed by the rel index stored
-	// in the adjacency edges.  A linked record is a live relationship, a
+	// in the run edges.  A linked record is a live relationship, a
 	// tally-only record, or both; one that is neither is unlinked and its
 	// slot recycled through relFree.
 	relFrom    []int32

@@ -20,9 +20,9 @@ import (
 //     outcomes validated, strangers get the configured initial score).
 //   - Determinism: identical call sequences produce bit-identical floats.
 //     Any aggregation over multiple relationships must iterate in a
-//     reproducible order — the Engine's incoming adjacency is presorted
-//     by recommender EntityID string within each context exactly for
-//     this, and rival models reuse it via claims.  No map iteration may
+//     reproducible order — the Engine's incoming run of each subject in
+//     each context is presorted by recommender EntityID string exactly
+//     for this, and rival models reuse it via claims.  No map iteration may
 //     influence a result.
 //   - Queries only read: Trust, Direct and Recommendation leave every
 //     later result unchanged, so between two mutating calls (Observe,
@@ -215,7 +215,7 @@ const claimBuf = 16
 // incoming run in q's context, excluding the asker, the subject itself and
 // tally-only records, in recommender EntityID string order — the
 // deterministic iteration order rival models inherit from the engine's
-// presorted incoming adjacency.  It also returns the subject's load: the
+// presorted runs.  It also returns the subject's load: the
 // sum of every tally in the run, the asker's and the subject's included.
 // Caller holds the lock.
 func (e *Engine) claims(q query, run []edge, now float64, buf []claim) ([]claim, int32, error) {
