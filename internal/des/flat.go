@@ -47,6 +47,8 @@ import (
 //     merged with the heap by the same (time, sequence) order, so the
 //     heap holds only the events the run creates as it goes and every pop
 //     sifts a heap of that size, not one of every arrival still to come.
+//     The stream's sequence numbers are consecutive, so they are its
+//     first one plus a position, not stored.
 type Queue struct {
 	now     float64
 	seq     uint64
@@ -56,7 +58,8 @@ type Queue struct {
 	dead    int // cancelled entries still buried in the heap
 	stopped bool
 
-	stream []entry // installed by Stream, sorted by (at, seq); slot 0
+	stream []Event // installed by Stream, sorted by time
+	sseq   uint64  // stream[i]'s sequence number is sseq+i
 	next   int     // stream[next:] is still to fire
 
 	executed uint64
@@ -103,8 +106,7 @@ func (q *Queue) Reset() {
 	q.now = 0
 	q.seq = 0
 	q.heap = q.heap[:0]
-	q.stream = q.stream[:0]
-	q.next = 0
+	q.stream, q.next = nil, 0
 	q.slots = q.slots[:0]
 	q.free = q.free[:0]
 	q.dead = 0
@@ -184,8 +186,10 @@ type Event struct {
 }
 
 // Stream schedules evs as one ScheduleAt each in slice order would, but
-// off the heap: each takes its sequence number now, and the queue keeps a
-// copy of evs stable-sorted by time, merged with the heap as events fire.
+// off the heap: each takes its sequence number now, and the queue reads
+// evs, stable-sorted by time, merged with the heap as events fire.  The
+// queue takes evs over: it sorts it in place and reads it until its
+// events have fired or Reset, so the caller must not change it before.
 // Streamed events cannot be cancelled.  Each event is checked as
 // ScheduleAt checks it, in slice order, and the first failure is returned
 // with ScheduleAt's error; nothing is scheduled then.  Events of an
@@ -197,19 +201,24 @@ func (q *Queue) Stream(evs []Event) error {
 			return err
 		}
 	}
-	for _, ev := range q.stream[q.next:] {
-		q.enqueue(ev)
+	for i := q.next; i < len(q.stream); i++ {
+		q.enqueue(q.streamed(i))
 	}
-	q.stream, q.next = q.stream[:0], 0
-	for _, ev := range evs {
-		q.stream = append(q.stream, entry{at: ev.At, seq: q.seq, kind: ev.Kind, a: ev.A, b: ev.B})
-		q.seq++
+	// A stable sort keeps equal times in slice order, which is sequence
+	// order: a streamed event's sequence number is sseq plus its position.
+	byTime := func(x, y Event) int { return cmp.Compare(x.At, y.At) }
+	if !slices.IsSortedFunc(evs, byTime) {
+		slices.SortStableFunc(evs, byTime)
 	}
-	byTime := func(x, y entry) int { return cmp.Compare(x.at, y.at) }
-	if !slices.IsSortedFunc(q.stream, byTime) {
-		slices.SortStableFunc(q.stream, byTime)
-	}
+	q.stream, q.sseq, q.next = evs, q.seq, 0
+	q.seq += uint64(len(evs))
 	return nil
+}
+
+// streamed returns stream[i] as a heap entry, without a slot.
+func (q *Queue) streamed(i int) entry {
+	ev := &q.stream[i]
+	return entry{at: ev.At, seq: q.sseq + uint64(i), kind: ev.Kind, a: ev.A, b: ev.B}
 }
 
 // ScheduleAfter schedules an event delay time units from now.
@@ -253,18 +262,18 @@ func (q *Queue) RunUntil(deadline float64) uint64 {
 	q.stopped = false
 	var ran uint64
 	for !q.stopped {
-		head := q.head()
-		if head == nil {
+		at, fromStream, ok := q.peek()
+		if !ok {
 			break
 		}
-		if head.at > deadline {
+		if at > deadline {
 			if deadline > q.now && !math.IsInf(deadline, 1) {
 				q.now = deadline
 			}
 			break
 		}
-		ev, ok := q.take(head)
-		if !ok {
+		ev, live := q.take(fromStream)
+		if !live {
 			continue
 		}
 		q.now = ev.at
@@ -277,9 +286,9 @@ func (q *Queue) RunUntil(deadline float64) uint64 {
 
 // Step executes exactly one live event, returning false if none remain.
 func (q *Queue) Step() bool {
-	for head := q.head(); head != nil; head = q.head() {
-		ev, ok := q.take(head)
-		if !ok {
+	for _, fromStream, ok := q.peek(); ok; _, fromStream, ok = q.peek() {
+		ev, live := q.take(fromStream)
+		if !live {
 			continue
 		}
 		q.now = ev.at
@@ -290,26 +299,32 @@ func (q *Queue) Step() bool {
 	return false
 }
 
-// head returns the next event by (time, sequence), the heap's top or the
-// stream's front, cancelled or not; nil when both are empty.
-func (q *Queue) head() *entry {
+// peek returns the time of the next event by (time, sequence), cancelled
+// or not, and whether it is the stream's front rather than the heap's top;
+// ok is false when both are empty.
+func (q *Queue) peek() (at float64, fromStream, ok bool) {
 	if q.next < len(q.stream) {
-		if s := &q.stream[q.next]; len(q.heap) == 0 || less(s, &q.heap[0]) {
-			return s
+		s := &q.stream[q.next]
+		if len(q.heap) == 0 {
+			return s.At, true, true
+		}
+		h := &q.heap[0]
+		if s.At < h.at || s.At == h.at && q.sseq+uint64(q.next) < h.seq {
+			return s.At, true, true
 		}
 	}
 	if len(q.heap) > 0 {
-		return &q.heap[0]
+		return q.heap[0].at, false, true
 	}
-	return nil
+	return 0, false, false
 }
 
-// take removes head, which head() just returned, and returns it, with
-// false when it had been cancelled.
-func (q *Queue) take(head *entry) (entry, bool) {
-	if head.slot == 0 {
+// take removes the event peek found next and returns it, with false when
+// it had been cancelled.
+func (q *Queue) take(fromStream bool) (entry, bool) {
+	if fromStream {
 		q.next++
-		return *head, true
+		return q.streamed(q.next - 1), true
 	}
 	ev := q.pop()
 	return ev, !q.release(ev.slot)

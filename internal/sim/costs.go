@@ -40,11 +40,11 @@ type workloadCosts struct {
 	// share a row.  The table ignores activity order (OTL is a min over
 	// activities) but a trust model's context is the ToA's rendering,
 	// which keeps it, so one key serves the table and modelView alike.
-	tc      []int             // TC per (profile, slot), row stride len(slotRD)
-	otl     []grid.TrustLevel // the table's OTL per (profile, slot), same stride
-	rowOf   []int32           // request -> profile
-	rowReq  []int32           // profile -> its first request
-	rowSize []int32           // profile -> number of requests
+	tc      []int   // TC per (profile, slot), row stride len(slotRD)
+	otl     []int8  // the table's OTL per (profile, slot), same stride (A-E fit a byte)
+	rowOf   []int32 // request -> profile
+	rowReq  []int32 // profile -> its first request
+	rowSize []int32 // profile -> number of requests
 }
 
 // newWorkloadCosts builds the adapter, surfacing any trust-table gaps as
@@ -77,7 +77,7 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 	hint := min(len(w.Requests), 1024)
 	seen := make(map[string]int32, hint)
 	c.tc = make([]int, 0, hint*len(c.slotRD))
-	c.otl = make([]grid.TrustLevel, 0, hint*len(c.slotRD))
+	c.otl = make([]int8, 0, hint*len(c.slotRD))
 	c.rowReq = make([]int32, 0, hint)
 	c.rowSize = make([]int32, 0, hint)
 	// lvl holds the table's level per (CD, built-in activity, slot),
@@ -136,7 +136,7 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 					return nil, fmt.Errorf("sim: trust cost for request %d on machine %d: %w", i, c.slotAt[s], err)
 				}
 				c.tc = append(c.tc, v)
-				c.otl = append(c.otl, otl[s])
+				c.otl = append(c.otl, int8(otl[s]))
 			}
 			j = int32(len(c.rowReq))
 			seen[string(key)] = j

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gridtrust/internal/des"
 	"gridtrust/internal/sched"
@@ -222,6 +223,7 @@ func newRunBase(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trac
 // checks and stable-sorts by time: they fire as one ScheduleAt per request
 // in request order would have them, a bad arrival time fails with
 // ScheduleAt's error, and the heap is left to the events the run creates.
+// The queue reads the scratch's arrival buffer until the next Reset.
 func (b *runBase) start(loop machineModel) error {
 	b.loop = loop
 	var err error
@@ -235,7 +237,7 @@ func (b *runBase) start(loop machineModel) error {
 	}
 	_, b.mct = b.imm.(sched.MCT)
 	kArrival := b.q.RegisterKind(b.onArrival)
-	arrivals := b.scr.arrivals[:0]
+	arrivals := slices.Grow(b.scr.arrivals[:0], len(b.truth.w.Requests))
 	for i := range b.truth.w.Requests {
 		req := &b.truth.w.Requests[i]
 		arrivals = append(arrivals, des.Event{At: req.ArrivalAt, Kind: kArrival, A: int32(req.ID)})
