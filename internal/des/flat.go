@@ -262,9 +262,15 @@ func (q *Queue) RunUntil(deadline float64) uint64 {
 	q.stopped = false
 	var ran uint64
 	for !q.stopped {
-		at, fromStream, ok := q.peek()
-		if !ok {
-			break
+		var at float64
+		fromStream := q.streamLeads()
+		switch {
+		case fromStream:
+			at = q.stream[q.next].At
+		case len(q.heap) > 0:
+			at = q.heap[0].at
+		default:
+			return ran
 		}
 		if at > deadline {
 			if deadline > q.now && !math.IsInf(deadline, 1) {
@@ -272,8 +278,11 @@ func (q *Queue) RunUntil(deadline float64) uint64 {
 			}
 			break
 		}
-		ev, live := q.take(fromStream)
-		if !live {
+		var ev entry
+		if fromStream {
+			ev = q.streamed(q.next)
+			q.next++
+		} else if ev = q.pop(); q.release(ev.slot) {
 			continue
 		}
 		q.now = ev.at
@@ -286,48 +295,38 @@ func (q *Queue) RunUntil(deadline float64) uint64 {
 
 // Step executes exactly one live event, returning false if none remain.
 func (q *Queue) Step() bool {
-	for _, fromStream, ok := q.peek(); ok; _, fromStream, ok = q.peek() {
-		ev, live := q.take(fromStream)
-		if !live {
-			continue
+	for {
+		var ev entry
+		switch {
+		case q.streamLeads():
+			ev = q.streamed(q.next)
+			q.next++
+		case len(q.heap) > 0:
+			if ev = q.pop(); q.release(ev.slot) {
+				continue
+			}
+		default:
+			return false
 		}
 		q.now = ev.at
 		q.handlers[ev.kind](q, ev.a, ev.b)
 		q.executed++
 		return true
 	}
-	return false
 }
 
-// peek returns the time of the next event by (time, sequence), cancelled
-// or not, and whether it is the stream's front rather than the heap's top;
-// ok is false when both are empty.
-func (q *Queue) peek() (at float64, fromStream, ok bool) {
-	if q.next < len(q.stream) {
-		s := &q.stream[q.next]
-		if len(q.heap) == 0 {
-			return s.At, true, true
-		}
-		h := &q.heap[0]
-		if s.At < h.at || s.At == h.at && q.sseq+uint64(q.next) < h.seq {
-			return s.At, true, true
-		}
+// streamLeads reports whether the stream's front is the next event by
+// (time, sequence): the stream has one and it precedes the heap's top, or
+// the heap is empty.
+func (q *Queue) streamLeads() bool {
+	if q.next >= len(q.stream) {
+		return false
 	}
-	if len(q.heap) > 0 {
-		return q.heap[0].at, false, true
+	if len(q.heap) == 0 {
+		return true
 	}
-	return 0, false, false
-}
-
-// take removes the event peek found next and returns it, with false when
-// it had been cancelled.
-func (q *Queue) take(fromStream bool) (entry, bool) {
-	if fromStream {
-		q.next++
-		return q.streamed(q.next - 1), true
-	}
-	ev := q.pop()
-	return ev, !q.release(ev.slot)
+	s, h := &q.stream[q.next], &q.heap[0]
+	return s.At < h.at || s.At == h.at && q.sseq+uint64(q.next) < h.seq
 }
 
 // release retires a popped event's slot, returning whether the event
