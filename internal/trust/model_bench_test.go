@@ -93,9 +93,9 @@ func simShapedModel(tb testing.TB, name string) (m Model, cds, rds []EntityID, c
 // cycling through every (asker, subject, context): on a small warmed grid
 // (three contexts), and under sim/ on the state a sim_trust leg works on.
 func BenchmarkModelTrust(b *testing.B) {
-	type builder func(testing.TB, string) (Model, []EntityID, []EntityID, []Context)
-	bench := func(b *testing.B, build builder, name string) {
-		m, cds, rds, ctxs := build(b, name)
+	type shape func(testing.TB, string) (Model, []EntityID, []EntityID, []Context)
+	bench := func(b *testing.B, warm shape, name string) {
+		m, cds, rds, ctxs := warm(b, name)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
