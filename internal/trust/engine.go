@@ -114,9 +114,8 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 //     the records (x→y, c) sorted by the recommender's EntityID *string*,
 //     found by one lookup of (y, c) in runIdx.  That run is the only index
 //     a query uses: the asker's own relationship sits in it beside the
-//     recommenders' (findRel looks x up there, by a scan of a short run
-//     and by name in a long one), and Ω and the rival models' claims scan
-//     it.  Reputation's contract is that contributions sum in recommender
+//     recommenders' (findRel scans it for x), and Ω and the rival
+//     models' claims scan it.  Reputation's contract is that contributions sum in recommender
 //     string order (float addition is not associative, so summation order
 //     defines the bits of Ω); the old engine sorted on every call, this
 //     one keeps the run presorted, making Ω an allocation-free linear
@@ -252,35 +251,14 @@ func (e *Engine) run(y, c int32) []edge {
 	return nil
 }
 
-// shortRun is the run length up to which lookup scans indices instead of
-// binary-searching names: the simulator's runs hold one record per client
-// domain, a fault study's one per recommender.
-const shortRun = 16
-
-// lookup returns the record x holds in run, or -1.  Caller holds the lock.
+// lookup returns the record x holds in run, or -1, by a scan: a run holds
+// one record per truster of the subject in the context, a handful in
+// every workload.  Caller holds the lock.
 func (e *Engine) lookup(run []edge, x int32) int32 {
-	if x < 0 {
-		return -1
-	}
-	if len(run) <= shortRun {
-		for _, ed := range run {
-			if ed.peer == x {
-				return ed.rel
-			}
+	for _, ed := range run {
+		if ed.peer == x {
+			return ed.rel
 		}
-		return -1
-	}
-	name := e.ents[x]
-	lo, hi := 0, len(run)
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); e.ents[run[mid].peer] < name {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(run) && run[lo].peer == x {
-		return run[lo].rel
 	}
 	return -1
 }
