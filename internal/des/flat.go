@@ -139,9 +139,21 @@ func (q *Queue) ScheduleAt(at float64, kind, a, b int32) (FlatID, error) {
 	if err := q.check(at, kind); err != nil {
 		return FlatID{}, err
 	}
-	ev := entry{at: at, seq: q.seq, kind: kind, a: a, b: b}
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		q.slots = append(q.slots, slotState{})
+		slot = int32(len(q.slots))
+	}
+	st := &q.slots[slot-1]
+	st.queued = true
+	st.dead = false
+	ev := entry{at: at, seq: q.seq, slot: slot, kind: kind, a: a, b: b}
 	q.seq++
-	return q.enqueue(ev), nil
+	q.push(ev)
+	return FlatID{slot: slot, gen: st.gen}, nil
 }
 
 // check is what scheduling an event of the given kind at absolute time at
@@ -159,24 +171,6 @@ func (q *Queue) check(at float64, kind int32) error {
 	return nil
 }
 
-// enqueue gives ev a slot and pushes it onto the heap.
-func (q *Queue) enqueue(ev entry) FlatID {
-	var slot int32
-	if n := len(q.free); n > 0 {
-		slot = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		q.slots = append(q.slots, slotState{})
-		slot = int32(len(q.slots))
-	}
-	st := &q.slots[slot-1]
-	st.queued = true
-	st.dead = false
-	ev.slot = slot
-	q.push(ev)
-	return FlatID{slot: slot, gen: st.gen}
-}
-
 // Event is one event of a stream: a kind and its two arguments, at an
 // absolute time.
 type Event struct {
@@ -190,26 +184,23 @@ type Event struct {
 // evs, stable-sorted by time, merged with the heap as events fire.  The
 // queue takes evs over: it sorts it in place and reads it until its
 // events have fired or Reset, so the caller must not change it before.
-// Streamed events cannot be cancelled.  Each event is checked as
-// ScheduleAt checks it, in slice order, and the first failure is returned
-// with ScheduleAt's error; nothing is scheduled then.  Events of an
-// earlier stream that have not fired yet move to the heap, keeping their
-// sequence numbers.
+// Streamed events cannot be cancelled.  A queue holds one stream at a
+// time: while an earlier stream has events still to fire, Stream fails.
+// Each event is checked as ScheduleAt checks it, in slice order, and the
+// first failure is returned with ScheduleAt's error; nothing is scheduled
+// on any failure.
 func (q *Queue) Stream(evs []Event) error {
+	if q.next < len(q.stream) {
+		return fmt.Errorf("des: %d streamed events still pending", len(q.stream)-q.next)
+	}
 	for _, ev := range evs {
 		if err := q.check(ev.At, ev.Kind); err != nil {
 			return err
 		}
 	}
-	for i := q.next; i < len(q.stream); i++ {
-		q.enqueue(q.streamed(i))
-	}
 	// A stable sort keeps equal times in slice order, which is sequence
 	// order: a streamed event's sequence number is sseq plus its position.
-	byTime := func(x, y Event) int { return cmp.Compare(x.At, y.At) }
-	if !slices.IsSortedFunc(evs, byTime) {
-		slices.SortStableFunc(evs, byTime)
-	}
+	slices.SortStableFunc(evs, func(x, y Event) int { return cmp.Compare(x.At, y.At) })
 	q.stream, q.sseq, q.next = evs, q.seq, 0
 	q.seq += uint64(len(evs))
 	return nil

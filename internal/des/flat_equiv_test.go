@@ -19,8 +19,8 @@ import (
 // A stream (Queue.Stream) is checked against the reference scheduling the
 // same events one by one, in stream order, when the stream is installed:
 // the reference checks every time first, since Stream schedules all or
-// none, and keeps no cancel handle, since streamed events cannot be
-// cancelled.  A reset is a fresh reference Simulator, and on both kernels
+// none, refuses a stream while an earlier one has events still to fire,
+// and keeps no cancel handle, since streamed events cannot be cancelled.  A reset is a fresh reference Simulator, and on both kernels
 // it forgets every cancel handle taken before it.
 
 // Operation codes for equivalence programs.
@@ -94,9 +94,15 @@ func runReferenceProgram(ops []equivOp) kernelObs {
 	var ids []EventID
 	var schedule func(tag int, at float64, cancelAt int, spawn float64) bool
 	nextSpawn := tagsOf(ops)
+	// The current stream's events carry the tags [streamFrom, streamTo),
+	// and streamLeft of them have yet to fire.
+	streamFrom, streamTo, streamLeft := 0, 0, 0
 	schedule = func(tag int, at float64, cancelAt int, spawn float64) bool {
 		id, err := s.ScheduleAt(at, func(sim *Simulator) {
 			obs.fired = append(obs.fired, fireRec{tag, sim.Now()})
+			if tag >= streamFrom && tag < streamTo {
+				streamLeft--
+			}
 			if cancelAt >= 0 && cancelAt < len(ids) {
 				sim.Cancel(ids[cancelAt])
 			}
@@ -142,7 +148,10 @@ func runReferenceProgram(ops []equivOp) kernelObs {
 		case opStep:
 			obs.steps = append(obs.steps, s.Step())
 		case opStream:
-			ok := streamOK(o.stream, s.Now())
+			ok := streamLeft == 0 && streamOK(o.stream, s.Now())
+			if ok {
+				streamFrom, streamTo, streamLeft = tag, tag+len(o.stream), len(o.stream)
+			}
 			for _, e := range o.stream {
 				if ok {
 					schedule(tag, e.at, e.cancelAt, e.spawn)
@@ -157,6 +166,7 @@ func runReferenceProgram(ops []equivOp) kernelObs {
 		case opReset:
 			s = New()
 			clear(ids)
+			streamLeft = 0
 		}
 		obs.nows = append(obs.nows, s.Now())
 		obs.pendings = append(obs.pendings, s.Pending())
@@ -432,12 +442,18 @@ func TestFlatQueueEquivalenceDirected(t *testing.T) {
 			{kind: opRun, at: 10},
 		},
 		// A stream with a past time schedules nothing; a second stream
-		// while the first is pending merges with it.
+		// is refused while the first has events to fire and accepted once
+		// it has none.
 		{
-			{kind: opStream, stream: []equivOp{{at: 2, cancelAt: -1}, {at: 6, cancelAt: -1}}},
+			{kind: opStream, stream: []equivOp{{at: 2, cancelAt: -1}}},
 			{kind: opRun, at: 3},
 			{kind: opStream, stream: []equivOp{{at: 4, cancelAt: -1}, {at: 1, cancelAt: -1}}},
 			{kind: opStream, stream: []equivOp{{at: 6, cancelAt: -1}, {at: 5, cancelAt: -1}}},
+			{kind: opStream, stream: []equivOp{{at: 7, cancelAt: -1}}},
+			{kind: opStep},
+			{kind: opStream, stream: []equivOp{{at: 7, cancelAt: -1}}},
+			{kind: opStep},
+			{kind: opStream, stream: []equivOp{{at: 8, cancelAt: -1}}},
 			{kind: opRun, at: 10},
 		},
 		// Reset drops the stream and the heap; the queue starts over.
