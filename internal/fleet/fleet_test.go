@@ -83,6 +83,12 @@ func startFleet(t *testing.T, n int, bound time.Duration) ([]*testShard, Config)
 // knobs before any shard starts.
 func startFleetCfg(t *testing.T, n int, bound time.Duration, mutate func(*Config)) ([]*testShard, Config) {
 	t.Helper()
+	return startFleetOn(t, n, bound, fleetTopology, mutate)
+}
+
+// startFleetOn is startFleetCfg over the topology topo builds.
+func startFleetOn(t *testing.T, n int, bound time.Duration, topo func(*testing.T) *grid.Topology, mutate func(*Config)) ([]*testShard, Config) {
+	t.Helper()
 	shards := make([]*testShard, n)
 	cfg := Config{
 		GossipIntervalMS: 20,
@@ -94,7 +100,7 @@ func startFleetCfg(t *testing.T, n int, bound time.Duration, mutate func(*Config
 	}
 	for i := 0; i < n; i++ {
 		trms, err := core.New(core.Config{
-			Topology: fleetTopology(t),
+			Topology: topo(t),
 			Trust:    trust.Config{Alpha: 1, Beta: 0, Smoothing: 1},
 		})
 		if err != nil {
@@ -472,6 +478,73 @@ func TestGossipClaimsFuseConservativelyAndExpire(t *testing.T) {
 	info := shards[0].fl.Status()
 	if len(info.Peers) != 1 || !info.Peers[0].Stale {
 		t.Fatalf("status does not mark peer stale: %+v", info.Peers)
+	}
+}
+
+// sparseTopology numbers domains by grid-domain index, as gridgen does
+// when a grid domain may lack a resource or client domain: grid domain 1
+// has a client domain and no resource domain, so the resource domains
+// are 0 and 2 and the client domains 0, 1 and 2.
+func sparseTopology(t *testing.T) *grid.Topology {
+	t.Helper()
+	gds := make([]*grid.GridDomain, 3)
+	machine := 0
+	for i := range gds {
+		id := grid.DomainID(i)
+		gds[i] = &grid.GridDomain{
+			ID: id,
+			CD: &grid.ClientDomain{
+				ID:      id,
+				Sought:  map[grid.Activity]grid.TrustLevel{grid.ActCompute: grid.LevelC},
+				RTL:     grid.LevelA,
+				Clients: []*grid.Client{{ID: grid.ClientID(i), CD: id}},
+			},
+		}
+		if i == 1 {
+			continue
+		}
+		gds[i].RD = &grid.ResourceDomain{
+			ID: id, Owner: "org",
+			Supported: map[grid.Activity]grid.TrustLevel{grid.ActCompute: grid.LevelC},
+			RTL:       grid.LevelA,
+			Machines:  []*grid.Machine{{ID: grid.MachineID(machine), RD: id}},
+		}
+		machine++
+	}
+	top, err := grid.NewTopology(gds...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
+
+// TestGossipCarriesSparseDomainIDs: a domain id at or above the number of
+// domains of its kind (RD 2 of two resource domains) must replicate like
+// any other, so gossip hands every peer entry to the claims.
+func TestGossipCarriesSparseDomainIDs(t *testing.T) {
+	shards, _ := startFleetOn(t, 2, 5*time.Second, sparseTopology, nil)
+	peer := shards[1].trms.Table()
+	if err := peer.Set(0, 2, grid.ActCompute, grid.LevelA); err != nil {
+		t.Fatal(err)
+	}
+	wantVersion := peer.Version()
+	deadline := time.Now().Add(5 * time.Second)
+	var info *rmswire.FleetInfo
+	for {
+		info = shards[0].fl.Status()
+		if len(info.Peers) == 1 && info.Peers[0].Version >= wantVersion {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("gossip never converged: %+v", info.Peers)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got, want := info.Peers[0].Entries, peer.Len(); got != want {
+		t.Fatalf("shard 0 holds %d of peer s1's %d entries", got, want)
+	}
+	if got := shards[0].fl.claims.FuseOTL(0, 2, grid.MustToA(grid.ActCompute), grid.LevelC); got != grid.LevelA {
+		t.Fatalf("fused OTL on RD 2 = %v, want the peer's claim LevelA", got)
 	}
 }
 
