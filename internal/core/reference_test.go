@@ -64,7 +64,10 @@ func refSubmit(t *TRMS, task Task, now float64) (*Placement, error) {
 		return nil, err
 	}
 
-	snap := t.table.Snapshot()
+	snap, err := (*grid.TableReplica)(nil).Overlay(t.table.Since(0))
+	if err != nil {
+		return nil, err
+	}
 	tcs := make([]int, len(machines))
 	otls := make([]grid.TrustLevel, len(machines))
 	eligible := false
@@ -180,7 +183,10 @@ func refSubmitBatch(t *TRMS, tasks []Task, h sched.Batch, now float64) ([]*Place
 	machines := top.Machines()
 	nm := len(machines)
 
-	snap := t.table.Snapshot()
+	snap, err := (*grid.TableReplica)(nil).Overlay(t.table.Since(0))
+	if err != nil {
+		return nil, err
+	}
 	eec := make([][]float64, len(tasks))
 	tcs := make([][]int, len(tasks))
 	otls := make([][]grid.TrustLevel, len(tasks))

@@ -1,8 +1,9 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -19,11 +20,15 @@ import (
 // — so one RWMutex guards the map, and a read is cheap only if it holds
 // that lock for the cells it needs and copies nothing.  The scheduler's
 // read is OTLRows: one read lock per decision, a cell per resource domain.
-// Whole-table reads (Snapshot, Entries, ForEach) cost time and garbage in
+// Whole-table reads (Since, Entries, ForEach) cost time and garbage in
 // proportion to the table and belong to replication and persistence.
 type TrustTable struct {
 	mu      sync.RWMutex
 	entries map[tableKey]TrustLevel
+	// written holds, per entry, the version that last wrote it, so a
+	// replica at version v is sent only what changed since v.  It sits
+	// beside entries, which OTLRows reads alone.
+	written map[tableKey]uint64
 	version uint64 // bumped on every successful Set, for replication
 }
 
@@ -35,7 +40,7 @@ type tableKey struct {
 
 // NewTrustTable returns an empty trust-level table.
 func NewTrustTable() *TrustTable {
-	return &TrustTable{entries: make(map[tableKey]TrustLevel)}
+	return &TrustTable{entries: make(map[tableKey]TrustLevel), written: make(map[tableKey]uint64)}
 }
 
 // Set records the trust level for (cd, rd, activity).  Only offerable
@@ -49,8 +54,10 @@ func (t *TrustTable) Set(cd, rd DomainID, act Activity, tl TrustLevel) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.entries[tableKey{cd, rd, act}] = tl
+	k := tableKey{cd, rd, act}
 	t.version++
+	t.entries[k] = tl
+	t.written[k] = t.version
 	return nil
 }
 
@@ -157,7 +164,7 @@ func (t *TrustTable) ForEach(fn func(cd, rd DomainID, act Activity, tl TrustLeve
 }
 
 // TableEntry is one (cd, rd, activity) → level record in exported form,
-// used to persist the table and rebuild it on recovery.
+// used to persist the table, replicate it and rebuild it on recovery.
 type TableEntry struct {
 	CD       DomainID   `json:"cd"`
 	RD       DomainID   `json:"rd"`
@@ -165,70 +172,107 @@ type TableEntry struct {
 	Level    TrustLevel `json:"level"`
 }
 
-// Entries exports every table entry in deterministic (cd, rd, activity)
-// order, suitable for serialisation.
-func (t *TrustTable) Entries() []TableEntry {
+// Since returns the entries written after version v in deterministic
+// (cd, rd, activity) order, and the table version they are current at,
+// both from one read.  Since(0) is the whole table; a replica at version
+// v > 0 overlays Since(v) to catch up, since entries are never deleted
+// (only Restore, at startup, replaces the contents).
+func (t *TrustTable) Since(v uint64) ([]TableEntry, uint64) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]TableEntry, 0, len(t.entries))
-	for k, tl := range t.entries {
-		out = append(out, TableEntry{CD: k.cd, RD: k.rd, Activity: k.act, Level: tl})
+	var out []TableEntry
+	if v == 0 {
+		out = make([]TableEntry, 0, len(t.entries))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.CD != b.CD {
-			return a.CD < b.CD
+	for k, w := range t.written {
+		// Since(0) is every entry, those a Restore at version 0 stamped too.
+		if w > v || v == 0 {
+			out = append(out, TableEntry{CD: k.cd, RD: k.rd, Activity: k.act, Level: t.entries[k]})
 		}
-		if a.RD != b.RD {
-			return a.RD < b.RD
+	}
+	slices.SortFunc(out, func(a, b TableEntry) int {
+		if c := cmp.Compare(a.CD, b.CD); c != 0 {
+			return c
 		}
-		return a.Activity < b.Activity
+		if c := cmp.Compare(a.RD, b.RD); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Activity, b.Activity)
 	})
+	return out, t.version
+}
+
+// Entries exports every table entry in deterministic (cd, rd, activity)
+// order, suitable for serialisation: Since(0) without the version.
+func (t *TrustTable) Entries() []TableEntry {
+	out, _ := t.Since(0)
 	return out
 }
 
+// checkEntry is the validation every bulk load applies: Restore and
+// TableReplica.Overlay accept only what Set would.
+func checkEntry(e TableEntry) error {
+	if !e.Level.Offerable() {
+		return fmt.Errorf("entry for CD %d / RD %d has non-offerable level %v", e.CD, e.RD, e.Level)
+	}
+	if !e.Activity.Valid() {
+		return fmt.Errorf("entry for CD %d / RD %d has invalid activity %d", e.CD, e.RD, int(e.Activity))
+	}
+	return nil
+}
+
 // Restore replaces the table contents with the given entries and sets the
-// mutation counter, rebuilding a persisted table exactly.  Entries are
-// validated up front; on error the table is left unchanged.
+// mutation counter, rebuilding a persisted table exactly; every entry is
+// stamped as written at that version.  Entries are validated up front; on
+// error the table is left unchanged.
 func (t *TrustTable) Restore(entries []TableEntry, version uint64) error {
 	fresh := make(map[tableKey]TrustLevel, len(entries))
+	written := make(map[tableKey]uint64, len(entries))
 	for _, e := range entries {
-		if !e.Level.Offerable() {
-			return fmt.Errorf("grid: restore entry for CD %d / RD %d has non-offerable level %v", e.CD, e.RD, e.Level)
+		if err := checkEntry(e); err != nil {
+			return fmt.Errorf("grid: restore %w", err)
 		}
-		if !e.Activity.Valid() {
-			return fmt.Errorf("grid: restore entry has invalid activity %d", int(e.Activity))
-		}
-		fresh[tableKey{e.CD, e.RD, e.Activity}] = e.Level
+		k := tableKey{e.CD, e.RD, e.Activity}
+		fresh[k] = e.Level
+		written[k] = version
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.entries = fresh
+	t.entries, t.written = fresh, written
 	t.version = version
 	return nil
 }
 
-// Snapshot returns a read-only copy of the table, the "replicated at
-// different domains for reading purposes" mechanism of Section 3.1: what
-// trustwire ships to replicas and what an export freezes.  The copy costs
-// time and garbage in proportion to the table, so it is not a scheduler's
-// read path (that is OTLRows).  The replica is immutable and does not
-// track later updates; compare Version with the live table to detect
-// staleness.
-func (t *TrustTable) Snapshot() *TableReplica {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	cp := make(map[tableKey]TrustLevel, len(t.entries))
-	for k, v := range t.entries {
-		cp[k] = v
-	}
-	return &TableReplica{entries: cp, version: t.version}
-}
-
-// TableReplica is an immutable point-in-time copy of a TrustTable.
+// TableReplica is an immutable copy of a TrustTable at one version, the
+// "replicated at different domains for reading purposes" mechanism of
+// Section 3.1: a replica is built by Overlay and never changes, so a
+// reader may keep the one it holds for as long as it likes.  The zero
+// TableReplica is an empty table at version 0.
 type TableReplica struct {
 	entries map[tableKey]TrustLevel
 	version uint64
+}
+
+// Overlay returns a new replica at version holding r's entries with the
+// given ones written over them; a nil r starts from an empty table.  The
+// entries are validated as Restore validates them, and on error no
+// replica is returned.  r itself never changes.
+func (r *TableReplica) Overlay(entries []TableEntry, version uint64) (*TableReplica, error) {
+	var base map[tableKey]TrustLevel
+	if r != nil {
+		base = r.entries
+	}
+	next := make(map[tableKey]TrustLevel, len(base)+len(entries))
+	for k, tl := range base {
+		next[k] = tl
+	}
+	for _, e := range entries {
+		if err := checkEntry(e); err != nil {
+			return nil, fmt.Errorf("grid: overlay %w", err)
+		}
+		next[tableKey{e.CD, e.RD, e.Activity}] = e.Level
+	}
+	return &TableReplica{entries: next, version: version}, nil
 }
 
 // Get returns the replicated trust level for (cd, rd, activity).
@@ -237,7 +281,10 @@ func (r *TableReplica) Get(cd, rd DomainID, act Activity) (TrustLevel, bool) {
 	return tl, ok
 }
 
-// Version returns the version of the source table at snapshot time.
+// Len returns the number of replicated entries.
+func (r *TableReplica) Len() int { return len(r.entries) }
+
+// Version returns the version of the source table the replica holds.
 func (r *TableReplica) Version() uint64 { return r.version }
 
 // OTL computes the offered trust level from the replica, mirroring

@@ -1,6 +1,9 @@
 package grid
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -129,12 +132,23 @@ func TestOTLMinProperty(t *testing.T) {
 	}
 }
 
+// replicaOf builds a replica of tt by one overlay on an empty table, as a
+// replication client does after a cold sync.
+func replicaOf(t *testing.T, tt *TrustTable) *TableReplica {
+	t.Helper()
+	rep, err := (*TableReplica)(nil).Overlay(tt.Since(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestSnapshotIsolation(t *testing.T) {
 	tt := NewTrustTable()
 	if err := tt.Set(0, 1, ActCompute, LevelB); err != nil {
 		t.Fatal(err)
 	}
-	rep := tt.Snapshot()
+	rep := replicaOf(t, tt)
 	if err := tt.Set(0, 1, ActCompute, LevelE); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +169,7 @@ func TestReplicaOTL(t *testing.T) {
 	tt := NewTrustTable()
 	_ = tt.Set(2, 4, ActCompute, LevelC)
 	_ = tt.Set(2, 4, ActStorage, LevelA)
-	rep := tt.Snapshot()
+	rep := replicaOf(t, tt)
 	otl, err := rep.OTL(2, 4, MustToA(ActCompute, ActStorage))
 	if err != nil || otl != LevelA {
 		t.Fatalf("replica OTL = %v/%v, want A", otl, err)
@@ -194,7 +208,7 @@ func TestTrustTableConcurrency(t *testing.T) {
 			}
 		}(w)
 	}
-	// Readers: schedulers computing OTLs and snapshotting.
+	// Readers: schedulers computing OTLs and replication reading changes.
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
 		go func() {
@@ -210,7 +224,15 @@ func TestTrustTableConcurrency(t *testing.T) {
 					t.Error("concurrent OTL out of range")
 					return
 				}
-				_ = tt.Snapshot().Version()
+				es, v := tt.Since(0)
+				if uint64(len(es)) > v {
+					t.Error("Since returned more entries than writes")
+					return
+				}
+				if _, w := tt.Since(v); w < v {
+					t.Error("table version went backwards")
+					return
+				}
 			}
 		}()
 	}
@@ -489,4 +511,166 @@ func TestOTLRowsConcurrentWithWrites(t *testing.T) {
 	}
 	close(stop)
 	writer.Wait()
+}
+
+// entryKeys lists the (cd, rd, activity) of each entry, in order.
+func entryKeys(es []TableEntry) [][3]int {
+	out := make([][3]int, len(es))
+	for i, e := range es {
+		out[i] = [3]int{int(e.CD), int(e.RD), int(e.Activity)}
+	}
+	return out
+}
+
+func TestSinceStampsEveryWrite(t *testing.T) {
+	tt := NewTrustTable()
+	for _, e := range []TableEntry{
+		{CD: 2, RD: 0, Activity: ActCompute, Level: LevelB}, // version 1
+		{CD: 0, RD: 3, Activity: ActStorage, Level: LevelC}, // version 2
+		{CD: 0, RD: 1, Activity: ActCompute, Level: LevelD}, // version 3
+	} {
+		if err := tt.Set(e.CD, e.RD, e.Activity, e.Level); err != nil {
+			t.Fatal(err)
+		}
+	}
+	es, v := tt.Since(1)
+	if want := [][3]int{{0, 1, int(ActCompute)}, {0, 3, int(ActStorage)}}; v != 3 || !reflect.DeepEqual(entryKeys(es), want) {
+		t.Fatalf("Since(1) = %v at %d, want %v at 3", entryKeys(es), v, want)
+	}
+	// A write that repeats the current level is still a write.
+	if err := tt.Set(2, 0, ActCompute, LevelB); err != nil {
+		t.Fatal(err)
+	}
+	es, v = tt.Since(3)
+	if want := []TableEntry{{CD: 2, RD: 0, Activity: ActCompute, Level: LevelB}}; v != 4 || !reflect.DeepEqual(es, want) {
+		t.Fatalf("Since(3) = %+v at %d, want %+v at 4", es, v, want)
+	}
+	if es, v = tt.Since(4); len(es) != 0 || v != 4 {
+		t.Fatalf("Since(current) = %+v at %d, want nothing at 4", es, v)
+	}
+	if es, v = tt.Since(99); len(es) != 0 || v != 4 {
+		t.Fatalf("Since(ahead) = %+v at %d, want nothing at 4", es, v)
+	}
+}
+
+func TestRestoreStampsEveryEntry(t *testing.T) {
+	tt := NewTrustTable()
+	if err := tt.Set(5, 5, ActPrint, LevelA); err != nil {
+		t.Fatal(err)
+	}
+	restored := []TableEntry{
+		{CD: 0, RD: 1, Activity: ActCompute, Level: LevelB},
+		{CD: 1, RD: 0, Activity: ActStorage, Level: LevelE},
+	}
+	if err := tt.Restore(restored, 7); err != nil {
+		t.Fatal(err)
+	}
+	if es, v := tt.Since(6); v != 7 || !reflect.DeepEqual(es, restored) {
+		t.Fatalf("Since(6) = %+v at %d, want every restored entry at 7", es, v)
+	}
+	if es, _ := tt.Since(7); len(es) != 0 {
+		t.Fatalf("Since(7) = %+v, want nothing written after the restore", es)
+	}
+	if err := tt.Set(1, 0, ActStorage, LevelC); err != nil {
+		t.Fatal(err)
+	}
+	if es, v := tt.Since(7); v != 8 || len(es) != 1 || es[0].Level != LevelC {
+		t.Fatalf("Since(7) after a Set = %+v at %d", es, v)
+	}
+	// Since(0) is the whole table, whatever version restored it.
+	if err := tt.Restore(restored, 0); err != nil {
+		t.Fatal(err)
+	}
+	if es, v := tt.Since(0); v != 0 || !reflect.DeepEqual(es, restored) {
+		t.Fatalf("Since(0) after a restore at 0 = %+v at %d", es, v)
+	}
+}
+
+// referenceEntries is the whole-table export Since(0) replaced: every
+// entry, sorted by (cd, rd, activity).
+func referenceEntries(tt *TrustTable) []TableEntry {
+	var out []TableEntry
+	tt.ForEach(func(cd, rd DomainID, act Activity, tl TrustLevel) {
+		out = append(out, TableEntry{CD: cd, RD: rd, Activity: act, Level: tl})
+	})
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.CD != b.CD {
+			return a.CD < b.CD
+		}
+		if a.RD != b.RD {
+			return a.RD < b.RD
+		}
+		return a.Activity < b.Activity
+	})
+	return out
+}
+
+func TestSinceZeroMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tt := NewTrustTable()
+	for i := 0; i < 400; i++ {
+		if err := tt.Set(DomainID(rng.Intn(6)), DomainID(rng.Intn(9)), Activity(rng.Intn(int(NumBuiltinActivities))),
+			LevelA+TrustLevel(rng.Intn(5))); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 != 49 {
+			continue
+		}
+		es, v := tt.Since(0)
+		if want := referenceEntries(tt); !reflect.DeepEqual(es, want) || v != tt.Version() {
+			t.Fatalf("after %d writes: Since(0) = %d entries at %d, reference %d at %d", i+1, len(es), v, len(want), tt.Version())
+		}
+		if !reflect.DeepEqual(tt.Entries(), es) {
+			t.Fatal("Entries differs from Since(0)")
+		}
+	}
+}
+
+func TestOverlay(t *testing.T) {
+	first := []TableEntry{
+		{CD: 0, RD: 2, Activity: ActCompute, Level: LevelC},
+		{CD: 1, RD: 0, Activity: ActStorage, Level: LevelD},
+	}
+	base, err := (*TableReplica)(nil).Overlay(first, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Len() != 2 || base.Version() != 2 {
+		t.Fatalf("overlay on nil: %d entries at %d, want 2 at 2", base.Len(), base.Version())
+	}
+	if empty := new(TableReplica); empty.Len() != 0 || empty.Version() != 0 {
+		t.Fatal("the zero replica is not an empty table at version 0")
+	}
+
+	next, err := base.Overlay([]TableEntry{
+		{CD: 0, RD: 2, Activity: ActCompute, Level: LevelA},
+		{CD: 3, RD: 3, Activity: ActPrint, Level: LevelE},
+	}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tl, _ := next.Get(0, 2, ActCompute); tl != LevelA || next.Len() != 3 || next.Version() != 4 {
+		t.Fatalf("overlay: (0,2,compute)=%v, %d entries at %d", tl, next.Len(), next.Version())
+	}
+	if tl, _ := next.Get(1, 0, ActStorage); tl != LevelD {
+		t.Fatalf("overlay lost an untouched entry: %v", tl)
+	}
+	// The base never changes.
+	if tl, _ := base.Get(0, 2, ActCompute); tl != LevelC || base.Len() != 2 || base.Version() != 2 {
+		t.Fatalf("overlay changed its base: (0,2,compute)=%v, %d entries at %d", tl, base.Len(), base.Version())
+	}
+
+	for _, bad := range []TableEntry{
+		{CD: 0, RD: 0, Activity: ActCompute, Level: LevelF},
+		{CD: 0, RD: 0, Activity: Activity(-1), Level: LevelB},
+	} {
+		rep, err := next.Overlay([]TableEntry{{CD: 9, RD: 9, Activity: ActCompute, Level: LevelB}, bad}, 5)
+		if err == nil || rep != nil {
+			t.Fatalf("overlay of %+v: replica %v, err %v; want an error and no replica", bad, rep, err)
+		}
+	}
+	if _, ok := next.Get(9, 9, ActCompute); ok || next.Len() != 3 {
+		t.Fatal("a failed overlay changed its base")
+	}
 }
