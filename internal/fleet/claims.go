@@ -61,7 +61,7 @@ type peerState struct {
 	cfg ShardConfig
 
 	mu       sync.Mutex
-	table    trustwire.ReadOnlyTable // last applied claim set (nil before first sync)
+	table    *grid.TableReplica // last applied claim set (nil before first sync)
 	version  uint64
 	entries  int
 	lastSync time.Time // zero = never synced
@@ -142,10 +142,10 @@ func (c *Claims) syncPeer(p *peerState) {
 		c.recordErr(p)
 		return
 	}
-	table, version := p.rep.Table(), p.rep.Version()
+	table := p.rep.Table()
 	p.mu.Lock()
 	p.table = table
-	p.version = version
+	p.version = table.Version()
 	p.entries = table.Len()
 	p.lastSync = c.now()
 	p.syncs++

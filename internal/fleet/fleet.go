@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"gridtrust/internal/core"
-	"gridtrust/internal/grid"
 	"gridtrust/internal/rmswire"
 	"gridtrust/internal/trustwire"
 )
@@ -74,8 +73,7 @@ func Start(cfg Config, self string, srv *rmswire.Server, trms *core.TRMS) (*Flee
 
 	if len(cfg.Shards) > 1 {
 		// Publish the local authoritative table to peers...
-		tw, err := trustwire.NewServer(trms.Table(),
-			len(topo.ClientDomains()), len(topo.ResourceDomains()), grid.NumBuiltinActivities)
+		tw, err := trustwire.NewServer(trms.Table())
 		if err != nil {
 			return nil, fmt.Errorf("fleet: trust server: %w", err)
 		}

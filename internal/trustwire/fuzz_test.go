@@ -23,9 +23,10 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzApplyEntries feeds arbitrary entry lists to the replica-side
-// installer: invalid entries must error before mutating, valid entries
-// must install.
+// FuzzApplyEntries feeds arbitrary entries to the replica-side
+// installer over a base replica: an invalid entry must error and return
+// no replica, a valid one must land in a new replica, and the base must
+// never change.
 func FuzzApplyEntries(f *testing.F) {
 	f.Add(0, 0, 0, "A")
 	f.Add(3, 2, 1, "E")
@@ -33,16 +34,34 @@ func FuzzApplyEntries(f *testing.F) {
 	f.Add(0, 0, 0, "F")
 	f.Add(0, 0, 0, "zz")
 	f.Fuzz(func(t *testing.T, cd, rd, act int, level string) {
-		table := grid.NewTrustTable()
-		err := applyEntries(table, []Entry{{CD: cd, RD: rd, Activity: act, Level: level}})
+		base, err := applyEntries(nil, []Entry{{CD: 1, RD: 1, Activity: 1, Level: "C"}}, 1)
 		if err != nil {
-			if table.Len() != 0 {
-				t.Fatalf("failed apply mutated the table")
+			t.Fatal(err)
+		}
+		rep, err := applyEntries(base, []Entry{{CD: cd, RD: rd, Activity: act, Level: level}}, 2)
+		if base.Len() != 1 || base.Version() != 1 {
+			t.Fatalf("apply changed its base: %d entries at %d", base.Len(), base.Version())
+		}
+		if tl, _ := base.Get(1, 1, 1); tl != grid.LevelC {
+			t.Fatalf("apply changed its base entry to %v", tl)
+		}
+		if err != nil {
+			if rep != nil {
+				t.Fatal("failed apply returned a replica")
 			}
 			return
 		}
-		if table.Len() != 1 {
-			t.Fatalf("successful apply stored %d entries", table.Len())
+		want, _ := grid.ParseLevel(level)
+		tl, ok := rep.Get(grid.DomainID(cd), grid.DomainID(rd), grid.Activity(act))
+		if !ok || tl != want || rep.Version() != 2 {
+			t.Fatalf("apply stored %v/%v at %d, want %v at 2", tl, ok, rep.Version(), want)
+		}
+		n := 2
+		if cd == 1 && rd == 1 && act == 1 {
+			n = 1 // written over the base's entry
+		}
+		if rep.Len() != n {
+			t.Fatalf("apply holds %d entries, want %d", rep.Len(), n)
 		}
 	})
 }
@@ -55,7 +74,7 @@ func FuzzServerRespond(f *testing.F) {
 	f.Fuzz(func(t *testing.T, op string, have uint64) {
 		table := grid.NewTrustTable()
 		_ = table.Set(0, 0, grid.ActCompute, grid.LevelC)
-		srv, err := NewServer(table, 2, 2, 5)
+		srv, err := NewServer(table)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func TestReplicatedTableEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv, err := trustwire.NewServer(table, 4, 4, grid.NumBuiltinActivities)
+	srv, err := trustwire.NewServer(table)
 	if err != nil {
 		t.Fatal(err)
 	}

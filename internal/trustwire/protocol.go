@@ -8,11 +8,13 @@
 // stream-oriented transport (TCP in production, net.Pipe in tests):
 // newline-delimited JSON frames.  Replicas poll with their last-seen
 // version; the server answers "current" when the replica is up to date, a
-// compact "delta" (only changed entries) when the replica's version is
-// still inside the server's history window, and a full "snapshot"
-// otherwise.  Deltas are pure overlays because the table never deletes
-// entries; trust changes are rare ("trust is a slow varying attribute"),
-// so deltas are typically a single entry.
+// "delta" of the entries written since that version when it is behind,
+// and a full "snapshot" when it polls cold (version 0).  Both read the
+// table once (grid.TrustTable.Since) and list entries in (cd, rd,
+// activity) order.  Deltas are pure overlays because the table never
+// deletes entries; trust changes are rare ("trust is a slow varying
+// attribute"), so deltas are typically a single entry.  A replica is an
+// immutable grid.TableReplica, each response overlaid on the last.
 package trustwire
 
 import (
@@ -53,7 +55,8 @@ type Response struct {
 	Status string `json:"status"`
 	// Version is the server's table version at snapshot time.
 	Version uint64 `json:"version"`
-	// Entries is the full table when Status is "snapshot".
+	// Entries is the full table when Status is "snapshot", the entries
+	// written since have_version when it is "delta".
 	Entries []Entry `json:"entries,omitempty"`
 	// Error carries a message when Status is "error".
 	Error string `json:"error,omitempty"`
@@ -91,36 +94,35 @@ const (
 // OpSync is the only v1 operation.
 const OpSync = "sync"
 
-// entriesFromTable flattens a table snapshot for the wire.
-func entriesFromTable(rep *grid.TableReplica, cds, rds, activities int) []Entry {
-	var out []Entry
-	for cd := 0; cd < cds; cd++ {
-		for rd := 0; rd < rds; rd++ {
-			for a := 0; a < activities; a++ {
-				tl, ok := rep.Get(grid.DomainID(cd), grid.DomainID(rd), grid.Activity(a))
-				if !ok {
-					continue
-				}
-				out = append(out, Entry{CD: cd, RD: rd, Activity: a, Level: tl.String()})
-			}
-		}
+// wireEntries puts table entries on the wire, in their order.
+func wireEntries(entries []grid.TableEntry) []Entry {
+	if len(entries) == 0 {
+		return nil
+	}
+	out := make([]Entry, len(entries))
+	for i, e := range entries {
+		out[i] = Entry{CD: int(e.CD), RD: int(e.RD), Activity: int(e.Activity), Level: e.Level.String()}
 	}
 	return out
 }
 
-// applyEntries validates and installs wire entries into a table.
-func applyEntries(t *grid.TrustTable, entries []Entry) error {
-	for _, e := range entries {
+// applyEntries checks wire entries and overlays them on base (nil: an
+// empty table), returning the replica at version.  base never changes.
+func applyEntries(base *grid.TableReplica, entries []Entry, version uint64) (*grid.TableReplica, error) {
+	es := make([]grid.TableEntry, len(entries))
+	for i, e := range entries {
 		tl, err := grid.ParseLevel(e.Level)
 		if err != nil {
-			return fmt.Errorf("trustwire: entry (%d,%d,%d): %w", e.CD, e.RD, e.Activity, err)
+			return nil, fmt.Errorf("trustwire: entry (%d,%d,%d): %w", e.CD, e.RD, e.Activity, err)
 		}
 		if e.CD < 0 || e.RD < 0 || e.Activity < 0 {
-			return fmt.Errorf("trustwire: negative identifier in entry (%d,%d,%d)", e.CD, e.RD, e.Activity)
+			return nil, fmt.Errorf("trustwire: negative identifier in entry (%d,%d,%d)", e.CD, e.RD, e.Activity)
 		}
-		if err := t.Set(grid.DomainID(e.CD), grid.DomainID(e.RD), grid.Activity(e.Activity), tl); err != nil {
-			return fmt.Errorf("trustwire: entry (%d,%d,%d): %w", e.CD, e.RD, e.Activity, err)
-		}
+		es[i] = grid.TableEntry{CD: grid.DomainID(e.CD), RD: grid.DomainID(e.RD), Activity: grid.Activity(e.Activity), Level: tl}
 	}
-	return nil
+	rep, err := base.Overlay(es, version)
+	if err != nil {
+		return nil, fmt.Errorf("trustwire: %w", err)
+	}
+	return rep, nil
 }

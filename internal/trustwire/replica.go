@@ -6,22 +6,22 @@ import (
 	"time"
 
 	"gridtrust/internal/frame"
+	"gridtrust/internal/grid"
 )
 
 // Replica maintains a local read-only copy of a remote trust table by
 // polling a Server.  Schedulers at a remote Grid domain read the replica
-// (a *grid.TrustTable) with zero network traffic on the hot path; the
-// poll loop refreshes it in the background.  It is the sync protocol over
-// one frame.Conn, which redials by itself after a failure.
+// (an immutable *grid.TableReplica) with zero network traffic on the hot
+// path; the poll loop refreshes it in the background.  It is the sync
+// protocol over one frame.Conn, which redials by itself after a failure.
 type Replica struct {
 	conn    *frame.Conn
 	timeout time.Duration // bounds every Sync round trip (0 = unbounded)
 
-	mu      sync.Mutex
-	version uint64 // last applied table version
-	have    uint64 // version the next poll claims: version, or 0 after a lost connection
-	synced  int64  // snapshots applied
-	local   *replicaTable
+	mu     sync.Mutex
+	have   uint64 // version the next poll claims: local's, or 0 after a lost connection
+	synced int64  // responses applied
+	local  *grid.TableReplica
 }
 
 // Dial connects a replica to a server address with no I/O deadlines.
@@ -44,7 +44,7 @@ func DialTimeout(addr string, timeout time.Duration) (*Replica, error) {
 // NewReplica polls over conn, which dials when first used, with every
 // round trip bounded by timeout.
 func NewReplica(conn *frame.Conn, timeout time.Duration) *Replica {
-	return &Replica{conn: conn, timeout: timeout, local: newReplicaTable()}
+	return &Replica{conn: conn, timeout: timeout, local: new(grid.TableReplica)}
 }
 
 // Close releases the connection for good.
@@ -54,7 +54,7 @@ func (c *Replica) Close() error { return c.conn.Close() }
 func (c *Replica) Version() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.version
+	return c.local.Version()
 }
 
 // SnapshotsApplied reports how many snapshots this replica has installed.
@@ -64,9 +64,9 @@ func (c *Replica) SnapshotsApplied() int64 {
 	return c.synced
 }
 
-// Sync performs one poll round-trip: if the server is ahead, its entries
-// replace the local copy atomically.  It reports whether new data was
-// applied.
+// Sync performs one poll round-trip: if the server is ahead, a new local
+// copy with its entries replaces the old one.  It reports whether new
+// data was applied.
 //
 // After any lost connection the next poll is a cold one (have_version 0).
 // The server on the new connection may be a restarted one whose version
@@ -82,31 +82,27 @@ func (c *Replica) Sync() (bool, error) {
 		c.have = 0
 		return false, err
 	}
-	fresh := newReplicaTable()
+	var base *grid.TableReplica // a snapshot starts from an empty table
 	switch resp.Status {
 	case StatusCurrent:
-		if c.have == c.version {
+		if c.have == c.local.Version() {
 			return false, nil
 		}
 		// A cold poll answered "current": the server's table is empty,
 		// and what we hold is a previous incarnation's.
 	case StatusSnapshot:
-		if err := applyEntries(fresh.table, resp.Entries); err != nil {
-			return false, err
-		}
 	case StatusDelta:
-		// Overlay the changed entries on a copy of the current local
-		// table so readers still see atomic swaps.
-		if err := copyTable(c.local, fresh, resp.Entries); err != nil {
-			return false, err
-		}
+		base = c.local
 	case StatusError:
 		return false, fmt.Errorf("trustwire: server error: %s", resp.Error)
 	default:
 		return false, fmt.Errorf("trustwire: unknown response status %q", resp.Status)
 	}
-	c.local = fresh
-	c.version, c.have = resp.Version, resp.Version
+	next, err := applyEntries(base, resp.Entries, resp.Version)
+	if err != nil {
+		return false, err
+	}
+	c.local, c.have = next, resp.Version
 	c.synced++
 	return true, nil
 }
@@ -134,11 +130,10 @@ func (c *Replica) Poll(interval time.Duration, stop <-chan struct{}, errs chan<-
 	}
 }
 
-// Table returns the current local copy for reading.  The returned table
-// must be treated as read-only; it is replaced wholesale on the next
-// applied snapshot, so a scheduler can safely keep using the instance it
-// grabbed for one mapping pass.
-func (c *Replica) Table() ReadOnlyTable {
+// Table returns the current local copy for reading.  It is immutable and
+// replaced wholesale by the next applied response, so a scheduler can
+// keep using the instance it grabbed for one mapping pass.
+func (c *Replica) Table() *grid.TableReplica {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.local

@@ -21,7 +21,7 @@ func TestPollSurvivesSyncErrors(t *testing.T) {
 	if err := table.Set(0, 1, grid.ActCompute, grid.LevelC); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(table, 4, 4, int(grid.NumBuiltinActivities))
+	srv, err := NewServer(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPollSurvivesSyncErrors(t *testing.T) {
 	if err := table.Set(0, 1, grid.ActCompute, grid.LevelA); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := NewServer(table, 4, 4, int(grid.NumBuiltinActivities))
+	srv2, err := NewServer(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSyncDeadlineBoundsBlackholedPeer(t *testing.T) {
 	if err := table.Set(1, 2, grid.ActCompute, grid.LevelB); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(table, 4, 4, int(grid.NumBuiltinActivities))
+	srv, err := NewServer(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestReplicaConvergesOnPeerRestartedBehind(t *testing.T) {
 
 	serve := func(table *grid.TrustTable, addr string) (*Server, string) {
 		t.Helper()
-		srv, err := NewServer(table, 4, 4, int(grid.NumBuiltinActivities))
+		srv, err := NewServer(table)
 		if err != nil {
 			t.Fatal(err)
 		}

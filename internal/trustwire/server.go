@@ -19,23 +19,12 @@ import (
 type Server struct {
 	table *grid.TrustTable
 
-	// Dimensions bound the snapshot walk: the trust table is keyed
-	// sparsely, so the server needs to know the id space to flatten it.
-	cds, rds, activities int
-
 	ln     net.Listener
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
-
-	// history caches recent flattened snapshots keyed by version so
-	// replicas within the window receive deltas instead of full tables.
-	histMu      sync.Mutex
-	history     map[uint64]map[[3]int]string
-	histOrder   []uint64
-	historySize int
 
 	served       atomic.Int64 // snapshot responses sent, for tests/metrics
 	deltasServed atomic.Int64
@@ -62,20 +51,12 @@ func (s *Server) untrack(c net.Conn) {
 	delete(s.conns, c)
 }
 
-// NewServer wraps a table for serving.  cds, rds and activities bound the
-// identifier space that snapshots enumerate.
-func NewServer(table *grid.TrustTable, cds, rds, activities int) (*Server, error) {
+// NewServer wraps a table for serving.
+func NewServer(table *grid.TrustTable) (*Server, error) {
 	if table == nil {
 		return nil, fmt.Errorf("trustwire: nil table")
 	}
-	if cds <= 0 || rds <= 0 || activities <= 0 {
-		return nil, fmt.Errorf("trustwire: non-positive dimensions %d/%d/%d", cds, rds, activities)
-	}
-	return &Server{
-		table: table, cds: cds, rds: rds, activities: activities,
-		history:     make(map[uint64]map[[3]int]string),
-		historySize: 8,
-	}, nil
+	return &Server{table: table}, nil
 }
 
 // Serve accepts connections on ln until Close.  It returns the accept
@@ -178,61 +159,20 @@ func (s *Server) respond(req Request) Response {
 		return Response{Status: StatusError, Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
 	// An up-to-date poll is the common case (trust varies slowly): answer
-	// it from the version alone and copy the table only to send entries.
+	// it from the version alone and read entries only to send them.
 	if v := s.table.Version(); v <= req.HaveVersion {
 		return Response{Status: StatusCurrent, Version: v}
 	}
-	snap := s.table.Snapshot()
-	entries := entriesFromTable(snap, s.cds, s.rds, s.activities)
-	cur := flatten(entries)
-	s.remember(snap.Version(), cur)
-
-	// Delta path: if we still remember what the replica holds, send only
-	// the differences (the table never deletes entries, so a delta is a
-	// pure overlay).
-	s.histMu.Lock()
-	old, ok := s.history[req.HaveVersion]
-	s.histMu.Unlock()
-	if ok && req.HaveVersion > 0 {
-		var delta []Entry
-		for k, level := range cur {
-			if old[k] != level {
-				delta = append(delta, Entry{CD: k[0], RD: k[1], Activity: k[2], Level: level})
-			}
-		}
+	// A warm replica gets what was written since its version, a pure
+	// overlay because the table never deletes entries; a cold one gets
+	// everything.
+	entries, version := s.table.Since(req.HaveVersion)
+	status := StatusSnapshot
+	if req.HaveVersion > 0 {
+		status = StatusDelta
 		s.deltasServed.Add(1)
-		return Response{Status: StatusDelta, Version: snap.Version(), Entries: delta}
+	} else {
+		s.served.Add(1)
 	}
-
-	s.served.Add(1)
-	return Response{
-		Status:  StatusSnapshot,
-		Version: snap.Version(),
-		Entries: entries,
-	}
-}
-
-// flatten keys entries for diffing.
-func flatten(entries []Entry) map[[3]int]string {
-	out := make(map[[3]int]string, len(entries))
-	for _, e := range entries {
-		out[[3]int{e.CD, e.RD, e.Activity}] = e.Level
-	}
-	return out
-}
-
-// remember caches a flattened snapshot, evicting the oldest beyond the
-// history window.
-func (s *Server) remember(version uint64, flat map[[3]int]string) {
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
-	if _, ok := s.history[version]; ok {
-		return
-	}
-	s.history[version] = flat
-	s.histOrder = append(s.histOrder, version)
-	for len(s.histOrder) > s.historySize {
-		delete(s.history, s.histOrder[0])
-		s.histOrder = s.histOrder[1:]
-	}
+	return Response{Status: status, Version: version, Entries: wireEntries(entries)}
 }

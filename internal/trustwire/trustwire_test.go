@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ import (
 func newServedTable(t *testing.T) (*grid.TrustTable, *Server, string) {
 	t.Helper()
 	table := grid.NewTrustTable()
-	srv, err := NewServer(table, 4, 4, int(grid.NumBuiltinActivities))
+	srv, err := NewServer(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +34,8 @@ func newServedTable(t *testing.T) (*grid.TrustTable, *Server, string) {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(nil, 1, 1, 1); err == nil {
+	if _, err := NewServer(nil); err == nil {
 		t.Error("accepted nil table")
-	}
-	if _, err := NewServer(grid.NewTrustTable(), 0, 1, 1); err == nil {
-		t.Error("accepted zero dimension")
 	}
 }
 
@@ -311,15 +309,26 @@ func TestServerBoundsUnterminatedFrame(t *testing.T) {
 }
 
 func TestApplyEntriesValidation(t *testing.T) {
-	table := grid.NewTrustTable()
-	if err := applyEntries(table, []Entry{{CD: 0, RD: 0, Activity: 0, Level: "Z"}}); err == nil {
-		t.Error("accepted bad level")
+	base, err := applyEntries(nil, []Entry{{CD: 1, RD: 2, Activity: 0, Level: "C"}}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := applyEntries(table, []Entry{{CD: -1, RD: 0, Activity: 0, Level: "A"}}); err == nil {
-		t.Error("accepted negative CD")
+	for _, bad := range []struct {
+		name  string
+		entry Entry
+	}{
+		{"bad level", Entry{CD: 0, RD: 0, Activity: 0, Level: "Z"}},
+		{"negative CD", Entry{CD: -1, RD: 0, Activity: 0, Level: "A"}},
+		{"negative activity", Entry{CD: 0, RD: 0, Activity: -1, Level: "A"}},
+		{"non-offerable F entry", Entry{CD: 0, RD: 0, Activity: 0, Level: "F"}},
+	} {
+		rep, err := applyEntries(base, []Entry{{CD: 3, RD: 3, Activity: 0, Level: "A"}, bad.entry}, 2)
+		if err == nil || rep != nil {
+			t.Errorf("%s: replica %v, err %v; want an error and no replica", bad.name, rep, err)
+		}
 	}
-	if err := applyEntries(table, []Entry{{CD: 0, RD: 0, Activity: 0, Level: "F"}}); err == nil {
-		t.Error("accepted non-offerable F entry")
+	if tl, ok := base.Get(1, 2, 0); !ok || tl != grid.LevelC || base.Len() != 1 || base.Version() != 1 {
+		t.Fatal("a rejected apply changed its base")
 	}
 }
 
@@ -349,7 +358,7 @@ func TestRoundTripOverPipe(t *testing.T) {
 	// free of real sockets.
 	table := grid.NewTrustTable()
 	_ = table.Set(3, 1, grid.ActDisplay, grid.LevelD)
-	srv, err := NewServer(table, 4, 4, int(grid.NumBuiltinActivities))
+	srv, err := NewServer(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,9 +422,14 @@ func TestDeltaSync(t *testing.T) {
 	}
 }
 
-func TestDeltaFallsBackToSnapshotBeyondHistory(t *testing.T) {
+// TestReplicaFarBehindCatchesUpInOneDelta: a replica twelve versions
+// behind gets the entries written since its version, in one delta.
+func TestReplicaFarBehindCatchesUpInOneDelta(t *testing.T) {
 	table, srv, addr := newServedTable(t)
 	if err := table.Set(0, 0, grid.ActCompute, grid.LevelA); err != nil {
+		t.Fatal(err)
+	}
+	if err := table.Set(1, 1, grid.ActStorage, grid.LevelB); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := Dial(addr)
@@ -426,8 +440,7 @@ func TestDeltaFallsBackToSnapshotBeyondHistory(t *testing.T) {
 	if _, err := rep.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Another replica drives many intermediate versions so the first
-	// replica's version ages out of the 8-entry history window.
+	// Another replica follows twelve intermediate versions.
 	other, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -442,14 +455,101 @@ func TestDeltaFallsBackToSnapshotBeyondHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := srv.SnapshotsServed()
+	snapshots, deltas := srv.SnapshotsServed(), srv.DeltasServed()
 	if _, err := rep.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.SnapshotsServed() != before+1 {
-		t.Fatalf("stale replica did not receive a full snapshot")
+	if srv.SnapshotsServed() != snapshots || srv.DeltasServed() != deltas+1 {
+		t.Fatalf("far-behind replica got %d snapshots and %d deltas, want one delta",
+			srv.SnapshotsServed()-snapshots, srv.DeltasServed()-deltas)
 	}
 	if tl, _ := rep.Table().Get(0, 0, grid.ActCompute); tl != levels[11%len(levels)] {
-		t.Fatalf("stale replica not caught up: %v", tl)
+		t.Fatalf("far-behind replica not caught up: %v", tl)
+	}
+	if tl, _ := rep.Table().Get(1, 1, grid.ActStorage); tl != grid.LevelB || rep.Table().Len() != 2 {
+		t.Fatalf("delta lost an unchanged entry: %v, %d entries", tl, rep.Table().Len())
+	}
+	if rep.Version() != table.Version() {
+		t.Fatalf("replica at version %d, table at %d", rep.Version(), table.Version())
+	}
+}
+
+// denseTable fills every (cd, rd, activity) of 4 × 4 × the built-in
+// activities with a level that varies along each axis, writing the cells
+// in a scrambled order.
+func denseTable(t *testing.T) *grid.TrustTable {
+	t.Helper()
+	table := grid.NewTrustTable()
+	n := 4 * 4 * int(grid.NumBuiltinActivities)
+	for i := 0; i < n; i++ {
+		j := (i * 37) % n
+		cd, rd, act := j/20, (j/5)%4, j%5
+		lvl := grid.LevelA + grid.TrustLevel((cd+2*rd+3*act)%5)
+		if err := table.Set(grid.DomainID(cd), grid.DomainID(rd), grid.Activity(act), lvl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return table
+}
+
+// responseBytes is the frame a server writes for resp.
+func responseBytes(t *testing.T, resp Response) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := frame.Write(&buf, responseCodec.Frame(&resp)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestColdSnapshotFrameIsUnchanged compares a cold-sync snapshot of a
+// dense table with the bytes the server wrote before it read the table
+// by Since (testdata/dense_snapshot_d692d02.json, recorded from the
+// same table).
+func TestColdSnapshotFrameIsUnchanged(t *testing.T) {
+	want, err := os.ReadFile("testdata/dense_snapshot_d692d02.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(denseTable(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := responseBytes(t, srv.respond(Request{Op: OpSync})); !bytes.Equal(got, want) {
+		t.Fatalf("cold snapshot frame differs:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestDeltaIsSortedAndRepeatable: a delta lists its entries in (cd, rd,
+// activity) order, so two identical polls send identical bytes.
+func TestDeltaIsSortedAndRepeatable(t *testing.T) {
+	table := denseTable(t)
+	have := table.Version()
+	srv, err := NewServer(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite 20 cells in reverse key order.
+	for j := 79; j >= 0; j -= 4 {
+		if err := table.Set(grid.DomainID(j/20), grid.DomainID((j/5)%4), grid.Activity(j%5), grid.LevelE); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp := srv.respond(Request{Op: OpSync, HaveVersion: have})
+	if resp.Status != StatusDelta || len(resp.Entries) != 20 || resp.Version != table.Version() {
+		t.Fatalf("delta: status %q, %d entries at %d", resp.Status, len(resp.Entries), resp.Version)
+	}
+	key := func(e Entry) [3]int { return [3]int{e.CD, e.RD, e.Activity} }
+	for i := 1; i < len(resp.Entries); i++ {
+		a, b := key(resp.Entries[i-1]), key(resp.Entries[i])
+		if !(a[0] < b[0] || a[0] == b[0] && (a[1] < b[1] || a[1] == b[1] && a[2] < b[2])) {
+			t.Fatalf("delta out of order: %v before %v", a, b)
+		}
+	}
+	first := responseBytes(t, resp)
+	for i := 0; i < 8; i++ {
+		if again := responseBytes(t, srv.respond(Request{Op: OpSync, HaveVersion: have})); !bytes.Equal(again, first) {
+			t.Fatalf("two identical polls sent different deltas:\n%s\n%s", first, again)
+		}
 	}
 }
