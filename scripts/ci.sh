@@ -103,6 +103,13 @@ if grep -rnE '\bout[[:space:]]+\[\]\[\]edge|\.out\[|\bobs[[:space:]]+map\[|\bloa
     exit 1
 fi
 
+echo "==> one replicated trust table (no wrapper table, dimension walk or history cache in non-test code under internal/trustwire, internal/fleet)"
+if grep -rnE 'ReadOnlyTable|replicaTable|copyTable|entriesFromTable|historySize|histOrder' --include='*.go' internal/trustwire internal/fleet \
+    | grep -v '_test\.go:'; then
+    echo "ci: gossip sends grid.TrustTable.Since(have) and a replica is one immutable grid.TableReplica built by Overlay" >&2
+    exit 1
+fi
+
 echo "==> no unsafe on the wire (non-test code under internal/frame, rmswire, trustwire, fleet)"
 if grep -rn '"unsafe"' --include='*.go' internal/frame internal/rmswire internal/trustwire internal/fleet | grep -v '_test\.go:'; then
     echo "ci: the frame codec reads and writes through typed accessors; bytes from a peer never meet unsafe" >&2
