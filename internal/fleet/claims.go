@@ -62,9 +62,7 @@ type peerState struct {
 
 	mu       sync.Mutex
 	table    *grid.TableReplica // last applied claim set (nil before first sync)
-	version  uint64
-	entries  int
-	lastSync time.Time // zero = never synced
+	lastSync time.Time          // zero = never synced
 	syncs    uint64
 	errs     uint64
 
@@ -145,8 +143,6 @@ func (c *Claims) syncPeer(p *peerState) {
 	table := p.rep.Table()
 	p.mu.Lock()
 	p.table = table
-	p.version = table.Version()
-	p.entries = table.Len()
 	p.lastSync = c.now()
 	p.syncs++
 	p.mu.Unlock()
@@ -170,12 +166,13 @@ func (c *Claims) peerInfos() []rmswire.FleetPeerInfo {
 			Name:       p.cfg.Name,
 			Addr:       p.cfg.Addr,
 			TrustAddr:  p.cfg.TrustAddr,
-			Version:    p.version,
-			Entries:    p.entries,
 			AgeMS:      -1,
 			Stale:      true,
 			Syncs:      p.syncs,
 			SyncErrors: p.errs,
+		}
+		if p.table != nil {
+			info.Version, info.Entries = p.table.Version(), p.table.Len()
 		}
 		if !p.lastSync.IsZero() {
 			age := now.Sub(p.lastSync)

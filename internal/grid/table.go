@@ -182,6 +182,8 @@ func (t *TrustTable) Since(v uint64) ([]TableEntry, uint64) {
 	defer t.mu.RUnlock()
 	var out []TableEntry
 	if v == 0 {
+		// The whole table: sized once, and never nil, so an empty table
+		// still persists as [].
 		out = make([]TableEntry, 0, len(t.entries))
 	}
 	for k, w := range t.written {

@@ -96,9 +96,6 @@ const OpSync = "sync"
 
 // wireEntries puts table entries on the wire, in their order.
 func wireEntries(entries []grid.TableEntry) []Entry {
-	if len(entries) == 0 {
-		return nil
-	}
 	out := make([]Entry, len(entries))
 	for i, e := range entries {
 		out[i] = Entry{CD: int(e.CD), RD: int(e.RD), Activity: int(e.Activity), Level: e.Level.String()}
