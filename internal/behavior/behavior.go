@@ -163,11 +163,22 @@ func (s *DefaultScorer) Score(rec TransactionRecord) (float64, error) {
 	return score, nil
 }
 
+// Transaction is one scored Grid-level interaction, ready for a trust
+// model's Observe: truster From interacted with trustee To in context Ctx
+// at time Now and judged the behaviour Outcome on the [1,6] scale.
+type Transaction struct {
+	From    trust.EntityID
+	To      trust.EntityID
+	Ctx     trust.Context
+	Outcome float64
+	Now     float64
+}
+
 // ScoreToTransaction packages a scored record as an engine transaction.
-func ScoreToTransaction(s Scorer, rec TransactionRecord, from, to trust.EntityID, ctx trust.Context, now float64) (trust.Transaction, error) {
+func ScoreToTransaction(s Scorer, rec TransactionRecord, from, to trust.EntityID, ctx trust.Context, now float64) (Transaction, error) {
 	outcome, err := s.Score(rec)
 	if err != nil {
-		return trust.Transaction{}, err
+		return Transaction{}, err
 	}
-	return trust.Transaction{From: from, To: to, Ctx: ctx, Outcome: outcome, Now: now}, nil
+	return Transaction{From: from, To: to, Ctx: ctx, Outcome: outcome, Now: now}, nil
 }

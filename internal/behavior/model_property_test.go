@@ -144,7 +144,9 @@ func TestLyingCliqueCannotBeatDirectExperienceUnderPurging(t *testing.T) {
 		}
 		for i := 0; i < 5; i++ {
 			liar := trust.EntityID(fmt.Sprintf("liar:%d", i))
-			if err := m.SetDirect(liar, colluder, modelCtx, trust.MaxScore, 4); err != nil {
+			if err := m.(interface {
+				SetDirect(x, y trust.EntityID, c trust.Context, score, now float64) error
+			}).SetDirect(liar, colluder, modelCtx, trust.MaxScore, 4); err != nil {
 				t.Fatal(err)
 			}
 		}

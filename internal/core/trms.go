@@ -124,9 +124,12 @@ type TRMS struct {
 	// keeps the submit path byte-for-byte identical to a fuser-free TRMS.
 	fuser OTLFuser
 
-	// names translates between the topology's domains and activities and
-	// the trust engine's entity and context names; read-only after New.
-	names entityNames
+	// cds and rds hold the trust model's handle of each client and
+	// resource domain of the topology, indexed by domain id (the zero
+	// handle for an id the topology lacks); acts that of each built-in
+	// activity.  Minted in New, read-only after.
+	cds, rds []trust.Ent
+	acts     []trust.Ctx
 
 	// agent applies every report: Figure 1's monitoring agent.
 	agent *trust.Agent
@@ -185,11 +188,23 @@ func New(cfg Config) (*TRMS, error) {
 		policy:   policy,
 		table:    grid.NewTrustTable(),
 		model:    model,
-		names:    newEntityNames(cfg.Topology),
 		freeTime: make([]float64, len(cfg.Topology.Machines())),
 		availBuf: make([]float64, len(cfg.Topology.Machines())),
 	}
 	t.priced, t.slot = pricedDomains(cfg.Topology)
+	for _, cd := range cfg.Topology.ClientDomains() {
+		if t.cds, err = t.mint(t.cds, "cd", cd.ID); err != nil {
+			return nil, err
+		}
+	}
+	for _, rd := range cfg.Topology.ResourceDomains() {
+		if t.rds, err = t.mint(t.rds, "rd", rd.ID); err != nil {
+			return nil, err
+		}
+	}
+	for a := grid.Activity(0); a < grid.NumBuiltinActivities; a++ {
+		t.acts = append(t.acts, t.context(a))
+	}
 
 	// Seed the table: every CD trusts every RD at the initial level for
 	// each activity the RD supports.
@@ -205,89 +220,59 @@ func New(cfg Config) (*TRMS, error) {
 
 	// Figure 1: the monitoring agent feeds the engine and pushes committed
 	// trust revisions into the table.
-	t.agent, err = trust.NewAgent(model, t.applyTrustUpdate)
+	t.agent, err = trust.NewAgent(model)
 	if err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// entity naming: trust-engine entities are domains, matching the paper's
+// mint puts the handle of domain id into hs, the kind's handles, growing
+// it to index id.  Trust-engine entities are domains, matching the paper's
 // CD/RD-granularity trust ("resources and clients within a GD inherit the
 // parameters associated with the RD and CD").
-func cdEntity(id grid.DomainID) trust.EntityID {
-	return trust.EntityID(fmt.Sprintf("cd:%d", id))
+func (t *TRMS) mint(hs []trust.Ent, kind string, id grid.DomainID) ([]trust.Ent, error) {
+	if id < 0 {
+		return nil, fmt.Errorf("core: %s id %d is negative", kind, id)
+	}
+	if n := int(id) + 1 - len(hs); n > 0 {
+		hs = append(hs, make([]trust.Ent, n)...)
+	}
+	hs[id] = t.entity(hs, kind, id)
+	return hs, nil
 }
 
-func rdEntity(id grid.DomainID) trust.EntityID {
-	return trust.EntityID(fmt.Sprintf("rd:%d", id))
+// entity returns the handle of domain id of a kind: the one New minted
+// for a domain of the topology, else one minted now under the name it
+// would have been given, "<kind>:<id>" (the model interns it once).
+func (t *TRMS) entity(hs []trust.Ent, kind string, id grid.DomainID) trust.Ent {
+	if inTopology(hs, id) {
+		return hs[id]
+	}
+	return t.model.Entity(trust.EntityID(fmt.Sprintf("%s:%d", kind, id)))
 }
 
-func activityContext(a grid.Activity) trust.Context {
-	return trust.Context(a.String())
+// context returns the handle of an activity, like entity: New's for a
+// built-in one, else minted now under the activity's name.
+func (t *TRMS) context(act grid.Activity) trust.Ctx {
+	if uint(act) < uint(len(t.acts)) {
+		return t.acts[act]
+	}
+	return t.model.Context(trust.Context(act.String()))
 }
 
-// entityNames holds the names the report path would otherwise format per
-// transaction, and their exact inverses for the agent's table hook.
-type entityNames struct {
-	cd, rd     map[grid.DomainID]trust.EntityID
-	cdOf, rdOf map[trust.EntityID]grid.DomainID
-	actOf      map[trust.Context]grid.Activity // built-in activities
+// inTopology reports whether New minted a handle for domain id in hs.
+func inTopology(hs []trust.Ent, id grid.DomainID) bool {
+	return uint(id) < uint(len(hs)) && hs[id] != trust.Ent{}
 }
 
-func newEntityNames(top *grid.Topology) entityNames {
-	n := entityNames{
-		cd:    map[grid.DomainID]trust.EntityID{},
-		rd:    map[grid.DomainID]trust.EntityID{},
-		cdOf:  map[trust.EntityID]grid.DomainID{},
-		rdOf:  map[trust.EntityID]grid.DomainID{},
-		actOf: map[trust.Context]grid.Activity{},
-	}
-	for _, cd := range top.ClientDomains() {
-		n.cd[cd.ID] = cdEntity(cd.ID)
-		n.cdOf[n.cd[cd.ID]] = cd.ID
-	}
-	for _, rd := range top.ResourceDomains() {
-		n.rd[rd.ID] = rdEntity(rd.ID)
-		n.rdOf[n.rd[rd.ID]] = rd.ID
-	}
-	for a := grid.Activity(0); a < grid.NumBuiltinActivities; a++ {
-		n.actOf[activityContext(a)] = a
-	}
-	return n
-}
-
-// pair names a report's two parties for the trust engine.  A domain
-// outside the topology is still reported (the engine may track it) under
-// the name it would have been given.
-func (n *entityNames) pair(cd, rd grid.DomainID) (from, to trust.EntityID) {
-	from, ok := n.cd[cd]
-	if !ok {
-		from = cdEntity(cd)
-	}
-	to, ok = n.rd[rd]
-	if !ok {
-		to = rdEntity(rd)
-	}
-	return from, to
-}
-
-// applyTrustUpdate is the agent's table hook: quantise the fresh Γ score
-// onto the discrete scale and update the table if the level changed.
-// Entities that are not a cd→rd pair of the topology (or contexts that are
-// not built-in activities) are ignored; the engine may track them but the
-// table cannot.
-func (t *TRMS) applyTrustUpdate(x, y trust.EntityID, c trust.Context, score float64) {
-	cd, ok := t.names.cdOf[x]
-	if !ok {
-		return
-	}
-	rd, ok := t.names.rdOf[y]
-	if !ok {
-		return
-	}
-	act, ok := t.names.actOf[c]
-	if !ok {
+// applyTrustUpdate is the agent's table hook for a report about (cd, rd,
+// act): quantise the fresh Γ score onto the discrete scale and update the
+// table if the level changed.  A domain outside the topology or an
+// activity that is not built in is ignored; the engine may track it but
+// the table cannot.
+func (t *TRMS) applyTrustUpdate(cd, rd grid.DomainID, act grid.Activity, score float64) {
+	if !inTopology(t.cds, cd) || !inTopology(t.rds, rd) || uint(act) >= uint(len(t.acts)) {
 		return
 	}
 	level := grid.LevelFromScore(score)
@@ -309,11 +294,6 @@ func (t *TRMS) SetOTLFuser(f OTLFuser) { t.fuser = f }
 // Table exposes the live trust-level table (read it, snapshot it; direct
 // writes are legal and mirror out-of-band administrative overrides).
 func (t *TRMS) Table() *grid.TrustTable { return t.table }
-
-// Engine exposes the underlying trust engine (the shared relationship
-// store every model is backed by), e.g. to declare alliances or inject
-// recommender factors.
-func (t *TRMS) Engine() *trust.Engine { return t.model.UnderlyingEngine() }
 
 // Model exposes the configured trust model.  Persistence must snapshot
 // through the model, not the raw engine, so model-specific state (and the
@@ -465,10 +445,12 @@ func (t *TRMS) ReportOutcome(p *Placement, toa grid.ToA, outcome, now float64) e
 	if closed {
 		return fmt.Errorf("core: TRMS is closed")
 	}
-	from, to := t.names.pair(p.CD, p.RD)
+	x, y := t.entity(t.cds, "cd", p.CD), t.entity(t.rds, "rd", p.RD)
 	for _, act := range toa.Activities {
 		// A rejection is counted in AgentStats, not returned (see above).
-		_ = t.agent.Apply(trust.Transaction{From: from, To: to, Ctx: activityContext(act), Outcome: outcome, Now: now})
+		_ = t.agent.Apply(x, y, t.context(act), outcome, now, func(score float64) {
+			t.applyTrustUpdate(p.CD, p.RD, act, score)
+		})
 	}
 	return nil
 }

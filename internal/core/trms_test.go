@@ -56,6 +56,20 @@ func twoDomainTopology(t *testing.T) *grid.Topology {
 	return top
 }
 
+// cdEntity, rdEntity and activityContext are the names the TRMS gives
+// the trust model for a client domain, a resource domain and an activity.
+func cdEntity(id grid.DomainID) trust.EntityID { return trust.EntityID(fmt.Sprintf("cd:%d", id)) }
+func rdEntity(id grid.DomainID) trust.EntityID { return trust.EntityID(fmt.Sprintf("rd:%d", id)) }
+func activityContext(a grid.Activity) trust.Context {
+	return trust.Context(a.String())
+}
+
+// directSetter is the *trust.Engine method every registered model
+// promotes beyond the trust.Model interface.
+type directSetter interface {
+	SetDirect(x, y trust.EntityID, c trust.Context, score, now float64) error
+}
+
 func newTRMS(t *testing.T, cfg Config) *TRMS {
 	t.Helper()
 	trms, err := New(cfg)
@@ -374,7 +388,7 @@ func TestNaNIsRejected(t *testing.T) {
 			_, err := trms.Model().Observe(from, to, ctx, nan, 1)
 			return err
 		}},
-		{"Model.SetDirect", func(trms *TRMS) error { return trms.Model().SetDirect(from, to, ctx, nan, 1) }},
+		{"Model.SetDirect", func(trms *TRMS) error { return trms.Model().(directSetter).SetDirect(from, to, ctx, nan, 1) }},
 		{"Model.SetRecommenderFactor", func(trms *TRMS) error { return trms.Model().SetRecommenderFactor(from, to, nan) }},
 	} {
 		for _, model := range trust.ModelNames() {
@@ -566,40 +580,43 @@ func TestRestoreAgentStats(t *testing.T) {
 	}
 }
 
-// TestTrustUpdateMatchesNamesExactly: the agent's table hook maps entity
-// and context names back through exact-match tables built from the
-// topology, so a near-miss name (trailing garbage, a domain the topology
-// does not have, an activity outside the vocabulary) moves nothing, and
-// the names ReportOutcome sends do.
+// TestTrustUpdateMatchesNamesExactly: the agent's table hook is handed the
+// report's domain ids and activity, and writes only a cell of the
+// topology's vocabulary, so a domain the topology does not have (of
+// either kind) or an activity outside the built-in ones moves nothing,
+// and a report about the topology does.
 func TestTrustUpdateMatchesNamesExactly(t *testing.T) {
 	trms := newTRMS(t, Config{Topology: twoDomainTopology(t)})
 	before := trms.Table().Version()
 	for _, c := range []struct {
-		x, y trust.EntityID
-		ctx  trust.Context
+		cd, rd grid.DomainID
+		act    grid.Activity
 	}{
-		{"cd:0x", "rd:1", "compute"},
-		{"cd:0", "rd:1 ", "compute"},
-		{"cd:7", "rd:1", "compute"},
-		{"cd:0", "rd:7", "compute"},
-		{"rd:0", "cd:1", "compute"},
-		{"cd:0", "rd:1", "compute+storage"},
-		{"cd:0", "rd:1", "activity(9)"},
+		{7, 1, grid.ActCompute},
+		{1, 1, grid.ActCompute}, // gd1 has an RD but no CD
+		{0, 7, grid.ActCompute},
+		{-1, 1, grid.ActCompute},
+		{0, -1, grid.ActCompute},
+		{0, 1, grid.NumBuiltinActivities},
+		{0, 1, -1},
 	} {
-		trms.applyTrustUpdate(c.x, c.y, c.ctx, 1)
+		trms.applyTrustUpdate(c.cd, c.rd, c.act, 1)
 		if v := trms.Table().Version(); v != before {
-			t.Fatalf("update (%q, %q, %q) wrote the table", c.x, c.y, c.ctx)
+			t.Fatalf("update (%d, %d, %v) wrote the table", c.cd, c.rd, c.act)
 		}
 	}
-	from, to := trms.names.pair(0, 1)
-	trms.applyTrustUpdate(from, to, activityContext(grid.ActStorage), 1)
+	trms.applyTrustUpdate(0, 1, grid.ActStorage, 1)
 	if tl, _ := trms.Table().Get(0, 1, grid.ActStorage); tl != grid.LevelA {
 		t.Fatalf("entry (0,1,storage) = %v after a score-1 update, want A", tl)
 	}
 	// Outside the vocabulary a report still reaches the engine, under the
 	// name it always had.
-	if from, to = trms.names.pair(7, 8); from != "cd:7" || to != "rd:8" {
-		t.Fatalf("unknown domains named %q -> %q", from, to)
+	if err := trms.ReportOutcome(&Placement{CD: 7, RD: 8}, grid.MustToA(grid.ActCompute), 5, 1); err != nil {
+		t.Fatal(err)
+	}
+	rels := trms.Model().Export().Relationships
+	if len(rels) != 1 || rels[0].From != "cd:7" || rels[0].To != "rd:8" || rels[0].Ctx != "compute" {
+		t.Fatalf("a report about unknown domains recorded %+v, want cd:7 -> rd:8 in compute", rels)
 	}
 }
 
@@ -626,5 +643,22 @@ func TestBadEECIsRejected(t *testing.T) {
 				t.Errorf("rejected tasks changed the scheduler: placed %d, free times %v", placed, ft)
 			}
 		})
+	}
+}
+
+// TestNegativeDomainIDIsRejected: a domain id indexes the TRMS's handle
+// slices, so New refuses a topology with a negative one.
+func TestNegativeDomainIDIsRejected(t *testing.T) {
+	rd := &grid.ResourceDomain{
+		ID: -1, Owner: "org", RTL: grid.LevelA,
+		Supported: map[grid.Activity]grid.TrustLevel{grid.ActCompute: grid.LevelC},
+		Machines:  []*grid.Machine{{ID: 0, Name: "m", RD: -1}},
+	}
+	top, err := grid.NewTopology(&grid.GridDomain{ID: 0, Name: "gd", Owner: "org", RD: rd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Topology: top}); err == nil || !strings.Contains(err.Error(), "rd id -1 is negative") {
+		t.Fatalf("New over RD id -1: %v, want a negative-id error", err)
 	}
 }

@@ -20,15 +20,16 @@ import (
 	"gridtrust/internal/workload"
 )
 
-// countingModel wraps a registered model and counts its Trust calls.
+// countingModel wraps a registered model and counts its TrustOf calls,
+// the form the simulator's model view asks by.
 type countingModel struct {
 	trust.Model
 	calls int
 }
 
-func (m *countingModel) Trust(x, y trust.EntityID, c trust.Context, now float64) (float64, error) {
+func (m *countingModel) TrustOf(x, y trust.Ent, c trust.Ctx, now float64) (float64, error) {
 	m.calls++
-	return m.Model.Trust(x, y, c, now)
+	return m.Model.TrustOf(x, y, c, now)
 }
 
 // rivals are the models the benchmark's model-driven leg runs.

@@ -52,15 +52,16 @@ type modelView struct {
 	claimed *workloadCosts // truth, or the whitewashed overlay when active
 	model   trust.Model
 
-	rds []trust.EntityID // per RD slot: resource-domain entity name, "rd:<i>"
+	// The model is asked by handle, minted once in newModelView.
+	rds []trust.Ent // per RD slot: the resource domain, named "rd:<i>"
 
 	// Contexts are the distinct ToA renderings; an asker is a distinct
 	// (CD, context) pair.
-	ctxs   []trust.Context  // per context
-	askCD  []trust.EntityID // per asker: client-domain entity name, "cd:<i>"
-	askCtx []int32          // per asker: its context
-	ctxOf  []int32          // per profile: its context
-	askOf  []int32          // per profile: its asker
+	ctxs   []trust.Ctx // per context
+	askCD  []trust.Ent // per asker: the client domain, named "cd:<i>"
+	askCtx []int32     // per asker: its context
+	ctxOf  []int32     // per profile: its context
+	askOf  []int32     // per profile: its asker
 
 	ver    []uint64          // per (context, slot): observations so far, plus 1
 	lvl    []grid.TrustLevel // per (asker, slot)
@@ -95,18 +96,18 @@ func newModelView(sc Scenario, truth, claimed *workloadCosts) (*modelView, error
 		truth:   truth,
 		claimed: claimed,
 		model:   model,
-		rds:     make([]trust.EntityID, slots),
+		rds:     make([]trust.Ent, slots),
 		ctxOf:   make([]int32, profiles),
 		askOf:   make([]int32, profiles),
 		dec:     make([]int, len(truth.tc)),
 		decVer:  make([]uint64, len(truth.tc)),
 	}
 	for s, rd := range truth.slotRD {
-		v.rds[s] = trust.EntityID(fmt.Sprintf("rd:%d", rd))
+		v.rds[s] = model.Entity(trust.EntityID(fmt.Sprintf("rd:%d", rd)))
 	}
-	cds := make([]trust.EntityID, w.NumCDs)
+	cds := make([]trust.Ent, w.NumCDs)
 	for i := range cds {
-		cds[i] = trust.EntityID(fmt.Sprintf("cd:%d", i))
+		cds[i] = model.Entity(trust.EntityID(fmt.Sprintf("cd:%d", i)))
 	}
 	// A context is the rendering of an ordered ToA, which is one-to-one, so
 	// the ToAs are keyed by their activities and each distinct one is
@@ -123,7 +124,7 @@ func newModelView(sc Scenario, truth, claimed *workloadCosts) (*modelView, error
 		if !ok {
 			c = int32(len(v.ctxs))
 			ctxIdx[string(key)] = c
-			v.ctxs = append(v.ctxs, trust.Context(toa.String()))
+			v.ctxs = append(v.ctxs, model.Context(trust.Context(toa.String())))
 		}
 		v.ctxOf[j] = c
 	}
@@ -176,7 +177,7 @@ func (v *modelView) level(a int32, s int, cur uint64) (grid.TrustLevel, error) {
 	if v.lvlVer[k] == cur {
 		return v.lvl[k], nil
 	}
-	score, err := v.model.Trust(v.askCD[a], v.rds[s], v.ctxs[v.askCtx[a]], 0)
+	score, err := v.model.TrustOf(v.askCD[a], v.rds[s], v.ctxs[v.askCtx[a]], 0)
 	if err != nil {
 		return 0, err
 	}
@@ -224,7 +225,7 @@ func (v *modelView) noteFinish(r, m int) error {
 	j := v.truth.rowOf[r]
 	otl := v.truth.otl[int(j)*len(v.rds)+s]
 	v.ver[int(v.ctxOf[j])*len(v.rds)+s]++
-	_, err := v.model.Observe(v.askCD[v.askOf[j]], v.rds[s], v.ctxs[v.ctxOf[j]], float64(otl), 0)
+	_, err := v.model.ObserveOf(v.askCD[v.askOf[j]], v.rds[s], v.ctxs[v.ctxOf[j]], float64(otl), 0)
 	return err
 }
 

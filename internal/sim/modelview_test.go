@@ -116,15 +116,16 @@ func TestModelViewMatchesUncached(t *testing.T) {
 	}
 }
 
-// recordingModel wraps a model and records every Trust call.
+// recordingModel wraps a model and records every TrustOf call, the form
+// the view asks by.
 type recordingModel struct {
 	trust.Model
 	calls []string
 }
 
-func (m *recordingModel) Trust(x, y trust.EntityID, c trust.Context, now float64) (float64, error) {
-	m.calls = append(m.calls, fmt.Sprintf("%s>%s/%s", x, y, c))
-	return m.Model.Trust(x, y, c, now)
+func (m *recordingModel) TrustOf(x, y trust.Ent, c trust.Ctx, now float64) (float64, error) {
+	m.calls = append(m.calls, fmt.Sprintf("%v>%v/%v", x, y, c))
+	return m.Model.TrustOf(x, y, c, now)
 }
 
 // TestDecisionRowAsksLikeAssignOne: every heuristic, the fused MCT scan

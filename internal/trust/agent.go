@@ -5,31 +5,15 @@ import (
 	"sync"
 )
 
-// Transaction is one completed Grid-level interaction observed by a
-// monitoring agent: truster x interacted with trustee y in context c at
-// time Now and judged the behaviour Outcome on the [1,6] scale.
-type Transaction struct {
-	From    EntityID
-	To      EntityID
-	Ctx     Context
-	Outcome float64
-	Now     float64
-}
-
-// UpdateFunc is invoked by an Agent whenever a committed observation
-// changes y's stored trust; score is the freshly computed Γ(x,y,now,c).
-// The TRMS registers a hook here that quantises the score and writes the
-// grid trust-level table ("if the new trust values they form are different
-// from the existing values in the tables, the agents update the table",
-// Section 3.1).
-type UpdateFunc func(x, y EntityID, c Context, score float64)
-
 // Agent is the CD/RD monitoring agent of Figure 1.  Apply feeds one
-// completed transaction to the trust model and fires the update hook when
-// the model commits a revised trust level, on the caller's goroutine.
+// completed transaction to the trust model and, when the model commits a
+// revised trust level, hands the fresh Γ to the caller's hook, on the
+// caller's goroutine.  The TRMS's hook quantises the score and writes the
+// grid trust-level table ("if the new trust values they form are
+// different from the existing values in the tables, the agents update the
+// table", Section 3.1).
 type Agent struct {
-	Engine   Model      // any registered trust model; the default is *Engine
-	OnUpdate UpdateFunc // optional
+	Model Model // any registered trust model; the default is *Engine
 
 	mu        sync.Mutex
 	processed int
@@ -38,24 +22,25 @@ type Agent struct {
 }
 
 // NewAgent wires an agent to a trust model.
-func NewAgent(e Model, onUpdate UpdateFunc) (*Agent, error) {
-	if e == nil {
-		return nil, fmt.Errorf("trust: agent requires an engine")
+func NewAgent(m Model) (*Agent, error) {
+	if m == nil {
+		return nil, fmt.Errorf("trust: agent requires a model")
 	}
-	return &Agent{Engine: e, OnUpdate: onUpdate}, nil
+	return &Agent{Model: m}, nil
 }
 
-// Apply observes one transaction and, if that revised the stored trust
-// level, computes Γ and runs the update hook.  It holds the agent's lock
-// throughout, so concurrent calls reach the model and the hook in one
-// order and a later transaction's hook never runs before an earlier
-// one's.  A malformed transaction is counted as rejected and its error
-// returned.
-func (a *Agent) Apply(tx Transaction) error {
+// Apply observes one outcome of x about y in context c at time now, on
+// handles the agent's model minted, and, if that revised the stored trust
+// level, computes Γ and calls then with it (when then is non-nil).  It
+// holds the agent's lock throughout, so concurrent calls reach the model
+// and their hooks in one order and a later transaction's hook never runs
+// before an earlier one's.  A malformed transaction is counted as
+// rejected and its error returned.
+func (a *Agent) Apply(x, y Ent, c Ctx, outcome, now float64, then func(score float64)) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.processed++
-	changed, err := a.Engine.Observe(tx.From, tx.To, tx.Ctx, tx.Outcome, tx.Now)
+	changed, err := a.Model.ObserveOf(x, y, c, outcome, now)
 	if err != nil {
 		a.rejected++
 		return err
@@ -64,12 +49,12 @@ func (a *Agent) Apply(tx Transaction) error {
 		return nil
 	}
 	a.committed++
-	if a.OnUpdate != nil {
-		score, err := a.Engine.Trust(tx.From, tx.To, tx.Ctx, tx.Now)
+	if then != nil {
+		score, err := a.Model.TrustOf(x, y, c, now)
 		if err != nil {
 			return err
 		}
-		a.OnUpdate(tx.From, tx.To, tx.Ctx, score)
+		then(score)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package trust
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -9,17 +10,13 @@ import (
 func TestAgentProcessesTransactions(t *testing.T) {
 	e := newTestEngine(t, Config{Alpha: 1, Beta: 0, Smoothing: 1, InitialScore: 1})
 	var updates []float64
-	a, err := NewAgent(e, func(x, y EntityID, c Context, score float64) {
-		updates = append(updates, score)
-	})
+	a, err := NewAgent(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tx := range []Transaction{
-		{From: "cd0", To: "rd1", Ctx: "compute", Outcome: 5, Now: 1},
-		{From: "cd0", To: "rd1", Ctx: "compute", Outcome: 3, Now: 2},
-	} {
-		if err := a.Apply(tx); err != nil {
+	x, y, c := e.Entity("cd0"), e.Entity("rd1"), e.Context("compute")
+	for _, tx := range [][2]float64{{5, 1}, {3, 2}} {
+		if err := a.Apply(x, y, c, tx[0], tx[1], func(score float64) { updates = append(updates, score) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,12 +32,13 @@ func TestAgentProcessesTransactions(t *testing.T) {
 func TestAgentBatchingSuppressesUpdates(t *testing.T) {
 	e := newTestEngine(t, Config{Alpha: 1, Beta: 0, UpdateBatch: 3, Smoothing: 1, InitialScore: 1})
 	fired := 0
-	a, err := NewAgent(e, func(EntityID, EntityID, Context, float64) { fired++ })
+	a, err := NewAgent(e)
 	if err != nil {
 		t.Fatal(err)
 	}
+	x, y, c := e.Entity("x"), e.Entity("y"), e.Context("c")
 	for i := 0; i < 3; i++ {
-		if err := a.Apply(Transaction{From: "x", To: "y", Ctx: "c", Outcome: 6, Now: float64(i)}); err != nil {
+		if err := a.Apply(x, y, c, 6, float64(i), func(float64) { fired++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,19 +53,23 @@ func TestAgentBatchingSuppressesUpdates(t *testing.T) {
 
 func TestAgentRecordsBadTransactions(t *testing.T) {
 	e := newTestEngine(t, defaultCfg())
-	a, err := NewAgent(e, nil)
+	a, err := NewAgent(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Apply(Transaction{From: "x", To: "y", Ctx: "c", Outcome: 99, Now: 0}); err == nil {
+	x, y, c := e.Entity("x"), e.Entity("y"), e.Context("c")
+	if err := a.Apply(x, y, c, 99, 0, nil); err == nil {
 		t.Fatal("applied an off-scale outcome")
 	}
-	if err := a.Apply(Transaction{From: "x", To: "y", Ctx: "c", Outcome: 4, Now: 1}); err != nil {
+	if err := a.Apply(x, Ent{}, c, 4, 1, nil); !errors.Is(err, ErrHandle) {
+		t.Fatalf("applied to the zero handle: %v", err)
+	}
+	if err := a.Apply(x, y, c, 4, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	processed, _, rejected := a.Stats()
-	if processed != 2 || rejected != 1 {
-		t.Fatalf("processed/rejected = %d/%d, want 2/1", processed, rejected)
+	if processed != 3 || rejected != 2 {
+		t.Fatalf("processed/rejected = %d/%d, want 3/2", processed, rejected)
 	}
 }
 
@@ -78,15 +80,17 @@ func TestAgentCountsAfterUpdateHook(t *testing.T) {
 	e := newTestEngine(t, Config{Alpha: 1, Beta: 0, Smoothing: 1, InitialScore: 1})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	a, err := NewAgent(e, func(EntityID, EntityID, Context, float64) {
-		close(entered)
-		<-release
-	})
+	a, err := NewAgent(e)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hook := func(float64) {
+		close(entered)
+		<-release
+	}
+	x, y, c := e.Entity("x"), e.Entity("y"), e.Context("c")
 	applied := make(chan error)
-	go func() { applied <- a.Apply(Transaction{From: "x", To: "y", Ctx: "c", Outcome: 5, Now: 1}) }()
+	go func() { applied <- a.Apply(x, y, c, 5, 1, hook) }()
 	<-entered
 	stats := make(chan [3]int)
 	go func() {
@@ -108,10 +112,10 @@ func TestAgentCountsAfterUpdateHook(t *testing.T) {
 }
 
 func TestAgentConstructorValidation(t *testing.T) {
-	if _, err := NewAgent(nil, nil); err == nil {
+	if _, err := NewAgent(nil); err == nil {
 		t.Fatal("accepted nil engine")
 	}
-	if _, err := NewAgent(newTestEngine(t, defaultCfg()), nil); err != nil {
+	if _, err := NewAgent(newTestEngine(t, defaultCfg())); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -124,18 +128,16 @@ func TestMultipleAgentsSharedEngine(t *testing.T) {
 	const agents, txPerAgent = 4, 100
 	var wg sync.WaitGroup
 	for i := 0; i < agents; i++ {
-		a, err := NewAgent(e, nil)
+		a, err := NewAgent(e)
 		if err != nil {
 			t.Fatal(err)
 		}
+		x, y, c := e.Entity(EntityID(rune('a'+i))), e.Entity("target"), e.Context("c")
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for k := 0; k < txPerAgent; k++ {
-				if err := a.Apply(Transaction{
-					From: EntityID(rune('a' + i)), To: "target", Ctx: "c",
-					Outcome: 4, Now: float64(k),
-				}); err != nil {
+				if err := a.Apply(x, y, c, 4, float64(k), nil); err != nil {
 					t.Error(err)
 					return
 				}

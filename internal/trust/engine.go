@@ -1,6 +1,7 @@
 package trust
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -112,14 +113,20 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 //
 //   - every (subject y, context c) with a record owns one incoming run,
 //     the records (x→y, c) sorted by the recommender's EntityID *string*,
-//     found by one lookup of (y, c) in runIdx.  That run is the only index
-//     a query uses: the asker's own relationship sits in it beside the
-//     recommenders' (findRel scans it for x), and Ω and the rival
-//     models' claims scan it.  Reputation's contract is that contributions sum in recommender
-//     string order (float addition is not associative, so summation order
-//     defines the bits of Ω); the old engine sorted on every call, this
-//     one keeps the run presorted, making Ω an allocation-free linear
-//     pass over exactly the relationships that matter;
+//     found at runs[y][c]: two bounds checks and an index.  That run is
+//     the only index a query uses: the asker's own relationship sits in
+//     it beside the recommenders' (findRel scans it for x), and Ω and the
+//     rival models' claims scan it.  Reputation's contract is that
+//     contributions sum in recommender string order (float addition is
+//     not associative, so summation order defines the bits of Ω); the old
+//     engine sorted on every call, this one keeps the run presorted,
+//     making Ω an allocation-free linear pass over exactly the
+//     relationships that matter;
+//   - runs[y] is one row per subject, sized to every context minted so
+//     far when a run about y is first linked past its end (append's
+//     growth, never one element at a time): the index is at most one
+//     slice header per (subject, context), 24·|subjects|·|contexts| bytes
+//     plus append's slack;
 //   - the rival models' observation tallies (how many outcomes a
 //     truster saw and how many were positive) live on the relationship
 //     record, so a subject's load is the sum of the tallies in its run.
@@ -130,11 +137,9 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 //   - recommender factors and alliances are per-entity sorted index
 //     lists, looked up by binary search.
 //
-// Steady-state Observe and Trust therefore allocate nothing and touch no
-// map beyond the intern lookups at the API boundary (EntityID and Context
-// are strings; the intern read is how a string becomes an index), done
-// once per call under one lock: every string-keyed method turns its names
-// into indices and runs the indexed code on them.
+// TrustOf and ObserveOf take handles minted once (Entity, Context) and
+// touch no map; Trust and Observe resolve names through the intern maps
+// into the same indexed code.  Steady state allocates nothing.
 // Scores are bit-identical to the reference implementation in
 // reference_test.go, which engine_equiv_test.go and FuzzEngineEquivalence
 // enforce; the tallies to the rival models' map-based reference in
@@ -150,8 +155,12 @@ type Engine struct {
 
 	mu sync.RWMutex
 
-	// Entity and context interning: index maps are consulted once per
-	// API call; everything below works on dense int32 indices.
+	// rival is the model Trust scores by (zoo.go); a rival's Observe
+	// also tallies the outcome on the relationship's record.
+	rival rival
+
+	// Entity and context interning: the string forms consult the index
+	// maps once per call; everything below works on dense int32 indices.
 	entIdx map[EntityID]int32
 	ents   []EntityID
 	ctxIdx map[Context]int32
@@ -175,10 +184,9 @@ type Engine struct {
 	relFree    []int32
 	live       int // live relationships
 
-	runIdx map[uint64]int32 // runKey(subject, context) → its run in runs
-	runs   [][]edge         // per (subject, context): sorted by from string
-	rec    [][]recEdge      // per recommender, sorted by about index
-	ally   [][]int32        // per entity, sorted ally index list
+	runs [][][]edge  // per subject, per context: sorted by from string
+	rec  [][]recEdge // per recommender, sorted by about index
+	ally [][]int32   // per entity, sorted ally index list
 }
 
 // edge is one incoming run entry: the recommender and the record it names.
@@ -186,9 +194,6 @@ type edge struct {
 	peer int32
 	rel  int32
 }
-
-// runKey packs a (subject, context) pair of indices into runIdx's key.
-func runKey(y, c int32) uint64 { return uint64(uint32(y))<<32 | uint64(uint32(c)) }
 
 // recEdge is one explicit R(z,y) override.
 type recEdge struct {
@@ -208,7 +213,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		noDecay: noDecay,
 		entIdx:  make(map[EntityID]int32),
 		ctxIdx:  make(map[Context]int32),
-		runIdx:  make(map[uint64]int32),
 	}, nil
 }
 
@@ -222,6 +226,7 @@ func (e *Engine) intern(id EntityID) int32 {
 	i := int32(len(e.ents))
 	e.entIdx[id] = i
 	e.ents = append(e.ents, id)
+	e.runs = append(e.runs, nil)
 	e.rec = append(e.rec, nil)
 	e.ally = append(e.ally, nil)
 	return i
@@ -242,11 +247,8 @@ func (e *Engine) internCtx(c Context) int32 {
 // empty when y or c is unknown (negative) or nobody has a record about y
 // in c.  Caller holds the lock.
 func (e *Engine) run(y, c int32) []edge {
-	if y < 0 || c < 0 {
-		return nil
-	}
-	if i, ok := e.runIdx[runKey(y, c)]; ok {
-		return e.runs[i]
+	if uint(y) < uint(len(e.runs)) && uint(c) < uint(len(e.runs[y])) {
+		return e.runs[y][c]
 	}
 	return nil
 }
@@ -320,16 +322,17 @@ func (e *Engine) link(xi, yi, ci int32) int32 {
 	// sums contributions in exactly the order the reference implementation
 	// sorts them into.  A new run has room for a few recommenders: the
 	// simulator's runs hold one record per client domain.
-	k := runKey(yi, ci)
-	i, ok := e.runIdx[k]
-	if !ok {
-		i = int32(len(e.runs))
-		e.runIdx[k] = i
-		e.runs = append(e.runs, make([]edge, 0, 4))
+	row := e.runs[yi]
+	if int(ci) >= len(row) {
+		row = append(row, make([][]edge, len(e.ctxs)-len(row))...)
+		e.runs[yi] = row
 	}
-	run, from := e.runs[i], e.ents[xi]
+	run, from := row[ci], e.ents[xi]
+	if run == nil {
+		run = make([]edge, 0, 4)
+	}
 	pos := sort.Search(len(run), func(j int) bool { return e.ents[run[j].peer] >= from })
-	e.runs[i] = slices.Insert(run, pos, edge{peer: xi, rel: ri})
+	row[ci] = slices.Insert(run, pos, edge{peer: xi, rel: ri})
 	return ri
 }
 
@@ -337,8 +340,8 @@ func (e *Engine) link(xi, yi, ci int32) int32 {
 // its run and frees its slot.  An emptied run stays, for the next record
 // about its subject in its context.  Caller holds the write lock.
 func (e *Engine) unlink(ri int32) {
-	i := e.runIdx[runKey(e.relTo[ri], e.relCtx[ri])]
-	e.runs[i] = slices.DeleteFunc(e.runs[i], func(ed edge) bool { return ed.rel == ri })
+	run := &e.runs[e.relTo[ri]][e.relCtx[ri]]
+	*run = slices.DeleteFunc(*run, func(ed edge) bool { return ed.rel == ri })
 	e.relFree = append(e.relFree, ri)
 }
 
@@ -465,8 +468,21 @@ func (e *Engine) Observe(x, y EntityID, c Context, outcome, now float64) (bool, 
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, changed := e.observe(e.intern(x), e.intern(y), e.internCtx(c), outcome, now)
-	return changed, nil
+	return e.observe(e.intern(x), e.intern(y), e.internCtx(c), outcome, now), nil
+}
+
+// ObserveOf is Observe on handles this engine minted.
+func (e *Engine) ObserveOf(x, y Ent, c Ctx, outcome, now float64) (bool, error) {
+	if err := checkOutcome(outcome); err != nil {
+		return false, err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	q, err := e.handles(x, y, c)
+	if err != nil {
+		return false, err
+	}
+	return e.observe(q.x, q.y, q.c, outcome, now), nil
 }
 
 // checkOutcome rejects an outcome off the trust scale, NaN included.
@@ -477,24 +493,32 @@ func checkOutcome(outcome float64) error {
 	return nil
 }
 
-// observe is Observe on interned indices: it returns the relationship's
-// record and whether its stored TL changed.  Caller holds the write lock.
-func (e *Engine) observe(xi, yi, ci int32, outcome, now float64) (int32, bool) {
+// observe is Observe on interned indices: it reports whether the stored
+// TL changed and, under a rival model, tallies the outcome.  Caller holds
+// the write lock.
+func (e *Engine) observe(xi, yi, ci int32, outcome, now float64) bool {
 	ri, ok := e.findRel(xi, yi, ci)
 	if !ok {
 		ri = e.relate(xi, yi, ci, e.cfg.InitialScore, now)
+	}
+	if e.rival != paper {
+		e.relTally[ri] = true
+		e.relN[ri]++
+		if outcome >= posThreshold {
+			e.relPos[ri]++
+		}
 	}
 	e.relPendSum[ri] += outcome
 	e.relPendCnt[ri]++
 	e.relLastTx[ri] = now
 	if int(e.relPendCnt[ri]) < e.cfg.UpdateBatch {
-		return ri, false
+		return false
 	}
 	batchMean := e.relPendSum[ri] / float64(e.relPendCnt[ri])
 	e.relPendSum[ri], e.relPendCnt[ri] = 0, 0
 	s := e.cfg.Smoothing
 	e.relScore[ri] = clampScore((1-s)*e.relScore[ri] + s*batchMean)
-	return ri, true
+	return true
 }
 
 // query is one (asker, subject, context) triple resolved to dense
@@ -519,6 +543,52 @@ func (e *Engine) resolve(x, y EntityID, c Context) query {
 		q.c = i
 	}
 	return q
+}
+
+// Ent is an entity's handle, minted by Model.Entity: its dense index in
+// the model that minted it, plus one, so the zero value is no entity.  A
+// handle is valid for its model's life and in no other model.
+type Ent struct{ id int32 }
+
+// Ctx is a context's handle, minted by Model.Context like Ent.  It carries
+// the context's name, which the decay function Υ is called with.
+type Ctx struct {
+	id   int32
+	name Context
+}
+
+// ErrHandle is returned for a handle the model can tell it did not mint:
+// the zero value, an index past what it minted, or a context handle whose
+// index holds another name here (another model's).
+var ErrHandle = errors.New("trust: handle not minted by this model")
+
+// Entity mints id's handle, interning the name on first sight.  Minting
+// is a write (it takes the write lock) that changes no score.
+func (e *Engine) Entity(id EntityID) Ent {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return Ent{e.intern(id) + 1}
+}
+
+// Context mints c's handle, as Entity does an entity's.
+func (e *Engine) Context(c Context) Ctx {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	i := e.internCtx(c)
+	return Ctx{i + 1, e.ctxs[i]}
+}
+
+// handles checks three handles against the intern tables and returns
+// their query: a context handle must also carry the name its index
+// holds, so another model's handle cannot alias this one's context under
+// a different decay name.  Caller holds the lock.
+func (e *Engine) handles(x, y Ent, c Ctx) (query, error) {
+	n := int32(len(e.ents))
+	if x.id < 1 || x.id > n || y.id < 1 || y.id > n ||
+		c.id < 1 || int(c.id) > len(e.ctxs) || e.ctxs[c.id-1] != c.name {
+		return query{}, ErrHandle
+	}
+	return query{x: x.id - 1, y: y.id - 1, c: c.id - 1, ctx: c.name}, nil
 }
 
 // Direct computes Θ(x,y,t,c) = DTT(x,y,c) · Υ(t−t_xy, c).  Unknown
@@ -613,14 +683,32 @@ func (e *Engine) Recommendation(z, y EntityID, c Context, now float64) (float64,
 }
 
 // Trust computes the eventual trust Γ(x,y,t,c) = α·Θ + β·Ω, clamped to the
-// paper's [1,6] scale.  Both read one run: the subject's incoming run in
-// the context, which holds the asker's own relationship among the
-// recommenders'.
+// paper's [1,6] scale, or under a rival model that model's score.  Both
+// read one run: the subject's incoming run in the context, which holds the
+// asker's own relationship among the recommenders'.
 func (e *Engine) Trust(x, y EntityID, c Context, now float64) (float64, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	q := e.resolve(x, y, c)
+	return e.trust(e.resolve(x, y, c), now)
+}
+
+// TrustOf is Trust on handles this engine minted.
+func (e *Engine) TrustOf(x, y Ent, c Ctx, now float64) (float64, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	q, err := e.handles(x, y, c)
+	if err != nil {
+		return 0, err
+	}
+	return e.trust(q, now)
+}
+
+// trust is Trust on a resolved query.  Caller holds the lock.
+func (e *Engine) trust(q query, now float64) (float64, error) {
 	run := e.run(q.y, q.c)
+	if e.rival != paper {
+		return e.rivalTrust(q, run, now)
+	}
 	theta, err := e.theta(e.lookup(run, q.x), q.ctx, now)
 	if err != nil {
 		return 0, err

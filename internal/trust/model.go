@@ -18,16 +18,24 @@ import (
 //   - Observe / Trust / Direct / Recommendation semantics follow the
 //     Engine's documented behavior (scores on [MinScore, MaxScore],
 //     outcomes validated, strangers get the configured initial score).
+//   - Handles: Entity and Context mint a dense handle for a name, stable
+//     for the model's life.  Minting is a write — it interns the name
+//     under the write lock — but changes no score.  ObserveOf and TrustOf
+//     answer exactly as Observe and Trust do on the handles' names, and
+//     return ErrHandle, never panic, for a handle that is the zero value
+//     or out of the model's range.  A handle is valid only in the model
+//     that minted it.  A query by name never interns.
 //   - Determinism: identical call sequences produce bit-identical floats.
 //     Any aggregation over multiple relationships must iterate in a
 //     reproducible order — the Engine's incoming run of each subject in
 //     each context is presorted by recommender EntityID string exactly
 //     for this, and rival models reuse it via claims.  No map iteration may
 //     influence a result.
-//   - Queries only read: Trust, Direct and Recommendation leave every
-//     later result unchanged, so between two mutating calls (Observe,
-//     SetDirect, SetRecommenderFactor, DeclareAlliance, Import) a caller
-//     may keep an answer instead of asking again.
+//   - Queries only read: Trust, TrustOf, Direct and Recommendation leave
+//     every later result unchanged, so between two mutating calls
+//     (Observe, ObserveOf, SetRecommenderFactor, Import, and the Engine's
+//     SetDirect and DeclareAlliance) a caller may keep an answer instead
+//     of asking again.
 //   - Trust reads only its subject (see Trust below), so an Observe about
 //     (y, c) leaves every Trust about another subject or context
 //     unchanged; internal/sim's model view keeps its answers per
@@ -39,6 +47,10 @@ import (
 //     ModelName/ParamHash; Import under a different model returns
 //     ErrModelMismatch.
 //   - Concurrency: all methods are safe for concurrent use.
+//
+// Every registered model is backed by an *Engine and promotes its other
+// methods (SetDirect, DeclareAlliance, Entities, Relationships, Prune),
+// which callers reach on the concrete type.
 type Model interface {
 	// ModelName is the registered name ("paper", "purge", ...).
 	ModelName() string
@@ -46,29 +58,24 @@ type Model interface {
 	// configurations yield equal strings (it feeds ParamHash).
 	ModelParams() string
 
+	Entity(EntityID) Ent
+	Context(Context) Ctx
+
 	Observe(x, y EntityID, c Context, outcome, now float64) (bool, error)
+	ObserveOf(x, y Ent, c Ctx, outcome, now float64) (bool, error)
 	// Trust scores subject y as asker x sees it in context c at time now.
 	// It may read only: the relationships into y in c (x's own among
 	// them), x's observation tallies about (y, c), the total load
 	// observed on (y, c), the recommender factors and alliances about y,
 	// and the configuration.
 	Trust(x, y EntityID, c Context, now float64) (float64, error)
+	TrustOf(x, y Ent, c Ctx, now float64) (float64, error)
 	Direct(x, y EntityID, c Context, now float64) (float64, error)
 	Recommendation(z, y EntityID, c Context, now float64) (float64, bool, error)
-	SetDirect(x, y EntityID, c Context, score, now float64) error
 	SetRecommenderFactor(z, y EntityID, r float64) error
-	DeclareAlliance(a, b EntityID)
-	Entities() []EntityID
-	Relationships() int
 
 	Export() *Snapshot
 	Import(*Snapshot) error
-
-	// UnderlyingEngine exposes the shared relationship store.  Every
-	// registered model is engine-backed (the SoA store provides the
-	// deterministic iteration contract); consumers that need raw engine
-	// operations (alliances, pruning, journal capture) reach it here.
-	UnderlyingEngine() *Engine
 }
 
 // DefaultModel names the paper's own trust function.
@@ -184,9 +191,6 @@ func (e *Engine) ModelName() string { return DefaultModel }
 // function is policy code, not a parameter value; only whether one is
 // installed is represented.
 func (e *Engine) ModelParams() string { return e.cfg.paramString(e.noDecay) }
-
-// UnderlyingEngine returns the engine itself.
-func (e *Engine) UnderlyingEngine() *Engine { return e }
 
 // paramString is the canonical shared-parameter rendering every
 // engine-backed model embeds in its ModelParams.

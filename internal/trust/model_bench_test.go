@@ -89,65 +89,100 @@ func simShapedModel(tb testing.TB, name string) (m Model, cds, rds []EntityID, c
 	return m, cds, rds, ctxs
 }
 
+// minted mints a handle for each name.
+func minted(m Model, cds, rds []EntityID, ctxs []Context) (hcd, hrd []Ent, hctx []Ctx) {
+	for i := range cds {
+		hcd, hrd = append(hcd, m.Entity(cds[i])), append(hrd, m.Entity(rds[i]))
+	}
+	for _, c := range ctxs {
+		hctx = append(hctx, m.Context(c))
+	}
+	return hcd, hrd, hctx
+}
+
 // BenchmarkModelTrust reads one Trust call of each registered model,
 // cycling through every (asker, subject, context): on a small warmed grid
-// (three contexts), and under sim/ on the state a sim_trust leg works on.
+// (three contexts), and on the state a sim_trust leg works on, by handle
+// under sim/ as the simulator asks, by name under sim-byname/.
 func BenchmarkModelTrust(b *testing.B) {
 	type shape func(testing.TB, string) (Model, []EntityID, []EntityID, []Context)
-	bench := func(b *testing.B, warm shape, name string) {
+	bench := func(b *testing.B, warm shape, name string, byName bool) {
 		m, cds, rds, ctxs := warm(b, name)
+		hcd, hrd, hctx := minted(m, cds, rds, ctxs)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			x, y, c := cds[i%4], rds[(i/4)%4], ctxs[(i/16)%len(ctxs)]
-			if _, err := m.Trust(x, y, c, 0); err != nil {
+			x, y, c := i%4, (i/4)%4, (i/16)%len(ctxs)
+			var err error
+			if byName {
+				_, err = m.Trust(cds[x], rds[y], ctxs[c], 0)
+			} else {
+				_, err = m.TrustOf(hcd[x], hrd[y], hctx[c], 0)
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 	for _, name := range ModelNames() {
 		b.Run(name, func(b *testing.B) {
-			bench(b, warmModel, name)
+			bench(b, warmModel, name, true)
 		})
 	}
-	b.Run("sim", func(b *testing.B) {
-		for _, name := range ModelNames() {
-			b.Run(name, func(b *testing.B) {
-				bench(b, simShapedModel, name)
-			})
-		}
-	})
-}
-
-// BenchmarkModelObserve is BenchmarkModelTrust/sim's twin for Observe:
-// one observation per call on the sim_trust-shaped state, cycling through
-// every (observer, subject, context) as the leg's completions do.
-func BenchmarkModelObserve(b *testing.B) {
-	for _, name := range ModelNames() {
-		b.Run("sim/"+name, func(b *testing.B) {
-			m, cds, rds, ctxs := simShapedModel(b, name)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x, y, c := cds[i%4], rds[(i/4)%4], ctxs[(i/16)%len(ctxs)]
-				if _, err := m.Observe(x, y, c, float64(1+i%6), 0); err != nil {
-					b.Fatal(err)
-				}
+	for _, form := range []string{"sim", "sim-byname"} {
+		b.Run(form, func(b *testing.B) {
+			for _, name := range ModelNames() {
+				b.Run(name, func(b *testing.B) {
+					bench(b, simShapedModel, name, form == "sim-byname")
+				})
 			}
 		})
 	}
 }
 
-// TestModelTrustAllocs pins that Trust allocates nothing on a warmed model
-// of every registered name.
+// BenchmarkModelObserve is BenchmarkModelTrust/sim's twin for Observe:
+// one observation per call on the sim_trust-shaped state, cycling through
+// every (observer, subject, context) as the leg's completions do, by
+// handle under sim/ and by name under sim-byname/.
+func BenchmarkModelObserve(b *testing.B) {
+	for _, form := range []string{"sim", "sim-byname"} {
+		for _, name := range ModelNames() {
+			b.Run(form+"/"+name, func(b *testing.B) {
+				m, cds, rds, ctxs := simShapedModel(b, name)
+				hcd, hrd, hctx := minted(m, cds, rds, ctxs)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					x, y, c, outcome := i%4, (i/4)%4, (i/16)%len(ctxs), float64(1+i%6)
+					var err error
+					if form == "sim-byname" {
+						_, err = m.Observe(cds[x], rds[y], ctxs[c], outcome, 0)
+					} else {
+						_, err = m.ObserveOf(hcd[x], hrd[y], hctx[c], outcome, 0)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestModelTrustAllocs pins that Trust and TrustOf allocate nothing on a
+// warmed model of every registered name.
 func TestModelTrustAllocs(t *testing.T) {
 	for _, name := range ModelNames() {
 		m, cds, rds, ctxs := warmModel(t, name)
+		hcd, hrd, hctx := minted(m, cds, rds, ctxs)
 		allocs := testing.AllocsPerRun(50, func() {
-			for _, x := range cds {
-				for _, y := range rds {
-					for _, c := range ctxs {
-						if _, err := m.Trust(x, y, c, 0); err != nil {
+			for i := range cds {
+				for j := range rds {
+					for k := range ctxs {
+						if _, err := m.Trust(cds[i], rds[j], ctxs[k], 0); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := m.TrustOf(hcd[i], hrd[j], hctx[k], 0); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -1,6 +1,8 @@
 package trust
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -245,14 +247,35 @@ func (m *refZooModel) Export() *Snapshot {
 	return snap
 }
 
-// runModelEquivProgram drives a registered model and its naive reference
-// through the same program and fails on any observable divergence.
-func runModelEquivProgram(t testing.TB, name string, cfg Config, ops []trustOp) {
+// engineModel is a registered model with the *Engine methods every model
+// promotes beyond the Model interface.
+type engineModel interface {
+	Model
+	SetDirect(x, y EntityID, c Context, score, now float64) error
+	DeclareAlliance(a, b EntityID)
+	Entities() []EntityID
+	Relationships() int
+	Prune(before float64) int
+}
+
+// newEngineModel builds the named model as an engineModel.
+func newEngineModel(t testing.TB, name string, cfg Config) engineModel {
 	t.Helper()
 	m, err := NewModel(name, cfg)
 	if err != nil {
 		t.Fatalf("NewModel(%q): %v", name, err)
 	}
+	return m.(engineModel)
+}
+
+// runModelEquivProgram drives a registered model and its naive reference
+// through the same program and fails on any observable divergence.  A
+// twin instance of the model runs the program too, observing and asking
+// by handle (minted as each name first appears) where the model does by
+// name; its answers and its snapshot's bytes must equal the model's.
+func runModelEquivProgram(t testing.TB, name string, cfg Config, ops []trustOp) {
+	t.Helper()
+	m, h := newEngineModel(t, name, cfg), newEngineModel(t, name, cfg)
 	ref, err := newRefZooModel(name, m.ModelParams(), cfg)
 	if err != nil {
 		t.Fatalf("newRefZooModel(%q): %v", name, err)
@@ -272,26 +295,35 @@ func runModelEquivProgram(t testing.TB, name string, cfg Config, ops []trustOp) 
 			if g1 != g2 || (e1 == nil) != (e2 == nil) {
 				t.Fatalf("%s op %d Observe(%s,%s,%s,%g): model (%v,%v), ref (%v,%v)", name, i, x, y, c, o.val, g1, e1, g2, e2)
 			}
+			if g3, e3 := h.ObserveOf(h.Entity(x), h.Entity(y), h.Context(c), o.val, now); g3 != g1 || (e3 == nil) != (e1 == nil) {
+				t.Fatalf("%s op %d ObserveOf(%s,%s,%s,%g): (%v,%v), by name (%v,%v)", name, i, x, y, c, o.val, g3, e3, g1, e1)
+			}
 		case topSetDirect:
 			e1 := m.SetDirect(x, y, c, o.val, now)
 			e2 := ref.eng.SetDirect(x, y, c, o.val, now)
 			if (e1 == nil) != (e2 == nil) {
 				t.Fatalf("%s op %d SetDirect: model %v, ref %v", name, i, e1, e2)
 			}
+			_ = h.SetDirect(x, y, c, o.val, now)
 		case topAlliance:
 			m.DeclareAlliance(x, z)
 			ref.eng.DeclareAlliance(x, z)
+			h.DeclareAlliance(x, z)
 		case topRecFactor:
 			e1 := m.SetRecommenderFactor(z, y, o.val/MaxScore)
 			e2 := ref.eng.SetRecommenderFactor(z, y, o.val/MaxScore)
 			if (e1 == nil) != (e2 == nil) {
 				t.Fatalf("%s op %d SetRecommenderFactor: model %v, ref %v", name, i, e1, e2)
 			}
+			_ = h.SetRecommenderFactor(z, y, o.val/MaxScore)
 		case topPrune:
-			g1 := m.UnderlyingEngine().Prune(now - o.val)
+			g1 := m.Prune(now - o.val)
 			g2 := ref.eng.Prune(now - o.val)
 			if g1 != g2 {
 				t.Fatalf("%s op %d Prune(%g): model removed %d, ref %d", name, i, now-o.val, g1, g2)
+			}
+			if g3 := h.Prune(now - o.val); g3 != g1 {
+				t.Fatalf("%s op %d Prune(%g): by-handle twin removed %d, model %d", name, i, now-o.val, g3, g1)
 			}
 		case topQuery:
 			d1, e1 := m.Direct(x, y, c, now)
@@ -309,16 +341,28 @@ func runModelEquivProgram(t testing.TB, name string, cfg Config, ops []trustOp) 
 			if bits(g1) != bits(g2) || (e1 == nil) != (e2 == nil) {
 				t.Fatalf("%s op %d Trust(%s,%s,%s,%g): model %v (%v), ref %v (%v)", name, i, x, y, c, now, g1, e1, g2, e2)
 			}
+			g3, e3 := h.TrustOf(h.Entity(x), h.Entity(y), h.Context(c), now)
+			if bits(g3) != bits(g1) || (e3 == nil) != (e1 == nil) {
+				t.Fatalf("%s op %d TrustOf(%s,%s,%s,%g): %v (%v), by name %v (%v)", name, i, x, y, c, now, g3, e3, g1, e1)
+			}
 		}
-		if n1, n2 := m.Relationships(), ref.eng.Relationships(); n1 != n2 {
-			t.Fatalf("%s op %d: model holds %d relationships, ref %d", name, i, n1, n2)
+		if n1, n2, n3 := m.Relationships(), ref.eng.Relationships(), h.Relationships(); n1 != n2 || n3 != n1 {
+			t.Fatalf("%s op %d: model holds %d relationships, ref %d, by-handle twin %d", name, i, n1, n2, n3)
 		}
 	}
 	if g1, g2 := m.Entities(), ref.eng.Entities(); !reflect.DeepEqual(g1, g2) {
 		t.Fatalf("%s: Entities diverge: model %v, ref %v", name, g1, g2)
 	}
-	if s1, s2 := m.Export(), ref.Export(); !reflect.DeepEqual(s1, s2) {
+	s1 := m.Export()
+	if s2 := ref.Export(); !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("%s: snapshots diverge:\nmodel %+v\nref   %+v", name, s1, s2)
+	}
+	b1, err := json.Marshal(s1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b3, err := json.Marshal(h.Export()); err != nil || !bytes.Equal(b1, b3) {
+		t.Fatalf("%s: by-handle twin's snapshot (%v):\n%s\nby name:\n%s", name, err, b3, b1)
 	}
 }
 

@@ -104,13 +104,13 @@ func mutateModel(t *testing.T, m Model) {
 			now++
 		}
 	}
-	if err := m.SetDirect("a", "c", c, 2.5, now); err != nil {
+	if err := m.(engineModel).SetDirect("a", "c", c, 2.5, now); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.SetRecommenderFactor("b", "c", 0.4); err != nil {
 		t.Fatal(err)
 	}
-	m.DeclareAlliance("a", "d")
+	m.(engineModel).DeclareAlliance("a", "d")
 }
 
 // TestModelSnapshotRoundTrip checks, per registered model, that a fresh
@@ -342,5 +342,51 @@ func TestModelDeterministicAcrossInstances(t *testing.T) {
 				t.Fatalf("%s: reading %d diverges: %v vs %v", name, i, a[i], b[i])
 			}
 		}
+	}
+}
+
+// TestMisusedHandlesAreErrors: under every registered model, a handle the
+// model did not mint — the zero value, a negative or never-minted index,
+// or another model's context whose index holds a different name here —
+// makes TrustOf and ObserveOf return ErrHandle, never panic, and change
+// nothing.
+func TestMisusedHandlesAreErrors(t *testing.T) {
+	for _, name := range ModelNames() {
+		t.Run(name, func(t *testing.T) {
+			m := newEngineModel(t, name, defaultCfg())
+			x, y, c := m.Entity("x"), m.Entity("y"), m.Context("c")
+			other := newEngineModel(t, name, defaultCfg())
+			aliased := other.Context("d") // index 0, as m's "c"
+			for _, h := range []struct {
+				what string
+				x, y Ent
+				c    Ctx
+			}{
+				{"zero asker", Ent{}, y, c},
+				{"zero subject", x, Ent{}, c},
+				{"zero context", x, y, Ctx{}},
+				{"negative asker", Ent{-1}, y, c},
+				{"never-minted subject", x, Ent{3}, c},
+				{"negative context", x, y, Ctx{-2, "c"}},
+				{"never-minted context", x, y, Ctx{2, "c"}},
+				{"another model's context", x, y, aliased},
+			} {
+				if _, err := m.ObserveOf(h.x, h.y, h.c, 4, 1); !errors.Is(err, ErrHandle) {
+					t.Errorf("ObserveOf with a %s: %v, want ErrHandle", h.what, err)
+				}
+				if _, err := m.TrustOf(h.x, h.y, h.c, 1); !errors.Is(err, ErrHandle) {
+					t.Errorf("TrustOf with a %s: %v, want ErrHandle", h.what, err)
+				}
+			}
+			if n := m.Relationships(); n != 0 {
+				t.Fatalf("misused handles installed %d relationships", n)
+			}
+			if _, err := m.ObserveOf(x, y, c, 4, 1); err != nil {
+				t.Fatal(err)
+			}
+			if g, err := m.TrustOf(x, y, c, 1); err != nil || !(g >= MinScore && g <= MaxScore) {
+				t.Fatalf("TrustOf on minted handles = %v, %v", g, err)
+			}
+		})
 	}
 }

@@ -154,7 +154,7 @@ func TestImportRejectsNonFinite(t *testing.T) {
 			if err := m.Import(snap); err == nil {
 				t.Errorf("%s: snapshot with a %s accepted", name, what)
 			}
-			if n := m.Relationships(); n != 0 {
+			if n := m.(engineModel).Relationships(); n != 0 {
 				t.Errorf("%s: rejected snapshot with a %s installed %d relationships", name, what, n)
 			}
 			if v, err := m.Trust("z", "y", "c", 2); err != nil || math.IsNaN(v) {

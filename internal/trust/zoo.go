@@ -29,7 +29,9 @@ import (
 // recommender factors and alliances (inheriting its deterministic
 // string-ordered iteration) and, on each relationship's record, the
 // observation tallies (counts of outcomes and positives) the rivals need
-// but the paper's model does not; zooBase keeps them.  Every float
+// but the paper's model does not.  A rival is a zooBase naming its score
+// function of the sight below, so Trust and TrustOf are the Engine's,
+// written once for every model.  Every float
 // aggregation walks claims in the engine's presorted recommender order or
 // fixed-size arrays, so results are bit-identical across runs, workers and
 // shard counts.
@@ -38,44 +40,44 @@ import (
 // midpoint for the reliability tallies.
 const posThreshold = (MinScore + MaxScore) / 2
 
-// zooBase wraps an Engine with the observation tallies and the model
-// identity plumbing shared by every rival model.  A tally lives on the
-// engine record of its (from, to, ctx) and is guarded by the engine's
+// zooBase is a rival model: an Engine scoring under the rival's function
+// and tallying observations, plus the model identity.  A tally lives on
+// the engine record of its (from, to, ctx) and is guarded by the engine's
 // lock, so a Trust reads relationships and tallies under one read lock
-// with one name lookup and one walk of the subject's run.
+// with one walk of the subject's run.
 type zooBase struct {
 	*Engine
 	name   string
 	params string
 }
 
-func newZooBase(name, params string, cfg Config) (*zooBase, error) {
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		return nil, err
+// rival names the score function Engine.Trust returns: the paper's Γ or
+// a rival model's score of its sight.
+type rival uint8
+
+const (
+	paper rival = iota
+	rivalPurge
+	rivalFuzzy
+	rivalBawa
+)
+
+// zooModel is the constructor of the rival model name: own renders its
+// own parameters, which its ModelParams lists after the shared ones.
+func zooModel(name string, score rival, own string) func(Config) (Model, error) {
+	return func(cfg Config) (Model, error) {
+		params := cfg.paramString(cfg.Decay == nil) + "," + own
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			return nil, err
+		}
+		eng.rival = score
+		return &zooBase{Engine: eng, name: name, params: params}, nil
 	}
-	return &zooBase{Engine: eng, name: name, params: params}, nil
 }
 
 func (m *zooBase) ModelName() string   { return m.name }
 func (m *zooBase) ModelParams() string { return m.params }
-
-// Observe records the outcome in the engine and tallies it, under one
-// write lock.
-func (m *zooBase) Observe(x, y EntityID, c Context, outcome, now float64) (bool, error) {
-	if err := checkOutcome(outcome); err != nil {
-		return false, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ri, changed := m.observe(m.intern(x), m.intern(y), m.internCtx(c), outcome, now)
-	m.relTally[ri] = true
-	m.relN[ri]++
-	if outcome >= posThreshold {
-		m.relPos[ri]++
-	}
-	return changed, nil
-}
 
 // sight is what a rival model's Trust reads about its subject: Θ, the
 // asker's tallies (how many outcomes it observed about the subject in the
@@ -89,24 +91,34 @@ type sight struct {
 	load   int32
 }
 
-// look resolves the query and reads its sight off one run, the subject's
-// incoming run in the context: the asker's record in it gives Θ and the
+// rivalTrust reads q's sight off run, the subject's incoming run in the
+// context, and scores it: the asker's record in the run gives Θ and the
 // asker's tallies, a walk over it the claims and the load.  Claims spill
-// past buf to the heap.  Caller holds the lock.
-func (m *zooBase) look(x, y EntityID, c Context, now float64, buf []claim) (sight, error) {
-	q := m.resolve(x, y, c)
-	run := m.run(q.y, q.c)
-	own := m.lookup(run, q.x)
+// past a stack buffer to the heap.  Caller holds the lock.
+func (e *Engine) rivalTrust(q query, run []edge, now float64) (float64, error) {
+	own := e.lookup(run, q.x)
 	var s sight
 	var err error
-	if s.theta, err = m.theta(own, q.ctx, now); err != nil {
-		return s, err
+	if s.theta, err = e.theta(own, q.ctx, now); err != nil {
+		return 0, err
 	}
 	if own >= 0 {
-		s.n, s.pos = m.relN[own], m.relPos[own]
+		s.n, s.pos = e.relN[own], e.relPos[own]
 	}
-	s.claims, s.load, err = m.claims(q, run, now, buf)
-	return s, err
+	var buf [claimBuf]claim
+	if s.claims, s.load, err = e.claims(q, run, now, buf[:]); err != nil {
+		return 0, err
+	}
+	// Direct calls, not a func value: an indirect call would move buf to
+	// the heap on every Trust.
+	switch e.rival {
+	case rivalPurge:
+		return purgeScore(&e.cfg, s), nil
+	case rivalFuzzy:
+		return fuzzyScore(s), nil
+	default:
+		return bawaScore(&e.cfg, s), nil
+	}
 }
 
 // Export stamps the model identity and appends the tallies.
@@ -180,48 +192,25 @@ func score01(s float64) float64 { return (s - MinScore) / (MaxScore - MinScore) 
 
 // ── "purge": recommendation purging by deviation test ────────────────────
 
-type purgeModel struct {
-	*zooBase
-	deviation float64 // max |claim − reference| a recommendation may show
-	directMin int32   // own observations needed to trust Θ as the reference
-}
-
 const (
-	purgeDeviation = 1.5
-	purgeDirectMin = 3
+	purgeDeviation = 1.5 // max |claim − reference| a recommendation may show
+	purgeDirectMin = 3   // own observations needed to trust Θ as the reference
 )
 
-func newPurgeModel(cfg Config) (Model, error) {
-	params := fmt.Sprintf("%s,deviation=%g,directmin=%d",
-		cfg.paramString(cfg.Decay == nil), purgeDeviation, purgeDirectMin)
-	base, err := newZooBase("purge", params, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &purgeModel{zooBase: base, deviation: purgeDeviation, directMin: purgeDirectMin}, nil
-}
-
-// Trust filters recommendations by deviation from a reference before
+// purgeScore filters recommendations by deviation from a reference before
 // averaging.  With enough direct evidence the reference is the asker's
 // own Θ — a clique cannot out-shout experience; without it, the claim
 // median — a minority of liars cannot move the majority.  If every claim
 // is purged, Ω falls back to the reference itself, never to the liars.
-func (m *purgeModel) Trust(x, y EntityID, c Context, now float64) (float64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var buf [claimBuf]claim
-	s, err := m.look(x, y, c, now, buf[:])
-	if err != nil {
-		return 0, err
-	}
+func purgeScore(cfg *Config, s sight) float64 {
 	ref := s.theta
-	if s.n < m.directMin && len(s.claims) > 0 {
+	if s.n < purgeDirectMin && len(s.claims) > 0 {
 		ref = medianClaimValue(s.claims)
 	}
 	var sum float64
 	kept := 0
 	for _, cl := range s.claims {
-		if math.Abs(cl.value-ref) > m.deviation {
+		if math.Abs(cl.value-ref) > purgeDeviation {
 			continue
 		}
 		sum += MinScore + (cl.value-MinScore)*cl.factor
@@ -231,7 +220,7 @@ func (m *purgeModel) Trust(x, y EntityID, c Context, now float64) (float64, erro
 	if kept > 0 {
 		omega = sum / float64(kept)
 	}
-	return clampScore(m.cfg.Alpha*s.theta + m.cfg.Beta*omega), nil
+	return clampScore(cfg.Alpha*s.theta + cfg.Beta*omega)
 }
 
 // medianClaimValue computes the median claim value.  Claims arrive in
@@ -253,41 +242,18 @@ func medianClaimValue(claims []claim) float64 {
 
 // ── "frtrust": fuzzy reputation scoring ──────────────────────────────────
 
-type fuzzyModel struct {
-	*zooBase
-	historySat float64 // observations at which history confidence reaches ½
-	loadSat    float64 // subject observations at which load reaches ½
-}
-
 const (
-	fuzzyHistorySat = 4.0
-	fuzzyLoadSat    = 16.0
+	fuzzyHistorySat = 4.0  // observations at which history confidence reaches ½
+	fuzzyLoadSat    = 16.0 // subject observations at which load reaches ½
 )
 
-func newFuzzyModel(cfg Config) (Model, error) {
-	params := fmt.Sprintf("%s,historysat=%g,loadsat=%g",
-		cfg.paramString(cfg.Decay == nil), fuzzyHistorySat, fuzzyLoadSat)
-	base, err := newZooBase("frtrust", params, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &fuzzyModel{zooBase: base, historySat: fuzzyHistorySat, loadSat: fuzzyLoadSat}, nil
-}
-
-// Trust fuzzifies the evidence.  The crisp evidence input blends Θ and
+// fuzzyScore fuzzifies the evidence.  The crisp evidence input blends Θ and
 // the factor-weighted claim mean by history confidence h = n/(n+sat);
 // the load input saturates with total observations about the subject.
 // A 3×3 Mamdani rule base maps (evidence, load) to {low, med, high}
 // trust, defuzzified by centroid — heavy load degrades mid/high trust
 // one step, FRTRUST's resource-congestion discount.
-func (m *fuzzyModel) Trust(x, y EntityID, c Context, now float64) (float64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var buf [claimBuf]claim
-	s, err := m.look(x, y, c, now, buf[:])
-	if err != nil {
-		return 0, err
-	}
+func fuzzyScore(s sight) float64 {
 	omega := s.theta
 	if len(s.claims) > 0 {
 		var sum float64
@@ -296,11 +262,11 @@ func (m *fuzzyModel) Trust(x, y EntityID, c Context, now float64) (float64, erro
 		}
 		omega = sum / float64(len(s.claims))
 	}
-	h := float64(s.n) / (float64(s.n) + m.historySat)
+	h := float64(s.n) / (float64(s.n) + fuzzyHistorySat)
 	evidence := h*score01(s.theta) + (1-h)*score01(omega)
-	load := float64(s.load) / (float64(s.load) + m.loadSat)
+	load := float64(s.load) / (float64(s.load) + fuzzyLoadSat)
 	z := defuzzTrust(evidence, load)
-	return clampScore(MinScore + (MaxScore-MinScore)*z), nil
+	return clampScore(MinScore + (MaxScore-MinScore)*z)
 }
 
 // triangularDegrees evaluates the standard three-set Ruspini partition
@@ -340,41 +306,19 @@ func defuzzTrust(evidence, load float64) float64 {
 
 // ── "bawa": reliability-weighted selection ───────────────────────────────
 
-type reliabilityModel struct {
-	*zooBase
-	historySat float64 // observations at which history confidence reaches ½
-}
+const reliabilityHistorySat = 2.0 // observations at which history confidence reaches ½
 
-const reliabilityHistorySat = 2.0
-
-func newReliabilityModel(cfg Config) (Model, error) {
-	params := fmt.Sprintf("%s,historysat=%g",
-		cfg.paramString(cfg.Decay == nil), reliabilityHistorySat)
-	base, err := newZooBase("bawa", params, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &reliabilityModel{zooBase: base, historySat: reliabilityHistorySat}, nil
-}
-
-// Trust discounts direct trust by the Laplace-smoothed observed success
+// bawaScore discounts direct trust by the Laplace-smoothed observed success
 // rate ρ = (pos+1)/(n+2) — a resource that completes reliably keeps its
 // score, a flaky one is pulled to the floor regardless of what it
 // scored — and blends with factor-weighted recommendations by history
 // confidence h = n/(n+sat).  A fresh identity (n = 0) is judged almost
 // entirely on reputation, so whitewashing resets reliability to the
 // uninformed prior instead of escaping it.
-func (m *reliabilityModel) Trust(x, y EntityID, c Context, now float64) (float64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var buf [claimBuf]claim
-	s, err := m.look(x, y, c, now, buf[:])
-	if err != nil {
-		return 0, err
-	}
+func bawaScore(cfg *Config, s sight) float64 {
 	rho := (float64(s.pos) + 1) / (float64(s.n) + 2)
 	direct := MinScore + (s.theta-MinScore)*rho
-	omega := m.cfg.InitialScore
+	omega := cfg.InitialScore
 	var wsum, vsum float64
 	for _, cl := range s.claims {
 		wsum += cl.factor
@@ -383,30 +327,26 @@ func (m *reliabilityModel) Trust(x, y EntityID, c Context, now float64) (float64
 	if wsum > 0 {
 		omega = vsum / wsum
 	}
-	h := float64(s.n) / (float64(s.n) + m.historySat)
-	return clampScore(h*direct + (1-h)*omega), nil
+	h := float64(s.n) / (float64(s.n) + reliabilityHistorySat)
+	return clampScore(h*direct + (1-h)*omega)
 }
 
 func init() {
 	RegisterModel(ModelInfo{
 		Name:        "purge",
 		Description: "recommendation purging: deviation-test filtering of recommender input (Suresh Kumar et al.)",
-		New:         newPurgeModel,
+		New:         zooModel("purge", rivalPurge, fmt.Sprintf("deviation=%g,directmin=%d", purgeDeviation, purgeDirectMin)),
 	})
 	RegisterModel(ModelInfo{
 		Name:        "frtrust",
 		Description: "FRTRUST-style fuzzy reputation: triangular membership + centroid defuzzification over score/history/load",
-		New:         newFuzzyModel,
+		New:         zooModel("frtrust", rivalFuzzy, fmt.Sprintf("historysat=%g,loadsat=%g", fuzzyHistorySat, fuzzyLoadSat)),
 	})
 	RegisterModel(ModelInfo{
 		Name:        "bawa",
 		Description: "Bawa–Sharma reliability-weighted selection: success-rate-discounted direct trust blended with weighted reputation",
-		New:         newReliabilityModel,
+		New:         zooModel("bawa", rivalBawa, fmt.Sprintf("historysat=%g", reliabilityHistorySat)),
 	})
 }
 
-var (
-	_ Model = (*purgeModel)(nil)
-	_ Model = (*fuzzyModel)(nil)
-	_ Model = (*reliabilityModel)(nil)
-)
+var _ Model = (*zooBase)(nil)

@@ -103,6 +103,13 @@ if grep -rnE '\bout[[:space:]]+\[\]\[\]edge|\.out\[|\bobs[[:space:]]+map\[|\bloa
     exit 1
 fi
 
+echo "==> the trust model asked by handle (no run map or UnderlyingEngine in non-test internal/trust, internal/core; no by-name model.Trust or model.Observe in non-test internal/sim)"
+if grep -rnE 'runIdx|runKey|UnderlyingEngine' --include='*.go' internal/trust internal/core | grep -v '_test\.go:' \
+    || grep -rnE 'model\.(Trust|Observe)\(' --include='*.go' internal/sim | grep -v '_test\.go:'; then
+    echo "ci: a subject's runs are a dense row per subject, the model interface has no engine escape hatch, and the simulator asks by minted handle (TrustOf, ObserveOf)" >&2
+    exit 1
+fi
+
 echo "==> one replicated trust table (no wrapper table, dimension walk or history cache in non-test code under internal/trustwire, internal/fleet)"
 if grep -rnE 'ReadOnlyTable|replicaTable|copyTable|entriesFromTable|historySize|histOrder' --include='*.go' internal/trustwire internal/fleet \
     | grep -v '_test\.go:'; then
