@@ -137,13 +137,17 @@ func TestFuzzBatchInvariants(t *testing.T) {
 // against the reference implementations on fuzzed cost matrices.  The
 // decoder maps raw bytes onto small NaN/Inf-free integer-ish costs so
 // duplicate completion times (the hard tie cases) are common, and the
-// shape bytes reach the single-machine and single-task corners.
+// shape bytes reach the single-machine and single-task corners.  An
+// availability byte of 0xF0 or more masks its machine (+Inf), except
+// machine 0's, so a feasible pair always exists.
 func FuzzKernelEquivalence(f *testing.F) {
-	// Seed corpus: generic, single-machine, all-ties, and single-task.
+	// Seed corpus: generic, single-machine, all-ties, single-task, and
+	// masked machines.
 	f.Add([]byte{7, 3, 9, 2, 8, 4, 5, 5, 5, 1, 9, 2}, uint8(3), uint8(2))
 	f.Add([]byte{3, 5, 1, 5}, uint8(3), uint8(0))       // 4 tasks, 1 machine
 	f.Add([]byte{2, 2, 2, 2, 2, 2}, uint8(2), uint8(1)) // constant matrix
 	f.Add([]byte{42}, uint8(0), uint8(4))               // 1 task
+	f.Add([]byte{5, 2, 0xF3, 9, 0xFA, 1, 0xFF}, uint8(5), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, tasksRaw, machinesRaw uint8) {
 		tasks := int(tasksRaw%24) + 1
 		machines := int(machinesRaw%8) + 1
@@ -172,6 +176,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 		avail := make([]float64, machines)
 		for m := range avail {
 			avail[m] = float64(at(k) % 8)
+			if at(k) >= 0xF0 && m > 0 {
+				avail[m] = Masked()
+			}
 			k++
 		}
 		reqs := reqRange(tasks)
@@ -224,7 +231,7 @@ func diffSchedules(t *testing.T, label string, got, want []Assignment) {
 		t.Fatalf("%s: optimized emitted %d assignments, reference %d", label, len(got), len(want))
 	}
 	for k := range want {
-		if got[k] != want[k] {
+		if !sameAssignment(got[k], want[k]) {
 			t.Fatalf("%s: assignment %d differs: optimized %+v, reference %+v", label, k, got[k], want[k])
 		}
 	}

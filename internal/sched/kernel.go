@@ -118,8 +118,10 @@ func (ks *kernelState) fillRow(dst []float64, dec ESC, row costRow) {
 		for m, e := range eec {
 			dst[m] = e + e*dec.Weight/100
 		}
-	default: // ESCZero: eec + 0 is the identity because EEC >= 0
-		copy(dst, eec)
+	default: // ESCZero: eec + 0, which is eec except that it turns −0 into +0
+		for m, e := range eec {
+			dst[m] = e + 0
+		}
 	}
 }
 

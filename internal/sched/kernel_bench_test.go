@@ -8,7 +8,7 @@ import (
 )
 
 // Kernel benchmark suite: the incremental kernels vs the naive reference
-// implementations across T×M grids from 32×8 to 1024×128, under both the
+// implementations across T×M grids from 32×8 to 512×1024, under both the
 // trust-aware and trust-unaware policies.  The optimized side maps through
 // AssignBatchInto with a recycled destination slice, so allocs/op reports
 // the steady-state allocation contract (0).
@@ -23,6 +23,7 @@ var kernelGrids = []struct{ tasks, machines int }{
 	{128, 32},
 	{512, 64},
 	{1024, 128},
+	{512, 1024}, // sim_paper's batch legs
 }
 
 // benchPolicies pairs each policy with a short label for sub-benchmark

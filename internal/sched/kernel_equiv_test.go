@@ -88,19 +88,42 @@ func assertRowFillIdentical(t *testing.T, c Costs, p Policy, reqs []int, avail [
 }
 
 // assertSameSchedule fails unless the two schedules are element-wise
-// identical (exact float equality: the kernels perform the same arithmetic
-// in the same order, so results must be bit-equal).
+// identical, decision completions bit for bit: the kernels perform the
+// same arithmetic in the same order, so even a zero's sign must match.
 func assertSameSchedule(t *testing.T, label string, got, want []Assignment) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: optimized emitted %d assignments, reference %d", label, len(got), len(want))
 	}
 	for k := range want {
-		if got[k] != want[k] {
+		if !sameAssignment(got[k], want[k]) {
 			t.Fatalf("%s: assignment %d differs: optimized %+v, reference %+v",
 				label, k, got[k], want[k])
 		}
 	}
+}
+
+// sameAssignment compares two assignments, the completion by its bits.
+func sameAssignment(a, b Assignment) bool {
+	return a.Req == b.Req && a.Machine == b.Machine &&
+		math.Float64bits(a.DecisionCompletion) == math.Float64bits(b.DecisionCompletion)
+}
+
+// referenceDuplex is Duplex over the references: Min-min's schedule
+// unless Max-min's decision makespan is smaller.
+func referenceDuplex(c Costs, p Policy, reqs []int, avail []float64) ([]Assignment, error) {
+	minA, err := referenceMinMaxMin(c, p, reqs, avail, false)
+	if err != nil {
+		return nil, err
+	}
+	maxA, err := referenceMinMaxMin(c, p, reqs, avail, true)
+	if err != nil {
+		return nil, err
+	}
+	if decisionMakespan(minA, avail) <= decisionMakespan(maxA, avail) {
+		return minA, nil
+	}
+	return maxA, nil
 }
 
 // checkEquivalence runs all three kernels against their references on one
@@ -132,6 +155,96 @@ func checkEquivalence(t *testing.T, c Costs, p Policy, reqs []int, avail []float
 	}
 	if err1 == nil {
 		assertSameSchedule(t, "Sufferage", optSuf, refSuf)
+	}
+
+	refDup, err1 := referenceDuplex(c, p, reqs, avail)
+	optDup, err2 := (Duplex{}).AssignBatchInto(c, p, reqs, avail, nil)
+	if (err1 == nil) != (err2 == nil) {
+		t.Fatalf("Duplex error mismatch: reference %v, optimized %v", err1, err2)
+	}
+	if err1 == nil {
+		assertSameSchedule(t, "Duplex", optDup, refDup)
+	}
+}
+
+// TestKernelEquivalenceInvalidation pins, one instance each, the cases
+// a commitment's re-decision must get right (kernel.go's header): the
+// dirtied machine's new completion tying the cached runner-up's, with the
+// lower index on either side; a runner-up whose machine an earlier
+// commitment took; availability near 2^53, where a rise can round to
+// the same completion; signed zeros, which == cannot tell apart; and
+// masked machines.
+func TestKernelEquivalenceInvalidation(t *testing.T) {
+	negZero, two53 := math.Copysign(0, -1), math.Exp2(53)
+	for _, tc := range []struct {
+		name  string
+		exec  [][]float64
+		avail []float64
+	}{
+		{"runner-up ties, dirtied machine lower", [][]float64{{1, 9, 9}, {2, 3, 9}}, []float64{0, 0, 0}},
+		{"runner-up ties, runner-up lower", [][]float64{{9, 1, 9}, {3, 2, 9}}, []float64{0, 0, 0}},
+		{"runner-up's machine taken earlier", [][]float64{{9, 1, 9}, {2, 9, 9}, {3, 4, 9}}, []float64{0, 0, 0}},
+		{"rise rounds to the same completion", [][]float64{{1, 2, 3}, {1, 1, 2}, {3, 1, 1}, {2, 2, 2}}, []float64{two53, two53, two53 + 2}},
+		{"signed zeros", [][]float64{{negZero, 0, 1}, {0, negZero, negZero}, {negZero, negZero, 0}}, []float64{negZero, 0, negZero}},
+		// Task 0 turns machine 1's −0 into +0, so task 2's cached runner-up
+		// (−0 on machine 1) recomputes == but not bit-equal; task 1 then
+		// raises machine 0, and machine 1 takes over as task 2's best.
+		{"runner-up's zero changes sign", [][]float64{{3, 0, 200}, {2, 5, 200}, {2, negZero, 200}}, []float64{-2, negZero, 100}},
+		{"masked machines", [][]float64{{1, 2, 3}, {2, 1, 3}, {3, 3, 1}, {1, 1, 1}}, []float64{0, Masked(), 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewMatrixCosts(tc.exec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range rowPolicies() {
+				checkEquivalence(t, c, p, reqRange(len(tc.exec)), tc.avail)
+			}
+		})
+	}
+}
+
+// TestKernelEquivalenceEdgeValues draws instances whose EECs and
+// availabilities come from small sets of edge values: availability
+// around 2^53 (the spacing of doubles reaches 1 and 2 there, so adding a
+// small cost often rounds), signed zeros, and masked machines (one
+// machine always stays up, which the references need).
+func TestKernelEquivalenceEdgeValues(t *testing.T) {
+	negZero, two53 := math.Copysign(0, -1), math.Exp2(53)
+	src := rng.New(20261017)
+	for _, f := range []struct {
+		name        string
+		exec, avail []float64
+	}{
+		{"near 2^53", []float64{0.5, 1, 1.5, 2, 3}, []float64{two53 - 2, two53 - 1, two53, two53 + 2}},
+		{"signed zeros", []float64{negZero, 0, 1}, []float64{negZero, 0}},
+		{"masked", []float64{1, 2, 3}, []float64{0, 1, Masked()}},
+	} {
+		for trial := 0; trial < 100; trial++ {
+			tasks, machines := 1+src.Intn(16), 1+src.Intn(6)
+			exec, tc := make([][]float64, tasks), make([][]int, tasks)
+			for i := range exec {
+				exec[i], tc[i] = make([]float64, machines), make([]int, machines)
+				for m := range exec[i] {
+					exec[i][m], tc[i][m] = f.exec[src.Intn(len(f.exec))], src.IntRange(0, 6)
+				}
+			}
+			avail := make([]float64, machines)
+			for m := range avail {
+				avail[m] = f.avail[src.Intn(len(f.avail))]
+			}
+			if IsMasked(avail[0]) {
+				avail[0] = 0
+			}
+			c, err := NewMatrixCosts(exec, tc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range rowPolicies() {
+				assertRowFillIdentical(t, c, p, reqRange(tasks), avail)
+				checkEquivalence(t, c, p, reqRange(tasks), avail)
+			}
+		}
 	}
 }
 

@@ -25,7 +25,9 @@ import (
 // request arrives, so immediate-mct never finds a busy machine.  The
 // loaded cases scale the rate with the machine count as the repository
 // benchmark's sim_paper does (0.04 per five machines, 4 CDs and 4 RDs), so
-// whether a machine is busy changes from machine to machine.
+// whether a machine is busy changes from machine to machine.  The loaded
+// batch cases are sim_paper's Min-min and Sufferage legs, 512 tasks on
+// 1024 machines.
 //
 // The event-per-task loop's cases run at 64 machines, loaded:
 // immediate-mct-model/purge is the repository benchmark's sim_trust leg
@@ -48,6 +50,9 @@ func BenchmarkSimRun(b *testing.B) {
 		{"immediate-mct-loaded/aware", Immediate, "mct", 2048, 1024, true, false, "", false},
 		{"immediate-mct-loaded/unaware", Immediate, "mct", 2048, 1024, true, true, "", false},
 		{"batch-minmin", Batch, "minmin", 512, 1024, false, false, "", false},
+		{"batch-minmin-loaded/aware", Batch, "minmin", 512, 1024, true, false, "", false},
+		{"batch-minmin-loaded/unaware", Batch, "minmin", 512, 1024, true, true, "", false},
+		{"batch-sufferage-loaded/aware", Batch, "sufferage", 512, 1024, true, false, "", false},
 		{"immediate-mct-model/purge", Immediate, "mct", 2048, 64, true, false, "purge", false},
 		{"immediate-mct-churn", Immediate, "mct", 2048, 64, true, false, "", true},
 	}
