@@ -7,31 +7,41 @@ import (
 )
 
 // This file holds the optimized batch-mapping kernels behind MinMin,
-// MaxMin, Sufferage and Duplex.  The naive implementations they replace
-// live in reference_test.go; the two are kept assignment-for-assignment
-// identical (see kernel_equiv_test.go and FuzzKernelEquivalence).
+// MaxMin, Sufferage and Duplex.  The naive O(T²·M) implementations they
+// replace live in reference_test.go; the two are kept assignment-for-
+// assignment identical (kernel_equiv_test.go, FuzzKernelEquivalence).
 //
-// The classic formulation of the batch heuristics rescans all remaining
-// (task, machine) pairs after every commitment — O(T²·M) per batch.  But a
-// commitment changes exactly one machine's availability, and availability
-// only ever increases, so a task's cached best (first-minimum) completion
-// pair stays valid unless its cached best — or, for Sufferage, second-best
-// — machine is the one that changed.  The kernels cache the
-// (best, second-best) pair per task and recompute a row lazily only when
-// its cached machines are invalidated, bringing the common case to
-// O(T² + T·M·k) where k is the (small) number of invalidations per round.
+// fill writes each task's decision row and, in the same pass, caches its
+// pair: the best (first-minimum) completion and the runner-up, the least
+// completion on any other machine, ties to the lower index.  A
+// commitment raises one machine's availability; none ever falls.
 //
-// Tie-breaking contract (must match the reference scans exactly):
-//   - within a task's row, the lowest-indexed machine attaining the
-//     minimum wins (ascending scan, strict-< replacement);
-//   - across tasks, the lowest task position in the meta-request wins
-//     (the reference scans `remaining` in ascending-position order with a
-//     strict comparison; swap-deletion here permutes the set, so the rule
-//     is restored explicitly by comparing task positions on value ties).
+// Min-min and Max-min keep, per machine, an intrusive list of the tasks
+// whose best is that machine, and a tournament tree over task positions
+// whose root is the next pick: the least best completion (greatest for
+// Max-min), ties to the lower position, which the tree keeps by letting
+// its left child win ties.  A commitment on machine d re-decides only
+// the tasks on d's list and replays their leaves: a batch costs O(T·M)
+// to fill plus O(log T) per re-decision and O(M) per rescan.  Proof that
+// a re-decision is exact: no availability falls and rounding is
+// monotone, so a task off d's list keeps its best (every other machine
+// stayed above it, or equal and after it), and for a task on it every
+// machine but d and its runner-up s stayed ≥ s's cached completion, and
+// above it before s.  So if s's completion rs recomputes to the cached
+// bits, the new best is the first-index minimum of (nd, d) and (rs, s),
+// and s stays runner-up when d wins; otherwise, or when the runner-up is
+// unknown (s took over last time), the row is rescanned.  Bits, not ==,
+// because −0 and +0 are == and the completion reported must be the one
+// a rescan reads.
 //
-// All scratch lives in a pooled kernelState so steady-state batch mapping
-// performs no heap allocation beyond the returned schedule, and none at
-// all when the caller recycles the destination slice.
+// Sufferage commits several machines per sweep and needs the runner-up's
+// value, so it stamps machines with the sweep they last changed in and
+// rescans a task whose best or runner-up machine changed since its pair
+// was cached; no other machine can lower either value.
+//
+// All scratch lives in a pooled kernelState: steady-state mapping
+// allocates nothing beyond the returned schedule, and nothing at all
+// when the caller recycles the destination slice.
 
 // kernelState is the reusable scratch of the batch kernels.  States are
 // pooled; every slice is length-managed by grow and fully (re)initialised
@@ -40,28 +50,39 @@ type kernelState struct {
 	table  []float64 // decision ECCs, len T*M, row stride M
 	avail  []float64 // working copy of the availability vector
 	factor []float64 // per-index ESC factors of the row being filled
+	pairs  []pair    // per task position, cached against avail
 
-	remaining []int // task positions not yet committed
+	// Min-min and Max-min: the tasks whose best is machine m are head[m],
+	// next[head[m]], … up to -1; tree[1] is the next pick, tree[P+i]
+	// task i's leaf (P a power of two ≥ T) and -1 an empty slot.
+	head, next, tree []int32
 
-	// Cached completion pairs per task position: best is the
-	// first-minimum of the row scan, second the second-smallest value
-	// (with the machine the scan attributed it to).
-	bestM   []int
-	bestD   []float64
-	secondM []int
-	secondD []float64
+	// Sufferage: the tasks not yet committed, in position order, the
+	// sweep scratch, and the stamps: a pair is stale iff its best or
+	// runner-up machine changed at or after the sweep it was cached in.
+	remaining, holder   []int
+	sufferOf, doneOf    []float64
+	assigned            []bool
+	changedAt, cachedAt []int
+}
 
-	// Sufferage sweep scratch, hoisted out of the per-iteration loop.
-	holder   []int
-	sufferOf []float64
-	doneOf   []float64
-	assigned []bool
+// pair is a task's cached best and runner-up completion: machine -1 (at
+// +Inf) is none, and a runner-up of -1 beside a best may be unknown.
+type pair struct {
+	bestD, secondD float64
+	bestM, secondM int32
+}
 
-	// Lazy-invalidation stamps for Sufferage: a cached pair is stale iff
-	// its best or second-best machine changed at or after the sweep the
-	// pair was computed in.
-	changedAt []int
-	cachedAt  []int
+// see folds machine m's completion into the pair, as the reference scans
+// do: ascending machine order, strict-< replacement.
+func (pr *pair) see(m int, done float64) {
+	switch {
+	case done < pr.bestD:
+		pr.secondD, pr.secondM = pr.bestD, pr.bestM
+		pr.bestD, pr.bestM = done, int32(m)
+	case done < pr.secondD:
+		pr.secondD, pr.secondM = done, int32(m)
+	}
 }
 
 var kernelPool = sync.Pool{New: func() any { return new(kernelState) }}
@@ -79,31 +100,35 @@ func grow[T any](s []T, n int) []T {
 }
 
 // fill populates the flat decision-ECC table (entry i*nm+m is the ECC of
-// the i-th request of reqs on machine m) and the availability working copy
-// for a T-task, M-machine batch, reading each request's rows once.
+// the i-th request of reqs on machine m), the availability working copy
+// and every task's pair for a T-task, M-machine batch, reading each
+// request's rows once.
 func (ks *kernelState) fill(in instance, p Policy, reqs []int, avail []float64) error {
 	nt, nm := len(reqs), len(avail)
 	ks.table = grow(ks.table, nt*nm)
 	ks.avail = grow(ks.avail, nm)
+	ks.pairs = grow(ks.pairs, nt)
 	copy(ks.avail, avail)
 	for i, r := range reqs {
 		row, err := in.row(r)
 		if err != nil {
 			return err
 		}
-		ks.fillRow(ks.table[i*nm:(i+1)*nm], p.decision, row)
+		ks.pairs[i] = ks.fillRow(ks.table[i*nm:(i+1)*nm], p.decision, row)
 	}
 	return nil
 }
 
-// fillRow evaluates one request's decision ECCs from its cost rows.  The
-// per-index factor float64(tc)*w is hoisted out of the machine loop; the
-// per-cell expression keeps ESC.Cost's parenthesization, so every entry is,
+// fillRow evaluates one request's decision ECCs from its cost rows and
+// returns their pair against the availability.  The per-index factor
+// float64(tc)*w is hoisted out of the machine loop; the per-cell
+// expression keeps ESC.Cost's parenthesization, so every entry is,
 // operation for operation, row.cost(dec, m) (referenceTable in
 // reference_test.go).
-func (ks *kernelState) fillRow(dst []float64, dec ESC, row costRow) {
+func (ks *kernelState) fillRow(dst []float64, dec ESC, row costRow) pair {
 	eec, idx := row.eec, row.idx[:len(row.eec)]
-	dst = dst[:len(eec)]
+	dst, a := dst[:len(eec)], ks.avail[:len(eec)]
+	pr := pair{math.Inf(1), math.Inf(1), -1, -1}
 	switch dec.Form {
 	case ESCLinear:
 		ks.factor = grow(ks.factor, len(row.tcs))
@@ -112,40 +137,87 @@ func (ks *kernelState) fillRow(dst []float64, dec ESC, row costRow) {
 			f[s] = float64(tc) * dec.Weight
 		}
 		for m, e := range eec {
-			dst[m] = e + e*f[idx[m]]/100
+			v := e + e*f[idx[m]]/100
+			dst[m] = v
+			pr.see(m, a[m]+v)
 		}
 	case ESCFlat:
 		for m, e := range eec {
-			dst[m] = e + e*dec.Weight/100
+			v := e + e*dec.Weight/100
+			dst[m] = v
+			pr.see(m, a[m]+v)
 		}
 	default: // ESCZero: eec + 0, which is eec except that it turns −0 into +0
 		for m, e := range eec {
-			dst[m] = e + 0
+			v := e + 0
+			dst[m] = v
+			pr.see(m, a[m]+v)
 		}
+	}
+	return pr
+}
+
+// rescan recomputes task position i's pair from its row against the
+// current availability.
+func (ks *kernelState) rescan(i int) {
+	nm := len(ks.avail)
+	pr := pair{math.Inf(1), math.Inf(1), -1, -1}
+	for m, t := range ks.table[i*nm : (i+1)*nm] {
+		pr.see(m, ks.avail[m]+t)
+	}
+	ks.pairs[i] = pr
+}
+
+// redecide updates the pair of task position i, whose best machine d
+// just rose, by the rule in this file's header.
+func (ks *kernelState) redecide(i int, d int32) {
+	nm := len(ks.avail)
+	row, pr := ks.table[i*nm:(i+1)*nm], &ks.pairs[i]
+	s, rs := pr.secondM, pr.secondD
+	if s < 0 || math.Float64bits(ks.avail[s]+row[s]) != math.Float64bits(rs) {
+		ks.rescan(i)
+		return
+	}
+	if nd := ks.avail[d] + row[d]; nd < rs || nd == rs && d < s {
+		pr.bestD = nd
+	} else {
+		*pr = pair{rs, math.Inf(1), s, -1}
 	}
 }
 
-// recomputePair rescans task position i's row against the current
-// availability, caching the first-minimum (best) and second-smallest
-// completion exactly as the reference scan does: ascending machine order,
-// strict-< replacement.
-func (ks *kernelState) recomputePair(i, nm int) {
-	row := ks.table[i*nm : (i+1)*nm]
-	a := ks.avail
-	bm, sm := -1, -1
-	bd, sd := math.Inf(1), math.Inf(1)
-	for m, t := range row {
-		done := a[m] + t
-		switch {
-		case done < bd:
-			sd, sm = bd, bm
-			bd, bm = done, m
-		case done < sd:
-			sd, sm = done, m
-		}
+// enlist puts task position i on its best machine's list, if it has one.
+func (ks *kernelState) enlist(i int32) {
+	if b := ks.pairs[i].bestM; b >= 0 {
+		ks.next[i], ks.head[b] = ks.head[b], i
 	}
-	ks.bestM[i], ks.bestD[i] = bm, bd
-	ks.secondM[i], ks.secondD[i] = sm, sd
+}
+
+// play returns the winner of two tree slots: the task picked first, the
+// left one (lower positions) on a tie.
+func (ks *kernelState) play(l, r int32, pickMax bool) int32 {
+	if l < 0 || r < 0 {
+		return max(l, r)
+	}
+	a, b := ks.pairs[l].bestD, ks.pairs[r].bestD
+	if pickMax && b > a || !pickMax && b < a {
+		return r
+	}
+	return l
+}
+
+// replay sets task position i's leaf to v (i, or -1 once committed) and
+// replays the matches above it, up to one that another task won before
+// and wins again: from there up nothing changed.
+func (ks *kernelState) replay(i int, v int32, pickMax bool) {
+	k := len(ks.tree)/2 + i
+	ks.tree[k] = v
+	for k /= 2; k > 0; k /= 2 {
+		w := ks.play(ks.tree[2*k], ks.tree[2*k+1], pickMax)
+		if w == ks.tree[k] && w != int32(i) {
+			return
+		}
+		ks.tree[k] = w
+	}
 }
 
 // minMaxMinKernel is the incremental Min-min (pickMax=false) / Max-min
@@ -163,53 +235,45 @@ func minMaxMinKernel(c Costs, p Policy, reqs []int, avail []float64, pickMax boo
 	}
 	ks := kernelPool.Get().(*kernelState)
 	defer kernelPool.Put(ks)
-	ks.bestM = grow(ks.bestM, nt)
-	ks.bestD = grow(ks.bestD, nt)
-	ks.secondM = grow(ks.secondM, nt)
-	ks.secondD = grow(ks.secondD, nt)
-	ks.remaining = grow(ks.remaining, nt)
 	if err := ks.fill(in, p, reqs, avail); err != nil {
 		return nil, err
 	}
-	for i := 0; i < nt; i++ {
-		ks.remaining[i] = i
-		ks.recomputePair(i, nm)
+	leaves := 1
+	for leaves < nt {
+		leaves *= 2
 	}
-	rem := ks.remaining
-	n := nt
-	dirty := -1 // machine whose availability changed last commitment
-	for n > 0 {
-		chosenPos, chosenI, chosenM := -1, -1, -1
-		chosenDone := math.Inf(1)
-		if pickMax {
-			chosenDone = math.Inf(-1)
+	ks.head, ks.next, ks.tree = grow(ks.head, nm), grow(ks.next, nt), grow(ks.tree, 2*leaves)
+	for _, s := range [][]int32{ks.head, ks.tree} {
+		for k := range s {
+			s[k] = -1
 		}
-		for pos := 0; pos < n; pos++ {
-			i := rem[pos]
-			if ks.bestM[i] == dirty {
-				ks.recomputePair(i, nm)
-			}
-			bd := ks.bestD[i]
-			better := bd < chosenDone
-			if pickMax {
-				better = bd > chosenDone
-			}
-			if better || (bd == chosenDone && i < chosenI) {
-				chosenDone, chosenI, chosenPos, chosenM = bd, i, pos, ks.bestM[i]
-			}
-		}
-		if chosenM < 0 {
+	}
+	for k := range int32(nt) {
+		ks.enlist(k)
+		ks.replay(int(k), k, pickMax)
+	}
+	for range nt {
+		i := ks.tree[1]
+		d, done := ks.pairs[i].bestM, ks.pairs[i].bestD
+		// The reference's strict scan from −Inf never picks −Inf either.
+		if d < 0 || pickMax && math.IsInf(done, -1) {
 			return nil, fmt.Errorf("sched: no feasible (task, machine) pair in batch")
 		}
-		out = append(out, Assignment{
-			Req:                reqs[chosenI],
-			Machine:            chosenM,
-			DecisionCompletion: chosenDone,
-		})
-		ks.avail[chosenM] = chosenDone
-		dirty = chosenM
-		n--
-		rem[chosenPos] = rem[n] // swap-delete; order restored via tie rule
+		out = append(out, Assignment{Req: reqs[i], Machine: int(d), DecisionCompletion: done})
+		ks.avail[d] = done
+		ks.replay(int(i), -1, pickMax)
+		j := ks.head[d]
+		ks.head[d] = -1
+		for j >= 0 {
+			k := j
+			j = ks.next[k]
+			if k == i {
+				continue
+			}
+			ks.redecide(int(k), d)
+			ks.enlist(k)
+			ks.replay(int(k), k, pickMax)
+		}
 	}
 	return out, nil
 }
@@ -228,10 +292,6 @@ func sufferageKernel(c Costs, p Policy, reqs []int, avail []float64, dst []Assig
 	}
 	ks := kernelPool.Get().(*kernelState)
 	defer kernelPool.Put(ks)
-	ks.bestM = grow(ks.bestM, nt)
-	ks.bestD = grow(ks.bestD, nt)
-	ks.secondM = grow(ks.secondM, nt)
-	ks.secondD = grow(ks.secondD, nt)
 	ks.remaining = grow(ks.remaining, nt)
 	ks.cachedAt = grow(ks.cachedAt, nt)
 	ks.assigned = grow(ks.assigned, nt)
@@ -244,7 +304,6 @@ func sufferageKernel(c Costs, p Policy, reqs []int, avail []float64, dst []Assig
 	}
 	for i := 0; i < nt; i++ {
 		ks.remaining[i] = i
-		ks.recomputePair(i, nm)
 		ks.cachedAt[i] = 0
 		ks.assigned[i] = false
 	}
@@ -262,19 +321,19 @@ func sufferageKernel(c Costs, p Policy, reqs []int, avail []float64, dst []Assig
 		// order; rem is compacted stably below so the order matches.
 		for pos := 0; pos < n; pos++ {
 			i := rem[pos]
-			bm, sm := ks.bestM[i], ks.secondM[i]
+			bm, sm := ks.pairs[i].bestM, ks.pairs[i].secondM
 			if bm < 0 {
 				return nil, fmt.Errorf("sched: no feasible machine for batch task %d", reqs[i])
 			}
 			if ks.changedAt[bm] >= ks.cachedAt[i] || (sm >= 0 && ks.changedAt[sm] >= ks.cachedAt[i]) {
-				ks.recomputePair(i, nm)
+				ks.rescan(i)
 				ks.cachedAt[i] = sweep
-				bm = ks.bestM[i]
+				bm = ks.pairs[i].bestM
 				if bm < 0 {
 					return nil, fmt.Errorf("sched: no feasible machine for batch task %d", reqs[i])
 				}
 			}
-			bd, sd := ks.bestD[i], ks.secondD[i]
+			bd, sd := ks.pairs[i].bestD, ks.pairs[i].secondD
 			suffer := sd - bd
 			if math.IsInf(sd, 1) {
 				// Single eligible machine: sufferage is undefined; treat

@@ -7,8 +7,8 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"gridtrust/internal/grid"
 	"gridtrust/internal/workload"
@@ -45,7 +45,33 @@ type workloadCosts struct {
 	rowOf   []int32 // request -> profile
 	rowReq  []int32 // profile -> its first request
 	rowSize []int32 // profile -> number of requests
+	ctxOf   []int32 // profile -> its context: distinct ordered ToAs, numbered by first appearance
 }
+
+// chains numbers keys in order of first appearance by a 64-bit hash,
+// chaining keys whose hashes collide for the caller to tell apart.
+type chains struct {
+	head map[uint64]int32 // hash -> its latest key + 1
+	next []int32          // key -> the previous key of its hash, or -1
+}
+
+// find returns the key of hash h that is accepts, or adds one and
+// returns it with added set.
+func (t *chains) find(h uint64, is func(k int32) bool) (k int32, added bool) {
+	last := t.head[h] - 1
+	for k = last; k >= 0; k = t.next[k] {
+		if is(k) {
+			return k, false
+		}
+	}
+	k = int32(len(t.next))
+	t.next = append(t.next, last)
+	t.head[h] = k + 1
+	return k, true
+}
+
+// mix folds v into an FNV-1a hash.
+func mix(h uint64, v int) uint64 { return (h ^ uint64(v)) * 1099511628211 }
 
 // newWorkloadCosts builds the adapter, surfacing any trust-table gaps as
 // errors up front rather than mid-simulation.  Only resource domains that
@@ -75,11 +101,12 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 	// Few requests mostly carry distinct profiles, many requests repeat a
 	// bounded set: size for the former, capped.
 	hint := min(len(w.Requests), 1024)
-	seen := make(map[string]int32, hint)
+	profiles := chains{make(map[uint64]int32, hint), make([]int32, 0, hint)}
 	c.tc = make([]int, 0, hint*len(c.slotRD))
 	c.otl = make([]int8, 0, hint*len(c.slotRD))
 	c.rowReq = make([]int32, 0, hint)
 	c.rowSize = make([]int32, 0, hint)
+	c.ctxOf = make([]int32, 0, hint)
 	// lvl holds the table's level per (CD, built-in activity, slot),
 	// LevelNone for a gap, read once; a profile's OTL on a slot is the min
 	// over its activities (Section 3.1).  A profile with a gap, an empty
@@ -111,16 +138,27 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 		}
 		return len(r.ToA.Activities) > 0
 	}
-	var key []byte
+	// A profile is interned by a hash of its activities, CD and RTL, and
+	// checked against its row's first request; a new profile's context by
+	// the activities' hash, checked against its first request (ctxReq).
+	ctxs := chains{head: make(map[uint64]int32, hint)}
+	var ctxReq []int32
 	for i := range w.Requests {
 		r := w.Requests[i]
-		key = binary.AppendVarint(key[:0], int64(r.CD))
-		key = binary.AppendVarint(key, int64(r.ClientRTL))
-		for _, a := range r.ToA.Activities {
-			key = binary.AppendVarint(key, int64(a))
+		acts, h := r.ToA.Activities, uint64(14695981039346656037)
+		for _, a := range acts {
+			h = mix(h, int(a))
 		}
-		j, dup := seen[string(key)]
-		if !dup {
+		j, added := profiles.find(mix(mix(h, int(r.CD)), int(r.ClientRTL)), func(k int32) bool {
+			q := &w.Requests[c.rowReq[k]]
+			return q.CD == r.CD && q.ClientRTL == r.ClientRTL && slices.Equal(q.ToA.Activities, acts)
+		})
+		if added {
+			ctx, added := ctxs.find(h, func(k int32) bool { return slices.Equal(w.Requests[ctxReq[k]].ToA.Activities, acts) })
+			if added {
+				ctxReq = append(ctxReq, int32(i))
+			}
+			c.ctxOf = append(c.ctxOf, ctx)
 			dense := offered(&r)
 			for s, rd := range c.slotRD {
 				// Cell by cell this is w.TrustCostRD(r, rd), keeping the OTL.
@@ -138,8 +176,6 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 				c.tc = append(c.tc, v)
 				c.otl = append(c.otl, int8(otl[s]))
 			}
-			j = int32(len(c.rowReq))
-			seen[string(key)] = j
 			c.rowReq = append(c.rowReq, int32(i))
 			c.rowSize = append(c.rowSize, 0)
 		}

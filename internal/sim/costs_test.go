@@ -247,6 +247,7 @@ func referenceWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 		c.slotLen[s]++
 	}
 	seen := make(map[string]int32)
+	ctxs := make(map[string]int32) // ordered ToA -> context, as modelView once keyed them
 	var key []byte
 	for i := range w.Requests {
 		r := w.Requests[i]
@@ -268,6 +269,16 @@ func referenceWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 			seen[string(key)] = j
 			c.rowReq = append(c.rowReq, int32(i))
 			c.rowSize = append(c.rowSize, 0)
+			key = key[:0]
+			for _, a := range r.ToA.Activities {
+				key = binary.AppendVarint(key, int64(a))
+			}
+			ctx, ok := ctxs[string(key)]
+			if !ok {
+				ctx = int32(len(ctxs))
+				ctxs[string(key)] = ctx
+			}
+			c.ctxOf = append(c.ctxOf, ctx)
 		}
 		c.rowOf[i] = j
 		c.rowSize[j]++
@@ -295,6 +306,7 @@ func checkCostsBuild(t *testing.T, label string, w *workload.Workload) (failed b
 		{"slotAt", got.slotAt, want.slotAt}, {"slotLen", got.slotLen, want.slotLen},
 		{"tc", got.tc, want.tc}, {"rowOf", got.rowOf, want.rowOf},
 		{"rowReq", got.rowReq, want.rowReq}, {"rowSize", got.rowSize, want.rowSize},
+		{"ctxOf", got.ctxOf, want.ctxOf},
 	} {
 		if !reflect.DeepEqual(f.got, f.want) {
 			t.Fatalf("%s: %s = %v, reference %v", label, f.name, f.got, f.want)
@@ -367,5 +379,25 @@ func TestCostsBuildMatchesReference(t *testing.T) {
 	}
 	if errs < 30 {
 		t.Fatalf("only %d of 60 broken workloads failed to build; the gaps are too sparse to test the error path", errs)
+	}
+}
+
+// TestChainsTellCollidingKeysApart puts every key on one hash: find must
+// still number distinct keys in order of first appearance and find each
+// again, as newWorkloadCosts relies on for two ToAs or profiles whose
+// hashes collide.
+func TestChainsTellCollidingKeysApart(t *testing.T) {
+	keys := []string{"a", "b", "a", "c", "b", "c", "d", "a"}
+	want := []int32{0, 1, 0, 2, 1, 2, 3, 0}
+	ch := chains{head: map[uint64]int32{}}
+	var first []string
+	for i, key := range keys {
+		k, added := ch.find(42, func(k int32) bool { return first[k] == key })
+		if added {
+			first = append(first, key)
+		}
+		if k != want[i] || added != !slices.Contains(keys[:i], key) {
+			t.Fatalf("key %d (%q): find = %d, %v; want %d", i, key, k, added, want[i])
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"gridtrust/internal/grid"
@@ -55,12 +54,11 @@ type modelView struct {
 	// The model is asked by handle, minted once in newModelView.
 	rds []trust.Ent // per RD slot: the resource domain, named "rd:<i>"
 
-	// Contexts are the distinct ToA renderings; an asker is a distinct
-	// (CD, context) pair.
+	// Contexts are the distinct ToA renderings, numbered by the cost
+	// table (truth.ctxOf); an asker is a distinct (CD, context) pair.
 	ctxs   []trust.Ctx // per context
 	askCD  []trust.Ent // per asker: the client domain, named "cd:<i>"
 	askCtx []int32     // per asker: its context
-	ctxOf  []int32     // per profile: its context
 	askOf  []int32     // per profile: its asker
 
 	ver    []uint64          // per (context, slot): observations so far, plus 1
@@ -97,7 +95,6 @@ func newModelView(sc Scenario, truth, claimed *workloadCosts) (*modelView, error
 		claimed: claimed,
 		model:   model,
 		rds:     make([]trust.Ent, slots),
-		ctxOf:   make([]int32, profiles),
 		askOf:   make([]int32, profiles),
 		dec:     make([]int, len(truth.tc)),
 		decVer:  make([]uint64, len(truth.tc)),
@@ -109,32 +106,21 @@ func newModelView(sc Scenario, truth, claimed *workloadCosts) (*modelView, error
 	for i := range cds {
 		cds[i] = model.Entity(trust.EntityID(fmt.Sprintf("cd:%d", i)))
 	}
-	// A context is the rendering of an ordered ToA, which is one-to-one, so
-	// the ToAs are keyed by their activities and each distinct one is
-	// rendered once.
-	ctxIdx := map[string]int32{}
-	var key []byte
+	// A context is the rendering of an ordered ToA, which is one-to-one;
+	// the table numbers them in order of first appearance, so each is
+	// rendered at its first profile.
 	for j, r := range truth.rowReq {
-		toa := w.Requests[r].ToA
-		key = key[:0]
-		for _, a := range toa.Activities {
-			key = binary.AppendVarint(key, int64(a))
+		if int(v.truth.ctxOf[j]) == len(v.ctxs) {
+			v.ctxs = append(v.ctxs, model.Context(trust.Context(w.Requests[r].ToA.String())))
 		}
-		c, ok := ctxIdx[string(key)]
-		if !ok {
-			c = int32(len(v.ctxs))
-			ctxIdx[string(key)] = c
-			v.ctxs = append(v.ctxs, model.Context(trust.Context(toa.String())))
-		}
-		v.ctxOf[j] = c
 	}
 	askIdx := make([]int32, len(v.ctxs)*len(cds)) // (context, CD) → asker + 1
 	for j, r := range truth.rowReq {
 		cd := w.Requests[r].CD
-		k := int(v.ctxOf[j])*len(cds) + int(cd)
+		k := int(v.truth.ctxOf[j])*len(cds) + int(cd)
 		if askIdx[k] == 0 {
 			v.askCD = append(v.askCD, cds[cd])
-			v.askCtx = append(v.askCtx, v.ctxOf[j])
+			v.askCtx = append(v.askCtx, v.truth.ctxOf[j])
 			askIdx[k] = int32(len(v.askCD))
 		}
 		v.askOf[j] = askIdx[k] - 1
@@ -194,7 +180,7 @@ func (v *modelView) level(a int32, s int, cur uint64) (grid.TrustLevel, error) {
 // level priced through the scenario's ETS rule.
 func (v *modelView) decisionTC(j int32, s int) (int, error) {
 	k := int(j)*len(v.rds) + s
-	cur := v.ver[int(v.ctxOf[j])*len(v.rds)+s]
+	cur := v.ver[int(v.truth.ctxOf[j])*len(v.rds)+s]
 	if v.decVer[k] == cur {
 		return v.dec[k], nil
 	}
@@ -224,8 +210,8 @@ func (v *modelView) noteFinish(r, m int) error {
 	s := int(v.truth.rdOf[m])
 	j := v.truth.rowOf[r]
 	otl := v.truth.otl[int(j)*len(v.rds)+s]
-	v.ver[int(v.ctxOf[j])*len(v.rds)+s]++
-	_, err := v.model.ObserveOf(v.askCD[v.askOf[j]], v.rds[s], v.ctxs[v.ctxOf[j]], float64(otl), 0)
+	v.ver[int(v.truth.ctxOf[j])*len(v.rds)+s]++
+	_, err := v.model.ObserveOf(v.askCD[v.askOf[j]], v.rds[s], v.ctxs[v.truth.ctxOf[j]], float64(otl), 0)
 	return err
 }
 

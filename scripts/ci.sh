@@ -110,6 +110,12 @@ if grep -rnE 'runIdx|runKey|UnderlyingEngine' --include='*.go' internal/trust in
     exit 1
 fi
 
+echo "==> a run interns request profiles by integer id (no map[string] in internal/sim/costs.go or internal/sim/modelview.go)"
+if grep -nE 'map\[string\]' internal/sim/costs.go internal/sim/modelview.go; then
+    echo "ci: newWorkloadCosts numbers contexts and profiles through hash chains checked against their first request, and modelView reads the table's context ids" >&2
+    exit 1
+fi
+
 echo "==> one replicated trust table (no wrapper table, dimension walk or history cache in non-test code under internal/trustwire, internal/fleet)"
 if grep -rnE 'ReadOnlyTable|replicaTable|copyTable|entriesFromTable|historySize|histOrder' --include='*.go' internal/trustwire internal/fleet \
     | grep -v '_test\.go:'; then
