@@ -38,13 +38,10 @@ import (
 // value, so it stamps machines with the sweep they last changed in and
 // rescans a task whose best or runner-up machine changed since its pair
 // was cached; no other machine can lower either value.
-//
-// All scratch lives in a pooled kernelState: steady-state mapping
-// allocates nothing beyond the returned schedule, and nothing at all
-// when the caller recycles the destination slice.
 
 // kernelState is the reusable scratch of the batch kernels.  States are
-// pooled; every slice is length-managed by grow and fully (re)initialised
+// pooled, so steady-state mapping allocates nothing beyond the returned
+// schedule; every slice is length-managed by grow and fully (re)initialised
 // by the kernel that checks the state out, so stale contents are harmless.
 type kernelState struct {
 	table  []float64 // decision ECCs, len T*M, row stride M
@@ -206,8 +203,7 @@ func (ks *kernelState) play(l, r int32, pickMax bool) int32 {
 }
 
 // replay sets task position i's leaf to v (i, or -1 once committed) and
-// replays the matches above it, up to one that another task won before
-// and wins again: from there up nothing changed.
+// replays the matches above it, up to one another task wins again.
 func (ks *kernelState) replay(i int, v int32, pickMax bool) {
 	k := len(ks.tree)/2 + i
 	ks.tree[k] = v

@@ -55,12 +55,12 @@ type chains struct {
 	next []int32          // key -> the previous key of its hash, or -1
 }
 
-// find returns the key of hash h that is accepts, or adds one and
-// returns it with added set.
-func (t *chains) find(h uint64, is func(k int32) bool) (k int32, added bool) {
+// find returns the key of hash h for which same reports true, or adds
+// one and returns it with added set.
+func (t *chains) find(h uint64, same func(k int32) bool) (k int32, added bool) {
 	last := t.head[h] - 1
 	for k = last; k >= 0; k = t.next[k] {
-		if is(k) {
+		if same(k) {
 			return k, false
 		}
 	}
@@ -140,9 +140,9 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 	}
 	// A profile is interned by a hash of its activities, CD and RTL, and
 	// checked against its row's first request; a new profile's context by
-	// the activities' hash, checked against its first request (ctxReq).
-	ctxs := chains{head: make(map[uint64]int32, hint)}
-	var ctxReq []int32
+	// the activities' hash, checked against its first request.
+	ctxs := chains{make(map[uint64]int32, hint), make([]int32, 0, hint)}
+	ctxReq := make([]int32, 0, hint) // context -> its first request
 	for i := range w.Requests {
 		r := w.Requests[i]
 		acts, h := r.ToA.Activities, uint64(14695981039346656037)
