@@ -46,7 +46,7 @@ import (
 type kernelState struct {
 	table  []float64 // decision ECCs, len T*M, row stride M
 	avail  []float64 // working copy of the availability vector
-	factor []float64 // per-index ESC factors of the row being filled
+	factor []float64 // per-slot ESC factors of the row being filled
 	pairs  []pair    // per task position, cached against avail
 
 	// Min-min and Max-min: the tasks whose best is machine m are head[m],
@@ -117,52 +117,31 @@ func (ks *kernelState) fill(in instance, p Policy, reqs []int, avail []float64) 
 }
 
 // fillRow evaluates one request's decision ECCs from its cost rows and
-// returns their pair against the availability.  The per-index factor
-// float64(tc)*w is hoisted out of the machine loop; the per-cell
-// expression keeps ESC.Cost's parenthesization, so every entry is,
-// operation for operation, row.cost(dec, m) (referenceTable in
-// reference_test.go).
+// returns their pair against the availability.  The per-slot factors are
+// hoisted out of the machine loop (ESC.Factors); the per-cell expression
+// keeps ESC.Cost's parenthesization, so every entry is, operation for
+// operation, row.cost(dec, m) (referenceTable in reference_test.go).
 func (ks *kernelState) fillRow(dst []float64, dec ESC, row costRow) pair {
-	eec, idx := row.eec, row.idx[:len(row.eec)]
-	dst, a := dst[:len(eec)], ks.avail[:len(eec)]
-	pr := pair{math.Inf(1), math.Inf(1), -1, -1}
-	switch dec.Form {
-	case ESCLinear:
-		ks.factor = grow(ks.factor, len(row.tcs))
-		f := ks.factor
-		for s, tc := range row.tcs {
-			f[s] = float64(tc) * dec.Weight
-		}
-		for m, e := range eec {
-			v := e + e*f[idx[m]]/100
-			dst[m] = v
-			pr.see(m, a[m]+v)
-		}
-	case ESCFlat:
-		for m, e := range eec {
-			v := e + e*dec.Weight/100
-			dst[m] = v
-			pr.see(m, a[m]+v)
-		}
-	default: // ESCZero: eec + 0, which is eec except that it turns −0 into +0
-		for m, e := range eec {
-			v := e + 0
-			dst[m] = v
-			pr.see(m, a[m]+v)
-		}
+	f := dec.Factors(row.tcs, ks.factor)
+	if f != nil {
+		ks.factor = f
 	}
-	return pr
+	if hasAVX2 && len(f) <= vectorSlots {
+		return fillVector(dst, row.eec, f, row.idx, ks.avail)
+	}
+	return fillPortable(dst, row.eec, f, row.idx, ks.avail, 0, noPair)
 }
 
 // rescan recomputes task position i's pair from its row against the
 // current availability.
 func (ks *kernelState) rescan(i int) {
 	nm := len(ks.avail)
-	pr := pair{math.Inf(1), math.Inf(1), -1, -1}
-	for m, t := range ks.table[i*nm : (i+1)*nm] {
-		pr.see(m, ks.avail[m]+t)
+	row := ks.table[i*nm : (i+1)*nm]
+	if hasAVX2 {
+		ks.pairs[i] = pairVector(row, ks.avail)
+	} else {
+		ks.pairs[i] = pairPortable(row, ks.avail, 0, noPair)
 	}
-	ks.pairs[i] = pr
 }
 
 // redecide updates the pair of task position i, whose best machine d

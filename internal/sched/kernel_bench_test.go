@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"gridtrust/internal/rng"
@@ -147,3 +148,65 @@ func BenchmarkReferenceKernelSufferage(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDecisionScan times one row of each decision kernel, the MCT
+// scan and the batch fill (row and pair), under each form, on the vector
+// kernel and on the portable body, at 16, 64 and 1 024 machines over
+// four slots (sim_paper's MCT and batch legs are the 1 024-machine
+// rows, sim_trust's MCT the 64-machine ones).  Half the machines are
+// busy past now, so the clamp goes both ways.  The vector rows are
+// skipped on a CPU without AVX2.  Results go to package-level sinks so
+// no call can be dropped as dead.
+func BenchmarkDecisionScan(b *testing.B) {
+	for _, n := range []int{16, 64, 1024} {
+		src := rng.New(uint64(n))
+		eec, ft, dst := make([]float64, n), make([]float64, n), make([]float64, n)
+		idx := make([]int32, n)
+		for m := range eec {
+			eec[m] = src.Uniform(1, 1000)
+			idx[m] = int32(src.Intn(4))
+			if src.Bool(0.5) {
+				ft[m] = src.Uniform(500, 1500)
+			}
+		}
+		now := 500.0
+		factors := map[string][]float64{"zero": nil, "linear": {0, 15, 45, 90}}
+		for _, form := range []string{"zero", "linear"} {
+			f := factors[form]
+			for _, body := range []string{"vector", "portable"} {
+				vector := body == "vector"
+				b.Run(fmt.Sprintf("scan/%s/%s/%d", form, body, n), func(b *testing.B) {
+					if vector && !hasAVX2 {
+						b.Skip("no AVX2")
+					}
+					for i := 0; i < b.N; i++ {
+						if vector {
+							sinkMachine, sinkDone = scanVector(eec, f, idx, ft, now)
+						} else {
+							sinkMachine, sinkDone = scanPortable(eec, f, idx, ft, now, 0, -1, math.Inf(1))
+						}
+					}
+				})
+				b.Run(fmt.Sprintf("fill/%s/%s/%d", form, body, n), func(b *testing.B) {
+					if vector && !hasAVX2 {
+						b.Skip("no AVX2")
+					}
+					for i := 0; i < b.N; i++ {
+						if vector {
+							sinkPair = fillVector(dst, eec, f, idx, ft)
+						} else {
+							sinkPair = fillPortable(dst, eec, f, idx, ft, 0, noPair)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// The sinks BenchmarkDecisionScan writes its results to.
+var (
+	sinkMachine int
+	sinkDone    float64
+	sinkPair    pair
+)

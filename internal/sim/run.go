@@ -74,7 +74,7 @@ func Run(sc Scenario, w *workload.Workload, policy sched.Policy) (*RunResult, er
 type runScratch struct {
 	// Both loops: the event queue and the arrival stream handed to it,
 	// when each machine drains its committed work (sched.Masked() while
-	// down), the availability vector, the fused MCT scan's per-RD-slot ESC
+	// down), the availability vector, the MCT scan's per-RD-slot decision
 	// factors, busy time, the batch requests and schedule buffer, and
 	// arrivals parked while every machine is down.
 	q        *des.Queue
@@ -494,103 +494,24 @@ func (st *runState) commit(r, m int, now float64) {
 	st.finished(r, m, finish, ecc)
 }
 
-// The fused MCT scan
-//
-// The MCT arrival scan walks the EEC row, the machine → RD-slot map and the
-// free-time vector directly, computing the policy's decision ESC inline
-// from the request's per-slot decision trust costs instead of calling
-// through sched.Costs.  Each fused expression reproduces the float
-// operations of sched.MCT exactly (see sched.ESC.Cost), so scores,
-// completion times and every derived metric are bit-identical to
-// AssignOne's.  Only MCT is specialised, because only MCT has benchmark
-// workloads that show the difference (sim_paper and sim_trust; DESIGN.md,
-// "Run loops"): MET, OLB, KPB and SA run their AssignOne over the
-// availability vector, as every batch heuristic runs its AssignBatch.
-
-// fusedScanRange scans machines [lo,hi) and returns the first machine
-// attaining the minimum decision completion time and that minimum;
-// (-1, +Inf) when the range is empty or every machine in it is masked.
-//
-// The inner loops are specialized per form so the hot path carries no
-// per-iteration dispatch, and the slices are re-sliced to the range up
-// front so the compiler drops the bounds checks.  Each ESC expression keeps
-// sched's parenthesization — in particular availability + (eec + esc),
-// never (availability + eec) + esc — so every sum rounds identically.
-//
-// The clamp max(ft[i], now) is taken on the IEEE bit patterns so that it
-// compiles to a conditional move: under sim_paper's load whether a machine
-// is busy changes from machine to machine, a compare-and-branch there was
-// mispredicted often enough to be most of the scan's cost, and the builtin
-// float max was slower than the branch with every machine idle (DESIGN.md
-// §13, "Run loops").  Precondition: every ft[i] is ≥ +0 and not NaN (free
-// time starts at +0 and only grows by charged ECCs; a masked +Inf never
-// wins), and now is ≥ −0 and not NaN, read as +0 when it is −0 (now + 0).
-// For such floats unsigned order of the bits is float order, so the
-// result is bit-identical to sched.MCT's math.Max and to the branching
-// clamp;
-// TestFusedScanMatchesReference and FuzzFusedScan hold the function to the
-// latter.
-//
-// Under ESCLinear the trust cost enters through tcw, the request's
-// per-slot product float64(tc)*weight (the innermost factor of sched's
-// expression, hoisted out of the machine loop), indexed by the machine's
-// RD slot; the other forms ignore tcw and rdOf.
-//
-// The only caller passes the whole machine set.  The range form stays
-// because these loops are sensitive to where they land in the function:
-// the same instructions behind a shorter prologue (no lo/hi, one result)
-// ran the MCT legs 5-12 % slower on the benchmark box (EXPERIMENTS.md,
-// "-intra").  Reshape this function only with a paired measurement.
-func fusedScanRange(dec sched.ESC, eec, tcw []float64, rdOf []int32, ft []float64, now float64, lo, hi int) (int, float64) {
-	best := -1
-	bestVal := math.Inf(1)
-	if lo >= hi {
-		return best, bestVal
-	}
-	eec, rdOf, ft = eec[lo:hi:hi], rdOf[lo:hi:hi], ft[lo:hi:hi]
-	nowBits := math.Float64bits(now + 0)
-	switch dec.Form {
-	case sched.ESCLinear:
-		for i, e := range eec {
-			a := math.Float64frombits(max(math.Float64bits(ft[i]), nowBits))
-			if done := a + (e + e*tcw[rdOf[i]]/100); done < bestVal {
-				bestVal, best = done, i
-			}
-		}
-	case sched.ESCFlat:
-		for i, e := range eec {
-			a := math.Float64frombits(max(math.Float64bits(ft[i]), nowBits))
-			if done := a + (e + e*dec.Weight/100); done < bestVal {
-				bestVal, best = done, i
-			}
-		}
-	default: // ESCZero
-		for i, e := range eec {
-			a := math.Float64frombits(max(math.Float64bits(ft[i]), nowBits))
-			if done := a + e; done < bestVal {
-				bestVal, best = done, i
-			}
-		}
-	}
-	if best >= 0 {
-		best += lo
-	}
-	return best, bestVal
-}
-
-// fusedPick runs the MCT scan for request r at time now over its decision
-// trust costs per RD slot; -1 when every machine is masked.
+// fusedPick runs the MCT scan (sched.ScanMCT) for request r at time now
+// over its decision trust costs per RD slot; -1 when every machine is
+// masked.  The scan walks the EEC row, the machine → RD-slot map and the
+// free-time vector directly, with the policy's decision factors per slot
+// hoisted out of it, instead of calling through sched.Costs, and keeps
+// sched.MCT's float operations, so scores, completion times and every
+// derived metric are bit-identical to AssignOne's.  Only MCT is
+// specialised, because only MCT has benchmark workloads that show the
+// difference (sim_paper and sim_trust; DESIGN.md, "Run loops"): MET, OLB,
+// KPB and SA run their AssignOne over the availability vector, as every
+// batch heuristic runs its AssignBatch.  Free times meet the scan's
+// precondition: they start at +0 and only grow by charged ECCs, and a
+// down machine's is +Inf.
 func (b *runBase) fusedPick(r int, now float64, tcs []int) int {
-	dec := b.policy.Decision()
-	var tcw []float64
-	if dec.Form == sched.ESCLinear {
-		b.scr.tcw = growFloats(b.scr.tcw, len(tcs))
-		tcw = b.scr.tcw
-		for s, tc := range tcs {
-			tcw[s] = float64(tc) * dec.Weight
-		}
+	f := b.policy.Decision().Factors(tcs, b.scr.tcw)
+	if f != nil {
+		b.scr.tcw = f
 	}
-	ft := b.scr.freeTime
-	m, _ := fusedScanRange(dec, b.truth.eecRow(r), tcw, b.truth.rdOf, ft, now, 0, len(ft))
+	m, _ := sched.ScanMCT(b.truth.eecRow(r), f, b.truth.rdOf, b.scr.freeTime, now)
 	return m
 }

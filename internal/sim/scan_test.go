@@ -8,10 +8,11 @@ import (
 	"gridtrust/internal/sched"
 )
 
-// referenceScanRange is fusedScanRange as it was when its clamp was a
-// compare-and-branch (`if a < now { a = now }`), kept verbatim as the
-// oracle: the production scan must return the same machine and the same
-// value, bit for bit, on every input that meets its precondition.
+// referenceScanRange is the simulator's MCT scan as it was when its clamp
+// was a compare-and-branch (`if a < now { a = now }`) and it scanned a
+// range [lo,hi) of the machines, kept verbatim as the oracle:
+// sched.ScanMCT over that range must return the same machine and the
+// same value, bit for bit, on every input that meets its precondition.
 func referenceScanRange(dec sched.ESC, eec, tcw []float64, rdOf []int32, ft []float64, now float64, lo, hi int) (int, float64) {
 	best := -1
 	bestVal := math.Inf(1)
@@ -77,17 +78,34 @@ var scanForms = []sched.ESC{
 	{Form: sched.ESCZero},
 }
 
-// checkScan compares fusedScanRange with the reference on one row under
-// every form: the machine, and the value by its bits.  A range whose
-// every free time is masked (+Inf, a down machine) must find no machine.
+// checkScan compares sched.ScanMCT over the row's range with the
+// reference on one row under every form: the machine, and the value by
+// its bits.  A range whose every free time is masked (+Inf, a down
+// machine) must find no machine.  The scan's factors are the ones
+// ESC.Factors builds: the row's per-slot products under ESCLinear, the
+// weight for every slot under ESCFlat, none under ESCZero.
 func checkScan(t *testing.T, row scanRow, forms []sched.ESC) {
 	t.Helper()
+	lo, hi := row.lo, max(row.lo, row.hi)
 	allMasked := true
-	for i := row.lo; i < row.hi; i++ {
+	for i := lo; i < hi; i++ {
 		allMasked = allMasked && sched.IsMasked(row.ft[i])
 	}
 	for _, dec := range forms {
-		gm, gv := fusedScanRange(dec, row.eec, row.tcw, row.rdOf, row.ft, row.now, row.lo, row.hi)
+		var factor []float64
+		switch dec.Form {
+		case sched.ESCLinear:
+			factor = row.tcw
+		case sched.ESCFlat:
+			factor = make([]float64, len(row.tcw))
+			for s := range factor {
+				factor[s] = dec.Weight
+			}
+		}
+		gm, gv := sched.ScanMCT(row.eec[lo:hi], factor, row.rdOf[lo:hi], row.ft[lo:hi], row.now)
+		if gm >= 0 {
+			gm += lo
+		}
 		wm, wv := referenceScanRange(dec, row.eec, row.tcw, row.rdOf, row.ft, row.now, row.lo, row.hi)
 		if gm != wm || math.Float64bits(gv) != math.Float64bits(wv) {
 			t.Fatalf("%s, form %d: scan picked (%d, %v = %#x), reference (%d, %v = %#x)",

@@ -129,6 +129,12 @@ if grep -rn '"unsafe"' --include='*.go' internal/frame internal/rmswire internal
     exit 1
 fi
 
+echo "==> VEX-only vector kernels (no legacy SSE instruction on an X or Y register in internal/sched/decide_amd64.s)"
+if grep -nE '^[[:space:]]+[A-UW-Z][A-Z0-9]*[[:space:]].*\b[XY][0-9]+\b' internal/sched/decide_amd64.s; then
+    echo "ci: a legacy SSE instruction beside dirty YMM state costs a state transition on every call; use its VEX form" >&2
+    exit 1
+fi
+
 echo "==> no hand-recorded benchmark files (BENCH_*.json at the repository root)"
 if ls BENCH_*.json 2>/dev/null; then
     echo "ci: bench/ and BENCHMARK.json are the one benchmark; a microbenchmark's history is a dated row in EXPERIMENTS.md" >&2
@@ -140,6 +146,10 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> portable-only build (arm64 has no vector decision kernels, so every row runs the Go bodies)"
+GOARCH=arm64 go vet ./internal/sched ./internal/sim
+GOARCH=arm64 go build ./...
 
 echo "==> go test ./..."
 go test ./...
@@ -170,6 +180,7 @@ for spec in \
     "./internal/wal FuzzWALRecover" \
     "./internal/wal FuzzWALRecoverSnapshot" \
     "./internal/sched FuzzKernelEquivalence" \
+    "./internal/sched FuzzDecisionKernels" \
     "./internal/des FuzzQueueEquivalence" \
     "./internal/sim FuzzFusedScan" \
     "./internal/trust FuzzEngineEquivalence" \
