@@ -2,7 +2,7 @@ package grid
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Activity identifies a type of activity (ToA) a client may engage in on a
@@ -80,10 +80,20 @@ func MustToA(activities ...Activity) ToA {
 func (t ToA) Atomic() bool { return len(t.Activities) == 1 }
 
 // String renders e.g. "{compute+storage}".
-func (t ToA) String() string {
-	parts := make([]string, len(t.Activities))
+func (t ToA) String() string { return string(t.Append(nil)) }
+
+// Append appends String's rendering of t to b.
+func (t ToA) Append(b []byte) []byte {
+	b = append(b, '{')
 	for i, a := range t.Activities {
-		parts[i] = a.String()
+		if i > 0 {
+			b = append(b, '+')
+		}
+		if a >= 0 && int(a) < len(activityNames) {
+			b = append(b, activityNames[a]...)
+		} else {
+			b = append(strconv.AppendInt(append(b, "activity("...), int64(a), 10), ')')
+		}
 	}
-	return "{" + strings.Join(parts, "+") + "}"
+	return append(b, '}')
 }

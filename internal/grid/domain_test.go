@@ -48,6 +48,25 @@ func TestToAString(t *testing.T) {
 	}
 }
 
+// TestToAAppendIsString pins the rendering a trust model's context is
+// named by: Append writes what the names of the activities joined by
+// "+" in braces read, built-in, wide or negative, after any prefix.
+func TestToAAppendIsString(t *testing.T) {
+	for _, toa := range []ToA{{}, MustToA(ActNetwork), MustToA(ActCompute, 71, ActStorage), {Activities: []Activity{-3, 0}}} {
+		parts := make([]string, len(toa.Activities))
+		for i, a := range toa.Activities {
+			parts[i] = a.String()
+		}
+		want := "{" + strings.Join(parts, "+") + "}"
+		if got := toa.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if got := string(toa.Append([]byte("ctx="))); got != "ctx="+want {
+			t.Errorf("Append = %q, want %q", got, "ctx="+want)
+		}
+	}
+}
+
 func TestActivityString(t *testing.T) {
 	if ActPrint.String() != "print" {
 		t.Errorf("ActPrint = %q", ActPrint.String())

@@ -18,13 +18,17 @@ import (
 //
 //	go test ./internal/sched -run '^$' -bench 'Kernel' -benchmem
 
-// kernelGrids are the benchmarked batch shapes.
-var kernelGrids = []struct{ tasks, machines int }{
-	{32, 8},
-	{128, 32},
-	{512, 64},
-	{1024, 128},
-	{512, 1024}, // sim_paper's batch legs
+// kernelGrids are the benchmarked batch shapes.  A shape with slots
+// prices trust per group of machines, as internal/sim's table does per
+// resource domain; without, every machine is a slot of its own, which
+// keeps a row past the vector kernels' four slots on the Go fill.
+var kernelGrids = []struct{ tasks, machines, slots int }{
+	{32, 8, 0},
+	{128, 32, 0},
+	{512, 64, 0},
+	{1024, 128, 0},
+	{512, 1024, 0},
+	{512, 1024, 4}, // sim_paper's batch legs: four RDs
 }
 
 // benchPolicies pairs each policy with a short label for sub-benchmark
@@ -65,9 +69,16 @@ func benchInstance(tasks, machines int) (*MatrixCosts, []int, []float64) {
 func benchKernelGrids(b *testing.B, fn func(b *testing.B, c Costs, p Policy, reqs []int, avail []float64)) {
 	b.Helper()
 	for _, g := range kernelGrids {
-		c, reqs, avail := benchInstance(g.tasks, g.machines)
+		dense, reqs, avail := benchInstance(g.tasks, g.machines)
+		var c Costs = dense
+		name := fmt.Sprintf("%dx%d", g.tasks, g.machines)
+		if g.slots > 0 {
+			src := rng.New(uint64(g.slots))
+			c = grouped(dense, g.slots, func(int) int { return src.Intn(g.slots) })
+			name += fmt.Sprintf("x%dslots", g.slots)
+		}
 		for _, bp := range benchPolicies {
-			b.Run(fmt.Sprintf("%dx%d/%s", g.tasks, g.machines, bp.label), func(b *testing.B) {
+			b.Run(name+"/"+bp.label, func(b *testing.B) {
 				fn(b, c, bp.policy, reqs, avail)
 			})
 		}

@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"gridtrust/internal/grid"
@@ -21,10 +22,9 @@ import (
 // never of the machine itself.  The adapter stores exactly that function
 // — one row of #RDs costs per distinct profile, plus the machine → RD
 // slot map — and never expands it over machines, so its memory is
-// O(profiles × RDs + machines) and building it reads the table once per
-// (CD, activity, RD).  A 1M-request stream carries at most
-// |CDs| × |RTLs| × |ordered ToAs| profiles (4 × 6 × 205 = 4920 in the
-// paper's configuration).
+// O(profiles × RDs + machines) and building it reads the table once.  A
+// 1M-request stream carries at most |CDs| × |RTLs| × |ordered ToAs|
+// profiles (4 × 6 × 205 = 4920 in the paper's configuration).
 type workloadCosts struct {
 	w *workload.Workload
 
@@ -36,47 +36,133 @@ type workloadCosts struct {
 	slotLen []int32           // slot -> number of machines
 	slotRTL []grid.TrustLevel // slot -> its resource domain's RTL
 
-	// Request profiles: requests with the same (CD, RTL, ordered ToA)
-	// share a row.  The table ignores activity order (OTL is a min over
-	// activities) but a trust model's context is the ToA's rendering,
-	// which keeps it, so one key serves the table and modelView alike.
+	// Askers: requests with the same (CD, ordered ToA).  A trust model
+	// scores (CD, RD, context), its context being the ToA's rendering,
+	// and the table's OTL is a min over the same CD's activities, so both
+	// are functions of the asker and the slot.  Contexts are the distinct
+	// ordered ToAs, numbered by first appearance.
+	askCD  []grid.DomainID // asker -> its client domain
+	askCtx []int32         // asker -> its context
+	ctxReq []int32         // context -> its first request
+	otl    []int8          // the table's OTL per (asker, slot), row stride len(slotRD) (A-E fit a byte)
+
+	// Request profiles: requests with the same asker and client RTL share
+	// a row.  The table ignores activity order but a trust model's
+	// context keeps it, so one key serves the table and modelView alike.
 	tc      []int   // TC per (profile, slot), row stride len(slotRD)
-	otl     []int8  // the table's OTL per (profile, slot), same stride (A-E fit a byte)
 	rowOf   []int32 // request -> profile
 	rowReq  []int32 // profile -> its first request
 	rowSize []int32 // profile -> number of requests
-	ctxOf   []int32 // profile -> its context: distinct ordered ToAs, numbered by first appearance
+	askOf   []int32 // profile -> its asker
+	ctxOf   []int32 // profile -> its asker's context
+
+	// tcAt holds grid.TrustCostWith per (slot, client RTL A-F, OTL A-E),
+	// -1 until first priced; the build and modelView price through it.
+	tcAt []int8
 }
 
-// chains numbers keys in order of first appearance by a 64-bit hash,
-// chaining keys whose hashes collide for the caller to tell apart.
-type chains struct {
-	head map[uint64]int32 // hash -> its latest key + 1
-	next []int32          // key -> the previous key of its hash, or -1
+// Dimensions of the dense (asker, client RTL) and (slot, RTL, OTL) tables.
+const (
+	rtlSpan = int(grid.LevelF) + 1                      // client RTLs LevelNone..F index an asker's profiles
+	tcSpan  = int(grid.LevelF) * int(grid.MaxOfferable) // (RTL A-F, OTL A-E) pairs per slot
+	fnvSeed = uint64(14695981039346656037)              // FNV-1a offset basis
+	fibMul  = uint64(0x9e3779b97f4a7c15)                // 2^64 / golden ratio, spreads a hash over the high bits
+)
+
+// interner numbers keys in order of first appearance by open addressing
+// over a 64-bit hash.  Keys whose hashes collide are told apart by the
+// caller, against the key's first occurrence.
+type interner struct {
+	cells []int32  // key + 1 per cell, 0 when empty; len is a power of two
+	hash  []uint64 // key -> its hash
+	shift uint     // 64 − log2(len(cells))
+	keep  uint64   // the hash bits used; all of them but in tests
 }
 
-// find returns the key of hash h for which same reports true, or adds
-// one and returns it with added set.
-func (t *chains) find(h uint64, same func(k int32) bool) (k int32, added bool) {
-	last := t.head[h] - 1
-	for k = last; k >= 0; k = t.next[k] {
-		if same(k) {
-			return k, false
+// newInterner cuts an interner for about hint keys off two buffers.
+func newInterner(i32 *[]int32, u64 *[]uint64, hint int, keep uint64) interner {
+	n := internCells(hint)
+	return interner{cells: take(i32, n)[:n], hash: take(u64, hint), shift: uint(64 - bits.TrailingZeros(uint(n))), keep: keep}
+}
+
+// internCells is an interner's cell count for hint keys: a power of two
+// at least twice hint.
+func internCells(hint int) int {
+	n := 8
+	for n < 2*hint {
+		n <<= 1
+	}
+	return n
+}
+
+// probe returns key k of hash h for which same reports true, or -1 and
+// the empty cell where it would go.
+func (t *interner) probe(h uint64, same func(k int32) bool) (k int32, cell int) {
+	mask := len(t.cells) - 1
+	for i := int((h * fibMul) >> t.shift); ; i = (i + 1) & mask {
+		c := t.cells[i]
+		if c == 0 {
+			return -1, i
+		}
+		if t.hash[c-1] == h && same(c-1) {
+			return c - 1, i
 		}
 	}
-	k = int32(len(t.next))
-	t.next = append(t.next, last)
-	t.head[h] = k + 1
+}
+
+// lookup returns the key of hash h for which same reports true.
+func (t *interner) lookup(h uint64, same func(k int32) bool) (int32, bool) {
+	k, _ := t.probe(h&t.keep, same)
+	return k, k >= 0
+}
+
+// find returns the key of hash h for which same reports true, or adds one
+// and returns it with added set.
+func (t *interner) find(h uint64, same func(k int32) bool) (k int32, added bool) {
+	h &= t.keep
+	k, cell := t.probe(h, same)
+	if k >= 0 {
+		return k, false
+	}
+	k = int32(len(t.hash))
+	t.cells[cell] = k + 1
+	t.hash = append(t.hash, h)
+	if 2*len(t.hash) > len(t.cells) {
+		t.cells = make([]int32, 2*len(t.cells))
+		t.shift--
+		mask := len(t.cells) - 1
+		for k, h := range t.hash {
+			i := int((h * fibMul) >> t.shift)
+			for t.cells[i] != 0 {
+				i = (i + 1) & mask
+			}
+			t.cells[i] = int32(k) + 1
+		}
+	}
 	return k, true
 }
 
 // mix folds v into an FNV-1a hash.
 func mix(h uint64, v int) uint64 { return (h ^ uint64(v)) * 1099511628211 }
 
+// take cuts the next n elements off *buf and returns them as an empty
+// slice of capacity n; an append past n moves that slice alone.
+func take[T any](buf *[]T, n int) []T {
+	s := (*buf)[:0:n]
+	*buf = (*buf)[n:]
+	return s
+}
+
 // newWorkloadCosts builds the adapter, surfacing any trust-table gaps as
 // errors up front rather than mid-simulation.  Only resource domains that
 // own a machine are priced, so a gap for an unused RD is not an error.
 func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
+	return buildCosts(w, ^uint64(0))
+}
+
+// buildCosts is newWorkloadCosts keeping only the hash bits in keep;
+// tests narrow it to force collisions.
+func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 	if w == nil {
 		return nil, fmt.Errorf("sim: nil workload")
 	}
@@ -84,13 +170,24 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 	if len(w.MachineRD) != nm {
 		return nil, fmt.Errorf("sim: workload maps %d machines to resource domains, spec has %d", len(w.MachineRD), nm)
 	}
-	c := &workloadCosts{w: w, rdOf: make([]int32, nm), rowOf: make([]int32, len(w.Requests))}
-	slotOf := make(map[grid.DomainID]int32)
+	// The table's lists are cut from one buffer per element type.  Few
+	// requests mostly carry distinct contexts, askers and profiles, many
+	// repeat a bounded set: size for the former, capped near the paper's
+	// generator's bounds (205 ordered ToAs, 4 CDs, 6 client RTLs).  A list
+	// that outgrows its share moves out by append.
+	n := len(w.Requests)
+	nctx, nask, nprof, fewSlots := min(n, 256), min(n, 1024), min(n, 2048), min(nm, 16)
+	ncd, acts := max(w.NumCDs, 0), int(grid.NumBuiltinActivities)
+	i32 := make([]int32, nm+n+2*fewSlots+internCells(fewSlots)+internCells(nask)+internCells(nctx)+
+		(3+rtlSpan)*nask+nctx+4*nprof+ncd<<acts)
+	u64 := make([]uint64, fewSlots+2*nask+2*nctx)
+	ids := make([]grid.DomainID, fewSlots+nask)
+	c := &workloadCosts{w: w, rdOf: take(&i32, nm)[:nm], rowOf: take(&i32, n)[:n]}
+	slotOf := newInterner(&i32, &u64, fewSlots, keep)
+	c.slotRD, c.slotAt, c.slotLen = take(&ids, fewSlots), take(&i32, fewSlots), take(&i32, fewSlots)
 	for m, rd := range w.MachineRD {
-		s, ok := slotOf[rd]
-		if !ok {
-			s = int32(len(c.slotRD))
-			slotOf[rd] = s
+		s, added := slotOf.find(mix(fnvSeed, int(rd)), func(k int32) bool { return c.slotRD[k] == rd })
+		if added {
 			c.slotRD = append(c.slotRD, rd)
 			c.slotAt = append(c.slotAt, int32(m))
 			c.slotLen = append(c.slotLen, 0)
@@ -98,91 +195,194 @@ func newWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 		c.rdOf[m] = s
 		c.slotLen[s]++
 	}
-	// Few requests mostly carry distinct profiles, many requests repeat a
-	// bounded set: size for the former, capped.
-	hint := min(len(w.Requests), 1024)
-	profiles := chains{make(map[uint64]int32, hint), make([]int32, 0, hint)}
-	c.tc = make([]int, 0, hint*len(c.slotRD))
-	c.otl = make([]int8, 0, hint*len(c.slotRD))
-	c.rowReq = make([]int32, 0, hint)
-	c.rowSize = make([]int32, 0, hint)
-	c.ctxOf = make([]int32, 0, hint)
-	// lvl holds the table's level per (CD, built-in activity, slot),
-	// LevelNone for a gap, read once; a profile's OTL on a slot is the min
-	// over its activities (Section 3.1).  A profile with a gap, an empty
-	// ToA, or a CD or activity outside lvl is priced cell by cell, which
-	// fails on the first bad cell with the table's own error.
-	acts, slots := int(grid.NumBuiltinActivities), len(c.slotRD)
-	lvl := make([]grid.TrustLevel, max(w.NumCDs, 0)*acts*slots)
-	for k := range lvl {
-		lvl[k], _ = w.Table.Get(grid.DomainID(k/slots/acts), c.slotRD[k%slots], grid.Activity(k/slots%acts))
-	}
-	otl, rtl := make([]grid.TrustLevel, slots), make([]grid.TrustLevel, slots)
+	slots := len(c.slotRD)
+	c.slotRTL = make([]grid.TrustLevel, slots)
 	for s, rd := range c.slotRD {
-		rtl[s] = w.ResourceRTL[rd]
+		c.slotRTL[s] = w.ResourceRTL[rd]
 	}
-	c.slotRTL = rtl
-	offered := func(r *workload.Request) bool {
-		for k, a := range r.ToA.Activities {
-			if r.CD < 0 || int(r.CD) >= w.NumCDs || a < 0 || int(a) >= acts {
-				return false
-			}
-			for s, tl := range lvl[(int(r.CD)*acts+int(a))*slots:][:slots] {
-				if tl == grid.LevelNone {
-					return false
-				}
-				if k == 0 || tl < otl[s] {
-					otl[s] = tl
-				}
-			}
+	// lvl holds the table's level per (CD, built-in activity, slot),
+	// LevelNone for a gap, read in one pass; an asker's OTL on a slot is
+	// the min over its activities (Section 3.1).
+	i8 := make([]int8, slots*tcSpan+ncd*acts*slots+nask*slots)
+	c.tcAt = take(&i8, slots*tcSpan)[:slots*tcSpan]
+	lvl := take(&i8, ncd*acts*slots)[:ncd*acts*slots]
+	c.otl = take(&i8, nask*slots)
+	for k := range c.tcAt {
+		c.tcAt[k] = -1
+	}
+	w.Table.ForEach(func(cd, rd grid.DomainID, a grid.Activity, tl grid.TrustLevel) {
+		if cd < 0 || int(cd) >= ncd || a < 0 || int(a) >= acts {
+			return
 		}
-		return len(r.ToA.Activities) > 0
-	}
-	// A profile is interned by a hash of its activities, CD and RTL, and
-	// checked against its row's first request; a new profile's context by
-	// the activities' hash, checked against its first request.
-	ctxs := chains{make(map[uint64]int32, hint), make([]int32, 0, hint)}
-	ctxReq := make([]int32, 0, hint) // context -> its first request
+		if s, ok := slotOf.lookup(mix(fnvSeed, int(rd)), func(k int32) bool { return c.slotRD[k] == rd }); ok {
+			lvl[(int(cd)*acts+int(a))*slots+int(s)] = int8(tl)
+		}
+	})
+
+	// An asker is interned by a hash of its activities and CD, a new
+	// asker's context by the activities' hash.  A key is told apart from
+	// one of the same hash by its packed activities (see pack), or against
+	// its first request when they do not pack.
+	askers, ctxs := newInterner(&i32, &u64, nask, keep), newInterner(&i32, &u64, nctx, keep)
+	askReq := take(&i32, nask)                           // asker -> its first request
+	askKey, ctxKey := take(&u64, nask), take(&u64, nctx) // asker, context -> its packed activities
+	askProf := take(&i32, rtlSpan*nask)                  // (asker, client RTL) -> profile + 1
+	setRow := take(&i32, ncd<<acts)[:ncd<<acts]          // (CD, set of built-in activities) -> asker + 1
+	c.askCtx, c.ctxReq, c.askCD = take(&i32, nask), take(&i32, nctx), take(&ids, nask)
+	c.rowReq, c.rowSize, c.askOf, c.ctxOf = take(&i32, nprof), take(&i32, nprof), take(&i32, nprof), take(&i32, nprof)
+	c.tc = make([]int, 0, nprof*slots)
+	var odd []int32 // profiles whose RTL is outside rtlSpan (only a machine-less workload keeps one)
 	for i := range w.Requests {
-		r := w.Requests[i]
-		acts, h := r.ToA.Activities, uint64(14695981039346656037)
-		for _, a := range acts {
+		r := &w.Requests[i]
+		h, key := fnvSeed, uint64(len(r.ToA.Activities))
+		for k, a := range r.ToA.Activities {
 			h = mix(h, int(a))
+			key |= pack(k, a)
 		}
-		j, added := profiles.find(mix(mix(h, int(r.CD)), int(r.ClientRTL)), func(k int32) bool {
-			q := &w.Requests[c.rowReq[k]]
-			return q.CD == r.CD && q.ClientRTL == r.ClientRTL && slices.Equal(q.ToA.Activities, acts)
+		a, added := askers.find(mix(h, int(r.CD)), func(k int32) bool {
+			return c.askCD[k] == r.CD && askKey[k] == key &&
+				(key != unpacked || slices.Equal(w.Requests[askReq[k]].ToA.Activities, r.ToA.Activities))
 		})
+		failAt, fail := slots, error(nil)
 		if added {
-			ctx, added := ctxs.find(h, func(k int32) bool { return slices.Equal(w.Requests[ctxReq[k]].ToA.Activities, acts) })
+			ctx, added := ctxs.find(h, func(k int32) bool {
+				return ctxKey[k] == key &&
+					(key != unpacked || slices.Equal(w.Requests[c.ctxReq[k]].ToA.Activities, r.ToA.Activities))
+			})
 			if added {
-				ctxReq = append(ctxReq, int32(i))
+				c.ctxReq = append(c.ctxReq, int32(i))
+				ctxKey = append(ctxKey, key)
 			}
-			c.ctxOf = append(c.ctxOf, ctx)
-			dense := offered(&r)
-			for s, rd := range c.slotRD {
-				// Cell by cell this is w.TrustCostRD(r, rd), keeping the OTL.
-				var err error
-				if !dense {
-					otl[s], err = w.Table.OTL(r.CD, rd, r.ToA)
+			askReq = append(askReq, int32(i))
+			askKey = append(askKey, key)
+			c.askCD = append(c.askCD, r.CD)
+			c.askCtx = append(c.askCtx, ctx)
+			askProf = append(askProf, make([]int32, rtlSpan)...)
+			failAt, fail = c.appendOTL(r, lvl, setRow, ncd)
+		}
+		j := int32(-1)
+		if rtl := int(r.ClientRTL); rtl >= 0 && rtl < rtlSpan {
+			j = askProf[int(a)*rtlSpan+rtl] - 1
+		} else {
+			for _, p := range odd {
+				if c.askOf[p] == a && w.Requests[c.rowReq[p]].ClientRTL == r.ClientRTL {
+					j = p
+					break
 				}
-				v := 0
-				if err == nil {
-					v, err = grid.TrustCostWith(w.Spec.ETSRule, r.ClientRTL, rtl[s], otl[s])
+			}
+		}
+		if j < 0 {
+			j = int32(len(c.rowReq))
+			// Cell by cell this is w.TrustCostRD(r, rd): the OTL, then the
+			// TC, slot by slot, failing on the first bad cell.
+			otl := c.otl[int(a)*slots:][:slots]
+			for s := range slots {
+				if s == failAt {
+					return nil, fmt.Errorf("sim: trust cost for request %d on machine %d: %w", i, c.slotAt[s], fail)
 				}
+				v, err := c.trustCost(s, r.ClientRTL, grid.TrustLevel(otl[s]))
 				if err != nil {
 					return nil, fmt.Errorf("sim: trust cost for request %d on machine %d: %w", i, c.slotAt[s], err)
 				}
 				c.tc = append(c.tc, v)
-				c.otl = append(c.otl, int8(otl[s]))
+			}
+			if rtl := int(r.ClientRTL); rtl >= 0 && rtl < rtlSpan {
+				askProf[int(a)*rtlSpan+rtl] = j + 1
+			} else {
+				odd = append(odd, j)
 			}
 			c.rowReq = append(c.rowReq, int32(i))
 			c.rowSize = append(c.rowSize, 0)
+			c.askOf = append(c.askOf, a)
+			c.ctxOf = append(c.ctxOf, c.askCtx[a])
 		}
 		c.rowOf[i] = j
 		c.rowSize[j]++
 	}
 	return c, nil
+}
+
+// unpacked marks a ToA that pack cannot hold: more than seven
+// activities, or one outside [0, 255].
+const unpacked = ^uint64(0)
+
+// pack places activity a, the k-th of a ToA, in the ToA's packed word:
+// the activity count in the low byte, then a byte per activity.  Two
+// ToAs with the same packed word other than unpacked are equal.
+func pack(k int, a grid.Activity) uint64 {
+	if k < 7 && uint(a) < 256 {
+		return uint64(a) << (8 * (k + 1))
+	}
+	return unpacked
+}
+
+// appendOTL appends the OTL row of request r's asker, and returns the
+// first slot the table does not price with the table's own error, or
+// len(slotRD).  The row is the min of lvl's rows over the asker's set of
+// activities, so askers with the same CD and set share it: setRow holds
+// the first such asker + 1 per (CD, set), 0 until one is priced densely.
+// An asker with a gap, an empty ToA, or a CD or activity outside lvl is
+// priced cell by cell.
+func (c *workloadCosts) appendOTL(r *workload.Request, lvl []int8, setRow []int32, ncd int) (int, error) {
+	slots, acts := len(c.slotRD), int(grid.NumBuiltinActivities)
+	n := len(c.otl)
+	c.otl = slices.Grow(c.otl, slots)[:n+slots]
+	row := c.otl[n:]
+	set, dense := 0, len(r.ToA.Activities) > 0 && r.CD >= 0 && int(r.CD) < ncd
+	for _, a := range r.ToA.Activities {
+		if a < 0 || int(a) >= acts {
+			dense = false
+			break
+		}
+		set |= 1 << a
+	}
+	if dense {
+		at := &setRow[int(r.CD)<<acts+set]
+		if *at > 0 {
+			copy(row, c.otl[int(*at-1)*slots:][:slots])
+			return slots, nil
+		}
+		cd := int(r.CD) * acts
+		copy(row, lvl[(cd+int(r.ToA.Activities[0]))*slots:][:slots])
+		for _, a := range r.ToA.Activities[1:] {
+			for s, tl := range lvl[(cd+int(a))*slots:][:slots] {
+				row[s] = min(row[s], tl)
+			}
+		}
+		// A gap is LevelNone, below every offerable level, so it
+		// survives the min.
+		if !slices.Contains(row, int8(grid.LevelNone)) {
+			*at = int32(n/max(slots, 1)) + 1
+			return slots, nil
+		}
+	}
+	for s, rd := range c.slotRD {
+		otl, err := c.w.Table.OTL(r.CD, rd, r.ToA)
+		if err != nil {
+			return s, err
+		}
+		row[s] = int8(otl)
+	}
+	return slots, nil
+}
+
+// trustCost is grid.TrustCostWith under the workload's ETS rule for a
+// client RTL and an OTL on slot s, priced once per run: an invalid level
+// is priced afresh, and fails there with the call's own error.
+func (c *workloadCosts) trustCost(s int, rtl, otl grid.TrustLevel) (int, error) {
+	if !rtl.Valid() || !otl.Offerable() {
+		return grid.TrustCostWith(c.w.Spec.ETSRule, rtl, c.slotRTL[s], otl)
+	}
+	k := s*tcSpan + int(rtl-grid.LevelA)*int(grid.MaxOfferable) + int(otl-grid.MinOfferable)
+	if v := c.tcAt[k]; v >= 0 {
+		return int(v), nil
+	}
+	v, err := grid.TrustCostWith(c.w.Spec.ETSRule, rtl, c.slotRTL[s], otl)
+	if err != nil {
+		return 0, err
+	}
+	c.tcAt[k] = int8(v)
+	return v, nil
 }
 
 // NumRequests returns the instance's request count.

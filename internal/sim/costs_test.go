@@ -247,7 +247,8 @@ func referenceWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 		c.slotLen[s]++
 	}
 	seen := make(map[string]int32)
-	ctxs := make(map[string]int32) // ordered ToA -> context, as modelView once keyed them
+	ctxs := make(map[string]int32)   // ordered ToA -> context, as modelView once keyed them
+	askers := make(map[string]int32) // (CD, ordered ToA) -> asker
 	var key []byte
 	for i := range w.Requests {
 		r := w.Requests[i]
@@ -277,8 +278,25 @@ func referenceWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 			if !ok {
 				ctx = int32(len(ctxs))
 				ctxs[string(key)] = ctx
+				c.ctxReq = append(c.ctxReq, int32(i))
 			}
 			c.ctxOf = append(c.ctxOf, ctx)
+			key = binary.AppendVarint(key, int64(r.CD))
+			a, ok := askers[string(key)]
+			if !ok {
+				a = int32(len(askers))
+				askers[string(key)] = a
+				c.askCD = append(c.askCD, r.CD)
+				c.askCtx = append(c.askCtx, ctx)
+				for _, rd := range c.slotRD {
+					otl, err := w.Table.OTL(r.CD, rd, r.ToA)
+					if err != nil {
+						return nil, fmt.Errorf("sim: trust cost for request %d: OTL priced, then failed: %w", i, err)
+					}
+					c.otl = append(c.otl, int8(otl))
+				}
+			}
+			c.askOf = append(c.askOf, a)
 		}
 		c.rowOf[i] = j
 		c.rowSize[j]++
@@ -286,33 +304,52 @@ func referenceWorkloadCosts(w *workload.Workload) (*workloadCosts, error) {
 	return c, nil
 }
 
-// checkCostsBuild compares newWorkloadCosts with the reference on one
-// workload: every field of the table, or the error text.
+// costsKeeps are the hash masks the build is checked under: every bit,
+// then few enough that keys collide.
+var costsKeeps = []uint64{^uint64(0), 0, 1, 0xff}
+
+// checkCostsBuild compares the table build, under each of costsKeeps,
+// with the reference on one workload: every field of the table, or the
+// error text.  Every TC the build memoised must be TrustCostWith's.
 func checkCostsBuild(t *testing.T, label string, w *workload.Workload) (failed bool) {
 	t.Helper()
-	got, gerr := newWorkloadCosts(w)
 	want, werr := referenceWorkloadCosts(w)
-	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
-		t.Fatalf("%s: build error %v, reference %v", label, gerr, werr)
-	}
-	if gerr != nil {
-		return true
-	}
-	for _, f := range []struct {
-		name      string
-		got, want any
-	}{
-		{"rdOf", got.rdOf, want.rdOf}, {"slotRD", got.slotRD, want.slotRD},
-		{"slotAt", got.slotAt, want.slotAt}, {"slotLen", got.slotLen, want.slotLen},
-		{"tc", got.tc, want.tc}, {"rowOf", got.rowOf, want.rowOf},
-		{"rowReq", got.rowReq, want.rowReq}, {"rowSize", got.rowSize, want.rowSize},
-		{"ctxOf", got.ctxOf, want.ctxOf},
-	} {
-		if !reflect.DeepEqual(f.got, f.want) {
-			t.Fatalf("%s: %s = %v, reference %v", label, f.name, f.got, f.want)
+	for _, keep := range costsKeeps {
+		got, gerr := buildCosts(w, keep)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("%s (keep %#x): build error %v, reference %v", label, keep, gerr, werr)
+		}
+		if gerr != nil {
+			failed = true
+			continue
+		}
+		for _, f := range []struct {
+			name      string
+			got, want any
+		}{
+			{"rdOf", got.rdOf, want.rdOf}, {"slotRD", got.slotRD, want.slotRD},
+			{"slotAt", got.slotAt, want.slotAt}, {"slotLen", got.slotLen, want.slotLen},
+			{"tc", got.tc, want.tc}, {"rowOf", got.rowOf, want.rowOf},
+			{"rowReq", got.rowReq, want.rowReq}, {"rowSize", got.rowSize, want.rowSize},
+			{"ctxOf", got.ctxOf, want.ctxOf}, {"ctxReq", got.ctxReq, want.ctxReq},
+			{"askOf", got.askOf, want.askOf}, {"askCD", got.askCD, want.askCD},
+			{"askCtx", got.askCtx, want.askCtx}, {"otl", got.otl, want.otl},
+		} {
+			if !reflect.DeepEqual(f.got, f.want) && (reflect.ValueOf(f.got).Len() > 0 || reflect.ValueOf(f.want).Len() > 0) {
+				t.Fatalf("%s (keep %#x): %s = %v, reference %v", label, keep, f.name, f.got, f.want)
+			}
+		}
+		for k, v := range got.tcAt {
+			if v < 0 {
+				continue
+			}
+			s, rtl, otl := k/tcSpan, grid.LevelA+grid.TrustLevel(k%tcSpan/int(grid.MaxOfferable)), grid.MinOfferable+grid.TrustLevel(k%int(grid.MaxOfferable))
+			if tc, err := grid.TrustCostWith(w.Spec.ETSRule, rtl, got.slotRTL[s], otl); err != nil || tc != int(v) {
+				t.Fatalf("%s (keep %#x): memoised TC(slot %d, %v, %v) = %d, TrustCostWith gives %d, %v", label, keep, s, rtl, otl, v, tc, err)
+			}
 		}
 	}
-	return false
+	return failed
 }
 
 // TestCostsBuildMatchesReference holds the table build to the per-cell
@@ -382,22 +419,109 @@ func TestCostsBuildMatchesReference(t *testing.T) {
 	}
 }
 
-// TestChainsTellCollidingKeysApart puts every key on one hash: find must
-// still number distinct keys in order of first appearance and find each
-// again, as newWorkloadCosts relies on for two ToAs or profiles whose
-// hashes collide.
+// TestChainsTellCollidingKeysApart puts every key on one hash (keep 0),
+// then on two: find must still number distinct keys in order of first
+// appearance and find each again, through the table's growth, as
+// newWorkloadCosts relies on for two ToAs or askers whose hashes collide.
 func TestChainsTellCollidingKeysApart(t *testing.T) {
-	keys := []string{"a", "b", "a", "c", "b", "c", "d", "a"}
-	want := []int32{0, 1, 0, 2, 1, 2, 3, 0}
-	ch := chains{head: map[uint64]int32{}}
-	var first []string
-	for i, key := range keys {
-		k, added := ch.find(42, func(k int32) bool { return first[k] == key })
-		if added {
-			first = append(first, key)
+	keys := []string{"a", "b", "a", "c", "b", "c", "d", "a", "e", "f", "g", "h", "i", "j", "a", "j"}
+	for _, keep := range []uint64{0, 1, ^uint64(0)} {
+		i32, u64 := make([]int32, internCells(1)), make([]uint64, 1)
+		in := newInterner(&i32, &u64, 1, keep)
+		var first []string
+		for i, key := range keys {
+			same := func(k int32) bool { return first[k] == key }
+			k, added := in.find(uint64(key[0]), same)
+			if added {
+				first = append(first, key)
+			}
+			if want := int32(slices.Index(first, key)); k != want || added != !slices.Contains(keys[:i], key) {
+				t.Fatalf("keep %#x, key %d (%q): find = %d, %v; want %d", keep, i, key, k, added, want)
+			}
 		}
-		if k != want[i] || added != !slices.Contains(keys[:i], key) {
-			t.Fatalf("key %d (%q): find = %d, %v; want %d", i, key, k, added, want[i])
+		for k, key := range first {
+			if got, ok := in.lookup(uint64(key[0]), func(k int32) bool { return first[k] == key }); !ok || got != int32(k) {
+				t.Fatalf("keep %#x: lookup(%q) = %d, %v; want %d", keep, key, got, ok, k)
+			}
 		}
 	}
+}
+
+// FuzzCostsBuild holds the table build to the string-keyed reference on
+// small generated workloads edited by the input, two bytes an edit:
+// repeated, reordered and wide activities (past the built-ins, with and
+// without table rows), empty ToAs, invalid client RTLs, CDs past NumCDs
+// with and without table rows, table gaps, and copied (CD, ToA) pairs.
+// checkCostsBuild runs each under hash masks that force collisions.
+func FuzzCostsBuild(f *testing.F) {
+	f.Add(uint64(1), []byte{})
+	f.Add(uint64(2), []byte{0, 1, 1, 2, 2, 4, 7, 9})
+	f.Add(uint64(3), []byte{5, 4, 5, 0, 4, 3, 3, 1})
+	f.Add(uint64(4), []byte{2, 3, 6, 0, 7, 2, 1, 5, 5, 6})
+	f.Fuzz(func(t *testing.T, seed uint64, edits []byte) {
+		src := rng.New(seed)
+		sc := PaperScenario("mct", 1+src.Intn(40), workload.Inconsistent)
+		sc.Machines = 1 + src.Intn(8)
+		sc.NumCDs, sc.NumRDs = 1+src.Intn(3), 1+src.Intn(3)
+		w, err := workload.NewWorkload(src, sc.WorkloadSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(w.Requests)
+		for ; len(edits) >= 2; edits = edits[2:] {
+			op, arg := edits[0]%8, int(edits[1])
+			r := &w.Requests[arg%n]
+			acts := slices.Clone(r.ToA.Activities)
+			switch op {
+			case 0: // a repeated activity
+				if len(acts) > 0 {
+					r.ToA = grid.ToA{Activities: append(acts, acts[arg%len(acts)])}
+				}
+			case 1: // reordered activities
+				slices.Reverse(acts)
+				r.ToA = grid.ToA{Activities: acts}
+			case 2: // an activity past the built-ins, with rows when arg is even
+				far := grid.Activity(int(grid.NumBuiltinActivities) + arg%3)
+				if arg%2 == 0 {
+					for cd := 0; cd < w.NumCDs; cd++ {
+						for rd := 0; rd < w.NumRDs; rd++ {
+							if err := w.Table.Set(grid.DomainID(cd), grid.DomainID(rd), far, grid.TrustLevel(1+arg%5)); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				r.ToA = grid.ToA{Activities: append([]grid.Activity{far}, acts...)}
+			case 3: // an empty ToA
+				r.ToA = grid.ToA{}
+			case 4: // an invalid client RTL
+				r.ClientRTL = []grid.TrustLevel{grid.LevelNone, grid.LevelF + 1, -1, 40}[arg%4]
+			case 5: // a CD past NumCDs, with CD 0's rows when arg&4 is set
+				cd := grid.DomainID(w.NumCDs + arg%2)
+				if arg&4 != 0 {
+					for _, e := range w.Table.Entries() {
+						if e.CD == 0 {
+							if err := w.Table.Set(cd, e.RD, e.Activity, e.Level); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				r.CD = cd
+			case 6: // a gap in the table
+				kept := w.Table.Entries()
+				if len(kept) > 0 {
+					kept = slices.Delete(kept, arg%len(kept), arg%len(kept)+1)
+					w.Table = grid.NewTrustTable()
+					if err := w.Table.Restore(kept, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default: // another request's CD and ToA
+				q := &w.Requests[(arg/3)%n]
+				r.CD, r.ToA = q.CD, grid.ToA{Activities: slices.Clone(q.ToA.Activities)}
+			}
+		}
+		checkCostsBuild(t, "fuzzed", w)
+	})
 }

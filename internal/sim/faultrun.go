@@ -78,7 +78,7 @@ func newFaultCosts(truth *workloadCosts, plan fault.Plan) (*workloadCosts, float
 			continue
 		}
 		for j, r := range truth.rowReq {
-			v, err := grid.TrustCostWith(w.Spec.ETSRule, w.Requests[r].ClientRTL, w.ResourceRTL[rd], grid.MaxOfferable)
+			v, err := truth.trustCost(s, w.Requests[r].ClientRTL, grid.MaxOfferable)
 			if err != nil {
 				return nil, 0, fmt.Errorf("sim: claimed trust cost for request %d on machine %d: %w", r, truth.slotAt[s], err)
 			}

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"fmt"
+	"strconv"
 
 	"gridtrust/internal/grid"
 	"gridtrust/internal/sched"
@@ -51,18 +51,15 @@ type modelView struct {
 	claimed *workloadCosts // truth, or the whitewashed overlay when active
 	model   trust.Model
 
-	// The model is asked by handle, minted once in newModelView.
-	rds []trust.Ent // per RD slot: the resource domain, named "rd:<i>"
+	// The model is asked by handle, minted once in newModelView.  The
+	// cost table numbers contexts and askers (distinct (CD, context)
+	// pairs) and maps each profile to its asker (truth.askOf).
+	rds   []trust.Ent // per RD slot: the resource domain, named "rd:<i>"
+	ctxs  []trust.Ctx // per context: the ToA's rendering
+	askCD []trust.Ent // per asker: the client domain, named "cd:<i>"
 
-	// Contexts are the distinct ToA renderings, numbered by the cost
-	// table (truth.ctxOf); an asker is a distinct (CD, context) pair.
-	ctxs   []trust.Ctx // per context
-	askCD  []trust.Ent // per asker: the client domain, named "cd:<i>"
-	askCtx []int32     // per asker: its context
-	askOf  []int32     // per profile: its asker
-
-	ver    []uint64          // per (context, slot): observations so far, plus 1
-	lvl    []grid.TrustLevel // per (asker, slot)
+	ver    []uint64 // per (context, slot): observations so far, plus 1
+	lvl    []int8   // per (asker, slot): an offerable level, A-E
 	lvlVer []uint64
 	dec    []int // per (profile, slot)
 	decVer []uint64
@@ -89,48 +86,51 @@ func newModelView(sc Scenario, truth, claimed *workloadCosts) (*modelView, error
 		return nil, err
 	}
 	w := truth.w
-	slots, profiles := len(truth.slotRD), len(truth.rowReq)
+	slots, askers := len(truth.slotRD), len(truth.askCD)
 	v := &modelView{
 		truth:   truth,
 		claimed: claimed,
 		model:   model,
 		rds:     make([]trust.Ent, slots),
-		askOf:   make([]int32, profiles),
+		ctxs:    make([]trust.Ctx, len(truth.ctxReq)),
+		askCD:   make([]trust.Ent, askers),
+		ver:     make([]uint64, len(truth.ctxReq)*slots),
+		lvl:     make([]int8, askers*slots),
+		lvlVer:  make([]uint64, askers*slots),
 		dec:     make([]int, len(truth.tc)),
 		decVer:  make([]uint64, len(truth.tc)),
 	}
-	for s, rd := range truth.slotRD {
-		v.rds[s] = model.Entity(trust.EntityID(fmt.Sprintf("rd:%d", rd)))
+	// Every name is rendered into one buffer; minting copies it.
+	var name []byte
+	entity := func(prefix string, id grid.DomainID) trust.Ent {
+		name = strconv.AppendInt(append(name[:0], prefix...), int64(id), 10)
+		return model.Entity(trust.EntityID(name))
 	}
-	cds := make([]trust.Ent, w.NumCDs)
+	for s, rd := range truth.slotRD {
+		v.rds[s] = entity("rd:", rd)
+	}
+	cds := make([]trust.Ent, max(w.NumCDs, 0))
 	for i := range cds {
-		cds[i] = model.Entity(trust.EntityID(fmt.Sprintf("cd:%d", i)))
+		cds[i] = entity("cd:", grid.DomainID(i))
 	}
 	// A context is the rendering of an ordered ToA, which is one-to-one;
-	// the table numbers them in order of first appearance, so each is
-	// rendered at its first profile.
-	for j, r := range truth.rowReq {
-		if int(v.truth.ctxOf[j]) == len(v.ctxs) {
-			v.ctxs = append(v.ctxs, model.Context(trust.Context(w.Requests[r].ToA.String())))
+	// each is rendered from its first request.
+	for c, r := range truth.ctxReq {
+		name = w.Requests[r].ToA.Append(name[:0])
+		v.ctxs[c] = model.Context(trust.Context(name))
+	}
+	// A request may name a CD past NumCDs that the table has rows for:
+	// it gets a handle of its own.
+	for a, cd := range truth.askCD {
+		if cd >= 0 && int(cd) < len(cds) {
+			v.askCD[a] = cds[cd]
+		} else {
+			v.askCD[a] = entity("cd:", cd)
 		}
 	}
-	askIdx := make([]int32, len(v.ctxs)*len(cds)) // (context, CD) → asker + 1
-	for j, r := range truth.rowReq {
-		cd := w.Requests[r].CD
-		k := int(v.truth.ctxOf[j])*len(cds) + int(cd)
-		if askIdx[k] == 0 {
-			v.askCD = append(v.askCD, cds[cd])
-			v.askCtx = append(v.askCtx, v.truth.ctxOf[j])
-			askIdx[k] = int32(len(v.askCD))
-		}
-		v.askOf[j] = askIdx[k] - 1
-	}
-	v.ver = make([]uint64, len(v.ctxs)*slots)
 	for i := range v.ver {
 		v.ver[i] = 1
 	}
-	v.lvl = make([]grid.TrustLevel, len(v.askCD)*slots)
-	v.lvlVer = make([]uint64, len(v.lvl))
 	return v, nil
 }
 
@@ -161,9 +161,9 @@ func (v *modelView) CostRows(r int) ([]float64, []int, error) {
 func (v *modelView) level(a int32, s int, cur uint64) (grid.TrustLevel, error) {
 	k := int(a)*len(v.rds) + s
 	if v.lvlVer[k] == cur {
-		return v.lvl[k], nil
+		return grid.TrustLevel(v.lvl[k]), nil
 	}
-	score, err := v.model.TrustOf(v.askCD[a], v.rds[s], v.ctxs[v.askCtx[a]], 0)
+	score, err := v.model.TrustOf(v.askCD[a], v.rds[s], v.ctxs[v.truth.askCtx[a]], 0)
 	if err != nil {
 		return 0, err
 	}
@@ -171,26 +171,25 @@ func (v *modelView) level(a int32, s int, cur uint64) (grid.TrustLevel, error) {
 	if !lvl.Offerable() {
 		lvl = grid.MaxOfferable
 	}
-	v.lvl[k], v.lvlVer[k] = lvl, cur
+	v.lvl[k], v.lvlVer[k] = int8(lvl), cur
 	return lvl, nil
 }
 
 // decisionTC returns the decision-view trust cost of profile j on RD slot
 // s: the conservative maximum of the claimed table cost and the model's
-// level priced through the scenario's ETS rule.
+// level priced through the scenario's ETS rule (the cost table's
+// trustCost, so the build and the view share one price per level).
 func (v *modelView) decisionTC(j int32, s int) (int, error) {
 	k := int(j)*len(v.rds) + s
 	cur := v.ver[int(v.truth.ctxOf[j])*len(v.rds)+s]
 	if v.decVer[k] == cur {
 		return v.dec[k], nil
 	}
-	lvl, err := v.level(v.askOf[j], s, cur)
+	lvl, err := v.level(v.truth.askOf[j], s, cur)
 	if err != nil {
 		return 0, err
 	}
-	w := v.truth.w
-	req := &w.Requests[v.truth.rowReq[j]]
-	tc, err := grid.TrustCostWith(w.Spec.ETSRule, req.ClientRTL, v.truth.slotRTL[s], lvl)
+	tc, err := v.truth.trustCost(s, v.truth.w.Requests[v.truth.rowReq[j]].ClientRTL, lvl)
 	if err != nil {
 		return 0, err
 	}
@@ -209,9 +208,10 @@ func (v *modelView) decisionTC(j int32, s int) (int, error) {
 func (v *modelView) noteFinish(r, m int) error {
 	s := int(v.truth.rdOf[m])
 	j := v.truth.rowOf[r]
-	otl := v.truth.otl[int(j)*len(v.rds)+s]
+	a := v.truth.askOf[j]
+	otl := v.truth.otl[int(a)*len(v.rds)+s]
 	v.ver[int(v.truth.ctxOf[j])*len(v.rds)+s]++
-	_, err := v.model.ObserveOf(v.askCD[v.askOf[j]], v.rds[s], v.ctxs[v.truth.ctxOf[j]], float64(otl), 0)
+	_, err := v.model.ObserveOf(v.askCD[a], v.rds[s], v.ctxs[v.truth.ctxOf[j]], float64(otl), 0)
 	return err
 }
 

@@ -194,3 +194,51 @@ func TestDecisionRowAsksLikeAssignOne(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestCDPastNumCDs runs a workload one of whose requests names a
+// client domain past NumCDs that the trust table has rows for.  The
+// table-driven run prices it like any other; a model-driven run must
+// too, asking the model as a client domain of its own, "cd:2".
+func TestRequestCDPastNumCDs(t *testing.T) {
+	sc := PaperScenario("mct", 40, workload.Inconsistent)
+	sc.Machines, sc.ArrivalRate = 6, 0.04*6/5
+	sc.NumCDs, sc.NumRDs = 2, 2
+	w := mustWorkload(t, sc, 17)
+	for _, e := range w.Table.Entries() {
+		if e.CD == 1 {
+			if err := w.Table.Set(2, e.RD, e.Activity, e.Level); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const moved = 7
+	w.Requests[moved].CD = 2
+	policy := sched.MustTrustAware(sc.TCWeight)
+	for _, model := range []string{"", "purge", "frtrust", "bawa"} {
+		msc := sc
+		msc.TrustModel = model
+		if _, err := Run(msc, w, policy); err != nil {
+			t.Fatalf("trust model %q: %v", model, err)
+		}
+		if model == "" {
+			continue
+		}
+		truth, err := newWorkloadCosts(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := newModelView(msc, truth, truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := v.askCD[truth.askOf[truth.rowOf[moved]]]
+		for r := range w.Requests {
+			if a := truth.askOf[truth.rowOf[r]]; r != moved && v.askCD[a] == own {
+				t.Fatalf("%s: request %d (CD %d) is asked as the moved request's CD 2", model, r, w.Requests[r].CD)
+			}
+		}
+		if got, want := own, v.model.Entity("cd:2"); got != want {
+			t.Fatalf("%s: the moved request asks as %v, the model's cd:2 is %v", model, got, want)
+		}
+	}
+}

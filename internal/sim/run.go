@@ -200,6 +200,8 @@ func newRunBase(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trac
 		return runBase{}, fmt.Errorf("sim: instance exceeds the typed event payload range")
 	}
 	scr.prepare(sc.Machines)
+	completions := &stats.Sample{}
+	completions.Grow(sc.Tasks)
 	return runBase{
 		sc:     sc,
 		truth:  truth,
@@ -210,7 +212,7 @@ func newRunBase(sc Scenario, w *workload.Workload, policy sched.Policy, tr *trac
 		trace:  tr,
 		result: &RunResult{
 			Policy:      policy.Name,
-			Completions: &stats.Sample{},
+			Completions: completions,
 			BusyTime:    make([]float64, sc.Machines),
 		},
 	}, nil

@@ -205,20 +205,25 @@ func BenchmarkSimFlagship(b *testing.B) {
 }
 
 // BenchmarkNewWorkloadCosts builds the trust-cost table alone, as every
-// Run does first, for the 2048-task workloads of the repository
+// Run does first: for the 2048-task workloads of the repository
 // benchmark's sim_trust (64 machines) and sim_paper MCT leg (1024
-// machines), both over 4 CDs and 4 RDs.
+// machines), both over 4 CDs and 4 RDs, and for the paper's own Tables
+// 4-9 shape, 50 and 100 requests on 5 machines.
 func BenchmarkNewWorkloadCosts(b *testing.B) {
-	for _, machines := range []int{64, 1024} {
-		sc := PaperScenario("mct", 2048, workload.Inconsistent)
-		sc.Machines = machines
-		sc.ArrivalRate = 0.04 * float64(machines) / 5
-		sc.NumCDs, sc.NumRDs = 4, 4
+	for _, size := range []struct{ requests, machines int }{{2048, 64}, {2048, 1024}, {50, 5}, {100, 5}} {
+		sc := PaperScenario("mct", size.requests, workload.Inconsistent)
+		name := fmt.Sprintf("paper/requests=%d", size.requests)
+		if size.machines != sc.Machines {
+			sc.Machines = size.machines
+			sc.ArrivalRate = 0.04 * float64(size.machines) / 5
+			sc.NumCDs, sc.NumRDs = 4, 4
+			name = fmt.Sprintf("machines=%d", size.machines)
+		}
 		w, err := workload.NewWorkload(rng.New(1), sc.WorkloadSpec())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("machines=%d", machines), func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := newWorkloadCosts(w); err != nil {

@@ -12,6 +12,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gridtrust/internal/rng"
@@ -224,6 +225,15 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
+// Grow reserves room for n more retained observations, so a caller
+// that knows how many it will add appends them without reallocating.
+func (s *Sample) Grow(n int) {
+	if s.cap > 0 {
+		n = min(n, s.cap-len(s.xs))
+	}
+	s.xs = slices.Grow(s.xs, n)
+}
+
 // N returns the number of observations, including any the reservoir
 // dropped.
 func (s *Sample) N() int { return int(s.seen) }
@@ -304,13 +314,15 @@ func (s *Sample) Merge(other *Sample) {
 
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation
 // between order statistics.  It returns NaN if the sample is empty or q is
-// out of range.
+// out of range.  It sorts the retained values in place, in the order of
+// sort.Float64s (NaNs first, then ascending) with −0 before +0, and
+// Values returns them in that order until the next Add.
 func (s *Sample) Quantile(q float64) float64 {
 	if len(s.xs) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
 		return math.NaN()
 	}
 	if !s.sorted {
-		sort.Float64s(s.xs)
+		sortFloats(s.xs)
 		s.sorted = true
 	}
 	if len(s.xs) == 1 {
@@ -324,6 +336,93 @@ func (s *Sample) Quantile(q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+}
+
+// radixMin is the sample size from which sortFloats radix-sorts; below
+// it pattern-defeating quicksort (slices.Sort) is faster: on uniform
+// completion times the two cross near 800 values, and the radix sort
+// takes 2048 in 0.4 of the time.
+const radixMin = 1024
+
+// sortFloats sorts xs in the order of sort.Float64s — NaNs first, in
+// the order they were in, then ascending — and puts −0 before +0, which
+// sort.Float64s leaves unordered.  Past radixMin values it is an LSD
+// radix sort, a byte per pass, on floatKey.
+func sortFloats(xs []float64) {
+	nan := 0
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[nan] = xs[nan], x
+			nan++
+		}
+	}
+	xs = xs[nan:]
+	if len(xs) < radixMin {
+		slices.Sort(xs)
+		// The zeros are one run; sign them −0 first.
+		at, _ := slices.BinarySearch(xs, 0)
+		neg, end := 0, at
+		for ; end < len(xs) && xs[end] == 0; end++ {
+			if math.Signbit(xs[end]) {
+				neg++
+			}
+		}
+		for i := at; i < end; i++ {
+			xs[i] = 0
+			if i < at+neg {
+				xs[i] = math.Copysign(0, -1)
+			}
+		}
+		return
+	}
+	keys := make([]uint64, 2*len(xs))
+	src, dst := keys[:len(xs)], keys[len(xs):]
+	k0, diff := floatKey(xs[0]), uint64(0) // diff: the bits some key differs in
+	for i, x := range xs {
+		src[i] = floatKey(x)
+		diff |= src[i] ^ k0
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue // every key has this byte
+		}
+		var at [256]uint32
+		for _, k := range src {
+			at[byte(k>>shift)]++
+		}
+		var sum uint32
+		for b, n := range at {
+			at[b], sum = sum, sum+n
+		}
+		for _, k := range src {
+			b := byte(k >> shift)
+			dst[at[b]] = k
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	for i, k := range src {
+		xs[i] = floatFromKey(k)
+	}
+}
+
+// floatKey maps a non-NaN float to a key whose unsigned order is the
+// float order with −0 below +0: a positive float's bits with the sign
+// set, a negative float's bits inverted.
+func floatKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// floatFromKey inverts floatKey.
+func floatFromKey(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
 }
 
 // Median returns the 0.5 quantile.

@@ -274,9 +274,9 @@ func fuzzyScore(s sight) float64 {
 // keeps the Mamdani output monotone in x under a monotone rule base.
 func triangularDegrees(x float64) [3]float64 {
 	return [3]float64{
-		math.Max(0, 1-2*x),
-		math.Max(0, 1-2*math.Abs(x-0.5)),
-		math.Max(0, 2*x-1),
+		max(0, 1-2*x),
+		max(0, 1-2*math.Abs(x-0.5)),
+		max(0, 2*x-1),
 	}
 }
 
@@ -295,7 +295,7 @@ func defuzzTrust(evidence, load float64) float64 {
 	var num, den float64
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			w := math.Min(me[i], ml[j])
+			w := min(me[i], ml[j])
 			num += w * centroids[rules[i][j]]
 			den += w
 		}

@@ -110,9 +110,9 @@ if grep -rnE 'runIdx|runKey|UnderlyingEngine' --include='*.go' internal/trust in
     exit 1
 fi
 
-echo "==> a run interns request profiles by integer id (no map[string] in internal/sim/costs.go or internal/sim/modelview.go)"
-if grep -nE 'map\[string\]' internal/sim/costs.go internal/sim/modelview.go; then
-    echo "ci: newWorkloadCosts numbers contexts and profiles through hash chains checked against their first request, and modelView reads the table's context ids" >&2
+echo "==> a run interns request profiles by integer id (no map in internal/sim/costs.go, no map[string] or fmt.Sprintf in internal/sim/modelview.go)"
+if grep -nE 'map\[' internal/sim/costs.go || grep -nE 'map\[string\]|fmt\.Sprintf' internal/sim/modelview.go; then
+    echo "ci: newWorkloadCosts interns slots, askers and contexts by open addressing checked against their first occurrence, and modelView reads the table's ids and renders names with strconv into one buffer" >&2
     exit 1
 fi
 
@@ -183,6 +183,8 @@ for spec in \
     "./internal/sched FuzzDecisionKernels" \
     "./internal/des FuzzQueueEquivalence" \
     "./internal/sim FuzzFusedScan" \
+    "./internal/sim FuzzCostsBuild" \
+    "./internal/stats FuzzSampleOrder" \
     "./internal/trust FuzzEngineEquivalence" \
     "./internal/trust FuzzModelEquivalence" \
     "./internal/grid FuzzParseLevel" \
