@@ -63,7 +63,7 @@ type workloadCosts struct {
 
 // Dimensions of the dense (asker, client RTL) and (slot, RTL, OTL) tables.
 const (
-	rtlSpan = int(grid.LevelF) + 1                      // client RTLs LevelNone..F index an asker's profiles
+	rtlSpan = int(grid.LevelF)                          // client RTLs A-F index an asker's profiles
 	tcSpan  = int(grid.LevelF) * int(grid.MaxOfferable) // (RTL A-F, OTL A-E) pairs per slot
 	fnvSeed = uint64(14695981039346656037)              // FNV-1a offset basis
 	fibMul  = uint64(0x9e3779b97f4a7c15)                // 2^64 / golden ratio, spreads a hash over the high bits
@@ -179,7 +179,7 @@ func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 	nctx, nask, nprof, fewSlots := min(n, 256), min(n, 1024), min(n, 2048), min(nm, 16)
 	ncd, acts := max(w.NumCDs, 0), int(grid.NumBuiltinActivities)
 	i32 := make([]int32, nm+n+2*fewSlots+internCells(fewSlots)+internCells(nask)+internCells(nctx)+
-		(3+rtlSpan)*nask+nctx+4*nprof+ncd<<acts)
+		(2+rtlSpan)*nask+nctx+4*nprof+ncd<<acts)
 	u64 := make([]uint64, fewSlots+2*nask+2*nctx)
 	ids := make([]grid.DomainID, fewSlots+nask)
 	c := &workloadCosts{w: w, rdOf: take(&i32, nm)[:nm], rowOf: take(&i32, n)[:n]}
@@ -231,7 +231,6 @@ func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 	c.askCtx, c.ctxReq, c.askCD = take(&i32, nask), take(&i32, nctx), take(&ids, nask)
 	c.rowReq, c.rowSize, c.askOf, c.ctxOf = take(&i32, nprof), take(&i32, nprof), take(&i32, nprof), take(&i32, nprof)
 	c.tc = make([]int, 0, nprof*slots)
-	var odd []int32 // profiles whose RTL is outside rtlSpan (only a machine-less workload keeps one)
 	for i := range w.Requests {
 		r := &w.Requests[i]
 		h, key := fnvSeed, uint64(len(r.ToA.Activities))
@@ -260,16 +259,12 @@ func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 			askProf = append(askProf, make([]int32, rtlSpan)...)
 			failAt, fail = c.appendOTL(r, lvl, setRow, ncd)
 		}
-		j := int32(-1)
-		if rtl := int(r.ClientRTL); rtl >= 0 && rtl < rtlSpan {
-			j = askProf[int(a)*rtlSpan+rtl] - 1
-		} else {
-			for _, p := range odd {
-				if c.askOf[p] == a && w.Requests[c.rowReq[p]].ClientRTL == r.ClientRTL {
-					j = p
-					break
-				}
-			}
+		// A profile of a valid RTL is found in its asker's dense row; an
+		// invalid RTL fails to price on the first slot, so none is kept.
+		j, at := int32(-1), (*int32)(nil)
+		if r.ClientRTL.Valid() {
+			at = &askProf[int(a)*rtlSpan+int(r.ClientRTL-grid.LevelA)]
+			j = *at - 1
 		}
 		if j < 0 {
 			j = int32(len(c.rowReq))
@@ -286,10 +281,8 @@ func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 				}
 				c.tc = append(c.tc, v)
 			}
-			if rtl := int(r.ClientRTL); rtl >= 0 && rtl < rtlSpan {
-				askProf[int(a)*rtlSpan+rtl] = j + 1
-			} else {
-				odd = append(odd, j)
+			if at != nil {
+				*at = j + 1
 			}
 			c.rowReq = append(c.rowReq, int32(i))
 			c.rowSize = append(c.rowSize, 0)

@@ -231,7 +231,7 @@ func (s *Sample) Grow(n int) {
 	if s.cap > 0 {
 		n = min(n, s.cap-len(s.xs))
 	}
-	s.xs = slices.Grow(s.xs, n)
+	s.xs = slices.Grow(s.xs, max(n, 0))
 }
 
 // N returns the number of observations, including any the reservoir
