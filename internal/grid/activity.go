@@ -38,7 +38,15 @@ func (a Activity) String() string {
 	if a >= 0 && int(a) < len(activityNames) {
 		return activityNames[a]
 	}
-	return fmt.Sprintf("activity(%d)", int(a))
+	return string(a.append(nil))
+}
+
+// append appends String's rendering of a to b.
+func (a Activity) append(b []byte) []byte {
+	if a >= 0 && int(a) < len(activityNames) {
+		return append(b, activityNames[a]...)
+	}
+	return append(strconv.AppendInt(append(b, "activity("...), int64(a), 10), ')')
 }
 
 // Valid reports whether the activity identifier is usable (non-negative).
@@ -89,11 +97,7 @@ func (t ToA) Append(b []byte) []byte {
 		if i > 0 {
 			b = append(b, '+')
 		}
-		if a >= 0 && int(a) < len(activityNames) {
-			b = append(b, activityNames[a]...)
-		} else {
-			b = append(strconv.AppendInt(append(b, "activity("...), int64(a), 10), ')')
-		}
+		b = a.append(b)
 	}
 	return append(b, '}')
 }
