@@ -79,20 +79,14 @@ type interner struct {
 	keep  uint64   // the hash bits used; all of them but in tests
 }
 
-// newInterner cuts an interner for about hint keys off two buffers.
-func newInterner(i32 *[]int32, u64 *[]uint64, hint int, keep uint64) interner {
-	n := internCells(hint)
-	return interner{cells: take(i32, n)[:n], hash: take(u64, hint), shift: uint(64 - bits.TrailingZeros(uint(n))), keep: keep}
-}
-
-// internCells is an interner's cell count for hint keys: a power of two
-// at least twice hint.
-func internCells(hint int) int {
+// pieces returns the lists of an interner for about hint keys, to carve.
+func (t *interner) pieces(hint int) (piece[int32], piece[uint64]) {
 	n := 8
 	for n < 2*hint {
 		n <<= 1
 	}
-	return n
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	return filled(&t.cells, n), empty(&t.hash, hint)
 }
 
 // probe returns key k of hash h for which same reports true, or -1 and
@@ -145,12 +139,30 @@ func (t *interner) find(h uint64, same func(k int32) bool) (k int32, added bool)
 // mix folds v into an FNV-1a hash.
 func mix(h uint64, v int) uint64 { return (h ^ uint64(v)) * 1099511628211 }
 
-// take cuts the next n elements off *buf and returns them as an empty
-// slice of capacity n; an append past n moves that slice alone.
-func take[T any](buf *[]T, n int) []T {
-	s := (*buf)[:0:n]
-	*buf = (*buf)[n:]
-	return s
+// A piece is a list for carve to cut: *dst gets n elements, the first
+// len of them in use.
+type piece[T any] struct {
+	dst    *[]T
+	len, n int
+}
+
+// empty is a piece of capacity n to append to.
+func empty[T any](dst *[]T, n int) piece[T] { return piece[T]{dst, 0, n} }
+
+// filled is a piece of n zero elements.
+func filled[T any](dst *[]T, n int) piece[T] { return piece[T]{dst, n, n} }
+
+// carve cuts every piece off one allocation sized to their sum.  An
+// append past a piece's capacity moves that list alone.
+func carve[T any](ps ...piece[T]) {
+	total := 0
+	for _, p := range ps {
+		total += p.n
+	}
+	buf := make([]T, total)
+	for _, p := range ps {
+		*p.dst, buf = buf[:p.len:p.n], buf[p.n:]
+	}
 }
 
 // newWorkloadCosts builds the adapter, surfacing any trust-table gaps as
@@ -170,21 +182,30 @@ func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 	if len(w.MachineRD) != nm {
 		return nil, fmt.Errorf("sim: workload maps %d machines to resource domains, spec has %d", len(w.MachineRD), nm)
 	}
-	// The table's lists are cut from one buffer per element type.  Few
-	// requests mostly carry distinct contexts, askers and profiles, many
-	// repeat a bounded set: size for the former, capped near the paper's
-	// generator's bounds (205 ordered ToAs, 4 CDs, 6 client RTLs).  A list
-	// that outgrows its share moves out by append.
+	if nm == 0 {
+		// With no slot to price, an invalid client RTL would never fail.
+		return nil, fmt.Errorf("sim: workload has no machines")
+	}
+	// Few requests mostly carry distinct contexts, askers and profiles,
+	// many repeat a bounded set: the lists are sized for the former,
+	// capped near the paper's generator's bounds (205 ordered ToAs, 4
+	// CDs, 6 client RTLs).  A list that outgrows its piece moves out by
+	// append.
 	n := len(w.Requests)
 	nctx, nask, nprof, fewSlots := min(n, 256), min(n, 1024), min(n, 2048), min(nm, 16)
-	ncd, acts := max(w.NumCDs, 0), int(grid.NumBuiltinActivities)
-	i32 := make([]int32, nm+n+2*fewSlots+internCells(fewSlots)+internCells(nask)+internCells(nctx)+
-		(2+rtlSpan)*nask+nctx+4*nprof+ncd<<acts)
-	u64 := make([]uint64, fewSlots+2*nask+2*nctx)
-	ids := make([]grid.DomainID, fewSlots+nask)
-	c := &workloadCosts{w: w, rdOf: take(&i32, nm)[:nm], rowOf: take(&i32, n)[:n]}
-	slotOf := newInterner(&i32, &u64, fewSlots, keep)
-	c.slotRD, c.slotAt, c.slotLen = take(&ids, fewSlots), take(&i32, fewSlots), take(&i32, fewSlots)
+	c := &workloadCosts{w: w}
+	slotOf, askers, ctxs := interner{keep: keep}, interner{keep: keep}, interner{keep: keep}
+	slotCells, slotHash := slotOf.pieces(fewSlots)
+	askCells, askHash := askers.pieces(nask)
+	ctxCells, ctxHash := ctxs.pieces(nctx)
+	var askReq, askProf []int32 // asker -> its first request; (asker, client RTL) -> profile + 1
+	carve(filled(&c.rdOf, nm), filled(&c.rowOf, n), slotCells, askCells, ctxCells,
+		empty(&c.slotAt, fewSlots), empty(&c.slotLen, fewSlots),
+		empty(&askReq, nask), empty(&askProf, rtlSpan*nask), empty(&c.askCtx, nask), empty(&c.ctxReq, nctx),
+		empty(&c.rowReq, nprof), empty(&c.rowSize, nprof), empty(&c.askOf, nprof), empty(&c.ctxOf, nprof))
+	carve(slotHash, askHash, ctxHash)
+	carve(empty(&c.slotRD, fewSlots), empty(&c.askCD, nask))
+
 	for m, rd := range w.MachineRD {
 		s, added := slotOf.find(mix(fnvSeed, int(rd)), func(k int32) bool { return c.slotRD[k] == rd })
 		if added {
@@ -203,10 +224,9 @@ func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 	// lvl holds the table's level per (CD, built-in activity, slot),
 	// LevelNone for a gap, read in one pass; an asker's OTL on a slot is
 	// the min over its activities (Section 3.1).
-	i8 := make([]int8, slots*tcSpan+ncd*acts*slots+nask*slots)
-	c.tcAt = take(&i8, slots*tcSpan)[:slots*tcSpan]
-	lvl := take(&i8, ncd*acts*slots)[:ncd*acts*slots]
-	c.otl = take(&i8, nask*slots)
+	ncd, acts := max(w.NumCDs, 0), int(grid.NumBuiltinActivities)
+	var lvl []int8
+	carve(filled(&c.tcAt, slots*tcSpan), filled(&lvl, ncd*acts*slots), empty(&c.otl, nask*slots))
 	for k := range c.tcAt {
 		c.tcAt[k] = -1
 	}
@@ -220,44 +240,31 @@ func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 	})
 
 	// An asker is interned by a hash of its activities and CD, a new
-	// asker's context by the activities' hash.  A key is told apart from
-	// one of the same hash by its packed activities (see pack), or against
-	// its first request when they do not pack.
-	askers, ctxs := newInterner(&i32, &u64, nask, keep), newInterner(&i32, &u64, nctx, keep)
-	askReq := take(&i32, nask)                           // asker -> its first request
-	askKey, ctxKey := take(&u64, nask), take(&u64, nctx) // asker, context -> its packed activities
-	askProf := take(&i32, rtlSpan*nask)                  // (asker, client RTL) -> profile + 1
-	setRow := take(&i32, ncd<<acts)[:ncd<<acts]          // (CD, set of built-in activities) -> asker + 1
-	c.askCtx, c.ctxReq, c.askCD = take(&i32, nask), take(&i32, nctx), take(&ids, nask)
-	c.rowReq, c.rowSize, c.askOf, c.ctxOf = take(&i32, nprof), take(&i32, nprof), take(&i32, nprof), take(&i32, nprof)
+	// asker's context by the activities' hash; a match is confirmed
+	// against the key's first request.
 	c.tc = make([]int, 0, nprof*slots)
 	for i := range w.Requests {
 		r := &w.Requests[i]
-		h, key := fnvSeed, uint64(len(r.ToA.Activities))
-		for k, a := range r.ToA.Activities {
+		h := fnvSeed
+		for _, a := range r.ToA.Activities {
 			h = mix(h, int(a))
-			key |= pack(k, a)
 		}
 		a, added := askers.find(mix(h, int(r.CD)), func(k int32) bool {
-			return c.askCD[k] == r.CD && askKey[k] == key &&
-				(key != unpacked || slices.Equal(w.Requests[askReq[k]].ToA.Activities, r.ToA.Activities))
+			return c.askCD[k] == r.CD && slices.Equal(w.Requests[askReq[k]].ToA.Activities, r.ToA.Activities)
 		})
 		failAt, fail := slots, error(nil)
 		if added {
 			ctx, added := ctxs.find(h, func(k int32) bool {
-				return ctxKey[k] == key &&
-					(key != unpacked || slices.Equal(w.Requests[c.ctxReq[k]].ToA.Activities, r.ToA.Activities))
+				return slices.Equal(w.Requests[c.ctxReq[k]].ToA.Activities, r.ToA.Activities)
 			})
 			if added {
 				c.ctxReq = append(c.ctxReq, int32(i))
-				ctxKey = append(ctxKey, key)
 			}
 			askReq = append(askReq, int32(i))
-			askKey = append(askKey, key)
 			c.askCD = append(c.askCD, r.CD)
 			c.askCtx = append(c.askCtx, ctx)
 			askProf = append(askProf, make([]int32, rtlSpan)...)
-			failAt, fail = c.appendOTL(r, lvl, setRow, ncd)
+			failAt, fail = c.appendOTL(r, lvl, ncd)
 		}
 		// A profile of a valid RTL is found in its asker's dense row; an
 		// invalid RTL fails to price on the first slot, so none is kept.
@@ -295,46 +302,21 @@ func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 	return c, nil
 }
 
-// unpacked marks a ToA that pack cannot hold: more than seven
-// activities, or one outside [0, 255].
-const unpacked = ^uint64(0)
-
-// pack places activity a, the k-th of a ToA, in the ToA's packed word:
-// the activity count in the low byte, then a byte per activity.  Two
-// ToAs with the same packed word other than unpacked are equal.
-func pack(k int, a grid.Activity) uint64 {
-	if k < 7 && uint(a) < 256 {
-		return uint64(a) << (8 * (k + 1))
-	}
-	return unpacked
-}
-
 // appendOTL appends the OTL row of request r's asker, and returns the
 // first slot the table does not price with the table's own error, or
-// len(slotRD).  The row is the min of lvl's rows over the asker's set of
-// activities, so askers with the same CD and set share it: setRow holds
-// the first such asker + 1 per (CD, set), 0 until one is priced densely.
-// An asker with a gap, an empty ToA, or a CD or activity outside lvl is
-// priced cell by cell.
-func (c *workloadCosts) appendOTL(r *workload.Request, lvl []int8, setRow []int32, ncd int) (int, error) {
+// len(slotRD).  The row is the min of lvl's rows over the asker's
+// activities; an asker with a gap, an empty ToA, or a CD or activity
+// outside lvl is priced cell by cell.
+func (c *workloadCosts) appendOTL(r *workload.Request, lvl []int8, ncd int) (int, error) {
 	slots, acts := len(c.slotRD), int(grid.NumBuiltinActivities)
 	n := len(c.otl)
 	c.otl = slices.Grow(c.otl, slots)[:n+slots]
 	row := c.otl[n:]
-	set, dense := 0, len(r.ToA.Activities) > 0 && r.CD >= 0 && int(r.CD) < ncd
+	dense := len(r.ToA.Activities) > 0 && r.CD >= 0 && int(r.CD) < ncd
 	for _, a := range r.ToA.Activities {
-		if a < 0 || int(a) >= acts {
-			dense = false
-			break
-		}
-		set |= 1 << a
+		dense = dense && a >= 0 && int(a) < acts
 	}
 	if dense {
-		at := &setRow[int(r.CD)<<acts+set]
-		if *at > 0 {
-			copy(row, c.otl[int(*at-1)*slots:][:slots])
-			return slots, nil
-		}
 		cd := int(r.CD) * acts
 		copy(row, lvl[(cd+int(r.ToA.Activities[0]))*slots:][:slots])
 		for _, a := range r.ToA.Activities[1:] {
@@ -345,7 +327,6 @@ func (c *workloadCosts) appendOTL(r *workload.Request, lvl []int8, setRow []int3
 		// A gap is LevelNone, below every offerable level, so it
 		// survives the min.
 		if !slices.Contains(row, int8(grid.LevelNone)) {
-			*at = int32(n/max(slots, 1)) + 1
 			return slots, nil
 		}
 	}

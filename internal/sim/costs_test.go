@@ -176,6 +176,14 @@ func TestFactoredCostsErrors(t *testing.T) {
 		}
 	}
 
+	// With no machine no slot prices, so nothing could reject a bad
+	// client RTL: the build refuses the workload.
+	none := *w
+	none.Spec.Machines, none.MachineRD = 0, nil
+	if _, err := newWorkloadCosts(&none); err == nil || !strings.Contains(err.Error(), "no machines") {
+		t.Errorf("workload with no machines: got %v, want an error", err)
+	}
+
 	// With rows for domain 9 the layout prices and runs, but a fault plan
 	// draws its adversaries over the workload's NumRDs domains: a machine
 	// outside them is an error, not an index panic.
@@ -217,6 +225,28 @@ func TestRunAllocationBudget(t *testing.T) {
 	t.Logf("one Run allocated %d bytes", got)
 	if got >= 1<<20 {
 		t.Fatalf("one Run allocated %d bytes, budget is 1 MB", got)
+	}
+}
+
+// TestCostsBuildAllocations pins the build's allocations on the
+// repository benchmark's 2048-request shape and the paper's 50 requests:
+// the adapter, one carve per element type, slotRTL and the TC rows.  A
+// list whose piece is sized short of what the build appends moves out
+// by append, and shows here as one more.
+func TestCostsBuildAllocations(t *testing.T) {
+	for _, size := range []struct{ requests, machines int }{{2048, 64}, {50, 5}} {
+		sc := PaperScenario("mct", size.requests, workload.Inconsistent)
+		sc.Machines = size.machines
+		sc.NumCDs, sc.NumRDs = 4, 4
+		w := mustWorkload(t, sc, 1)
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := newWorkloadCosts(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 7 {
+			t.Errorf("%d requests on %d machines: %v allocations per build, want 7", size.requests, size.machines, got)
+		}
 	}
 }
 
@@ -426,8 +456,10 @@ func TestCostsBuildMatchesReference(t *testing.T) {
 func TestChainsTellCollidingKeysApart(t *testing.T) {
 	keys := []string{"a", "b", "a", "c", "b", "c", "d", "a", "e", "f", "g", "h", "i", "j", "a", "j"}
 	for _, keep := range []uint64{0, 1, ^uint64(0)} {
-		i32, u64 := make([]int32, internCells(1)), make([]uint64, 1)
-		in := newInterner(&i32, &u64, 1, keep)
+		in := interner{keep: keep}
+		cells, hash := in.pieces(1)
+		carve(cells)
+		carve(hash)
 		var first []string
 		for i, key := range keys {
 			same := func(k int32) bool { return first[k] == key }

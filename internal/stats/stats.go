@@ -375,33 +375,55 @@ func sortFloats(xs []float64) {
 		}
 		return
 	}
-	keys := make([]uint64, 2*len(xs))
-	src, dst := keys[:len(xs)], keys[len(xs):]
+	// The keys pass between xs, held there as bit patterns that nothing
+	// reads as numbers, and one scratch list.
+	tmp := make([]uint64, len(xs))
 	k0, diff := floatKey(xs[0]), uint64(0) // diff: the bits some key differs in
 	for i, x := range xs {
-		src[i] = floatKey(x)
-		diff |= src[i] ^ k0
+		k := floatKey(x)
+		xs[i] = math.Float64frombits(k)
+		diff |= k ^ k0
 	}
+	inXs := true
 	for shift := 0; shift < 64; shift += 8 {
 		if byte(diff>>shift) == 0 {
 			continue // every key has this byte
 		}
 		var at [256]uint32
-		for _, k := range src {
-			at[byte(k>>shift)]++
+		if inXs {
+			for _, x := range xs {
+				at[byte(math.Float64bits(x)>>shift)]++
+			}
+		} else {
+			for _, k := range tmp {
+				at[byte(k>>shift)]++
+			}
 		}
 		var sum uint32
 		for b, n := range at {
 			at[b], sum = sum, sum+n
 		}
-		for _, k := range src {
-			b := byte(k >> shift)
-			dst[at[b]] = k
-			at[b]++
+		if inXs {
+			for _, x := range xs {
+				k := math.Float64bits(x)
+				b := byte(k >> shift)
+				tmp[at[b]] = k
+				at[b]++
+			}
+		} else {
+			for _, k := range tmp {
+				b := byte(k >> shift)
+				xs[at[b]] = math.Float64frombits(k)
+				at[b]++
+			}
 		}
-		src, dst = dst, src
+		inXs = !inXs
 	}
-	for i, k := range src {
+	for i := range xs {
+		k := tmp[i]
+		if inXs {
+			k = math.Float64bits(xs[i])
+		}
 		xs[i] = floatFromKey(k)
 	}
 }
