@@ -4,7 +4,7 @@
 
 # verify runs the tier-1 flow: build, vet, full tests, race tests for
 # the concurrent packages (exp's experiment engine, sim's cell runners,
-# sched's pooled kernels), and a sweep smoke across every mode.
+# sched's pooled kernels), and a sweep smoke across every experiment file.
 verify:
 	./scripts/ci.sh
 
@@ -14,15 +14,14 @@ test:
 race:
 	go test -race ./internal/core/... ./internal/grid/... ./internal/exp/... ./internal/fault/... ./internal/sched/... ./internal/sim/... ./internal/trust/... ./internal/wal/... ./internal/frame/... ./internal/rmswire/... ./internal/metrics/... ./internal/load/... ./internal/trustwire/... ./internal/fleet/... ./internal/chaos/...
 
-# smoke runs every sweep mode once through the experiment engine on a
-# tiny grid (mirrors the smoke stage of scripts/ci.sh); the modes are the
-# first column of `sweep -list`, up to the blank line that ends it.
+# smoke runs every experiment file once through `trustsim sweep` at two
+# replications (mirrors the smoke stage of scripts/ci.sh).
 smoke:
-	go build -o /tmp/gridtrust-smoke-sweep ./cmd/sweep
-	for mode in $$(/tmp/gridtrust-smoke-sweep -list | sed '/^$$/q' | awk '{print $$1}'); do \
-		/tmp/gridtrust-smoke-sweep -mode $$mode -reps 2 -tasks 20 -seed 1 > /dev/null || exit 1; \
+	go build -o /tmp/gridtrust-smoke-trustsim ./cmd/trustsim
+	for spec in configs/sweeps/*.json configs/paper-tables.json configs/extensions.json; do \
+		/tmp/gridtrust-smoke-trustsim sweep -reps 2 -seed 1 $$spec > /dev/null || exit 1; \
 	done
-	rm -f /tmp/gridtrust-smoke-sweep
+	rm -f /tmp/gridtrust-smoke-trustsim
 
 # soak runs the chaos soak N times, one isolated `go test -count=1` process
 # at a time, and prints how many passed; the output of a failed run is

@@ -10,6 +10,8 @@
 //	trustsim -table 8 -reps 100 -seed 7 -format markdown
 //	trustsim -tasks 50,100,200     # extra task-count rows
 //
+//	trustsim sweep configs/sweeps/tcweight.json
+//	                               # one experiment file: an ablation or a scenario list
 //	trustsim ets [-rule linear]    # Table 1 under either reading of the F row
 //	trustsim transfer [-net 1000] [-sandbox] [-sizes 1,64,2048]
 //	                               # Tables 2-3 and the Section 5.1 sandboxing overheads
@@ -47,8 +49,10 @@ import (
 )
 
 // subcommands are the former etstable, secbench, workloadtool and reportgen
-// binaries, with their flags unchanged.
+// binaries, with their flags unchanged, and sweep, which runs experiment
+// files.
 var subcommands = map[string]func(ctx context.Context, args []string) error{
+	"sweep":    cmdSweep,
 	"ets":      cmdETS,
 	"transfer": cmdTransfer,
 	"workload": cmdWorkload,
@@ -57,7 +61,8 @@ var subcommands = map[string]func(ctx context.Context, args []string) error{
 
 func main() {
 	// SIGINT/SIGTERM cancel the experiment grid cleanly: in-flight
-	// replications finish and the pool drains before exit.
+	// replications finish, the pool drains, and the run exits 130 instead
+	// of dying mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -69,48 +74,89 @@ func main() {
 	}
 	if err := cmd(ctx, args); err != nil {
 		fmt.Fprintf(os.Stderr, "trustsim: %v\n", err)
+		if ctx.Err() != nil {
+			os.Exit(130)
+		}
 		os.Exit(1)
 	}
 }
 
-// cmdTables is trustsim without a subcommand: Tables 4-9, a scenario file,
-// or one run's timeline.
+// gridFlags are the flags of both commands that run an experiment grid,
+// the tables and sweep.
+type gridFlags struct {
+	seed             uint64
+	reps, workers    int
+	format           string
+	verbose          bool
+	trustModel       string
+	cpuProf, memProf string
+}
+
+// register declares the flags on fs; reps is the command's default
+// replication count.
+func (g *gridFlags) register(fs *flag.FlagSet, reps int) {
+	fs.Uint64Var(&g.seed, "seed", 2002, "master random seed")
+	fs.IntVar(&g.reps, "reps", reps, "paired replications per cell")
+	fs.IntVar(&g.workers, "workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	fs.StringVar(&g.format, "format", "ascii", "output format: ascii, markdown, csv or json")
+	fs.BoolVar(&g.verbose, "v", false, "print per-cell progress and timing to stderr")
+	fs.StringVar(&g.trustModel, "trust-model", "", "trust policy for the aware runs: "+strings.Join(trust.ModelNames(), ", ")+" (default: the paper engine)")
+	fs.StringVar(&g.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&g.memProf, "memprofile", "", "write a heap profile to this file on exit")
+}
+
+// parse parses args, checks -trust-model and -format, so a bad value
+// costs no cell, and starts the profiles; the caller defers stop.
+func (g *gridFlags) parse(fs *flag.FlagSet, args []string) (stop func(), err error) {
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if !trust.KnownModel(g.trustModel) {
+		return nil, fmt.Errorf("unknown trust model %q (registered: %s)", g.trustModel, strings.Join(trust.ModelNames(), ", "))
+	}
+	if err := report.CheckFormat(g.format); err != nil {
+		return nil, err
+	}
+	return prof.Start(g.cpuProf, g.memProf)
+}
+
+// progress is the -v hook: one stderr line per finished cell, or nil.
+func progress(verbose bool) func(exp.Progress) {
+	if !verbose {
+		return nil
+	}
+	return func(p exp.Progress) {
+		status := "ok"
+		switch {
+		case p.Err != nil:
+			status = p.Err.Error()
+		case p.Cached:
+			status = "cached"
+		}
+		fmt.Fprintf(os.Stderr, "trustsim: [%d/%d] %s: %d reps, %s work, %s\n",
+			p.Done, p.Cells, p.Cell, p.Reps, p.Work.Round(time.Millisecond), status)
+	}
+}
+
+// cmdTables is trustsim without a subcommand: Tables 4-9 or one run's
+// timeline.
 func cmdTables(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("trustsim", flag.ExitOnError)
+	var g gridFlags
+	g.register(fs, 40)
 	var (
-		table   = fs.String("table", "all", "table to reproduce: 4..9 or \"all\"")
-		seed    = fs.Uint64("seed", 2002, "master random seed")
-		reps    = fs.Int("reps", 40, "paired replications per cell")
-		workers = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		format  = fs.String("format", "ascii", "output format: ascii, markdown, csv or json")
-		tasks   = fs.String("tasks", "50,100", "comma-separated task counts per table")
-		config  = fs.String("config", "", "JSON scenario file to run instead of the paper tables")
-		gantt   = fs.String("gantt", "", "render one run's execution timeline for a heuristic (mct, minmin or sufferage)")
-		verbose = fs.Bool("v", false, "print per-table timing and significance")
-		trustM  = fs.String("trust-model", "", "trust policy for the aware runs: "+strings.Join(trust.ModelNames(), ", ")+" (default: the paper engine)")
-		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		table = fs.String("table", "all", "table to reproduce: 4..9 or \"all\"")
+		tasks = fs.String("tasks", "50,100", "comma-separated task counts per table")
+		gantt = fs.String("gantt", "", "render one run's execution timeline for a heuristic (mct, minmin or sufferage)")
 	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if !trust.KnownModel(*trustM) {
-		return fmt.Errorf("unknown trust model %q (registered: %s)", *trustM, strings.Join(trust.ModelNames(), ", "))
-	}
-	if err := report.CheckFormat(*format); err != nil {
-		return err
-	}
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := g.parse(fs, args)
 	if err != nil {
 		return err
 	}
 	defer stopProf()
 
 	if *gantt != "" {
-		return runGantt(*gantt, *seed)
-	}
-	if *config != "" {
-		return runConfig(ctx, *config, *seed, *reps, *workers, *format, *trustM)
+		return runGantt(*gantt, g.seed)
 	}
 
 	taskCounts, err := parseList(*tasks, "positive integer", func(s string) (int, bool) {
@@ -126,14 +172,8 @@ func cmdTables(ctx context.Context, args []string) error {
 	}
 
 	opts := gridtrust.SimOptions{
-		Seed: *seed, Reps: *reps, Workers: *workers, TaskCounts: taskCounts,
-		TrustModel: *trustM,
-	}
-	if *verbose {
-		opts.OnCell = func(p exp.Progress) {
-			fmt.Fprintf(os.Stderr, "trustsim: [%d/%d] %s: %d reps, %s work\n",
-				p.Done, p.Cells, p.Cell, p.Reps, p.Work.Round(time.Millisecond))
-		}
+		Seed: g.seed, Reps: g.reps, Workers: g.workers, TaskCounts: taskCounts,
+		TrustModel: g.trustModel, OnCell: progress(g.verbose),
 	}
 	// One engine grid schedules every (table, task count) cell of the
 	// requested tables on a shared pool.
@@ -143,10 +183,10 @@ func cmdTables(ctx context.Context, args []string) error {
 		return err
 	}
 	for _, res := range results {
-		if err := printTable(res.Render(), *format); err != nil {
+		if err := printTable(res.Render(), g.format); err != nil {
 			return err
 		}
-		if *verbose {
+		if g.verbose {
 			for _, c := range res.Cells {
 				fmt.Printf("  [%d tasks] improvement %.2f%% (paired diff CI95 ±%.2f, significant=%v)\n",
 					c.Tasks, c.ImprovementPct, c.CompletionCI95, c.Significant)
@@ -154,32 +194,10 @@ func cmdTables(ctx context.Context, args []string) error {
 		}
 		fmt.Println()
 	}
-	if *verbose {
-		fmt.Printf("(%d tables, %d reps, %s)\n", len(results), *reps, time.Since(start).Round(time.Millisecond))
+	if g.verbose {
+		fmt.Printf("(%d tables, %d reps, %s)\n", len(results), g.reps, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
-}
-
-// runConfig runs every scenario of a JSON config file as one comparison
-// grid on a shared pool and prints one result table.
-func runConfig(ctx context.Context, path string, seed uint64, reps, workers int, format, trustModel string) error {
-	scenarios, err := sim.LoadScenarios(path)
-	if err != nil {
-		return err
-	}
-	cells := make([]sim.CompareCell, len(scenarios))
-	for i, sc := range scenarios {
-		if trustModel != "" {
-			sc.TrustModel = trustModel
-		}
-		cells[i] = sim.CompareCell{Name: sc.Name, Scenario: sc}
-	}
-	cmps, err := sim.CompareGrid(ctx, cells, sim.GridOptions{Seed: seed, Reps: reps, Workers: workers})
-	if err != nil {
-		return err
-	}
-	return printTable(sim.ComparisonTable(
-		fmt.Sprintf("Scenarios from %s (%d reps, seed %d)", path, reps, seed), "scenario", cells, cmps), format)
 }
 
 // runGantt executes one small paper scenario under both policies and

@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"time"
 
 	"gridtrust"
-	"gridtrust/internal/exp"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/report"
 	"gridtrust/internal/secover"
@@ -105,13 +103,7 @@ func cmdReport(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := sim.ReportOptions{Seed: *seed, Reps: *reps, Workers: *workers}
-	if *verbose {
-		opts.OnCell = func(p exp.Progress) {
-			fmt.Fprintf(os.Stderr, "trustsim: [%d/%d] %s (%s work)\n",
-				p.Done, p.Cells, p.Cell, p.Work.Round(time.Millisecond))
-		}
-	}
+	opts := sim.ReportOptions{Seed: *seed, Reps: *reps, Workers: *workers, OnCell: progress(*verbose)}
 	out := bufio.NewWriter(os.Stdout)
 	if err := sim.WriteFullReport(ctx, out, opts); err != nil {
 		return err

@@ -26,7 +26,7 @@ func bitsOf(res any) []string {
 }
 
 // TestGoldenStudies pins RunStudy and RunZoo bit for bit: every result
-// field of every cell `sweep -mode fault` and `sweep -mode trustzoo` run
+// field of every cell the fault and trustzoo sweeps (configs/sweeps) run
 // (liar fractions 0.25/0.5/0.75 with the defense off and on; every
 // registered model in every environment), on seeds 1, 2 and 3.
 //

@@ -24,7 +24,8 @@ import (
 //
 // and the same metrics come out (trust error against ground truth,
 // placement-cost degradation against an omniscient oracle, bad-placement
-// share), so `sweep -mode trustzoo` can rank the models head-to-head.
+// share), so `trustsim sweep configs/sweeps/trustzoo.json` can rank the
+// models head-to-head.
 // Deterministic given (cfg, src): all entity iteration is index-ordered
 // and every model honors the trust.Model determinism contract.
 

@@ -1,8 +1,8 @@
 // Package prof wires the runtime/pprof CPU and heap profilers into the
-// command-line tools: every binary that runs sweeps (cmd/sweep,
-// cmd/trustsim) accepts -cpuprofile/-memprofile so a perf regression can
-// be profiled on the exact workload that exposed it, without rebuilding
-// with ad-hoc instrumentation.  See EXPERIMENTS.md for the workflow.
+// command-line tools: every trustsim command that runs a grid (the tables
+// and `trustsim sweep`) accepts -cpuprofile/-memprofile so a perf
+// regression can be profiled on the exact workload that exposed it,
+// without rebuilding with ad-hoc instrumentation.  See EXPERIMENTS.md for the workflow.
 package prof
 
 import (

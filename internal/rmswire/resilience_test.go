@@ -578,3 +578,53 @@ func TestClientOpTimeout(t *testing.T) {
 		t.Fatalf("timed-out op reported as %v, want maybe sent", err)
 	}
 }
+
+// slowWriteListener hands out connections whose every write waits first,
+// so a reply is still being written when an owner reacts to a signal
+// raised before it.
+type slowWriteListener struct{ net.Listener }
+
+func (l slowWriteListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return slowWriteConn{c}, nil
+}
+
+type slowWriteConn struct{ net.Conn }
+
+func (c slowWriteConn) Write(p []byte) (int, error) {
+	time.Sleep(50 * time.Millisecond)
+	return c.Conn.Write(p)
+}
+
+// TestDrainReplyOutlivesOwnerShutdown: the owner shuts the server down the
+// moment DrainRequested fires, as gridtrustd does.  Drain holds no
+// in-flight slot, so Shutdown closes at once; the client still gets its
+// ok, because the signal fires only after the reply is written.
+func TestDrainReplyOutlivesOwnerShutdown(t *testing.T) {
+	trms, _, _ := newDaemon(t)
+	srv, err := NewServer(trms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.ServeListener(slowWriteListener{ln})
+	t.Cleanup(srv.Close)
+	go func() {
+		<-srv.DrainRequested()
+		srv.Shutdown(time.Second)
+	}()
+	client, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Drain(); err != nil {
+		t.Fatalf("drain reply lost to the owner's shutdown: %v", err)
+	}
+}

@@ -337,8 +337,9 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 	return clean
 }
 
-// DrainRequested is signalled (once, non-blocking) when a client issues
-// the drain op; the process owning the server decides how to shut down.
+// DrainRequested is signalled (once, non-blocking) when the reply to a
+// client's drain op has been written; the process owning the server
+// decides how to shut down.
 func (s *Server) DrainRequested() <-chan struct{} { return s.drainReq }
 
 // retryAfter resolves the overload backoff hint.
@@ -448,10 +449,17 @@ func (s *Server) handle(conn net.Conn) {
 			resp.ConnClosing = true
 		}
 		deadline(conn.SetWriteDeadline)
-		if err := w.Write(out); err != nil {
-			return
+		err := w.Write(out)
+		if req.Op == OpDrain {
+			// Signal the owner only once the ok is written: drain holds
+			// no in-flight slot, so an owner that shuts down at once
+			// would otherwise close this connection under the reply.
+			select {
+			case s.drainReq <- struct{}{}:
+			default:
+			}
 		}
-		if closing {
+		if err != nil || closing {
 			return
 		}
 	}
@@ -468,7 +476,8 @@ func (s *Server) respond(req Request) Response {
 	case OpMetrics:
 		return s.handleMetrics()
 	case OpDrain:
-		return s.handleDrain()
+		// The owner is signalled by handle, after this reply is written.
+		return Response{Status: StatusOK}
 	case OpCheckpoint:
 		return s.handleCheckpoint()
 	case OpFleet:
@@ -620,17 +629,6 @@ func (s *Server) handleMetrics() Response {
 		UptimeMS:       time.Since(s.start).Milliseconds(),
 		StartUnixNanos: s.startUnixNanos,
 	}}
-}
-
-// handleDrain acknowledges the request and signals the process owner; the
-// actual drain (Shutdown + final checkpoint) is the owner's call, because
-// only it knows whether to exit afterwards.
-func (s *Server) handleDrain() Response {
-	select {
-	case s.drainReq <- struct{}{}:
-	default:
-	}
-	return Response{Status: StatusOK}
 }
 
 func (s *Server) handleCheckpoint() Response {

@@ -93,7 +93,7 @@ func TestGridsCheckpointRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// cmd/sweep's machines mode at -tasks 20.
+		// The machines sweep (now configs/sweeps/machines.json) at 20 tasks.
 		var cells []CompareCell
 		for _, m := range []int{2, 5, 10, 20, 40} {
 			sc := PaperScenario("mct", 20, workload.Inconsistent)

@@ -5,34 +5,35 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 
 	"gridtrust/internal/fault"
 	"gridtrust/internal/grid"
+	"gridtrust/internal/sched"
 	"gridtrust/internal/workload"
 )
 
-// ScenarioConfig is the JSON-friendly form of a Scenario, used by the
-// command-line tools' -config flag so experiment definitions can live in
-// version-controlled files.  Enumerations are strings; absent fields take
-// the paper defaults.
+// ScenarioConfig is the JSON-friendly form of a Scenario, the cell of the
+// scenario files `trustsim sweep` runs, so experiment definitions can live
+// in version-controlled files.  Enumerations are strings; absent fields
+// take the paper defaults.  The two weights are pointers because 0 is a
+// weight an experiment asks for, not an absent field.
 type ScenarioConfig struct {
-	Name            string  `json:"name,omitempty"`
-	Mode            string  `json:"mode"`      // "immediate" | "batch"
-	Heuristic       string  `json:"heuristic"` // e.g. "mct", "minmin"
-	Tasks           int     `json:"tasks"`
-	Machines        int     `json:"machines,omitempty"`          // default 5
-	Heterogeneity   string  `json:"heterogeneity,omitempty"`     // LoLo|LoHi|HiLo|HiHi, default LoLo
-	Consistency     string  `json:"consistency,omitempty"`       // inconsistent|consistent|semi-consistent
-	ArrivalRate     float64 `json:"arrival_rate,omitempty"`      // default 0.04
-	NumCDs          int     `json:"num_cds,omitempty"`           // 0 = draw [1,4]
-	NumRDs          int     `json:"num_rds,omitempty"`           // 0 = draw [1,4]
-	ETSRule         string  `json:"ets_rule,omitempty"`          // table1|linear, default linear
-	BatchInterval   float64 `json:"batch_interval,omitempty"`    // default 100
-	TCWeight        float64 `json:"tc_weight,omitempty"`         // default 15
-	DeadlineSlack   float64 `json:"deadline_slack,omitempty"`    // 0 = no deadlines
-	FlatOverheadPct float64 `json:"flat_overhead_pct,omitempty"` // default 50
+	Name            string   `json:"name,omitempty"`
+	Mode            string   `json:"mode"`      // "immediate" | "batch"
+	Heuristic       string   `json:"heuristic"` // e.g. "mct", "minmin"
+	Tasks           int      `json:"tasks"`
+	Machines        int      `json:"machines,omitempty"`          // default 5
+	Heterogeneity   string   `json:"heterogeneity,omitempty"`     // LoLo|LoHi|HiLo|HiHi, default LoLo
+	Consistency     string   `json:"consistency,omitempty"`       // inconsistent|consistent|semi-consistent
+	ArrivalRate     float64  `json:"arrival_rate,omitempty"`      // default 0.04
+	NumCDs          int      `json:"num_cds,omitempty"`           // 0 = draw [1,4]
+	NumRDs          int      `json:"num_rds,omitempty"`           // 0 = draw [1,4]
+	ETSRule         string   `json:"ets_rule,omitempty"`          // table1|linear, default linear
+	BatchInterval   float64  `json:"batch_interval,omitempty"`    // default 100
+	TCWeight        *float64 `json:"tc_weight,omitempty"`         // default 15
+	DeadlineSlack   float64  `json:"deadline_slack,omitempty"`    // 0 = no deadlines
+	FlatOverheadPct *float64 `json:"flat_overhead_pct,omitempty"` // default 50
 
 	// Fault configures churn and adversary injection; absent means none.
 	Fault *FaultConfig `json:"fault,omitempty"`
@@ -153,10 +154,16 @@ func (c ScenarioConfig) Scenario() (Scenario, error) {
 		NumRDs:          c.NumRDs,
 		ETSRule:         rule,
 		BatchInterval:   c.BatchInterval,
-		TCWeight:        c.TCWeight,
-		FlatOverheadPct: c.FlatOverheadPct,
+		TCWeight:        sched.DefaultTCWeight,
+		FlatOverheadPct: sched.DefaultFlatOverheadPct,
 		DeadlineSlack:   c.DeadlineSlack,
 		Fault:           c.Fault.plan(),
+	}
+	if c.TCWeight != nil {
+		sc.TCWeight = *c.TCWeight
+	}
+	if c.FlatOverheadPct != nil {
+		sc.FlatOverheadPct = *c.FlatOverheadPct
 	}
 	// Paper defaults for absent numerics.
 	if sc.Machines == 0 {
@@ -167,12 +174,6 @@ func (c ScenarioConfig) Scenario() (Scenario, error) {
 	}
 	if sc.BatchInterval == 0 {
 		sc.BatchInterval = DefaultBatchInterval
-	}
-	if sc.TCWeight == 0 {
-		sc.TCWeight = 15
-	}
-	if sc.FlatOverheadPct == 0 {
-		sc.FlatOverheadPct = 50
 	}
 	if sc.Name == "" {
 		sc.Name = fmt.Sprintf("%s/%s/%d-tasks", sc.Heuristic, sc.Consistency, sc.Tasks)
@@ -210,25 +211,23 @@ func (s Scenario) Config() ScenarioConfig {
 		NumRDs:          s.NumRDs,
 		ETSRule:         s.ETSRule.String(),
 		BatchInterval:   s.BatchInterval,
-		TCWeight:        s.TCWeight,
-		FlatOverheadPct: s.FlatOverheadPct,
+		TCWeight:        &s.TCWeight,
+		FlatOverheadPct: &s.FlatOverheadPct,
 		DeadlineSlack:   s.DeadlineSlack,
 		Fault:           fc,
 	}
 }
 
-// LoadScenarios reads a JSON file holding either one ScenarioConfig object
-// or an array of them, returning validated scenarios.  A key ScenarioConfig
-// does not declare is an error.
-func LoadScenarios(path string) ([]Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("sim: read config: %w", err)
-	}
+// ParseScenarios decodes a scenario file: either one ScenarioConfig object
+// or a non-empty array of them, returning validated scenarios.  A key
+// ScenarioConfig does not declare is an error, and so is anything after
+// the top-level value.
+func ParseScenarios(data []byte) ([]Scenario, error) {
 	// A misspelled key is an error, not a silently kept paper default.
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var cfgs []ScenarioConfig
+	var err error
 	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
 		err = dec.Decode(&cfgs)
 	} else {
@@ -250,28 +249,7 @@ func LoadScenarios(path string) ([]Scenario, error) {
 		out = append(out, sc)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("sim: config %s holds no scenarios", path)
+		return nil, errors.New("sim: config holds no scenarios")
 	}
 	return out, nil
-}
-
-// SaveScenarios writes scenarios to path as a JSON array, the inverse of
-// LoadScenarios.
-func SaveScenarios(path string, scenarios []Scenario) error {
-	if len(scenarios) == 0 {
-		return fmt.Errorf("sim: no scenarios to save")
-	}
-	cfgs := make([]ScenarioConfig, len(scenarios))
-	for i, sc := range scenarios {
-		cfgs[i] = sc.Config()
-	}
-	data, err := json.MarshalIndent(cfgs, "", "  ")
-	if err != nil {
-		return fmt.Errorf("sim: marshal config: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("sim: write config: %w", err)
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +19,34 @@ func TestScenarioConfigRoundTrip(t *testing.T) {
 	}
 	if back != orig {
 		t.Fatalf("round trip changed scenario:\n  orig %+v\n  back %+v", orig, back)
+	}
+}
+
+// TestExplicitZeroWeights: an absent tc_weight or flat_overhead_pct keeps
+// the paper default, while an explicit 0 is a weight the file asks for and
+// runs as 0, both from a file and through Config.
+func TestExplicitZeroWeights(t *testing.T) {
+	got, err := ParseScenarios([]byte(`[{"heuristic": "mct", "tasks": 20, "tc_weight": 0},
+		{"heuristic": "mct", "tasks": 20, "tc_weight": 15},
+		{"heuristic": "mct", "tasks": 20, "flat_overhead_pct": 0},
+		{"heuristic": "mct", "tasks": 20}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]float64{{0, 50}, {15, 50}, {15, 0}, {15, 50}}
+	for i, sc := range got {
+		if w := [2]float64{sc.TCWeight, sc.FlatOverheadPct}; w != want[i] {
+			t.Errorf("entry %d: (tc_weight, flat_overhead_pct) = %v, want %v", i, w, want[i])
+		}
+	}
+	zero := PaperScenario("mct", 20, workload.Inconsistent)
+	zero.TCWeight, zero.FlatOverheadPct = 0, 0
+	back, err := zero.Config().Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back != zero {
+		t.Fatalf("round trip changed zero weights:\n  orig %+v\n  back %+v", zero, back)
 	}
 }
 
@@ -83,16 +112,15 @@ func TestScenarioConfigParsing(t *testing.T) {
 }
 
 func TestLoadSaveScenarios(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "scenarios.json")
 	want := []Scenario{
 		PaperScenario("mct", 50, workload.Inconsistent),
 		PaperScenario("minmin", 100, workload.Consistent),
 	}
-	if err := SaveScenarios(path, want); err != nil {
+	data, err := json.Marshal([]ScenarioConfig{want[0].Config(), want[1].Config()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadScenarios(path)
+	got, err := ParseScenarios(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +135,7 @@ func TestLoadSaveScenarios(t *testing.T) {
 }
 
 func TestLoadSingleObject(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "one.json")
-	blob := `{"heuristic": "sufferage", "tasks": 25, "consistency": "consistent"}`
-	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadScenarios(path)
+	got, err := ParseScenarios([]byte(`{"heuristic": "sufferage", "tasks": 25, "consistency": "consistent"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,71 +145,40 @@ func TestLoadSingleObject(t *testing.T) {
 }
 
 func TestLoadScenariosErrors(t *testing.T) {
-	if _, err := LoadScenarios("/nonexistent/nope.json"); err == nil {
-		t.Error("missing file accepted")
-	}
-	dir := t.TempDir()
-	garbage := filepath.Join(dir, "garbage.json")
-	if err := os.WriteFile(garbage, []byte("{{{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadScenarios(garbage); err == nil {
-		t.Error("garbage accepted")
-	}
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte("[]"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadScenarios(empty); err == nil {
-		t.Error("empty array accepted")
-	}
-	trailing := filepath.Join(dir, "trailing.json")
-	if err := os.WriteFile(trailing, []byte(`{"heuristic":"mct","tasks":20} }`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadScenarios(trailing); err == nil {
-		t.Error("data after the top-level value accepted")
-	}
-	badEntry := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(badEntry, []byte(`[{"heuristic":"mct","tasks":0}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadScenarios(badEntry); err == nil {
-		t.Error("invalid entry accepted")
+	for name, body := range map[string]string{
+		"garbage":  "{{{",
+		"empty":    "[]",
+		"trailing": `{"heuristic":"mct","tasks":20} }`,
+		"bad":      `[{"heuristic":"mct","tasks":0}]`,
+	} {
+		if _, err := ParseScenarios([]byte(body)); err == nil {
+			t.Errorf("%s file accepted", name)
+		}
 	}
 	// A misspelled key must not silently select the paper default, in
 	// either file shape; the shipped configs carry only known keys.
 	for name, body := range map[string]string{
-		"array.json":  `[{"heuristic":"mct","tasks":20,"tc_wieght":0.001}]`,
-		"object.json": `{"heuristic":"mct","tasks":20,"fault":{"mtfb":100}}`,
+		"array":  `[{"heuristic":"mct","tasks":20,"tc_wieght":0.001}]`,
+		"object": `{"heuristic":"mct","tasks":20,"fault":{"mtfb":100}}`,
 	} {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadScenarios(path); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		if _, err := ParseScenarios([]byte(body)); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Errorf("%s: misspelled key: got %v, want an unknown-field error", name, err)
 		}
 	}
 	for _, shipped := range []string{"paper-tables.json", "extensions.json"} {
-		if _, err := LoadScenarios(filepath.Join("../../configs", shipped)); err != nil {
+		data, err := os.ReadFile(filepath.Join("../../configs", shipped))
+		if err == nil {
+			_, err = ParseScenarios(data)
+		}
+		if err != nil {
 			t.Errorf("configs/%s: %v", shipped, err)
 		}
-	}
-	if err := SaveScenarios(filepath.Join(dir, "x.json"), nil); err == nil {
-		t.Error("saving nothing accepted")
 	}
 }
 
 // TestConfigScenarioRunnable loads a config and actually runs it.
 func TestConfigScenarioRunnable(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.json")
-	blob := `{"heuristic": "mct", "tasks": 20}`
-	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	scs, err := LoadScenarios(path)
+	scs, err := ParseScenarios([]byte(`{"heuristic": "mct", "tasks": 20}`))
 	if err != nil {
 		t.Fatal(err)
 	}

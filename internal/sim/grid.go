@@ -28,7 +28,7 @@ type GridOptions struct {
 	// its fold path (see exp.Options.Checkpoint).
 	Checkpoint *exp.Checkpoint
 	// CheckpointSalt namespaces this grid's cells inside a shared
-	// checkpoint directory (e.g. the sweep mode plus the task count).
+	// checkpoint directory (e.g. a digest of the experiment file's cells).
 	CheckpointSalt string
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // The builders of every table more than one front-end prints (the root
-// facade, cmd/trustsim, cmd/sweep and WriteFullReport), parameterised by
+// facade, cmd/trustsim and its sweeps, and WriteFullReport), parameterised by
 // what those callers vary: captions, column labels, the ETS rule, the file
 // sizes.
 

@@ -85,7 +85,7 @@ const DefaultModel = "paper"
 type ModelInfo struct {
 	// Name is the registry key used by -trust-model flags and snapshots.
 	Name string
-	// Description is a one-line summary for -list output.
+	// Description is a one-line summary for -list-models output.
 	Description string
 	// New builds an instance from a Config.
 	New func(Config) (Model, error)
@@ -112,7 +112,7 @@ func RegisterModel(info ModelInfo) {
 }
 
 // Models returns the registered models sorted by name — a deterministic
-// listing for -list output and zoo sweeps.
+// listing for -list-models output and zoo sweeps.
 func Models() []ModelInfo {
 	modelMu.RLock()
 	defer modelMu.RUnlock()

@@ -7,7 +7,7 @@
 # commit, the daemon's journal), runs the seeded chaos soak (wire
 # faults, a partition, a mid-storm crash-restart; books must balance),
 # fuzzes every fuzz target briefly,
-# smoke-runs every sweep mode through the engine, smoke-runs the
+# smoke-runs every experiment file through the engine, smoke-runs the
 # journalled daemon demo, and proves checkpoint-resume: a SIGINT'd sweep
 # resumed against its checkpoint directory prints byte-identical output.
 # The overload+drain stage runs a journalled daemon with admission limits,
@@ -202,20 +202,15 @@ for spec in \
     go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime 5s > /dev/null
 done
 
-echo "==> sweep smoke (every mode, tiny grid)"
-go build -o /tmp/gridtrust-ci-sweep ./cmd/sweep
-# The registry is the one list of modes: first column of -list, up to the
-# blank line that ends it.
-modes=$(/tmp/gridtrust-ci-sweep -list | sed '/^$/q' | awk '{print $1}')
-test -n "$modes"
-for mode in $modes; do
-    echo "    sweep -mode $mode"
-    /tmp/gridtrust-ci-sweep -mode "$mode" -reps 2 -tasks 20 -seed 1 > /dev/null
+echo "==> sweep smoke (every experiment file, 2 reps)"
+go build -o /tmp/gridtrust-ci-trustsim ./cmd/trustsim
+for spec in configs/sweeps/*.json configs/paper-tables.json configs/extensions.json; do
+    echo "    trustsim sweep $spec"
+    /tmp/gridtrust-ci-trustsim sweep -reps 2 -seed 1 "$spec" > /dev/null
 done
-/tmp/gridtrust-ci-sweep -mode machines -reps 2 -tasks 20 -seed 1 -format json > /dev/null
+/tmp/gridtrust-ci-trustsim sweep -reps 2 -seed 1 -format json configs/sweeps/machines.json > /dev/null
 
 echo "==> trustsim subcommand smoke (ets, transfer, workload round trip, report)"
-go build -o /tmp/gridtrust-ci-trustsim ./cmd/trustsim
 td=$(mktemp -d)
 /tmp/gridtrust-ci-trustsim ets -rule linear | grep -q "linear variant"
 /tmp/gridtrust-ci-trustsim transfer -net 100 -sizes 1,10 | grep -q "asymptotic overhead"
@@ -224,38 +219,37 @@ td=$(mktemp -d)
 /tmp/gridtrust-ci-trustsim workload run -in "$td/w.json" -heuristic minmin -gantt | grep -q "makespan:"
 /tmp/gridtrust-ci-trustsim report -reps 1 | grep -q '## Table 9'
 rm -rf "$td"
-rm -f /tmp/gridtrust-ci-trustsim
 
 echo "==> sweep byte-identity smoke (default trust model named explicitly; 1 vs 4 workers; rival models vs committed outputs)"
 kd=$(mktemp -d)
 # The default trust model is the paper engine: selecting it explicitly
 # must not change a byte of any sweep output.
 for mode in heuristics fault; do
-    /tmp/gridtrust-ci-sweep -mode "$mode" -reps 2 -tasks 20 -seed 1 > "$kd/$mode.txt"
-    /tmp/gridtrust-ci-sweep -mode "$mode" -reps 2 -tasks 20 -seed 1 -trust-model paper > "$kd/$mode-model.txt"
+    /tmp/gridtrust-ci-trustsim sweep -reps 2 -seed 1 "configs/sweeps/$mode.json" > "$kd/$mode.txt"
+    /tmp/gridtrust-ci-trustsim sweep -reps 2 -seed 1 -trust-model paper "configs/sweeps/$mode.json" > "$kd/$mode-model.txt"
     cmp "$kd/$mode.txt" "$kd/$mode-model.txt"
 done
 # Rival models are bit-deterministic under any worker count.
-/tmp/gridtrust-ci-sweep -mode fault -reps 2 -tasks 20 -seed 1 -trust-model purge -workers 1 > "$kd/fault-purge-w1.txt"
-/tmp/gridtrust-ci-sweep -mode fault -reps 2 -tasks 20 -seed 1 -trust-model purge -workers 4 > "$kd/fault-purge-w4.txt"
+/tmp/gridtrust-ci-trustsim sweep -reps 2 -seed 1 -trust-model purge -workers 1 configs/sweeps/fault.json > "$kd/fault-purge-w1.txt"
+/tmp/gridtrust-ci-trustsim sweep -reps 2 -seed 1 -trust-model purge -workers 4 configs/sweeps/fault.json > "$kd/fault-purge-w4.txt"
 cmp "$kd/fault-purge-w1.txt" "$kd/fault-purge-w4.txt"
 # The model-driven path against outputs committed from the binary of
 # commit bc8376a, whose model view asked the model again after every
 # completion: keeping answers per (context, subject) must not move a byte.
 for model in purge frtrust bawa; do
-    /tmp/gridtrust-ci-sweep -mode heuristics -trust-model "$model" -reps 10 > "$kd/heuristics-$model.txt"
-    cmp "$kd/heuristics-$model.txt" "cmd/sweep/testdata/heuristics-$model-reps10.txt"
+    /tmp/gridtrust-ci-trustsim sweep -trust-model "$model" -reps 10 configs/sweeps/heuristics.json > "$kd/heuristics-$model.txt"
+    cmp "$kd/heuristics-$model.txt" "cmd/trustsim/testdata/heuristics-$model-reps10.txt"
 done
-/tmp/gridtrust-ci-sweep -mode trustzoo > "$kd/trustzoo.txt"
-cmp "$kd/trustzoo.txt" cmd/sweep/testdata/trustzoo.txt
+/tmp/gridtrust-ci-trustsim sweep configs/sweeps/trustzoo.json > "$kd/trustzoo.txt"
+cmp "$kd/trustzoo.txt" cmd/trustsim/testdata/trustzoo.txt
 # The event-per-task loop (churn, whitewashing, a live model) against
 # outputs committed from the binary of commit a76c2c1, whose loop walked
 # every machine's queue for availability and priced MCT through AssignOne.
-/tmp/gridtrust-ci-sweep -mode fault -reps 10 -seed 1 > "$kd/fault.txt"
-cmp "$kd/fault.txt" cmd/sweep/testdata/fault-reps10.txt
+/tmp/gridtrust-ci-trustsim sweep -reps 10 -seed 1 configs/sweeps/fault.json > "$kd/fault.txt"
+cmp "$kd/fault.txt" cmd/trustsim/testdata/fault-reps10.txt
 for model in purge frtrust bawa; do
-    /tmp/gridtrust-ci-sweep -mode fault -trust-model "$model" -reps 10 -seed 1 > "$kd/fault-$model.txt"
-    cmp "$kd/fault-$model.txt" "cmd/sweep/testdata/fault-$model-reps10.txt"
+    /tmp/gridtrust-ci-trustsim sweep -trust-model "$model" -reps 10 -seed 1 configs/sweeps/fault.json > "$kd/fault-$model.txt"
+    cmp "$kd/fault-$model.txt" "cmd/trustsim/testdata/fault-$model-reps10.txt"
 done
 rm -rf "$kd"
 
@@ -417,19 +411,33 @@ rm -f /tmp/gridtrust-ci-daemon /tmp/gridtrust-ci-gridctl /tmp/gridtrust-ci-gridl
 
 echo "==> sweep checkpoint-resume smoke (SIGINT, resume, diff)"
 ckd=$(mktemp -d)
-sweepargs="-mode machines -reps 20 -tasks 6000 -seed 5 -workers 1"
-/tmp/gridtrust-ci-sweep $sweepargs > "$ckd/expected.txt"
-# Interrupt a checkpointed run partway; completed cells are journalled.
-/tmp/gridtrust-ci-sweep $sweepargs -checkpoint "$ckd/ck" > /dev/null 2>&1 &
+# -reps sizes each of the five cells to a quarter of a second or so, so
+# the interrupt, sent once the first cell is journalled, lands before the
+# last (a cell's journal record grows with -reps: 40 machines at 5000 reps
+# outgrow the WAL's 8 MiB record limit).
+flags="-reps 2000 -seed 5 -workers 1"
+spec=configs/sweeps/machines.json
+/tmp/gridtrust-ci-trustsim sweep $flags "$spec" > "$ckd/expected.txt"
+/tmp/gridtrust-ci-trustsim sweep $flags -v -checkpoint "$ckd/ck" "$spec" > /dev/null 2> "$ckd/interrupted.log" &
 pid=$!
-sleep 1
-kill -INT "$pid" 2> /dev/null || true
-wait "$pid" || true
-# The resumed run must emit output byte-identical to the uninterrupted one.
-/tmp/gridtrust-ci-sweep $sweepargs -checkpoint "$ckd/ck" > "$ckd/resumed.txt"
+i=0
+until grep -q '\[1/5\]' "$ckd/interrupted.log"; do
+    i=$((i + 1))
+    test "$i" -lt 1200
+    sleep 0.05
+done
+kill -INT "$pid"
+status=0
+wait "$pid" || status=$?
+test "$status" -eq 130
+# The resumed run restores the journalled cells, runs the rest, and must
+# emit output byte-identical to the uninterrupted one.
+/tmp/gridtrust-ci-trustsim sweep $flags -v -checkpoint "$ckd/ck" "$spec" > "$ckd/resumed.txt" 2> "$ckd/resumed.log"
+grep -q ', cached$' "$ckd/resumed.log"
+grep -q ', ok$' "$ckd/resumed.log"
 cmp "$ckd/expected.txt" "$ckd/resumed.txt"
 rm -rf "$ckd"
-rm -f /tmp/gridtrust-ci-sweep
+rm -f /tmp/gridtrust-ci-trustsim
 
 echo "==> size (non-test Go lines; simplicity PRs quote it)"
 ./scripts/size.sh internal/core internal/sched internal/sim internal/trust internal/load internal/rmswire cmd/gridctl
