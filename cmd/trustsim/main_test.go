@@ -42,25 +42,33 @@ func run(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 
 // TestUnknownFormatFailsBeforeAnyCell: -format is checked with the other
 // flags, so a bad value costs no replication on either grid path: no
-// progress line under -v, the experiment file is not even opened, and no
-// checkpoint directory is created.
+// progress line under -v, and the experiment file is not even opened.
 func TestUnknownFormatFailsBeforeAnyCell(t *testing.T) {
+	rejectsFormat(t, "-table", "4", "-tasks", "10", "-v", "-reps", "1", "-format", "yaml")
+	rejectsFormat(t, "sweep", "-reps", "1", "-format", "yaml", "/nonexistent/scenarios.json")
+}
+
+// TestSweepUnknownFormatFailsBeforeAnyCell: under -checkpoint -v a bad
+// -format prints no progress line and creates no checkpoint directory,
+// which sweep makes before it runs a cell.
+func TestSweepUnknownFormatFailsBeforeAnyCell(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck")
-	for _, args := range [][]string{
-		{"-table", "4", "-tasks", "10", "-v", "-reps", "1", "-format", "yaml"},
-		{"sweep", "-reps", "1", "-format", "yaml", "/nonexistent/scenarios.json"},
-		{"sweep", "-reps", "1", "-format", "yaml", "-v", "-checkpoint", ck, "configs/sweeps/tcweight.json"},
-	} {
-		stdout, stderr, exit := run(t, args...)
-		if exit != 1 {
-			t.Fatalf("%v: exit %d, want 1", args, exit)
-		}
-		if !strings.HasPrefix(stderr, `trustsim: report: unknown format "yaml"`) || stdout != "" {
-			t.Errorf("%v: work was done before the format was rejected:\nstdout %q\nstderr %q", args, stdout, stderr)
-		}
-	}
+	rejectsFormat(t, "sweep", "-reps", "1", "-format", "yaml", "-v", "-checkpoint", ck, "configs/sweeps/tcweight.json")
 	if _, err := os.Stat(ck); !os.IsNotExist(err) {
 		t.Errorf("checkpoint directory was created (stat: %v)", err)
+	}
+}
+
+// rejectsFormat runs trustsim with args, whose -format is "yaml", and
+// fails t unless it exits 1 on the format with nothing else done.
+func rejectsFormat(t *testing.T, args ...string) {
+	t.Helper()
+	stdout, stderr, exit := run(t, args...)
+	if exit != 1 {
+		t.Fatalf("%v: exit %d, want 1", args, exit)
+	}
+	if !strings.HasPrefix(stderr, `trustsim: report: unknown format "yaml"`) || stdout != "" {
+		t.Errorf("%v: work was done before the format was rejected:\nstdout %q\nstderr %q", args, stdout, stderr)
 	}
 }
 
