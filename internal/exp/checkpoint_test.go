@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -300,6 +301,119 @@ func TestCheckpointInterruptedRunResumesToIdenticalResults(t *testing.T) {
 	for i := range ref {
 		if !reflect.DeepEqual(ref[i].Reps, resumed[i].Reps) {
 			t.Fatalf("cell %d: resumed reps diverge from uninterrupted run", i)
+		}
+	}
+}
+
+// bigResult is a replication result of a few MiB, so a handful of them
+// encode to a cell larger than one WAL record.
+type bigResult struct {
+	Rep int    `json:"rep"`
+	Pad string `json:"pad"`
+}
+
+func bigCells(executed *atomic.Int64) []Cell[bigResult] {
+	run := func(ctx context.Context, rep int, src *rng.Source, scratch any) (*bigResult, error) {
+		executed.Add(1)
+		return &bigResult{Rep: rep, Pad: strings.Repeat(string(rune('a'+rep)), 3<<20)}, nil
+	}
+	small := func(ctx context.Context, rep int, src *rng.Source, scratch any) (*bigResult, error) {
+		executed.Add(1)
+		return &bigResult{Rep: rep}, nil
+	}
+	return []Cell[bigResult]{{Name: "big", Run: run}, {Name: "small", Run: small}}
+}
+
+// TestCheckpointStoresCellsLargerThanOneRecord: a cell whose encoding
+// passes wal.DefaultMaxRecordBytes (8 MiB) is journalled as part records
+// and restored whole, from the record tail and from a compacted snapshot.
+func TestCheckpointStoresCellsLargerThanOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	ck, err := OpenCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var executed atomic.Int64
+	cells := bigCells(&executed)
+	first, err := Run(context.Background(), cells, ckOptions(ck, 4))
+	if err != nil {
+		t.Fatalf("run with a 9 MiB cell: %v", err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, compact := range []bool{false, true} {
+		ck, err := OpenCheckpoint(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.Len() != 2 {
+			t.Fatalf("compacted=%v: reopened checkpoint holds %d cells, want 2", compact, ck.Len())
+		}
+		executed.Store(0)
+		again, err := Run(context.Background(), cells, ckOptions(ck, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := executed.Load(); got != 0 {
+			t.Errorf("compacted=%v: resume executed %d replications, want 0", compact, got)
+		}
+		for i := range first {
+			if !reflect.DeepEqual(first[i].Reps, again[i].Reps) {
+				t.Errorf("compacted=%v: cell %s restored different results", compact, first[i].Name)
+			}
+		}
+		if !compact {
+			if err := ck.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ck.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointCellMissingAPartIsAMiss: a cell whose part records stop
+// short (a kill between two appends) is not restored, and a whole cell
+// beside it still is.
+func TestCheckpointCellMissingAPartIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	ck, err := OpenCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.store("whole", json.RawMessage(`[1,2]`)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []checkpointRecord{
+		{Key: "torn", Part: 0, Parts: 3, Chunk: []byte(`[1,`)},
+		{Key: "torn", Part: 1, Parts: 3, Chunk: []byte(`2,`)},
+		{Key: "gap", Part: 0, Parts: 2, Chunk: []byte(`[1,`)},
+		{Key: "split", Part: 0, Parts: 2, Chunk: []byte(`[7,`)},
+		{Key: "gap", Part: 0, Parts: 2, Chunk: []byte(`[3,`)},
+		{Key: "split", Part: 1, Parts: 2, Chunk: []byte(`8]`)},
+	} {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ck.log.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ck, err = OpenCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	for key, want := range map[string]string{"whole": `[1,2]`, "split": `[7,8]`, "torn": "", "gap": ""} {
+		blob, ok := ck.lookup(key)
+		if ok != (want != "") || string(blob) != want {
+			t.Errorf("cell %s: restored %q (%v), want %q", key, blob, ok, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,19 +51,34 @@ func fleetTopology(t *testing.T) *grid.Topology {
 	return top
 }
 
-// reservePort grabs an ephemeral port and releases it so a config can
-// name the address before the listener exists (fleet configs are
+// reservePort grabs an ephemeral port no earlier call returned and
+// releases it so a config can name the address before the listener exists (fleet configs are
 // static: peers must know each other's gossip address up front).
 func reservePort(t *testing.T) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	reservedMu.Lock()
+	defer reservedMu.Unlock()
+	for {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		_ = ln.Close()
+		if !reserved[addr] {
+			reserved[addr] = true
+			return addr
+		}
 	}
-	addr := ln.Addr().String()
-	_ = ln.Close()
-	return addr
 }
+
+// reserved is every address reservePort handed out in this process: the
+// kernel may give a closed probe's port to the next probe at once, and
+// a fleet config naming one address twice does not start.
+var (
+	reservedMu sync.Mutex
+	reserved   = make(map[string]bool)
+)
 
 type testShard struct {
 	name   string
@@ -386,34 +402,76 @@ func TestZeroForwardAttemptsConfigStillForwards(t *testing.T) {
 }
 
 func TestMintedForwardKeysAreNotRetained(t *testing.T) {
-	shards, _ := startFleet(t, 2, time.Second)
-	var c int
-	for c = 0; c < 4; c++ {
-		if ownerOf(shards, c) == 1 {
-			break
+	shards, cfg := startFleet(t, 2, time.Second)
+	// owned[i] is a client whose CD shard i owns.
+	owned := [2]int{-1, -1}
+	for c := 0; c < 4; c++ {
+		if o := ownerOf(shards, c); owned[o] < 0 {
+			owned[o] = c
 		}
 	}
-	if c == 4 {
-		t.Skip("ring gave shard 1 no CDs (vnode layout)")
+	if owned[0] < 0 || owned[1] < 0 {
+		t.Skip("ring gave a shard no CDs (vnode layout)")
 	}
 	// Keyless mis-routed submits get router-minted idempotency keys; a
 	// client can never replay one, so the forwarded set must not grow
 	// (it would leak one entry per keyless submit for the process
-	// lifetime).  Client-supplied keys are the set's whole purpose and
-	// must be retained.
-	for i := 0; i < 3; i++ {
-		if _, err := shards[0].client.Submit(grid.ClientID(c),
-			[]grid.Activity{grid.ActCompute}, grid.LevelE, []float64{100, 110, 120, 130}, 0); err != nil {
-			t.Fatalf("keyless submit %d: %v", i, err)
+	// lifetime), and each owner keeps only the last window of an entry
+	// shard's keys.  Client-supplied keys are the set's whole purpose and
+	// must be retained.  Both shards enter 3W submits the other owns,
+	// four connections each.
+	const n, conns = 3 * rmswire.ForwardKeyWindow, 4
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*conns)
+	for entry := range shards {
+		for w := 0; w < conns; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, err := rmswire.Dial(cfg.Shards[entry].Addr)
+				if err != nil {
+					errs <- err
+					return
+				}
+				defer c.Close()
+				for i := w; i < n; i += conns {
+					if _, err := c.Submit(grid.ClientID(owned[1-entry]),
+						[]grid.Activity{grid.ActCompute}, grid.LevelE, []float64{100, 110, 120, 130}, float64(i)); err != nil {
+						errs <- fmt.Errorf("keyless submit %d through shard %d: %w", i, entry, err)
+						return
+					}
+				}
+			}()
 		}
 	}
-	r := shards[0].fl.router
-	r.mu.Lock()
-	n := len(r.forwarded)
-	r.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("forwarded set retained %d router-minted keys, want 0", n)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
+	placed, open := 0, 0
+	for _, s := range shards {
+		s.fl.router.mu.Lock()
+		kept := len(s.fl.router.forwarded)
+		s.fl.router.mu.Unlock()
+		if kept != 0 {
+			t.Errorf("shard %s: forwarded set retained %d router-minted keys, want 0", s.name, kept)
+		}
+		h, err := s.client.Health()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.IdemEntries > rmswire.ForwardKeyWindow {
+			t.Errorf("shard %s holds %d idempotency keys from one entry instance, want at most %d", s.name, h.IdemEntries, rmswire.ForwardKeyWindow)
+		}
+		placed += h.Placed
+		open += h.OpenPlacements
+	}
+	if placed != 2*n || open != 2*n {
+		t.Errorf("fleet books: placed %d, open %d; want %d acknowledged submits each", placed, open, 2*n)
+	}
+	r := shards[0].fl.router
+	c := owned[1]
 	if _, err := shards[0].client.SubmitKeyed("sticky", grid.ClientID(c),
 		[]grid.Activity{grid.ActCompute}, grid.LevelE, []float64{100, 110, 120, 130}, 0); err != nil {
 		t.Fatal(err)

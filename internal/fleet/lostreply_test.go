@@ -13,30 +13,31 @@ import (
 	"gridtrust/internal/testutil"
 )
 
-// armOnReport is a Router decorator for the entry shard: the first
-// report it sees triggers arm before routing continues, so the fault
-// lands on exactly that report's forward hop.
-type armOnReport struct {
+// armOn is a Router decorator for the entry shard: the first request of
+// op it sees triggers arm before routing continues, so the fault lands on
+// exactly that request's forward hop.
+type armOn struct {
+	op    string
 	inner rmswire.Router
 	once  sync.Once
 	arm   func()
 }
 
-func (a *armOnReport) Route(req rmswire.Request) (rmswire.Response, bool) {
-	if req.Op == rmswire.OpReport {
+func (a *armOn) Route(req rmswire.Request) (rmswire.Response, bool) {
+	if req.Op == a.op {
 		a.once.Do(a.arm)
 	}
 	return a.inner.Route(req)
 }
 
-// lostReplyFleet is a 2-shard chaos fleet in which the first report
-// entering through the non-owner of client 0 loses its reply on the
+// lostReplyFleet is a 2-shard chaos fleet in which the first request of
+// op entering through the non-owner of client 0 loses its reply on the
 // forward hop: the entry shard's forward connection is dropped and the
 // owner's next accepted connection is reset once its first frame is
-// read, so the owner executes the report and the reply dies with the
+// read, so the owner executes the request and the reply dies with the
 // connection.  The wire heals as soon as that reset has fired, so the
 // router's second forward attempt reaches a healthy owner.
-func lostReplyFleet(t *testing.T) (entry, owner *testShard, ownerWire *chaos.Wire) {
+func lostReplyFleet(t *testing.T, op string) (entry, owner *testShard, ownerWire *chaos.Wire) {
 	t.Helper()
 	shards, wires, _ := startChaosFleet(t, 2, 77, func(c *Config) {
 		c.ForwardAttempts = 6 // ~125 ms of forward backoff for the heal to land in
@@ -50,7 +51,7 @@ func lostReplyFleet(t *testing.T) (entry, owner *testShard, ownerWire *chaos.Wir
 	}, "entry shard never synced the owner's trust table")
 
 	// Forward over a connection this test can drop: whatever healthy
-	// connection earlier forwards left behind, the armed report's forward
+	// connection earlier forwards left behind, the armed request's forward
 	// must dial a new one to draw the reset fate.
 	peer := entry.fl.router.peers[o]
 	fwd := frame.NewConn(peer.cfg.Addr, time.Second)
@@ -60,7 +61,7 @@ func lostReplyFleet(t *testing.T) (entry, owner *testShard, ownerWire *chaos.Wir
 
 	var healed sync.WaitGroup
 	t.Cleanup(healed.Wait)
-	entry.srv.Router = &armOnReport{inner: entry.fl.router, arm: func() {
+	entry.srv.Router = &armOn{op: op, inner: entry.fl.router, arm: func() {
 		fwd.Drop()
 		ownerWire.SetFaults(chaos.Faults{ResetProb: 1, ResetAfterMax: 1})
 		healed.Add(1)
@@ -114,7 +115,7 @@ func TestLostForwardReplyReportIsExactlyOnce(t *testing.T) {
 
 	t.Run("client", func(t *testing.T) {
 		t.Cleanup(testutil.LeakCheck(t))
-		entry, owner, wire := lostReplyFleet(t)
+		entry, owner, wire := lostReplyFleet(t, rmswire.OpReport)
 		p := submit(t, owner)
 		if err := entry.client.Report(p.ID, 5, 1); err != nil {
 			t.Errorf("report through the non-owner: %v (the client's books keep the placement open; owner open_placements = %d)",
@@ -128,7 +129,7 @@ func TestLostForwardReplyReportIsExactlyOnce(t *testing.T) {
 
 	t.Run("retrier", func(t *testing.T) {
 		t.Cleanup(testutil.LeakCheck(t))
-		entry, owner, wire := lostReplyFleet(t)
+		entry, owner, wire := lostReplyFleet(t, rmswire.OpReport)
 		p := submit(t, owner)
 		r := rmswire.NewRetrier(rmswire.RetrierConfig{Addr: entry.fl.cfg.Shards[entry.fl.self].Addr, Seed: 5})
 		defer r.Close()
@@ -146,7 +147,7 @@ func TestLostForwardReplyReportIsExactlyOnce(t *testing.T) {
 
 	t.Run("load", func(t *testing.T) {
 		t.Cleanup(testutil.LeakCheck(t))
-		entry, owner, wire := lostReplyFleet(t)
+		entry, owner, wire := lostReplyFleet(t, rmswire.OpReport)
 		cfg := entry.fl.cfg
 		rep, err := load.Run(load.Config{
 			FleetAddrs: []string{cfg.Shards[entry.fl.self].Addr, cfg.Shards[owner.fl.self].Addr},
@@ -169,4 +170,31 @@ func TestLostForwardReplyReportIsExactlyOnce(t *testing.T) {
 		}
 		lostOnce(t, owner, wire)
 	})
+}
+
+// TestLostForwardReplySubmitIsExactlyOnce is the submit half: a keyless
+// submit entering through the non-owner travels under the key its router
+// minted, the owner places it and the reply is lost on the hop, and the
+// router's next attempt is answered from the owner's window of minted
+// keys.  The client sees one placement, the fleet holds one, and the
+// owner counts one idempotent hit.
+func TestLostForwardReplySubmitIsExactlyOnce(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t))
+	entry, owner, wire := lostReplyFleet(t, rmswire.OpSubmit)
+	p, err := entry.client.Submit(0, []grid.Activity{grid.ActCompute}, grid.LevelE, []float64{100, 110, 120, 130}, 0)
+	if err != nil {
+		t.Fatalf("keyless submit through the non-owner: %v", err)
+	}
+	if got := p.ID >> rmswire.ShardIDShift; got != uint64(owner.fl.self) {
+		t.Errorf("placement %d minted by shard %d, want the owner %d", p.ID, got, owner.fl.self)
+	}
+	if got := wire.Resets(); got != 1 {
+		t.Fatalf("injected resets = %d, want 1 (the fault never hit the forward hop)", got)
+	}
+	if got := entry.trms.Placed() + owner.trms.Placed(); got != 1 {
+		t.Errorf("fleet placed = %d, want 1", got)
+	}
+	if got := owner.srv.Metrics().Snapshot().Counters[rmswire.MetricIdemHits]; got != 1 {
+		t.Errorf("owner idem_hits_total = %d, want 1", got)
+	}
 }

@@ -89,7 +89,8 @@ type router struct {
 	forwardNS *metrics.Histogram
 
 	// instance+fwdSeq generate idempotency keys for keyless forwarded
-	// submits, unique per entry-shard process lifetime.
+	// submits (rmswire.ForwardKey), unique per entry-shard process
+	// lifetime and rising, so an owner keeps a bounded window of them.
 	instance int64
 	fwdSeq   atomic.Uint64
 
@@ -171,7 +172,10 @@ func (r *router) Route(req rmswire.Request) (rmswire.Response, bool) {
 			// retries inside forward() stay exactly-once at the owner.
 			// Client-level retries of keyless submits mint fresh keys
 			// and accept double-place risk, exactly as on one daemon.
-			req.IdemKey = fmt.Sprintf("fwd-%s-%d-%d", r.self, r.instance, r.fwdSeq.Add(1))
+			// The owner keeps only a window of this instance's latest
+			// keys (rmswire.ForwardKeyWindow) and answers a retry below
+			// it as overloaded, which forward relays like any overload.
+			req.IdemKey = rmswire.ForwardKey(r.self, r.instance, r.fwdSeq.Add(1))
 			minted = true
 		}
 		return r.forward(idx, req, true, minted)

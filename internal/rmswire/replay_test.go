@@ -183,6 +183,100 @@ func TestReplayEqualsLiveAtEveryRecord(t *testing.T) {
 			}
 		})
 	}
+	t.Run("minted", testReplayEqualsLiveMinted)
+}
+
+// testReplayEqualsLiveMinted is a journal of more than W router-minted
+// keys from two entry-shard instances, acknowledged slightly out of order
+// as racing forwards are, among retries that land inside the window and
+// below it, client keys, reports and checkpoints.  Recovering the journal
+// at every record costs O(records) each time, so the check runs at every
+// 512th request, after each checkpoint and at the end.
+func testReplayEqualsLiveMinted(t *testing.T) {
+	dir := t.TempDir()
+	srv := journalledBooksServer(t, dir)
+	r := rng.New(6)
+	const n = ForwardKeyWindow + ForwardKeyWindow/4
+	// order[i] is the seqs instance i sends, in sending order: each block
+	// of 4 is shuffled, so acknowledgements arrive out of order.
+	var (
+		order [2][]uint64
+		sent  [2]int
+	)
+	for i := range order {
+		for seq := uint64(1); seq <= n; seq++ {
+			order[i] = append(order[i], seq)
+		}
+		for b := 0; b+4 <= n; b += 4 {
+			r.Shuffle(4, func(x, y int) { order[i][b+x], order[i][b+y] = order[i][b+y], order[i][b+x] })
+		}
+	}
+	submit := func(key string, now float64) Request {
+		return Request{Op: OpSubmit, Client: 0, Activities: []int{0}, RTL: "D",
+			EEC: []float64{10 + float64(r.Intn(5)), 10 + float64(r.Intn(5))}, IdemKey: key, Forwarded: true, Now: now}
+	}
+	var issued []uint64
+	staleSeen, hitSeen, lateCheckpoints := 0, 0, 0
+	for step := 0; sent[0] < n || sent[1] < n; step++ {
+		now := float64(step)
+		inst := r.Intn(2)
+		if sent[inst] == n {
+			inst = 1 - inst
+		}
+		var req Request
+		switch k := r.Intn(20); {
+		case k < 15:
+			req = submit(ForwardKey("s1", int64(inst), order[inst][sent[inst]]), now)
+			sent[inst]++
+		case k < 17:
+			if sent[inst] == 0 {
+				continue
+			}
+			req = submit(ForwardKey("s1", int64(inst), order[inst][r.Intn(sent[inst])]), now)
+		case k == 17:
+			req = submit(fmt.Sprintf("client-%d", r.Intn(50)), now)
+		case k == 18:
+			if len(issued) == 0 {
+				continue
+			}
+			req = Request{Op: OpReport, PlacementID: issued[r.Intn(len(issued))], Outcome: float64(1 + r.Intn(6)), Now: now}
+		default:
+			if r.Intn(16) == 0 {
+				if _, err := srv.Checkpoint(); err != nil {
+					t.Fatalf("step %d: checkpoint: %v", step, err)
+				}
+				req.Op = OpCheckpoint
+				if max(sent[0], sent[1]) > ForwardKeyWindow {
+					lateCheckpoints++
+				}
+			}
+		}
+		if req.Op != "" && req.Op != OpCheckpoint {
+			resp := srv.respond(req)
+			switch {
+			case resp.Status == StatusOverloaded:
+				staleSeen++
+			case req.Op != OpSubmit || resp.Status != StatusOK:
+			case len(issued) > 0 && resp.Placement.ID <= issued[len(issued)-1]:
+				hitSeen++ // an idempotent hit answers an id already issued
+			default:
+				issued = append(issued, resp.Placement.ID)
+			}
+		}
+		if step%512 == 0 || req.Op == OpCheckpoint {
+			if live, recovered := restState(t, srv), recoveredState(t, dir); live != recovered {
+				t.Fatalf("step %d (%+v): a daemon recovered from the journal differs from the live one:\n live      %s\n recovered %s",
+					step, req, live, recovered)
+			}
+		}
+	}
+	if live, recovered := restState(t, srv), recoveredState(t, dir); live != recovered {
+		t.Fatalf("at the end: a daemon recovered from the journal differs from the live one:\n live      %s\n recovered %s", live, recovered)
+	}
+	if _, idem := srv.books.counts(); staleSeen == 0 || hitSeen == 0 || lateCheckpoints == 0 || idem > 2*ForwardKeyWindow+50 {
+		t.Fatalf("%d stale refusals, %d replays, %d checkpoints past a full window, %d keys held: the script exercises too little",
+			staleSeen, hitSeen, lateCheckpoints, idem)
+	}
 }
 
 // checkpointGoldenFile is the checkpoint payload of checkpointScript,

@@ -640,8 +640,9 @@ func (s *Server) handleCheckpoint() Response {
 }
 
 // handleSubmit places one task.  A key already acknowledged replays the
-// original placement; a key whose first attempt is executing is shed as
-// retryable rather than raced into a double-place.
+// original placement; a key whose first attempt is executing, or a
+// router-minted key below its window (ledger.go), is shed as retryable
+// rather than raced into a double-place.
 func (s *Server) handleSubmit(req Request) Response {
 	if req.IdemKey != "" {
 		switch rec, c := s.books.reserveKey(req.IdemKey); c {
@@ -652,6 +653,9 @@ func (s *Server) handleSubmit(req Request) Response {
 		case inFlight:
 			s.sm.shedIdemPending.Inc()
 			return s.overloaded(fmt.Sprintf("submit with idempotency key %q in flight", req.IdemKey))
+		case stale:
+			// Placed here once, or never: the window no longer says which.
+			return s.overloaded(fmt.Sprintf("submit with idempotency key %q is below its forward-key window", req.IdemKey))
 		}
 		defer s.books.releaseKey(req.IdemKey)
 	}

@@ -63,6 +63,12 @@ if grep -rn 'net\.Dial' --include='*.go' internal cmd | grep -v '_test\.go:' | g
     exit 1
 fi
 
+echo "==> one owner of the forward key's form (\"fwd- in non-test code only under internal/rmswire)"
+if grep -rn '"fwd-' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -v '^internal/rmswire/'; then
+    echo "ci: router-minted keys are made by rmswire.ForwardKey and read by the ledger's parser, so the owner's window and the router agree on the form" >&2
+    exit 1
+fi
+
 echo "==> one switch on journal record kind (internal/rmswire/ledger.go)"
 if grep -rnE 'case recPlace|case recReport|\.Kind ==' --include='*.go' internal/rmswire \
     | grep -v '_test\.go:' | grep -v '^internal/rmswire/ledger\.go:'; then
