@@ -52,8 +52,9 @@ func fleetTopology(t *testing.T) *grid.Topology {
 }
 
 // reservePort grabs an ephemeral port no earlier call returned and
-// releases it so a config can name the address before the listener exists (fleet configs are
-// static: peers must know each other's gossip address up front).
+// releases it so a config can name the address before the listener
+// exists (fleet configs are static: peers must know each other's gossip
+// address up front).
 func reservePort(t *testing.T) string {
 	t.Helper()
 	reservedMu.Lock()

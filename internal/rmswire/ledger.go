@@ -96,7 +96,8 @@ func parseForwardKey(key string) (instance string, seq uint64, ok bool) {
 // keyWindow holds one instance's acknowledged minted records, ascending
 // by seq: recs[head:] are live, and an evicted record's slot is zeroed
 // until the live run is moved down, which happens once head reaches
-// ForwardKeyWindow so an acknowledgement costs O(1) moves amortised.
+// ForwardKeyWindow.  An acknowledgement in seq order thus costs O(1)
+// moves amortised; one d places out of order moves d more.
 type keyWindow struct {
 	recs []windowRecord
 	head int
