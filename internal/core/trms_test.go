@@ -142,6 +142,19 @@ func TestSubmitBasicPlacement(t *testing.T) {
 	}
 }
 
+// TestSubmitAtNaNFails: a NaN time makes every availability NaN, which
+// MCT refuses to price; the submit fails and places nothing.
+func TestSubmitAtNaNFails(t *testing.T) {
+	trms := newTRMS(t, Config{Topology: twoDomainTopology(t)})
+	task := Task{Client: 0, ToA: grid.MustToA(grid.ActCompute), RTL: grid.LevelA, EEC: []float64{10, 20}}
+	if p, err := trms.Submit(task, math.NaN()); err == nil {
+		t.Fatalf("submit at NaN placed %+v", p)
+	}
+	if trms.Placed() != 0 {
+		t.Fatalf("placed %d at NaN", trms.Placed())
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	trms := newTRMS(t, Config{Topology: twoDomainTopology(t)})
 	base := Task{Client: 0, ToA: grid.MustToA(grid.ActCompute), RTL: grid.LevelA, EEC: []float64{1, 2}}

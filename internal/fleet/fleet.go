@@ -85,7 +85,7 @@ func Start(cfg Config, self string, srv *rmswire.Server, trms *core.TRMS) (*Flee
 		if cfg.WrapListener != nil {
 			ln = cfg.WrapListener(ln)
 		}
-		go func() { _ = tw.Serve(ln) }()
+		tw.ServeListener(ln)
 		f.tw, f.twAddr = tw, addr
 
 		// ...and pull every peer's table into the claims overlay.  The

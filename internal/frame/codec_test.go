@@ -147,13 +147,12 @@ func TestCodecDecodesCanonicalFormItself(t *testing.T) {
 func TestWriteBoundsTheFrame(t *testing.T) {
 	var sink bytes.Buffer
 	fits := ping{Pad: strings.Repeat("x", MaxBytes-len(`{"n":0,"pad":""}`))}
-	w := Writer{W: &sink}
-	if err := w.Write(pingCodec.Frame(&fits)); err != nil || sink.Len() != MaxBytes+1 {
+	if err := Write(&sink, pingCodec.Frame(&fits)); err != nil || sink.Len() != MaxBytes+1 {
 		t.Fatalf("a frame of exactly MaxBytes: wrote %d bytes, err %v", sink.Len(), err)
 	}
 	sink.Reset()
 	fits.Pad += "x"
-	if err := w.Write(pingCodec.Frame(&fits)); !errors.Is(err, ErrTooLarge) || sink.Len() != 0 {
+	if err := Write(&sink, pingCodec.Frame(&fits)); !errors.Is(err, ErrTooLarge) || sink.Len() != 0 {
 		t.Fatalf("a frame one byte over: wrote %d bytes, err %v; want ErrTooLarge and nothing written", sink.Len(), err)
 	}
 }

@@ -75,7 +75,7 @@ func NewConn(addr string, dialTimeout time.Duration) *Conn {
 // tests).  With no address to redial, it is finished once that
 // connection fails.
 func Wrap(conn net.Conn) *Conn {
-	return &Conn{conn: conn, r: bufio.NewReaderSize(conn, 64<<10)}
+	return &Conn{conn: conn, r: newReader(conn)}
 }
 
 // Dial connects now if not connected, so a caller can learn at start-up
@@ -110,7 +110,7 @@ func (c *Conn) live() (net.Conn, *bufio.Reader, error) {
 		c.dialErrors.Add(1)
 		return nil, nil, fmt.Errorf("frame: dial %s: %w", c.addr, err)
 	}
-	r = bufio.NewReaderSize(conn, 64<<10)
+	r = newReader(conn)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()

@@ -1,12 +1,10 @@
 package frame
 
 import (
-	"bufio"
 	"errors"
 	"math"
 	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,71 +25,61 @@ var pingCodec = NewCodec(
 	Of("f,omitempty", Float64, func(p *ping) *float64 { return &p.F }),
 )
 
-// echoServer answers every frame with the same frame, behind a chaos
-// wire.  executed counts the requests it read in full — what a client can
-// only guess at after a failed round trip — and accepted the connections.
+// echoServer answers every frame with the same frame through the shared
+// server loop, behind a chaos wire.  executed counts the requests it read
+// in full — what a client can only guess at after a failed round trip —
+// and accepted the connections.  A frame it cannot read is answered with
+// N = -1 and the error in Pad.
 type echoServer struct {
+	*Server[ping, ping]
 	ln       net.Listener
 	wire     *chaos.Wire
-	wg       sync.WaitGroup
 	executed atomic.Int64
 	accepted atomic.Int64
-
-	mu    sync.Mutex
-	conns []net.Conn
 }
 
-func startEcho(t *testing.T) *echoServer {
+func startEcho(t *testing.T) *echoServer { return serveEcho(t, DefaultIdleTimeout, nil) }
+
+// serveEcho starts an echo server whose connections are reaped after
+// idle, and which refuses a new connection, given how many are served,
+// if refuse (when set) writes a refusal and says so.
+func serveEcho(t *testing.T, idle time.Duration, refuse func(open int, resp *ping) bool) *echoServer {
+	t.Helper()
+	s := &echoServer{wire: chaos.NewWire(1)}
+	s.ln = s.wire.Listener(listen(t))
+	s.Server = NewServer(pingCodec, pingCodec, Handler[ping, ping]{
+		Respond: func(req, resp *ping) bool {
+			s.executed.Add(1)
+			*resp = *req
+			return false
+		},
+		Fail: func(err error, resp *ping) { *resp = ping{N: -1, Pad: err.Error()} },
+		Admit: func(open int, resp *ping) bool {
+			if refuse != nil && refuse(open, resp) {
+				return false
+			}
+			s.accepted.Add(1)
+			return true
+		},
+		Idle: func() time.Duration { return idle },
+	})
+	s.ServeListener(s.ln)
+	t.Cleanup(s.stop)
+	return s
+}
+
+func listen(t *testing.T) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &echoServer{wire: chaos.NewWire(1)}
-	s.ln = s.wire.Listener(ln)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := s.ln.Accept()
-			if err != nil {
-				return
-			}
-			s.accepted.Add(1)
-			s.mu.Lock()
-			s.conns = append(s.conns, conn)
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				var p ping
-				for {
-					if Read(r, pingCodec.Frame(&p)) != nil {
-						return
-					}
-					s.executed.Add(1)
-					if Write(conn, pingCodec.Frame(&p)) != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	t.Cleanup(s.stop)
-	return s
+	return ln
 }
 
 func (s *echoServer) stop() {
 	s.wire.Partition(false)
-	s.ln.Close()
-	s.mu.Lock()
-	for _, c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	s.Close()
 }
 
 // roundTrip runs one exchange and checks the delivery it reports.

@@ -24,19 +24,9 @@ import (
 	"fmt"
 	"time"
 
-	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/metrics"
 )
-
-// MaxFrameBytes bounds one JSON frame.
-const MaxFrameBytes = frame.MaxBytes
-
-// ErrFrameTooLarge reports a frame exceeding MaxFrameBytes.  The reader
-// fails as soon as the limit is crossed — it never buffers an unbounded
-// line waiting for a newline that may not come — and the server answers
-// with an error frame instead of silently dropping the connection.
-var ErrFrameTooLarge = frame.ErrTooLarge
 
 // Operation names.
 const (

@@ -50,7 +50,7 @@ func TestConcurrentDuplicateReportsApplyOnce(t *testing.T) {
 	)
 	start := make(chan struct{})
 	for i := 0; i < n; i++ {
-		c, err := Dial(srv.ln.Addr().String())
+		c, err := Dial(addrOf(srv))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestConcurrentDuplicateReportsApplyOnce(t *testing.T) {
 func TestSubmitAndItsReplayAreTheSameFrame(t *testing.T) {
 	t.Cleanup(testutil.LeakCheck(t))
 	_, srv, client := newDaemon(t)
-	conn, err := net.Dial("tcp", srv.ln.Addr().String())
+	conn, err := net.Dial("tcp", addrOf(srv))
 	if err != nil {
 		t.Fatal(err)
 	}

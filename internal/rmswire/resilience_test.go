@@ -477,7 +477,7 @@ func TestClientFrameTooLargeOnReadPath(t *testing.T) {
 		defer conn.Close()
 		buf := make([]byte, 4096)
 		_, _ = conn.Read(buf) // swallow the request frame
-		junk := make([]byte, MaxFrameBytes+2)
+		junk := make([]byte, frame.MaxBytes+2)
 		for i := range junk {
 			junk[i] = 'z'
 		}
@@ -491,8 +491,8 @@ func TestClientFrameTooLargeOnReadPath(t *testing.T) {
 	}
 	defer client.Close()
 	_, err = client.Stats()
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized response returned %v, want ErrFrameTooLarge", err)
+	if !errors.Is(err, frame.ErrTooLarge) {
+		t.Fatalf("oversized response returned %v, want frame.ErrTooLarge", err)
 	}
 	var oe *OpError
 	if !errors.As(err, &oe) || oe.Delivery != frame.MaybeSent {

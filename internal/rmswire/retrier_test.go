@@ -77,7 +77,7 @@ func TestRetrierRetriesOverloadThenSucceeds(t *testing.T) {
 
 func TestRetrierReconnectsAfterBrokenConnection(t *testing.T) {
 	_, srv, _ := newDaemon(t)
-	r := NewRetrier(RetrierConfig{Addr: srv.ln.Addr().String(), Seed: 9,
+	r := NewRetrier(RetrierConfig{Addr: addrOf(srv), Seed: 9,
 		BaseBackoff: time.Millisecond})
 	defer r.Close()
 	if _, err := r.Stats(); err != nil {
@@ -93,7 +93,7 @@ func TestRetrierReconnectsAfterBrokenConnection(t *testing.T) {
 
 func TestRetrierSubmitSameKeyNeverDoublePlaces(t *testing.T) {
 	trms, srv, _ := newDaemon(t)
-	r := NewRetrier(RetrierConfig{Addr: srv.ln.Addr().String(), Seed: 11,
+	r := NewRetrier(RetrierConfig{Addr: addrOf(srv), Seed: 11,
 		BaseBackoff: time.Millisecond})
 	defer r.Close()
 	acts := []grid.Activity{grid.ActCompute}
@@ -119,7 +119,7 @@ func TestRetrierSubmitSameKeyNeverDoublePlaces(t *testing.T) {
 
 func TestRetrierDoesNotRetryApplicationErrors(t *testing.T) {
 	_, srv, _ := newDaemon(t)
-	r := NewRetrier(RetrierConfig{Addr: srv.ln.Addr().String(), Seed: 13,
+	r := NewRetrier(RetrierConfig{Addr: addrOf(srv), Seed: 13,
 		BaseBackoff: 500 * time.Millisecond, MaxAttempts: 10})
 	defer r.Close()
 	start := time.Now()
@@ -150,7 +150,7 @@ func TestRetrierExhaustsAgainstDeadServer(t *testing.T) {
 
 func TestRetrierConcurrentSubmits(t *testing.T) {
 	trms, srv, _ := newDaemon(t)
-	r := NewRetrier(RetrierConfig{Addr: srv.ln.Addr().String(), Seed: 19,
+	r := NewRetrier(RetrierConfig{Addr: addrOf(srv), Seed: 19,
 		BaseBackoff: time.Millisecond})
 	defer r.Close()
 	const n = 16

@@ -56,11 +56,13 @@ func newDaemon(t *testing.T) (*core.TRMS, *Server, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(addr.String())
+	served := &servedConns{Listener: ln}
+	daemons.Store(srv, served)
+	client, err := Dial(srv.ServeListener(served).String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +70,37 @@ func newDaemon(t *testing.T) (*core.TRMS, *Server, *Client) {
 		client.Close()
 		srv.Close()
 		trms.Close()
+		daemons.Delete(srv)
 	})
 	return trms, srv, client
+}
+
+// servedConns is the listener newDaemon serves on: it remembers the
+// connections it accepted, so severConns can close the server's side of
+// them.
+type servedConns struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *servedConns) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+// daemons maps each of newDaemon's servers to its listener.
+var daemons sync.Map
+
+// addrOf is the address newDaemon's server listens on.
+func addrOf(srv *Server) string {
+	l, _ := daemons.Load(srv)
+	return l.(*servedConns).Addr().String()
 }
 
 func TestNewServerValidation(t *testing.T) {
@@ -207,7 +238,7 @@ func TestUnknownOp(t *testing.T) {
 
 func TestConcurrentClientsSharedServer(t *testing.T) {
 	_, srv, first := newDaemon(t)
-	addr := srv.ln.Addr().String()
+	addr := addrOf(srv)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -245,7 +276,7 @@ func TestConcurrentClientsSharedServer(t *testing.T) {
 
 func TestMalformedFrame(t *testing.T) {
 	_, srv, _ := newDaemon(t)
-	conn, err := net.Dial("tcp", srv.ln.Addr().String())
+	conn, err := net.Dial("tcp", addrOf(srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +295,7 @@ func TestMalformedFrame(t *testing.T) {
 
 func TestOversizeFrameAnsweredWithError(t *testing.T) {
 	_, srv, _ := newDaemon(t)
-	conn, err := net.Dial("tcp", srv.ln.Addr().String())
+	conn, err := net.Dial("tcp", addrOf(srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +303,7 @@ func TestOversizeFrameAnsweredWithError(t *testing.T) {
 	// Concurrently: the server starts reading while we are still
 	// flooding, so neither side blocks on a full socket buffer.
 	go func() {
-		_, _ = conn.Write(bytes.Repeat([]byte{'z'}, MaxFrameBytes+2))
+		_, _ = conn.Write(bytes.Repeat([]byte{'z'}, frame.MaxBytes+2))
 		_, _ = conn.Write([]byte{'\n'})
 	}()
 	var resp Response
@@ -320,16 +351,18 @@ func TestIdleConnectionIsReaped(t *testing.T) {
 // severConns closes every connection the server holds, behind its
 // clients' backs: their next op finds a dead stream.
 func severConns(srv *Server) {
-	srv.connMu.Lock()
-	defer srv.connMu.Unlock()
-	for c := range srv.conns {
+	l, _ := daemons.Load(srv)
+	served := l.(*servedConns)
+	served.mu.Lock()
+	defer served.mu.Unlock()
+	for _, c := range served.conns {
 		c.Close()
 	}
 }
 
 func TestIdleTimeoutResolution(t *testing.T) {
 	s := &Server{}
-	if got := s.idleTimeout(); got != DefaultIdleTimeout {
+	if got := s.idleTimeout(); got != frame.DefaultIdleTimeout {
 		t.Fatalf("zero value resolved to %v", got)
 	}
 	s.IdleTimeout = -1
@@ -346,7 +379,7 @@ func TestPipeTransport(t *testing.T) {
 	trms, srv, _ := newDaemon(t)
 	_ = trms
 	client, server := net.Pipe()
-	go srv.handle(server)
+	go srv.ServeConn(server)
 	c := NewClient(frame.Wrap(client))
 	defer c.Close()
 	p, err := c.Submit(0, []grid.Activity{grid.ActStorage}, grid.LevelB, []float64{3, 4}, 0)

@@ -1,11 +1,7 @@
 package rmswire
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,23 +13,20 @@ import (
 	"gridtrust/internal/wal"
 )
 
-// DefaultIdleTimeout is the per-connection read/write deadline applied
-// when Server.IdleTimeout is zero: a client that neither sends a frame
-// nor drains a response for this long is reaped instead of pinning a
-// handler goroutine forever.
-const DefaultIdleTimeout = 2 * time.Minute
-
 // DefaultRetryAfter is the backoff hint carried on StatusOverloaded
 // responses when Server.RetryAfter is zero.
 const DefaultRetryAfter = 50 * time.Millisecond
 
 // Server exposes one TRMS over the wire.  Its ledger keeps placements by
-// id so outcome reports can reference them across connections.
+// id so outcome reports can reference them across connections.  The
+// listener, the connections, their request loops, ServeConn and Close are
+// internal/frame's (server.go); what follows is this protocol's own.
 type Server struct {
+	*wire
 	trms *core.TRMS
 
 	// IdleTimeout is the per-connection read/write deadline; 0 selects
-	// DefaultIdleTimeout, negative disables deadlines.  Set before
+	// frame.DefaultIdleTimeout, negative disables deadlines.  Set before
 	// ListenAndServe.
 	IdleTimeout time.Duration
 
@@ -64,17 +57,14 @@ type Server struct {
 	// like health).  Set before ListenAndServe.
 	FleetStatus func() *FleetInfo
 
-	ln     net.Listener
-	wg     sync.WaitGroup
-	closed atomic.Bool
-
-	// tokens is the admission semaphore (nil when MaxInFlight == 0);
-	// inflight counts executing requests for health and drain even when
-	// admission is unlimited.
-	tokens   chan struct{}
-	inflight atomic.Int64
-	draining atomic.Bool
-	drainReq chan struct{}
+	// tokens is the admission semaphore (nil when MaxInFlight == 0),
+	// made by the first acquire; inflight counts executing requests for
+	// health and drain even when admission is unlimited.
+	tokensOnce sync.Once
+	tokens     chan struct{}
+	inflight   atomic.Int64
+	draining   atomic.Bool
+	drainReq   chan struct{}
 
 	// degraded is the daemon-level fail-stop latch: once the journal
 	// reports a WAL fail-stop (a failed write or fsync — durability can
@@ -84,9 +74,6 @@ type Server struct {
 	// degradedCause holds the first error, for health and logs.
 	degraded      atomic.Bool
 	degradedCause atomic.Value // string
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
 
 	// books are the placements, idempotency keys and id counter the
 	// requests change and the journal replays (ledger.go).
@@ -113,6 +100,8 @@ type Server struct {
 	reg *metrics.Registry
 	sm  serverMetrics
 }
+
+type wire = frame.Server[Request, Response]
 
 // Router decides whether a request belongs elsewhere.  Route returns
 // (response, true) when it executed the request on another shard — the
@@ -157,7 +146,6 @@ func NewServer(trms *core.TRMS) (*Server, error) {
 	now := time.Now()
 	s := &Server{
 		trms:           trms,
-		conns:          make(map[net.Conn]struct{}),
 		books:          newLedger(trms),
 		drainReq:       make(chan struct{}, 1),
 		start:          now,
@@ -186,6 +174,13 @@ func NewServer(trms *core.TRMS) (*Server, error) {
 		opReport:        s.reg.Histogram(MetricOpReportNS),
 		opStats:         s.reg.Histogram(MetricOpStatsNS),
 	}
+	s.wire = frame.NewServer(requestCodec, responseCodec, frame.Handler[Request, Response]{
+		Respond: s.answer,
+		Fail:    func(err error, resp *Response) { *resp = Response{Status: StatusError, Error: err.Error()} },
+		Admit:   s.admit,
+		Sent:    s.sent,
+		Idle:    s.idleTimeout,
+	})
 	return s, nil
 }
 
@@ -201,29 +196,6 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 func (s *Server) SetNextIDBase(base uint64) {
 	// restore only raises the counter, and the snapshot holds no records.
 	_ = s.books.restore(&daemonSnapshot{NextID: base})
-}
-
-// ListenAndServe binds addr and serves in the background, returning the
-// bound address.
-func (s *Server) ListenAndServe(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return s.ServeListener(ln), nil
-}
-
-// ServeListener serves on an already-bound listener in the background,
-// returning its address.  It exists so owners can interpose on the
-// listener (fault injection, TLS, test harnesses) before the server
-// starts accepting.
-func (s *Server) ServeListener(ln net.Listener) net.Addr {
-	if s.MaxInFlight > 0 {
-		s.tokens = make(chan struct{}, s.MaxInFlight)
-	}
-	s.ln = ln
-	go s.acceptLoop()
-	return ln.Addr()
 }
 
 // degrade latches the daemon into fail-stop refusal of mutations.  The
@@ -244,73 +216,23 @@ func (s *Server) Degraded() (bool, string) {
 	return true, cause
 }
 
-// rejectConn answers an unadmitted connection with a single overloaded
-// frame and closes it, so the peer learns "retry later" instead of seeing
-// a bare RST.
-func (s *Server) rejectConn(conn net.Conn, reason string) {
-	if t := s.idleTimeout(); t > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(t))
-	}
-	resp := s.overloaded(reason)
-	resp.ConnClosing = true
-	_ = frame.Write(conn, responseCodec.Frame(&resp))
-	_ = conn.Close()
-}
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		if s.draining.Load() {
-			s.sm.shedDraining.Inc()
-			s.rejectConn(conn, "draining")
-			continue
-		}
-		s.connMu.Lock()
-		if s.closed.Load() {
-			s.connMu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		if s.MaxConns > 0 && len(s.conns) >= s.MaxConns {
-			s.connMu.Unlock()
-			s.sm.shedConnLimit.Inc()
-			s.rejectConn(conn, fmt.Sprintf("connection limit %d reached", s.MaxConns))
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
+// admit is the accept-time admission: a connection over MaxConns, or
+// any while draining, is answered with a single overloaded frame and
+// closed, so the peer learns "retry later" instead of seeing a bare RST.
+func (s *Server) admit(open int, resp *Response) bool {
+	switch {
+	case s.draining.Load():
+		s.sm.shedDraining.Inc()
+		*resp = s.overloaded("draining")
+	case s.MaxConns > 0 && open >= s.MaxConns:
+		s.sm.shedConnLimit.Inc()
+		*resp = s.overloaded(fmt.Sprintf("connection limit %d reached", s.MaxConns))
+	default:
 		s.sm.connsAccepted.Inc()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.connMu.Lock()
-				delete(s.conns, conn)
-				s.connMu.Unlock()
-				_ = conn.Close()
-			}()
-			s.handle(conn)
-		}()
+		return true
 	}
-}
-
-// Close stops accepting, force-closes connections and waits for handlers.
-func (s *Server) Close() {
-	if s.closed.Swap(true) {
-		return
-	}
-	if s.ln != nil {
-		_ = s.ln.Close()
-	}
-	s.connMu.Lock()
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.connMu.Unlock()
-	s.wg.Wait()
+	resp.ConnClosing = true
+	return false
 }
 
 // Shutdown drains the server gracefully: it stops accepting, sheds every
@@ -321,9 +243,7 @@ func (s *Server) Close() {
 // journal typically take a final Checkpoint afterwards.
 func (s *Server) Shutdown(timeout time.Duration) bool {
 	s.draining.Store(true)
-	if s.ln != nil {
-		_ = s.ln.Close()
-	}
+	s.StopAccepting()
 	deadline := time.Now().Add(timeout)
 	clean := true
 	for s.inflight.Load() > 0 {
@@ -367,6 +287,7 @@ func (s *Server) overloaded(reason string) Response {
 // slot.  It reports false when the request must be shed; nothing was
 // applied.  release undoes a successful acquire.
 func (s *Server) acquire(budget time.Duration) bool {
+	s.tokensOnce.Do(s.makeTokens)
 	if s.tokens == nil {
 		s.inflight.Add(1)
 		return true
@@ -391,6 +312,12 @@ func (s *Server) acquire(budget time.Duration) bool {
 	}
 }
 
+func (s *Server) makeTokens() {
+	if s.MaxInFlight > 0 {
+		s.tokens = make(chan struct{}, s.MaxInFlight)
+	}
+}
+
 func (s *Server) release() {
 	s.inflight.Add(-1)
 	if s.tokens != nil {
@@ -401,7 +328,7 @@ func (s *Server) release() {
 // idleTimeout resolves the effective per-connection deadline.
 func (s *Server) idleTimeout() time.Duration {
 	if s.IdleTimeout == 0 {
-		return DefaultIdleTimeout
+		return frame.DefaultIdleTimeout
 	}
 	if s.IdleTimeout < 0 {
 		return 0
@@ -409,58 +336,25 @@ func (s *Server) idleTimeout() time.Duration {
 	return s.IdleTimeout
 }
 
-// handle serves one connection's request stream.  Each frame read and
-// each response write runs under the idle deadline; an oversized frame is
-// answered with a typed error before the connection closes (the rest of
-// the line is unread, so the stream cannot be resynchronised).
-func (s *Server) handle(conn net.Conn) {
-	r := bufio.NewReaderSize(conn, 64<<10)
-	timeout := s.idleTimeout()
-	deadline := func(set func(time.Time) error) {
-		if timeout > 0 {
-			_ = set(time.Now().Add(timeout))
-		}
-	}
-	// One request, one reply and one encode buffer serve the whole
-	// stream: a frame is parsed out of r's buffer into req and the reply
-	// is encoded over the last one.
-	var (
-		req  Request
-		resp Response
-	)
-	in, out, w := requestCodec.Frame(&req), responseCodec.Frame(&resp), frame.Writer{W: conn}
-	for {
-		deadline(conn.SetReadDeadline)
-		if err := frame.Read(r, in); err != nil {
-			if !errors.Is(err, io.EOF) && !s.closed.Load() {
-				deadline(conn.SetWriteDeadline)
-				resp = Response{Status: StatusError, Error: err.Error()}
-				_ = w.Write(out)
-			}
-			return
-		}
-		resp = s.respond(req)
-		// A draining server finishes the request it already answered and
-		// then closes the stream so the client reconnects elsewhere; say
-		// so in the frame so the client redials instead of discovering a
-		// dead connection on its next request.
-		closing := s.draining.Load()
-		if closing {
-			resp.ConnClosing = true
-		}
-		deadline(conn.SetWriteDeadline)
-		err := w.Write(out)
-		if req.Op == OpDrain {
-			// Signal the owner only once the ok is written: drain holds
-			// no in-flight slot, so an owner that shuts down at once
-			// would otherwise close this connection under the reply.
-			select {
-			case s.drainReq <- struct{}{}:
-			default:
-			}
-		}
-		if err != nil || closing {
-			return
+// answer is the request loop's respond.  A draining server finishes the
+// request it already answered and then closes the stream so the client
+// reconnects elsewhere; it says so in the frame so the client redials
+// instead of discovering a dead connection on its next request.
+func (s *Server) answer(req *Request, resp *Response) bool {
+	*resp = s.respond(*req)
+	closing := s.draining.Load()
+	resp.ConnClosing = resp.ConnClosing || closing
+	return closing
+}
+
+// sent signals the owner of a drain only once the ok is written: drain
+// holds no in-flight slot, so an owner that shuts down at once would
+// otherwise close the connection under the reply.
+func (s *Server) sent(req *Request) {
+	if req.Op == OpDrain {
+		select {
+		case s.drainReq <- struct{}{}:
+		default:
 		}
 	}
 }
@@ -476,7 +370,7 @@ func (s *Server) respond(req Request) Response {
 	case OpMetrics:
 		return s.handleMetrics()
 	case OpDrain:
-		// The owner is signalled by handle, after this reply is written.
+		// The owner is signalled by sent, after this reply is written.
 		return Response{Status: StatusOK}
 	case OpCheckpoint:
 		return s.handleCheckpoint()
@@ -550,15 +444,12 @@ func (s *Server) handleFleet() Response {
 // handleHealth reports readiness without touching admission: probes see a
 // truthful view even while the daemon sheds or drains.
 func (s *Server) handleHealth() Response {
-	s.connMu.Lock()
-	conns := len(s.conns)
-	s.connMu.Unlock()
 	open, idem := s.books.counts()
 	topo := s.trms.Topology()
 	h := &HealthInfo{
 		Status:           "ok",
 		Draining:         s.draining.Load(),
-		Conns:            conns,
+		Conns:            s.Conns(),
 		MaxConns:         s.MaxConns,
 		InFlight:         int(s.inflight.Load()),
 		MaxInFlight:      s.MaxInFlight,
@@ -598,9 +489,7 @@ func (s *Server) handleMetrics() Response {
 	if snap.Gauges == nil {
 		snap.Gauges = make(map[string]int64)
 	}
-	s.connMu.Lock()
-	snap.Gauges[MetricConns] = int64(len(s.conns))
-	s.connMu.Unlock()
+	snap.Gauges[MetricConns] = int64(s.Conns())
 	open, idem := s.books.counts()
 	snap.Gauges[MetricOpenPlacements] = int64(open)
 	snap.Gauges[MetricIdemEntries] = int64(idem)

@@ -7,9 +7,9 @@ import "math"
 // Every heuristic prices machine m for a request by one expression: the
 // machine's availability plus its decision ECC, eec[m] + ESC.  Three
 // loops evaluate it for a whole row, and most of a simulation is spent in
-// them: ScanMCT (the simulator's MCT pick), kernelState.fillRow (a batch
-// row and its pair) and kernelState.rescan (a row's pair against a new
-// availability).
+// them: ScanMCT (the MCT pick, the simulator's and MCT.AssignOne's),
+// kernelState.fillRow (a batch row and its pair) and kernelState.rescan
+// (a row's pair against a new availability).
 //
 // Each loop has two forms.  The zero form's ECC is eec + 0 (ESCZero, the
 // decision view of the unaware and blind policies).  The linear form's is
@@ -63,11 +63,11 @@ const vectorSlots = 4
 // eec[m] + eec[m]*factor[rdOf[m]]/100 over factors from ESC.Factors, or
 // eec[m] when factor is nil (rdOf is then not read).  Each expression
 // keeps sched's parenthesisation, availability + (eec + esc), so every
-// sum rounds as MCT.AssignOne's does.
+// sum rounds as ESC.Cost's does.  MCT.AssignOne is this scan at now = 0.
 //
 // Precondition: every ft[m] is ≥ +0 and not NaN (a masked +Inf never
-// wins), now is ≥ −0 and not NaN (it is read as now + 0), and every
-// rdOf[m] indexes factor.  Under it the clamp max(ft[m], now) is the
+// wins), or −0 when now is ±0 (the clamp keeps it); now is ≥ −0 and not
+// NaN (it is read as now + 0); and every rdOf[m] indexes factor.  Under it the clamp max(ft[m], now) is the
 // float max bit for bit, which both bodies take without a branch (under
 // load a compare-and-branch there is mispredicted from machine to
 // machine; DESIGN.md §13): the portable one on the IEEE bit patterns,

@@ -24,25 +24,29 @@ type MCT struct{}
 // Name returns "MCT".
 func (MCT) Name() string { return "MCT" }
 
-// AssignOne maps req to the machine minimising decision completion time.
-// Ties break toward the lower machine index, deterministically.
+// AssignOne maps req to the machine minimising decision completion time,
+// by ScanMCT at time 0, where the clamp keeps every availability ≥ 0 (its
+// checked precondition; −0 stays −0).  Ties break toward the lower
+// machine index, deterministically.
 func (MCT) AssignOne(c Costs, p Policy, req int, avail []float64) (Assignment, error) {
 	row, err := requestRow(c, p, req, avail)
 	if err != nil {
 		return Assignment{}, err
 	}
-	best := -1
-	bestDone := math.Inf(1)
-	for m := range row.eec {
-		if done := avail[m] + row.cost(p.decision, m); done < bestDone {
-			bestDone = done
-			best = m
+	for m, a := range avail {
+		if !(a >= 0) {
+			return Assignment{}, fmt.Errorf("sched: MCT: machine %d's availability is %v, want a number >= 0", m, a)
 		}
 	}
+	ks := kernelPool.Get().(*kernelState)
+	best, _ := ScanMCT(row.eec, ks.factors(p.decision, row.tcs), row.idx, avail, 0)
+	kernelPool.Put(ks)
 	if best < 0 {
 		return Assignment{}, fmt.Errorf("sched: MCT found no machine for request %d", req)
 	}
-	return Assignment{Req: req, Machine: best, DecisionCompletion: bestDone}, nil
+	// The completion by ESC.Cost: the scan's sum differs from it only in
+	// the sign of a zero, under the zero form's eec + 0.
+	return Assignment{Req: req, Machine: best, DecisionCompletion: avail[best] + row.cost(p.decision, best)}, nil
 }
 
 // requestRow checks an immediate heuristic's instance and reads request

@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"gridtrust/internal/rng"
 )
 
 // zeroTC builds a MatrixCosts with all trust costs zero so decision costs
@@ -326,5 +329,111 @@ func TestPolicyConstructorsReject(t *testing.T) {
 	}
 	if _, err := TrustBlind(-1); err == nil {
 		t.Error("TrustBlind accepted negative weight")
+	}
+}
+
+// loopMCT is MCT.AssignOne's own loop before it priced its row with
+// ScanMCT: the reference its scan must match.
+func loopMCT(c Costs, p Policy, req int, avail []float64) (Assignment, error) {
+	row, err := requestRow(c, p, req, avail)
+	if err != nil {
+		return Assignment{}, err
+	}
+	best := -1
+	bestDone := math.Inf(1)
+	for m := range row.eec {
+		if done := avail[m] + row.cost(p.decision, m); done < bestDone {
+			bestDone = done
+			best = m
+		}
+	}
+	if best < 0 {
+		return Assignment{}, fmt.Errorf("sched: MCT found no machine for request %d", req)
+	}
+	return Assignment{Req: req, Machine: best, DecisionCompletion: bestDone}, nil
+}
+
+// coreShaped is a one-request instance the way internal/core prices one:
+// machines grouped into resource-domain slots, and on a slot whose RD
+// does not support the request an EEC of +Inf with trust cost 0, whose
+// linear cost is NaN.
+func coreShaped(src *rng.Source, machines, slots int) *rowInstance {
+	c := &rowInstance{exec: [][]float64{make([]float64, machines)}, tcs: [][]int{make([]int, slots)}, idx: make([]int32, machines)}
+	unsupported := make([]bool, slots)
+	for s := range slots {
+		unsupported[s] = src.Bool(0.3)
+		if !unsupported[s] {
+			c.tcs[0][s] = src.IntRange(0, 6)
+		}
+	}
+	for m := range machines {
+		s := src.Intn(slots)
+		c.idx[m] = int32(s)
+		switch {
+		case unsupported[s]:
+			c.exec[0][m] = math.Inf(1)
+		case src.Bool(0.1):
+			c.exec[0][m] = math.Copysign(0, -1)
+		default:
+			c.exec[0][m] = float64(src.IntRange(0, 4)) * 25 // ties
+		}
+	}
+	return c
+}
+
+// TestMCTScanMatchesLoop: MCT.AssignOne on ScanMCT picks the machine the
+// deleted loop picked, with the completion's bits, on core-shaped rows —
+// unsupported slots, fully masked rows, −0 EECs and availabilities, and
+// rows over more slots than the vector kernels take — under every form.
+func TestMCTScanMatchesLoop(t *testing.T) {
+	src := rng.New(43)
+	negZero := math.Copysign(0, -1)
+	for trial := range 3000 {
+		machines, slots := src.IntRange(1, 40), src.IntRange(1, 7)
+		c := coreShaped(src, machines, slots)
+		avail := make([]float64, machines)
+		for m := range avail {
+			switch {
+			case trial%10 == 0 || src.Bool(0.1):
+				avail[m] = Masked()
+			case src.Bool(0.2):
+				avail[m] = negZero
+			case src.Bool(0.2):
+				avail[m] = 0
+			default:
+				avail[m] = float64(src.IntRange(0, 8)) * 25
+			}
+		}
+		for _, p := range rowPolicies() {
+			want, werr := loopMCT(c, p, 0, avail)
+			got, gerr := MCT{}.AssignOne(c, p, 0, avail)
+			if (werr == nil) != (gerr == nil) || !sameAssignment(got, want) {
+				t.Fatalf("trial %d, %s, %d machines over %d slots: scan %+v (%v), loop %+v (%v)",
+					trial, p.Name, machines, slots, got, gerr, want, werr)
+			}
+		}
+	}
+}
+
+// TestMCTRejectsAvailabilityOutsideTheScan: a NaN or negative
+// availability is refused, not priced.
+func TestMCTRejectsAvailabilityOutsideTheScan(t *testing.T) {
+	c := zeroTC(t, [][]float64{{1, 2}})
+	for _, bad := range []float64{math.NaN(), -1, math.Inf(-1)} {
+		if a, err := (MCT{}).AssignOne(c, aware, 0, []float64{bad, 0}); err == nil {
+			t.Fatalf("availability %v accepted: %+v", bad, a)
+		}
+	}
+}
+
+// TestMCTAllocatesNothing: pricing a core-shaped row allocates nothing,
+// however many slots it has.
+func TestMCTAllocatesNothing(t *testing.T) {
+	c := coreShaped(rng.New(7), 64, 24)
+	avail := make([]float64, 64)
+	for _, p := range rowPolicies() {
+		if got := testing.AllocsPerRun(200, func() { _, _ = MCT{}.AssignOne(c, p, 0, avail) }); got != 0 {
+			t.Errorf("%s: MCT.AssignOne allocates %v times, want 0", p.Name, got)
+		}
 	}
 }

@@ -122,14 +122,21 @@ func (ks *kernelState) fill(in instance, p Policy, reqs []int, avail []float64) 
 // keeps ESC.Cost's parenthesization, so every entry is, operation for
 // operation, row.cost(dec, m) (referenceTable in reference_test.go).
 func (ks *kernelState) fillRow(dst []float64, dec ESC, row costRow) pair {
-	f := dec.Factors(row.tcs, ks.factor)
-	if f != nil {
-		ks.factor = f
-	}
+	f := ks.factors(dec, row.tcs)
 	if hasAVX2 && len(f) <= vectorSlots {
 		return fillVector(dst, row.eec, f, row.idx, ks.avail)
 	}
 	return fillPortable(dst, row.eec, f, row.idx, ks.avail, 0, noPair)
+}
+
+// factors returns dec's per-slot factors for tcs (ESC.Factors) in the
+// state's buffer, which a nil result under ESCZero leaves in place.
+func (ks *kernelState) factors(dec ESC, tcs []int) []float64 {
+	f := dec.Factors(tcs, ks.factor)
+	if f != nil {
+		ks.factor = f
+	}
+	return f
 }
 
 // rescan recomputes task position i's pair from its row against the

@@ -24,12 +24,6 @@ import (
 	"gridtrust/internal/grid"
 )
 
-// MaxFrameBytes bounds a single JSON frame; a table of 4 CDs × 4 RDs × 5
-// activities is ~80 entries, far below this.  The bound exists so a
-// corrupt or malicious peer cannot make a server or a replica allocate
-// unboundedly.
-const MaxFrameBytes = frame.MaxBytes
-
 // Request is a replica's poll: the highest table version it has applied.
 type Request struct {
 	// Op is "sync" (the only operation in v1; the field future-proofs

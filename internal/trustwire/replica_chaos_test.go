@@ -106,7 +106,7 @@ func TestSyncDeadlineBoundsBlackholedPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire := chaos.NewWire(7)
-	go srv.Serve(wire.Listener(ln))
+	srv.ServeListener(wire.Listener(ln))
 	defer srv.Close()
 
 	const timeout = 300 * time.Millisecond

@@ -273,7 +273,7 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 	}
 }
 
-// TestServerBoundsUnterminatedFrame streams past MaxFrameBytes without ever
+// TestServerBoundsUnterminatedFrame streams past frame.MaxBytes without ever
 // sending a newline: the server must answer once and drop the peer, not
 // keep buffering in wait for the end of the line.
 func TestServerBoundsUnterminatedFrame(t *testing.T) {
@@ -283,13 +283,13 @@ func TestServerBoundsUnterminatedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Exactly seventeen of the server's 64 KiB reads.  The limit is
-	// crossed on the last one, so the server closes with nothing unread
-	// and its reply is not lost to a connection reset.
+	// Exactly 129 of the server's 8 KiB reads.  The limit is crossed on
+	// the last one, so the server closes with nothing unread and its
+	// reply is not lost to a connection reset.
 	sent := make(chan struct{})
 	go func() {
 		defer close(sent)
-		_, _ = conn.Write(bytes.Repeat([]byte{'z'}, MaxFrameBytes+64<<10))
+		_, _ = conn.Write(bytes.Repeat([]byte{'z'}, frame.MaxBytes+8<<10))
 	}()
 	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
@@ -363,7 +363,7 @@ func TestRoundTripOverPipe(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, server := net.Pipe()
-	go srv.handle(server)
+	go srv.ServeConn(server)
 	rep := NewReplica(frame.Wrap(client), 0)
 	defer rep.Close()
 	applied, err := rep.Sync()

@@ -63,6 +63,18 @@ if grep -rn 'net\.Dial' --include='*.go' internal cmd | grep -v '_test\.go:' | g
     exit 1
 fi
 
+echo "==> one listener loop (.Accept() in non-test code only under internal/frame, internal/chaos/wire.go and internal/testutil; bufio.NewReader only under internal/frame and internal/testutil)"
+if grep -rn '\.Accept()' --include='*.go' internal cmd | grep -v '_test\.go:' \
+    | grep -v '^internal/frame/' | grep -v '^internal/chaos/wire\.go:' | grep -v '^internal/testutil/'; then
+    echo "ci: servers answer through frame.Server, which owns the listener, the connections, the idle deadline and the request loop" >&2
+    exit 1
+fi
+if grep -rn 'bufio\.NewReader' --include='*.go' internal cmd | grep -v '_test\.go:' \
+    | grep -v '^internal/frame/' | grep -v '^internal/testutil/'; then
+    echo "ci: a frame stream is read through frame's one reader, one size on both sides" >&2
+    exit 1
+fi
+
 echo "==> one owner of the forward key's form (\"fwd- in non-test code only under internal/rmswire)"
 if grep -rn '"fwd-' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -v '^internal/rmswire/'; then
     echo "ci: router-minted keys are made by rmswire.ForwardKey and read by the ledger's parser, so the owner's window and the router agree on the form" >&2
