@@ -158,7 +158,7 @@ func main() {
 		fatalf("topology: %v", err)
 	}
 	if *dot {
-		if err := grid.WriteDOT(os.Stdout, top, nil); err != nil {
+		if err := grid.WriteDOT(os.Stdout, top); err != nil {
 			fatalf("dot: %v", err)
 		}
 		return
@@ -248,7 +248,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fleet: shard %s, %d member(s), trust gossip on %s\n",
 			*shardName, len(fleetCfg.Shards), gossip)
 	}
-	fmt.Printf("topology: %s, %d trust entries\n", grid.Summary(top), trms.Table().Len())
+	fmt.Printf("topology: %s, %d trust entries\n", grid.Summary(top), trms.Table().Replica().Len())
 
 	if *demo {
 		defer srv.Close()

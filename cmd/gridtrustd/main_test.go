@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -224,6 +225,22 @@ func TestCrashRestartRoundTrip(t *testing.T) {
 	out, err := bad.CombinedOutput()
 	if err == nil || !strings.Contains(string(out), "was created with") {
 		t.Fatalf("mismatched meta accepted: err=%v out=%s", err, out)
+	}
+}
+
+// TestDomainsPastTheTableFailAtStart: a topology with more domains than
+// the trust table has ids is refused before anything is built.
+func TestDomainsPastTheTableFailAtStart(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-addr", "127.0.0.1:0", "-domains", "1025")
+	cmd.Env = append(os.Environ(), "GRIDTRUSTD_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("gridtrustd -domains 1025 did not exit: %s", out)
+	}
+	if err == nil || !strings.Contains(string(out), "GridDomains 1025 outside [0,1024]") {
+		t.Fatalf("gridtrustd -domains 1025: err=%v out=%s", err, out)
 	}
 }
 

@@ -82,7 +82,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	tl, _ := trms.Table().Get(0, 0, grid.ActCompute)
+	tl, _ := trms.Table().Replica().Get(0, 0, grid.ActCompute)
 	fmt.Printf("t=5    after 4 excellent outcomes, trust table (CD0→RD0, compute) = %v\n", tl)
 
 	// ── 5. Submit again at a later time: the trusted domain now carries

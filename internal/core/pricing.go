@@ -64,11 +64,11 @@ var errNoSupportingRD = errors.New("core: no resource domain supports the ToA")
 
 // price is the one pricing function of the decision path.  For validated
 // tasks (cds[i] is task i's client domain) it reads every task's offered
-// trust levels from the live table under a single read lock — nothing is
-// copied, and all tasks of the decision see one table — and then, outside
-// that lock, fuses and costs each cell: the fuser and TrustCostWith run
-// once per (task, priced RD), never per machine.  The first failure in
-// (task, cell) order is returned with its task index.
+// trust levels from one replica of the live table — nothing is copied,
+// and all tasks of the decision see one table — and then fuses and costs
+// each cell: the fuser and TrustCostWith run once per (task, priced RD),
+// never per machine.  The first failure in (task, cell) order is returned
+// with its task index.
 func (t *TRMS) price(tasks []Task, cds []grid.DomainID) (*decisionCosts, int, error) {
 	n := len(t.priced)
 	c := &decisionCosts{
@@ -81,7 +81,7 @@ func (t *TRMS) price(tasks []Task, cds []grid.DomainID) (*decisionCosts, int, er
 	for i, task := range tasks {
 		rows[i] = grid.OTLRow{CD: cds[i], ToA: task.ToA, OTL: c.otl[i*n : (i+1)*n]}
 	}
-	t.table.OTLRows(t.priced, rows)
+	t.table.Replica().OTLRows(t.priced, rows)
 
 	for i, task := range tasks {
 		row, tcs := &rows[i], c.tc[i*n:(i+1)*n]

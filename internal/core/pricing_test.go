@@ -62,15 +62,15 @@ func (b blindTo) FuseOTL(_, rd grid.DomainID, _ grid.ToA, local grid.TrustLevel)
 func deleteEntry(t *testing.T, table *grid.TrustTable, cd, rd grid.DomainID, act grid.Activity) {
 	t.Helper()
 	var kept []grid.TableEntry
-	for _, e := range table.Entries() {
+	for _, e := range table.Replica().Since(0) {
 		if e.CD != cd || e.RD != rd || e.Activity != act {
 			kept = append(kept, e)
 		}
 	}
-	if len(kept) != table.Len()-1 {
+	if len(kept) != table.Replica().Len()-1 {
 		t.Fatalf("no entry (%d,%d,%v) to delete", cd, rd, act)
 	}
-	if err := table.Restore(kept, table.Version()+1); err != nil {
+	if err := table.Restore(kept, table.Replica().Version()+1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -203,7 +203,7 @@ func matchReference(t *testing.T, domains int, fuser OTLFuser, gap, imm string, 
 
 	// Both tables get the same drawn levels (New seeds a flat C).
 	src := rng.New(uint64(domains))
-	for _, e := range got.Table().Entries() {
+	for _, e := range got.Table().Replica().Since(0) {
 		tl := grid.TrustLevel(src.IntRange(int(grid.MinOfferable), int(grid.MaxOfferable)))
 		for _, trms := range []*TRMS{got, want} {
 			if err := trms.Table().Set(e.CD, e.RD, e.Activity, tl); err != nil {
@@ -348,7 +348,7 @@ func TestSubmitConcurrentWithTableWrites(t *testing.T) {
 		}
 	}
 
-	entries := trms.Table().Entries()
+	entries := trms.Table().Replica().Since(0)
 	stop := make(chan struct{})
 	var writer sync.WaitGroup
 	writer.Add(1)

@@ -64,10 +64,7 @@ func refSubmit(t *TRMS, task Task, now float64) (*Placement, error) {
 		return nil, err
 	}
 
-	snap, err := (*grid.TableReplica)(nil).Overlay(t.table.Since(0))
-	if err != nil {
-		return nil, err
-	}
+	snap := t.table.Replica()
 	tcs := make([]int, len(machines))
 	otls := make([]grid.TrustLevel, len(machines))
 	eligible := false
@@ -183,10 +180,7 @@ func refSubmitBatch(t *TRMS, tasks []Task, h sched.Batch, now float64) ([]*Place
 	machines := top.Machines()
 	nm := len(machines)
 
-	snap, err := (*grid.TableReplica)(nil).Overlay(t.table.Since(0))
-	if err != nil {
-		return nil, err
-	}
+	snap := t.table.Replica()
 	eec := make([][]float64, len(tasks))
 	tcs := make([][]int, len(tasks))
 	otls := make([][]grid.TrustLevel, len(tasks))

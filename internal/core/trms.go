@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"gridtrust/internal/grid"
@@ -207,15 +208,24 @@ func New(cfg Config) (*TRMS, error) {
 	}
 
 	// Seed the table: every CD trusts every RD at the initial level for
-	// each activity the RD supports.
+	// each activity the RD supports, in one write at the version a Set
+	// per entry would reach.
+	var seed []grid.TableEntry
+	var acts []grid.Activity
 	for _, cd := range cfg.Topology.ClientDomains() {
 		for _, rd := range cfg.Topology.ResourceDomains() {
+			acts = acts[:0]
 			for act := range rd.Supported {
-				if err := t.table.Set(cd.ID, rd.ID, act, cfg.InitialTrust); err != nil {
-					return nil, err
-				}
+				acts = append(acts, act)
+			}
+			slices.Sort(acts)
+			for _, act := range acts {
+				seed = append(seed, grid.TableEntry{CD: cd.ID, RD: rd.ID, Activity: act, Level: cfg.InitialTrust})
 			}
 		}
+	}
+	if err := t.table.Restore(seed, uint64(len(seed))); err != nil {
+		return nil, fmt.Errorf("core: seed the trust table: %w", err)
 	}
 
 	// Figure 1: the monitoring agent feeds the engine and pushes committed
@@ -232,8 +242,11 @@ func New(cfg Config) (*TRMS, error) {
 // CD/RD-granularity trust ("resources and clients within a GD inherit the
 // parameters associated with the RD and CD").
 func (t *TRMS) mint(hs []trust.Ent, kind string, id grid.DomainID) ([]trust.Ent, error) {
-	if id < 0 {
+	switch {
+	case id < 0:
 		return nil, fmt.Errorf("core: %s id %d is negative", kind, id)
+	case id >= grid.TableDomains:
+		return nil, fmt.Errorf("core: %s id %d is past the trust table's last domain id %d", kind, id, grid.TableDomains-1)
 	}
 	if n := int(id) + 1 - len(hs); n > 0 {
 		hs = append(hs, make([]trust.Ent, n)...)
@@ -279,7 +292,7 @@ func (t *TRMS) applyTrustUpdate(cd, rd grid.DomainID, act grid.Activity, score f
 	if !level.Offerable() {
 		level = grid.MaxOfferable // F quantises down: F is requirable only
 	}
-	if cur, exists := t.table.Get(cd, rd, act); exists && cur == level {
+	if cur, exists := t.table.Replica().Get(cd, rd, act); exists && cur == level {
 		return // "if the new trust values ... are different ... update"
 	}
 	_ = t.table.Set(cd, rd, act, level)
@@ -424,9 +437,7 @@ func (t *TRMS) currentAvail(now float64) []float64 {
 // client's domain about the resource's domain.  outcome is on the [1,6]
 // scale.  Every transaction is applied before ReportOutcome returns, trust
 // table write included, so a Submit after it is priced from the new
-// level.  The table is written on the caller's goroutine: do not call
-// ReportOutcome from inside a TrustTable.ForEach callback, which holds the
-// table's read lock.
+// level.  The table is written on the caller's goroutine.
 //
 // The outcome is checked here as every trust model checks it.  A
 // transaction the model still rejects is counted in AgentStats rather

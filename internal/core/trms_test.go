@@ -244,7 +244,7 @@ func TestFigure1Architecture(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tl, ok := trms.Table().Get(0, 0, grid.ActCompute)
+	tl, ok := trms.Table().Replica().Get(0, 0, grid.ActCompute)
 	if !ok {
 		t.Fatal("table entry vanished")
 	}
@@ -286,7 +286,7 @@ func TestBadOutcomeLowersTrust(t *testing.T) {
 	if err := trms.ReportOutcome(p, task.ToA, 1, 1); err != nil { // terrible
 		t.Fatal(err)
 	}
-	tl, _ := trms.Table().Get(0, p.RD, grid.ActCompute)
+	tl, _ := trms.Table().Replica().Get(0, p.RD, grid.ActCompute)
 	if tl >= grid.LevelC {
 		t.Fatalf("trust did not fall after bad outcome: %v", tl)
 	}
@@ -325,7 +325,7 @@ func TestCloseIdempotentAndRejects(t *testing.T) {
 func requireTableMatchesTrust(t *testing.T, trms *TRMS, now float64) int {
 	t.Helper()
 	checked := 0
-	for _, e := range trms.Table().Entries() {
+	for _, e := range trms.Table().Replica().Since(0) {
 		from, to, ctx := cdEntity(e.CD), rdEntity(e.RD), activityContext(e.Activity)
 		if _, seen, err := trms.Model().Recommendation(from, to, ctx, now); err != nil || !seen {
 			continue
@@ -368,8 +368,8 @@ func TestSequentialReportsAreDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := requireTableMatchesTrust(t, trms, tasks); n != trms.Table().Len() {
-			t.Fatalf("run %d: reports reached %d of %d cells", run, n, trms.Table().Len())
+		if n := requireTableMatchesTrust(t, trms, tasks); n != trms.Table().Replica().Len() {
+			t.Fatalf("run %d: reports reached %d of %d cells", run, n, trms.Table().Replica().Len())
 		}
 		state, err := json.Marshal(trms.Model().Export())
 		if err != nil {
@@ -600,7 +600,7 @@ func TestRestoreAgentStats(t *testing.T) {
 // and a report about the topology does.
 func TestTrustUpdateMatchesNamesExactly(t *testing.T) {
 	trms := newTRMS(t, Config{Topology: twoDomainTopology(t)})
-	before := trms.Table().Version()
+	before := trms.Table().Replica().Version()
 	for _, c := range []struct {
 		cd, rd grid.DomainID
 		act    grid.Activity
@@ -614,12 +614,12 @@ func TestTrustUpdateMatchesNamesExactly(t *testing.T) {
 		{0, 1, -1},
 	} {
 		trms.applyTrustUpdate(c.cd, c.rd, c.act, 1)
-		if v := trms.Table().Version(); v != before {
+		if v := trms.Table().Replica().Version(); v != before {
 			t.Fatalf("update (%d, %d, %v) wrote the table", c.cd, c.rd, c.act)
 		}
 	}
 	trms.applyTrustUpdate(0, 1, grid.ActStorage, 1)
-	if tl, _ := trms.Table().Get(0, 1, grid.ActStorage); tl != grid.LevelA {
+	if tl, _ := trms.Table().Replica().Get(0, 1, grid.ActStorage); tl != grid.LevelA {
 		t.Fatalf("entry (0,1,storage) = %v after a score-1 update, want A", tl)
 	}
 	// Outside the vocabulary a report still reaches the engine, under the

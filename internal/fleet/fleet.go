@@ -113,14 +113,15 @@ func Start(cfg Config, self string, srv *rmswire.Server, trms *core.TRMS) (*Flee
 
 // Status builds the shard's fleet view, served under the "fleet" wire op.
 func (f *Fleet) Status() *rmswire.FleetInfo {
+	table := f.trms.Table().Replica()
 	info := &rmswire.FleetInfo{
 		Shard:            f.cfg.Shards[f.self].Name,
 		ShardIndex:       f.self,
 		Members:          f.ring.Members(),
 		VNodes:           f.ring.VNodes(),
 		CDs:              len(f.trms.Topology().ClientDomains()),
-		TableVersion:     f.trms.Table().Version(),
-		TableEntries:     f.trms.Table().Len(),
+		TableVersion:     table.Version(),
+		TableEntries:     table.Len(),
 		GossipIntervalMS: f.cfg.GossipInterval().Milliseconds(),
 		StalenessBoundMS: f.cfg.StalenessBound().Milliseconds(),
 	}

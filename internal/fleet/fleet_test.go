@@ -494,7 +494,7 @@ func TestGossipClaimsFuseConservativelyAndExpire(t *testing.T) {
 	if err := shards[1].trms.Table().Set(0, 2, grid.ActCompute, grid.LevelA); err != nil {
 		t.Fatal(err)
 	}
-	wantVersion := shards[1].trms.Table().Version()
+	wantVersion := shards[1].trms.Table().Replica().Version()
 
 	// Gossip must converge: shard 0's synced version for peer s1
 	// reaches s1's own table version within a few intervals.
@@ -586,7 +586,7 @@ func TestGossipCarriesSparseDomainIDs(t *testing.T) {
 	if err := peer.Set(0, 2, grid.ActCompute, grid.LevelA); err != nil {
 		t.Fatal(err)
 	}
-	wantVersion := peer.Version()
+	wantVersion := peer.Replica().Version()
 	deadline := time.Now().Add(5 * time.Second)
 	var info *rmswire.FleetInfo
 	for {
@@ -599,7 +599,7 @@ func TestGossipCarriesSparseDomainIDs(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got, want := info.Peers[0].Entries, peer.Len(); got != want {
+	if got, want := info.Peers[0].Entries, peer.Replica().Len(); got != want {
 		t.Fatalf("shard 0 holds %d of peer s1's %d entries", got, want)
 	}
 	if got := shards[0].fl.claims.FuseOTL(0, 2, grid.MustToA(grid.ActCompute), grid.LevelC); got != grid.LevelA {

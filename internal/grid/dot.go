@@ -9,13 +9,11 @@ import (
 
 // WriteDOT renders a topology as a Graphviz document in the spirit of the
 // paper's Figure 1: one cluster per Grid domain containing its resource
-// domain (with machines) and client domain (with clients), plus CD→RD
-// edges labelled with the trust-level table entries when a table is
-// supplied (nil table renders structure only).
+// domain (with machines) and client domain (with clients).
 //
-// Output is deterministic: domains, machines, clients and edges are
-// emitted in ID order.
-func WriteDOT(w io.Writer, top *Topology, table *TrustTable) error {
+// Output is deterministic: domains, machines and clients are emitted in
+// ID order.
+func WriteDOT(w io.Writer, top *Topology) error {
 	if top == nil {
 		return fmt.Errorf("grid: nil topology")
 	}
@@ -64,31 +62,6 @@ func WriteDOT(w io.Writer, top *Topology, table *TrustTable) error {
 		b.WriteString("  }\n")
 	}
 
-	// Trust edges: CD -> RD labelled with per-activity levels.
-	if table != nil {
-		type edgeKey struct{ cd, rd DomainID }
-		labels := make(map[edgeKey][]string)
-		table.ForEach(func(cd, rd DomainID, act Activity, tl TrustLevel) {
-			k := edgeKey{cd, rd}
-			labels[k] = append(labels[k], fmt.Sprintf("%s:%s", act, tl))
-		})
-		keys := make([]edgeKey, 0, len(labels))
-		for k := range labels {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].cd != keys[j].cd {
-				return keys[i].cd < keys[j].cd
-			}
-			return keys[i].rd < keys[j].rd
-		})
-		for _, k := range keys {
-			parts := labels[k]
-			sort.Strings(parts)
-			fmt.Fprintf(&b, "  cd%d -> rd%d [label=%s, fontsize=8];\n",
-				k.cd, k.rd, dotQuote(strings.Join(parts, "\\n")))
-		}
-	}
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -6,29 +6,19 @@ import (
 	"testing"
 )
 
-func dotTopology(t *testing.T) (*Topology, *TrustTable) {
+func dotTopology(t *testing.T) *Topology {
 	t.Helper()
 	top, err := NewTopology(makeGD(0, 2, 1), makeGD(1, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := NewTrustTable()
-	if err := table.Set(0, 1, ActCompute, LevelD); err != nil {
-		t.Fatal(err)
-	}
-	if err := table.Set(0, 1, ActStorage, LevelB); err != nil {
-		t.Fatal(err)
-	}
-	if err := table.Set(1, 0, ActCompute, LevelE); err != nil {
-		t.Fatal(err)
-	}
-	return top, table
+	return top
 }
 
 func TestWriteDOTStructure(t *testing.T) {
-	top, table := dotTopology(t)
+	top := dotTopology(t)
 	var sb strings.Builder
-	if err := WriteDOT(&sb, top, table); err != nil {
+	if err := WriteDOT(&sb, top); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -39,8 +29,6 @@ func TestWriteDOTStructure(t *testing.T) {
 		"rd0 [",
 		"cd1 [",
 		"machine 100", // GD1's first machine id = 100
-		`cd0 -> rd1 [label="compute:D\nstorage:B"`,
-		`cd1 -> rd0 [label="compute:E"`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("DOT missing %q:\n%s", want, out)
@@ -51,24 +39,25 @@ func TestWriteDOTStructure(t *testing.T) {
 	}
 }
 
+// TestWriteDOTWithoutTable checks that the document is structure only:
+// the trust table is not drawn, so no CD→RD edge appears.
 func TestWriteDOTWithoutTable(t *testing.T) {
-	top, _ := dotTopology(t)
 	var sb strings.Builder
-	if err := WriteDOT(&sb, top, nil); err != nil {
+	if err := WriteDOT(&sb, dotTopology(t)); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(sb.String(), "label=\"compute") {
-		t.Error("structure-only DOT rendered trust edges")
+	if strings.Contains(sb.String(), " -> rd") {
+		t.Errorf("DOT drew a trust edge:\n%s", sb.String())
 	}
 }
 
 func TestWriteDOTDeterministic(t *testing.T) {
-	top, table := dotTopology(t)
+	top := dotTopology(t)
 	var a, b strings.Builder
-	if err := WriteDOT(&a, top, table); err != nil {
+	if err := WriteDOT(&a, top); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDOT(&b, top, table); err != nil {
+	if err := WriteDOT(&b, top); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -77,11 +66,10 @@ func TestWriteDOTDeterministic(t *testing.T) {
 }
 
 func TestWriteDOTErrors(t *testing.T) {
-	if err := WriteDOT(&strings.Builder{}, nil, nil); err == nil {
+	if err := WriteDOT(&strings.Builder{}, nil); err == nil {
 		t.Error("nil topology accepted")
 	}
-	top, _ := dotTopology(t)
-	if err := WriteDOT(failWriter{}, top, nil); err == nil {
+	if err := WriteDOT(failWriter{}, dotTopology(t)); err == nil {
 		t.Error("write error swallowed")
 	}
 }
@@ -91,8 +79,7 @@ type failWriter struct{}
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("sink closed") }
 
 func TestSummary(t *testing.T) {
-	top, _ := dotTopology(t)
-	s := Summary(top)
+	s := Summary(dotTopology(t))
 	if !strings.Contains(s, "2 grid domains") || !strings.Contains(s, "3 machines") ||
 		!strings.Contains(s, "3 clients") {
 		t.Errorf("summary = %q", s)

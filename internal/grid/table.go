@@ -5,6 +5,18 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
+)
+
+// The ids one table holds: client and resource domains 0..TableDomains-1
+// and activities 0..TableActivities-1.  The store is dense, so an id is
+// the size of what it forces: one entry at the top corner allocates about
+// 50 KiB, one full gossip frame about 70 MiB (DESIGN.md §16).  The
+// largest ids in use are a dozen domains (gridgen's fleet topologies) and
+// activity 71 (a simulator test).
+const (
+	TableDomains    = 1024
+	TableActivities = 128
 )
 
 // TrustTable is the trust-level table of Section 3.1: a symmetric
@@ -13,102 +25,216 @@ import (
 // centrally organized RMS.  The table may, however, be replicated at
 // different domains for reading purposes."
 //
-// The table is safe for concurrent use: the CD/RD monitoring agents of
-// Figure 1 update entries while the scheduler reads them.  Updates are rare
-// relative to reads — "trust is a slow varying attribute, therefore, the
-// update overhead associated with the trust level table is not significant"
-// — so one RWMutex guards the map, and a read is cheap only if it holds
-// that lock for the cells it needs and copies nothing.  The scheduler's
-// read is OTLRows: one read lock per decision, a cell per resource domain.
-// Whole-table reads (Since, Entries, ForEach) cost time and garbage in
-// proportion to the table and belong to replication and persistence.
+// The table is the writer of one TableReplica at a time: every write
+// builds the next replica by Overlay and publishes it atomically, so
+// readers take no lock.  Updates are rare relative to reads — "trust is a
+// slow varying attribute, therefore, the update overhead associated with
+// the trust level table is not significant" — and a reader that wants
+// several answers from one table (a decision, a gossip reply, a
+// checkpoint) reads them all from the one Replica it loaded.
 type TrustTable struct {
-	mu      sync.RWMutex
-	entries map[tableKey]TrustLevel
-	// written holds, per entry, the version that last wrote it, so a
-	// replica at version v is sent only what changed since v.  It sits
-	// beside entries, which OTLRows reads alone.
-	written map[tableKey]uint64
-	version uint64 // bumped on every successful Set, for replication
-}
-
-type tableKey struct {
-	cd  DomainID
-	rd  DomainID
-	act Activity
+	mu  sync.Mutex // serialises writers
+	rep atomic.Pointer[TableReplica]
 }
 
 // NewTrustTable returns an empty trust-level table.
 func NewTrustTable() *TrustTable {
-	return &TrustTable{entries: make(map[tableKey]TrustLevel), written: make(map[tableKey]uint64)}
+	t := &TrustTable{}
+	t.rep.Store(new(TableReplica))
+	return t
 }
 
-// Set records the trust level for (cd, rd, activity).  Only offerable
-// levels A-E may be stored: F exists solely as a requirement.
+// Replica returns the table as it stands: immutable, and current until
+// the next write.
+func (t *TrustTable) Replica() *TableReplica { return t.rep.Load() }
+
+// Set records the trust level for (cd, rd, activity) at the next version.
+// Only offerable levels A-E may be stored: F exists solely as a
+// requirement.
 func (t *TrustTable) Set(cd, rd DomainID, act Activity, tl TrustLevel) error {
-	if !tl.Offerable() {
-		return fmt.Errorf("grid: table entries must be offerable levels A-E, got %v", tl)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cur := t.rep.Load()
+	next, err := cur.Overlay([]TableEntry{{CD: cd, RD: rd, Activity: act, Level: tl}}, cur.version+1)
+	if err == nil {
+		t.rep.Store(next)
 	}
-	if !act.Valid() {
-		return fmt.Errorf("grid: invalid activity %d", int(act))
+	return err
+}
+
+// Restore replaces the table contents with the given entries at version,
+// every entry stamped as written then: a persisted table rebuilt exactly,
+// or a whole seed in one write.  On error the table is left unchanged.
+func (t *TrustTable) Restore(entries []TableEntry, version uint64) error {
+	next, err := (*TableReplica)(nil).Overlay(entries, version)
+	if err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k := tableKey{cd, rd, act}
-	t.version++
-	t.entries[k] = tl
-	t.written[k] = t.version
+	t.rep.Store(next)
 	return nil
+}
+
+// OTL is Replica().OTL.
+func (t *TrustTable) OTL(cd, rd DomainID, toa ToA) (TrustLevel, error) {
+	return t.Replica().OTL(cd, rd, toa)
+}
+
+// TableEntry is one (cd, rd, activity) → level record in exported form,
+// used to persist the table, replicate it and rebuild it on recovery.
+type TableEntry struct {
+	CD       DomainID   `json:"cd"`
+	RD       DomainID   `json:"rd"`
+	Activity Activity   `json:"activity"`
+	Level    TrustLevel `json:"level"`
+}
+
+// checkEntry is the one validation of what enters a table: an offerable
+// level at ids inside the table's bounds.
+func checkEntry(e TableEntry) error {
+	switch {
+	case !e.Level.Offerable():
+		return fmt.Errorf("entry for CD %d / RD %d has non-offerable level %v", e.CD, e.RD, e.Level)
+	case uint(e.CD) >= TableDomains || uint(e.RD) >= TableDomains:
+		return fmt.Errorf("entry for CD %d / RD %d is outside domain ids 0..%d", e.CD, e.RD, TableDomains-1)
+	case uint(e.Activity) >= TableActivities:
+		return fmt.Errorf("entry for CD %d / RD %d has activity %d outside 0..%d", e.CD, e.RD, int(e.Activity), TableActivities-1)
+	}
+	return nil
+}
+
+// TableReplica is the table at one version, the "replicated at different
+// domains for reading purposes" mechanism of Section 3.1: built by
+// Overlay and never changed after, so a reader may keep the one it holds
+// for as long as it likes.  The zero TableReplica is an empty table at
+// version 0.
+type TableReplica struct {
+	// rows[cd][rd] is one row of cells indexed by activity, as long as
+	// the highest activity written in it.  A replica shares every row it
+	// did not write with the replica it was built on.
+	rows    [][][]cell
+	n       int // cells holding an entry
+	version uint64
+}
+
+// cell is one (cd, rd, activity) of the table; LevelNone marks no entry.
+type cell struct {
+	level   TrustLevel
+	written uint64 // the version that last wrote the cell
+}
+
+// Overlay returns a new replica at version holding r's entries with the
+// given ones written over them, each stamped as written at version; a nil
+// r starts from an empty table.  Every entry is checked first, and on
+// error no replica is returned.  r itself never changes: the new replica
+// copies the list of CDs once, each touched CD's row list once and each
+// touched row once, each at the size it needs, and shares every other row
+// with r.  Entries not in (cd, rd) order are overlaid from a stably
+// sorted copy, so a later entry for a cell still wins.
+func (r *TableReplica) Overlay(entries []TableEntry, version uint64) (*TableReplica, error) {
+	top := DomainID(0)
+	for _, e := range entries {
+		if err := checkEntry(e); err != nil {
+			return nil, fmt.Errorf("grid: %w", err)
+		}
+		top = max(top, e.CD)
+	}
+	byRow := func(a, b TableEntry) int {
+		return cmp.Or(cmp.Compare(a.CD, b.CD), cmp.Compare(a.RD, b.RD))
+	}
+	if !slices.IsSortedFunc(entries, byRow) {
+		entries = slices.Clone(entries)
+		slices.SortStableFunc(entries, byRow)
+	}
+	next := &TableReplica{version: version}
+	if r != nil {
+		next.rows, next.n = r.rows, r.n
+	}
+	if len(entries) == 0 {
+		return next, nil
+	}
+	next.rows = grown(next.rows, int(top)+1)
+	for i, e := range entries {
+		newCD := i == 0 || e.CD != entries[i-1].CD
+		if newCD {
+			hi := e.RD
+			for _, f := range entries[i:] {
+				if f.CD != e.CD {
+					break
+				}
+				hi = max(hi, f.RD)
+			}
+			next.rows[e.CD] = grown(next.rows[e.CD], int(hi)+1)
+		}
+		rds := next.rows[e.CD]
+		if newCD || e.RD != entries[i-1].RD {
+			hi := e.Activity
+			for _, f := range entries[i:] {
+				if f.CD != e.CD || f.RD != e.RD {
+					break
+				}
+				hi = max(hi, f.Activity)
+			}
+			rds[e.RD] = grown(rds[e.RD], int(hi)+1)
+		}
+		row := rds[e.RD]
+		if row[e.Activity].level == LevelNone {
+			next.n++
+		}
+		row[e.Activity] = cell{level: e.Level, written: version}
+	}
+	return next, nil
+}
+
+// grown returns a copy of s at a length of at least n.
+func grown[T any](s []T, n int) []T {
+	out := make([]T, max(n, len(s)))
+	copy(out, s)
+	return out
+}
+
+// row returns the cells of (cd, rd), nil where nothing was written.
+func (r *TableReplica) row(cd, rd DomainID) []cell {
+	if uint(cd) >= uint(len(r.rows)) || uint(rd) >= uint(len(r.rows[cd])) {
+		return nil
+	}
+	return r.rows[cd][rd]
 }
 
 // Get returns the trust level for (cd, rd, activity) and whether an entry
 // exists.
-func (t *TrustTable) Get(cd, rd DomainID, act Activity) (TrustLevel, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	tl, ok := t.entries[tableKey{cd, rd, act}]
-	return tl, ok
-}
-
-// Version returns a monotonically increasing counter of table mutations.
-// Read-only replicas use it to decide when to refresh.
-func (t *TrustTable) Version() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.version
+func (r *TableReplica) Get(cd, rd DomainID, act Activity) (TrustLevel, bool) {
+	if row := r.row(cd, rd); uint(act) < uint(len(row)) && row[act].level != LevelNone {
+		return row[act].level, true
+	}
+	return LevelNone, false
 }
 
 // Len returns the number of entries.
-func (t *TrustTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.entries)
-}
+func (r *TableReplica) Len() int { return r.n }
+
+// Version returns the version the replica was built at: for a live
+// table, its count of Sets since the last Restore plus that Restore's
+// version.
+func (r *TableReplica) Version() uint64 { return r.version }
 
 // OTL computes the offered trust level for a client of cd engaging in the
 // (possibly composed) ToA on a resource of rd: the minimum of the per-
 // activity table entries.  "TL_ij^o = min(TL for A_p, TL for A_q, TL for
 // A_r)" (Section 3.1).  It returns an error if any activity has no entry,
 // which means the pairing is simply not offered.
-func (t *TrustTable) OTL(cd, rd DomainID, toa ToA) (TrustLevel, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return offeredLevel(t.entries, cd, rd, toa)
-}
-
-// offeredLevel is the OTL rule over a bare entry map; callers hold
-// whatever lock guards it.
-func offeredLevel(entries map[tableKey]TrustLevel, cd, rd DomainID, toa ToA) (TrustLevel, error) {
+func (r *TableReplica) OTL(cd, rd DomainID, toa ToA) (TrustLevel, error) {
 	if len(toa.Activities) == 0 {
 		return LevelNone, fmt.Errorf("grid: OTL of an empty ToA")
 	}
+	row := r.row(cd, rd)
 	otl := MaxOfferable + 1 // sentinel above any offerable level
 	for _, a := range toa.Activities {
-		tl, ok := entries[tableKey{cd, rd, a}]
-		if !ok {
+		if uint(a) >= uint(len(row)) || row[a].level == LevelNone {
 			return LevelNone, fmt.Errorf("grid: no trust entry for CD %d / RD %d / %v", cd, rd, a)
 		}
-		otl = minLevel(otl, tl)
+		otl = minLevel(otl, row[a].level)
 	}
 	return otl, nil
 }
@@ -131,166 +257,45 @@ type OTLRow struct {
 	Err error
 }
 
-// OTLRows fills every row against rds under a single read lock: nothing
-// is copied, and all the rows of one decision — a lone submit or a whole
-// batch — are priced against the same table.
-func (t *TrustTable) OTLRows(rds []*ResourceDomain, rows []OTLRow) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for r := range rows {
-		row := &rows[r]
+// OTLRows fills every row against rds.  Nothing is copied, and all the
+// rows of one decision — a lone submit or a whole batch — are priced
+// against the one replica.
+func (r *TableReplica) OTLRows(rds []*ResourceDomain, rows []OTLRow) {
+	for i := range rows {
+		row := &rows[i]
 		row.N, row.Err = 0, nil
-		for i, rd := range rds {
+		for j, rd := range rds {
 			otl := LevelNone
 			if rd.Supports(row.ToA) {
-				if otl, row.Err = offeredLevel(t.entries, row.CD, rd.ID, row.ToA); row.Err != nil {
+				if otl, row.Err = r.OTL(row.CD, rd.ID, row.ToA); row.Err != nil {
 					break
 				}
 			}
-			row.OTL[i] = otl
+			row.OTL[j] = otl
 			row.N++
 		}
 	}
 }
 
-// ForEach invokes fn for every entry under the read lock.  fn must not
-// call back into the table (it would deadlock on the RWMutex).
-func (t *TrustTable) ForEach(fn func(cd, rd DomainID, act Activity, tl TrustLevel)) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for k, tl := range t.entries {
-		fn(k.cd, k.rd, k.act, tl)
-	}
-}
-
-// TableEntry is one (cd, rd, activity) → level record in exported form,
-// used to persist the table, replicate it and rebuild it on recovery.
-type TableEntry struct {
-	CD       DomainID   `json:"cd"`
-	RD       DomainID   `json:"rd"`
-	Activity Activity   `json:"activity"`
-	Level    TrustLevel `json:"level"`
-}
-
-// Since returns the entries written after version v in deterministic
-// (cd, rd, activity) order, and the table version they are current at,
-// both from one read.  Since(0) is the whole table; a replica at version
-// v > 0 overlays Since(v) to catch up, since entries are never deleted
-// (only Restore, at startup, replaces the contents).
-func (t *TrustTable) Since(v uint64) ([]TableEntry, uint64) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+// Since returns the entries written after version v in (cd, rd,
+// activity) order.  Since(0) is the whole table, never nil, so an empty
+// table still persists as [], and holds the entries a Restore at version
+// 0 stamped too; a replica at version v > 0 overlays Since(v) to catch
+// up, since entries are never deleted (only Restore replaces the
+// contents).
+func (r *TableReplica) Since(v uint64) []TableEntry {
 	var out []TableEntry
 	if v == 0 {
-		// The whole table: sized once, and never nil, so an empty table
-		// still persists as [].
-		out = make([]TableEntry, 0, len(t.entries))
+		out = make([]TableEntry, 0, r.n)
 	}
-	for k, w := range t.written {
-		// Since(0) is every entry, those a Restore at version 0 stamped too.
-		if w > v || v == 0 {
-			out = append(out, TableEntry{CD: k.cd, RD: k.rd, Activity: k.act, Level: t.entries[k]})
+	for cd, rds := range r.rows {
+		for rd, row := range rds {
+			for a, c := range row {
+				if c.level != LevelNone && (c.written > v || v == 0) {
+					out = append(out, TableEntry{CD: DomainID(cd), RD: DomainID(rd), Activity: Activity(a), Level: c.level})
+				}
+			}
 		}
 	}
-	slices.SortFunc(out, func(a, b TableEntry) int {
-		if c := cmp.Compare(a.CD, b.CD); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.RD, b.RD); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Activity, b.Activity)
-	})
-	return out, t.version
-}
-
-// Entries exports every table entry in deterministic (cd, rd, activity)
-// order, suitable for serialisation: Since(0) without the version.
-func (t *TrustTable) Entries() []TableEntry {
-	out, _ := t.Since(0)
 	return out
-}
-
-// checkEntry is the validation every bulk load applies: Restore and
-// TableReplica.Overlay accept only what Set would.
-func checkEntry(e TableEntry) error {
-	if !e.Level.Offerable() {
-		return fmt.Errorf("entry for CD %d / RD %d has non-offerable level %v", e.CD, e.RD, e.Level)
-	}
-	if !e.Activity.Valid() {
-		return fmt.Errorf("entry for CD %d / RD %d has invalid activity %d", e.CD, e.RD, int(e.Activity))
-	}
-	return nil
-}
-
-// Restore replaces the table contents with the given entries and sets the
-// mutation counter, rebuilding a persisted table exactly; every entry is
-// stamped as written at that version.  Entries are validated up front; on
-// error the table is left unchanged.
-func (t *TrustTable) Restore(entries []TableEntry, version uint64) error {
-	fresh := make(map[tableKey]TrustLevel, len(entries))
-	written := make(map[tableKey]uint64, len(entries))
-	for _, e := range entries {
-		if err := checkEntry(e); err != nil {
-			return fmt.Errorf("grid: restore %w", err)
-		}
-		k := tableKey{e.CD, e.RD, e.Activity}
-		fresh[k] = e.Level
-		written[k] = version
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.entries, t.written = fresh, written
-	t.version = version
-	return nil
-}
-
-// TableReplica is an immutable copy of a TrustTable at one version, the
-// "replicated at different domains for reading purposes" mechanism of
-// Section 3.1: a replica is built by Overlay and never changes, so a
-// reader may keep the one it holds for as long as it likes.  The zero
-// TableReplica is an empty table at version 0.
-type TableReplica struct {
-	entries map[tableKey]TrustLevel
-	version uint64
-}
-
-// Overlay returns a new replica at version holding r's entries with the
-// given ones written over them; a nil r starts from an empty table.  The
-// entries are validated as Restore validates them, and on error no
-// replica is returned.  r itself never changes.
-func (r *TableReplica) Overlay(entries []TableEntry, version uint64) (*TableReplica, error) {
-	var base map[tableKey]TrustLevel
-	if r != nil {
-		base = r.entries
-	}
-	next := make(map[tableKey]TrustLevel, len(base)+len(entries))
-	for k, tl := range base {
-		next[k] = tl
-	}
-	for _, e := range entries {
-		if err := checkEntry(e); err != nil {
-			return nil, fmt.Errorf("grid: overlay %w", err)
-		}
-		next[tableKey{e.CD, e.RD, e.Activity}] = e.Level
-	}
-	return &TableReplica{entries: next, version: version}, nil
-}
-
-// Get returns the replicated trust level for (cd, rd, activity).
-func (r *TableReplica) Get(cd, rd DomainID, act Activity) (TrustLevel, bool) {
-	tl, ok := r.entries[tableKey{cd, rd, act}]
-	return tl, ok
-}
-
-// Len returns the number of replicated entries.
-func (r *TableReplica) Len() int { return len(r.entries) }
-
-// Version returns the version of the source table the replica holds.
-func (r *TableReplica) Version() uint64 { return r.version }
-
-// OTL computes the offered trust level from the replica, mirroring
-// TrustTable.OTL.
-func (r *TableReplica) OTL(cd, rd DomainID, toa ToA) (TrustLevel, error) {
-	return offeredLevel(r.entries, cd, rd, toa)
 }

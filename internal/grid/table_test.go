@@ -3,7 +3,6 @@ package grid
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,21 +10,21 @@ import (
 
 func TestTrustTableSetGet(t *testing.T) {
 	tt := NewTrustTable()
-	if _, ok := tt.Get(0, 1, ActCompute); ok {
+	if _, ok := tt.Replica().Get(0, 1, ActCompute); ok {
 		t.Fatal("empty table returned an entry")
 	}
 	if err := tt.Set(0, 1, ActCompute, LevelC); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := tt.Get(0, 1, ActCompute)
+	got, ok := tt.Replica().Get(0, 1, ActCompute)
 	if !ok || got != LevelC {
 		t.Fatalf("Get = %v/%v, want C/true", got, ok)
 	}
 	// Distinct keys are independent.
-	if _, ok := tt.Get(1, 0, ActCompute); ok {
+	if _, ok := tt.Replica().Get(1, 0, ActCompute); ok {
 		t.Fatal("table is not keyed by (cd, rd) order")
 	}
-	if _, ok := tt.Get(0, 1, ActStorage); ok {
+	if _, ok := tt.Replica().Get(0, 1, ActStorage); ok {
 		t.Fatal("table is not keyed by activity")
 	}
 }
@@ -41,22 +40,22 @@ func TestTrustTableRejectsBadEntries(t *testing.T) {
 	if err := tt.Set(0, 1, Activity(-1), LevelB); err == nil {
 		t.Error("table accepted a negative activity")
 	}
-	if tt.Len() != 0 {
+	if tt.Replica().Len() != 0 {
 		t.Error("rejected entries were stored")
 	}
 }
 
 func TestTrustTableVersion(t *testing.T) {
 	tt := NewTrustTable()
-	v0 := tt.Version()
+	v0 := tt.Replica().Version()
 	if err := tt.Set(0, 1, ActCompute, LevelB); err != nil {
 		t.Fatal(err)
 	}
-	if tt.Version() != v0+1 {
+	if tt.Replica().Version() != v0+1 {
 		t.Fatal("version did not advance on Set")
 	}
 	_ = tt.Set(0, 1, ActCompute, LevelF) // rejected
-	if tt.Version() != v0+1 {
+	if tt.Replica().Version() != v0+1 {
 		t.Fatal("version advanced on a rejected Set")
 	}
 }
@@ -132,11 +131,17 @@ func TestOTLMinProperty(t *testing.T) {
 	}
 }
 
+// since reads Since(v) and the version from one replica of tt.
+func since(tt *TrustTable, v uint64) ([]TableEntry, uint64) {
+	rep := tt.Replica()
+	return rep.Since(v), rep.Version()
+}
+
 // replicaOf builds a replica of tt by one overlay on an empty table, as a
 // replication client does after a cold sync.
 func replicaOf(t *testing.T, tt *TrustTable) *TableReplica {
 	t.Helper()
-	rep, err := (*TableReplica)(nil).Overlay(tt.Since(0))
+	rep, err := (*TableReplica)(nil).Overlay(since(tt, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +161,10 @@ func TestSnapshotIsolation(t *testing.T) {
 	if !ok || got != LevelB {
 		t.Fatalf("replica saw later update: %v/%v", got, ok)
 	}
-	if rep.Version() == tt.Version() {
+	if rep.Version() == tt.Replica().Version() {
 		t.Fatal("replica version should be stale after update")
 	}
-	live, _ := tt.Get(0, 1, ActCompute)
+	live, _ := tt.Replica().Get(0, 1, ActCompute)
 	if live != LevelE {
 		t.Fatal("live table lost the update")
 	}
@@ -224,12 +229,12 @@ func TestTrustTableConcurrency(t *testing.T) {
 					t.Error("concurrent OTL out of range")
 					return
 				}
-				es, v := tt.Since(0)
+				es, v := since(tt, 0)
 				if uint64(len(es)) > v {
 					t.Error("Since returned more entries than writes")
 					return
 				}
-				if _, w := tt.Since(v); w < v {
+				if _, w := since(tt, v); w < v {
 					t.Error("table version went backwards")
 					return
 				}
@@ -239,37 +244,30 @@ func TestTrustTableConcurrency(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	if tt.Version() < 2000 {
-		t.Fatalf("expected ~2000 writes, saw version %d", tt.Version())
+	if tt.Replica().Version() < 2000 {
+		t.Fatalf("expected ~2000 writes, saw version %d", tt.Replica().Version())
 	}
 }
 
+// TestForEachVisitsEveryEntry: the whole-table walk is Since(0), which
+// visits every entry once, in (cd, rd, activity) order.
 func TestForEachVisitsEveryEntry(t *testing.T) {
 	tt := NewTrustTable()
-	want := map[[3]int]TrustLevel{}
+	var want []TableEntry
 	for cd := 0; cd < 2; cd++ {
 		for rd := 0; rd < 2; rd++ {
-			lvl := TrustLevel(cd+rd+1) + 0
-			if lvl > MaxOfferable {
-				lvl = MaxOfferable
-			}
-			if err := tt.Set(DomainID(cd), DomainID(rd), ActCompute, lvl); err != nil {
-				t.Fatal(err)
-			}
-			want[[3]int{cd, rd, int(ActCompute)}] = lvl
+			lvl := TrustLevel(cd + rd + 1)
+			want = append(want, TableEntry{CD: DomainID(cd), RD: DomainID(rd), Activity: ActCompute, Level: lvl})
 		}
 	}
-	got := map[[3]int]TrustLevel{}
-	tt.ForEach(func(cd, rd DomainID, act Activity, tl TrustLevel) {
-		got[[3]int{int(cd), int(rd), int(act)}] = tl
-	})
-	if len(got) != len(want) {
-		t.Fatalf("ForEach visited %d entries, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("entry %v = %v, want %v", k, got[k], v)
+	for i := len(want) - 1; i >= 0; i-- { // written in reverse
+		e := want[i]
+		if err := tt.Set(e.CD, e.RD, e.Activity, e.Level); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if got := tt.Replica().Since(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Since(0) = %+v, want %+v", got, want)
 	}
 }
 
@@ -289,7 +287,7 @@ func TestEntriesRestoreRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries := tt.Entries()
+	entries := tt.Replica().Since(0)
 	if len(entries) != len(seed) {
 		t.Fatalf("Entries returned %d, want %d", len(entries), len(seed))
 	}
@@ -302,15 +300,15 @@ func TestEntriesRestoreRoundTrip(t *testing.T) {
 	}
 
 	restored := NewTrustTable()
-	if err := restored.Restore(entries, tt.Version()); err != nil {
+	if err := restored.Restore(entries, tt.Replica().Version()); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Version() != tt.Version() || restored.Len() != tt.Len() {
+	if restored.Replica().Version() != tt.Replica().Version() || restored.Replica().Len() != tt.Replica().Len() {
 		t.Fatalf("restored version/len %d/%d, want %d/%d",
-			restored.Version(), restored.Len(), tt.Version(), tt.Len())
+			restored.Replica().Version(), restored.Replica().Len(), tt.Replica().Version(), tt.Replica().Len())
 	}
 	for _, s := range seed {
-		got, ok := restored.Get(s.cd, s.rd, s.act)
+		got, ok := restored.Replica().Get(s.cd, s.rd, s.act)
 		if !ok || got != s.tl {
 			t.Fatalf("restored entry (%d,%d,%v) = %v/%v, want %v", s.cd, s.rd, s.act, got, ok, s.tl)
 		}
@@ -331,21 +329,21 @@ func TestRestoreValidatesAndReplaces(t *testing.T) {
 	if err == nil {
 		t.Fatal("Restore accepted an invalid activity")
 	}
-	if _, ok := tt.Get(9, 9, ActCompute); !ok {
+	if _, ok := tt.Replica().Get(9, 9, ActCompute); !ok {
 		t.Fatal("failed Restore clobbered the table")
 	}
 	// A valid Restore replaces rather than merges.
 	if err := tt.Restore([]TableEntry{{CD: 0, RD: 1, Activity: ActCompute, Level: LevelB}}, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tt.Get(9, 9, ActCompute); ok {
+	if _, ok := tt.Replica().Get(9, 9, ActCompute); ok {
 		t.Fatal("Restore merged instead of replacing")
 	}
-	if tl, ok := tt.Get(0, 1, ActCompute); !ok || tl != LevelB {
+	if tl, ok := tt.Replica().Get(0, 1, ActCompute); !ok || tl != LevelB {
 		t.Fatal("Restore dropped the new entry")
 	}
-	if tt.Version() != 7 {
-		t.Fatalf("Restore version = %d, want 7", tt.Version())
+	if tt.Replica().Version() != 7 {
+		t.Fatalf("Restore version = %d, want 7", tt.Replica().Version())
 	}
 }
 
@@ -379,7 +377,7 @@ func TestOTLRowsMatchesOTL(t *testing.T) {
 		{CD: 0, ToA: MustToA(ActCompute), OTL: make([]TrustLevel, len(rds))},
 		{CD: 1, ToA: MustToA(ActStorage, ActCompute), OTL: make([]TrustLevel, len(rds))},
 	}
-	tt.OTLRows(rds, rows)
+	tt.Replica().OTLRows(rds, rows)
 	for r, row := range rows {
 		if row.Err != nil || row.N != len(rds) {
 			t.Fatalf("row %d: N=%d Err=%v, want a full row", r, row.N, row.Err)
@@ -419,7 +417,7 @@ func TestOTLRowsGap(t *testing.T) {
 		{CD: 0, ToA: toa, OTL: make([]TrustLevel, 3)},
 		{CD: 0, ToA: MustToA(ActCompute), OTL: make([]TrustLevel, 3)},
 	}
-	tt.OTLRows(rds, rows)
+	tt.Replica().OTLRows(rds, rows)
 	_, want := tt.OTL(0, 1, toa)
 	if want == nil {
 		t.Fatal("OTL found the missing entry")
@@ -434,7 +432,7 @@ func TestOTLRowsGap(t *testing.T) {
 		t.Fatalf("row behind a gap row: N=%d Err=%v, want a full row", rows[1].N, rows[1].Err)
 	}
 	// A gap on an RD that is not asked about is nobody's error.
-	tt.OTLRows([]*ResourceDomain{rds[0], rds[2]}, rows[:1])
+	tt.Replica().OTLRows([]*ResourceDomain{rds[0], rds[2]}, rows[:1])
 	if rows[0].N != 2 || rows[0].Err != nil {
 		t.Fatalf("reused row: N=%d Err=%v, want the gap forgotten", rows[0].N, rows[0].Err)
 	}
@@ -443,13 +441,13 @@ func TestOTLRowsGap(t *testing.T) {
 func TestOTLRowsEmptyToA(t *testing.T) {
 	tt := NewTrustTable()
 	rows := []OTLRow{{CD: 0, OTL: make([]TrustLevel, 1)}}
-	tt.OTLRows(rowRDs(1, ActCompute), rows)
+	tt.Replica().OTLRows(rowRDs(1, ActCompute), rows)
 	_, want := tt.OTL(0, 0, ToA{})
 	if rows[0].N != 0 || rows[0].Err == nil || rows[0].Err.Error() != want.Error() {
 		t.Fatalf("empty ToA: N=%d Err=%v, want %q", rows[0].N, rows[0].Err, want)
 	}
 	// No resource domains, no cells, no error.
-	tt.OTLRows(nil, rows)
+	tt.Replica().OTLRows(nil, rows)
 	if rows[0].N != 0 || rows[0].Err != nil {
 		t.Fatalf("empty RD list: N=%d Err=%v", rows[0].N, rows[0].Err)
 	}
@@ -499,7 +497,7 @@ func TestOTLRowsConcurrentWithWrites(t *testing.T) {
 		{CD: 0, ToA: MustToA(ActCompute), OTL: make([]TrustLevel, len(rds))},
 	}
 	for i := 0; i < 2000; i++ {
-		tt.OTLRows(rds, rows)
+		tt.Replica().OTLRows(rds, rows)
 		first := rows[0].OTL[0]
 		for _, row := range rows {
 			for _, otl := range row.OTL {
@@ -533,7 +531,7 @@ func TestSinceStampsEveryWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	es, v := tt.Since(1)
+	es, v := since(tt, 1)
 	if want := [][3]int{{0, 1, int(ActCompute)}, {0, 3, int(ActStorage)}}; v != 3 || !reflect.DeepEqual(entryKeys(es), want) {
 		t.Fatalf("Since(1) = %v at %d, want %v at 3", entryKeys(es), v, want)
 	}
@@ -541,14 +539,14 @@ func TestSinceStampsEveryWrite(t *testing.T) {
 	if err := tt.Set(2, 0, ActCompute, LevelB); err != nil {
 		t.Fatal(err)
 	}
-	es, v = tt.Since(3)
+	es, v = since(tt, 3)
 	if want := []TableEntry{{CD: 2, RD: 0, Activity: ActCompute, Level: LevelB}}; v != 4 || !reflect.DeepEqual(es, want) {
 		t.Fatalf("Since(3) = %+v at %d, want %+v at 4", es, v, want)
 	}
-	if es, v = tt.Since(4); len(es) != 0 || v != 4 {
+	if es, v = since(tt, 4); len(es) != 0 || v != 4 {
 		t.Fatalf("Since(current) = %+v at %d, want nothing at 4", es, v)
 	}
-	if es, v = tt.Since(99); len(es) != 0 || v != 4 {
+	if es, v = since(tt, 99); len(es) != 0 || v != 4 {
 		t.Fatalf("Since(ahead) = %+v at %d, want nothing at 4", es, v)
 	}
 }
@@ -565,64 +563,45 @@ func TestRestoreStampsEveryEntry(t *testing.T) {
 	if err := tt.Restore(restored, 7); err != nil {
 		t.Fatal(err)
 	}
-	if es, v := tt.Since(6); v != 7 || !reflect.DeepEqual(es, restored) {
+	if es, v := since(tt, 6); v != 7 || !reflect.DeepEqual(es, restored) {
 		t.Fatalf("Since(6) = %+v at %d, want every restored entry at 7", es, v)
 	}
-	if es, _ := tt.Since(7); len(es) != 0 {
+	if es, _ := since(tt, 7); len(es) != 0 {
 		t.Fatalf("Since(7) = %+v, want nothing written after the restore", es)
 	}
 	if err := tt.Set(1, 0, ActStorage, LevelC); err != nil {
 		t.Fatal(err)
 	}
-	if es, v := tt.Since(7); v != 8 || len(es) != 1 || es[0].Level != LevelC {
+	if es, v := since(tt, 7); v != 8 || len(es) != 1 || es[0].Level != LevelC {
 		t.Fatalf("Since(7) after a Set = %+v at %d", es, v)
 	}
 	// Since(0) is the whole table, whatever version restored it.
 	if err := tt.Restore(restored, 0); err != nil {
 		t.Fatal(err)
 	}
-	if es, v := tt.Since(0); v != 0 || !reflect.DeepEqual(es, restored) {
+	if es, v := since(tt, 0); v != 0 || !reflect.DeepEqual(es, restored) {
 		t.Fatalf("Since(0) after a restore at 0 = %+v at %d", es, v)
 	}
 }
 
-// referenceEntries is the whole-table export Since(0) replaced: every
-// entry, sorted by (cd, rd, activity).
-func referenceEntries(tt *TrustTable) []TableEntry {
-	var out []TableEntry
-	tt.ForEach(func(cd, rd DomainID, act Activity, tl TrustLevel) {
-		out = append(out, TableEntry{CD: cd, RD: rd, Activity: act, Level: tl})
-	})
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.CD != b.CD {
-			return a.CD < b.CD
-		}
-		if a.RD != b.RD {
-			return a.RD < b.RD
-		}
-		return a.Activity < b.Activity
-	})
-	return out
-}
-
 func TestSinceZeroMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tt := NewTrustTable()
+	tt, ref := NewTrustTable(), newRefTable()
 	for i := 0; i < 400; i++ {
-		if err := tt.Set(DomainID(rng.Intn(6)), DomainID(rng.Intn(9)), Activity(rng.Intn(int(NumBuiltinActivities))),
-			LevelA+TrustLevel(rng.Intn(5))); err != nil {
+		cd, rd := DomainID(rng.Intn(6)), DomainID(rng.Intn(9))
+		act, lvl := Activity(rng.Intn(int(NumBuiltinActivities))), LevelA+TrustLevel(rng.Intn(5))
+		if err := tt.Set(cd, rd, act, lvl); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Set(cd, rd, act, lvl); err != nil {
 			t.Fatal(err)
 		}
 		if i%50 != 49 {
 			continue
 		}
-		es, v := tt.Since(0)
-		if want := referenceEntries(tt); !reflect.DeepEqual(es, want) || v != tt.Version() {
-			t.Fatalf("after %d writes: Since(0) = %d entries at %d, reference %d at %d", i+1, len(es), v, len(want), tt.Version())
-		}
-		if !reflect.DeepEqual(tt.Entries(), es) {
-			t.Fatal("Entries differs from Since(0)")
+		es, v := since(tt, 0)
+		if want := ref.Since(0); !reflect.DeepEqual(es, want) || v != ref.Version() {
+			t.Fatalf("after %d writes: Since(0) = %d entries at %d, reference %d at %d", i+1, len(es), v, len(want), ref.Version())
 		}
 	}
 }

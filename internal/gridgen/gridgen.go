@@ -66,14 +66,14 @@ func (s Spec) withDefaults(src *rng.Source) Spec {
 // validate rejects impossible bounds.
 func (s Spec) validate() error {
 	switch {
-	case s.GridDomains < 0:
-		return fmt.Errorf("gridgen: negative GridDomains %d", s.GridDomains)
+	case s.GridDomains < 0 || s.GridDomains > grid.TableDomains:
+		return fmt.Errorf("gridgen: GridDomains %d outside [0,%d], the trust table's domain ids", s.GridDomains, grid.TableDomains)
 	case s.MinMachines < 1 || s.MaxMachines < s.MinMachines:
 		return fmt.Errorf("gridgen: bad machine bounds [%d,%d]", s.MinMachines, s.MaxMachines)
 	case s.MinClients < 1 || s.MaxClients < s.MinClients:
 		return fmt.Errorf("gridgen: bad client bounds [%d,%d]", s.MinClients, s.MaxClients)
-	case s.Activities < 1:
-		return fmt.Errorf("gridgen: need at least one activity")
+	case s.Activities < 1 || s.Activities > grid.TableActivities:
+		return fmt.Errorf("gridgen: Activities %d outside [1,%d], the trust table's activity ids", s.Activities, grid.TableActivities)
 	case s.RDProbability < 0 || s.RDProbability > 1 || s.CDProbability < 0 || s.CDProbability > 1:
 		return fmt.Errorf("gridgen: probabilities outside [0,1]")
 	}
@@ -180,24 +180,4 @@ func genCD(src *rng.Source, spec Spec, id grid.DomainID, nextClient *int) *grid.
 		*nextClient++
 	}
 	return cd
-}
-
-// SeedTable fills a trust table with offerable levels drawn from [1,5]
-// for every (CD, RD, supported activity) triple of the topology — the
-// Section 5.3 initialisation.
-func SeedTable(src *rng.Source, top *grid.Topology, table *grid.TrustTable) error {
-	if src == nil || top == nil || table == nil {
-		return fmt.Errorf("gridgen: nil argument to SeedTable")
-	}
-	for _, cd := range top.ClientDomains() {
-		for _, rd := range top.ResourceDomains() {
-			for act := range rd.Supported {
-				tl := grid.TrustLevel(src.IntRange(int(grid.MinOfferable), int(grid.MaxOfferable)))
-				if err := table.Set(cd.ID, rd.ID, act, tl); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }

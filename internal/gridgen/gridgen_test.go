@@ -1,6 +1,7 @@
 package gridgen
 
 import (
+	"slices"
 	"testing"
 
 	"gridtrust/internal/grid"
@@ -110,52 +111,17 @@ func TestGenerateValidation(t *testing.T) {
 		{MinClients: 5, MaxClients: 1},
 		{Activities: -1},
 		{RDProbability: 1.5},
+		{GridDomains: grid.TableDomains + 1},
+		{Activities: grid.TableActivities + 1},
 	}
 	for i, s := range bad {
 		if _, err := Generate(src, s); err == nil {
 			t.Errorf("bad spec %d accepted: %+v", i, s)
 		}
 	}
-}
-
-func TestSeedTable(t *testing.T) {
-	src := rng.New(4)
-	top, err := Generate(src, Spec{GridDomains: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := grid.NewTrustTable()
-	if err := SeedTable(src, top, table); err != nil {
-		t.Fatal(err)
-	}
-	// Every (CD, RD, supported activity) triple must be present.
-	want := 0
-	for range top.ClientDomains() {
-		for _, rd := range top.ResourceDomains() {
-			want += len(rd.Supported)
-		}
-	}
-	if table.Len() != want {
-		t.Fatalf("table has %d entries, want %d", table.Len(), want)
-	}
-	for _, cd := range top.ClientDomains() {
-		for _, rd := range top.ResourceDomains() {
-			for act := range rd.Supported {
-				tl, ok := table.Get(cd.ID, rd.ID, act)
-				if !ok || !tl.Offerable() {
-					t.Fatalf("entry (%d,%d,%v) = %v/%v", cd.ID, rd.ID, act, tl, ok)
-				}
-			}
-		}
-	}
-	if err := SeedTable(nil, top, table); err == nil {
-		t.Error("accepted nil source")
-	}
-	if err := SeedTable(src, nil, table); err == nil {
-		t.Error("accepted nil topology")
-	}
-	if err := SeedTable(src, top, nil); err == nil {
-		t.Error("accepted nil table")
+	// The bounds' own edges are the trust table's last ids.
+	if _, err := Generate(src, Spec{GridDomains: grid.TableDomains, Activities: grid.TableActivities}); err != nil {
+		t.Errorf("spec at the table's bounds refused: %v", err)
 	}
 }
 
@@ -168,9 +134,23 @@ func TestGeneratedTopologyOTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Seed every (CD, RD, supported activity) triple with an offerable
+	// level, in (cd, rd, activity) order.
 	table := grid.NewTrustTable()
-	if err := SeedTable(src, top, table); err != nil {
-		t.Fatal(err)
+	for _, cd := range top.ClientDomains() {
+		for _, rd := range top.ResourceDomains() {
+			acts := make([]grid.Activity, 0, len(rd.Supported))
+			for act := range rd.Supported {
+				acts = append(acts, act)
+			}
+			slices.Sort(acts)
+			for _, act := range acts {
+				tl := grid.TrustLevel(src.IntRange(int(grid.MinOfferable), int(grid.MaxOfferable)))
+				if err := table.Set(cd.ID, rd.ID, act, tl); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 	for _, cd := range top.ClientDomains() {
 		for _, rd := range top.ResourceDomains() {

@@ -304,13 +304,13 @@ func (s *Server) Checkpoint() (*CheckpointInfo, error) {
 // writing, so no request is mid-way and all state is at rest.
 func (s *Server) capture() *daemonSnapshot {
 	placed, freeTime := s.trms.SchedulerState()
-	entries, version := s.trms.Table().Since(0)
+	table := s.trms.Table().Replica()
 	snap := &daemonSnapshot{
 		Version:      daemonSnapshotVersion,
 		Placed:       placed,
 		FreeTime:     freeTime,
-		TableVersion: version,
-		Table:        entries,
+		TableVersion: table.Version(),
+		Table:        table.Since(0),
 		Trust:        s.trms.Model().Export(),
 	}
 	snap.AgentsProcessed, snap.AgentsCommitted, snap.AgentsRejected = s.trms.AgentStats()

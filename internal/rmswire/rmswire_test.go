@@ -136,6 +136,47 @@ func TestSubmitReportStats(t *testing.T) {
 	}
 }
 
+// TestStatsReadOneTable: a stats reply takes its table version and
+// entry count from one replica.  A writer adds a new cell per Set while
+// a client polls stats, so every reply must count as many entries as
+// its version (the seed is one entry per write too).  Run under -race.
+func TestStatsReadOneTable(t *testing.T) {
+	trms, _, client := newDaemon(t)
+	done := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			cd := grid.DomainID(1 + i/(4*grid.NumBuiltinActivities))
+			if cd >= grid.TableDomains {
+				return
+			}
+			rd, act := grid.DomainID(i/grid.NumBuiltinActivities%4), grid.Activity(i%grid.NumBuiltinActivities)
+			if err := trms.Table().Set(cd, rd, act, grid.LevelB); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer writer.Wait()
+	defer close(done)
+	for i := 0; i < 300; i++ {
+		st, err := client.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uint64(st.TableEntries) != st.TableVersion {
+			t.Fatalf("poll %d: %d entries at version %d", i, st.TableEntries, st.TableVersion)
+		}
+	}
+}
+
 func TestTrustFeedbackAcrossWire(t *testing.T) {
 	_, _, client := newDaemon(t)
 	acts := []grid.Activity{grid.ActCompute}

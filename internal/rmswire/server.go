@@ -621,13 +621,14 @@ func (s *Server) handleReport(req Request) Response {
 func (s *Server) handleStats() Response {
 	processed, committed, rejected := s.trms.AgentStats()
 	open, _ := s.books.counts()
+	table := s.trms.Table().Replica()
 	return Response{Status: StatusOK, Stats: &StatsInfo{
 		Placed:          s.trms.Placed(),
 		AgentsProcessed: processed,
 		AgentsCommitted: committed,
 		AgentsRejected:  rejected,
-		TableVersion:    s.trms.Table().Version(),
-		TableEntries:    s.trms.Table().Len(),
+		TableVersion:    table.Version(),
+		TableEntries:    table.Len(),
 		OpenPlacements:  open,
 	}}
 }

@@ -104,12 +104,6 @@ func (t *interner) probe(h uint64, same func(k int32) bool) (k int32, cell int) 
 	}
 }
 
-// lookup returns the key of hash h for which same reports true.
-func (t *interner) lookup(h uint64, same func(k int32) bool) (int32, bool) {
-	k, _ := t.probe(h&t.keep, same)
-	return k, k >= 0
-}
-
 // find returns the key of hash h for which same reports true, or adds one
 // and returns it with added set.
 func (t *interner) find(h uint64, same func(k int32) bool) (k int32, added bool) {
@@ -221,23 +215,11 @@ func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 	for s, rd := range c.slotRD {
 		c.slotRTL[s] = w.ResourceRTL[rd]
 	}
-	// lvl holds the table's level per (CD, built-in activity, slot),
-	// LevelNone for a gap, read in one pass; an asker's OTL on a slot is
-	// the min over its activities (Section 3.1).
-	ncd, acts := max(w.NumCDs, 0), int(grid.NumBuiltinActivities)
-	var lvl []int8
-	carve(filled(&c.tcAt, slots*tcSpan), filled(&lvl, ncd*acts*slots), empty(&c.otl, nask*slots))
+	carve(filled(&c.tcAt, slots*tcSpan), empty(&c.otl, nask*slots))
 	for k := range c.tcAt {
 		c.tcAt[k] = -1
 	}
-	w.Table.ForEach(func(cd, rd grid.DomainID, a grid.Activity, tl grid.TrustLevel) {
-		if cd < 0 || int(cd) >= ncd || a < 0 || int(a) >= acts {
-			return
-		}
-		if s, ok := slotOf.lookup(mix(fnvSeed, int(rd)), func(k int32) bool { return c.slotRD[k] == rd }); ok {
-			lvl[(int(cd)*acts+int(a))*slots+int(s)] = int8(tl)
-		}
-	})
+	table := w.Table.Replica()
 
 	// An asker is interned by a hash of its activities and CD, a new
 	// asker's context by the activities' hash; a match is confirmed
@@ -264,7 +246,7 @@ func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 			c.askCD = append(c.askCD, r.CD)
 			c.askCtx = append(c.askCtx, ctx)
 			askProf = append(askProf, make([]int32, rtlSpan)...)
-			failAt, fail = c.appendOTL(r, lvl, ncd)
+			failAt, fail = c.appendOTL(table, r)
 		}
 		// A profile of a valid RTL is found in its asker's dense row; an
 		// invalid RTL fails to price on the first slot, so none is kept.
@@ -302,42 +284,20 @@ func buildCosts(w *workload.Workload, keep uint64) (*workloadCosts, error) {
 	return c, nil
 }
 
-// appendOTL appends the OTL row of request r's asker, and returns the
-// first slot the table does not price with the table's own error, or
-// len(slotRD).  The row is the min of lvl's rows over the asker's
-// activities; an asker with a gap, an empty ToA, or a CD or activity
-// outside lvl is priced cell by cell.
-func (c *workloadCosts) appendOTL(r *workload.Request, lvl []int8, ncd int) (int, error) {
-	slots, acts := len(c.slotRD), int(grid.NumBuiltinActivities)
+// appendOTL appends the OTL row of request r's asker, read from table,
+// and returns the first slot the table does not price with the table's
+// own error, or len(slotRD).
+func (c *workloadCosts) appendOTL(table *grid.TableReplica, r *workload.Request) (int, error) {
 	n := len(c.otl)
-	c.otl = slices.Grow(c.otl, slots)[:n+slots]
-	row := c.otl[n:]
-	dense := len(r.ToA.Activities) > 0 && r.CD >= 0 && int(r.CD) < ncd
-	for _, a := range r.ToA.Activities {
-		dense = dense && a >= 0 && int(a) < acts
-	}
-	if dense {
-		cd := int(r.CD) * acts
-		copy(row, lvl[(cd+int(r.ToA.Activities[0]))*slots:][:slots])
-		for _, a := range r.ToA.Activities[1:] {
-			for s, tl := range lvl[(cd+int(a))*slots:][:slots] {
-				row[s] = min(row[s], tl)
-			}
-		}
-		// A gap is LevelNone, below every offerable level, so it
-		// survives the min.
-		if !slices.Contains(row, int8(grid.LevelNone)) {
-			return slots, nil
-		}
-	}
+	c.otl = slices.Grow(c.otl, len(c.slotRD))[:n+len(c.slotRD)]
 	for s, rd := range c.slotRD {
-		otl, err := c.w.Table.OTL(r.CD, rd, r.ToA)
+		otl, err := table.OTL(r.CD, rd, r.ToA)
 		if err != nil {
 			return s, err
 		}
-		row[s] = int8(otl)
+		c.otl[n+s] = int8(otl)
 	}
-	return slots, nil
+	return len(c.slotRD), nil
 }
 
 // trustCost is grid.TrustCostWith under the workload's ETS rule for a

@@ -408,7 +408,7 @@ func TestCostsBuildMatchesReference(t *testing.T) {
 			broken.ResourceRTL[rd] = rtl
 		}
 		var kept []grid.TableEntry
-		for _, e := range w.Table.Entries() {
+		for _, e := range w.Table.Replica().Since(0) {
 			if !src.Bool(0.02) {
 				kept = append(kept, e)
 			}
@@ -472,8 +472,8 @@ func TestChainsTellCollidingKeysApart(t *testing.T) {
 			}
 		}
 		for k, key := range first {
-			if got, ok := in.lookup(uint64(key[0]), func(k int32) bool { return first[k] == key }); !ok || got != int32(k) {
-				t.Fatalf("keep %#x: lookup(%q) = %d, %v; want %d", keep, key, got, ok, k)
+			if got, added := in.find(uint64(key[0]), func(k int32) bool { return first[k] == key }); added || got != int32(k) {
+				t.Fatalf("keep %#x: find(%q) again = %d, %v; want %d", keep, key, got, added, k)
 			}
 		}
 	}
@@ -531,7 +531,7 @@ func FuzzCostsBuild(f *testing.F) {
 			case 5: // a CD past NumCDs, with CD 0's rows when arg&4 is set
 				cd := grid.DomainID(w.NumCDs + arg%2)
 				if arg&4 != 0 {
-					for _, e := range w.Table.Entries() {
+					for _, e := range w.Table.Replica().Since(0) {
 						if e.CD == 0 {
 							if err := w.Table.Set(cd, e.RD, e.Activity, e.Level); err != nil {
 								t.Fatal(err)
@@ -541,7 +541,7 @@ func FuzzCostsBuild(f *testing.F) {
 				}
 				r.CD = cd
 			case 6: // a gap in the table
-				kept := w.Table.Entries()
+				kept := w.Table.Replica().Since(0)
 				if len(kept) > 0 {
 					kept = slices.Delete(kept, arg%len(kept), arg%len(kept)+1)
 					w.Table = grid.NewTrustTable()

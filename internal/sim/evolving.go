@@ -223,8 +223,9 @@ func RunEvolving(cfg EvolvingConfig, src *rng.Source) (*EvolvingResult, error) {
 	res.LateUnreliableShare = float64(lateUnreliable) / float64(cfg.Requests-warmup)
 	res.MeanTCEarly = tcEarly / float64(warmup)
 	res.MeanTCLate = tcLate / float64(cfg.Requests-warmup)
-	res.FinalTrustReliable, _ = trms.Table().Get(0, ReliableRD, grid.ActCompute)
-	res.FinalTrustUnreliable, _ = trms.Table().Get(0, UnreliableRD, grid.ActCompute)
+	table := trms.Table().Replica()
+	res.FinalTrustReliable, _ = table.Get(0, ReliableRD, grid.ActCompute)
+	res.FinalTrustUnreliable, _ = table.Get(0, UnreliableRD, grid.ActCompute)
 	return res, nil
 }
 

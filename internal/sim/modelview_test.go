@@ -204,7 +204,7 @@ func TestRequestCDPastNumCDs(t *testing.T) {
 	sc.Machines, sc.ArrivalRate = 6, 0.04*6/5
 	sc.NumCDs, sc.NumRDs = 2, 2
 	w := mustWorkload(t, sc, 17)
-	for _, e := range w.Table.Entries() {
+	for _, e := range w.Table.Replica().Since(0) {
 		if e.CD == 1 {
 			if err := w.Table.Set(2, e.RD, e.Activity, e.Level); err != nil {
 				t.Fatal(err)

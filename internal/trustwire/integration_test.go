@@ -49,8 +49,8 @@ func TestReplicatedTableEndToEnd(t *testing.T) {
 		if tl, ok := rep.Table().Get(0, 1, grid.ActCompute); !ok || tl != grid.LevelC {
 			t.Fatalf("replica %d cold-synced (0,1,compute) = %v/%v, want LevelC", i, tl, ok)
 		}
-		if rep.Version() != table.Version() {
-			t.Fatalf("replica %d at version %d, table at %d", i, rep.Version(), table.Version())
+		if rep.Version() != table.Replica().Version() {
+			t.Fatalf("replica %d at version %d, table at %d", i, rep.Version(), table.Replica().Version())
 		}
 	}
 
@@ -96,8 +96,8 @@ func TestReplicatedTableEndToEnd(t *testing.T) {
 	wg.Wait()
 
 	for i, rep := range replicas {
-		if rep.Version() != table.Version() {
-			t.Fatalf("replica %d converged at version %d, table at %d", i, rep.Version(), table.Version())
+		if rep.Version() != table.Replica().Version() {
+			t.Fatalf("replica %d converged at version %d, table at %d", i, rep.Version(), table.Replica().Version())
 		}
 		if rep.SnapshotsApplied() < 1 {
 			t.Fatalf("replica %d applied no snapshots", i)

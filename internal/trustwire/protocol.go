@@ -9,9 +9,9 @@
 // newline-delimited JSON frames.  Replicas poll with their last-seen
 // version; the server answers "current" when the replica is up to date, a
 // "delta" of the entries written since that version when it is behind,
-// and a full "snapshot" when it polls cold (version 0).  Both read the
-// table once (grid.TrustTable.Since) and list entries in (cd, rd,
-// activity) order.  Deltas are pure overlays because the table never
+// and a full "snapshot" when it polls cold (version 0).  Both read one
+// replica of the table (grid.TableReplica.Since) and list entries in (cd,
+// rd, activity) order.  Deltas are pure overlays because the table never
 // deletes entries; trust changes are rare ("trust is a slow varying
 // attribute"), so deltas are typically a single entry.  A replica is an
 // immutable grid.TableReplica, each response overlaid on the last.
@@ -97,17 +97,15 @@ func wireEntries(entries []grid.TableEntry) []Entry {
 	return out
 }
 
-// applyEntries checks wire entries and overlays them on base (nil: an
-// empty table), returning the replica at version.  base never changes.
+// applyEntries parses wire entries and overlays them on base (nil: an
+// empty table), returning the replica at version; Overlay checks the ids.
+// base never changes.
 func applyEntries(base *grid.TableReplica, entries []Entry, version uint64) (*grid.TableReplica, error) {
 	es := make([]grid.TableEntry, len(entries))
 	for i, e := range entries {
 		tl, err := grid.ParseLevel(e.Level)
 		if err != nil {
 			return nil, fmt.Errorf("trustwire: entry (%d,%d,%d): %w", e.CD, e.RD, e.Activity, err)
-		}
-		if e.CD < 0 || e.RD < 0 || e.Activity < 0 {
-			return nil, fmt.Errorf("trustwire: negative identifier in entry (%d,%d,%d)", e.CD, e.RD, e.Activity)
 		}
 		es[i] = grid.TableEntry{CD: grid.DomainID(e.CD), RD: grid.DomainID(e.RD), Activity: grid.Activity(e.Activity), Level: tl}
 	}

@@ -71,14 +71,14 @@ func TestPollSurvivesSyncErrors(t *testing.T) {
 
 	// The still-running loop must redial and converge.
 	deadline := time.Now().Add(5 * time.Second)
-	for rep.Version() != table.Version() {
+	for rep.Version() != table.Replica().Version() {
 		select {
 		case <-pollDone:
 			t.Fatal("poll loop exited on sync error")
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replica never reconverged: at v%d, table v%d", rep.Version(), table.Version())
+			t.Fatalf("replica never reconverged: at v%d, table v%d", rep.Version(), table.Replica().Version())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -172,18 +172,18 @@ func TestReplicaConvergesOnPeerRestartedBehind(t *testing.T) {
 		for {
 			_, err := rep.Sync()
 			got := rep.Table()
-			same := err == nil && got.Len() == want.Len()
-			want.ForEach(func(cd, rd grid.DomainID, act grid.Activity, tl grid.TrustLevel) {
-				if have, ok := got.Get(cd, rd, act); !ok || have != tl {
+			same := err == nil && got.Len() == want.Replica().Len()
+			for _, e := range want.Replica().Since(0) {
+				if have, ok := got.Get(e.CD, e.RD, e.Activity); !ok || have != e.Level {
 					same = false
 				}
-			})
+			}
 			if same {
 				return
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("%s: replica never converged: %d entries at v%d, peer has %d at v%d (last error %v)",
-					what, got.Len(), rep.Version(), want.Len(), want.Version(), err)
+					what, got.Len(), rep.Version(), want.Replica().Len(), want.Replica().Version(), err)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -208,8 +208,8 @@ func TestReplicaConvergesOnPeerRestartedBehind(t *testing.T) {
 	if err := behind.Set(2, 3, grid.ActStorage, grid.LevelB); err != nil {
 		t.Fatal(err)
 	}
-	if behind.Version() >= ahead.Version() {
-		t.Fatalf("test premise: restarted table v%d is not behind v%d", behind.Version(), ahead.Version())
+	if behind.Replica().Version() >= ahead.Replica().Version() {
+		t.Fatalf("test premise: restarted table v%d is not behind v%d", behind.Replica().Version(), ahead.Replica().Version())
 	}
 	srv, _ = serve(behind, addr)
 	converge(rep, behind, "peer restarted behind")

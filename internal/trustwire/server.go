@@ -51,14 +51,16 @@ func (s *Server) respond(req Request) Response {
 		return Response{Status: StatusError, Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
 	// An up-to-date poll is the common case (trust varies slowly): answer
-	// it from the version alone and read entries only to send them.
-	if v := s.table.Version(); v <= req.HaveVersion {
-		return Response{Status: StatusCurrent, Version: v}
-	}
-	// A warm replica gets what was written since its version, a pure
+	// it from the version alone and read entries only to send them.  A
+	// warm replica gets what was written since its version, a pure
 	// overlay because the table never deletes entries; a cold one gets
-	// everything.
-	entries, version := s.table.Since(req.HaveVersion)
+	// everything.  Both come from one replica, so they agree.
+	rep := s.table.Replica()
+	version := rep.Version()
+	if version <= req.HaveVersion {
+		return Response{Status: StatusCurrent, Version: version}
+	}
+	entries := rep.Since(req.HaveVersion)
 	status := StatusSnapshot
 	if req.HaveVersion > 0 {
 		status = StatusDelta

@@ -68,8 +68,8 @@ func TestColdSyncTransfersFullTable(t *testing.T) {
 	if tl, ok := local.Get(1, 2, grid.ActCompute); !ok || tl != grid.LevelD {
 		t.Fatalf("replica entry (1,2,compute) = %v/%v", tl, ok)
 	}
-	if rep.Version() != table.Version() {
-		t.Fatalf("replica version %d, table version %d", rep.Version(), table.Version())
+	if rep.Version() != table.Replica().Version() {
+		t.Fatalf("replica version %d, table version %d", rep.Version(), table.Replica().Version())
 	}
 	if srv.SnapshotsServed() != 1 {
 		t.Fatalf("server served %d snapshots, want 1", srv.SnapshotsServed())
@@ -332,6 +332,48 @@ func TestApplyEntriesValidation(t *testing.T) {
 	}
 }
 
+// TestPeerSnapshotPastTheBoundsIsRefused: a snapshot naming an id past
+// the table's bounds fails the sync and leaves the replica as it was, and
+// refusing it allocates no more than refusing a bad level does: nothing
+// is sized by the id.
+func TestPeerSnapshotPastTheBoundsIsRefused(t *testing.T) {
+	allocs := func(e Entry) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if rep, err := applyEntries(nil, []Entry{e}, 1); err == nil || rep != nil {
+				t.Fatalf("applied %+v", e)
+			}
+		})
+	}
+	badLevel := allocs(Entry{CD: 0, RD: 0, Activity: 0, Level: "F"})
+	for _, e := range []Entry{
+		{CD: 1 << 31, RD: 0, Activity: 0, Level: "C"},
+		{CD: 0, RD: 1 << 31, Activity: 0, Level: "C"},
+		{CD: 0, RD: 0, Activity: 1 << 20, Level: "C"},
+	} {
+		client, server := net.Pipe()
+		go func() {
+			defer server.Close()
+			if _, err := bufio.NewReader(server).ReadBytes('\n'); err != nil {
+				return
+			}
+			resp := Response{Status: StatusSnapshot, Version: 9, Entries: []Entry{{CD: 1, RD: 1, Activity: 1, Level: "B"}, e}}
+			_ = frame.Write(server, responseCodec.Frame(&resp))
+		}()
+		rep := NewReplica(frame.Wrap(client), 0)
+		if applied, err := rep.Sync(); applied || err == nil {
+			t.Errorf("snapshot with %+v: applied %v, err %v", e, applied, err)
+		}
+		if tab := rep.Table(); tab.Len() != 0 || tab.Version() != 0 {
+			t.Errorf("snapshot with %+v changed the replica: %d entries at %d", e, tab.Len(), tab.Version())
+		}
+		rep.Close()
+		// fmt's printer pool drops items under the race detector.
+		if got := allocs(e); !raceEnabled && got > badLevel {
+			t.Errorf("refusing %+v made %v allocations, a bad level %v", e, got, badLevel)
+		}
+	}
+}
+
 func TestReplicaSurvivesServerClose(t *testing.T) {
 	table, srv, addr := newServedTable(t)
 	_ = table.Set(0, 0, grid.ActCompute, grid.LevelC)
@@ -469,8 +511,8 @@ func TestReplicaFarBehindCatchesUpInOneDelta(t *testing.T) {
 	if tl, _ := rep.Table().Get(1, 1, grid.ActStorage); tl != grid.LevelB || rep.Table().Len() != 2 {
 		t.Fatalf("delta lost an unchanged entry: %v, %d entries", tl, rep.Table().Len())
 	}
-	if rep.Version() != table.Version() {
-		t.Fatalf("replica at version %d, table at %d", rep.Version(), table.Version())
+	if rep.Version() != table.Replica().Version() {
+		t.Fatalf("replica at version %d, table at %d", rep.Version(), table.Replica().Version())
 	}
 }
 
@@ -524,7 +566,7 @@ func TestColdSnapshotFrameIsUnchanged(t *testing.T) {
 // activity) order, so two identical polls send identical bytes.
 func TestDeltaIsSortedAndRepeatable(t *testing.T) {
 	table := denseTable(t)
-	have := table.Version()
+	have := table.Replica().Version()
 	srv, err := NewServer(table)
 	if err != nil {
 		t.Fatal(err)
@@ -536,7 +578,7 @@ func TestDeltaIsSortedAndRepeatable(t *testing.T) {
 		}
 	}
 	resp := srv.respond(Request{Op: OpSync, HaveVersion: have})
-	if resp.Status != StatusDelta || len(resp.Entries) != 20 || resp.Version != table.Version() {
+	if resp.Status != StatusDelta || len(resp.Entries) != 20 || resp.Version != table.Replica().Version() {
 		t.Fatalf("delta: status %q, %d entries at %d", resp.Status, len(resp.Entries), resp.Version)
 	}
 	key := func(e Entry) [3]int { return [3]int{e.CD, e.RD, e.Activity} }

@@ -99,10 +99,11 @@ func (w *Workload) Save(out io.Writer) error {
 	for rd, rtl := range w.ResourceRTL {
 		sw.ResourceRTL[fmt.Sprintf("%d", rd)] = int(rtl)
 	}
+	table := w.Table.Replica()
 	for cd := 0; cd < w.NumCDs; cd++ {
 		for rd := 0; rd < w.NumRDs; rd++ {
 			for a := grid.Activity(0); a < grid.NumBuiltinActivities; a++ {
-				if tl, ok := w.Table.Get(grid.DomainID(cd), grid.DomainID(rd), a); ok {
+				if tl, ok := table.Get(grid.DomainID(cd), grid.DomainID(rd), a); ok {
 					sw.Table = append(sw.Table, tableEntry{
 						CD: cd, RD: rd, Activity: int(a), Level: int(tl),
 					})
@@ -201,11 +202,13 @@ func Load(in io.Reader) (*Workload, error) {
 		}
 		w.ResourceRTL[grid.DomainID(rd)] = lvl
 	}
-	for _, e := range sw.Table {
-		if err := w.Table.Set(grid.DomainID(e.CD), grid.DomainID(e.RD),
-			grid.Activity(e.Activity), grid.TrustLevel(e.Level)); err != nil {
-			return nil, err
-		}
+	entries := make([]grid.TableEntry, len(sw.Table))
+	for i, e := range sw.Table {
+		entries[i] = grid.TableEntry{CD: grid.DomainID(e.CD), RD: grid.DomainID(e.RD),
+			Activity: grid.Activity(e.Activity), Level: grid.TrustLevel(e.Level)}
+	}
+	if err := w.Table.Restore(entries, uint64(len(entries))); err != nil {
+		return nil, err
 	}
 	w.Requests = make([]Request, spec.Tasks)
 	for i, sr := range sw.Requests {

@@ -115,6 +115,8 @@ func (s Spec) validate() error {
 			s.MaxToAs, grid.NumBuiltinActivities)
 	case s.NumCDs < 0 || s.NumRDs < 0:
 		return fmt.Errorf("workload: negative domain counts")
+	case s.NumCDs > grid.TableDomains || s.NumRDs > grid.TableDomains:
+		return fmt.Errorf("workload: %d CDs / %d RDs past the trust table's %d domain ids", s.NumCDs, s.NumRDs, grid.TableDomains)
 	case !s.ETSRule.Valid():
 		return fmt.Errorf("workload: invalid ETS rule %d", int(s.ETSRule))
 	case s.DeadlineSlack < 0:
@@ -170,16 +172,19 @@ func NewWorkload(src *rng.Source, s Spec) (*Workload, error) {
 	}
 
 	// Populate the trust-level table: an OTL in [1,5] for every
-	// (CD, RD, activity) triple, so OTL lookups never miss.
+	// (CD, RD, activity) triple, so OTL lookups never miss.  It is one
+	// write, at the version a Set per entry would have reached.
+	entries := make([]grid.TableEntry, 0, numCDs*numRDs*grid.NumBuiltinActivities)
 	for cd := 0; cd < numCDs; cd++ {
 		for rd := 0; rd < numRDs; rd++ {
 			for a := grid.Activity(0); a < grid.NumBuiltinActivities; a++ {
 				tl := grid.TrustLevel(src.IntRange(1, 5))
-				if err := w.Table.Set(grid.DomainID(cd), grid.DomainID(rd), a, tl); err != nil {
-					return nil, err
-				}
+				entries = append(entries, grid.TableEntry{CD: grid.DomainID(cd), RD: grid.DomainID(rd), Activity: a, Level: tl})
 			}
 		}
+	}
+	if err := w.Table.Restore(entries, uint64(len(entries))); err != nil {
+		return nil, err
 	}
 
 	// Request stream: Poisson arrivals, random CD, composed ToA of

@@ -68,7 +68,7 @@ func TestNewWorkloadPaperRanges(t *testing.T) {
 	for cd := 0; cd < w.NumCDs; cd++ {
 		for rd := 0; rd < w.NumRDs; rd++ {
 			for a := grid.Activity(0); a < grid.NumBuiltinActivities; a++ {
-				tl, ok := w.Table.Get(grid.DomainID(cd), grid.DomainID(rd), a)
+				tl, ok := w.Table.Replica().Get(grid.DomainID(cd), grid.DomainID(rd), a)
 				if !ok {
 					t.Fatalf("missing table entry (%d,%d,%v)", cd, rd, a)
 				}
@@ -133,6 +133,8 @@ func TestNewWorkloadValidation(t *testing.T) {
 		{Tasks: 10, Machines: 5, ArrivalRate: 1, MinToAs: 3, MaxToAs: 2},
 		{Tasks: 10, Machines: 5, ArrivalRate: 1, MinToAs: 1, MaxToAs: 99},
 		{Tasks: -1, Machines: 5, ArrivalRate: 1, MinToAs: 1, MaxToAs: 2},
+		{Tasks: 10, Machines: 5, ArrivalRate: 1, MinToAs: 1, MaxToAs: 2, NumRDs: grid.TableDomains + 1},
+		{Tasks: 10, Machines: 5, ArrivalRate: 1, MinToAs: 1, MaxToAs: 2, NumCDs: grid.TableDomains + 1},
 	}
 	for i, s := range bad {
 		s.Heterogeneity = LoLo

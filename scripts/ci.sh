@@ -137,7 +137,14 @@ fi
 echo "==> one replicated trust table (no wrapper table, dimension walk or history cache in non-test code under internal/trustwire, internal/fleet)"
 if grep -rnE 'ReadOnlyTable|replicaTable|copyTable|entriesFromTable|historySize|histOrder' --include='*.go' internal/trustwire internal/fleet \
     | grep -v '_test\.go:'; then
-    echo "ci: gossip sends grid.TrustTable.Since(have) and a replica is one immutable grid.TableReplica built by Overlay" >&2
+    echo "ci: gossip sends Since(have) of one grid.TableReplica, the table's store, and a replica is built only by Overlay" >&2
+    exit 1
+fi
+
+echo "==> one trust-table store (no map or sync.RWMutex in internal/grid/table.go, no .ForEach( in non-test Go code)"
+if grep -nE 'map\[|sync\.RWMutex' internal/grid/table.go \
+    || grep -rn --include='*.go' '\.ForEach(' . | grep -v '_test\.go:'; then
+    echo "ci: the table is one dense, copy-on-write grid.TableReplica published by grid.TrustTable; read it through Replica(), the whole of it through Since(0)" >&2
     exit 1
 fi
 
@@ -208,6 +215,7 @@ for spec in \
     "./internal/grid FuzzParseLevel" \
     "./internal/grid FuzzETSWith" \
     "./internal/grid FuzzLevelFromScore" \
+    "./internal/grid FuzzStoreMatchesReference" \
     "./internal/trustwire FuzzReadFrame" \
     "./internal/trustwire FuzzCodecMatchesJSON" \
     "./internal/rmswire FuzzCodecMatchesJSON" \
