@@ -1,8 +1,7 @@
 package fleet
 
 import (
-	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridtrust/internal/frame"
@@ -50,35 +49,41 @@ func metricBreakerClose(peer string) string {
 // recommendation-purging argument).
 type Claims struct {
 	bound time.Duration
-	now   func() time.Time // injectable for staleness tests
+	now   func() time.Time // injectable for staleness tests; fixed before gossip starts
 	peers []*peerState
 }
 
-// peerState is one peer's gossip state.  The replica lives as long as the
-// process and is polled by the gossip goroutine alone; mu guards the claim
-// view read by the scheduler (FuseOTL) and by status reporting.
+// peerState is one peer's gossip state.  The replica is the one copy of
+// the peer's table and lives as long as the process; the gossip
+// goroutine polls it and publishes each successful round as one claim,
+// which the scheduler (FuseOTL) and status reporting load without a lock.
 type peerState struct {
-	cfg ShardConfig
-
-	mu       sync.Mutex
-	table    *grid.TableReplica // last applied claim set (nil before first sync)
-	lastSync time.Time          // zero = never synced
-	syncs    uint64
-	errs     uint64
-
-	rep *trustwire.Replica
-
+	cfg   ShardConfig
+	rep   *trustwire.Replica
+	claim atomic.Pointer[claim] // nil before the first successful round
 	syncC *metrics.Counter
 	errC  *metrics.Counter
+}
+
+// claim is one successful gossip round: the peer's table and the instant
+// it was known current, published together so a reader never pairs one
+// round's table with another's age.
+type claim struct {
+	table *grid.TableReplica
+	at    time.Time
 }
 
 // newClaims builds the claim state for the given peers (self excluded).
 // timeout bounds one gossip round trip (dial + sync): a black-holed
 // peer then costs at most one deadline per tick instead of wedging its
 // gossip goroutine, and drops out of fusion once the staleness bound
-// passes.  Nothing is dialled until the first round.
-func newClaims(peers []ShardConfig, bound, timeout time.Duration, reg *metrics.Registry) *Claims {
-	c := &Claims{bound: bound, now: time.Now}
+// passes.  A nil now reads the wall clock.  Nothing is dialled until the
+// first round.
+func newClaims(peers []ShardConfig, bound, timeout time.Duration, now func() time.Time, reg *metrics.Registry) *Claims {
+	if now == nil {
+		now = time.Now
+	}
+	c := &Claims{bound: bound, now: now}
 	for _, p := range peers {
 		c.peers = append(c.peers, &peerState{
 			cfg:   p,
@@ -98,13 +103,11 @@ func (c *Claims) FuseOTL(cd, rd grid.DomainID, toa grid.ToA, local grid.TrustLev
 	fused := local
 	now := c.now()
 	for _, p := range c.peers {
-		p.mu.Lock()
-		table, last := p.table, p.lastSync
-		p.mu.Unlock()
-		if table == nil || last.IsZero() || now.Sub(last) > c.bound {
+		cl := p.claim.Load()
+		if cl == nil || now.Sub(cl.at) > c.bound {
 			continue
 		}
-		lvl, err := table.OTL(cd, rd, toa)
+		lvl, err := cl.table.OTL(cd, rd, toa)
 		if err != nil {
 			continue
 		}
@@ -115,45 +118,20 @@ func (c *Claims) FuseOTL(cd, rd grid.DomainID, toa grid.ToA, local grid.TrustLev
 	return fused
 }
 
-// run is one peer's gossip loop: poll the peer's trustwire server every
-// interval and swap the claim view on success.  After an error the
-// replica's next poll rides a new connection and cold-syncs a full
+// round is p's Poll hook, run after each gossip round.  A round whose
+// Sync succeeded — a table applied or the peer answered "current" —
+// publishes the replica's table as a fresh claim; a failed one leaves the
+// claim to age, so a silent peer goes stale at the bound.  After an error
+// the replica's next poll rides a new connection and cold-syncs a full
 // snapshot — the anti-entropy path: whatever diverged (missed deltas, a
 // peer restart that reset its version counter) is healed by it.
-func (c *Claims) run(p *peerState, interval time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	defer p.rep.Close()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			c.syncPeer(p)
-		}
-	}
-}
-
-// syncPeer performs one gossip round against p.
-func (c *Claims) syncPeer(p *peerState) {
-	if _, err := p.rep.Sync(); err != nil {
-		c.recordErr(p)
+func (c *Claims) round(p *peerState, err error) {
+	if err != nil {
+		p.errC.Inc()
 		return
 	}
-	table := p.rep.Table()
-	p.mu.Lock()
-	p.table = table
-	p.lastSync = c.now()
-	p.syncs++
-	p.mu.Unlock()
+	p.claim.Store(&claim{table: p.rep.Table(), at: c.now()})
 	p.syncC.Inc()
-}
-
-func (c *Claims) recordErr(p *peerState) {
-	p.mu.Lock()
-	p.errs++
-	p.mu.Unlock()
-	p.errC.Inc()
 }
 
 // peerInfos snapshots every peer's gossip state for the fleet op.
@@ -161,31 +139,22 @@ func (c *Claims) peerInfos() []rmswire.FleetPeerInfo {
 	now := c.now()
 	out := make([]rmswire.FleetPeerInfo, 0, len(c.peers))
 	for _, p := range c.peers {
-		p.mu.Lock()
 		info := rmswire.FleetPeerInfo{
 			Name:       p.cfg.Name,
 			Addr:       p.cfg.Addr,
 			TrustAddr:  p.cfg.TrustAddr,
 			AgeMS:      -1,
 			Stale:      true,
-			Syncs:      p.syncs,
-			SyncErrors: p.errs,
+			Syncs:      p.syncC.Load(),
+			SyncErrors: p.errC.Load(),
 		}
-		if p.table != nil {
-			info.Version, info.Entries = p.table.Version(), p.table.Len()
-		}
-		if !p.lastSync.IsZero() {
-			age := now.Sub(p.lastSync)
+		if cl := p.claim.Load(); cl != nil {
+			age := now.Sub(cl.at)
+			info.Version, info.Entries = cl.table.Version(), cl.table.Len()
 			info.AgeMS = age.Milliseconds()
 			info.Stale = age > c.bound
 		}
-		p.mu.Unlock()
 		out = append(out, info)
 	}
 	return out
-}
-
-// String renders a one-line gossip summary, used in logs.
-func (c *Claims) String() string {
-	return fmt.Sprintf("claims over %d peer(s), staleness bound %v", len(c.peers), c.bound)
 }

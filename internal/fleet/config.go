@@ -86,6 +86,10 @@ type Config struct {
 	// listener before serving starts (fault injection, test harnesses).
 	// Never set from JSON config.
 	WrapListener func(net.Listener) net.Listener `json:"-"`
+
+	// now, when non-nil, replaces the wall clock that ages peer claims
+	// (staleness tests).  Start fixes it before gossip starts.
+	now func() time.Time
 }
 
 // GossipInterval resolves the poll interval.

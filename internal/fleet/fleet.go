@@ -98,13 +98,14 @@ func Start(cfg Config, self string, srv *rmswire.Server, trms *core.TRMS) (*Flee
 				peers = append(peers, s)
 			}
 		}
-		f.claims = newClaims(peers, cfg.StalenessBound(), cfg.GossipTimeout(), srv.Metrics())
+		f.claims = newClaims(peers, cfg.StalenessBound(), cfg.GossipTimeout(), cfg.now, srv.Metrics())
 		trms.SetOTLFuser(f.claims)
 		for _, p := range f.claims.peers {
 			f.wg.Add(1)
 			go func(p *peerState) {
 				defer f.wg.Done()
-				f.claims.run(p, cfg.GossipInterval(), f.stop)
+				defer p.rep.Close()
+				p.rep.Poll(cfg.GossipInterval(), f.stop, func(err error) { f.claims.round(p, err) })
 			}(p)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -486,7 +487,12 @@ func TestMintedForwardKeysAreNotRetained(t *testing.T) {
 }
 
 func TestGossipClaimsFuseConservativelyAndExpire(t *testing.T) {
-	shards, cfg := startFleet(t, 2, 500*time.Millisecond)
+	// The claims clock is fixed before gossip starts and read through an
+	// atomic skew, so moving it races with no gossip round.
+	var skew atomic.Int64
+	shards, cfg := startFleetCfg(t, 2, 500*time.Millisecond, func(c *Config) {
+		c.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+	})
 	toa := grid.MustToA(grid.ActCompute)
 
 	// Shard 1 learns (locally, authoritatively) that RD 2 collapsed for
@@ -526,11 +532,20 @@ func TestGossipClaimsFuseConservativelyAndExpire(t *testing.T) {
 		t.Fatalf("fused OTL for seeded triple = %v, want LevelC", got)
 	}
 
-	// Staleness bound: freeze gossip and advance the claims clock past
+	// Staleness bound: silence the peer, wait until a gossip round has
+	// failed against it (rounds run one at a time, so no successful one
+	// can stamp a claim after that), and advance the claims clock past
 	// the bound — the peer's claims must silently drop out of fusion.
-	claims.now = func() time.Time {
-		return time.Now().Add(cfg.StalenessBound() + time.Second)
+	shards[1].fl.Close()
+	failed := shards[0].fl.Status().Peers[0].SyncErrors
+	deadline = time.Now().Add(5 * time.Second)
+	for shards[0].fl.Status().Peers[0].SyncErrors == failed {
+		if time.Now().After(deadline) {
+			t.Fatal("gossip never failed against the silenced peer")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
+	skew.Store(int64(cfg.StalenessBound() + time.Second))
 	if got := claims.FuseOTL(0, 2, toa, grid.LevelC); got != grid.LevelC {
 		t.Fatalf("stale claim still fused: got %v, want local LevelC", got)
 	}

@@ -173,7 +173,7 @@ type LatencySummary struct {
 	MaxMS  float64 `json:"max_ms"`
 }
 
-func summarize(s *stats.Sample, maxMS float64) LatencySummary {
+func summarize(s *stats.Pool, maxMS float64) LatencySummary {
 	if s.N() == 0 {
 		return LatencySummary{}
 	}
@@ -421,7 +421,7 @@ func Run(cfg Config) (*Report, error) {
 		rep.Arrival = cfg.Arrival
 		rep.TargetRPS = cfg.Rate
 	}
-	submitAll, reportAll := &stats.Sample{}, &stats.Sample{}
+	submitAll, reportAll := &stats.Pool{}, &stats.Pool{}
 	var maxSubmit, maxReport float64
 	var sloAttained int64
 	for _, w := range workers {
@@ -432,8 +432,8 @@ func Run(cfg Config) (*Report, error) {
 		rep.ReportsOK += w.reportsOK
 		rep.ReportErrors += w.reportErrors
 		sloAttained += w.sloAttained
-		submitAll.Merge(w.submitLat)
-		reportAll.Merge(w.reportLat)
+		submitAll.Add(w.submitLat)
+		reportAll.Add(w.reportLat)
 		if w.maxSubmit > maxSubmit {
 			maxSubmit = w.maxSubmit
 		}

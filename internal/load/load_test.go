@@ -1,6 +1,7 @@
 package load
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"gridtrust/internal/gridgen"
 	"gridtrust/internal/rmswire"
 	"gridtrust/internal/rng"
+	"gridtrust/internal/stats"
 	"gridtrust/internal/trust"
 	"gridtrust/internal/wal"
 )
@@ -196,5 +198,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Addr: "x", Arrival: "storm"}); err == nil {
 		t.Fatal("unknown arrival accepted")
+	}
+}
+
+// TestLatencyFoldWeighsWorkersBySeen folds two workers' reservoirs as Run
+// does: one saw 200 000 ops at 1 ms and kept sampleCap of them, the other
+// 10 000 at 10 ms and kept all.  The summary is the pooled stream's: the
+// mean is sum / N, and 95 % of the ops took 1 ms.
+func TestLatencyFoldWeighsWorkersBySeen(t *testing.T) {
+	var fast, slow stats.Sample
+	fast.Bound(sampleCap, 1)
+	slow.Bound(sampleCap, 2)
+	for i := 0; i < 200000; i++ {
+		fast.Add(1)
+	}
+	for i := 0; i < 10000; i++ {
+		slow.Add(10)
+	}
+	var all stats.Pool
+	all.Add(&fast)
+	all.Add(&slow)
+	got := summarize(&all, 10)
+	if got.N != 210000 {
+		t.Fatalf("n = %d, want 210000", got.N)
+	}
+	if want := 300000.0 / 210000; math.Abs(got.MeanMS-want) > 1e-12 {
+		t.Errorf("mean_ms = %v, want sum / N = %v", got.MeanMS, want)
+	}
+	if got.P50MS != 1 || got.P90MS != 1 || got.P95MS != 1 || got.P99MS != 10 {
+		t.Errorf("p50/p90/p95/p99 = %v/%v/%v/%v ms, want 1/1/1/10", got.P50MS, got.P90MS, got.P95MS, got.P99MS)
 	}
 }

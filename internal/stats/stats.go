@@ -10,10 +10,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"gridtrust/internal/rng"
 )
@@ -260,58 +260,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// Merge folds other into s: counts and sums combine exactly; retained
-// values combine exactly when both samples are unbounded, and by
-// weighted reservoir sampling (Efraimidis–Spirakis A-Res, where each
-// retained value represents seen/retained observations of its source)
-// when s is bounded — quantiles of the merge then match the pooled
-// stream within reservoir error.  other is not modified.
-func (s *Sample) Merge(other *Sample) {
-	if other == nil || other.seen == 0 {
-		return
-	}
-	if s.cap == 0 {
-		// Unbounded target: keep everything other retained.
-		s.xs = append(s.xs, other.xs...)
-		s.sorted = false
-		s.seen += other.seen
-		s.sum += other.sum
-		return
-	}
-	type weighted struct {
-		x   float64
-		key float64
-	}
-	keyed := make([]weighted, 0, len(s.xs)+len(other.xs))
-	draw := func(xs []float64, seen int64) {
-		if len(xs) == 0 {
-			return
-		}
-		w := float64(seen) / float64(len(xs))
-		for _, x := range xs {
-			u := s.src.Float64()
-			for u == 0 {
-				u = s.src.Float64()
-			}
-			keyed = append(keyed, weighted{x: x, key: math.Pow(u, 1/w)})
-		}
-	}
-	draw(s.xs, s.seen)
-	draw(other.xs, other.seen)
-	sort.Slice(keyed, func(i, j int) bool { return keyed[i].key > keyed[j].key })
-	n := len(keyed)
-	if n > s.cap {
-		n = s.cap
-	}
-	s.xs = s.xs[:0]
-	for _, kv := range keyed[:n] {
-		s.xs = append(s.xs, kv.x)
-	}
-	s.sorted = false
-	s.seen += other.seen
-	s.sum += other.sum
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation
 // between order statistics.  It returns NaN if the sample is empty or q is
 // out of range.  It sorts the retained values in place, in the order of
@@ -476,6 +424,76 @@ func (s *Sample) Values() []float64 {
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
 	return out
+}
+
+// Pool reads several samples of disjoint streams — a load driver's
+// per-worker reservoirs — as one sample of their union.  N and Mean are
+// exact over every observation (sum / N).  Each retained value stands
+// for seen/retained observations of its sample, so Quantile weighs a
+// sample by what it saw, not by what it kept; over unbounded samples
+// every weight is 1 and Quantile is the union's, bit for bit.
+type Pool struct {
+	xs     []weighted
+	sorted bool
+	seen   int64
+	sum    float64
+}
+
+type weighted struct{ x, w float64 }
+
+// Add pools s, which is not modified.
+func (p *Pool) Add(s *Sample) {
+	if len(s.xs) == 0 {
+		return
+	}
+	w := float64(s.seen) / float64(len(s.xs))
+	for _, x := range s.xs {
+		p.xs = append(p.xs, weighted{x, w})
+	}
+	p.sorted = false
+	p.seen += s.seen
+	p.sum += s.sum
+}
+
+// N returns the number of observations pooled.
+func (p *Pool) N() int { return int(p.seen) }
+
+// Mean returns the mean over every pooled observation, or NaN if empty.
+func (p *Pool) Mean() float64 {
+	if p.seen == 0 {
+		return math.NaN()
+	}
+	return p.sum / float64(p.seen)
+}
+
+// Quantile returns the q-quantile of the pooled stream, interpolated
+// between order statistics as Sample.Quantile is, where the value at
+// rank r is the retained value whose run of weight covers r.
+func (p *Pool) Quantile(q float64) float64 {
+	if len(p.xs) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
+		return math.NaN()
+	}
+	if !p.sorted {
+		slices.SortStableFunc(p.xs, func(a, b weighted) int { return cmp.Compare(a.x, b.x) })
+		p.sorted = true
+	}
+	pos := q * float64(p.seen-1)
+	lo := math.Floor(pos)
+	if frac := pos - lo; frac != 0 {
+		return p.rank(lo)*(1-frac) + p.rank(lo+1)*frac
+	}
+	return p.rank(lo)
+}
+
+// rank returns the value at rank r of the sorted pooled stream.
+func (p *Pool) rank(r float64) float64 {
+	cum := 0.0
+	for _, v := range p.xs {
+		if cum += v.w; r < cum {
+			return v.x
+		}
+	}
+	return p.xs[len(p.xs)-1].x // r reached the end through rounding
 }
 
 // Paired accumulates paired observations (a_i, b_i) — e.g. trust-unaware vs

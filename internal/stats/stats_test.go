@@ -325,10 +325,9 @@ func TestRunningStringNonEmpty(t *testing.T) {
 	}
 }
 
-// TestSampleMergeUnboundedExact: merging unbounded samples pools the
-// exact multiset, so every quantile matches the pooled sample bit for
-// bit.
-func TestSampleMergeUnboundedExact(t *testing.T) {
+// TestPoolUnboundedExact: pooling unbounded samples pools the exact
+// multiset, so every quantile matches the pooled sample bit for bit.
+func TestPoolUnboundedExact(t *testing.T) {
 	src := rng.New(3)
 	var pooled Sample
 	parts := make([]*Sample, 4)
@@ -340,9 +339,9 @@ func TestSampleMergeUnboundedExact(t *testing.T) {
 		pooled.Add(x)
 		parts[i%4].Add(x)
 	}
-	var merged Sample
+	var merged Pool
 	for _, p := range parts {
-		merged.Merge(p)
+		merged.Add(p)
 	}
 	if merged.N() != pooled.N() {
 		t.Fatalf("merged N=%d, pooled N=%d", merged.N(), pooled.N())
@@ -389,11 +388,11 @@ func TestSampleBoundedReservoir(t *testing.T) {
 	}
 }
 
-// TestSampleMergeBoundedTolerance: per-worker bounded reservoirs merged
-// into one must track the pooled quantiles within tolerance — the shape
+// TestPoolBoundedTolerance: per-worker bounded reservoirs pooled must
+// track the pooled stream's quantiles within tolerance — the shape
 // gridload uses to aggregate per-client latency without unbounded
 // memory.
-func TestSampleMergeBoundedTolerance(t *testing.T) {
+func TestPoolBoundedTolerance(t *testing.T) {
 	const workers = 8
 	const perWorker = 20000
 	const capacity = 4096
@@ -414,16 +413,12 @@ func TestSampleMergeBoundedTolerance(t *testing.T) {
 			parts[w].Add(x)
 		}
 	}
-	var merged Sample
-	merged.Bound(capacity, 999)
+	var merged Pool
 	for _, p := range parts {
-		merged.Merge(p)
+		merged.Add(p)
 	}
 	if merged.N() != workers*perWorker {
 		t.Fatalf("merged N=%d, want %d", merged.N(), workers*perWorker)
-	}
-	if merged.Retained() > capacity {
-		t.Fatalf("merged retained %d > cap %d", merged.Retained(), capacity)
 	}
 	wantMean := pooled.Mean()
 	if rel := math.Abs(merged.Mean()-wantMean) / wantMean; rel > 1e-9 {
@@ -433,6 +428,35 @@ func TestSampleMergeBoundedTolerance(t *testing.T) {
 		p, m := pooled.Quantile(q), merged.Quantile(q)
 		if rel := math.Abs(m-p) / p; rel > 0.2 {
 			t.Errorf("q%.2f: merged %v vs pooled %v (rel err %.3f)", q, m, p, rel)
+		}
+	}
+}
+
+// TestPoolWeighsSamplesBySeen: a sample that kept a fraction of what it
+// saw counts by what it saw.  One of 200 000 observations at 1 kept
+// 1 000 of them; one of 10 000 at 10 kept all.  Counted by what each
+// kept, 10 would be 91 % of the pool.
+func TestPoolWeighsSamplesBySeen(t *testing.T) {
+	var fast, slow Sample
+	fast.Bound(1000, 1)
+	for i := 0; i < 200000; i++ {
+		fast.Add(1)
+	}
+	for i := 0; i < 10000; i++ {
+		slow.Add(10)
+	}
+	var p Pool
+	p.Add(&fast)
+	p.Add(&slow)
+	if p.N() != 210000 {
+		t.Fatalf("N = %d, want 210000", p.N())
+	}
+	if want := 300000.0 / 210000; math.Abs(p.Mean()-want) > 1e-12 {
+		t.Fatalf("mean %v, want %v", p.Mean(), want)
+	}
+	for q, want := range map[float64]float64{0: 1, 0.5: 1, 0.95: 1, 0.96: 10, 1: 10} {
+		if got := p.Quantile(q); got != want {
+			t.Errorf("q%.2f = %v, want %v", q, got, want)
 		}
 	}
 }

@@ -76,7 +76,7 @@ func TestReplicatedTableEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(rep *trustwire.Replica) {
 			defer wg.Done()
-			rep.Poll(2*time.Millisecond, stop, nil)
+			rep.Poll(2*time.Millisecond, stop, func(error) {})
 		}(rep)
 	}
 	deadline := time.Now().Add(5 * time.Second)

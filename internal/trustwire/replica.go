@@ -3,6 +3,7 @@ package trustwire
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gridtrust/internal/frame"
@@ -11,17 +12,19 @@ import (
 
 // Replica maintains a local read-only copy of a remote trust table by
 // polling a Server.  Schedulers at a remote Grid domain read the replica
-// (an immutable *grid.TableReplica) with zero network traffic on the hot
-// path; the poll loop refreshes it in the background.  It is the sync
-// protocol over one frame.Conn, which redials by itself after a failure.
+// (an immutable *grid.TableReplica) with zero network traffic and no lock
+// on the hot path; the poll loop refreshes it in the background.  It is
+// the sync protocol over one frame.Conn, which redials by itself after a
+// failure.
 type Replica struct {
 	conn    *frame.Conn
 	timeout time.Duration // bounds every Sync round trip (0 = unbounded)
 
-	mu     sync.Mutex
-	have   uint64 // version the next poll claims: local's, or 0 after a lost connection
-	synced int64  // responses applied
-	local  *grid.TableReplica
+	local  atomic.Pointer[grid.TableReplica] // last applied table, published whole
+	synced atomic.Int64                      // responses applied
+
+	mu   sync.Mutex // serialises Sync
+	have uint64     // version the next poll claims: local's, or 0 after a lost connection
 }
 
 // Dial connects a replica to a server address with no I/O deadlines.
@@ -44,29 +47,24 @@ func DialTimeout(addr string, timeout time.Duration) (*Replica, error) {
 // NewReplica polls over conn, which dials when first used, with every
 // round trip bounded by timeout.
 func NewReplica(conn *frame.Conn, timeout time.Duration) *Replica {
-	return &Replica{conn: conn, timeout: timeout, local: new(grid.TableReplica)}
+	c := &Replica{conn: conn, timeout: timeout}
+	c.local.Store(new(grid.TableReplica))
+	return c
 }
 
 // Close releases the connection for good.
 func (c *Replica) Close() error { return c.conn.Close() }
 
 // Version returns the last applied table version.
-func (c *Replica) Version() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.local.Version()
-}
+func (c *Replica) Version() uint64 { return c.local.Load().Version() }
 
 // SnapshotsApplied reports how many snapshots this replica has installed.
-func (c *Replica) SnapshotsApplied() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.synced
-}
+func (c *Replica) SnapshotsApplied() int64 { return c.synced.Load() }
 
 // Sync performs one poll round-trip: if the server is ahead, a new local
 // copy with its entries replaces the old one.  It reports whether new
-// data was applied.
+// data was applied.  Only Sync takes the lock, so readers of Table and
+// Version never wait behind a round trip in flight.
 //
 // After any lost connection the next poll is a cold one (have_version 0).
 // The server on the new connection may be a restarted one whose version
@@ -82,17 +80,18 @@ func (c *Replica) Sync() (bool, error) {
 		c.have = 0
 		return false, err
 	}
+	local := c.local.Load()
 	var base *grid.TableReplica // a snapshot starts from an empty table
 	switch resp.Status {
 	case StatusCurrent:
-		if c.have == c.local.Version() {
+		if c.have == local.Version() {
 			return false, nil
 		}
 		// A cold poll answered "current": the server's table is empty,
 		// and what we hold is a previous incarnation's.
 	case StatusSnapshot:
 	case StatusDelta:
-		base = c.local
+		base = local
 	case StatusError:
 		return false, fmt.Errorf("trustwire: server error: %s", resp.Error)
 	default:
@@ -102,17 +101,19 @@ func (c *Replica) Sync() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	c.local, c.have = next, resp.Version
-	c.synced++
+	c.local.Store(next)
+	c.have = resp.Version
+	c.synced.Add(1)
 	return true, nil
 }
 
-// Poll runs Sync every interval until stop is closed, delivering any sync
-// error to errs (non-blocking; errors are dropped if nobody listens).
-// Errors do not end the loop: replication is anti-entropy, so the next
-// tick retries on a new connection — a transient peer failure must never
-// silently kill replication for the rest of the process lifetime.
-func (c *Replica) Poll(interval time.Duration, stop <-chan struct{}, errs chan<- error) {
+// Poll runs Sync every interval until stop is closed, handing each round's
+// error (nil on success) to round on the polling goroutine, so round sees
+// Table as that round left it.  Errors do not end the loop: replication is
+// anti-entropy, so the next tick retries on a new connection — a
+// transient peer failure must never silently kill replication for the
+// rest of the process lifetime.
+func (c *Replica) Poll(interval time.Duration, stop <-chan struct{}, round func(error)) {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -120,12 +121,8 @@ func (c *Replica) Poll(interval time.Duration, stop <-chan struct{}, errs chan<-
 		case <-stop:
 			return
 		case <-ticker.C:
-			if _, err := c.Sync(); err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-			}
+			_, err := c.Sync()
+			round(err)
 		}
 	}
 }
@@ -133,8 +130,4 @@ func (c *Replica) Poll(interval time.Duration, stop <-chan struct{}, errs chan<-
 // Table returns the current local copy for reading.  It is immutable and
 // replaced wholesale by the next applied response, so a scheduler can
 // keep using the instance it grabbed for one mapping pass.
-func (c *Replica) Table() *grid.TableReplica {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.local
-}
+func (c *Replica) Table() *grid.TableReplica { return c.local.Load() }

@@ -45,7 +45,7 @@ func TestPollSurvivesSyncErrors(t *testing.T) {
 	pollDone := make(chan struct{})
 	go func() {
 		defer close(pollDone)
-		rep.Poll(5*time.Millisecond, stop, errs)
+		rep.Poll(5*time.Millisecond, stop, sendErr(errs))
 	}()
 
 	// Kill the server and wait for the poll loop to hit an error.

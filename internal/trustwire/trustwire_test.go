@@ -205,7 +205,7 @@ func TestPollLoopPicksUpChanges(t *testing.T) {
 	defer rep.Close()
 	stop := make(chan struct{})
 	errs := make(chan error, 1)
-	go rep.Poll(2*time.Millisecond, stop, errs)
+	go rep.Poll(2*time.Millisecond, stop, sendErr(errs))
 
 	deadline := time.After(2 * time.Second)
 	for rep.Version() == 0 {
@@ -233,6 +233,53 @@ func TestPollLoopPicksUpChanges(t *testing.T) {
 		}
 	}
 	close(stop)
+}
+
+// sendErr is a Poll hook that hands each failed round's error to errs,
+// dropping it when nobody is listening.
+func sendErr(errs chan<- error) func(error) {
+	return func(err error) {
+		if err == nil {
+			return
+		}
+		select {
+		case errs <- err:
+		default:
+		}
+	}
+}
+
+// TestReadsDoNotWaitBehindSync: a Sync stuck on a peer that never answers
+// holds only the sync lock, so Table and Version still return at once.
+func TestReadsDoNotWaitBehindSync(t *testing.T) {
+	client, peer := net.Pipe()
+	defer peer.Close()
+	rep := NewReplica(frame.Wrap(client), 0)
+	defer rep.Close()
+	synced := make(chan error, 1)
+	go func() {
+		_, err := rep.Sync()
+		synced <- err
+	}()
+	// Once the peer has read the request, Sync waits for a reply that
+	// never comes.
+	if _, err := bufio.NewReader(peer).ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan uint64, 1)
+	go func() { read <- rep.Table().Version() + rep.Version() }()
+	select {
+	case v := <-read:
+		if v != 0 {
+			t.Fatalf("replica read version %d before any reply", v)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Table waited behind a Sync in flight")
+	}
+	peer.Close()
+	if err := <-synced; err == nil {
+		t.Fatal("Sync against a closed peer reported no error")
+	}
 }
 
 func TestServerRejectsUnknownOp(t *testing.T) {

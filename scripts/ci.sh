@@ -63,6 +63,17 @@ if grep -rn 'net\.Dial' --include='*.go' internal cmd | grep -v '_test\.go:' | g
     exit 1
 fi
 
+echo "==> one gossip loop (time.NewTicker in non-test code under internal/fleet, internal/trustwire only in internal/trustwire/replica.go; no sync.Mutex or sync.RWMutex in internal/fleet/claims.go)"
+if grep -rn 'time\.NewTicker' --include='*.go' internal/fleet internal/trustwire | grep -v '_test\.go:' \
+    | grep -v '^internal/trustwire/replica\.go:'; then
+    echo "ci: trustwire.Replica.Poll is the one gossip loop; a consumer hands it a per-round hook" >&2
+    exit 1
+fi
+if grep -nE 'sync\.(RW)?Mutex' internal/fleet/claims.go; then
+    echo "ci: a peer's claim is one atomically published value, loaded by FuseOTL without a lock" >&2
+    exit 1
+fi
+
 echo "==> one listener loop (.Accept() in non-test code only under internal/frame, internal/chaos/wire.go and internal/testutil; bufio.NewReader only under internal/frame and internal/testutil)"
 if grep -rn '\.Accept()' --include='*.go' internal cmd | grep -v '_test\.go:' \
     | grep -v '^internal/frame/' | grep -v '^internal/chaos/wire\.go:' | grep -v '^internal/testutil/'; then
