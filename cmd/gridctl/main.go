@@ -132,7 +132,7 @@ func cmdReport(client *rmswire.Client, args []string) error {
 	}
 	// RoundTrip, not Report: the reply says whether this call applied the
 	// outcome or the daemon had applied it before.
-	resp, _, err := client.RoundTrip(rmswire.Request{Op: rmswire.OpReport, PlacementID: *placement, Outcome: *outcome, Now: *now})
+	resp, _, err := client.RoundTrip(&rmswire.Request{Op: rmswire.OpReport, PlacementID: *placement, Outcome: *outcome, Now: *now}, nil)
 	if err != nil {
 		return err
 	}

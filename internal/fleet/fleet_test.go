@@ -203,8 +203,8 @@ func TestForwardingPlacesOnOwnerAndRoutesReports(t *testing.T) {
 	}
 	// A duplicate report must surface the owner's typed replay through
 	// the relay unchanged.
-	dup, _, err := shards[1].client.RoundTrip(rmswire.Request{
-		Op: rmswire.OpReport, PlacementID: placements[0].ID, Outcome: 6, Now: 2})
+	dup, _, err := shards[1].client.RoundTrip(&rmswire.Request{
+		Op: rmswire.OpReport, PlacementID: placements[0].ID, Outcome: 6, Now: 2}, nil)
 	if err != nil || !dup.Replayed {
 		t.Fatalf("duplicate report: replayed=%v err=%v, want the owner's ok reply marked replayed", dup.Replayed, err)
 	}

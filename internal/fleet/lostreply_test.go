@@ -23,11 +23,11 @@ type armOn struct {
 	arm   func()
 }
 
-func (a *armOn) Route(req rmswire.Request) (rmswire.Response, bool) {
+func (a *armOn) Route(req rmswire.Request, line []byte, relay *frame.Line) (rmswire.Response, []byte, bool) {
 	if req.Op == a.op {
 		a.once.Do(a.arm)
 	}
-	return a.inner.Route(req)
+	return a.inner.Route(req, line, relay)
 }
 
 // lostReplyFleet is a 2-shard chaos fleet in which the first request of

@@ -153,20 +153,20 @@ func (r *router) breakerAt(idx int) *breaker {
 }
 
 // Route implements rmswire.Router.
-func (r *router) Route(req rmswire.Request) (rmswire.Response, bool) {
+func (r *router) Route(req rmswire.Request, line []byte, relay *frame.Line) (rmswire.Response, []byte, bool) {
 	switch req.Op {
 	case rmswire.OpSubmit:
 		cd, ok := r.clientCD[req.Client]
 		if !ok {
 			// Unknown client: let the local submit path produce the
 			// canonical error.
-			return rmswire.Response{}, false
+			return rmswire.Response{}, nil, false
 		}
 		idx := r.ring.OwnerIndex(CDKey(cd))
 		if idx == r.selfIdx {
-			return rmswire.Response{}, false
+			return rmswire.Response{}, nil, false
 		}
-		minted := false
+		key := ""
 		if req.IdemKey == "" {
 			// Give keyless submits a forward-scoped key so transport
 			// retries inside forward() stay exactly-once at the owner.
@@ -175,36 +175,37 @@ func (r *router) Route(req rmswire.Request) (rmswire.Response, bool) {
 			// The owner keeps only a window of this instance's latest
 			// keys (rmswire.ForwardKeyWindow) and answers a retry below
 			// it as overloaded, which forward relays like any overload.
-			req.IdemKey = rmswire.ForwardKey(r.self, r.instance, r.fwdSeq.Add(1))
-			minted = true
+			key = rmswire.ForwardKey(r.self, r.instance, r.fwdSeq.Add(1))
 		}
-		return r.forward(idx, req, true, minted)
+		return r.forward(idx, req, line, key, relay)
 	case rmswire.OpReport:
 		idx := int(req.PlacementID >> rmswire.ShardIDShift)
 		if idx == r.selfIdx {
-			return rmswire.Response{}, false
+			return rmswire.Response{}, nil, false
 		}
 		if idx >= len(r.peers) {
 			return rmswire.Response{
 				Status: rmswire.StatusError,
 				Error:  fmt.Sprintf("placement %d names shard index %d outside the %d-shard ring", req.PlacementID, idx, len(r.peers)),
-			}, true
+			}, nil, true
 		}
-		return r.forward(idx, req, false, false)
+		return r.forward(idx, req, line, "", relay)
 	}
-	return rmswire.Response{}, false
+	return rmswire.Response{}, nil, false
 }
 
-// forward relays req to the shard at idx.  submit enables failover
-// bookkeeping (reports are never failed over: only the minting shard
-// can apply an outcome); minted marks a router-generated idempotency
-// key, which no later op can ever replay.
-func (r *router) forward(idx int, req rmswire.Request, submit, minted bool) (rmswire.Response, bool) {
+// forward relays req, read from line, to the shard at idx and hands back
+// the owner's reply with its line.  A submit gets failover bookkeeping
+// (reports are never failed over: only the minting shard can apply an
+// outcome); key is the idempotency key minted for a keyless submit,
+// which no later op can ever replay.  The request goes out as the bytes
+// rmswire.Forward splices into relay, once: every attempt resends them.
+func (r *router) forward(idx int, req rmswire.Request, line []byte, key string, relay *frame.Line) (rmswire.Response, []byte, bool) {
 	p := r.peers[idx]
-	req.Forwarded = true
+	submit := req.Op == rmswire.OpSubmit
 
 	var prior bool
-	if submit && !minted {
+	if submit && key == "" {
 		// Record the key as possibly-delivered *before* the first
 		// attempt, and learn whether any earlier op already did.  The
 		// set is append-only: once a key may have reached a peer,
@@ -223,8 +224,13 @@ func (r *router) forward(idx int, req rmswire.Request, submit, minted bool) (rms
 
 	began := time.Now()
 	reached := false // any attempt this op may have touched the owner
+	attempts := r.attempts
 	var lastErr error
-	for attempt := 0; attempt < r.attempts; attempt++ {
+	relay.Bytes, lastErr = rmswire.Forward(relay.Bytes[:0], line, &req, key)
+	if lastErr != nil {
+		attempts = 0 // nothing to send: as if no attempt was ever sent
+	}
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			// Backoff aborts on fleet shutdown: a closing shard must not
 			// sit out the full schedule before its drain can finish.
@@ -232,7 +238,7 @@ func (r *router) forward(idx int, req rmswire.Request, submit, minted bool) (rms
 			case <-time.After(forwardBackoff(attempt)):
 			case <-r.stop:
 				lastErr = errShutdown
-				attempt = r.attempts // no further attempts
+				attempt = attempts // no further attempts
 				continue
 			}
 		}
@@ -243,7 +249,7 @@ func (r *router) forward(idx int, req rmswire.Request, submit, minted bool) (rms
 			lastErr = errBreakerOpen
 			break
 		}
-		resp, d, err := p.client.RoundTrip(req)
+		resp, d, err := p.client.RoundTrip(nil, relay)
 		switch rmswire.After(d, resp.Status) {
 		case rmswire.Failover:
 			// Not sent: the owner saw nothing of this attempt.
@@ -266,7 +272,8 @@ func (r *router) forward(idx int, req rmswire.Request, submit, minted bool) (rms
 			// serving its retry_after is the client's retrier's job, not
 			// a reason to ask again from here: relayed like any frame.
 		}
-		// A server frame came back — relay it verbatim.
+		// A server frame came back, and its line is in relay now: hand
+		// it back verbatim.
 		p.br.record(true)
 		r.forwardNS.Observe(uint64(time.Since(began)))
 		if resp.Status == rmswire.StatusOK {
@@ -274,10 +281,14 @@ func (r *router) forward(idx int, req rmswire.Request, submit, minted bool) (rms
 		} else {
 			p.relayErr.Inc()
 		}
-		// The owner closing the forward connection (drain, shed) is the
-		// forward client's business, not the end client's.
-		resp.ConnClosing = false
-		return resp, true
+		if resp.ConnClosing {
+			// The owner closing the forward connection (drain, shed) is
+			// the forward client's business, not the end client's: the
+			// reply is re-encoded without the flag.
+			resp.ConnClosing = false
+			return resp, nil, true
+		}
+		return resp, relay.Bytes, true
 	}
 
 	if submit && !reached && !prior {
@@ -287,14 +298,14 @@ func (r *router) forward(idx int, req rmswire.Request, submit, minted bool) (rms
 		// and the server consults its local table before routing, so
 		// retries replay from here instead of re-forwarding.
 		p.failover.Inc()
-		return rmswire.Response{}, false
+		return rmswire.Response{}, nil, false
 	}
 	p.fail.Inc()
 	return rmswire.Response{
 		Status:       rmswire.StatusOverloaded,
 		Error:        fmt.Sprintf("forward to shard %s (%s) failed: %v", p.cfg.Name, p.cfg.Addr, lastErr),
 		RetryAfterMS: forwardRetryAfter.Milliseconds(),
-	}, true
+	}, nil, true
 }
 
 // forwardBackoff spaces forward retries: 5ms, 10ms, 20ms, ... capped at

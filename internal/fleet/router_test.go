@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
+	"gridtrust/internal/frame"
 	"gridtrust/internal/grid"
 	"gridtrust/internal/metrics"
 	"gridtrust/internal/rmswire"
@@ -15,6 +17,8 @@ import (
 // answered frame is relayed verbatim whatever it says, a lost reply is
 // retried and forbids failover for good, and only an op none of whose
 // attempts was ever sent may be served locally — a submit; never a report.
+// Every attempt sends the owner the request's own line marked forwarded,
+// and the reply goes back as the owner's line.
 func TestRouterFollowsAfter(t *testing.T) {
 	const (
 		replyPlaced     = `{"status":"ok","placement":{"id":281474976710657,"machine":1,"rd":1,"cd":1,"otl":"C","tc":0,"eec":1,"esc":0,"ecc":1,"start":0,"finish":1}}`
@@ -46,17 +50,18 @@ func TestRouterFollowsAfter(t *testing.T) {
 		handled   bool     // false = served locally (failover)
 		status    string
 		retryMS   int64
-		requests  int // frames the owner read; 0 = not checked
+		requests  int    // frames the owner read; 0 = not checked
+		reply     string // the owner's line handed back; "" = none
 	}{
-		{"ok relays", submit, []string{replyPlaced}, false, true, rmswire.StatusOK, 0, 1},
-		{"error relays", submit, []string{replyError}, false, true, rmswire.StatusError, 0, 1},
-		{"overloaded relays, not retried", submit, []string{replyOverloaded, replyPlaced}, false, true, rmswire.StatusOverloaded, 7, 1},
-		{"lost reply retried: submit replays by key", submit, []string{testutil.HangUp, replyPlaced}, false, true, rmswire.StatusOK, 0, 2},
-		{"lost reply retried: report replays by flag", report, []string{testutil.HangUp, replyReplayed}, false, true, rmswire.StatusOK, 0, 2},
-		{"lost reply to the end never fails over", submit, []string{}, false, true, rmswire.StatusOverloaded, forwardRetryAfter.Milliseconds(), 3},
-		{"lost reply once, then down: never fails over", submit, []string{}, true, true, rmswire.StatusOverloaded, forwardRetryAfter.Milliseconds(), 0},
-		{"never sent: a submit fails over", submit, nil, false, false, "", 0, 0},
-		{"never sent: a report does not", report, nil, false, true, rmswire.StatusOverloaded, forwardRetryAfter.Milliseconds(), 0},
+		{"ok relays", submit, []string{replyPlaced}, false, true, rmswire.StatusOK, 0, 1, replyPlaced},
+		{"error relays", submit, []string{replyError}, false, true, rmswire.StatusError, 0, 1, replyError},
+		{"overloaded relays, not retried", submit, []string{replyOverloaded, replyPlaced}, false, true, rmswire.StatusOverloaded, 7, 1, replyOverloaded},
+		{"lost reply retried: submit replays by key", submit, []string{testutil.HangUp, replyPlaced}, false, true, rmswire.StatusOK, 0, 2, replyPlaced},
+		{"lost reply retried: report replays by flag", report, []string{testutil.HangUp, replyReplayed}, false, true, rmswire.StatusOK, 0, 2, replyReplayed},
+		{"lost reply to the end never fails over", submit, []string{}, false, true, rmswire.StatusOverloaded, forwardRetryAfter.Milliseconds(), 3, ""},
+		{"lost reply once, then down: never fails over", submit, []string{}, true, true, rmswire.StatusOverloaded, forwardRetryAfter.Milliseconds(), 0, ""},
+		{"never sent: a submit fails over", submit, nil, false, false, "", 0, 0, ""},
+		{"never sent: a report does not", report, nil, false, true, rmswire.StatusOverloaded, forwardRetryAfter.Milliseconds(), 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,7 +94,15 @@ func TestRouterFollowsAfter(t *testing.T) {
 				}()
 			}
 
-			resp, handled := r.Route(tc.req)
+			line, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fwd := tc.req
+			fwd.Forwarded = true
+			want, _ := json.Marshal(fwd)
+
+			resp, reply, handled := r.Route(tc.req, line, &frame.Line{})
 			if handled != tc.handled {
 				t.Fatalf("handled = %v (reply %+v), want %v", handled, resp, tc.handled)
 			}
@@ -98,6 +111,14 @@ func TestRouterFollowsAfter(t *testing.T) {
 			}
 			if got := len(owner.Requests()); tc.requests != 0 && got != tc.requests {
 				t.Fatalf("owner read %d frames, want %d", got, tc.requests)
+			}
+			for i, got := range owner.Requests() {
+				if got != string(want)+"\n" {
+					t.Fatalf("owner's frame %d = %q, want %q", i, got, want)
+				}
+			}
+			if string(reply) != tc.reply {
+				t.Fatalf("reply line %q, want %q", reply, tc.reply)
 			}
 			if tc.req.Op == rmswire.OpReport && tc.status == rmswire.StatusOK && !resp.Replayed {
 				t.Fatal("the owner's replayed flag was not relayed")

@@ -90,13 +90,21 @@ func (c *Codec[T]) Append(dst []byte, v *T) ([]byte, error) {
 // Parse decodes line into *v as json.Unmarshal would into a zero T; the
 // error, if any, is json.Unmarshal's.
 func (c *Codec[T]) Parse(line []byte, v *T) error {
+	_, err := c.read(line, v)
+	return err
+}
+
+// read is Parse reporting whether the fast path took line: then every
+// string in it is plain ASCII without an escape, and every key one of
+// the table's, at most once.
+func (c *Codec[T]) read(line []byte, v *T) (fast bool, err error) {
 	var zero T
 	*v = zero
 	if i := c.get(line, skipSpace(line, 0), v); i >= 0 && skipSpace(line, i) == len(line) {
-		return nil
+		return true, nil
 	}
 	*v = zero
-	return json.Unmarshal(line, v)
+	return false, json.Unmarshal(line, v)
 }
 
 // Value is T as a nested object.
@@ -351,6 +359,12 @@ func putString(dst []byte, v *string) ([]byte, bool) {
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"'), true
+}
+
+// AppendString appends s as json.Marshal writes it.
+func AppendString(dst []byte, s string) []byte {
+	dst, _ = putString(dst, &s)
+	return dst
 }
 
 // getString takes a string the decoder can copy out as it lies: no

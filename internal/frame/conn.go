@@ -124,7 +124,10 @@ func (c *Conn) live() (net.Conn, *bufio.Reader, error) {
 
 // RoundTrip writes req as one frame and reads one frame into resp, the
 // whole exchange bounded by timeout (0 = unbounded), and reports how far
-// it got.  The error is nil exactly when the delivery is Answered.
+// it got.  The error is nil exactly when the delivery is Answered.  A
+// relay passes one Line as both: its request is written before the
+// reply is read, and the reply is copied out of this Conn's buffer
+// before another round trip can reuse it.
 func (c *Conn) RoundTrip(timeout time.Duration, req, resp Frame) (Delivery, error) {
 	c.rt.Lock()
 	defer c.rt.Unlock()
@@ -140,9 +143,7 @@ func (c *Conn) RoundTrip(timeout time.Duration, req, resp Frame) (Delivery, erro
 	if timeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(timeout))
 	}
-	if _, err = conn.Write(data); err != nil {
-		err = fmt.Errorf("frame: write: %w", err)
-	} else {
+	if err = write(conn, data); err == nil {
 		err = Read(r, resp)
 	}
 	if err != nil {

@@ -48,10 +48,10 @@ func serveEcho(t *testing.T, idle time.Duration, refuse func(open int, resp *pin
 	s := &echoServer{wire: chaos.NewWire(1)}
 	s.ln = s.wire.Listener(listen(t))
 	s.Server = NewServer(pingCodec, pingCodec, Handler[ping, ping]{
-		Respond: func(req, resp *ping) bool {
+		Respond: func(_ []byte, req, resp *ping, _ *Line) ([]byte, bool) {
 			s.executed.Add(1)
 			*resp = *req
-			return false
+			return nil, false
 		},
 		Fail: func(err error, resp *ping) { *resp = ping{N: -1, Pad: err.Error()} },
 		Admit: func(open int, resp *ping) bool {

@@ -41,12 +41,14 @@ func newReader(r io.Reader) *bufio.Reader { return bufio.NewReaderSize(r, readBu
 // names the limit as both protocols export it.
 var ErrTooLarge = errors.New("frame exceeds MaxFrameBytes")
 
-// Frame is one value bound to the codec that encodes and decodes it:
-// what Read, Write and Conn.RoundTrip move.  Only a Codec makes one, so
-// no frame reaches the wire by reflection.
+// Frame is what Read, Write and Conn.RoundTrip move: a value bound to
+// the codec that encodes and decodes it, or a Line already in wire form.
+// Only a Codec makes the first kind, so no value reaches the wire by
+// reflection.
 type Frame interface {
 	appendTo(dst []byte) ([]byte, error)
-	parse(line []byte) error
+	// parse decodes line, reporting whether a codec's fast path took it.
+	parse(line []byte) (fast bool, err error)
 }
 
 type bound[T any] struct {
@@ -55,7 +57,31 @@ type bound[T any] struct {
 }
 
 func (f bound[T]) appendTo(dst []byte) ([]byte, error) { return f.c.Append(dst, f.v) }
-func (f bound[T]) parse(line []byte) error             { return f.c.Parse(line, f.v) }
+func (f bound[T]) parse(line []byte) (bool, error)     { return f.c.read(line, f.v) }
+
+// Line is a frame in its wire form: Bytes is one line without its
+// newline.  Written, a Line is its bytes as they stand.  Read, the line
+// is decoded into Of, when Of is set, and only once that succeeded is it
+// copied over Bytes, reusing their capacity.  So one Line can be both
+// halves of a round trip, the request a relay sends and the reply it
+// brings back, and a round trip that failed leaves the request in it,
+// ready to resend.
+type Line struct {
+	Bytes []byte
+	Of    Frame
+}
+
+func (l *Line) appendTo(dst []byte) ([]byte, error) { return append(dst, l.Bytes...), nil }
+
+func (l *Line) parse(line []byte) (fast bool, err error) {
+	if l.Of != nil {
+		if fast, err = l.Of.parse(line); err != nil {
+			return false, err
+		}
+	}
+	l.Bytes = append(l.Bytes[:0], trimNewline(line)...)
+	return fast, nil
+}
 
 // Frame binds v to the codec: written from *v, or read into it.
 func (c *Codec[T]) Frame(v *T) Frame { return bound[T]{c, v} }
@@ -71,11 +97,17 @@ func Write(w io.Writer, f Frame) error {
 func writeOver(buf []byte, w io.Writer, f Frame) ([]byte, error) {
 	buf, err := encode(buf, f)
 	if err == nil {
-		if _, err = w.Write(buf); err != nil {
-			err = fmt.Errorf("frame: write: %w", err)
-		}
+		err = write(w, buf)
 	}
 	return buf, err
+}
+
+// write writes data, one or more whole frames, to w.
+func write(w io.Writer, data []byte) error {
+	if _, err := w.Write(data); err != nil {
+		return fmt.Errorf("frame: write: %w", err)
+	}
+	return nil
 }
 
 // encode overwrites buf with f as one newline-terminated frame within
@@ -95,14 +127,34 @@ func encode(buf []byte, f Frame) ([]byte, error) {
 // while the line accumulates.  io.EOF propagates untouched for clean
 // shutdown.
 func Read(r *bufio.Reader, f Frame) error {
+	_, err := readFrame(r, f)
+	return err
+}
+
+// readFrame is Read returning the frame's line, without its newline,
+// when a codec's fast path took it, and nil otherwise.  The line is
+// valid until r's next read.
+func readFrame(r *bufio.Reader, f Frame) ([]byte, error) {
 	line, err := readLineBounded(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := f.parse(line); err != nil {
-		return fmt.Errorf("frame: unmarshal: %w", err)
+	fast, err := f.parse(line)
+	if err != nil {
+		return nil, fmt.Errorf("frame: unmarshal: %w", err)
 	}
-	return nil
+	if !fast {
+		return nil, nil
+	}
+	return trimNewline(line), nil
+}
+
+// trimNewline drops the newline that ends a line as read.
+func trimNewline(line []byte) []byte {
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		return line[:n-1]
+	}
+	return line
 }
 
 // readLineBounded returns one newline-terminated line from r, failing

@@ -17,9 +17,15 @@ const DefaultIdleTimeout = 2 * time.Minute
 
 // Handler is what one protocol gives a Server.
 type Handler[Req, Resp any] struct {
-	// Respond writes the reply to *req into *resp and reports whether
-	// the connection closes once that reply is written.
-	Respond func(req *Req, resp *Resp) (closing bool)
+	// Respond answers *req.  It writes the reply into *resp and returns
+	// a nil reply, or it returns the reply's line itself, which is
+	// written as it stands; either way it reports whether the connection
+	// closes once the reply is written.  line is the line *req was read
+	// from, without its newline, when the codec's fast path took it (nil
+	// otherwise); it lies in the connection's read buffer, valid until
+	// Respond returns.  relay is the connection's own Line, for a reply
+	// line to be built in or brought back into without an allocation.
+	Respond func(line []byte, req *Req, resp *Resp, relay *Line) (reply []byte, closing bool)
 	// Fail writes the one reply to a frame that could not be read
 	// (malformed, or over MaxBytes); then the connection closes, since
 	// the rest of the line is unread.
@@ -38,9 +44,9 @@ type Handler[Req, Resp any] struct {
 
 // Server is the server side of a request/response frame stream: the
 // listener, the accept loop, the open connections and one read → respond
-// → write loop per connection, with one reader, one request, one reply
-// and one encode buffer for all of a connection's frames, each read and
-// each write under the idle deadline.
+// → write loop per connection, with one reader, one request, one reply,
+// one relay line and one write buffer for all of a connection's frames,
+// each read and each write under the idle deadline.
 type Server[Req, Resp any] struct {
 	in  *Codec[Req]
 	out *Codec[Resp]
@@ -140,17 +146,18 @@ func (s *Server[Req, Resp]) handle(conn net.Conn) {
 		s.wg.Done()
 	}()
 	// A frame is parsed out of r's buffer into req, and the reply is
-	// encoded over the last one in buf.
+	// encoded, or its line copied, over the last one in buf.
 	var (
-		req  Req
-		resp Resp
-		buf  []byte
-		err  error
+		req   Req
+		resp  Resp
+		relay Line
+		buf   []byte
 	)
 	r, in, out, idle := newReader(conn), s.in.Frame(&req), s.out.Frame(&resp), s.h.Idle()
 	for {
 		expire(idle, conn.SetReadDeadline)
-		if err := Read(r, in); err != nil {
+		line, err := readFrame(r, in)
+		if err != nil {
 			// A stream that failed (EOF, a deadline, a reset, Close) gets
 			// no reply: its peer would read it as the next request's.
 			var failed net.Error
@@ -161,9 +168,14 @@ func (s *Server[Req, Resp]) handle(conn net.Conn) {
 			}
 			return
 		}
-		closing := s.h.Respond(&req, &resp)
+		reply, closing := s.h.Respond(line, &req, &resp, &relay)
 		expire(idle, conn.SetWriteDeadline)
-		buf, err = writeOver(buf, conn, out)
+		if reply != nil {
+			buf = append(append(buf[:0], reply...), '\n')
+			err = write(conn, buf)
+		} else {
+			buf, err = writeOver(buf, conn, out)
+		}
 		if s.h.Sent != nil {
 			s.h.Sent(&req)
 		}

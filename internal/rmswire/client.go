@@ -100,15 +100,25 @@ func (e *OpError) Error() string { return e.Err.Error() }
 func (e *OpError) Unwrap() error { return e.Err }
 
 // RoundTrip sends one request frame and returns the decoded reply with
-// how far the exchange got.  For an error or overloaded reply the
-// Response is populated alongside the non-nil error, which is how the
-// fleet router relays an owner's reply verbatim.
-func (c *Client) RoundTrip(req Request) (Response, frame.Delivery, error) {
-	if c.Budget > 0 && req.BudgetMS == 0 {
-		req.BudgetMS = c.Budget.Milliseconds()
-	}
+// how far the exchange got.  The frame is *req, encoded, or, with req
+// nil, relay's line as it stands: a request already in wire form, sent
+// without Budget.  A relay's reply is left in it as a line as well as
+// decoded, which is how the fleet router hands an owner's reply back
+// byte for byte.  For an error or overloaded reply the Response is
+// populated alongside the non-nil error.
+func (c *Client) RoundTrip(req *Request, relay *frame.Line) (Response, frame.Delivery, error) {
 	var resp Response
-	d, err := c.conn.RoundTrip(c.Timeout, requestCodec.Frame(&req), responseCodec.Frame(&resp))
+	var out, in frame.Frame = relay, relay
+	if req != nil {
+		sent := *req
+		if c.Budget > 0 && sent.BudgetMS == 0 {
+			sent.BudgetMS = c.Budget.Milliseconds()
+		}
+		out, in = requestCodec.Frame(&sent), responseCodec.Frame(&resp)
+	} else {
+		relay.Of = responseCodec.Frame(&resp)
+	}
+	d, err := c.conn.RoundTrip(c.Timeout, out, in)
 	if err != nil {
 		return Response{}, d, err
 	}
@@ -132,7 +142,7 @@ func (c *Client) RoundTrip(req Request) (Response, frame.Delivery, error) {
 
 // call is one op over one round trip.
 func (c *Client) call(req Request) (Response, error) {
-	resp, d, err := c.RoundTrip(req)
+	resp, d, err := c.RoundTrip(&req, nil)
 	if err != nil {
 		return resp, &OpError{Delivery: d, Status: resp.Status, Err: err}
 	}

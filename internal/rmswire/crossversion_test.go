@@ -69,7 +69,7 @@ func TestJournalCrossVersion(t *testing.T) {
 		{Op: OpReport, PlacementID: 4, Outcome: 3.3, Now: 22},
 		{Op: OpReport, PlacementID: 11, Outcome: 6, Now: 1e-9},
 	} {
-		if resp := srv.respond(req); resp.Status != StatusOK {
+		if resp := respondTo(srv, req); resp.Status != StatusOK {
 			t.Fatalf("%s on the recovered daemon: %+v", req.Op, resp)
 		}
 	}
@@ -187,7 +187,7 @@ func TestForwardKeyFixtureRecovers(t *testing.T) {
 
 	placed := srv.trms.Placed()
 	replay := func(key string) Response {
-		return srv.respond(Request{Op: OpSubmit, Client: 1, Activities: []int{0}, RTL: "D",
+		return respondTo(srv, Request{Op: OpSubmit, Client: 1, Activities: []int{0}, RTL: "D",
 			EEC: []float64{90, 91, 92, 93, 94, 95, 96}, IdemKey: key, Forwarded: true, Now: 1e4})
 	}
 	for key, p := range want.Client {

@@ -304,7 +304,7 @@ func TestFailedAutoCheckpointWaitsForMoreRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	submit := func() Response {
-		return srv.respond(Request{Op: OpSubmit, Activities: []int{0}, RTL: "D", EEC: []float64{10, 12}})
+		return respondTo(srv, Request{Op: OpSubmit, Activities: []int{0}, RTL: "D", EEC: []float64{10, 12}})
 	}
 	check := func(when string, attempts, errs int) {
 		t.Helper()
@@ -320,7 +320,7 @@ func TestFailedAutoCheckpointWaitsForMoreRecords(t *testing.T) {
 		}
 	}
 	for i := 0; i < 20; i++ {
-		srv.respond(Request{Op: OpStats})
+		respondTo(srv, Request{Op: OpStats})
 	}
 	check("4 submits and 20 stats", 1, 1)
 	for i := 0; i < 4; i++ {
@@ -339,7 +339,7 @@ func TestFailedAutoCheckpointWaitsForMoreRecords(t *testing.T) {
 	if deg, _ := srv.Degraded(); !deg {
 		t.Fatal("daemon not degraded by a failed journal write")
 	}
-	srv.respond(Request{Op: OpStats})
+	respondTo(srv, Request{Op: OpStats})
 	check("degraded", 2, 2)
 }
 
@@ -356,7 +356,7 @@ func TestNextIDBaseBeforeReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if resp := srv.respond(Request{Op: OpSubmit, Activities: []int{0}, RTL: "D", EEC: []float64{10, 12}}); resp.Status != StatusOK {
+		if resp := respondTo(srv, Request{Op: OpSubmit, Activities: []int{0}, RTL: "D", EEC: []float64{10, 12}}); resp.Status != StatusOK {
 			t.Fatalf("submit %d: %+v", i, resp)
 		}
 	}
@@ -381,7 +381,7 @@ func TestNextIDBaseBeforeReplay(t *testing.T) {
 	if err := srv2.AttachJournal(log2, rec2, 0); err != nil {
 		t.Fatal(err)
 	}
-	resp := srv2.respond(Request{Op: OpSubmit, Activities: []int{0}, RTL: "D", EEC: []float64{10, 12}})
+	resp := respondTo(srv2, Request{Op: OpSubmit, Activities: []int{0}, RTL: "D", EEC: []float64{10, 12}})
 	if resp.Status != StatusOK {
 		t.Fatalf("submit after replay: %+v", resp)
 	}

@@ -235,7 +235,7 @@ func TestStaleForwardKeyIsRefusedAndNotPlaced(t *testing.T) {
 	srv := booksServer(t)
 	defer srv.trms.Close()
 	submit := func(seq uint64) Response {
-		return srv.respond(Request{Op: OpSubmit, Client: 0, Activities: []int{0}, RTL: "D",
+		return respondTo(srv, Request{Op: OpSubmit, Client: 0, Activities: []int{0}, RTL: "D",
 			EEC: []float64{10, 11}, IdemKey: ForwardKey("s1", 77, seq), Forwarded: true, Now: float64(seq)})
 	}
 	first := map[uint64]PlacementInfo{}
@@ -271,5 +271,67 @@ func TestStaleForwardKeyIsRefusedAndNotPlaced(t *testing.T) {
 	}
 	if h := srv.handleHealth().Health; h.IdemEntries != ForwardKeyWindow {
 		t.Errorf("health idem_entries = %d, want %d", h.IdemEntries, ForwardKeyWindow)
+	}
+}
+
+// TestFullWindowKeepsItsOldestKey fills one instance's window to exactly
+// ForwardKeyWindow keys: a retry of the lowest kept seq replays its
+// placement, the seq just below it is refused as a retryable overload
+// that places nothing, and the lowest kept seq acknowledged again keeps
+// its slot with the new record.
+func TestFullWindowKeepsItsOldestKey(t *testing.T) {
+	const lo = 2 // seq 1 is the one below the window
+	srv := booksServer(t)
+	defer srv.trms.Close()
+	submit := func(seq uint64) Response {
+		return respondTo(srv, Request{Op: OpSubmit, Client: 0, Activities: []int{0}, RTL: "D",
+			EEC: []float64{10, 11}, IdemKey: ForwardKey("s1", 9, seq), Forwarded: true, Now: float64(seq)})
+	}
+	var oldest PlacementInfo
+	for seq := uint64(lo); seq < lo+ForwardKeyWindow; seq++ {
+		resp := submit(seq)
+		if resp.Status != StatusOK {
+			t.Fatalf("submit %d: %+v", seq, resp)
+		}
+		if seq == lo {
+			oldest = *resp.Placement
+		}
+	}
+	placed := srv.trms.Placed()
+	if resp := submit(lo); resp.Status != StatusOK || *resp.Placement != oldest {
+		t.Errorf("retry of the lowest kept seq %d: %+v, want its placement %+v", lo, resp, oldest)
+	}
+	if resp := submit(lo - 1); resp.Status != StatusOverloaded || resp.RetryAfterMS <= 0 || resp.Placement != nil {
+		t.Errorf("retry of seq %d, just below the window: %+v, want a retryable overload", lo-1, resp)
+	}
+	if got := srv.trms.Placed(); got != placed {
+		t.Errorf("placed %d after the retries, want %d", got, placed)
+	}
+
+	w := srv.books.minted["fwd-s1-9"]
+	again := mintedRecord("fwd-s1-9", lo)
+	if n := w.add(lo, again); n != 0 {
+		t.Errorf("acknowledging seq %d again changed the live count by %d", lo, n)
+	}
+	if rec, ok := w.find(lo); !ok || rec.ID != again.ID {
+		t.Errorf("seq %d acknowledged again: found %v id %d, want the new record (id %d)", lo, ok, rec.ID, again.ID)
+	}
+}
+
+// TestReportOfAnotherShardsIDIsUnknown: a shard whose ids start at
+// 1<<ShardIDShift never minted a shard-0 id, however low; a report for
+// one is an unknown placement, not a replay of a closed one.
+func TestReportOfAnotherShardsIDIsUnknown(t *testing.T) {
+	srv := booksServer(t)
+	defer srv.trms.Close()
+	srv.SetNextIDBase(1 << ShardIDShift)
+	placed := respondTo(srv, Request{Op: OpSubmit, Client: 0, Activities: []int{0}, RTL: "D", EEC: []float64{10, 11}})
+	if placed.Status != StatusOK || placed.Placement.ID != 1<<ShardIDShift|1 {
+		t.Fatalf("submit: %+v, want placement %d", placed, 1<<ShardIDShift|1)
+	}
+	const id = 5 // shard 0's, below this shard's next id, low part non-zero
+	resp := respondTo(srv, Request{Op: OpReport, PlacementID: id, Outcome: 5, Now: 1})
+	if want := fmt.Sprintf("unknown placement %d", id); resp.Status != StatusError || resp.Error != want || resp.Replayed {
+		t.Errorf("report for shard 0's id %d: %+v, want error %q", id, resp, want)
 	}
 }

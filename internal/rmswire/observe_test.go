@@ -263,7 +263,7 @@ func TestConnClosingSavesAnAttempt(t *testing.T) {
 func TestDrainAnnouncesConnClosing(t *testing.T) {
 	_, srv, client := newDaemon(t)
 	srv.draining.Store(true)
-	resp, _, err := client.RoundTrip(Request{Op: OpStats})
+	resp, _, err := client.RoundTrip(&Request{Op: OpStats}, nil)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("draining stats returned %v, want overloaded", err)
 	}

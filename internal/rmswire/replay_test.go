@@ -160,7 +160,7 @@ func TestReplayEqualsLiveAtEveryRecord(t *testing.T) {
 					}
 				}
 				if req.Op != "" {
-					resp := srv.respond(req)
+					resp := respondTo(srv, req)
 					switch {
 					case req.Op == OpSubmit && resp.Status == StatusOK:
 						// An idempotent hit answers an id already issued.
@@ -252,7 +252,7 @@ func testReplayEqualsLiveMinted(t *testing.T) {
 			}
 		}
 		if req.Op != "" && req.Op != OpCheckpoint {
-			resp := srv.respond(req)
+			resp := respondTo(srv, req)
 			switch {
 			case resp.Status == StatusOverloaded:
 				staleSeen++
@@ -320,7 +320,7 @@ func TestCheckpointPayloadGolden(t *testing.T) {
 	dir := t.TempDir()
 	srv := journalledBooksServer(t, dir)
 	for i, req := range checkpointScript() {
-		if resp := srv.respond(req); resp.Status != StatusOK && !(req.Op == OpReport && req.Outcome == 9) {
+		if resp := respondTo(srv, req); resp.Status != StatusOK && !(req.Op == OpReport && req.Outcome == 9) {
 			t.Fatalf("request %d (%+v): %+v", i, req, resp)
 		}
 	}

@@ -59,7 +59,7 @@ func TestConcurrentDuplicateReportsApplyOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			resp, _, err := c.RoundTrip(Request{Op: OpReport, PlacementID: p.ID, Outcome: 5, Now: 1})
+			resp, _, err := c.RoundTrip(&Request{Op: OpReport, PlacementID: p.ID, Outcome: 5, Now: 1}, nil)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -98,7 +98,7 @@ func TestConcurrentDuplicateReportsApplyOnce(t *testing.T) {
 		t.Fatalf("open_placements = %d after the report", got)
 	}
 	// Whoever was shed retries, and is told the report already landed.
-	resp, _, err := client.RoundTrip(Request{Op: OpReport, PlacementID: p.ID, Outcome: 5, Now: 2})
+	resp, _, err := client.RoundTrip(&Request{Op: OpReport, PlacementID: p.ID, Outcome: 5, Now: 2}, nil)
 	if err != nil || !resp.Replayed {
 		t.Fatalf("retry after the race: replayed=%v err=%v", resp.Replayed, err)
 	}

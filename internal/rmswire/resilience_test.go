@@ -225,7 +225,7 @@ func TestHealthAndMetricsAnswerDuringCheckpoint(t *testing.T) {
 	defer srv.jmu.Unlock()
 	for _, op := range []string{OpHealth, OpMetrics} {
 		done := make(chan Response, 1)
-		go func() { done <- srv.respond(Request{Op: op}) }()
+		go func() { done <- respondTo(srv, Request{Op: op}) }()
 		select {
 		case resp := <-done:
 			if resp.Status != StatusOK {
@@ -245,7 +245,7 @@ func TestDrainRejectsAndReportsDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.draining.Store(true)
-	resp := srv.respond(Request{Op: OpStats})
+	resp := respondTo(srv, Request{Op: OpStats})
 	if resp.Status != StatusOverloaded || !strings.Contains(resp.Error, "draining") {
 		t.Fatalf("draining server answered %+v", resp)
 	}

@@ -195,7 +195,7 @@ func (r *Retrier) do(req Request) (Response, error) {
 			time.Sleep(r.backoff(attempt-1, time.Duration(resp.RetryAfterMS)*time.Millisecond))
 		}
 		r.attempts.Add(1)
-		resp, d, err = r.client.RoundTrip(req)
+		resp, d, err = r.client.RoundTrip(&req, nil)
 		switch After(d, resp.Status) {
 		case Final:
 			if err != nil {

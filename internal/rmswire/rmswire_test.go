@@ -98,6 +98,13 @@ func (l *servedConns) Accept() (net.Conn, error) {
 var daemons sync.Map
 
 // addrOf is the address newDaemon's server listens on.
+// respondTo answers req as the request loop does one whose line the
+// codec's fast path did not take, and returns the reply.
+func respondTo(srv *Server, req Request) Response {
+	resp, _ := srv.respond(req, nil, &frame.Line{})
+	return resp
+}
+
 func addrOf(srv *Server) string {
 	l, _ := daemons.Load(srv)
 	return l.(*servedConns).Addr().String()
@@ -213,7 +220,7 @@ func TestReportUnknownAndDoubleReport(t *testing.T) {
 	}
 	// The duplicate is acknowledged as a typed replay and applied to
 	// nothing: the first delivery landed, only its ack can have been lost.
-	resp, _, err := client.RoundTrip(Request{Op: OpReport, PlacementID: p.ID, Outcome: 5, Now: 2})
+	resp, _, err := client.RoundTrip(&Request{Op: OpReport, PlacementID: p.ID, Outcome: 5, Now: 2}, nil)
 	if err != nil || !resp.Replayed {
 		t.Fatalf("double report: replayed=%v err=%v, want an ok reply marked replayed", resp.Replayed, err)
 	}
@@ -271,7 +278,7 @@ func TestSubmitValidationOverWire(t *testing.T) {
 func TestUnknownOp(t *testing.T) {
 	_, srv, _ := newDaemon(t)
 	_ = srv
-	resp := srv.respond(Request{Op: "detonate"})
+	resp := respondTo(srv, Request{Op: "detonate"})
 	if resp.Status != StatusError || !strings.Contains(resp.Error, "detonate") {
 		t.Fatalf("response %+v", resp)
 	}

@@ -104,13 +104,16 @@ type Server struct {
 type wire = frame.Server[Request, Response]
 
 // Router decides whether a request belongs elsewhere.  Route returns
-// (response, true) when it executed the request on another shard — the
-// response is relayed to the client verbatim — or (zero, false) when
-// the request is local (including deliberate failover after the owner
-// proved unreachable).  Implementations must not call back into the
-// server they are attached to.
+// handled when it answered the request from another shard, with the
+// answer and, when the answer is the owner's reply line to go back to
+// the client as it stands, that line; or (zero, nil, false) when the
+// request is local (including deliberate failover after the owner
+// proved unreachable).  line is the line req was read from when the
+// codec's fast path took it, else nil (Forward); relay is the entry
+// connection's Line, which the reply line may occupy.  Implementations
+// must not call back into the server they are attached to.
 type Router interface {
-	Route(req Request) (Response, bool)
+	Route(req Request, line []byte, relay *frame.Line) (resp Response, reply []byte, handled bool)
 }
 
 // serverMetrics caches registry handles used on the request path.
@@ -339,12 +342,17 @@ func (s *Server) idleTimeout() time.Duration {
 // answer is the request loop's respond.  A draining server finishes the
 // request it already answered and then closes the stream so the client
 // reconnects elsewhere; it says so in the frame so the client redials
-// instead of discovering a dead connection on its next request.
-func (s *Server) answer(req *Request, resp *Response) bool {
-	*resp = s.respond(*req)
+// instead of discovering a dead connection on its next request.  That
+// frame is its own, so a relayed reply line is then re-encoded.
+func (s *Server) answer(line []byte, req *Request, resp *Response, relay *frame.Line) ([]byte, bool) {
+	var reply []byte
+	*resp, reply = s.respond(*req, line, relay)
 	closing := s.draining.Load()
+	if closing {
+		reply = nil
+	}
 	resp.ConnClosing = resp.ConnClosing || closing
-	return closing
+	return reply, closing
 }
 
 // sent signals the owner of a drain only once the ok is written: drain
@@ -359,28 +367,30 @@ func (s *Server) sent(req *Request) {
 	}
 }
 
-// respond executes one request against the TRMS.  Mutating ops run under
+// respond executes one request against the TRMS, or has the Router
+// answer it from another shard, and returns the reply with, when the
+// Router relayed one, the owner's reply line.  Mutating ops run under
 // the journal read-lock so checkpoints observe a quiescent daemon.
 // Health and drain bypass admission entirely — they must answer precisely
 // when the daemon is overloaded or draining.
-func (s *Server) respond(req Request) Response {
+func (s *Server) respond(req Request, line []byte, relay *frame.Line) (Response, []byte) {
 	switch req.Op {
 	case OpHealth:
-		return s.handleHealth()
+		return s.handleHealth(), nil
 	case OpMetrics:
-		return s.handleMetrics()
+		return s.handleMetrics(), nil
 	case OpDrain:
 		// The owner is signalled by sent, after this reply is written.
-		return Response{Status: StatusOK}
+		return Response{Status: StatusOK}, nil
 	case OpCheckpoint:
-		return s.handleCheckpoint()
+		return s.handleCheckpoint(), nil
 	case OpFleet:
-		return s.handleFleet()
+		return s.handleFleet(), nil
 	}
 	s.sm.requests.Inc()
 	if s.draining.Load() {
 		s.sm.shedDraining.Inc()
-		return s.overloaded("draining")
+		return s.overloaded("draining"), nil
 	}
 	// Fail-stop: a daemon whose journal can no longer promise durability
 	// refuses every mutation outright (StatusError, not overloaded — a
@@ -389,15 +399,15 @@ func (s *Server) respond(req Request) Response {
 	if deg, cause := s.Degraded(); deg && (req.Op == OpSubmit || req.Op == OpReport) {
 		s.sm.refusedDegraded.Inc()
 		return Response{Status: StatusError,
-			Error: fmt.Sprintf("daemon degraded (journal fail-stop): %s", cause)}
+			Error: fmt.Sprintf("daemon degraded (journal fail-stop): %s", cause)}, nil
 	}
 	if !s.acquire(time.Duration(req.BudgetMS) * time.Millisecond) {
 		s.sm.shedInflight.Inc()
-		return s.overloaded(fmt.Sprintf("in-flight limit %d reached", s.MaxInFlight))
+		return s.overloaded(fmt.Sprintf("in-flight limit %d reached", s.MaxInFlight)), nil
 	}
 	defer s.release()
 	// Fleet routing: a mis-routed submit or report is executed on its
-	// owning shard and the owner's response relayed verbatim.  Forwards
+	// owning shard and the owner's reply line relayed verbatim.  Forwards
 	// hold an in-flight slot (they are real work this shard performs)
 	// but never touch the journal lock — nothing local is mutated.
 	// A submit key already in the local idempotency table is replayed
@@ -406,8 +416,8 @@ func (s *Server) respond(req Request) Response {
 	// re-forwarding its retry would double-place it at the owner.
 	if s.Router != nil && !req.Forwarded && (req.Op == OpSubmit || req.Op == OpReport) {
 		if req.Op != OpSubmit || req.IdemKey == "" || !s.books.known(req.IdemKey) {
-			if resp, handled := s.Router.Route(req); handled {
-				return resp
+			if resp, reply, handled := s.Router.Route(req, line, relay); handled {
+				return resp, reply
 			}
 		}
 	}
@@ -429,7 +439,7 @@ func (s *Server) respond(req Request) Response {
 	}
 	s.jmu.RUnlock()
 	s.maybeCompact()
-	return resp
+	return resp, nil
 }
 
 // handleFleet serves the shard's fleet view, admission-free like health

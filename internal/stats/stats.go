@@ -205,9 +205,6 @@ func (s *Sample) Bound(capacity int, seed uint64) {
 	}
 }
 
-// Bounded reports whether the sample runs in reservoir mode.
-func (s *Sample) Bounded() bool { return s.cap > 0 }
-
 // Add appends an observation.  In bounded mode it runs Vitter's
 // algorithm R: once the reservoir is full, the new observation replaces
 // a uniformly random slot with probability cap/seen.

@@ -47,6 +47,22 @@ func CodecMatchesJSON[T any](t *testing.T, c Codec[T], n int) {
 	}
 }
 
+// CodecSamples returns json.Marshal of n random values of T, drawn as
+// CodecMatchesJSON draws them, leaving out those it cannot encode: the
+// lines a fuzz target over T's wire form starts from.
+func CodecSamples[T any](n int) [][]byte {
+	rng := rand.New(rand.NewSource(25))
+	var out [][]byte
+	for i := 0; i < n; i++ {
+		var v T
+		fill(rng, reflect.ValueOf(&v).Elem())
+		if line, err := json.Marshal(&v); err == nil {
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
 // CodecParsesLikeJSON requires Parse to give line the verdict
 // json.Unmarshal gives it into a zero value: the same error text, the
 // same value down to nil against empty and the sign of a zero.

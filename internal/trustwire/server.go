@@ -30,9 +30,9 @@ func NewServer(table *grid.TrustTable) (*Server, error) {
 	}
 	s := &Server{table: table}
 	s.wire = frame.NewServer(requestCodec, responseCodec, frame.Handler[Request, Response]{
-		Respond: func(req *Request, resp *Response) bool {
+		Respond: func(_ []byte, req *Request, resp *Response, _ *frame.Line) ([]byte, bool) {
 			*resp = s.respond(*req)
-			return false
+			return nil, false
 		},
 		Fail: func(err error, resp *Response) { *resp = Response{Status: StatusError, Error: err.Error()} },
 	})

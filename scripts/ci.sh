@@ -86,6 +86,12 @@ if grep -rn 'bufio\.NewReader' --include='*.go' internal cmd | grep -v '_test\.g
     exit 1
 fi
 
+echo "==> the forward hop relays a line (every RoundTrip in non-test code under internal/fleet sends a frame.Line, not a decoded rmswire.Request)"
+if grep -rn 'RoundTrip(' --include='*.go' internal/fleet | grep -v '_test\.go:' | grep -v 'RoundTrip(nil, '; then
+    echo "ci: an entry shard forwards the client's line spliced by rmswire.Forward and hands back the owner's reply line; re-encoding either costs a codec pass that changes nothing" >&2
+    exit 1
+fi
+
 echo "==> one owner of the forward key's form (\"fwd- in non-test code only under internal/rmswire)"
 if grep -rn '"fwd-' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -v '^internal/rmswire/'; then
     echo "ci: router-minted keys are made by rmswire.ForwardKey and read by the ledger's parser, so the owner's window and the router agree on the form" >&2
@@ -230,6 +236,7 @@ for spec in \
     "./internal/trustwire FuzzReadFrame" \
     "./internal/trustwire FuzzCodecMatchesJSON" \
     "./internal/rmswire FuzzCodecMatchesJSON" \
+    "./internal/rmswire FuzzForwardSplice" \
     "./internal/trustwire FuzzApplyEntries" \
     "./internal/trustwire FuzzServerRespond" \
     "./internal/chaos FuzzTornTailRecovery" \
