@@ -11,6 +11,7 @@ package frame
 // side by side, so the two directions cannot drift apart.
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"slices"
@@ -264,7 +265,14 @@ func Slice[V any](elem Value[V]) Value[[]V] {
 // commas counts the commas between the elements of the array whose first
 // element starts at b[i].  It does not read strings, so one that holds a
 // bracket or a comma can only make the capacity it sizes a wrong guess.
+// A flat array is counted by bytes.Count up to its first ']'; only one
+// that holds an array or an object is walked depth by depth.
 func commas(b []byte, i int) int {
+	if end := bytes.IndexByte(b[i:], ']'); end >= 0 {
+		if flat := b[i : i+end]; bytes.IndexByte(flat, '[') < 0 && bytes.IndexByte(flat, '{') < 0 {
+			return bytes.Count(flat, []byte{','})
+		}
+	}
 	n := 0
 	for depth := 0; i < len(b); i++ {
 		switch b[i] {
@@ -428,12 +436,17 @@ func signed[I int | int64]() Value[I] {
 	return Value[I]{
 		put: func(dst []byte, v *I) ([]byte, bool) { return strconv.AppendInt(dst, int64(*v), 10), true },
 		get: func(b []byte, i int, v *I) int {
-			end, integer := number(b, i)
-			if !integer {
-				return -1
+			// The magnitude may reach 2^63 only under a minus sign.
+			limit, negative := uint64(1<<63-1), i < len(b) && b[i] == '-'
+			if negative {
+				limit, i = limit+1, i+1
 			}
-			x, err := strconv.ParseInt(string(b[i:end]), 10, 64)
-			if *v = I(x); err != nil || int64(*v) != x {
+			u, end := integer(b, i)
+			x := int64(u) // -(1<<63) wraps onto itself, the least int64
+			if negative {
+				x = -x
+			}
+			if *v = I(x); end < 0 || u > limit || int64(*v) != x {
 				return -1
 			}
 			return end
@@ -444,16 +457,36 @@ func signed[I int | int64]() Value[I] {
 
 func putUint(dst []byte, v *uint64) ([]byte, bool) { return strconv.AppendUint(dst, *v, 10), true }
 
+// getUint takes no sign: "-0" is an error in encoding/json.
 func getUint(b []byte, i int, v *uint64) int {
-	end, integer := number(b, i)
-	if !integer {
-		return -1
-	}
-	x, err := strconv.ParseUint(string(b[i:end]), 10, 64) // "-0" is an error, as in encoding/json
-	if *v = x; err != nil {
-		return -1
+	x, end := integer(b, i)
+	if end >= 0 {
+		*v = x
 	}
 	return end
+}
+
+// integer reads the digits of an unsigned JSON integer at b[i:] and
+// returns its value and the index after it, or -1 for what only
+// encoding/json may judge: no digit, a leading zero, a fraction or an
+// exponent, or a value past uint64.
+func integer(b []byte, i int) (uint64, int) {
+	start := i
+	var x uint64
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		d := uint64(b[i] - '0')
+		if x > (math.MaxUint64-d)/10 {
+			return 0, -1
+		}
+		x = x*10 + d
+	}
+	switch {
+	case i == start, b[start] == '0' && i > start+1:
+		return 0, -1
+	case i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E'):
+		return 0, -1
+	}
+	return x, i
 }
 
 // putFloat is encoding/json's floatEncoder: ES6 number-to-string, 'e'

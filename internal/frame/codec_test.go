@@ -99,7 +99,13 @@ func TestCodecMatchesJSON(t *testing.T) {
 	lines := append(testutil.CodecFuzzSeeds("str", "num", "flt"),
 		// White space inside arrays, and repeated keys inside maps (the
 		// last one wins, whole).
-		[]byte(`{"ints":[1, 2 ,3],"Flts":[],"list":[{"a":1},{"a":2,"s":"y"}],"count":{"a":1,"a":2},"objs":{"k":{"a":1},"k":{"s":"z"}}}`))
+		[]byte(`{"ints":[1, 2 ,3],"Flts":[],"list":[{"a":1},{"a":2,"s":"y"}],"count":{"a":1,"a":2},"objs":{"k":{"a":1},"k":{"s":"z"}}}`),
+		// Arrays of objects whose strings hold an array's punctuation,
+		// after and before a flat array of the same.
+		[]byte(`{"list":[{"a":1,"s":"x]y"},{"a":-0,"s":"{,}"},{"a":9223372036854775807,"s":"]"}],"ints":[1,2]}`),
+		[]byte(`{"ints":[1,2],"list":[{"a":1,"s":","}],"Flts":[1,[2]]}`))
+	lines = append(lines, testutil.CodecIntegerSeeds("num", "u64", "ints")...)
+	lines = append(lines, testutil.CodecIntegerSeeds("i64", "u64_o", "ints_o")...)
 	for _, line := range lines {
 		testutil.CodecParsesLikeJSON[kitchen](t, kitchenCodec, line)
 	}
@@ -111,7 +117,7 @@ func TestCodecMatchesJSON(t *testing.T) {
 // oracle tests cannot see this — the fallback is always right.
 func TestCodecDecodesCanonicalFormItself(t *testing.T) {
 	v := kitchen{
-		Str: "plain", Num: -3, I64O: 1 << 40, U64: 1<<64 - 1, Flt: 1e-9, FltO: 1e21, FlagO: true,
+		Str: "plain", Num: -3, I64: -1 << 63, I64O: 1<<63 - 1, U64: 1<<64 - 1, Flt: 1e-9, FltO: 1e21, FlagO: true,
 		Ints: []int{}, IntsO: []int{1, -2, 3}, Flts: []float64{0.5, 1e100, 2},
 		Obj: &inner{A: 1, S: "s"}, List: []inner{{A: 1}, {A: 2, S: "two"}}, ListO: []inner{{}},
 		Signed:   map[string]int64{"b": -1, "a": 1},
@@ -136,7 +142,8 @@ func TestCodecDecodesCanonicalFormItself(t *testing.T) {
 		`{"str":"x","Num":1}`, `{"str":"x","str":"y"}`, `{"str":null}`, `{"str":"a\tb"}`,
 		`{"str":"é"}`, `{"num":1.0}`, `{"num":1e3}`, `{"u64":-0}`, `{"num":01}`,
 		`{"flt":1e999}`, `{"cold":{"names":null,"x":0}}`, `{"str":"x"} x`, `[]`, `null`,
-		`{"num":9223372036854775808}`, `{"str" :"x"}`,
+		`{"num":9223372036854775808}`, `{"str" :"x"}`, `{"u64":18446744073709551616}`, `{"i64":-9223372036854775809}`,
+		`{"u64":-1}`, `{"num":- 1}`, `{"ints":[1,01]}`,
 	} {
 		if end := kitchenCodec.get([]byte(suspect), 0, &got); end >= 0 && skipSpace([]byte(suspect), end) == len(suspect) {
 			t.Errorf("the table decoder kept %s, which only encoding/json may judge", suspect)

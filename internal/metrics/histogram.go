@@ -16,6 +16,7 @@ package metrics
 import (
 	"math"
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -83,6 +84,26 @@ func (h *Histogram) Snapshot() *HistSnapshot {
 		}
 	}
 	return snap
+}
+
+// appendJSON appends the histogram as json.Marshal writes its Snapshot,
+// read from the atomics in Snapshot's order: count, sum, buckets.
+func (h *Histogram) appendJSON(dst []byte) []byte {
+	dst = strconv.AppendUint(append(dst, `{"count":`...), h.count.Load(), 10)
+	dst = strconv.AppendUint(append(dst, `,"sum":`...), h.sum.Load(), 10)
+	sep := `,"buckets":[`
+	for i := range h.buckets {
+		if n := h.buckets[i].Load(); n > 0 {
+			dst = strconv.AppendInt(append(append(dst, sep...), `{"idx":`...), int64(i), 10)
+			dst = strconv.AppendUint(append(dst, `,"lo":`...), BucketLo(i), 10)
+			dst = append(strconv.AppendUint(append(dst, `,"n":`...), n, 10), '}')
+			sep = ","
+		}
+	}
+	if sep == "," {
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
 }
 
 // Bucket is one occupied histogram bucket in a snapshot.  Lo is

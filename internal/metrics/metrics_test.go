@@ -2,8 +2,10 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gridtrust/internal/rng"
@@ -245,5 +247,146 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if got := back.CounterNames(); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("CounterNames = %v", got)
+	}
+}
+
+// TestAppendJSONIsTheSnapshotMarshalled: the scrape the registry writes
+// is json.Marshal of the Snapshot it would have taken, func metrics
+// included, for registries with and without each kind and for names
+// json.Marshal must quote.
+func TestAppendJSONIsTheSnapshotMarshalled(t *testing.T) {
+	full := NewRegistry()
+	for i, name := range []string{"b", "a", `q"uote`, "<tag>", "a&b", "é", "zz", "\x7f"} {
+		full.Counter(name).Add(uint64(i * 1000))
+		full.Gauge(name).Set(int64(-i))
+	}
+	full.CounterFunc("m_func", func() uint64 { return 1<<64 - 1 })
+	full.GaugeFunc("m_func", func() int64 { return -1 << 63 })
+	for _, name := range []string{"lat", "empty", "a<b"} {
+		h := full.Histogram(name)
+		if name == "empty" {
+			continue
+		}
+		for v := uint64(0); v < 1<<20; v = v*3 + 1 {
+			h.Observe(v)
+		}
+	}
+	noHists := NewRegistry()
+	noHists.Counter("ops").Inc()
+	noHists.GaugeFunc("depth", func() int64 { return 3 })
+	onlyHists := NewRegistry()
+	onlyHists.Histogram("lat").Observe(1500)
+	for name, r := range map[string]*Registry{"full": full, "no histograms": noHists, "only histograms": onlyHists, "empty": NewRegistry()} {
+		got := r.AppendJSON([]byte("prefix"))
+		snap := r.Snapshot()
+		if snap.Seq != r.Seq() {
+			t.Fatalf("%s: seq %d after a snapshot, registry says %d", name, snap.Seq, r.Seq())
+		}
+		snap.Seq--
+		want, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "prefix"+string(want) {
+			t.Errorf("%s: AppendJSON wrote\n%s\nwant prefix and\n%s", name, got, want)
+		}
+	}
+}
+
+func TestAppendJSONAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("ops").Add(7)
+	r.GaugeFunc("depth", func() int64 { return 3 })
+	r.Histogram("lat").Observe(1500)
+	buf := r.AppendJSON(nil)
+	if got := testing.AllocsPerRun(100, func() { buf = r.AppendJSON(buf[:0]) }); got != 0 {
+		t.Fatalf("AppendJSON into a buffer with room allocates %v times, want 0", got)
+	}
+}
+
+// TestFuncNamesAreTheirOwn: a name registered as a func cannot also be a
+// handle of that kind, nor a second func, whichever comes first; the
+// kinds keep their own names.
+func TestFuncNamesAreTheirOwn(t *testing.T) {
+	refused := func(what string, register func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s was not refused", what)
+			}
+		}()
+		register()
+	}
+	r := NewRegistry()
+	r.Counter("c")
+	refused("a counter func over a counter", func() { r.CounterFunc("c", func() uint64 { return 1 }) })
+	r.CounterFunc("cf", func() uint64 { return 1 })
+	refused("a counter over a counter func", func() { r.Counter("cf") })
+	refused("a second counter func", func() { r.CounterFunc("cf", func() uint64 { return 2 }) })
+	r.Gauge("g")
+	refused("a gauge func over a gauge", func() { r.GaugeFunc("g", func() int64 { return 1 }) })
+	r.GaugeFunc("gf", func() int64 { return 1 })
+	refused("a gauge over a gauge func", func() { r.Gauge("gf") })
+	r.GaugeFunc("c", func() int64 { return 5 }) // a counter's name is free among gauges
+	if s := r.Snapshot(); s.Counters["cf"] != 1 || s.Gauges["gf"] != 1 || s.Gauges["c"] != 5 || len(s.Counters) != 2 {
+		t.Fatalf("refusals changed the registry: %+v", s)
+	}
+}
+
+// TestPerScrapeReadsOnce: funcs that split one reading take it once per
+// scrape, by either path, and again at the next scrape.
+func TestPerScrapeReadsOnce(t *testing.T) {
+	r := NewRegistry()
+	reads := 0
+	pair := PerScrape(r, func() [2]int64 {
+		reads++
+		return [2]int64{int64(reads), -int64(reads)}
+	})
+	r.GaugeFunc("first", func() int64 { return pair()[0] })
+	r.GaugeFunc("second", func() int64 { return pair()[1] })
+	if s := r.Snapshot(); reads != 1 || s.Gauges["first"] != 1 || s.Gauges["second"] != -1 {
+		t.Fatalf("after one snapshot: %d reads, gauges %v", reads, s.Gauges)
+	}
+	if got := string(r.AppendJSON(nil)); reads != 2 || got != `{"seq":2,"counters":{},"gauges":{"first":2,"second":-2}}` {
+		t.Fatalf("after a second scrape: %d reads, %s", reads, got)
+	}
+}
+
+// TestScrapesBesideRegistration: scrapes by both paths run at once and
+// beside registration, which replaces the lists they read, and every
+// scrape is whole JSON holding each name registered before it began
+// (run under -race).
+func TestScrapesBesideRegistration(t *testing.T) {
+	r := NewRegistry()
+	var reads atomic.Int64
+	shared := PerScrape(r, func() int64 { return reads.Add(1) })
+	r.GaugeFunc("shared_a", shared)
+	r.GaugeFunc("shared_b", shared)
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var buf []byte
+			for i := 0; i < 200; i++ {
+				name := fmt.Sprintf("w%d_%03d", w, i)
+				r.Counter(name).Inc()
+				buf = r.AppendJSON(buf[:0])
+				var snap Snapshot
+				if err := json.Unmarshal(buf, &snap); err != nil {
+					t.Errorf("scrape is not JSON: %v", err)
+					return
+				}
+				if snap.Counters[name] != 1 || snap.Gauges["shared_a"] == 0 {
+					t.Errorf("scrape after registering %s: %v", name, snap.Counters[name])
+					return
+				}
+				_ = r.Snapshot()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s := r.Snapshot(); len(s.Counters) != 600 {
+		t.Fatalf("%d counters after 600 registrations", len(s.Counters))
 	}
 }

@@ -3,6 +3,7 @@ package rmswire
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"gridtrust/internal/frame"
@@ -30,6 +31,13 @@ type Client struct {
 	Budget time.Duration
 
 	conn *frame.Conn
+
+	// mu holds a round trip, whose request and reply are the Client's
+	// own values, bound to their codecs once.
+	mu      sync.Mutex
+	req     Request
+	resp    Response
+	out, in frame.Frame
 }
 
 // Dial connects to a gridtrustd server within DefaultDialTimeout.
@@ -47,7 +55,11 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 }
 
 // NewClient speaks the protocol over conn, which dials when first used.
-func NewClient(conn *frame.Conn) *Client { return &Client{conn: conn} }
+func NewClient(conn *frame.Conn) *Client {
+	c := &Client{conn: conn}
+	c.out, c.in = requestCodec.Frame(&c.req), responseCodec.Frame(&c.resp)
+	return c
+}
 
 // Close releases the connection for good.
 func (c *Client) Close() error { return c.conn.Close() }
@@ -107,21 +119,28 @@ func (e *OpError) Unwrap() error { return e.Err }
 // byte for byte.  For an error or overloaded reply the Response is
 // populated alongside the non-nil error.
 func (c *Client) RoundTrip(req *Request, relay *frame.Line) (Response, frame.Delivery, error) {
-	var resp Response
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var out, in frame.Frame = relay, relay
 	if req != nil {
-		sent := *req
-		if c.Budget > 0 && sent.BudgetMS == 0 {
-			sent.BudgetMS = c.Budget.Milliseconds()
+		c.req = *req
+		if c.Budget > 0 && c.req.BudgetMS == 0 {
+			c.req.BudgetMS = c.Budget.Milliseconds()
 		}
-		out, in = requestCodec.Frame(&sent), responseCodec.Frame(&resp)
+		out, in = c.out, c.in
 	} else {
-		relay.Of = responseCodec.Frame(&resp)
+		relay.Of = c.in
 	}
 	d, err := c.conn.RoundTrip(c.Timeout, out, in)
+	// Nothing of the caller's outlives the round trip in the Client.
+	c.req = Request{}
+	if relay != nil {
+		relay.Of = nil
+	}
 	if err != nil {
 		return Response{}, d, err
 	}
+	resp := c.resp
 	if resp.ConnClosing {
 		// The server will close this connection after the frame (drain,
 		// accept-time shed).  The reply is valid; dialling now saves the

@@ -46,6 +46,15 @@ func codecSeeds() [][]byte {
 	seeds := append(testutil.CodecFuzzSeeds("op", "client", "now"),
 		testutil.CodecFuzzSeeds("status", "retry_after_ms", "now")...)
 	seeds = append(seeds, testutil.CodecFuzzSeeds("kind", "machine", "eec")...)
+	seeds = append(seeds, testutil.CodecIntegerSeeds("client", "placement_id", "activities")...)
+	seeds = append(seeds, testutil.CodecIntegerSeeds("budget_ms", "placement_id", "eec")...)
+	seeds = append(seeds, testutil.CodecIntegerSeeds("retry_after_ms", "id", "activities")...)
+	// A scrape at the integers' edges, its bucket arrays of objects
+	// beside counter names that hold an array's punctuation.
+	seeds = append(seeds,
+		[]byte(`{"status":"ok","metrics":{"seq":18446744073709551615,"counters":{"a]":1,"b,{":18446744073709551615},"gauges":{"g":-9223372036854775808},`+
+			`"histograms":{"h":{"count":2,"sum":0,"buckets":[{"idx":1,"lo":1,"n":1},{"idx":2,"lo":2,"n":1}]}},"uptime_ms":9223372036854775807,"start_unix_nanos":-0}}`),
+		[]byte(`{"status":"ok","metrics":{"seq":1,"counters":{},"histograms":{"h":{"count":1,"sum":1,"buckets":[{"idx":1,"lo":1,"n":18446744073709551616}]}},"uptime_ms":0,"start_unix_nanos":0}}`))
 	for _, v := range codecSamples() {
 		line, err := json.Marshal(v)
 		if err != nil {

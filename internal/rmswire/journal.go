@@ -23,6 +23,7 @@ import (
 
 	"gridtrust/internal/core"
 	"gridtrust/internal/grid"
+	"gridtrust/internal/metrics"
 	"gridtrust/internal/trust"
 	"gridtrust/internal/wal"
 )
@@ -126,6 +127,12 @@ func (s *Server) AttachJournal(log *wal.Log, rec *wal.Recovered, compactEvery in
 		s.lastBoundary = rec.SnapshotSeq
 	}
 	s.jmu.Unlock()
+	stats := metrics.PerScrape(s.reg, log.Stats)
+	s.reg.CounterFunc(MetricWALAppends, func() uint64 { return stats().Appends })
+	s.reg.CounterFunc(MetricWALSyncs, func() uint64 { return stats().Syncs })
+	s.reg.CounterFunc(MetricWALRotations, func() uint64 { return stats().Rotations })
+	s.reg.GaugeFunc(MetricWALSegments, func() int64 { return int64(stats().Segments) })
+	s.reg.GaugeFunc(MetricJournalNextSeq, func() int64 { return int64(log.NextSeq()) })
 	return nil
 }
 

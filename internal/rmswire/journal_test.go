@@ -18,7 +18,7 @@ import (
 
 // journalTopology rebuilds the same two-domain topology every call, so a
 // "restarted" daemon sees the grid the journal was written against.
-func journalTopology(t *testing.T) *grid.Topology {
+func journalTopology(t testing.TB) *grid.Topology {
 	t.Helper()
 	mkRD := func(id grid.DomainID) *grid.ResourceDomain {
 		return &grid.ResourceDomain{
@@ -51,7 +51,7 @@ func journalTopology(t *testing.T) *grid.Topology {
 
 // startJournaled boots a daemon over the WAL in dir: a fresh TRMS, journal
 // recovery replayed, server listening.
-func startJournaled(t *testing.T, dir string, compactEvery int) (*Server, *Client, func()) {
+func startJournaled(t testing.TB, dir string, compactEvery int) (*Server, *Client, func()) {
 	t.Helper()
 	trms, err := core.New(core.Config{
 		Topology: journalTopology(t),

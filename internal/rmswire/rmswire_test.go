@@ -99,9 +99,15 @@ var daemons sync.Map
 
 // addrOf is the address newDaemon's server listens on.
 // respondTo answers req as the request loop does one whose line the
-// codec's fast path did not take, and returns the reply.
+// codec's fast path did not take, and returns the reply, decoded from
+// its line when the server wrote one (a scrape).
 func respondTo(srv *Server, req Request) Response {
-	resp, _ := srv.respond(req, nil, &frame.Line{})
+	resp, reply := srv.respond(req, nil, &frame.Line{})
+	if reply != nil {
+		if err := responseCodec.Parse(reply, &resp); err != nil {
+			panic(err)
+		}
+	}
 	return resp
 }
 

@@ -2,6 +2,7 @@ package rmswire
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,6 +178,19 @@ func NewServer(trms *core.TRMS) (*Server, error) {
 		opReport:        s.reg.Histogram(MetricOpReportNS),
 		opStats:         s.reg.Histogram(MetricOpStatsNS),
 	}
+	// The gauges a scrape reads where they are kept, so no request keeps
+	// them current; the two ledger sizes share one read of its lock.
+	books := metrics.PerScrape(s.reg, func() [2]int {
+		open, idem := s.books.counts()
+		return [2]int{open, idem}
+	})
+	s.reg.GaugeFunc(MetricConns, func() int64 { return int64(s.Conns()) })
+	s.reg.GaugeFunc(MetricOpenPlacements, func() int64 { return int64(books()[0]) })
+	s.reg.GaugeFunc(MetricIdemEntries, func() int64 { return int64(books()[1]) })
+	s.reg.GaugeFunc(MetricInFlight, s.inflight.Load)
+	s.reg.GaugeFunc(MetricPlaced, func() int64 { return int64(s.trms.Placed()) })
+	s.reg.GaugeFunc(MetricDraining, func() int64 { return flag(s.draining.Load()) })
+	s.reg.GaugeFunc(MetricDegraded, func() int64 { return flag(s.degraded.Load()) })
 	s.wire = frame.NewServer(requestCodec, responseCodec, frame.Handler[Request, Response]{
 		Respond: s.answer,
 		Fail:    func(err error, resp *Response) { *resp = Response{Status: StatusError, Error: err.Error()} },
@@ -185,6 +199,14 @@ func NewServer(trms *core.TRMS) (*Server, error) {
 		Idle:    s.idleTimeout,
 	})
 	return s, nil
+}
+
+// flag is a gauge's reading of a latch.
+func flag(on bool) int64 {
+	if on {
+		return 1
+	}
+	return 0
 }
 
 // Metrics exposes the server's registry so the owning process can hang
@@ -343,12 +365,19 @@ func (s *Server) idleTimeout() time.Duration {
 // request it already answered and then closes the stream so the client
 // reconnects elsewhere; it says so in the frame so the client redials
 // instead of discovering a dead connection on its next request.  That
-// frame is its own, so a relayed reply line is then re-encoded.
+// frame is its own, so a relayed reply line is then re-encoded; a scrape
+// line is the server's own already, and conn_closing, the last field a
+// reply has, is appended to it.
 func (s *Server) answer(line []byte, req *Request, resp *Response, relay *frame.Line) ([]byte, bool) {
 	var reply []byte
 	*resp, reply = s.respond(*req, line, relay)
 	closing := s.draining.Load()
-	if closing {
+	switch {
+	case !closing:
+	case req.Op == OpMetrics:
+		relay.Bytes = append(reply[:len(reply)-1], `,"conn_closing":true}`...)
+		reply = relay.Bytes
+	default:
 		reply = nil
 	}
 	resp.ConnClosing = resp.ConnClosing || closing
@@ -378,7 +407,8 @@ func (s *Server) respond(req Request, line []byte, relay *frame.Line) (Response,
 	case OpHealth:
 		return s.handleHealth(), nil
 	case OpMetrics:
-		return s.handleMetrics(), nil
+		relay.Bytes = s.scrape(relay.Bytes[:0])
+		return Response{}, relay.Bytes
 	case OpDrain:
 		// The owner is signalled by sent, after this reply is written.
 		return Response{Status: StatusOK}, nil
@@ -488,46 +518,22 @@ func (s *Server) handleHealth() Response {
 	return Response{Status: StatusOK, Health: h}
 }
 
-// handleMetrics scrapes the registry.  Like health it bypasses admission
-// — an overloaded daemon must still be observable.  Counters and
-// histograms come from the registry; point-in-time gauges (connection
-// and queue depths, durable placement/idempotency anchors, WAL totals)
-// are read at scrape time and injected into the snapshot, keeping the
-// request hot path free of gauge bookkeeping.
-func (s *Server) handleMetrics() Response {
-	snap := s.reg.Snapshot()
-	if snap.Gauges == nil {
-		snap.Gauges = make(map[string]int64)
-	}
-	snap.Gauges[MetricConns] = int64(s.Conns())
-	open, idem := s.books.counts()
-	snap.Gauges[MetricOpenPlacements] = int64(open)
-	snap.Gauges[MetricIdemEntries] = int64(idem)
-	snap.Gauges[MetricInFlight] = s.inflight.Load()
-	snap.Gauges[MetricPlaced] = int64(s.trms.Placed())
-	if s.draining.Load() {
-		snap.Gauges[MetricDraining] = 1
-	} else {
-		snap.Gauges[MetricDraining] = 0
-	}
-	if s.degraded.Load() {
-		snap.Gauges[MetricDegraded] = 1
-	} else {
-		snap.Gauges[MetricDegraded] = 0
-	}
-	if s.journal != nil {
-		js := s.journal.Stats()
-		snap.Counters[MetricWALAppends] = js.Appends
-		snap.Counters[MetricWALSyncs] = js.Syncs
-		snap.Counters[MetricWALRotations] = js.Rotations
-		snap.Gauges[MetricWALSegments] = int64(js.Segments)
-		snap.Gauges[MetricJournalNextSeq] = int64(s.journal.NextSeq())
-	}
-	return Response{Status: StatusOK, Metrics: &MetricsInfo{
-		Snapshot:       *snap,
-		UptimeMS:       time.Since(s.start).Milliseconds(),
-		StartUnixNanos: s.startUnixNanos,
-	}}
+// scrape writes the metrics reply line from the registry: the bytes
+// responseCodec writes for Response{Status: StatusOK, Metrics:
+// &MetricsInfo{Snapshot: *s.reg.Snapshot(), ...}}, with no Snapshot
+// taken.  Like health it bypasses admission — an overloaded daemon must
+// still be observable.  The point-in-time gauges (connection and queue
+// depths, durable placement/idempotency anchors, WAL totals) are func
+// metrics the registry reads here, keeping the request hot path free of
+// gauge bookkeeping.
+func (s *Server) scrape(dst []byte) []byte {
+	dst = s.reg.AppendJSON(append(dst, `{"status":"ok","metrics":`...))
+	// The snapshot's object is MetricsInfo's, open for its own fields.
+	dst = append(dst[:len(dst)-1], `,"uptime_ms":`...)
+	dst = strconv.AppendInt(dst, time.Since(s.start).Milliseconds(), 10)
+	dst = append(dst, `,"start_unix_nanos":`...)
+	dst = strconv.AppendInt(dst, s.startUnixNanos, 10)
+	return append(dst, "}}"...)
 }
 
 func (s *Server) handleCheckpoint() Response {

@@ -127,6 +127,33 @@ func CodecFuzzSeeds(str, num, flt string) [][]byte {
 	return out
 }
 
+// CodecIntegerSeeds are the lines that hold a decoder's own integer
+// reading and array sizing to encoding/json, phrased for an object with
+// a signed integer field, an unsigned one and an array of integers list:
+// each edge of int64 and uint64 and one past it, the forms only
+// encoding/json may judge, and arrays whose brackets, commas and braces
+// are not all the array's own.
+func CodecIntegerSeeds(signed, unsigned, list string) [][]byte {
+	var out [][]byte
+	for _, v := range []string{
+		"0", "-0", "01", "-01", "1e3", "1E3", "1.0", "- 1", "-", "+1", "--1", "0x1",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+		"18446744073709551615", "18446744073709551616", "99999999999999999999",
+	} {
+		for _, f := range []string{signed, unsigned} {
+			out = append(out, []byte(`{"`+f+`":`+v+`}`))
+		}
+		out = append(out, []byte(`{"`+list+`":[1,`+v+`,3]}`))
+	}
+	for _, a := range []string{
+		`[]`, `[ ]`, `[1]`, `[1,2,3]`, `[ 1 , 2 ]`, `[1,[2,3],4]`, `[[],[]]`, `[{"a":1},2]`, `[1,{"a":[1,2]}]`,
+		`["]",1]`, `[1,"a,b",2]`, `["{",3]`, `["}",4]`, `[1,2`, `[1,2,]`, `[,1]`,
+	} {
+		out = append(out, []byte(`{"`+list+`":`+a+`}`), []byte(`{"`+list+`":`+a+`,"`+signed+`":"a],b{c"}`))
+	}
+	return out
+}
+
 func caseVariant(s string) string {
 	b := []byte(s)
 	b[0] ^= 0x20

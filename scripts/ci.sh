@@ -86,6 +86,13 @@ if grep -rn 'bufio\.NewReader' --include='*.go' internal cmd | grep -v '_test\.g
     exit 1
 fi
 
+echo "==> one scrape path (no non-test Go outside internal/metrics assigns into a metrics.Snapshot's Counters, Gauges or Histograms map)"
+if grep -rnE '\.(Counters|Gauges|Histograms)\[[^]]*\] *=' --include='*.go' . | grep -v '_test\.go:' \
+    | grep -v '^\./internal/metrics/'; then
+    echo "ci: a value the scrape reports is a registry metric (a CounterFunc or GaugeFunc for one read at scrape time), so the wire reply is written from the registry alone" >&2
+    exit 1
+fi
+
 echo "==> the forward hop relays a line (every RoundTrip in non-test code under internal/fleet sends a frame.Line, not a decoded rmswire.Request)"
 if grep -rn 'RoundTrip(' --include='*.go' internal/fleet | grep -v '_test\.go:' | grep -v 'RoundTrip(nil, '; then
     echo "ci: an entry shard forwards the client's line spliced by rmswire.Forward and hands back the owner's reply line; re-encoding either costs a codec pass that changes nothing" >&2
