@@ -12,8 +12,10 @@ package frame
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -44,6 +46,8 @@ var (
 // Field is one row of a struct's table.
 type Field[T any] struct {
 	key   string // `"name":` as the encoder writes it
+	head  uint64 // the key's first eight bytes, little-endian, under mask
+	mask  uint64
 	omit  bool
 	put   func(dst []byte, t *T) ([]byte, bool)
 	get   func(b []byte, i int, t *T) int
@@ -56,8 +60,13 @@ type Field[T any] struct {
 // as encoding/json orders it.
 func Of[T, V any](tag string, val Value[V], at func(*T) *V) Field[T] {
 	name, omit := strings.CutSuffix(tag, ",omitempty")
+	key := `"` + name + `":`
+	var head [8]byte
+	n := copy(head[:], key)
 	return Field[T]{
-		key:   `"` + name + `":`,
+		key:   key,
+		head:  binary.LittleEndian.Uint64(head[:]),
+		mask:  math.MaxUint64 >> (64 - 8*n),
 		omit:  omit,
 		put:   func(dst []byte, t *T) ([]byte, bool) { return val.put(dst, at(t)) },
 		get:   func(b []byte, i int, t *T) int { return val.get(b, i, at(t)) },
@@ -140,7 +149,8 @@ func (c *Codec[T]) put(dst []byte, v *T) ([]byte, bool) {
 func (c *Codec[T]) get(b []byte, i int, v *T) int {
 	var seen uint64
 	next := 0
-	return elements(b, i, '{', '}', func(i int) int {
+	i, more := first(b, i, '{', '}')
+	for more {
 		f := c.field(b, i, next)
 		if f < 0 || seen&(1<<f) != 0 {
 			return -1
@@ -149,52 +159,68 @@ func (c *Codec[T]) get(b []byte, i int, v *T) int {
 		next = f + 1
 		// The key matched through its colon: a space before the colon
 		// is legal JSON, and json.Unmarshal's to read.
-		return c.fields[f].get(b, skipSpace(b, i+len(c.fields[f].key)), v)
-	})
+		i, more = after(b, c.fields[f].get(b, skipSpace(b, i+len(c.fields[f].key)), v), '}')
+	}
+	return i
 }
 
-// elements walks the container that opens at b[i], calling elem at the
-// first byte of each comma-separated element for the index after it, and
-// returns the index after the closing byte; -1 once elem does, or where
-// the punctuation is not a container's.
-func elements(b []byte, i int, open, shut byte, elem func(i int) int) int {
-	if i >= len(b) || b[i] != open {
-		return -1
+// first opens the container whose open byte is at b[i]: it returns the
+// index of the first element and true, or for an empty container the
+// index after its shut byte and false; -1 and false where b[i] opens no
+// container or the line ends inside it.  A container's decoder loops
+// "for more", reading an element and handing its end to after.
+func first(b []byte, i int, open, shut byte) (int, bool) {
+	if i < 0 || i >= len(b) || b[i] != open {
+		return -1, false
 	}
-	if i = skipSpace(b, i+1); i < len(b) && b[i] == shut {
-		return i + 1
+	switch i = skipSpace(b, i+1); {
+	case i >= len(b):
+		return -1, false
+	case b[i] == shut:
+		return i + 1, false
 	}
-	for {
-		if i = skipSpace(b, elem(i)); i < 0 || i >= len(b) {
-			return -1
+	return i, true
+}
+
+// after reads the punctuation after an element that ended at b[i]: a
+// comma gives the index of the next element and true, the container's
+// shut byte the index after it and false; anything else, or a failed
+// element (i < 0), gives -1 and false.
+func after(b []byte, i int, shut byte) (int, bool) {
+	if i = skipSpace(b, i); uint(i) < uint(len(b)) {
+		if b[i] == ',' {
+			return skipSpace(b, i+1), true
 		}
 		if b[i] == shut {
-			return i + 1
+			return i + 1, false
 		}
-		if b[i] != ',' {
-			return -1
-		}
-		i = skipSpace(b, i+1)
 	}
+	return -1, false
 }
 
 // field finds the field whose key stands at b[i:], trying first the one
 // the encoder would have written next.
 func (c *Codec[T]) field(b []byte, i, next int) int {
 	rest := b[i:]
-	at := func(f int) bool {
-		key := c.fields[f].key
-		return len(rest) >= len(key) && string(rest[:len(key)]) == key
-	}
-	if next < len(c.fields) && at(next) {
+	if next < len(c.fields) && c.fields[next].at(rest) {
 		return next
 	}
 	for f := range c.fields {
-		if at(f) {
+		if c.fields[f].at(rest) {
 			return f
 		}
 	}
 	return -1
+}
+
+// at reports whether rest starts with f's key, comparing its first eight
+// bytes as one word.
+func (f *Field[T]) at(rest []byte) bool {
+	if len(rest) < 8 {
+		return len(rest) >= len(f.key) && string(rest[:len(f.key)]) == f.key
+	}
+	return binary.LittleEndian.Uint64(rest)&f.mask == f.head &&
+		(len(f.key) <= 8 || len(rest) >= len(f.key) && string(rest[8:len(f.key)]) == f.key[8:])
 }
 
 // Ptr is a pointer to an inner value: null when nil, allocated on decode.
@@ -248,13 +274,14 @@ func Slice[V any](elem Value[V]) Value[[]V] {
 		},
 		get: func(b []byte, i int, v *[]V) int {
 			s := []V{}
-			i = elements(b, i, '[', ']', func(i int) int {
-				if cap(s) == 0 {
-					s = make([]V, 0, 1+commas(b, i)) // sized once, not grown
-				}
+			i, more := first(b, i, '[', ']')
+			if more {
+				s = make([]V, 0, count(b, i)) // sized once, not grown
+			}
+			for more {
 				s = append(s, *new(V))
-				return elem.get(b, i, &s[len(s)-1])
-			})
+				i, more = after(b, elem.get(b, i, &s[len(s)-1]), ']')
+			}
 			*v = s
 			return i
 		},
@@ -262,18 +289,26 @@ func Slice[V any](elem Value[V]) Value[[]V] {
 	}
 }
 
-// commas counts the commas between the elements of the array whose first
-// element starts at b[i].  It does not read strings, so one that holds a
-// bracket or a comma can only make the capacity it sizes a wrong guess.
-// A flat array is counted by bytes.Count up to its first ']'; only one
-// that holds an array or an object is walked depth by depth.
-func commas(b []byte, i int) int {
+// count sizes the array whose first element starts at b[i] before any
+// element is read.  It does not read strings, so one that holds a
+// bracket, a brace or a comma can only make the capacity a wrong guess.
+// Up to the first ']', where no '[' comes before it, an array of scalars
+// is counted by bytes.Count of its commas and an array of flat objects by
+// that of its '{' (where it equals the count of '}'); only an array that
+// holds an array, or a mixed one, is walked depth by depth.
+func count(b []byte, i int) int {
 	if end := bytes.IndexByte(b[i:], ']'); end >= 0 {
-		if flat := b[i : i+end]; bytes.IndexByte(flat, '[') < 0 && bytes.IndexByte(flat, '{') < 0 {
-			return bytes.Count(flat, []byte{','})
+		if seg := b[i : i+end]; bytes.IndexByte(seg, '[') < 0 {
+			if b[i] == '{' {
+				if n := bytes.Count(seg, []byte{'{'}); n == bytes.Count(seg, []byte{'}'}) {
+					return n
+				}
+			} else if bytes.IndexByte(seg, '{') < 0 {
+				return 1 + bytes.Count(seg, []byte{','})
+			}
 		}
 	}
-	n := 0
+	n := 1
 	for depth := 0; i < len(b); i++ {
 		switch b[i] {
 		case ',':
@@ -292,8 +327,9 @@ func commas(b []byte, i int) int {
 }
 
 // Map is a JSON object of elem under string keys, written in sorted key
-// order: null when nil.
-func Map[V any](elem Value[V]) Value[map[string]V] {
+// order as putString writes any string: null when nil.  key decodes the
+// keys, String or a Names vocabulary.
+func Map[V any](key Value[string], elem Value[V]) Value[map[string]V] {
 	return Value[map[string]V]{
 		put: func(dst []byte, v *map[string]V) ([]byte, bool) {
 			if *v == nil {
@@ -324,29 +360,44 @@ func Map[V any](elem Value[V]) Value[map[string]V] {
 		get: func(b []byte, i int, v *map[string]V) int {
 			// A repeated key overwrites, as it does in encoding/json,
 			// which zeroes the element before it decodes into it.
-			m, k, x := map[string]V{}, "", new(V)
+			i, more := first(b, i, '{', '}')
+			n := 0
+			if more {
+				n = entries(b, i)
+			}
+			m, k, x := make(map[string]V, n), "", new(V)
 			*v = m
-			return elements(b, i, '{', '}', func(i int) int {
-				if i = skipSpace(b, getString(b, i, &k)); i < 0 || i >= len(b) || b[i] != ':' {
+			for more {
+				if i = skipSpace(b, key.get(b, i, &k)); i < 0 || i >= len(b) || b[i] != ':' {
 					return -1
 				}
 				*x = *new(V)
 				i = elem.get(b, skipSpace(b, i+1), x)
 				m[k] = *x
-				return i
-			})
+				i, more = after(b, i, '}')
+			}
+			return i
 		},
 		empty: func(v *map[string]V) bool { return len(*v) == 0 },
 	}
 }
 
-// skipSpace returns the index of the first byte at or after i that is not
-// JSON white space; a negative i (a failed parse) passes through.
-func skipSpace(b []byte, i int) int {
-	if i < 0 {
-		return i
+// entries sizes the object whose first key starts at b[i] before any
+// is read: where no '{' comes before its first '}', by bytes.Count of its
+// commas; an object of objects is left to grow.  Like count it reads no
+// string, so one holding a brace or a comma only makes a wrong guess.
+func entries(b []byte, i int) int {
+	if end := bytes.IndexByte(b[i:], '}'); end >= 0 && bytes.IndexByte(b[i:i+end], '{') < 0 {
+		return 1 + bytes.Count(b[i:i+end], []byte{','})
 	}
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+	return 0
+}
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON white space; a negative i (a failed parse) passes through.  Every
+// byte above ' ' ends it at once: a canonical line has no white space.
+func skipSpace(b []byte, i int) int {
+	for uint(i) < uint(len(b)) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
 		i++
 	}
 	return i
@@ -375,23 +426,60 @@ func AppendString(dst []byte, s string) []byte {
 	return dst
 }
 
-// getString takes a string the decoder can copy out as it lies: no
-// escape, no control byte, nothing outside ASCII (encoding/json replaces
-// invalid UTF-8, so judging any of it is left to encoding/json).
+// getString takes a string the decoder can copy out as it lies.
 func getString(b []byte, i int, v *string) int {
+	end := quoted(b, i)
+	if end >= 0 {
+		*v = string(b[i+1 : end-1])
+	}
+	return end
+}
+
+// quoted returns the index after the string that opens at b[i] if its
+// bytes are its value as they lie: no escape, no control byte, nothing
+// outside ASCII (encoding/json replaces invalid UTF-8, so judging any of
+// it is left to encoding/json); otherwise -1.
+func quoted(b []byte, i int) int {
 	if i < 0 || i >= len(b) || b[i] != '"' {
 		return -1
 	}
 	for j := i + 1; j < len(b); j++ {
 		switch c := b[j]; {
 		case c == '"':
-			*v = string(b[i+1 : j])
 			return j + 1
 		case c < 0x20 || c >= 0x80 || c == '\\':
 			return -1
 		}
 	}
 	return -1
+}
+
+// Names is a String that is most often one of a fixed vocabulary, such
+// as an operation, a status or a metric name: a decoded string equal to
+// one of names is that constant, not a copy of the line's bytes, and any
+// other is copied as String copies it.  The vocabulary is fixed when
+// Names is called and never grows.
+func Names(names ...string) Value[string] {
+	known := make(map[string]string, len(names))
+	for _, n := range names {
+		known[n] = n
+	}
+	return Value[string]{
+		put: putString,
+		get: func(b []byte, i int, v *string) int {
+			end := quoted(b, i)
+			if end < 0 {
+				return -1
+			}
+			if s, ok := known[string(b[i+1:end-1])]; ok {
+				*v = s
+			} else {
+				*v = string(b[i+1 : end-1])
+			}
+			return end
+		},
+		empty: String.empty,
+	}
 }
 
 // number returns the end of the JSON number at b[i:] and whether it is
@@ -473,9 +561,26 @@ func getUint(b []byte, i int, v *uint64) int {
 func integer(b []byte, i int) (uint64, int) {
 	start := i
 	var x uint64
-	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+	n := 8 // digits read by the word below; fewer ends the run inside it
+	if len(b)-i >= 8 {
+		// The first eight bytes as one word: a byte's top bit in nd
+		// marks it as no digit ('0'..'9' alone keeps both sums below
+		// 0x80, and no carry or borrow leaves a digit), so the digits
+		// before the first mark are read at once.
+		w := binary.LittleEndian.Uint64(b[i:])
+		nd := ((w + 0x4646464646464646) | (w - 0x3030303030303030)) & 0x8080808080808080
+		if n = bits.TrailingZeros64(nd) >> 3; n > 0 {
+			x = eightDigits(w<<(64-8*n) | 0x3030303030303030>>(8*n))
+			i += n
+		}
+	}
+	for ; n == 8 && i < len(b); i++ {
 		d := uint64(b[i] - '0')
-		if x > (math.MaxUint64-d)/10 {
+		if d > 9 {
+			break
+		}
+		// Nineteen digits always fit; only a longer run can carry past.
+		if i-start >= 19 && x > (math.MaxUint64-d)/10 {
 			return 0, -1
 		}
 		x = x*10 + d
@@ -487,6 +592,14 @@ func integer(b []byte, i int) (uint64, int) {
 		return 0, -1
 	}
 	return x, i
+}
+
+// eightDigits is the value of the eight ASCII digits of w, the first in
+// its low byte: pairs, then quads, then the whole, by three multiplies.
+func eightDigits(w uint64) uint64 {
+	w -= 0x3030303030303030
+	w = w*10 + w>>8
+	return uint64(uint32(((w&0x000000FF000000FF)*(100+1000000<<32) + ((w>>16)&0x000000FF000000FF)*(1+10000<<32)) >> 32))
 }
 
 // putFloat is encoding/json's floatEncoder: ES6 number-to-string, 'e'

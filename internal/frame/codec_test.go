@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,10 +86,10 @@ var (
 		Of("plain", innerCodec.Value(), func(k *kitchen) *inner { return &k.Plain }),
 		Of("cold", Cold[cold](), func(k *kitchen) **cold { return &k.Cold }),
 		Of("cold_o,omitempty", Cold[cold](), func(k *kitchen) **cold { return &k.ColdO }),
-		Of("Signed", Map(Int64), func(k *kitchen) *map[string]int64 { return &k.Signed }),
+		Of("Signed", Map(String, Int64), func(k *kitchen) *map[string]int64 { return &k.Signed }),
 		Of("seq", Uint64, func(k *kitchen) *uint64 { return &k.Seq }),
-		Of("count", Map(Uint64), func(k *kitchen) *map[string]uint64 { return &k.Count }),
-		Of("objs,omitempty", Map(Ptr(innerCodec.Value())), func(k *kitchen) *map[string]*inner { return &k.Objs }),
+		Of("count", Map(String, Uint64), func(k *kitchen) *map[string]uint64 { return &k.Count }),
+		Of("objs,omitempty", Map(String, Ptr(innerCodec.Value())), func(k *kitchen) *map[string]*inner { return &k.Objs }),
 		Of("after", String, func(k *kitchen) *string { return &k.After }),
 	)
 )
@@ -161,5 +162,164 @@ func TestWriteBoundsTheFrame(t *testing.T) {
 	fits.Pad += "x"
 	if err := Write(&sink, pingCodec.Frame(&fits)); !errors.Is(err, ErrTooLarge) || sink.Len() != 0 {
 		t.Fatalf("a frame one byte over: wrote %d bytes, err %v; want ErrTooLarge and nothing written", sink.Len(), err)
+	}
+}
+
+// The nest types hold the shapes an array's sizing has to guess at:
+// arrays of flat objects, of objects that hold arrays, and of arrays, and
+// a map of objects under a vocabulary of keys.
+type row struct {
+	Ints []int  `json:"ints,omitempty"`
+	S    string `json:"s,omitempty"`
+	N    uint64 `json:"n"`
+}
+
+type nest struct {
+	Rows   []row           `json:"rows"`
+	ByName map[string]*row `json:"by_name,omitempty"`
+	Grid   [][]int         `json:"grid"`
+	Lists  [][]row         `json:"lists,omitempty"`
+	After  int64           `json:"after"`
+}
+
+var (
+	rowCodec = NewCodec(
+		Of("ints,omitempty", Slice(Int), func(r *row) *[]int { return &r.Ints }),
+		Of("s,omitempty", String, func(r *row) *string { return &r.S }),
+		Of("n", Uint64, func(r *row) *uint64 { return &r.N }),
+	)
+	nestCodec = NewCodec(
+		Of("rows", Slice(rowCodec.Value()), func(n *nest) *[]row { return &n.Rows }),
+		Of("by_name,omitempty", Map(Names("a", "b", "ok"), Ptr(rowCodec.Value())), func(n *nest) *map[string]*row { return &n.ByName }),
+		Of("grid", Slice(Slice(Int)), func(n *nest) *[][]int { return &n.Grid }),
+		Of("lists,omitempty", Slice(Slice(rowCodec.Value())), func(n *nest) *[][]row { return &n.Lists }),
+		Of("after", Int64, func(n *nest) *int64 { return &n.After }),
+	)
+)
+
+// nestSeeds are lines whose arrays hold what count and entries do not
+// read: strings holding braces, brackets and commas, empty objects,
+// objects that hold arrays, arrays of arrays, and punctuation that is
+// not JSON's.
+func nestSeeds() [][]byte {
+	var out [][]byte
+	for _, l := range []string{
+		`{"rows":[{"s":"{","n":1},{"s":"}","n":2},{"s":"]","n":3},{"s":",","n":4}],"after":1}`,
+		`{"rows":[{"s":"}}}","n":1},{"n":2}],"grid":[[1]]}`,
+		`{"rows":[{"s":"{{{","n":1},{"n":2}],"grid":[]}`,
+		`{"rows":[{"s":"[","n":1},{"s":"[]","n":2}],"after":-1}`,
+		`{"rows":[{},{},{}],"grid":[[],[]]}`,
+		`{"rows":[{}],"grid":null}`,
+		`{"rows":[],"grid":[],"after":0}`,
+		`{"rows":[ {} , {"n":1} ],"grid":[ [ 1 , 2 ] , [ ] ]}`,
+		`{"rows":[{"ints":[1,2],"n":1},{"ints":[],"n":2},{"n":3}],"after":2}`,
+		`{"rows":[{"ints":[1,2],"s":"]","n":1},{"ints":[3],"s":"[","n":2}]}`,
+		`{"grid":[[1,2],[3],[]],"rows":[{"n":1}]}`,
+		`{"lists":[[{"n":1}],[{"n":2},{"n":3}],[]],"grid":[[0]]}`,
+		`{"lists":[[{"ints":[1],"s":"},{","n":1}],[{}]]}`,
+		`{"by_name":{"a":{"n":1},"b":{"ints":[1],"n":2},"zz":{"s":"}","n":3}},"rows":[{"n":1}]}`,
+		`{"by_name":{"a,}":{"n":1},"ok":{}},"after":3}`,
+		`{"by_name":{"a":null}}`,
+		`{"rows":[{"n":1},2]}`,
+		`{"rows":[{"n":1}],"grid":[[1,"]"]]}`,
+		`{"rows":[{"n":1},]}`,
+		`{"rows":[{"n":1}`,
+		`{"grid":[[1,2],[3}`,
+		`{"by_name":{"a":{"n":1},}}`,
+		`{"by_name":{"a":{"n":1}`,
+	} {
+		out = append(out, []byte(l))
+	}
+	return out
+}
+
+// TestArraySizingMatchesJSON holds the decoder to encoding/json where an
+// array or a map is sized by a guess that does not read strings: a wrong
+// guess may only cost capacity.
+func TestArraySizingMatchesJSON(t *testing.T) {
+	testutil.CodecMatchesJSON[nest](t, nestCodec, 5000)
+	for _, line := range nestSeeds() {
+		testutil.CodecParsesLikeJSON[nest](t, nestCodec, line)
+	}
+}
+
+// FuzzCodecParsesLikeJSON reads arbitrary bytes as a nest and requires
+// json.Unmarshal's verdict and value.
+func FuzzCodecParsesLikeJSON(f *testing.F) {
+	for _, line := range append(nestSeeds(), testutil.CodecSamples[nest](50)...) {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		testutil.CodecParsesLikeJSON[nest](t, nestCodec, line)
+	})
+}
+
+// TestFlatObjectArrayAllocatesOnce: an array of flat objects is sized by
+// one count of its braces, so its slice is allocated once, at its length.
+func TestFlatObjectArrayAllocatesOnce(t *testing.T) {
+	const n = 150
+	line := []byte("[" + strings.Repeat(`{"n":12345678},`, n-1) + `{"n":1}]`)
+	get := Slice(rowCodec.Value()).get
+	var rows []row
+	if end := get(line, 0, &rows); end != len(line) || len(rows) != n || cap(rows) != n {
+		t.Fatalf("decoded %d rows in a slice of capacity %d, up to %d of %d bytes", len(rows), cap(rows), end, len(line))
+	}
+	if got := testing.AllocsPerRun(100, func() { get(line, 0, &rows) }); got != 1 {
+		t.Fatalf("an array of %d flat objects allocates %v times, want 1", n, got)
+	}
+}
+
+// TestNamesReturnsTheConstant: a name in the vocabulary decodes without
+// an allocation, and any other name is copied.
+func TestNamesReturnsTheConstant(t *testing.T) {
+	names := Names("ok", "overloaded")
+	var s string
+	for _, c := range []struct {
+		line   string
+		allocs float64
+	}{{`"ok"`, 0}, {`"overloaded"`, 0}, {`"okay"`, 1}, {`"o"`, 0}} {
+		line := []byte(c.line)
+		if end := names.get(line, 0, &s); end != len(line) || s != c.line[1:len(c.line)-1] {
+			t.Fatalf("%s decoded to %q, up to %d", line, s, end)
+		}
+		if got := testing.AllocsPerRun(100, func() { names.get(line, 0, &s) }); got != c.allocs {
+			t.Errorf("decoding %s allocates %v times, want %v", line, got, c.allocs)
+		}
+	}
+	for _, bad := range []string{`"o\"k"`, `"ok`, `ok`, "\"o\x01k\"", "\"\xc3\xa9\""} {
+		if end := names.get([]byte(bad), 0, &s); end >= 0 {
+			t.Errorf("%s was taken (up to %d); only encoding/json may judge it", bad, end)
+		}
+	}
+}
+
+// TestIntegerMatchesStrconv reads every digit count from 1 to 21 behind
+// each byte value, at offsets that put the run's end on and across the
+// eight-byte word the decoder reads first: the value and the end must
+// be strconv's, and what the grammar leaves to encoding/json a refusal.
+func TestIntegerMatchesStrconv(t *testing.T) {
+	const digits = "98765432109876543210123"
+	for n := 1; n <= 21; n++ {
+		for _, lead := range []string{digits[:n], "1" + strings.Repeat("0", n-1), strings.Repeat("9", n), "0" + digits[1:n]} {
+			for c := 0; c < 256; c++ {
+				for _, pad := range []string{"", "[", "[1,"} {
+					line := []byte(pad + lead + string(rune(0)) + "12345678")
+					line[len(pad)+len(lead)] = byte(c)
+					got, end := integer(line, len(pad))
+					run := lead
+					if c >= '0' && c <= '9' {
+						run = lead + string(rune(c)) + "12345678"
+					}
+					want, err := strconv.ParseUint(run, 10, 64)
+					wantEnd := len(pad) + len(run)
+					if err != nil || len(run) > 1 && run[0] == '0' || c == '.' || c == 'e' || c == 'E' {
+						want, wantEnd = 0, -1
+					}
+					if got != want || end != wantEnd {
+						t.Fatalf("integer(%q) = %d, %d; want %d, %d", line, got, end, want, wantEnd)
+					}
+				}
+			}
+		}
 	}
 }

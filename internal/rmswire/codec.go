@@ -16,10 +16,32 @@ import (
 var (
 	ints   = frame.Slice(frame.Int)
 	floats = frame.Slice(frame.Float64)
+
+	// The vocabularies a decoded string is most often one of, so that
+	// the decoder hands back the constant instead of a copy.
+	ops          = frame.Names(OpSubmit, OpReport, OpStats, OpCheckpoint, OpHealth, OpDrain, OpMetrics, OpFleet)
+	statuses     = frame.Names(StatusOK, StatusError, StatusOverloaded)
+	healthStates = frame.Names(healthOK, healthDraining, healthDegraded)
+	recordKinds  = frame.Names(recPlace, recReport)
+	metricKeys   = frame.Names(metricNames...)
 )
 
+// metricNames are the names a daemon's registry serves (protocol.go);
+// TestMetricNamesCoverTheDaemon holds the list to a journalled daemon's
+// scrape.  A name not listed, such as a fleet shard's per-peer counter,
+// still decodes, as a copy.
+var metricNames = []string{
+	MetricConnsAccepted, MetricShedConnLimit, MetricShedDraining, MetricShedInflight, MetricShedIdemPending,
+	MetricShedReportPending, MetricOverloadReplies, MetricRequests, MetricSubmitOK, MetricSubmitErr,
+	MetricReportOK, MetricReportErr, MetricReportReplays, MetricPlacements, MetricIdemHits,
+	MetricRefusedDegraded, MetricAutoCheckpointErrors, MetricWALAppends, MetricWALSyncs, MetricWALRotations,
+	MetricConns, MetricInFlight, MetricOpenPlacements, MetricIdemEntries, MetricPlaced, MetricDraining,
+	MetricDegraded, MetricWALSegments, MetricJournalNextSeq,
+	MetricOpSubmitNS, MetricOpReportNS, MetricOpStatsNS, MetricWALBatchRecords,
+}
+
 var requestCodec = frame.NewCodec(
-	frame.Of("op", frame.String, func(r *Request) *string { return &r.Op }),
+	frame.Of("op", ops, func(r *Request) *string { return &r.Op }),
 	frame.Of("client,omitempty", frame.Int, func(r *Request) *int { return &r.Client }),
 	frame.Of("activities,omitempty", ints, func(r *Request) *[]int { return &r.Activities }),
 	frame.Of("rtl,omitempty", frame.String, func(r *Request) *string { return &r.RTL }),
@@ -57,7 +79,7 @@ var statsCodec = frame.NewCodec(
 )
 
 var healthCodec = frame.NewCodec(
-	frame.Of("status", frame.String, func(h *HealthInfo) *string { return &h.Status }),
+	frame.Of("status", healthStates, func(h *HealthInfo) *string { return &h.Status }),
 	frame.Of("draining,omitempty", frame.Bool, func(h *HealthInfo) *bool { return &h.Draining }),
 	frame.Of("degraded,omitempty", frame.Bool, func(h *HealthInfo) *bool { return &h.Degraded }),
 	frame.Of("degraded_cause,omitempty", frame.String, func(h *HealthInfo) *string { return &h.DegradedCause }),
@@ -93,15 +115,15 @@ var histCodec = frame.NewCodec(
 // The first four rows are the embedded metrics.Snapshot's.
 var metricsCodec = frame.NewCodec(
 	frame.Of("seq", frame.Uint64, func(m *MetricsInfo) *uint64 { return &m.Seq }),
-	frame.Of("counters", frame.Map(frame.Uint64), func(m *MetricsInfo) *map[string]uint64 { return &m.Counters }),
-	frame.Of("gauges,omitempty", frame.Map(frame.Int64), func(m *MetricsInfo) *map[string]int64 { return &m.Gauges }),
-	frame.Of("histograms,omitempty", frame.Map(frame.Ptr(histCodec.Value())), func(m *MetricsInfo) *map[string]*metrics.HistSnapshot { return &m.Histograms }),
+	frame.Of("counters", frame.Map(metricKeys, frame.Uint64), func(m *MetricsInfo) *map[string]uint64 { return &m.Counters }),
+	frame.Of("gauges,omitempty", frame.Map(metricKeys, frame.Int64), func(m *MetricsInfo) *map[string]int64 { return &m.Gauges }),
+	frame.Of("histograms,omitempty", frame.Map(metricKeys, frame.Ptr(histCodec.Value())), func(m *MetricsInfo) *map[string]*metrics.HistSnapshot { return &m.Histograms }),
 	frame.Of("uptime_ms", frame.Int64, func(m *MetricsInfo) *int64 { return &m.UptimeMS }),
 	frame.Of("start_unix_nanos", frame.Int64, func(m *MetricsInfo) *int64 { return &m.StartUnixNanos }),
 )
 
 var responseCodec = frame.NewCodec(
-	frame.Of("status", frame.String, func(r *Response) *string { return &r.Status }),
+	frame.Of("status", statuses, func(r *Response) *string { return &r.Status }),
 	frame.Of("error,omitempty", frame.String, func(r *Response) *string { return &r.Error }),
 	frame.Of("placement,omitempty", frame.Ptr(placementCodec.Value()), func(r *Response) **PlacementInfo { return &r.Placement }),
 	frame.Of("stats,omitempty", frame.Ptr(statsCodec.Value()), func(r *Response) **StatsInfo { return &r.Stats }),
@@ -115,7 +137,7 @@ var responseCodec = frame.NewCodec(
 )
 
 var recordCodec = frame.NewCodec(
-	frame.Of("kind", frame.String, func(r *journalRecord) *string { return &r.Kind }),
+	frame.Of("kind", recordKinds, func(r *journalRecord) *string { return &r.Kind }),
 	frame.Of("id,omitempty", frame.Uint64, func(r *journalRecord) *uint64 { return &r.ID }),
 	frame.Of("machine", frame.Int, func(r *journalRecord) *int { return &r.Machine }),
 	frame.Of("machine_id,omitempty", frame.Int, func(r *journalRecord) *int { return &r.MachineID }),

@@ -1,7 +1,10 @@
 package rmswire
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"slices"
 	"testing"
 
 	"gridtrust/internal/frame"
@@ -55,6 +58,13 @@ func codecSeeds() [][]byte {
 		[]byte(`{"status":"ok","metrics":{"seq":18446744073709551615,"counters":{"a]":1,"b,{":18446744073709551615},"gauges":{"g":-9223372036854775808},`+
 			`"histograms":{"h":{"count":2,"sum":0,"buckets":[{"idx":1,"lo":1,"n":1},{"idx":2,"lo":2,"n":1}]}},"uptime_ms":9223372036854775807,"start_unix_nanos":-0}}`),
 		[]byte(`{"status":"ok","metrics":{"seq":1,"counters":{},"histograms":{"h":{"count":1,"sum":1,"buckets":[{"idx":1,"lo":1,"n":18446744073709551616}]}},"uptime_ms":0,"start_unix_nanos":0}}`))
+	// A loaded daemon's scrape: 157 buckets in three arrays of flat
+	// objects under a map of objects, every name in metricNames.
+	loaded, err := os.ReadFile(loadedScrape)
+	if err != nil {
+		panic(err)
+	}
+	seeds = append(seeds, loaded)
 	for _, v := range codecSamples() {
 		line, err := json.Marshal(v)
 		if err != nil {
@@ -106,8 +116,9 @@ func codecSamples() []any {
 
 // TestCodecAllocations pins what the request path allocates for its
 // frames: nothing to encode into a buffer it already has, and to parse a
-// keyed submit only the values the Request keeps — the op, the key and
-// the two slices (a one-byte string such as the RTL costs nothing).
+// keyed submit only the values the Request keeps — the key and the two
+// slices (the op is one of ops, and a one-byte string such as the RTL
+// costs nothing).
 func TestCodecAllocations(t *testing.T) {
 	buf := make([]byte, 0, 4096)
 	encode := func(name string, run func() ([]byte, error)) {
@@ -122,14 +133,19 @@ func TestCodecAllocations(t *testing.T) {
 	encode("submit request", func() ([]byte, error) { return requestCodec.Append(buf, &sampleSubmit) })
 	encode("placement reply", func() ([]byte, error) { return responseCodec.Append(buf, &samplePlacement) })
 	encode("journal record", func() ([]byte, error) { return recordCodec.Append(buf, &sampleRecord) })
+	// A map's encoder takes one element to hand its Value, and the stack
+	// array it sorts the keys in must stay on the stack.
+	if got := testing.AllocsPerRun(200, func() { _, _ = responseCodec.Append(buf, &sampleMetrics) }); got > 3 {
+		t.Errorf("encoding a metrics reply into a reused buffer allocates %v times, want at most 3 (one element per map)", got)
+	}
 
 	line, err := json.Marshal(&sampleSubmit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var req Request
-	if got := testing.AllocsPerRun(200, func() { _ = requestCodec.Parse(line, &req) }); got != 4 {
-		t.Errorf("parsing a keyed submit allocates %v times, want 4 (op, idem_key, activities, eec)", got)
+	if got := testing.AllocsPerRun(200, func() { _ = requestCodec.Parse(line, &req) }); got != 3 {
+		t.Errorf("parsing a keyed submit allocates %v times, want 3 (idem_key, activities, eec)", got)
 	}
 }
 
@@ -175,4 +191,52 @@ func benchCodec[T any](b *testing.B, name string, c *frame.Codec[T], v *T) {
 			}
 		}
 	})
+}
+
+// TestLoadedScrapeDecode: the line 1579d5c's registry wrote re-encodes
+// to the same bytes, and its decode allocates only the MetricsInfo, the
+// three maps, each histogram and its bucket slice, and no metric name
+// (every one is in metricNames).
+func TestLoadedScrapeDecode(t *testing.T) {
+	line, err := os.ReadFile(loadedScrape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := responseCodec.Parse(line, &resp); err != nil || resp.Metrics == nil || len(resp.Metrics.Histograms) != 3 {
+		t.Fatalf("loaded scrape: %+v, %v", resp, err)
+	}
+	if again, err := responseCodec.Append(nil, &resp); err != nil || !bytes.Equal(again, line) {
+		t.Fatalf("the loaded scrape re-encodes as\n%s\n(%v), not as written", again, err)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = responseCodec.Parse(line, &resp) }); got > 21 {
+		t.Fatalf("decoding a loaded scrape allocates %v times, want at most 21", got)
+	}
+}
+
+// TestMetricNamesCoverTheDaemon: every name a journalled daemon serves
+// is in the vocabulary its scrape is decoded with, so a client copies
+// none of them.
+func TestMetricNamesCoverTheDaemon(t *testing.T) {
+	srv, client, stop := startJournaled(t, t.TempDir(), 0)
+	defer stop()
+	if _, err := client.Health(); err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.Metrics().Snapshot()
+	var served []string
+	for name := range snap.Counters {
+		served = append(served, name)
+	}
+	for name := range snap.Gauges {
+		served = append(served, name)
+	}
+	for name := range snap.Histograms {
+		served = append(served, name)
+	}
+	for _, name := range served {
+		if !slices.Contains(metricNames, name) {
+			t.Errorf("the daemon serves %q, which metricNames lacks", name)
+		}
+	}
 }

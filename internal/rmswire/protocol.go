@@ -246,6 +246,13 @@ type HealthInfo struct {
 	TopologyClients  int `json:"topology_clients"`
 }
 
+// The health statuses.
+const (
+	healthOK       = "ok"
+	healthDraining = "draining"
+	healthDegraded = "degraded"
+)
+
 // MetricsInfo is the payload of the metrics op: a point-in-time registry
 // snapshot plus the instance identity needed to detect restarts between
 // scrapes.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net"
+	"os"
 	"sync"
 	"testing"
 
@@ -144,9 +145,9 @@ func pipeClient(t *testing.T) *Client {
 }
 
 // TestClientRoundTripAllocations: a Client owns its request, its reply
-// and their bound frames, so a health round trip allocates only values
-// the frames carry, counted on both sides of the pipe: the server's op
-// string and HealthInfo, the client's HealthInfo and status strings.
+// and their bound frames, and the op and the statuses decode to their
+// constants, so a health round trip allocates only the HealthInfo on
+// each side of the pipe.
 func TestClientRoundTripAllocations(t *testing.T) {
 	c := pipeClient(t)
 	if _, err := c.Health(); err != nil {
@@ -157,8 +158,8 @@ func TestClientRoundTripAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 5 {
-		t.Fatalf("a health round trip allocates %v times, want at most 5", got)
+	if got > 2 {
+		t.Fatalf("a health round trip allocates %v times, want at most 2", got)
 	}
 }
 
@@ -196,9 +197,15 @@ func TestClientConcurrentCallers(t *testing.T) {
 	}
 }
 
+// loadedScrape is the line the registry of 1579d5c wrote after 20 s of
+// the benchmark's serve_mixed workload (seed 7): 5.4 KB, 157 histogram
+// buckets, every counter and gauge a daemon without a journal serves.
+const loadedScrape = "testdata/scrape_1579d5c.json"
+
 // BenchmarkScrape reads the scrape's parts on one journalled daemon: the
-// server's line write, the client's decode of that line, and a scrape
-// round trip over loopback beside a health round trip.
+// server's line write, the client's decode of that line and of a loaded
+// daemon's line, and a scrape round trip over loopback beside a health
+// round trip.
 func BenchmarkScrape(b *testing.B) {
 	srv, client, stop := startJournaled(b, b.TempDir(), 0)
 	defer stop()
@@ -225,6 +232,19 @@ func BenchmarkScrape(b *testing.B) {
 		b.SetBytes(int64(len(line)))
 		for i := 0; i < b.N; i++ {
 			if err := responseCodec.Parse(line, &resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	loaded, err := os.ReadFile(loadedScrape)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode-loaded", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(loaded)))
+		for i := 0; i < b.N; i++ {
+			if err := responseCodec.Parse(loaded, &resp); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -487,7 +487,7 @@ func (s *Server) handleHealth() Response {
 	open, idem := s.books.counts()
 	topo := s.trms.Topology()
 	h := &HealthInfo{
-		Status:           "ok",
+		Status:           healthOK,
 		Draining:         s.draining.Load(),
 		Conns:            s.Conns(),
 		MaxConns:         s.MaxConns,
@@ -503,10 +503,10 @@ func (s *Server) handleHealth() Response {
 		TopologyClients:  len(topo.Clients()),
 	}
 	if h.Draining {
-		h.Status = "draining"
+		h.Status = healthDraining
 	}
 	if deg, cause := s.Degraded(); deg {
-		h.Status = "degraded"
+		h.Status = healthDegraded
 		h.Degraded = true
 		h.DegradedCause = cause
 	}

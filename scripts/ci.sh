@@ -240,6 +240,7 @@ for spec in \
     "./internal/grid FuzzETSWith" \
     "./internal/grid FuzzLevelFromScore" \
     "./internal/grid FuzzStoreMatchesReference" \
+    "./internal/frame FuzzCodecParsesLikeJSON" \
     "./internal/trustwire FuzzReadFrame" \
     "./internal/trustwire FuzzCodecMatchesJSON" \
     "./internal/rmswire FuzzCodecMatchesJSON" \
