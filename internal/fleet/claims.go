@@ -104,7 +104,7 @@ func (c *Claims) FuseOTL(cd, rd grid.DomainID, toa grid.ToA, local grid.TrustLev
 	now := c.now()
 	for _, p := range c.peers {
 		cl := p.claim.Load()
-		if cl == nil || now.Sub(cl.at) > c.bound {
+		if !c.fresh(cl, now) {
 			continue
 		}
 		lvl, err := cl.table.OTL(cd, rd, toa)
@@ -116,6 +116,13 @@ func (c *Claims) FuseOTL(cd, rd grid.DomainID, toa grid.ToA, local grid.TrustLev
 		}
 	}
 	return fused
+}
+
+// fresh reports whether a peer's claim enters fusion at now: there is
+// one, and it is no older than the staleness bound.  FuseOTL and
+// peerInfos both read this rule, so a peer shown fresh is one fused.
+func (c *Claims) fresh(cl *claim, now time.Time) bool {
+	return cl != nil && now.Sub(cl.at) <= c.bound
 }
 
 // round is p's Poll hook, run after each gossip round.  A round whose
@@ -139,20 +146,19 @@ func (c *Claims) peerInfos() []rmswire.FleetPeerInfo {
 	now := c.now()
 	out := make([]rmswire.FleetPeerInfo, 0, len(c.peers))
 	for _, p := range c.peers {
+		cl := p.claim.Load()
 		info := rmswire.FleetPeerInfo{
 			Name:       p.cfg.Name,
 			Addr:       p.cfg.Addr,
 			TrustAddr:  p.cfg.TrustAddr,
 			AgeMS:      -1,
-			Stale:      true,
+			Stale:      !c.fresh(cl, now),
 			Syncs:      p.syncC.Load(),
 			SyncErrors: p.errC.Load(),
 		}
-		if cl := p.claim.Load(); cl != nil {
-			age := now.Sub(cl.at)
+		if cl != nil {
 			info.Version, info.Entries = cl.table.Version(), cl.table.Len()
-			info.AgeMS = age.Milliseconds()
-			info.Stale = age > c.bound
+			info.AgeMS = now.Sub(cl.at).Milliseconds()
 		}
 		out = append(out, info)
 	}

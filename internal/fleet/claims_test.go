@@ -90,6 +90,41 @@ func TestFuseOTLReadsOneRoundWhole(t *testing.T) {
 	}
 }
 
+// TestFreshnessIsOneRule: fusion and the fleet status read one
+// staleness rule.  A claim exactly as old as the bound is fused and shown
+// fresh; one nanosecond older it is neither.
+func TestFreshnessIsOneRule(t *testing.T) {
+	table := grid.NewTrustTable()
+	if err := table.Set(0, 2, grid.ActCompute, grid.LevelA); err != nil {
+		t.Fatal(err)
+	}
+	const bound = time.Second
+	c := servedClaims(t, table, bound)
+	t0 := time.Unix(1000, 0)
+	clock := t0
+	c.now = func() time.Time { return clock }
+	p := c.peers[0]
+	_, err := p.rep.Sync()
+	c.round(p, err)
+	toa := grid.MustToA(grid.ActCompute)
+	for _, tc := range []struct {
+		age   time.Duration
+		fresh bool
+	}{{0, true}, {bound, true}, {bound + time.Nanosecond, false}} {
+		clock = t0.Add(tc.age)
+		want := grid.LevelC
+		if tc.fresh {
+			want = grid.LevelA
+		}
+		if got := c.FuseOTL(0, 2, toa, grid.LevelC); got != want {
+			t.Errorf("age %v: fused OTL = %v, want %v", tc.age, got, want)
+		}
+		if stale := c.peerInfos()[0].Stale; stale == tc.fresh {
+			t.Errorf("age %v: status shows stale=%v, want %v", tc.age, stale, !tc.fresh)
+		}
+	}
+}
+
 // TestFuseOTLAllocatesNothing: the scheduler prices one cell per
 // (task, RD), each through FuseOTL.
 func TestFuseOTLAllocatesNothing(t *testing.T) {

@@ -17,9 +17,9 @@ import (
 	"gridtrust/internal/wal"
 )
 
-// soakSeed fixes every random choice in the chaos soak — wire fates,
-// load arrivals, reservoir sampling — so a failure reproduces bit-for-
-// bit from the seed alone.
+// soakSeed fixes every random choice in the chaos soak — wire fates
+// and load arrivals — so a failure reproduces bit-for-bit from the seed
+// alone.
 const soakSeed = 0xC4A05
 
 // soakShard is one journaled, chaos-wrapped member of the soak fleet.

@@ -37,9 +37,9 @@ import (
 	"time"
 
 	"gridtrust/internal/grid"
+	"gridtrust/internal/metrics"
 	"gridtrust/internal/rmswire"
 	"gridtrust/internal/rng"
-	"gridtrust/internal/stats"
 )
 
 // Modes and arrival processes.
@@ -55,10 +55,6 @@ const (
 // burstSize groups bursty arrivals: every burst arrives at one instant,
 // bursts are spaced so the mean rate stays at TargetRPS.
 const burstSize = 8
-
-// sampleCap bounds each worker's latency reservoirs, so a long run's memory
-// does not grow with its op count.
-const sampleCap = 65536
 
 // Config parameterises one load run.  Zero values select defaults.
 type Config struct {
@@ -161,7 +157,9 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// LatencySummary condenses one latency sample, in milliseconds.
+// LatencySummary condenses one op kind's latencies, in milliseconds.  N,
+// the mean and the max are exact; the percentiles are the histogram's
+// bucket estimates (metrics.HistSnapshot.Quantile).
 type LatencySummary struct {
 	N      int     `json:"n"`
 	MeanMS float64 `json:"mean_ms"`
@@ -173,19 +171,22 @@ type LatencySummary struct {
 	MaxMS  float64 `json:"max_ms"`
 }
 
-func summarize(s *stats.Pool, maxMS float64) LatencySummary {
-	if s.N() == 0 {
+// summarize reads a histogram of latencies in nanoseconds, and the
+// largest one observed.
+func summarize(s *metrics.HistSnapshot, longest time.Duration) LatencySummary {
+	if s.Count == 0 {
 		return LatencySummary{}
 	}
+	const ms = float64(time.Millisecond)
 	return LatencySummary{
-		N:      s.N(),
-		MeanMS: s.Mean(),
-		P50MS:  s.Quantile(0.50),
-		P90MS:  s.Quantile(0.90),
-		P95MS:  s.Quantile(0.95),
-		P99MS:  s.Quantile(0.99),
-		P999MS: s.Quantile(0.999),
-		MaxMS:  maxMS,
+		N:      int(s.Count),
+		MeanMS: s.Mean() / ms,
+		P50MS:  s.Quantile(0.50) / ms,
+		P90MS:  s.Quantile(0.90) / ms,
+		P95MS:  s.Quantile(0.95) / ms,
+		P99MS:  s.Quantile(0.99) / ms,
+		P999MS: s.Quantile(0.999) / ms,
+		MaxMS:  float64(longest) / ms,
 	}
 }
 
@@ -269,10 +270,11 @@ type worker struct {
 	retrier  *rmswire.Retrier
 	src      *rng.Source
 
-	submitLat *stats.Sample
-	reportLat *stats.Sample
-	maxSubmit float64
-	maxReport float64
+	// The histograms are every worker's; the maxima are this one's.
+	submitLat *metrics.Histogram
+	reportLat *metrics.Histogram
+	maxSubmit time.Duration
+	maxReport time.Duration
 
 	submitsIssued int64
 	submitsOK     int64
@@ -333,9 +335,10 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	streams := rng.Streams(cfg.Seed, cfg.Clients+1)
+	var submitLat, reportLat metrics.Histogram
 	workers := make([]*worker, cfg.Clients)
 	for i := range workers {
-		w := &worker{
+		workers[i] = &worker{
 			id:       i,
 			clientID: grid.ClientID(i % health.TopologyClients),
 			// Workers pin one entry shard for their whole run: the
@@ -343,12 +346,9 @@ func Run(cfg Config) (*Report, error) {
 			// is anchored on retries re-entering through the same shard.
 			retrier:   rmswire.NewRetrier(cfg.retrierConfigAddr(shardAddrs[i%len(shardAddrs)], cfg.Seed+uint64(i)*0x1000)),
 			src:       streams[i],
-			submitLat: &stats.Sample{},
-			reportLat: &stats.Sample{},
+			submitLat: &submitLat,
+			reportLat: &reportLat,
 		}
-		w.submitLat.Bound(sampleCap, cfg.Seed+uint64(i)*2+1)
-		w.reportLat.Bound(sampleCap, cfg.Seed+uint64(i)*2+2)
-		workers[i] = w
 	}
 	defer func() {
 		for _, w := range workers {
@@ -421,8 +421,7 @@ func Run(cfg Config) (*Report, error) {
 		rep.Arrival = cfg.Arrival
 		rep.TargetRPS = cfg.Rate
 	}
-	submitAll, reportAll := &stats.Pool{}, &stats.Pool{}
-	var maxSubmit, maxReport float64
+	var maxSubmit, maxReport time.Duration
 	var sloAttained int64
 	for _, w := range workers {
 		rep.SubmitsIssued += w.submitsIssued
@@ -432,21 +431,15 @@ func Run(cfg Config) (*Report, error) {
 		rep.ReportsOK += w.reportsOK
 		rep.ReportErrors += w.reportErrors
 		sloAttained += w.sloAttained
-		submitAll.Add(w.submitLat)
-		reportAll.Add(w.reportLat)
-		if w.maxSubmit > maxSubmit {
-			maxSubmit = w.maxSubmit
-		}
-		if w.maxReport > maxReport {
-			maxReport = w.maxReport
-		}
+		maxSubmit = max(maxSubmit, w.maxSubmit)
+		maxReport = max(maxReport, w.maxReport)
 		rep.Retrier.Add(w.retrier.Counters())
 	}
 	rep.ThroughputRPS = float64(rep.SubmitsOK+rep.ReportsOK-settled) / elapsed.Seconds()
 	rep.PerCoreRPS = rep.ThroughputRPS / float64(rep.CPUs)
-	rep.SubmitLatency = summarize(submitAll, maxSubmit)
-	rep.ReportLatency = summarize(reportAll, maxReport)
-	if n := submitAll.N(); n > 0 {
+	rep.SubmitLatency = summarize(submitLat.Snapshot(), maxSubmit)
+	rep.ReportLatency = summarize(reportLat.Snapshot(), maxReport)
+	if n := rep.SubmitLatency.N; n > 0 {
 		rep.SLOAttained = float64(sloAttained) / float64(n)
 	}
 	if len(cfg.FleetAddrs) > 0 {
@@ -572,17 +565,15 @@ func (w *worker) doTask(cfg Config, acts []grid.Activity, rtl grid.TrustLevel, m
 		p, err = w.retrier.SubmitKeyed(key, w.clientID, acts, rtl, eec, now)
 		return err
 	}, &w.submitsOK, &w.submitErrors)
-	latMS := float64(time.Since(chargeFrom)) / float64(time.Millisecond)
+	lat := time.Since(chargeFrom)
 	if !placed {
 		// Rejected for good (the key was never placed: a placed key
 		// always replays ok), or deferred to the settle pass.
 		return
 	}
-	w.submitLat.Add(latMS)
-	if latMS > w.maxSubmit {
-		w.maxSubmit = latMS
-	}
-	if time.Duration(latMS*float64(time.Millisecond)) <= cfg.SLO {
+	w.submitLat.Observe(uint64(lat))
+	w.maxSubmit = max(w.maxSubmit, lat)
+	if lat <= cfg.SLO {
 		w.sloAttained++
 	}
 	if cfg.ReportFraction >= 1 || w.src.Float64() < cfg.ReportFraction {
@@ -591,14 +582,12 @@ func (w *worker) doTask(cfg Config, acts []grid.Activity, rtl grid.TrustLevel, m
 		reported := w.attempt(func() error {
 			return w.retrier.Report(id, cfg.Outcome, rnow)
 		}, &w.reportsOK, &w.reportErrors)
-		rMS := float64(time.Since(t0)) / float64(time.Millisecond)
+		rLat := time.Since(t0)
 		if !reported {
 			return
 		}
-		w.reportLat.Add(rMS)
-		if rMS > w.maxReport {
-			w.maxReport = rMS
-		}
+		w.reportLat.Observe(uint64(rLat))
+		w.maxReport = max(w.maxReport, rLat)
 	}
 }
 

@@ -2,14 +2,15 @@ package load
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"gridtrust/internal/core"
 	"gridtrust/internal/gridgen"
+	"gridtrust/internal/metrics"
 	"gridtrust/internal/rmswire"
 	"gridtrust/internal/rng"
-	"gridtrust/internal/stats"
 	"gridtrust/internal/trust"
 	"gridtrust/internal/wal"
 )
@@ -201,31 +202,56 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestLatencyFoldWeighsWorkersBySeen folds two workers' reservoirs as Run
-// does: one saw 200 000 ops at 1 ms and kept sampleCap of them, the other
-// 10 000 at 10 ms and kept all.  The summary is the pooled stream's: the
-// mean is sum / N, and 95 % of the ops took 1 ms.
+// TestLatencyFoldWeighsWorkersBySeen records two workers' latencies as
+// Run does, into one shared histogram: one worker saw 200 000 ops at
+// 1 ms, the other 10 000 at 10 ms.  The summary is the whole stream's:
+// N and the mean (sum / N) are exact, 95 % of the ops took 1 ms, so p50,
+// p90 and p95 lie in the 1 ms bucket and p99 in the 10 ms one.
 func TestLatencyFoldWeighsWorkersBySeen(t *testing.T) {
-	var fast, slow stats.Sample
-	fast.Bound(sampleCap, 1)
-	slow.Bound(sampleCap, 2)
-	for i := 0; i < 200000; i++ {
-		fast.Add(1)
+	var h metrics.Histogram
+	var wg sync.WaitGroup
+	for _, w := range []struct {
+		n   int
+		lat time.Duration
+	}{{200000, time.Millisecond}, {10000, 10 * time.Millisecond}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < w.n; i++ {
+				h.Observe(uint64(w.lat))
+			}
+		}()
 	}
-	for i := 0; i < 10000; i++ {
-		slow.Add(10)
-	}
-	var all stats.Pool
-	all.Add(&fast)
-	all.Add(&slow)
-	got := summarize(&all, 10)
+	wg.Wait()
+	got := summarize(h.Snapshot(), 10*time.Millisecond)
 	if got.N != 210000 {
 		t.Fatalf("n = %d, want 210000", got.N)
 	}
 	if want := 300000.0 / 210000; math.Abs(got.MeanMS-want) > 1e-12 {
 		t.Errorf("mean_ms = %v, want sum / N = %v", got.MeanMS, want)
 	}
-	if got.P50MS != 1 || got.P90MS != 1 || got.P95MS != 1 || got.P99MS != 10 {
-		t.Errorf("p50/p90/p95/p99 = %v/%v/%v/%v ms, want 1/1/1/10", got.P50MS, got.P90MS, got.P95MS, got.P99MS)
+	if got.MaxMS != 10 {
+		t.Errorf("max_ms = %v, want 10", got.MaxMS)
+	}
+	// bucketMS is the range, in ms, of the bucket holding lat.
+	bucketMS := func(lat time.Duration) (lo, hi float64) {
+		var one metrics.Histogram
+		one.Observe(uint64(lat))
+		b := one.Snapshot().Buckets[0]
+		return float64(b.Lo) / 1e6, float64(metrics.BucketHi(b.Idx)) / 1e6
+	}
+	for _, c := range []struct {
+		name string
+		got  float64
+		lat  time.Duration
+	}{
+		{"p50", got.P50MS, time.Millisecond},
+		{"p90", got.P90MS, time.Millisecond},
+		{"p95", got.P95MS, time.Millisecond},
+		{"p99", got.P99MS, 10 * time.Millisecond},
+	} {
+		if lo, hi := bucketMS(c.lat); c.got < lo || c.got > hi {
+			t.Errorf("%s = %v ms, want it in the bucket of %v, [%v, %v] ms", c.name, c.got, c.lat, lo, hi)
+		}
 	}
 }

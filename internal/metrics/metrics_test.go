@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -115,6 +116,54 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if !math.IsNaN((&HistSnapshot{}).Quantile(0.5)) {
 		t.Fatal("empty quantile should be NaN")
+	}
+}
+
+// TestHistogramQuantileBracketsTheRank is Quantile's contract over
+// random multisets: small exact values, exponential latencies around
+// 1 ms, and a few values repeated many times.  With r = q·(n−1), the
+// estimate lies between the low edge of the bucket holding x₍⌊r⌋₎ and
+// the high edge of the bucket holding x₍⌈r⌉₎; Count, Sum and Mean are
+// exact.
+func TestHistogramQuantileBracketsTheRank(t *testing.T) {
+	src := rng.New(49)
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + src.Intn(400)
+		var draw func() uint64
+		switch trial % 3 {
+		case 0:
+			draw = func() uint64 { return uint64(src.Intn(8)) }
+		case 1:
+			draw = func() uint64 { return uint64(src.Exponential(1e-6)) }
+		default:
+			ties := make([]uint64, 1+src.Intn(4))
+			for i := range ties {
+				ties[i] = uint64(src.Exponential(1e-6))
+			}
+			draw = func() uint64 { return ties[src.Intn(len(ties))] }
+		}
+		var h Histogram
+		xs := make([]uint64, n)
+		sum := uint64(0)
+		for i := range xs {
+			xs[i] = draw()
+			sum += xs[i]
+			h.Observe(xs[i])
+		}
+		slices.Sort(xs)
+		s := h.Snapshot()
+		if s.Count != uint64(n) || s.Sum != sum || s.Mean() != float64(sum)/float64(n) {
+			t.Fatalf("trial %d: count %d sum %d mean %v, want %d, %d, %v",
+				trial, s.Count, s.Sum, s.Mean(), n, sum, float64(sum)/float64(n))
+		}
+		for _, q := range []float64{0, 0.001, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1, src.Float64()} {
+			r := q * float64(n-1)
+			lo := float64(BucketLo(bucketIndex(xs[int(math.Floor(r))])))
+			hi := float64(BucketHi(bucketIndex(xs[int(math.Ceil(r))])))
+			if got := s.Quantile(q); got < lo || got > hi {
+				t.Fatalf("trial %d (n=%d): q%v = %v, want in [%v, %v]", trial, n, q, got, lo, hi)
+			}
+		}
 	}
 }
 

@@ -78,19 +78,32 @@ func ForwardKey(shard string, instance int64, seq uint64) string {
 
 // parseForwardKey splits a minted key into its instance, the key minus
 // its last -<seq> field, and its seq.  Only the form ForwardKey writes
-// for a seq of at least 1 parses, so no two keys share an (instance,
-// seq); any other key is a client's.  A client that sends a key of this
-// form has it kept like a minted one.
+// for a seq of at least 1 parses — fwd-, a shard, -, an int64 and -, a
+// uint64, each number as strconv writes it — so no two keys share an
+// (instance, seq); any other key is a client's.  A client that sends a
+// key of this form has it kept like a minted one.
 func parseForwardKey(key string) (instance string, seq uint64, ok bool) {
 	i := strings.LastIndexByte(key, '-')
-	if !strings.HasPrefix(key, forwardKeyPrefix) || i < len(forwardKeyPrefix) || i+1 >= len(key) || key[i+1] == '0' {
+	if !strings.HasPrefix(key, forwardKeyPrefix) || i < len(forwardKeyPrefix) {
 		return "", 0, false
 	}
-	seq, err := strconv.ParseUint(key[i+1:], 10, 64)
-	if err != nil {
+	// A negative instance reads as a shard ending in '-' and its
+	// magnitude, which ForwardKey writes too, so the instance field is
+	// the digits after the key's second-to-last '-'.
+	j := strings.LastIndexByte(key[:i], '-')
+	_, instOK := decimal(key[j+1:i], 63)
+	seq, seqOK := decimal(key[i+1:], 64)
+	if j < len(forwardKeyPrefix) || !instOK || !seqOK || seq == 0 {
 		return "", 0, false
 	}
 	return key[:i], seq, true
+}
+
+// decimal parses s as strconv writes a non-negative number of at most
+// bits bits: digits only, and no leading zero but in "0" itself.
+func decimal(s string, bits int) (uint64, bool) {
+	n, err := strconv.ParseUint(s, 10, bits)
+	return n, err == nil && (s[0] != '0' || len(s) == 1)
 }
 
 // keyWindow holds one instance's acknowledged minted records, ascending

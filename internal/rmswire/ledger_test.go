@@ -2,6 +2,7 @@ package rmswire
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -47,6 +48,7 @@ func TestForwardKeyForm(t *testing.T) {
 		{"s1", 1792391658962852561, 7, "fwd-s1-1792391658962852561-7"},
 		{"east-2", -3, 18446744073709551615, "fwd-east-2--3-18446744073709551615"},
 		{"", 0, 1, "fwd--0-1"},
+		{"s1", math.MaxInt64, 1, "fwd-s1-9223372036854775807-1"},
 	} {
 		key := ForwardKey(c.shard, c.instance, c.seq)
 		if key != c.key {
@@ -62,6 +64,7 @@ func TestForwardKeyForm(t *testing.T) {
 	for _, key := range []string{
 		"", "k", "fwd-", "fwd-7", "fwd--", "fwd-s1-5-", "fwd-s1-5-0", "fwd-s1-5-007",
 		"fwd-s1-5-+7", "fwd-s1-5-7x", "fwd-s1-5-18446744073709551616", "xfwd-s1-5-7", "FWD-s1-5-7",
+		"fwd--5", "fwd-x-5", "fwd-s1-x-5", "fwd-s1-05-7", "fwd-s1-+5-7", "fwd-s1-9223372036854775808-7",
 	} {
 		if inst, seq, ok := parseForwardKey(key); ok {
 			t.Errorf("parseForwardKey(%q) = %q, %d, true; want a client key", key, inst, seq)
@@ -189,6 +192,39 @@ func TestClientKeysAreNeverEvicted(t *testing.T) {
 	}
 	if _, idem := l.counts(); idem != len(client)+ForwardKeyWindow {
 		t.Errorf("counts() idem = %d, want %d", idem, len(client)+ForwardKeyWindow)
+	}
+}
+
+// TestClientKeysShapedLikeMintedOnesReplay: a client's keys that start
+// like a minted key but that ForwardKey cannot write (no shard, or an
+// instance that is not a number) are kept for the life of the books.
+// Behind ForwardKeyWindow more keys of the same shape, a retry of the
+// first still replays its placement instead of being refused as stale.
+func TestClientKeysShapedLikeMintedOnesReplay(t *testing.T) {
+	srv := booksServer(t)
+	defer srv.trms.Close()
+	for _, prefix := range []string{"fwd-", "fwd-x", "fwd-s1-x"} {
+		submit := func(seq int) Response {
+			return respondTo(srv, Request{Op: OpSubmit, Client: 0, Activities: []int{0}, RTL: "D",
+				EEC: []float64{10, 11}, IdemKey: fmt.Sprintf("%s-%d", prefix, seq), Now: float64(seq)})
+		}
+		first := submit(1)
+		if first.Status != StatusOK {
+			t.Fatalf("%s-1: %+v", prefix, first)
+		}
+		for seq := 2; seq <= ForwardKeyWindow+1; seq++ {
+			if resp := submit(seq); resp.Status != StatusOK {
+				t.Fatalf("%s-%d: %+v", prefix, seq, resp)
+			}
+		}
+		placed := srv.trms.Placed()
+		if resp := submit(1); resp.Status != StatusOK || *resp.Placement != *first.Placement {
+			t.Errorf("retry of client key %s-1 behind %d more: %+v, want its placement %+v",
+				prefix, ForwardKeyWindow, resp, first.Placement)
+		}
+		if got := srv.trms.Placed(); got != placed {
+			t.Errorf("%s: placed %d after the retry, want %d", prefix, got, placed)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the statistical accumulators used by the
-// simulator's metric pipeline and by the benchmark harness: numerically
-// stable running moments (Welford), min/max tracking, percentiles,
-// Student-t confidence intervals, and paired-sample comparisons.
+// simulator's metric pipeline: numerically stable running moments
+// (Welford), min/max tracking, percentiles, Student-t confidence
+// intervals, and paired-sample comparisons.
 //
 // Every experiment in the paper (Tables 4-9) reports a mean over stochastic
 // replications; the harness additionally reports 95% confidence intervals
@@ -10,12 +10,9 @@
 package stats
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
-
-	"gridtrust/internal/rng"
 )
 
 // Running accumulates count, mean, variance (Welford's online algorithm),
@@ -164,92 +161,35 @@ func tCritical95(df int64) float64 {
 }
 
 // Sample stores raw observations for quantile queries.  Unlike Running it
-// holds all data by default; use it for per-request completion times where
-// percentiles matter.  For unbounded streams — a load driver recording
-// millions of latencies — call Bound first: the sample then keeps a
-// fixed-size uniform reservoir (deterministically seeded via internal/rng)
-// while count and sum stay exact, so Mean and N are always precise and
-// quantiles are estimated from the reservoir.
+// holds all data; use it for per-request completion times where
+// percentiles matter.
 type Sample struct {
 	xs     []float64
 	sorted bool
-
-	// seen and sum track every observation exactly, including those the
-	// reservoir dropped.
-	seen int64
-	sum  float64
-
-	// cap > 0 bounds len(xs); src drives the reservoir decisions.
-	cap int
-	src *rng.Source
 }
 
-// Bound switches the sample to bounded-reservoir mode holding at most
-// capacity observations, using a deterministic rng stream from seed.  If
-// the sample already holds more than capacity observations they are
-// downsampled uniformly.  capacity <= 0 is a no-op.
-func (s *Sample) Bound(capacity int, seed uint64) {
-	if capacity <= 0 {
-		return
-	}
-	s.cap = capacity
-	s.src = rng.New(seed)
-	if len(s.xs) > capacity {
-		// Partial Fisher-Yates: uniformly select capacity survivors.
-		for i := 0; i < capacity; i++ {
-			j := i + s.src.Intn(len(s.xs)-i)
-			s.xs[i], s.xs[j] = s.xs[j], s.xs[i]
-		}
-		s.xs = s.xs[:capacity]
-		s.sorted = false
-	}
-}
-
-// Add appends an observation.  In bounded mode it runs Vitter's
-// algorithm R: once the reservoir is full, the new observation replaces
-// a uniformly random slot with probability cap/seen.
+// Add appends an observation.
 func (s *Sample) Add(x float64) {
-	s.seen++
-	s.sum += x
-	if s.cap > 0 && len(s.xs) >= s.cap {
-		if j := int(s.src.Uint64() % uint64(s.seen)); j < s.cap {
-			s.xs[j] = x
-			s.sorted = false
-		}
-		return
-	}
 	s.xs = append(s.xs, x)
 	s.sorted = false
 }
 
-// Grow reserves room for n more retained observations, so a caller
-// that knows how many it will add appends them without reallocating.
+// Grow reserves room for n more observations, so a caller that knows
+// how many it will add appends them without reallocating.
 func (s *Sample) Grow(n int) {
-	if s.cap > 0 {
-		n = min(n, s.cap-len(s.xs))
-	}
 	s.xs = slices.Grow(s.xs, max(n, 0))
 }
 
-// N returns the number of observations, including any the reservoir
-// dropped.
-func (s *Sample) N() int { return int(s.seen) }
+// N returns the number of observations.
+func (s *Sample) N() int { return len(s.xs) }
 
-// Retained returns how many observations are held for quantile queries
-// (== N() for an unbounded sample).
-func (s *Sample) Retained() int { return len(s.xs) }
-
-// Mean returns the sample mean over every observation, or NaN if empty.
+// Mean returns the sample mean, or NaN if empty.  It sums the values in
+// their current order, which keeps the bit-exact results downstream
+// outputs are byte-compared against.
 func (s *Sample) Mean() float64 {
-	if s.seen == 0 {
+	if len(s.xs) == 0 {
 		return math.NaN()
 	}
-	if s.cap > 0 {
-		return s.sum / float64(s.seen)
-	}
-	// Unbounded: sum the retained values in their current order, which
-	// preserves the historical bit-exact behaviour downstream outputs
-	// are byte-compared against.
 	sum := 0.0
 	for _, x := range s.xs {
 		sum += x
@@ -259,7 +199,7 @@ func (s *Sample) Mean() float64 {
 
 // Quantile returns the q-quantile (0 <= q <= 1) using linear interpolation
 // between order statistics.  It returns NaN if the sample is empty or q is
-// out of range.  It sorts the retained values in place, in the order of
+// out of range.  It sorts the values in place, in the order of
 // sort.Float64s (NaNs first, then ascending) with −0 before +0, and
 // Values returns them in that order until the next Add.
 func (s *Sample) Quantile(q float64) float64 {
@@ -421,76 +361,6 @@ func (s *Sample) Values() []float64 {
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
 	return out
-}
-
-// Pool reads several samples of disjoint streams — a load driver's
-// per-worker reservoirs — as one sample of their union.  N and Mean are
-// exact over every observation (sum / N).  Each retained value stands
-// for seen/retained observations of its sample, so Quantile weighs a
-// sample by what it saw, not by what it kept; over unbounded samples
-// every weight is 1 and Quantile is the union's, bit for bit.
-type Pool struct {
-	xs     []weighted
-	sorted bool
-	seen   int64
-	sum    float64
-}
-
-type weighted struct{ x, w float64 }
-
-// Add pools s, which is not modified.
-func (p *Pool) Add(s *Sample) {
-	if len(s.xs) == 0 {
-		return
-	}
-	w := float64(s.seen) / float64(len(s.xs))
-	for _, x := range s.xs {
-		p.xs = append(p.xs, weighted{x, w})
-	}
-	p.sorted = false
-	p.seen += s.seen
-	p.sum += s.sum
-}
-
-// N returns the number of observations pooled.
-func (p *Pool) N() int { return int(p.seen) }
-
-// Mean returns the mean over every pooled observation, or NaN if empty.
-func (p *Pool) Mean() float64 {
-	if p.seen == 0 {
-		return math.NaN()
-	}
-	return p.sum / float64(p.seen)
-}
-
-// Quantile returns the q-quantile of the pooled stream, interpolated
-// between order statistics as Sample.Quantile is, where the value at
-// rank r is the retained value whose run of weight covers r.
-func (p *Pool) Quantile(q float64) float64 {
-	if len(p.xs) == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if !p.sorted {
-		slices.SortStableFunc(p.xs, func(a, b weighted) int { return cmp.Compare(a.x, b.x) })
-		p.sorted = true
-	}
-	pos := q * float64(p.seen-1)
-	lo := math.Floor(pos)
-	if frac := pos - lo; frac != 0 {
-		return p.rank(lo)*(1-frac) + p.rank(lo+1)*frac
-	}
-	return p.rank(lo)
-}
-
-// rank returns the value at rank r of the sorted pooled stream.
-func (p *Pool) rank(r float64) float64 {
-	cum := 0.0
-	for _, v := range p.xs {
-		if cum += v.w; r < cum {
-			return v.x
-		}
-	}
-	return p.xs[len(p.xs)-1].x // r reached the end through rounding
 }
 
 // Paired accumulates paired observations (a_i, b_i) — e.g. trust-unaware vs

@@ -324,159 +324,3 @@ func TestRunningStringNonEmpty(t *testing.T) {
 		t.Fatal("String returned empty")
 	}
 }
-
-// TestPoolUnboundedExact: pooling unbounded samples pools the exact
-// multiset, so every quantile matches the pooled sample bit for bit.
-func TestPoolUnboundedExact(t *testing.T) {
-	src := rng.New(3)
-	var pooled Sample
-	parts := make([]*Sample, 4)
-	for i := range parts {
-		parts[i] = &Sample{}
-	}
-	for i := 0; i < 4000; i++ {
-		x := src.Normal(50, 12)
-		pooled.Add(x)
-		parts[i%4].Add(x)
-	}
-	var merged Pool
-	for _, p := range parts {
-		merged.Add(p)
-	}
-	if merged.N() != pooled.N() {
-		t.Fatalf("merged N=%d, pooled N=%d", merged.N(), pooled.N())
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
-		if m, p := merged.Quantile(q), pooled.Quantile(q); m != p {
-			t.Fatalf("q%.2f: merged %v != pooled %v", q, m, p)
-		}
-	}
-	if math.Abs(merged.Mean()-pooled.Mean()) > 1e-9 {
-		t.Fatalf("mean diverged: %v vs %v", merged.Mean(), pooled.Mean())
-	}
-}
-
-// TestSampleBoundedReservoir: a bounded sample keeps N, Mean exact and
-// quantiles within reservoir tolerance of the full stream.
-func TestSampleBoundedReservoir(t *testing.T) {
-	const n = 50000
-	const capacity = 2000
-	src := rng.New(9)
-	var full, bounded Sample
-	bounded.Bound(capacity, 77)
-	exactSum := 0.0
-	for i := 0; i < n; i++ {
-		x := src.Exponential(0.02) // mean 50, long tail
-		full.Add(x)
-		bounded.Add(x)
-		exactSum += x
-	}
-	if bounded.N() != n {
-		t.Fatalf("bounded N=%d, want %d", bounded.N(), n)
-	}
-	if bounded.Retained() != capacity {
-		t.Fatalf("retained %d, want %d", bounded.Retained(), capacity)
-	}
-	if math.Abs(bounded.Mean()-exactSum/n) > 1e-9 {
-		t.Fatalf("bounded mean %v, exact %v", bounded.Mean(), exactSum/n)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		f, b := full.Quantile(q), bounded.Quantile(q)
-		if rel := math.Abs(b-f) / f; rel > 0.15 {
-			t.Errorf("q%.2f: bounded %v vs full %v (rel err %.3f)", q, b, f, rel)
-		}
-	}
-}
-
-// TestPoolBoundedTolerance: per-worker bounded reservoirs pooled must
-// track the pooled stream's quantiles within tolerance — the shape
-// gridload uses to aggregate per-client latency without unbounded
-// memory.
-func TestPoolBoundedTolerance(t *testing.T) {
-	const workers = 8
-	const perWorker = 20000
-	const capacity = 4096
-	src := rng.New(21)
-	var pooled Sample
-	parts := make([]*Sample, workers)
-	for w := range parts {
-		parts[w] = &Sample{}
-		parts[w].Bound(capacity, uint64(100+w))
-	}
-	for w := 0; w < workers; w++ {
-		// Heterogeneous workers: different scales, like fast vs slow
-		// clients.
-		scale := 1.0 + 0.5*float64(w)
-		for i := 0; i < perWorker; i++ {
-			x := scale * src.Exponential(0.1)
-			pooled.Add(x)
-			parts[w].Add(x)
-		}
-	}
-	var merged Pool
-	for _, p := range parts {
-		merged.Add(p)
-	}
-	if merged.N() != workers*perWorker {
-		t.Fatalf("merged N=%d, want %d", merged.N(), workers*perWorker)
-	}
-	wantMean := pooled.Mean()
-	if rel := math.Abs(merged.Mean()-wantMean) / wantMean; rel > 1e-9 {
-		t.Fatalf("merged mean %v, pooled %v", merged.Mean(), wantMean)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-		p, m := pooled.Quantile(q), merged.Quantile(q)
-		if rel := math.Abs(m-p) / p; rel > 0.2 {
-			t.Errorf("q%.2f: merged %v vs pooled %v (rel err %.3f)", q, m, p, rel)
-		}
-	}
-}
-
-// TestPoolWeighsSamplesBySeen: a sample that kept a fraction of what it
-// saw counts by what it saw.  One of 200 000 observations at 1 kept
-// 1 000 of them; one of 10 000 at 10 kept all.  Counted by what each
-// kept, 10 would be 91 % of the pool.
-func TestPoolWeighsSamplesBySeen(t *testing.T) {
-	var fast, slow Sample
-	fast.Bound(1000, 1)
-	for i := 0; i < 200000; i++ {
-		fast.Add(1)
-	}
-	for i := 0; i < 10000; i++ {
-		slow.Add(10)
-	}
-	var p Pool
-	p.Add(&fast)
-	p.Add(&slow)
-	if p.N() != 210000 {
-		t.Fatalf("N = %d, want 210000", p.N())
-	}
-	if want := 300000.0 / 210000; math.Abs(p.Mean()-want) > 1e-12 {
-		t.Fatalf("mean %v, want %v", p.Mean(), want)
-	}
-	for q, want := range map[float64]float64{0: 1, 0.5: 1, 0.95: 1, 0.96: 10, 1: 10} {
-		if got := p.Quantile(q); got != want {
-			t.Errorf("q%.2f = %v, want %v", q, got, want)
-		}
-	}
-}
-
-// TestSampleBoundDownsamplesExisting: bounding an already-filled sample
-// keeps exact N/Mean and retains exactly cap values.
-func TestSampleBoundDownsamplesExisting(t *testing.T) {
-	var s Sample
-	for i := 0; i < 1000; i++ {
-		s.Add(float64(i))
-	}
-	s.Bound(100, 5)
-	if s.N() != 1000 || s.Retained() != 100 {
-		t.Fatalf("N=%d retained=%d", s.N(), s.Retained())
-	}
-	if want := 999.0 / 2; math.Abs(s.Mean()-want) > 1e-9 {
-		t.Fatalf("mean %v, want %v", s.Mean(), want)
-	}
-	med := s.Quantile(0.5)
-	if med < 250 || med > 750 {
-		t.Fatalf("downsampled median %v implausible", med)
-	}
-}

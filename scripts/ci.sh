@@ -93,6 +93,17 @@ if grep -rnE '\.(Counters|Gauges|Histograms)\[[^]]*\] *=' --include='*.go' . | g
     exit 1
 fi
 
+echo "==> one wall-clock latency instrument (non-test Go imports internal/stats only under internal/sim; non-test internal/stats imports no internal/rng)"
+if grep -rn '"gridtrust/internal/stats"' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' \
+    | grep -v '^\./internal/sim/'; then
+    echo "ci: internal/stats is the simulator's exact sample; a wall-clock latency goes into a metrics.Histogram, as the daemon, the fleet router, gridctl and gridload record it" >&2
+    exit 1
+fi
+if grep -rn '"gridtrust/internal/rng"' --include='*.go' internal/stats | grep -v '_test\.go:'; then
+    echo "ci: a Sample keeps every observation, so nothing in it draws a random number" >&2
+    exit 1
+fi
+
 echo "==> the forward hop relays a line (every RoundTrip in non-test code under internal/fleet sends a frame.Line, not a decoded rmswire.Request)"
 if grep -rn 'RoundTrip(' --include='*.go' internal/fleet | grep -v '_test\.go:' | grep -v 'RoundTrip(nil, '; then
     echo "ci: an entry shard forwards the client's line spliced by rmswire.Forward and hands back the owner's reply line; re-encoding either costs a codec pass that changes nothing" >&2
